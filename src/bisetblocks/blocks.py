@@ -115,7 +115,7 @@ def _structure_constants(G: FiniteGroup):
         for j, cj in enumerate(classes):
             counts = [0] * k
             for x in ci:
-                row = G.table[x]
+                row = G.row(x)
                 for y in cj:
                     z = row[y]
                     if z in rep_pos:
@@ -220,16 +220,6 @@ class CentralElement:
                     out[g] = c
         return out
 
-    @staticmethod
-    def from_vector(group: FiniteGroup, field: Fq, vec) -> "CentralElement":
-        coeffs = []
-        for cls in group.conjugacy_classes():
-            c = vec[cls[0]]
-            if any(vec[g] != c for g in cls):
-                raise ValueError("vector is not constant on classes")
-            coeffs.append(c)
-        return CentralElement(group, field, coeffs)
-
     def __repr__(self):
         return f"CentralElement({self.group.name}, {list(self.coeffs)})"
 
@@ -241,7 +231,7 @@ def group_algebra_mul(F: Fq, G: FiniteGroup, a, b):
         cx = a[x]
         if not cx:
             continue
-        row = G.table[x]
+        row = G.row(x)
         mrow = F.mul_table[cx]
         for y in range(G.order):
             cy = b[y]
@@ -550,13 +540,13 @@ def brauer_construction(terms, P: Subgroup):
     from .gsets import GAction, biset_coset
     out = []
     for X, coeff in terms:
-        amb_group = X.ambient.group
-        if P.parent.uid != amb_group.uid:
+        amb = X.ambient
+        if P.parent.uid != amb.uid:
             raise ValueError("P must live in the ambient product group")
         U = biset_coset(X)
         fixed = U.action.fixed_points(P.elements)
         pos = {x: i for i, x in enumerate(fixed)}
-        N = normalizer(amb_group, P)
+        N = normalizer(amb, P)
         Ng = N.as_group()
         rows = []
         for i in range(Ng.order):

@@ -133,7 +133,7 @@ class VirtualPPermBimodule:
         self.ambient = ambient
         self.terms = list(terms)
         for t in self.terms:
-            if t.vertex.ambient.group.uid != ambient.group.uid:
+            if t.vertex.ambient.uid != ambient.uid:
                 raise ValueError("term lives in a different product group")
 
     def negate(self) -> "VirtualPPermBimodule":
@@ -240,7 +240,7 @@ class BrouePipeline:
             mu = part if mu is None else mu + part
         if mu is None:
             mu = ClassFunction(
-                PG.group, [0] * len(PG.group.conjugacy_classes()))
+                PG, [0] * len(PG.conjugacy_classes()))
         return {
             "mu": mu,
             "kept": kept,
@@ -254,7 +254,7 @@ class BrouePipeline:
         G, H, p = self.G, self.H, self.p
         PG = self.ambient
         violations = []
-        for cls in PG.group.conjugacy_classes():
+        for cls in PG.conjugacy_classes():
             g, h = PG.decode(cls[0])
             v = mu.at(PG.encode(g, h))
             cg = centralizer(G, g).order
@@ -631,9 +631,12 @@ class BrouePipeline:
         variants = [
             ("alternate-conventions",
              {"conventions": "alternate", "field_degree": None}),
+            # F_{p^k} contains the splitting field F_{p^m} only when m
+            # divides k, so the larger field doubles the degree.  The
+            # variant keeps its older label, which reports carry.
             ("field-degree-plus-one",
              {"conventions": "standard",
-              "field_degree": self.base_degree + 1}),
+              "field_degree": 2 * self.base_degree}),
         ]
         for label, kw in variants:
             entry = {"variant": label}

@@ -161,10 +161,10 @@ def external_character(chi: ClassFunction, theta: ClassFunction
     """The product character chi x theta on the direct product group."""
     amb = product_group(chi.group, theta.group)
     vals = []
-    for cls in amb.group.conjugacy_classes():
+    for cls in amb.conjugacy_classes():
         a, b = amb.decode(cls[0])
         vals.append(chi.at(a) * theta.at(b))
-    return ClassFunction(amb.group, vals)
+    return ClassFunction(amb, vals)
 
 
 def contract_middle(mu: ClassFunction, psi: ClassFunction,
@@ -174,7 +174,7 @@ def contract_middle(mu: ClassFunction, psi: ClassFunction,
     The value at g is |H|^-1 sum_h mu(g,h) psi(h): the character of the
     image of the psi-module under the functor attached to mu.
     """
-    if mu.group.uid != ambient.group.uid:
+    if mu.group.uid != ambient.uid:
         raise ValueError("mu must live on the ambient product group")
     H = ambient.right
     if psi.group.uid != H.uid:
@@ -200,14 +200,14 @@ def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
     out_amb = product_group(amb1.left, amb2.right)
     scale = Fraction(1, H.order)
     vals = []
-    for cls in out_amb.group.conjugacy_classes():
+    for cls in out_amb.conjugacy_classes():
         g, k = out_amb.decode(cls[0])
         total = ZERO
         for h in range(H.order):
             total = total + (mu1.at(amb1.encode(g, h))
                              * mu2.at(amb2.encode(h, k)))
         vals.append(total * scale)
-    return ClassFunction(out_amb.group, vals)
+    return ClassFunction(out_amb, vals)
 
 
 def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
@@ -247,12 +247,12 @@ def conjugate_character_by(chi: ClassFunction, X: ProductSubgroup, x: int
     amb = X.ambient
     Xc = X.conjugated_by_pair(x)
     Xg, Xcg = X.as_group(), Xc.as_group()
-    xinv = amb.group.inv(x)
+    xinv = amb.inv(x)
     vals = []
     for cls in Xcg.conjugacy_classes():
         e = Xcg.local_to_parent[cls[0]]
         vals.append(chi.values[Xg.class_index(
-            Xg.parent_to_local[amb.group.conj(xinv, e)])])
+            Xg.parent_to_local[amb.conj(xinv, e)])])
     return Xc, ClassFunction(Xcg, vals)
 
 
@@ -294,9 +294,6 @@ class CharacterTable:
 
     def degrees(self) -> list[int]:
         return [chi.degree().as_int() for chi in self.irreducibles]
-
-    def index_of_trivial(self) -> int:
-        return 0
 
     def dual_index(self, i: int) -> int:
         """Index of the complex conjugate of character i."""
@@ -411,7 +408,7 @@ def abelian_character_table(G: FiniteGroup) -> CharacterTable:
             nxt = []
             for a in frontier:
                 for g, ig in zip(gens, images):
-                    b = G.table[a][g]
+                    b = G.mul(a, g)
                     vb = vals[a] * ig
                     if b in vals:
                         if vals[b] != vb:
@@ -452,8 +449,8 @@ def verify_tensor_character_formula(X: ProductSubgroup, Y: ProductSubgroup,
     lhs = contract_over_middle(induce(chi_m, X), induce(chi_n, Y),
                                X.ambient, Y.ambient)
     out_amb = product_group(X.ambient.left, Y.ambient.right)
-    rhs = ClassFunction(out_amb.group,
-                        [0] * len(out_amb.group.conjugacy_classes()))
+    rhs = ClassFunction(out_amb,
+                        [0] * len(out_amb.conjugacy_classes()))
     count = 0
     for h in double_cosets(H, X.p2, Y.p1):
         pid = Y.ambient.encode(h, Y.ambient.right.identity)

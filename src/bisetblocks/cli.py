@@ -53,7 +53,10 @@ def _load_json(path: str) -> dict:
 def _group_arg(text: str):
     """A group given as a bundled name or a path to a spec document."""
     if text.endswith(".json"):
-        return group_from_spec(_load_json(text))
+        try:
+            return group_from_spec(_load_json(text))
+        except (TypeError, ValueError) as ex:
+            raise InputError(f"bad group spec {text}: {ex}")
     try:
         return named_group(text)
     except Exception as ex:

@@ -1,17 +1,21 @@
-"""Finite groups as dense Cayley tables with integer element ids.
+"""Finite groups with integer element ids.
 
 A group of order n has elements 0..n-1 with 0 the identity whenever the
-group is built by generator closure.  Groups are immutable once built;
-derived data (conjugacy classes, element orders, subgroup caches) is
-computed lazily and memoized.  Canonical representatives are always the
-smallest available integer id, which keeps every enumeration in the
-package deterministic.
+group is built by generator closure.  A group built from a table stores
+it densely; a direct product stores only its two factors and multiplies
+componentwise.  Other modules multiply through mul/inv/conj/row and so
+never depend on which.  Groups are immutable once built; derived data
+(conjugacy classes, element orders, subgroup caches) is computed lazily
+and memoized.  Canonical representatives are always the smallest
+available integer id, which keeps every enumeration in the package
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 from math import lcm
 
 DEFAULT_CLOSURE_CAP = 10080
@@ -23,26 +27,30 @@ class SizeLimitError(ValueError):
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group; this class stores its full multiplication table."""
 
     _uid_counter = itertools.count()
 
     def __init__(self, table, identity: int = 0, name: str = "",
                  element_names=None, _skip_check: bool = False) -> None:
         self.table = tuple(tuple(row) for row in table)
-        self.order = len(self.table)
+        self._start(len(self.table), identity, name, element_names)
+        if not _skip_check:
+            self._check_axioms()
+
+    def _start(self, order: int, identity: int, name: str,
+               element_names) -> None:
+        """Set the state every group carries, however it multiplies."""
+        self.order = order
         self.identity = identity
-        self.name = name or f"G{self.order}"
+        self.name = name or f"G{order}"
         self.element_names = tuple(element_names) if element_names else None
         self.uid = next(FiniteGroup._uid_counter)
-        self._inv = None
         self._classes = None
         self._class_of = None
         self._orders = None
         self._center = None
         self._subgroup_cache: dict = {}
-        if not _skip_check:
-            self._check_axioms()
 
     # -- construction-time validation --------------------------------
 
@@ -71,13 +79,24 @@ class FiniteGroup:
 
     # -- basic operations --------------------------------------------
 
+    @property
+    def _rows(self):
+        """Indexed like a Cayley table: _rows[a][b] is mul(a, b)."""
+        return self.table
+
+    @cached_property
+    def _inv(self) -> tuple[int, ...]:
+        e = self.identity
+        return tuple(row.index(e) for row in self.table)
+
+    def row(self, a: int) -> tuple[int, ...]:
+        """The products a*b for b = 0..order-1."""
+        return self.table[a]
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inv is None:
-            e = self.identity
-            self._inv = tuple(self.table[g].index(e) for g in range(self.order))
         return self._inv[a]
 
     def power(self, g: int, k: int) -> int:
@@ -86,17 +105,18 @@ class FiniteGroup:
         out = self.identity
         while k:
             if k & 1:
-                out = self.table[out][g]
-            g = self.table[g][g]
+                out = self.mul(out, g)
+            g = self.mul(g, g)
             k >>= 1
         return out
 
     def conj(self, x: int, g: int) -> int:
         """The conjugate x g x^-1."""
-        return self.table[self.table[x][g]][self.inv(x)]
+        t = self.table
+        return t[t[x][g]][self._inv[x]]
 
     def commutes(self, a: int, b: int) -> bool:
-        return self.table[a][b] == self.table[b][a]
+        return self.mul(a, b) == self.mul(b, a)
 
     def element_order(self, g: int) -> int:
         if self._orders is None:
@@ -126,20 +146,25 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted tuples, ordered by smallest member; identity first."""
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
+            self._classes = self._find_classes()
             class_of = [0] * self.order
-            for g in range(self.order):
-                if seen[g]:
-                    continue
-                cls = sorted({self.conj(x, g) for x in range(self.order)})
+            for i, cls in enumerate(self._classes):
                 for y in cls:
-                    seen[y] = True
-                    class_of[y] = len(classes)
-                classes.append(tuple(cls))
-            self._classes = tuple(classes)
+                    class_of[y] = i
             self._class_of = tuple(class_of)
         return self._classes
+
+    def _find_classes(self) -> tuple[tuple[int, ...], ...]:
+        seen = [False] * self.order
+        classes = []
+        for g in range(self.order):
+            if seen[g]:
+                continue
+            cls = sorted({self.conj(x, g) for x in range(self.order)})
+            for y in cls:
+                seen[y] = True
+            classes.append(tuple(cls))
+        return tuple(classes)
 
     def class_index(self, g: int) -> int:
         self.conjugacy_classes()
@@ -162,12 +187,12 @@ class Subgroup:
     def _check(self) -> None:
         if self.parent.identity not in self.element_set:
             raise ValueError("subgroup is missing the identity")
-        t = self.parent.table
+        mul = self.parent.mul
         for a in self.elements:
             if self.parent.inv(a) not in self.element_set:
                 raise ValueError("subgroup is not closed under inverses")
             for b in self.elements:
-                if t[a][b] not in self.element_set:
+                if mul(a, b) not in self.element_set:
                     raise ValueError("subgroup is not closed under products")
 
     @property
@@ -225,8 +250,8 @@ class Subgroup:
         cached = self.parent._subgroup_cache.get(key)
         if cached is None:
             loc = {g: i for i, g in enumerate(self.elements)}
-            table = [[loc[self.parent.table[a][b]] for b in self.elements]
-                     for a in self.elements]
+            table = [[loc[row[b]] for b in self.elements]
+                     for row in map(self.parent.row, self.elements)]
             names = None
             if self.parent.element_names:
                 names = [self.parent.element_names[g] for g in self.elements]
@@ -255,12 +280,13 @@ class Subgroup:
             if not seen[g]:
                 reps.append(g)
                 for h in self.elements:
-                    seen[G.table[g][h]] = True
+                    seen[G.mul(g, h)] = True
         return tuple(reps)
 
     def coset_index_map(self):
         """Array mapping each parent element g to the index of its coset gH."""
         G = self.parent
+        mul = G.mul
         idx = [-1] * G.order
         reps = []
         for g in range(G.order):
@@ -268,7 +294,7 @@ class Subgroup:
                 k = len(reps)
                 reps.append(g)
                 for h in self.elements:
-                    idx[G.table[g][h]] = k
+                    idx[mul(g, h)] = k
         return reps, idx
 
 
@@ -295,8 +321,8 @@ class GroupHom:
             rng = random.Random(n + 1)
             pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(4000))
         for a, b in pairs:
-            if (self.images[self.source.table[a][b]]
-                    != self.target.table[self.images[a]][self.images[b]]):
+            if (self.images[self.source.mul(a, b)]
+                    != self.target.mul(self.images[a], self.images[b])):
                 raise ValueError("map is not multiplicative")
 
     def __call__(self, g: int) -> int:
@@ -319,14 +345,6 @@ class GroupHom:
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        if inner.target is not self.source:
-            raise ValueError("composition requires matching middle group")
-        return GroupHom(inner.source, self.target,
-                        [self.images[inner.images[g]]
-                         for g in range(inner.source.order)], check=False)
 
     def inverse(self) -> "GroupHom":
         if not self.is_isomorphism():
@@ -353,25 +371,27 @@ def parse_cycles(text: str, degree: int = 0) -> tuple[int, ...]:
     cur: list[int] = []
     token = ""
     for ch in text + " ":
+        if token and not ch.isdigit():
+            if not depth:
+                raise ValueError(f"point {token} outside a cycle in {text!r}")
+            cur.append(int(token))
+            token = ""
         if ch == "(":
             if depth:
                 raise ValueError(f"nested parenthesis in {text!r}")
             depth, cur = 1, []
         elif ch == ")":
-            if token:
-                cur.append(int(token))
-                token = ""
+            if not depth:
+                raise ValueError(f"unbalanced parenthesis in {text!r}")
             if cur:
                 cycles.append(cur)
             depth = 0
-        elif ch in " ,\t":
-            if token:
-                cur.append(int(token))
-                token = ""
         elif ch.isdigit():
             token += ch
-        else:
+        elif ch not in " ,\t":
             raise ValueError(f"unexpected character {ch!r} in cycle notation")
+    if depth:
+        raise ValueError(f"unbalanced parenthesis in {text!r}")
     deg = max([degree] + [p for c in cycles for p in c])
     perm = list(range(deg))
     for cyc in cycles:
@@ -468,7 +488,7 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
         nxt = []
         for a in frontier:
             for g in gens:
-                b = G.table[a][g]
+                b = G.mul(a, g)
                 if b not in elems:
                     elems.add(b)
                     nxt.append(b)
@@ -492,7 +512,7 @@ def centralizer(G: FiniteGroup, part) -> Subgroup:
         part = part.elements
     part = list(part)
     return Subgroup(G, [x for x in range(G.order)
-                        if all(G.commutes(x, s) for s in part)], check=False)
+                        if all(G.conj(x, s) == s for s in part)], check=False)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -509,34 +529,29 @@ def center(G: FiniteGroup) -> Subgroup:
     return G._center
 
 
-class ProductGroup:
-    """A direct product G x H together with its projections and embeddings."""
+class ProductGroup(FiniteGroup):
+    """The direct product G x H; the pair (a, b) has id a * |H| + b.
+
+    Products multiply componentwise by indexing the factors' rows, so no
+    table of the product is built.  Its classes are the products of the
+    factor classes.
+    """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup) -> None:
-        self.left = left
-        self.right = right
         nl, nr = left.order, right.order
         if nl * nr > DEFAULT_CLOSURE_CAP:
             raise SizeLimitError("direct product exceeds the order cap")
-        table = [[0] * (nl * nr) for _ in range(nl * nr)]
-        for a in range(nl):
-            ta = left.table[a]
-            for b in range(nr):
-                tb = right.table[b]
-                row = table[a * nr + b]
-                for c in range(nl):
-                    base = ta[c] * nr
-                    for d in range(nr):
-                        row[c * nr + d] = base + tb[d]
         names = None
         if left.element_names and right.element_names:
-            names = [f"({left.element_names[a]},{right.element_names[b]})"
-                     for a in range(nl) for b in range(nr)]
-        self.group = FiniteGroup(
-            table, identity=left.identity * nr + right.identity,
-            name=f"{left.name}x{right.name}", element_names=names,
-            _skip_check=True)
+            names = [f"({x},{y})" for x in left.element_names
+                     for y in right.element_names]
+        self._start(nl * nr, left.identity * nr + right.identity,
+                    f"{left.name}x{right.name}", names)
+        self.left = left
+        self.right = right
         self._nr = nr
+        self._lt, self._rt = left._rows, right._rows
+        self._linv, self._rinv = left._inv, right._inv
 
     def encode(self, a: int, b: int) -> int:
         return a * self._nr + b
@@ -544,25 +559,56 @@ class ProductGroup:
     def decode(self, x: int) -> tuple[int, int]:
         return divmod(x, self._nr)
 
-    def proj1(self) -> GroupHom:
-        return GroupHom(self.group, self.left,
-                        [self.decode(x)[0] for x in range(self.group.order)],
-                        check=False)
+    @cached_property
+    def _rows(self):
+        # Only read when this product is a factor of another product.
+        return _RowCache(self.row)
 
-    def proj2(self) -> GroupHom:
-        return GroupHom(self.group, self.right,
-                        [self.decode(x)[1] for x in range(self.group.order)],
-                        check=False)
+    @cached_property
+    def _inv(self) -> tuple[int, ...]:
+        nr = self._nr
+        return tuple(a * nr + b for a in self._linv for b in self._rinv)
 
-    def emb1(self) -> GroupHom:
-        return GroupHom(self.left, self.group,
-                        [self.encode(a, self.right.identity)
-                         for a in range(self.left.order)], check=False)
+    def row(self, a: int) -> tuple[int, ...]:
+        nr = self._nr
+        ra = self._rt[a % nr]
+        return tuple(c * nr + d for c in self._lt[a // nr] for d in ra)
 
-    def emb2(self) -> GroupHom:
-        return GroupHom(self.right, self.group,
-                        [self.encode(self.left.identity, b)
-                         for b in range(self.right.order)], check=False)
+    def mul(self, a: int, b: int) -> int:
+        nr = self._nr
+        return self._lt[a // nr][b // nr] * nr + self._rt[a % nr][b % nr]
+
+    def conj(self, x: int, g: int) -> int:
+        nr = self._nr
+        lt, rt = self._lt, self._rt
+        x1, x2 = x // nr, x % nr
+        return (lt[lt[x1][g // nr]][self._linv[x1]] * nr
+                + rt[rt[x2][g % nr]][self._rinv[x2]])
+
+    def element_order(self, g: int) -> int:
+        nr = self._nr
+        return lcm(self.left.element_order(g // nr),
+                   self.right.element_order(g % nr))
+
+    def _find_classes(self) -> tuple[tuple[int, ...], ...]:
+        # Factor classes are sorted by smallest member, so their products
+        # read in factor order are too.
+        nr = self._nr
+        return tuple(tuple(a * nr + b for a in A for b in B)
+                     for A in self.left.conjugacy_classes()
+                     for B in self.right.conjugacy_classes())
+
+
+class _RowCache(dict):
+    """Rows of a group, each computed on first lookup."""
+
+    def __init__(self, row) -> None:
+        super().__init__()
+        self._row = row
+
+    def __missing__(self, a: int) -> tuple[int, ...]:
+        out = self[a] = self._row(a)
+        return out
 
 
 _PRODUCT_CACHE: dict[tuple[int, int], ProductGroup] = {}
@@ -598,9 +644,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not N.is_normal():
         raise ValueError("quotient requires a normal subgroup")
     reps, idx = N.coset_index_map()
-    k = len(reps)
-    table = [[idx[G.table[reps[i]][reps[j]]] for j in range(k)]
-             for i in range(k)]
+    table = [[idx[row[b]] for b in reps] for row in map(G.row, reps)]
     names = None
     if G.element_names:
         names = [f"{G.element_names[r]}N" for r in reps]
@@ -622,10 +666,9 @@ def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
             continue
         reps.append(g)
         for a in A.elements:
-            ag = G.table[a][g]
-            row = G.table[ag]
+            ag = G.mul(a, g)
             for b in B.elements:
-                seen[row[b]] = True
+                seen[G.mul(ag, b)] = True
     return tuple(reps)
 
 
@@ -633,10 +676,9 @@ def double_coset_of(G: FiniteGroup, A: Subgroup, g: int, B: Subgroup
                     ) -> frozenset[int]:
     out = set()
     for a in A.elements:
-        ag = G.table[a][g]
-        row = G.table[ag]
+        ag = G.mul(a, g)
         for b in B.elements:
-            out.add(row[b])
+            out.add(G.mul(ag, b))
     return frozenset(out)
 
 
@@ -670,8 +712,9 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
                 ext = set(P.elements)
                 gk = g
                 for _ in range(p - 1):
-                    ext.update(G.table[gk][h] for h in P.elements)
-                    gk = G.table[gk][g]
+                    row = G.row(gk)
+                    ext.update(row[h] for h in P.elements)
+                    gk = G.mul(gk, g)
                 Q = Subgroup(G, ext, check=False)
                 key = Q.canonical_conjugate().elements
                 if key not in found:
@@ -720,8 +763,8 @@ def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, imgs):
         nxt = []
         for a in frontier:
             for g, ig in zip(gens, imgs):
-                b = G.table[a][g]
-                ib = H.table[images[a]][ig]
+                b = G.mul(a, g)
+                ib = H.mul(images[a], ig)
                 if b in images:
                     if images[b] != ib:
                         return None

@@ -54,11 +54,11 @@ class GAction:
         else:
             gens = getattr(self.group, "generator_ids", None) or range(
                 min(n, 8))
-        t = self.group.table
         for a in gens:
             ra = self.rows[a]
+            ta = self.group.row(a)
             for b in range(n):
-                rab = self.rows[t[a][b]]
+                rab = self.rows[ta[b]]
                 rb = self.rows[b]
                 if any(ra[rb[x]] != rab[x] for x in range(self.size)):
                     raise ValueError("action is not compatible with products")
@@ -99,12 +99,6 @@ class GAction:
             if all(self.rows[g][x] == x for g in elements):
                 out.append(x)
         return out
-
-    def restrict_to_subgroup(self, S: Subgroup) -> "GAction":
-        """The same points acted on by S.as_group()."""
-        Sg = S.as_group()
-        return GAction(Sg, [self.rows[p] for p in Sg.local_to_parent],
-                       check=False)
 
     def decompose(self) -> "TransitiveDecomposition":
         if self._decomposition is None:
@@ -163,23 +157,18 @@ def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
 
 
 def regular_action(G: FiniteGroup) -> GAction:
-    return GAction(G, G.table, check=False)
+    return GAction(G, [G.row(g) for g in range(G.order)], check=False)
 
 
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
     """Left translation on the cosets gS; point order is by minimal member."""
     reps, idx = S.coset_index_map()
-    rows = [tuple(idx[G.table[g][r]] for r in reps) for g in range(G.order)]
+    mul = G.mul
+    rows = [tuple(idx[mul(g, r)] for r in reps) for g in range(G.order)]
     act = GAction(G, rows, check=False)
     act.coset_reps = tuple(reps)
     act.coset_subgroup = S
     return act
-
-
-def action_from_function(G: FiniteGroup, size: int, fn, check: bool = True
-                         ) -> GAction:
-    return GAction(G, [tuple(fn(g, x) for x in range(size))
-                       for g in range(G.order)], check=check)
 
 
 def disjoint_union(*actions: GAction) -> GAction:
@@ -204,21 +193,12 @@ def external_product(A: GAction, B: GAction) -> GAction:
     amb = product_group(A.group, B.group)
     nb = B.size
     rows = []
-    for x in range(amb.group.order):
+    for x in range(amb.order):
         a, b = amb.decode(x)
         ra, rb = A.rows[a], B.rows[b]
         rows.append(tuple(ra[u] * nb + rb[v]
                           for u in range(A.size) for v in range(nb)))
-    return GAction(amb.group, rows, check=False)
-
-
-def transport_action(A: GAction, iso: GroupHom) -> GAction:
-    """Rewrite an action of iso's target as an action of its source."""
-    if iso.target is not A.group:
-        raise ValueError("iso must land in the acting group")
-    return GAction(iso.source,
-                   [A.rows[iso(g)] for g in range(iso.source.order)],
-                   check=False)
+    return GAction(amb, rows, check=False)
 
 
 def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
@@ -229,7 +209,8 @@ def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
     """
     if group is A.group:
         return A
-    if group.order != A.group.order or group.table != A.group.table:
+    if group.order != A.group.order or any(
+            group.row(g) != A.group.row(g) for g in range(group.order)):
         raise ValueError("groups are not element-wise identical")
     return GAction(group, A.rows, check=False)
 
@@ -240,7 +221,7 @@ class BisetView:
     """An action of a product group G x H, read as a (G, H)-biset."""
 
     def __init__(self, ambient: ProductGroup, action: GAction) -> None:
-        if action.group.uid != ambient.group.uid:
+        if action.group.uid != ambient.uid:
             raise ValueError("action must be over the ambient product group")
         self.ambient = ambient
         self.action = action
@@ -257,14 +238,6 @@ class BisetView:
     def size(self) -> int:
         return self.action.size
 
-    def left_row(self, g: int):
-        return self.action.rows[self.ambient.encode(g, self.right.identity)]
-
-    def right_row(self, h: int):
-        """The permutation u |-> u.h, i.e. the action of (1, h^-1)."""
-        return self.action.rows[self.ambient.encode(
-            self.left.identity, self.right.inv(h))]
-
     def decompose(self) -> TransitiveDecomposition:
         return self.action.decompose()
 
@@ -277,22 +250,22 @@ class BisetView:
         """
         amb = product_group(self.right, self.left)
         rows = []
-        for x in range(amb.group.order):
+        for x in range(amb.order):
             h, g = amb.decode(x)
             rows.append(self.action.rows[self.ambient.encode(g, h)])
-        return BisetView(amb, GAction(amb.group, rows, check=False))
+        return BisetView(amb, GAction(amb, rows, check=False))
 
 
 def biset_coset(X: ProductSubgroup) -> BisetView:
     """The transitive biset of cosets of X inside its ambient product."""
-    return BisetView(X.ambient, coset_action(X.ambient.group, X))
+    return BisetView(X.ambient, coset_action(X.ambient, X))
 
 
 def biset_from_left_action(A: GAction) -> BisetView:
     """View a plain G-set as a (G, 1)-biset over the shared trivial group."""
     one = trivial_group()
     amb = product_group(A.group, one)
-    return BisetView(amb, GAction(amb.group, A.rows, check=False))
+    return BisetView(amb, GAction(amb, A.rows, check=False))
 
 
 def left_action_of_biset(U: BisetView) -> GAction:
@@ -439,13 +412,13 @@ def tensor_direct(U: BisetView, V: BisetView,
     label, reps = _orbit_labels(nu * nv, glue)
     amb = product_group(U.left, V.right)
     rows = []
-    for x in range(amb.group.order):
+    for x in range(amb.order):
         g, k = amb.decode(x)
         gr = U.action.rows[U.ambient.encode(g, U.right.identity)]
         kr = V.action.rows[V.ambient.encode(V.left.identity, k)]
         rows.append(tuple(label[gr[r // nv] * nv + kr[r % nv]]
                           for r in reps))
-    return BisetView(amb, GAction(amb.group, rows, check=False))
+    return BisetView(amb, GAction(amb, rows, check=False))
 
 
 def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
@@ -464,10 +437,10 @@ def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
         pid = Y.ambient.encode(h, Y.ambient.right.identity)
         Yh = Y.conjugated_by_pair(pid)
         Z = star(X, Yh)
-        key = Subgroup(amb_out.group, Z.elements,
+        key = Subgroup(amb_out, Z.elements,
                        check=False).canonical_conjugate().elements
         items[key] += 1
-    return TransitiveDecomposition(amb_out.group, tuple(sorted(items.items())))
+    return TransitiveDecomposition(amb_out, tuple(sorted(items.items())))
 
 
 def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
@@ -525,7 +498,7 @@ def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
     """
     data: PullbackData = pullback(X, Y)
     Sg = data.star_subgroup.as_group()
-    Pg_parent = data.pullback.ambient.group
+    Pg_parent = data.pullback.ambient
     amb = product_group(Sg, Pg_parent)
     Pg = data.pullback.as_group()
     elems = [amb.encode(data.nu(i), Pg.local_to_parent[i])
@@ -564,9 +537,9 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
     for g in range(G.order):
         row = []
         for ti, t in enumerate(reps):
-            gt = G.table[g][t]
+            gt = G.mul(g, t)
             tj = idx[gt]
-            s = Sg.parent_to_local[G.table[G.inv(reps[tj])][gt]]
+            s = Sg.parent_to_local[G.mul(G.inv(reps[tj]), gt)]
             sr = U.rows[s]
             row.extend(tj * n + sr[u] for u in range(n))
         rows.append(tuple(row))
@@ -580,10 +553,9 @@ def conjugated_action(X: ProductSubgroup, x: int, U: GAction
     Returns the conjugate subgroup xXx^-1 with the transported action,
     where a in xXx^-1 acts as x^-1 a x did.
     """
-    amb = X.ambient
+    G = X.ambient
     Xc = X.conjugated_by_pair(x)
     Xg, Xcg = X.as_group(), Xc.as_group()
-    G = amb.group
     xinv = G.inv(x)
     rows = [U.rows[Xg.parent_to_local[G.conj(xinv, Xcg.local_to_parent[i])]]
             for i in range(Xcg.order)]
@@ -621,14 +593,14 @@ def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
 
     data = pullback(X, Y)
     PG = data.pullback.ambient
-    A = Subgroup(PG.group, data.pullback.elements, check=False)
-    B = Subgroup(PG.group,
+    A = Subgroup(PG, data.pullback.elements, check=False)
+    B = Subgroup(PG,
                  [PG.encode(Xg.parent_to_local[e], Yg.parent_to_local[f])
                   for e in Xp.elements for f in Yp.elements], check=False)
     S = data.star_subgroup
     Sg = S.as_group()
     terms = []
-    for rep in double_cosets(PG.group, A, B):
+    for rep in double_cosets(PG, A, B):
         lx, ly = PG.decode(rep)
         x_pid = Xg.local_to_parent[lx]
         y_pid = Yg.local_to_parent[ly]
@@ -664,8 +636,7 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
         raise ValueError("Xp, Yp must be subgroups of X, Y")
     data = pullback(X, Y)
     PG = data.pullback.ambient
-    PGg = PG.group
-    rect = Subgroup(PGg, [PG.encode(X.to_local(e), Y.to_local(f))
+    rect = Subgroup(PG, [PG.encode(X.to_local(e), Y.to_local(f))
                           for e in Xp.elements for f in Yp.elements],
                     check=False)
     lhs = tensor_direct(defres_biset(X, Y), induction_biset(rect))
@@ -674,17 +645,17 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
     Sg = S.as_group()
     rectg = rect.as_group()
     amb_out = product_group(Sg, rectg)
-    A = Subgroup(PGg, data.pullback.elements, check=False)
+    A = Subgroup(PG, data.pullback.elements, check=False)
     GH, HK, GK = X.ambient, Y.ambient, S.ambient
     parts = []
-    for rep in double_cosets(PGg, A, rect):
+    for rep in double_cosets(PG, A, rect):
         lx, ly = PG.decode(rep)
         x_pid = X.from_local(lx)
         y_pid = Y.from_local(ly)
         Xc = Xp.conjugated_by_pair(x_pid)
         Yc = Yp.conjugated_by_pair(y_pid)
-        xinv = GH.group.inv(x_pid)
-        yinv = HK.group.inv(y_pid)
+        xinv = GH.inv(x_pid)
+        yinv = HK.inv(y_pid)
         elems = []
         for e in Xc.elements:
             g, h = GH.decode(e)
@@ -693,8 +664,8 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
                 if h2 != h:
                     continue
                 left_loc = Sg.parent_to_local[GK.encode(g, k)]
-                e0 = GH.group.conj(xinv, e)
-                f0 = HK.group.conj(yinv, f)
+                e0 = GH.conj(xinv, e)
+                f0 = HK.conj(yinv, f)
                 right_loc = rectg.parent_to_local[
                     PG.encode(X.to_local(e0), Y.to_local(f0))]
                 elems.append(amb_out.encode(left_loc, right_loc))

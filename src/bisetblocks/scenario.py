@@ -61,7 +61,8 @@ def group_to_spec(G: FiniteGroup):
             and getattr(G, "element_names", None) is not None:
         return {"name": G.name,
                 "generators": [G.element_names[g] for g in G.generator_ids]}
-    return {"name": G.name, "table": [list(r) for r in G.table]}
+    return {"name": G.name,
+            "table": [list(G.row(g)) for g in range(G.order)]}
 
 
 # -- bundled character tables ----------------------------------------

@@ -11,7 +11,7 @@ the pullback onto X * Y has kernel isomorphic to k2(X) & k1(Y).
 from __future__ import annotations
 
 from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
-                     product_group, subgroup_generated)
+                     product_group)
 
 
 class ProductSubgroup(Subgroup):
@@ -19,7 +19,7 @@ class ProductSubgroup(Subgroup):
 
     def __init__(self, ambient: ProductGroup, elements, check: bool = True
                  ) -> None:
-        super().__init__(ambient.group, elements, check=check)
+        super().__init__(ambient, elements, check=check)
         self.ambient = ambient
         G, H = ambient.left, ambient.right
         lefts, rights = set(), set()
@@ -68,7 +68,7 @@ class ProductSubgroup(Subgroup):
 
     def __repr__(self):
         return (f"ProductSubgroup(order={self.order} of "
-                f"{self.ambient.group.name})")
+                f"{self.ambient.name})")
 
 
 def product_subgroup(ambient: ProductGroup, pairs, check: bool = True
@@ -79,15 +79,8 @@ def product_subgroup(ambient: ProductGroup, pairs, check: bool = True
                            check=check)
 
 
-def product_subgroup_generated(ambient: ProductGroup, pairs
-                               ) -> ProductSubgroup:
-    gens = [ambient.encode(a, b) for a, b in pairs]
-    S = subgroup_generated(ambient.group, gens)
-    return ProductSubgroup(ambient, S.elements, check=False)
-
-
 def full_product_subgroup(ambient: ProductGroup) -> ProductSubgroup:
-    return ProductSubgroup(ambient, range(ambient.group.order), check=False)
+    return ProductSubgroup(ambient, range(ambient.order), check=False)
 
 
 def rectangle(ambient: ProductGroup, A: Subgroup, B: Subgroup
@@ -204,7 +197,7 @@ def twisted_diagonal(P: Subgroup, phi, Q: Subgroup) -> ProductSubgroup:
         raise ValueError("phi must be a bijection onto P")
     for a in Q.elements:
         for b in Q.elements:
-            if mapping[H.table[a][b]] != G.table[mapping[a]][mapping[b]]:
+            if mapping[H.mul(a, b)] != G.mul(mapping[a], mapping[b]):
                 raise ValueError("phi is not multiplicative")
     return ProductSubgroup(
         amb, [amb.encode(mapping[y], y) for y in Q.elements], check=False)

@@ -44,16 +44,16 @@ def random_product_subgroup(rng: random.Random, amb: ProductGroup,
     bounds only steer the sampling, correctness never depends on them.
     """
     for _ in range(64):
-        S = random_subgroup(rng, amb.group)
-        if amb.group.order // S.order > max_index:
+        S = random_subgroup(rng, amb)
+        if amb.order // S.order > max_index:
             continue
         if max_order is not None and S.order > max_order:
             continue
         return ProductSubgroup(amb, S.elements, check=False)
-    if max_order is None or amb.group.order <= max_order:
+    if max_order is None or amb.order <= max_order:
         return full_product_subgroup(amb)
     from .groups import trivial_subgroup
-    t = trivial_subgroup(amb.group)
+    t = trivial_subgroup(amb)
     return ProductSubgroup(amb, t.elements, check=False)
 
 
@@ -349,12 +349,3 @@ ALL_SUITES = {
     "coherence": coherence_suite,
     "characters": character_suite,
 }
-
-
-def run_suite(name: str, seed: int = 0, count: int | None = None) -> dict:
-    if name not in ALL_SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    fn = ALL_SUITES[name]
-    if count is None:
-        return fn(seed=seed)
-    return fn(seed=seed, count=count)

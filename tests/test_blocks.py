@@ -236,7 +236,7 @@ def test_brauer_construction_counts_fixed_cosets():
     X = diagonal(full_subgroup(S3))
     amb = X.ambient
     P = diagonal(C3)  # a p-subgroup of the ambient product
-    Psub = subgroup_generated(amb.group, list(P.elements))
+    Psub = subgroup_generated(amb, list(P.elements))
     got = fixed_cosets(X, Psub)
     # independent brute-force count over coset representatives
     U = biset_coset(X)

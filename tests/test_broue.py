@@ -109,6 +109,26 @@ def test_replications_agree_on_all_bundled_scenarios():
         assert all(e["agrees"] for e in reps)
 
 
+IDENTITY_A4_P2_DOC = {
+    "kind": "broue-scenario", "name": "identity_a4_p2",
+    "group_G": "A4", "group_H": "A4", "prime": 2,
+    "block_G": {"index": 0}, "block_H": {"index": 0},
+    "gamma": [{"p_gens": ["(1 2 3)", "(1 2)(3 4)"],
+               "q_gens": ["(1 2 3)", "(1 2)(3 4)"],
+               "phi": ["(1 2 3)", "(1 2)(3 4)"], "coefficient": 1}],
+}
+
+
+def test_replications_agree_over_a_non_prime_base_field():
+    # A4 at p=2 splits only over F_4, so the larger field must contain F_4
+    r = run_scenario(Scenario(dict(IDENTITY_A4_P2_DOC)))
+    assert r["field_order"] == 4
+    assert r["verdict"]["holds"]
+    assert [e["variant"] for e in r["replications"]] == [
+        "alternate-conventions", "field-degree-plus-one"]
+    assert all(e["agrees"] for e in r["replications"])
+
+
 def test_negation_flips_sign_and_invariant():
     S = bundled_scenario("identity_s3")
     pipe = pipeline_for(S)
@@ -207,7 +227,7 @@ def test_pair_projector_is_small_and_well_formed():
     z = pipe._pair_projector()
     assert len(z) == 2
     for point, coeff in z.items():
-        assert 0 <= point < pipe.ambient.group.order
+        assert 0 <= point < pipe.ambient.order
         assert 1 <= coeff < pipe.field.q
 
 

@@ -1,10 +1,13 @@
-"""Finite groups as Cayley tables: construction, subgroups, quotients."""
+"""Finite groups and direct products: construction, subgroups, quotients."""
 
 import random
+import tracemalloc
+from math import lcm
 
 import pytest
 
-from bisetblocks.groups import (GroupHom, SizeLimitError, Subgroup, center,
+from bisetblocks.groups import (GroupHom, ProductGroup, SizeLimitError,
+                                Subgroup, center,
                                 centralizer, cycles_of, double_coset_of,
                                 double_cosets, element_by_name,
                                 group_from_permutations, int_p_part,
@@ -56,6 +59,13 @@ def test_parse_cycles_round_trip():
     assert cycles_of(p) == "(1 2 3)(4 5)"
     assert parse_cycles("()", degree=3) == (0, 1, 2)
     assert cycles_of((0, 1, 2)) == "()"
+
+
+@pytest.mark.parametrize("text", ["(1 2", "1 2", "(1 2)3", "(1 2))",
+                                  "3(1 2)"])
+def test_parse_cycles_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_cycles(text)
 
 
 def test_group_from_permutations_respects_cap():
@@ -250,3 +260,52 @@ def test_trivial_subgroup_and_conjugation():
         Sc = S.conjugated_by(g)
         assert Sc.order == S.order
         assert all(G.conj(g, s) in Sc.element_set for s in S.elements)
+
+
+def check_product_against_factors(P):
+    """Compare a product with brute force over pairs of factor elements."""
+    G, H = P.left, P.right
+    pairs = [(a, b) for a in range(G.order) for b in range(H.order)]
+    assert P.order == len(pairs)
+    assert P.identity == P.encode(G.identity, H.identity)
+    for x, (a, b) in enumerate(pairs):
+        assert P.encode(a, b) == x and P.decode(x) == (a, b)
+        assert P.inv(x) == P.encode(G.inv(a), H.inv(b))
+        assert P.element_order(x) == lcm(G.element_order(a),
+                                         H.element_order(b))
+        assert P.row(x) == tuple(P.encode(G.mul(a, c), H.mul(b, d))
+                                 for c, d in pairs)
+        for y, (c, d) in enumerate(pairs):
+            assert P.mul(x, y) == P.encode(G.mul(a, c), H.mul(b, d))
+            assert P.conj(x, y) == P.encode(G.conj(a, c), H.conj(b, d))
+    classes = sorted({tuple(sorted({P.encode(G.conj(a, c), H.conj(b, d))
+                                    for a, b in pairs}))
+                      for c, d in pairs})
+    assert list(P.conjugacy_classes()) == classes
+    assert P.conjugacy_classes()[0] == (P.identity,)
+    for i, cls in enumerate(classes):
+        assert all(P.class_index(x) == i for x in cls)
+
+
+@pytest.mark.parametrize("left, right", [("C6", "S3"), ("Q8", "D8")])
+def test_product_matches_factors(left, right):
+    check_product_against_factors(
+        ProductGroup(named_group(left), named_group(right)))
+
+
+def test_product_of_a_product_matches_factors():
+    inner = ProductGroup(named_group("S3"), named_group("C2"))
+    check_product_against_factors(inner)
+    check_product_against_factors(ProductGroup(named_group("S3"), inner))
+
+
+def test_product_builds_no_table():
+    S4 = named_group("S4")
+    S4.inv(0)
+    tracemalloc.start()
+    try:
+        ProductGroup(S4, S4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

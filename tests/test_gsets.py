@@ -127,9 +127,9 @@ def test_tensor_mackey_agrees_with_direct_tensor():
         ambL, ambR = product_group(G, H), product_group(H, K)
 
         def pick(amb):
-            gens = [rng.randrange(amb.group.order)
+            gens = [rng.randrange(amb.order)
                     for _ in range(rng.randint(1, 2))]
-            S = subgroup_generated(amb.group, gens)
+            S = subgroup_generated(amb, gens)
             return ProductSubgroup(amb, S.elements, check=False)
 
         X, Y = pick(ambL), pick(ambR)
@@ -142,7 +142,7 @@ def test_tensor_unit_laws():
     S3 = named_group("S3")
     C6 = named_group("C6")
     amb = product_group(S3, C6)
-    S = subgroup_generated(amb.group, [amb.encode(el(S3, "(1 2)"), 3)])
+    S = subgroup_generated(amb, [amb.encode(el(S3, "(1 2)"), 3)])
     U = biset_coset(ProductSubgroup(amb, S.elements, check=False))
     ident_right = biset_coset(diagonal(full_subgroup(C6)))
     ident_left = biset_coset(diagonal(full_subgroup(S3)))

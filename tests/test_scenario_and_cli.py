@@ -219,6 +219,18 @@ def test_cli_blocks_rejects_bad_input(capsys):
     capsys.readouterr()
 
 
+def test_cli_blocks_rejects_bad_group_spec(tmp_path, capsys):
+    not_a_group = tmp_path / "table.json"
+    not_a_group.write_text(json.dumps({"name": "bad",
+                                       "table": [[0, 1], [0, 1]]}))
+    assert main(["blocks", str(not_a_group), "--prime", "2"]) == 2
+    open_cycle = tmp_path / "cycle.json"
+    open_cycle.write_text(json.dumps({"name": "bad",
+                                      "generators": ["(1 2"]}))
+    assert main(["blocks", str(open_cycle), "--prime", "2"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_verify_biset_laws_small(capsys):
     code, rep = run_cli(capsys, [
         "verify-biset-laws", "--suite", "mackey", "--count", "4",

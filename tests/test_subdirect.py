@@ -96,9 +96,9 @@ def test_star_requires_matching_middle():
 
 
 def _random_product_subgroup(rng, amb):
-    n = amb.group.order
+    n = amb.order
     gens = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
-    S = subgroup_generated(amb.group, gens)
+    S = subgroup_generated(amb, gens)
     return ProductSubgroup(amb, S.elements, check=False)
 
 
@@ -204,7 +204,7 @@ def test_kernel_normality_is_checked():
     elems = set(diagonal(full_subgroup(S3)).elements)
     elems.add(amb.encode(el(S3, "(1 2)"), S3.identity))
     from bisetblocks.groups import subgroup_generated as sg
-    closed = sg(amb.group, list(elems))
+    closed = sg(amb, list(elems))
     X = ProductSubgroup(amb, closed.elements, check=False)
     if X.k1.order == 2:
         with pytest.raises(AssertionError):
