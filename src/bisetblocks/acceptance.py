@@ -42,7 +42,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> dict:
 
 def criterion_2(seed: int = DEFAULT_SEED) -> dict:
     """Induced-tensor formulas and deflation-restriction, 100 each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     reps = [induction_formula_suite(seed=seed, count=100),
             induced_bisets_suite(seed=seed + 1, count=100),
             defres_suite(seed=seed + 2, count=100)]
@@ -50,7 +50,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> dict:
     detail = "; ".join(f"{r['suite']} {r['passes']}/{r['count']}"
                        for r in reps)
     return _result(2, "induction-formulas", ok, detail,
-                   time.time() - t0, budget=120.0)
+                   time.perf_counter() - t0, budget=120.0)
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> dict:
@@ -71,7 +71,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> dict:
 
 def criterion_5() -> dict:
     """Block data of S3 at p=2 and p=3 against the derived values."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     G = named_group("S3")
     table = bundled_table("S3")
     problems = []
@@ -106,7 +106,8 @@ def criterion_5() -> dict:
     detail = "S3: 2 blocks at p=2 (defects 1, 2; split chi2 off), " \
              "1 block at p=3 (defect 3)" if not problems \
         else "; ".join(problems)
-    return _result(5, "s3-blocks", not problems, detail, time.time() - t0)
+    return _result(5, "s3-blocks", not problems, detail,
+                   time.perf_counter() - t0)
 
 
 def _check_block_axioms(F, G, blocks, problems: list, tag: str) -> None:
@@ -125,7 +126,7 @@ def _check_block_axioms(F, G, blocks, problems: list, tag: str) -> None:
 
 def criterion_6() -> dict:
     """The worked C6 / C3 scenario, every derived value pinned."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     S = bundled_scenario("c6_c3")
     rep = run_scenario(S, replicate=False)
     problems = []
@@ -151,12 +152,12 @@ def criterion_6() -> dict:
               "b=2, eps=+1, verdict holds" if not problems
               else "; ".join(problems))
     return _result(6, "c6-c3-scenario", not problems, detail,
-                   time.time() - t0, budget=5.0)
+                   time.perf_counter() - t0, budget=5.0)
 
 
 def criterion_7() -> dict:
     """Identity scenario invariants and their behavior under negation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     S = bundled_scenario("identity_s3")
     rep = run_scenario(S, replicate=False)
     problems = []
@@ -183,12 +184,12 @@ def criterion_7() -> dict:
     detail = ("beta=1, eps=+1, b=1; negation flips beta and eps, "
               "verdict preserved" if not problems else "; ".join(problems))
     return _result(7, "identity-and-negation", not problems, detail,
-                   time.time() - t0)
+                   time.perf_counter() - t0)
 
 
 def criterion_8() -> dict:
     """Local-correspondent scenarios: the invariant lands in {1, -1}."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     degenerate = run_scenario(bundled_scenario("identity_s3"),
                               replicate=False)
@@ -211,12 +212,12 @@ def criterion_8() -> dict:
               "correspondent block confirmed via the Brauer map"
               if not problems else "; ".join(problems))
     return _result(8, "correspondent-scenarios", not problems, detail,
-                   time.time() - t0)
+                   time.perf_counter() - t0)
 
 
 def criterion_9() -> dict:
     """Convention independence of the C6 / C3 scenario."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = run_scenario(bundled_scenario("c6_c3"), replicate=True)
     problems = []
     reps = rep.get("replications", [])
@@ -231,7 +232,7 @@ def criterion_9() -> dict:
               "beta(B,C)=2 and the verdict" if not problems
               else "; ".join(problems))
     return _result(9, "choice-independence", not problems, detail,
-                   time.time() - t0)
+                   time.perf_counter() - t0)
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,

@@ -8,7 +8,10 @@ separable subalgebra, and that subalgebra is split into primitive
 idempotents by factoring minimal polynomials of its basis elements.
 The Brauer homomorphism, defect groups, maximal Brauer pairs and the
 dimension of the defect-zero simple over the central quotient are built
-on top.
+on top.  That dimension is read from a rank on the permutation module
+of the cosets of a Sylow p-subgroup, not on the regular module: a
+block ideal is projective, so it is free over any p-subgroup P, and
+its dimension is |P| times the rank of the block on F_q[G/P].
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .cyclotomic import Cyclotomic
 from .gf import (Fq, fq_field, mat_rank, mat_rref, mat_solve, poly_factor,
                  poly_mul, poly_trim, poly_xgcd)
 from .groups import (FiniteGroup, Subgroup, centralizer, center,
-                     int_p_prime_part, p_subgroups_up_to_conjugacy, quotient)
+                     int_p_prime_part, p_subgroups_up_to_conjugacy, quotient,
+                     sylow_subgroup)
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -433,13 +437,34 @@ def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
     raise AssertionError("no local block survives the Brauer image")
 
 
+def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
+    """Rank of left multiplication by vec on the permutation module F_q[G/P].
+
+    The basis is the left cosets gP; vec is a coefficient vector over G.
+    """
+    reps, idx = P.coset_index_map()
+    support = [(x, c) for x, c in enumerate(vec) if c]
+    rows = []
+    for r in reps:
+        row = [0] * len(reps)
+        for x, c in support:
+            j = idx[G.mul(x, r)]
+            row[j] = F.add(row[j], c)
+        rows.append(row)
+    return mat_rank(F, rows)
+
+
 def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
                            field: Fq) -> int:
     """Dimension of the simple module of the image block over C_G(D)/Z(D).
 
-    The block e of F_q C_G(D) is pushed along the central quotient by
+    The block e of F_q C_G(D) is pushed along the central quotient Q by
     Z(D); the image block algebra has square dimension d*d and the
-    simple has dimension d.
+    simple has dimension d.  The block ideal is a summand of F_q Q, so
+    it is projective and hence free over a Sylow p-subgroup P of Q; its
+    rank there is the dimension of its image in F_q Q (x)_{F_q P} F_q =
+    F_q[Q/P].  So d*d = |P| * rank(e on F_q[Q/P]), a rank on |Q:P|
+    cosets instead of on the |Q| elements of the regular module.
     """
     C = centralizer(G, D)
     Cg = C.as_group()
@@ -458,12 +483,8 @@ def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
             qvec[pi(g)] = F.add(qvec[pi(g)], c)
     if group_algebra_mul(F, Q, qvec, qvec) != qvec:
         raise AssertionError("image of the block is not idempotent")
-    rows = []
-    for u in range(Q.order):
-        unit = [0] * Q.order
-        unit[u] = 1
-        rows.append(group_algebra_mul(F, Q, qvec, unit))
-    dim = mat_rank(F, rows)
+    P = sylow_subgroup(Q, F.p)
+    dim = P.order * coset_module_rank(F, Q, qvec, P)
     root = int(round(dim ** 0.5))
     if root * root != dim:
         raise ValueError(

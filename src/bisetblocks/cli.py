@@ -15,9 +15,9 @@ from .acceptance import DEFAULT_SEED, run_all
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_params)
-from .broue import run_scenario
+from .broue import run_scenario, scenario_field_degree
 from .characters import ingest_character_table, value_to_doc
-from .gf import fq_field
+from .gf import FIELD_SIZE_CAP, fq_field
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
 from .suites import ALL_SUITES, MACKEY_GROUPS, SMALL_GROUPS
@@ -63,6 +63,27 @@ def _group_arg(text: str):
         raise InputError(str(ex))
 
 
+def _field_degree(p: int, requested: int | None, splitting: int) -> int:
+    """The requested field degree, or the splitting degree if none is.
+
+    A requested degree must be a positive multiple of the splitting
+    degree (F_{p^k} contains F_{p^m} only when m divides k) and must keep
+    p^k within the field size cap.
+    """
+    if requested is None:
+        return splitting
+    if requested < 1 or requested % splitting:
+        raise InputError(f"--field-degree {requested} is not a positive "
+                         f"multiple of the splitting degree {splitting}")
+    largest = 0
+    while p ** (largest + 1) <= FIELD_SIZE_CAP:
+        largest += 1
+    if requested > largest:
+        raise InputError(f"--field-degree {requested} makes a field larger "
+                         f"than {FIELD_SIZE_CAP} elements")
+    return requested
+
+
 def _filter_names(names, max_order: int | None):
     if max_order is None:
         return names
@@ -101,9 +122,8 @@ def cmd_blocks(args) -> int:
     p = args.prime
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise InputError(f"{p} is not a prime")
-    m, q = splitting_params(G, p)
-    degree = args.field_degree or m
-    field = fq_field(p, degree)
+    m, _ = splitting_params(G, p)
+    field = fq_field(p, _field_degree(p, args.field_degree, m))
     try:
         blocks = block_idempotents(G, p, field)
     except ValueError as ex:
@@ -131,8 +151,11 @@ def cmd_blocks(args) -> int:
             "defect_order": D.order,
             "defect_generators": _subgroup_names(D),
             "local_block_coefficients": list(e.coeffs),
-            "defect_zero_dim": defect_zero_simple_dim(G, D, e, field),
         }
+        try:
+            entry["defect_zero_dim"] = defect_zero_simple_dim(G, D, e, field)
+        except ValueError as ex:
+            raise InputError(str(ex))
         if partition is not None:
             entry["characters"] = [table.names[j] for j in partition[i]]
         report["blocks"].append(entry)
@@ -157,6 +180,9 @@ def cmd_broue(args) -> int:
         S = Scenario(doc)
     except (KeyError, ValueError) as ex:
         raise InputError(f"bad scenario: {ex}")
+    if args.field_degree is not None:
+        _field_degree(S.p, args.field_degree,
+                      scenario_field_degree(S.G, S.H, S.p))
     report = run_scenario(S, field_degree=args.field_degree,
                           conventions=args.conventions)
     _emit(report, args.out)

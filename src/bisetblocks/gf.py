@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-_FIELD_SIZE_CAP = 4096
+FIELD_SIZE_CAP = 4096
 
 
 def _int_to_poly(k: int, p: int) -> tuple[int, ...]:
@@ -133,7 +133,7 @@ class Fq:
         if m < 1:
             raise ValueError("m must be positive")
         q = p ** m
-        if q > _FIELD_SIZE_CAP:
+        if q > FIELD_SIZE_CAP:
             raise ValueError(f"field size {q} exceeds the cap")
         self.p = p
         self.m = m

@@ -693,8 +693,7 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
     extended by elements g of its normalizer with g^p in P.  Classes are
     keyed by the smallest conjugate element tuple.
     """
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
-        raise ValueError("p must be prime")
+    _check_prime(p)
     triv = trivial_subgroup(G)
     found = {triv.elements: triv}
     level = [triv]
@@ -709,14 +708,8 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
                     continue
                 if G.power(g, p) not in P.element_set:
                     continue
-                ext = set(P.elements)
-                gk = g
-                for _ in range(p - 1):
-                    row = G.row(gk)
-                    ext.update(row[h] for h in P.elements)
-                    gk = G.mul(gk, g)
-                Q = Subgroup(G, ext, check=False)
-                key = Q.canonical_conjugate().elements
+                key = _cyclic_extension(G, P, g, p) \
+                    .canonical_conjugate().elements
                 if key not in found:
                     rep = Subgroup(G, key, check=False)
                     found[key] = rep
@@ -726,12 +719,44 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    reps = p_subgroups_up_to_conjugacy(G, p)
-    top = max(S.order for S in reps)
-    tops = [S for S in reps if S.order == top]
-    if len(tops) != 1:
-        raise AssertionError("maximal p-subgroups must form one class")
-    return tops[0]
+    """A Sylow p-subgroup, grown one cyclic extension at a time.
+
+    Below Sylow order p divides |N(P):P|, so the normalizer has an
+    element g outside P with g^p in P; the first such g in id order
+    extends P to a p-group of order p|P|.  No conjugacy classes are
+    listed, so the cost is a normalizer per step.
+    """
+    _check_prime(p)
+    full = int_p_part(G.order, p)
+    P = trivial_subgroup(G)
+    while P.order < full:
+        N = normalizer(G, P)
+        g = next((g for g in N.elements if g not in P.element_set
+                  and G.power(g, p) in P.element_set), None)
+        if g is None:
+            break
+        P = _cyclic_extension(G, P, g, p)
+    if P.order != full:
+        raise AssertionError(
+            f"p-subgroup of order {P.order} stopped below |G|_p = {full}")
+    return P
+
+
+def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
+                      p: int) -> Subgroup:
+    """The subgroup P, gP, ..., g^(p-1)P for g normalizing P, g^p in P."""
+    ext = set(P.elements)
+    gk = g
+    for _ in range(p - 1):
+        row = G.row(gk)
+        ext.update(row[h] for h in P.elements)
+        gk = G.mul(gk, g)
+    return Subgroup(G, ext, check=False)
+
+
+def _check_prime(p: int) -> None:
+    if p < 2 or any(p % k == 0 for k in range(2, p)):
+        raise ValueError("p must be prime")
 
 
 def is_p_group(S: Subgroup, p: int) -> bool:

@@ -97,7 +97,7 @@ def _report(suite: str, seed: int, failures: list, count: int,
         "passes": count - len(failures),
         "failures": failures,
         "ok": not failures,
-        "elapsed": round(time.time() - started, 3),
+        "elapsed": round(time.perf_counter() - started, 3),
     }
     if extra:
         rep.update(extra)
@@ -121,7 +121,7 @@ def mackey_suite(seed: int = 0, count: int = 200,
     This exercises the failure path of the harness itself.
     """
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for i in range(count):
         clear_derived_caches()
@@ -147,7 +147,7 @@ def defres_suite(seed: int = 0, count: int = 100,
                  groups=SMALL_GROUPS) -> dict:
     """Extended tensor products against deflation-restriction."""
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for i in range(count):
         clear_derived_caches()
@@ -173,7 +173,7 @@ def induction_formula_suite(seed: int = 0, count: int = 100,
                             groups=SMALL_GROUPS) -> dict:
     """The double-coset formula for tensoring induced actions."""
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     cosets = 0
     for i in range(count):
@@ -206,7 +206,7 @@ def induced_bisets_suite(seed: int = 0, count: int = 100,
     pass certifies the representative enumeration as well.
     """
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     cosets = 0
     for i in range(count):
@@ -241,7 +241,7 @@ def coherence_suite(seed: int = 0, count: int = 100,
     iso_check verdict.
     """
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for i in range(count):
         clear_derived_caches()
@@ -307,7 +307,7 @@ def character_suite(seed: int = 0, count: int = 50,
     character of their direct tensor.
     """
     rng = random.Random(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for i in range(count):
         clear_derived_caches()

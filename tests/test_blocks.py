@@ -7,18 +7,19 @@ import pytest
 from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 assign_characters_to_blocks,
                                 block_idempotents, brauer_construction,
-                                brauer_hom, defect_group,
+                                brauer_hom, coset_module_rank, defect_group,
                                 defect_zero_simple_dim, fixed_cosets,
                                 group_algebra_mul, maximal_brauer_pair,
                                 multiplicative_order, principal_block_index,
                                 splitting_field_degree, splitting_params)
 from bisetblocks.cyclotomic import Cyclotomic
-from bisetblocks.gf import fq_field
+from bisetblocks.gf import fq_field, mat_rank
 from bisetblocks.groups import (element_by_name, full_subgroup,
+                                p_subgroups_up_to_conjugacy,
                                 subgroup_generated, sylow_subgroup)
 from bisetblocks.gsets import biset_coset
 from bisetblocks.namedgroups import named_group
-from bisetblocks.scenario import bundled_table
+from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal
 
 # (group, p) -> (splitting degree, block count, partition by names,
@@ -38,6 +39,8 @@ BLOCK_DATA = {
     ("D8", 2): (1, 1, [("chi0", "chi1", "chi2", "chi3", "chi4")], [8], 0),
     ("Q8", 2): (1, 1, [("chi0", "chi1", "chi2", "chi3", "chi4")], [8], 0),
 }
+
+A5_SPEC = {"name": "A5", "generators": ["(1 2 3)", "(1 2 3 4 5)"]}
 
 
 def field_for(G, p):
@@ -214,6 +217,76 @@ def test_defect_zero_dimensions():
         if D.order == 1:
             dims.append(defect_zero_simple_dim(S4, D, e, F4))
     assert dims == [3, 3]
+
+
+def regular_rank(F, G, vec):
+    """Reference: rank of vec on the regular module, one row per element."""
+    rows = []
+    for u in range(G.order):
+        unit = [0] * G.order
+        unit[u] = 1
+        rows.append(group_algebra_mul(F, G, vec, unit))
+    return mat_rank(F, rows)
+
+
+def test_block_ideal_is_free_over_every_p_subgroup():
+    # A block ideal of F_q G is a summand of F_q G, so it is projective
+    # and free over each p-subgroup P: its dimension is |P| times the
+    # rank of the block on F_q[G/P].
+    A5 = group_from_spec(A5_SPEC)
+    cases = [(named_group("S4"), 2), (named_group("S4"), 3),
+             (named_group("A4"), 2), (named_group("A4"), 3),
+             (A5, 2), (A5, 3), (A5, 5)]
+    for G, p in cases:
+        F = field_for(G, p)
+        Ps = p_subgroups_up_to_conjugacy(G, p)
+        dims = []
+        for b in block_idempotents(G, p, F):
+            vec = b.to_vector()
+            dim = regular_rank(F, G, vec)
+            dims.append(dim)
+            for P in Ps:
+                assert P.order * coset_module_rank(F, G, vec, P) == dim, \
+                    (G.name, p, P.order)
+        assert sum(dims) == G.order
+
+
+def test_s6_blocks_at_odd_primes():
+    # Nakayama: at p=3 the 3-cores (4,2) and (2,2,1,1) of degree 9 are
+    # defect zero and the empty core has weight 2 (defect |S6|_3 = 9);
+    # at p=5 the six partitions without a 5-hook (degrees 5, 5, 5, 5,
+    # 10, 10) are defect zero and the core (1) has weight 1.
+    S6 = group_from_spec({"name": "S6",
+                          "generators": ["(1 2)", "(1 2 3 4 5 6)"]})
+    expected = {3: ([1, 1, 9], [9, 9]),
+                5: ([1, 1, 1, 1, 1, 1, 5], [5, 5, 5, 5, 10, 10])}
+    for p, (defects, dims) in expected.items():
+        F = field_for(S6, p)
+        orders, zero_dims = [], []
+        for b in block_idempotents(S6, p, F):
+            D, e = maximal_brauer_pair(S6, p, b, F)
+            orders.append(D.order)
+            if D.order == 1:
+                zero_dims.append(defect_zero_simple_dim(S6, D, e, F))
+        assert sorted(orders) == defects
+        assert sorted(zero_dims) == dims
+
+
+def test_defect_zero_dim_rejects_a_field_that_does_not_split():
+    # A5 splits at p=3 only over F_81.  Over F_3 its two characters of
+    # degree 3 are Galois conjugate and share one block of dimension
+    # 9 + 9 = 18, which is 3 times the rank 6 on the 20 cosets of C3.
+    A5 = group_from_spec(A5_SPEC)
+    F3 = fq_field(3, 1)
+    errors = []
+    for b in block_idempotents(A5, 3, F3):
+        D, e = maximal_brauer_pair(A5, 3, b, F3)
+        if D.order == 1:
+            with pytest.raises(ValueError, match="not a perfect square"
+                               ) as info:
+                defect_zero_simple_dim(A5, D, e, F3)
+            errors.append(str(info.value))
+    assert len(errors) == 1 and "dimension 18" in errors[0]
 
 
 def test_central_element_algebra():

@@ -173,6 +173,21 @@ def test_sylow_subgroups():
     assert sylow_subgroup(named_group("C6"), 5).order == 1
 
 
+def test_sylow_subgroup_is_in_the_top_p_subgroup_class():
+    A5 = group_from_permutations(["(1 2 3)", "(1 2 3 4 5)"], name="A5")
+    S5 = group_from_permutations(["(1 2)", "(1 2 3 4 5)"], name="S5")
+    for G in (named_group("S4"), A5, S5):
+        for p in (2, 3, 5):
+            if G.order % p:
+                continue
+            P = sylow_subgroup(G, p)
+            Subgroup(G, P.elements)  # closed under products and inverses
+            assert is_p_group(P, p) and P.order == int_p_part(G.order, p)
+            reps = p_subgroups_up_to_conjugacy(G, p)
+            top = [S for S in reps if S.order == P.order]
+            assert top == [P.canonical_conjugate()], (G.name, p)
+
+
 def test_p_subgroup_classes():
     S3 = named_group("S3")
     assert sorted(P.order for P in p_subgroups_up_to_conjugacy(S3, 2)) == \

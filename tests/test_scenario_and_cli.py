@@ -231,6 +231,78 @@ def test_cli_blocks_rejects_bad_group_spec(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def assert_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert message in captured.err
+
+
+def test_cli_blocks_field_degree_below_the_splitting_field(tmp_path, capsys):
+    # A5 splits at p=3 only over F_81; F_3 leaves a block of dimension 18
+    a5 = tmp_path / "A5.json"
+    a5.write_text(json.dumps({"name": "A5",
+                              "generators": ["(1 2 3)", "(1 2 3 4 5)"]}))
+    assert_input_error(capsys, ["blocks", str(a5), "--prime", "3",
+                                "--field-degree", "1"],
+                       "multiple of the splitting degree 4")
+
+
+def test_cli_blocks_field_degree_above_the_cap(capsys):
+    assert_input_error(capsys, ["blocks", "S4", "--prime", "2",
+                                "--field-degree", "13"],
+                       "multiple of the splitting degree 2")
+    assert_input_error(capsys, ["blocks", "S4", "--prime", "2",
+                                "--field-degree", "14"],
+                       "larger than 4096 elements")
+
+
+def test_cli_blocks_field_degree_negative(capsys):
+    assert_input_error(capsys, ["blocks", "S4", "--prime", "2",
+                                "--field-degree", "-1"], "-1 is not")
+
+
+def test_cli_blocks_field_degree_zero_is_not_the_default(capsys):
+    assert_input_error(capsys, ["blocks", "S4", "--prime", "2",
+                                "--field-degree", "0"], "0 is not")
+
+
+def test_cli_blocks_field_degree_multiple(capsys):
+    code, rep = run_cli(capsys, ["blocks", "S4", "--prime", "2",
+                                 "--field-degree", "4"])
+    assert code == 0 and rep["field_order"] == 16
+
+
+def test_cli_blocks_maps_a_non_split_block_to_input_error(monkeypatch,
+                                                          capsys):
+    # pretend F_2 splits C3, so its F_4 block reaches the square check
+    import bisetblocks.cli as cli
+    monkeypatch.setattr(cli, "splitting_params", lambda G, p: (1, p))
+    assert_input_error(capsys, ["blocks", "C3", "--prime", "2"],
+                       "not a perfect square")
+
+
+def test_cli_broue_field_degree_not_a_multiple(tmp_path, capsys):
+    # identity A4 at p=2 needs F_4; F_8 does not contain it
+    path = tmp_path / "identity_a4_p2.json"
+    path.write_text(json.dumps({
+        "kind": "broue-scenario", "name": "identity_a4_p2",
+        "group_G": "A4", "group_H": "A4", "prime": 2,
+        "block_G": {"index": 0}, "block_H": {"index": 0},
+        "gamma": [{"p_gens": ["(1 2 3)", "(1 2)(3 4)"],
+                   "q_gens": ["(1 2 3)", "(1 2)(3 4)"],
+                   "phi": ["(1 2 3)", "(1 2)(3 4)"], "coefficient": 1}]}))
+    assert_input_error(capsys, ["broue", str(path), "--field-degree", "3"],
+                       "multiple of the splitting degree 2")
+
+
+def test_cli_broue_field_degree_above_the_cap(capsys):
+    assert_input_error(capsys, ["broue", data_path("scenarios/c6_c3.json"),
+                                "--field-degree", "13"],
+                       "larger than 4096 elements")
+
+
 def test_cli_verify_biset_laws_small(capsys):
     code, rep = run_cli(capsys, [
         "verify-biset-laws", "--suite", "mackey", "--count", "4",
