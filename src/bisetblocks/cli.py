@@ -94,6 +94,11 @@ def _filter_names(names, max_order: int | None):
 
 
 def cmd_verify_biset_laws(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise InputError(f"--count {args.count} must be at least 1")
+    if args.inject_mutation and args.suite not in (None, "mackey"):
+        raise InputError(f"--inject-mutation: suite {args.suite!r} has no "
+                         "mutation target; only mackey has one")
     suites = ([args.suite] if args.suite else list(ALL_SUITES))
     report = {"kind": "biset-law-report", "seed": args.seed, "suites": []}
     ok = True
@@ -254,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="restrict base groups to this order")
     laws.add_argument("--suite", choices=sorted(ALL_SUITES), default=None)
     laws.add_argument("--inject-mutation", action="store_true",
-                      help="corrupt one oracle to test failure reporting")
+                      help="corrupt the first mackey instance to test "
+                      "failure reporting (mackey is the only target)")
     laws.add_argument("--out")
     laws.set_defaults(fn=cmd_verify_biset_laws)
 

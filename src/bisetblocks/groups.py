@@ -89,6 +89,13 @@ class FiniteGroup:
         e = self.identity
         return tuple(row.index(e) for row in self.table)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: the permutation generators of a group closed
+        from permutations, else a minimal generating sequence."""
+        ids = getattr(self, "generator_ids", None)
+        return ids if ids is not None else minimal_generating_sequence(self)
+
     def row(self, a: int) -> tuple[int, ...]:
         """The products a*b for b = 0..order-1."""
         return self.table[a]
@@ -496,6 +503,29 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, elems, check=False)
 
 
+def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
+                    gens: list[int]) -> list[int]:
+    """Extend elems = <gens[:-1]> to <gens>, one right coset at a time.
+
+    A coset K r s of K = elems is added whenever a coset representative
+    r times a generator s falls outside the span, so the cost is |<gens>|
+    products plus one per representative and generator (Dimino's
+    algorithm).  members grows in place to the element set of the result.
+    """
+    mul = G.mul
+    out = list(elems)
+    reps = [G.identity]
+    for r in reps:
+        for s in gens:
+            rs = mul(r, s)
+            if rs not in members:
+                reps.append(rs)
+                coset = [mul(k, rs) for k in elems]
+                members.update(coset)
+                out.extend(coset)
+    return out
+
+
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, range(G.order), check=False)
 
@@ -562,7 +592,15 @@ class ProductGroup(FiniteGroup):
     @cached_property
     def _rows(self):
         # Only read when this product is a factor of another product.
-        return _RowCache(self.row)
+        return RowCache(self.row)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """(s,1) for the left generators s, then (1,t) for the right ones."""
+        nr = self._nr
+        e1, e2 = self.left.identity, self.right.identity
+        return (tuple(s * nr + e2 for s in self.left.generators)
+                + tuple(e1 * nr + t for t in self.right.generators))
 
     @cached_property
     def _inv(self) -> tuple[int, ...]:
@@ -599,8 +637,9 @@ class ProductGroup(FiniteGroup):
                      for B in self.right.conjugacy_classes())
 
 
-class _RowCache(dict):
-    """Rows of a group, each computed on first lookup."""
+class RowCache(dict):
+    """Rows of a group or of an action by element id, each computed on
+    first lookup and kept."""
 
     def __init__(self, row) -> None:
         super().__init__()
@@ -769,14 +808,15 @@ def is_p_group(S: Subgroup, p: int) -> bool:
 # -- isomorphism search ----------------------------------------------
 
 def minimal_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
+    """Each element in id order that is not yet in the span of those before."""
     gens: list[int] = []
-    span = {G.identity}
+    elems, members = [G.identity], {G.identity}
     for g in range(G.order):
-        if g not in span:
+        if len(elems) == G.order:
+            break
+        if g not in members:
             gens.append(g)
-            span = set(subgroup_generated(G, gens).elements)
-            if len(span) == G.order:
-                break
+            elems = extend_subgroup(G, elems, members, gens)
     return tuple(gens)
 
 

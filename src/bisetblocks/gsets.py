@@ -1,11 +1,16 @@
 """Finite group actions, bisets, and their tensor calculus.
 
-A GAction stores, for every group element, the full permutation it
-induces on 0..size-1.  A biset for (G, H) is an action of the direct
-product G x H, with (g,h) acting as u |-> g.u.h^-1.  Isomorphism of
-actions is decided by comparing transitive decompositions: the multiset
-of point-stabilizer conjugacy classes, each keyed by its smallest
-conjugate element tuple.
+A GAction maps each group element id to the permutation it induces on
+0..size-1.  Its rows are given either in full or as a row function,
+whose rows are computed on first lookup and kept; the constructors of
+coset actions, unions, products and tensor products give row functions.
+Orbits read only the rows of the group's generators, and a stabilizer
+is closed from the Schreier generators of its orbit, so an action over
+a large group materialises few rows.  A biset for (G, H) is an action
+of the direct product G x H, with (g,h) acting as u |-> g.u.h^-1.
+Isomorphism of actions is decided by comparing transitive
+decompositions: the multiset of point-stabilizer conjugacy classes,
+each keyed by its smallest conjugate element tuple.
 
 The tensor product over the middle group is computed two ways: directly
 on orbits of pairs, and by the double-coset decomposition for transitive
@@ -18,8 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
-                     double_cosets, product_group, quotient)
+from .groups import (FiniteGroup, GroupHom, ProductGroup, RowCache,
+                     Subgroup, double_cosets, extend_subgroup,
+                     product_group, quotient)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -28,69 +34,93 @@ TENSOR_POINT_CAP = 10 ** 6
 
 
 class GAction:
-    """A left action of a finite group on points 0..size-1."""
+    """A left action of a finite group on points 0..size-1.
 
-    def __init__(self, group: FiniteGroup, rows, check: bool = True) -> None:
+    rows[g] is the permutation of element g.  rows is given as one
+    permutation per element, or as a function from an element id to its
+    permutation tuple together with size; each row is then computed on
+    its first lookup and kept.
+    """
+
+    def __init__(self, group: FiniteGroup, rows, check: bool = True,
+                 size: int | None = None) -> None:
         self.group = group
-        self.rows = tuple(tuple(r) for r in rows)
-        if len(self.rows) != group.order:
-            raise ValueError("need one permutation per group element")
-        self.size = len(self.rows[0]) if self.rows else 0
+        if callable(rows):
+            if size is None:
+                raise ValueError("a row function needs the number of points")
+            self.rows = RowCache(rows)
+            self.size = size
+        else:
+            self.rows = tuple(tuple(r) for r in rows)
+            if len(self.rows) != group.order:
+                raise ValueError("need one permutation per group element")
+            self.size = len(self.rows[0]) if self.rows else 0
         self._decomposition = None
         if check:
             self._check()
 
     def _check(self) -> None:
-        n = self.group.order
-        ident = self.rows[self.group.identity]
-        if ident != tuple(range(self.size)):
+        """Exact: rows[s*b] == rows[s] o rows[b] for each generator s and
+        every b gives rows[a*b] == rows[a] o rows[b] for all a, by
+        induction on the length of a as a word in the generators."""
+        G, rows = self.group, self.rows
+        points = tuple(range(self.size))
+        if rows[G.identity] != points:
             raise ValueError("identity must act trivially")
-        for row in self.rows:
-            if len(row) != self.size or sorted(row) != list(range(self.size)):
+        for b in range(G.order):
+            if tuple(sorted(rows[b])) != points:
                 raise ValueError("each element must act by a permutation")
-        # Compatibility with multiplication, exhaustively while affordable.
-        if n * n * max(self.size, 1) <= 2_000_000:
-            gens = range(n)
-        else:
-            gens = getattr(self.group, "generator_ids", None) or range(
-                min(n, 8))
-        for a in gens:
-            ra = self.rows[a]
-            ta = self.group.row(a)
-            for b in range(n):
-                rab = self.rows[ta[b]]
-                rb = self.rows[b]
-                if any(ra[rb[x]] != rab[x] for x in range(self.size)):
+        for s in G.generators:
+            rs, ts = rows[s], G.row(s)
+            for b in range(G.order):
+                if rows[ts[b]] != tuple(rs[x] for x in rows[b]):
                     raise ValueError("action is not compatible with products")
 
     def apply(self, g: int, x: int) -> int:
         return self.rows[g][x]
 
+    def _generator_rows(self) -> list[tuple[int, ...]]:
+        return [self.rows[s] for s in self.group.generators]
+
     def orbits(self) -> list[list[int]]:
-        """Orbits as sorted lists, ordered by smallest point."""
-        seen = [False] * self.size
-        out = []
-        for x in range(self.size):
-            if seen[x]:
-                continue
-            orb = [x]
-            seen[x] = True
-            i = 0
-            while i < len(orb):
-                y = orb[i]
-                for row in self.rows:
-                    z = row[y]
-                    if not seen[z]:
-                        seen[z] = True
-                        orb.append(z)
-                i += 1
-            out.append(sorted(orb))
+        """Orbits as sorted lists, ordered by smallest point.
+
+        An orbit of the generators is an orbit of the group, so only
+        their rows are read.
+        """
+        label, reps = _orbit_labels(self.size, self._generator_rows())
+        out: list[list[int]] = [[] for _ in reps]
+        for x, k in enumerate(label):
+            out[k].append(x)
         return out
 
     def stabilizer(self, x: int) -> Subgroup:
-        return Subgroup(self.group,
-                        [g for g in range(self.group.order)
-                         if self.rows[g][x] == x], check=False)
+        """The stabilizer of x, closed from Schreier generators.
+
+        With u_y taking x to y, every u_{s.y}^-1 s u_y for a generator s
+        fixes x, and together they generate the stabilizer (Schreier's
+        lemma).  Only those outside the span so far extend it, each at
+        least doubling it.
+        """
+        G = self.group
+        mul, inv = G.mul, G.inv
+        gens = tuple(zip(G.generators, self._generator_rows()))
+        u = {x: G.identity}
+        orbit = [x]
+        for y in orbit:
+            for s, row in gens:
+                z = row[y]
+                if z not in u:
+                    u[z] = mul(s, u[y])
+                    orbit.append(z)
+        elems, members, found = [G.identity], {G.identity}, []
+        for y in orbit:
+            for s, row in gens:
+                w = mul(inv(u[row[y]]), mul(s, u[y]))
+                if w not in members:
+                    found.append(w)
+                    elems = extend_subgroup(G, elems, members, found)
+        return Subgroup(G, elems, check=False)
 
     def fixed_points(self, elements) -> list[int]:
         """Points fixed by every listed group element."""
@@ -157,15 +187,15 @@ def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
 
 
 def regular_action(G: FiniteGroup) -> GAction:
-    return GAction(G, [G.row(g) for g in range(G.order)], check=False)
+    return GAction(G, G.row, size=G.order, check=False)
 
 
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
     """Left translation on the cosets gS; point order is by minimal member."""
     reps, idx = S.coset_index_map()
     mul = G.mul
-    rows = [tuple(idx[mul(g, r)] for r in reps) for g in range(G.order)]
-    act = GAction(G, rows, check=False)
+    act = GAction(G, lambda g: tuple(idx[mul(g, r)] for r in reps),
+                  size=len(reps), check=False)
     act.coset_reps = tuple(reps)
     act.coset_subgroup = S
     return act
@@ -177,28 +207,27 @@ def disjoint_union(*actions: GAction) -> GAction:
     G = actions[0].group
     if any(a.group.uid != G.uid for a in actions):
         raise ValueError("all summands must share the acting group")
-    rows = []
-    for g in range(G.order):
-        row: list[int] = []
+
+    def row(g: int) -> tuple[int, ...]:
+        out: list[int] = []
         offset = 0
         for a in actions:
-            row.extend(offset + v for v in a.rows[g])
+            out.extend(offset + v for v in a.rows[g])
             offset += a.size
-        rows.append(tuple(row))
-    return GAction(G, rows, check=False)
+        return tuple(out)
+    return GAction(G, row, size=sum(a.size for a in actions), check=False)
 
 
 def external_product(A: GAction, B: GAction) -> GAction:
     """The product action of G1 x G2 on pairs of points."""
     amb = product_group(A.group, B.group)
-    nb = B.size
-    rows = []
-    for x in range(amb.order):
+    na, nb = A.size, B.size
+
+    def row(x: int) -> tuple[int, ...]:
         a, b = amb.decode(x)
         ra, rb = A.rows[a], B.rows[b]
-        rows.append(tuple(ra[u] * nb + rb[v]
-                          for u in range(A.size) for v in range(nb)))
-    return GAction(amb, rows, check=False)
+        return tuple(ra[u] * nb + rb[v] for u in range(na) for v in range(nb))
+    return GAction(amb, row, size=na * nb, check=False)
 
 
 def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
@@ -212,7 +241,7 @@ def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
     if group.order != A.group.order or any(
             group.row(g) != A.group.row(g) for g in range(group.order)):
         raise ValueError("groups are not element-wise identical")
-    return GAction(group, A.rows, check=False)
+    return GAction(group, A.rows.__getitem__, size=A.size, check=False)
 
 
 # -- bisets ----------------------------------------------------------
@@ -249,11 +278,12 @@ class BisetView:
         (h,g) |-> (g,h), which is already a homomorphism.
         """
         amb = product_group(self.right, self.left)
-        rows = []
-        for x in range(amb.order):
+        rows, encode = self.action.rows, self.ambient.encode
+
+        def row(x: int) -> tuple[int, ...]:
             h, g = amb.decode(x)
-            rows.append(self.action.rows[self.ambient.encode(g, h)])
-        return BisetView(amb, GAction(amb, rows, check=False))
+            return rows[encode(g, h)]
+        return BisetView(amb, GAction(amb, row, size=self.size, check=False))
 
 
 def biset_coset(X: ProductSubgroup) -> BisetView:
@@ -265,14 +295,17 @@ def biset_from_left_action(A: GAction) -> BisetView:
     """View a plain G-set as a (G, 1)-biset over the shared trivial group."""
     one = trivial_group()
     amb = product_group(A.group, one)
-    return BisetView(amb, GAction(amb, A.rows, check=False))
+    # (g, 1) has the id of g, so the rows carry over
+    return BisetView(amb, GAction(amb, A.rows.__getitem__, size=A.size,
+                                  check=False))
 
 
 def left_action_of_biset(U: BisetView) -> GAction:
     """Forget a trivial right side."""
     if U.right.order != 1:
         raise ValueError("right group must be trivial")
-    return GAction(U.left, U.action.rows, check=False)
+    return GAction(U.left, U.action.rows.__getitem__, size=U.size,
+                   check=False)
 
 
 # -- elementary bisets -----------------------------------------------
@@ -400,25 +433,27 @@ def tensor_direct(U: BisetView, V: BisetView,
     nu, nv = U.size, V.size
     if nu * nv > cap:
         raise ValueError(f"tensor product would exceed {cap} points")
+    Urows, Vrows = U.action.rows, V.action.rows
+    Uenc, Venc = U.ambient.encode, V.ambient.encode
     glue = []
-    for h in range(H.order):
+    for h in H.generators:
         if h == H.identity:
             continue
-        # h.(u, v) = (u.h^-1, h.v): both via the (1,h) / (h,1) actions.
-        ur = U.action.rows[U.ambient.encode(U.left.identity, h)]
-        vr = V.action.rows[V.ambient.encode(h, V.right.identity)]
+        # h.(u, v) = (u.h^-1, h.v): both via the (1,h) / (h,1) actions;
+        # the generators of H have the orbits of H.
+        ur = Urows[Uenc(U.left.identity, h)]
+        vr = Vrows[Venc(h, V.right.identity)]
         glue.append(tuple(ur[p // nv] * nv + vr[p % nv]
                           for p in range(nu * nv)))
     label, reps = _orbit_labels(nu * nv, glue)
     amb = product_group(U.left, V.right)
-    rows = []
-    for x in range(amb.order):
+
+    def row(x: int) -> tuple[int, ...]:
         g, k = amb.decode(x)
-        gr = U.action.rows[U.ambient.encode(g, U.right.identity)]
-        kr = V.action.rows[V.ambient.encode(V.left.identity, k)]
-        rows.append(tuple(label[gr[r // nv] * nv + kr[r % nv]]
-                          for r in reps))
-    return BisetView(amb, GAction(amb, rows, check=False))
+        gr = Urows[Uenc(g, H.identity)]
+        kr = Vrows[Venc(H.identity, k)]
+        return tuple(label[gr[r // nv] * nv + kr[r % nv]] for r in reps)
+    return BisetView(amb, GAction(amb, row, size=len(reps), check=False))
 
 
 def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup

@@ -14,9 +14,9 @@ from bisetblocks.groups import (GroupHom, ProductGroup, SizeLimitError,
                                 int_p_prime_part, is_p_group, isomorphisms,
                                 minimal_generating_sequence, normalizer,
                                 p_subgroups_up_to_conjugacy, parse_cycles,
-                                quotient, subgroup_generated, sylow_subgroup,
-                                trivial_subgroup)
-from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
+                                product_group, quotient, subgroup_generated,
+                                sylow_subgroup, trivial_subgroup)
+from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -324,3 +324,46 @@ def test_product_builds_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_generators_generate_every_group():
+    S3, S4, A4 = named_group("S3"), named_group("S4"), named_group("A4")
+    V = subgroup_generated(A4, [el(A4, "(1 2)(3 4)"), el(A4, "(1 3)(2 4)")])
+    D = subgroup_generated(S4, [el(S4, "(1 2 3 4)"), el(S4, "(1 3)")])
+    groups = [named_group(n) for n in BUNDLED_NAMES] + [
+        trivial_group(), product_group(S4, S4),
+        product_group(S3, product_group(S3, named_group("C2"))),
+        D.as_group(), quotient(A4, V)[0]]
+    for G in groups:
+        assert subgroup_generated(G, G.generators).order == G.order, G.name
+    assert trivial_group().generators == ()
+
+
+def test_product_generators_are_the_factor_generators():
+    S3, Q8 = named_group("S3"), named_group("Q8")
+    amb = product_group(S3, Q8)
+    assert amb.generators == (
+        tuple(amb.encode(s, Q8.identity) for s in S3.generator_ids)
+        + tuple(amb.encode(S3.identity, t) for t in Q8.generator_ids))
+    # a local group has no permutations and takes a minimal sequence
+    D = subgroup_generated(S3, [el(S3, "(1 2 3)")]).as_group()
+    assert D.generators == minimal_generating_sequence(D)
+
+
+def test_minimal_generating_sequence_is_the_greedy_one():
+    # reference: add each element outside the span, reclosing from scratch
+    def greedy(G):
+        gens, span = [], {G.identity}
+        for g in range(G.order):
+            if g not in span:
+                gens.append(g)
+                span = set(subgroup_generated(G, gens).elements)
+                if len(span) == G.order:
+                    break
+        return tuple(gens)
+    A4 = named_group("A4")
+    V = subgroup_generated(A4, [el(A4, "(1 2)(3 4)"), el(A4, "(1 3)(2 4)")])
+    for G in [named_group(n) for n in BUNDLED_NAMES] + [
+            product_group(named_group("D8"), named_group("C3")),
+            quotient(A4, V)[0]]:
+        assert minimal_generating_sequence(G) == greedy(G), G.name

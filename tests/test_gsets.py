@@ -1,11 +1,13 @@
 """G-sets and bisets: orbits, tensor products, elementary pieces."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from bisetblocks.groups import (element_by_name, full_subgroup, product_group,
-                                subgroup_generated, trivial_subgroup)
+from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
+                                product_group, subgroup_generated,
+                                trivial_subgroup)
 from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
                                biset_from_left_action, check_defres_description,
                                coset_action, defres_biset, disjoint_union,
@@ -257,3 +259,111 @@ def test_external_product_sizes():
     assert P.size == 12
     assert P.group.order == 12
     assert len(P.orbits()) == 1
+
+
+def test_gaction_check_is_exact_on_a_large_product():
+    # rho(a, b) = sigma(a) (x) tau(b) on 3 * 4 points, with tau the natural
+    # action of S4 and sigma sending every a != 1 to the same transposition:
+    # not an action, although the elements (1, b) all act compatibly
+    S4 = named_group("S4")
+    amb = product_group(S4, S4)
+
+    def rows(sigma):
+        out = []
+        for x in range(amb.order):
+            a, b = amb.decode(x)
+            sa, tb = sigma(a), S4.permutations[b]
+            out.append(tuple(sa[u] * 4 + tb[v]
+                             for u in range(3) for v in range(4)))
+        return out
+    with pytest.raises(ValueError, match="compatible with products"):
+        GAction(amb, rows(lambda a: (0, 1, 2) if a == S4.identity
+                          else (1, 0, 2)))
+    assert GAction(amb, rows(lambda a: (0, 1, 2))).size == 12
+
+
+def test_gaction_row_function_needs_a_size():
+    S3 = named_group("S3")
+    with pytest.raises(ValueError):
+        GAction(S3, S3.row)
+    A = GAction(S3, S3.row, size=6)
+    assert A.rows[4] == S3.row(4) and A.decompose().total_size() == 6
+
+
+# -- oracles that scan every group element ----------------------------
+
+def brute_orbits(A):
+    seen, out = set(), []
+    for x in range(A.size):
+        if x not in seen:
+            orb = sorted({A.rows[g][x] for g in range(A.group.order)})
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+def brute_stabilizer(A, x):
+    return tuple(g for g in range(A.group.order) if A.rows[g][x] == x)
+
+
+def brute_decomposition(A):
+    G = A.group
+    items = Counter(
+        Subgroup(G, brute_stabilizer(A, orb[0])).canonical_conjugate().elements
+        for orb in brute_orbits(A))
+    return TransitiveDecomposition(G, tuple(sorted(items.items())))
+
+
+def _random_actions(rng):
+    S4, D8, Q8 = named_group("S4"), named_group("D8"), named_group("Q8")
+    SS, DQ = product_group(S4, S4), product_group(D8, Q8)
+
+    def sub(G, max_index):
+        while True:
+            S = subgroup_generated(G, [rng.randrange(G.order)
+                                       for _ in range(rng.randint(1, 2))])
+            if S.index <= max_index:
+                return S
+
+    def coset(G, max_index=48):
+        return coset_action(G, sub(G, max_index))
+
+    def biset(amb, max_index=24):
+        S = sub(amb, max_index)
+        return biset_coset(ProductSubgroup(amb, S.elements, check=False))
+
+    for G in (S4, DQ, SS):
+        yield coset(G)
+        yield disjoint_union(coset(G), coset(G, 8))
+    yield external_product(coset(S4), coset(D8))
+    yield external_product(coset(D8), coset(Q8))
+    yield biset(SS).opposite().action
+    yield biset(DQ).opposite().action
+    yield tensor_direct(biset(SS), biset(SS)).action
+    yield tensor_direct(biset(product_group(D8, S4)),
+                        biset(product_group(S4, Q8))).action
+
+
+def test_orbits_stabilizers_decompose_match_a_full_scan():
+    rng = random.Random(17)
+    for _ in range(3):
+        for A in _random_actions(rng):
+            assert A.orbits() == brute_orbits(A)
+            for orb in A.orbits():
+                for x in orb[:2]:
+                    assert A.stabilizer(x).elements == brute_stabilizer(A, x)
+            assert A.decompose() == brute_decomposition(A)
+
+
+def test_coset_biset_decompose_reads_only_generator_rows():
+    S4 = named_group("S4")
+    amb = product_group(S4, S4)
+    for X in (diagonal(full_subgroup(S4)),
+              rectangle(amb, subgroup_generated(S4, [el(S4, "(1 2 3)")]),
+                        full_subgroup(S4))):
+        U = biset_coset(X)
+        assert U.decompose().total_size() == U.size == amb.order // X.order
+        assert len(U.action.rows) <= len(amb.generators)
+        T = tensor_direct(U, U)
+        T.decompose()
+        assert len(T.action.rows) <= len(amb.generators)

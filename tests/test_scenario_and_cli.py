@@ -353,3 +353,27 @@ def test_cli_out_writes_json_file(tmp_path, capsys):
 def test_cli_requires_a_verb():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_verify_biset_laws_count_below_one(capsys, count):
+    assert_input_error(capsys, ["verify-biset-laws", "--suite", "mackey",
+                                "--count", count],
+                       f"--count {count} must be at least 1")
+
+
+def test_cli_inject_mutation_needs_a_mutable_suite(capsys):
+    assert_input_error(capsys, ["verify-biset-laws", "--suite", "defres",
+                                "--count", "1", "--inject-mutation"],
+                       "only mackey has one")
+
+
+def test_cli_inject_mutation_without_suite_mutates_mackey(capsys):
+    code, rep = run_cli(capsys, [
+        "verify-biset-laws", "--count", "1", "--max-order", "4",
+        "--seed", "7", "--inject-mutation"])
+    assert code == 1
+    verdicts = {s["suite"]: s["ok"] for s in rep["suites"]}
+    assert verdicts.pop("mackey") is False
+    assert all(verdicts.values())
+    assert rep["suites"][0]["failures"][0]["mutated"] is True
