@@ -107,24 +107,23 @@ _STRUCTURE_CACHE: dict[int, list] = {}
 
 
 def _structure_constants(G: FiniteGroup):
-    """Integer constants a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k."""
+    """Integer constants a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k.
+
+    a[i][j][k] counts the pairs x in K_i, y in K_j with x y = z_k for the
+    representative z_k of K_k; each x has exactly one partner y = x^-1 z_k,
+    so the count takes |G| products per target class.
+    """
     if G.uid in _STRUCTURE_CACHE:
         return _STRUCTURE_CACHE[G.uid]
     classes = G.conjugacy_classes()
     k = len(classes)
-    reps = [cls[0] for cls in classes]
-    rep_pos = {r: i for i, r in enumerate(reps)}
+    class_of = [G.class_index(g) for g in range(G.order)]
+    inverse_of = [G.inv(x) for x in range(G.order)]
     out = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            counts = [0] * k
-            for x in ci:
-                row = G.row(x)
-                for y in cj:
-                    z = row[y]
-                    if z in rep_pos:
-                        counts[rep_pos[z]] += 1
-            out[i][j] = counts
+    for t, cls in enumerate(classes):
+        z = cls[0]
+        for x, x_inv in enumerate(inverse_of):
+            out[class_of[x]][class_of[G.mul(x_inv, z)]][t] += 1
     _STRUCTURE_CACHE[G.uid] = out
     return out
 
@@ -384,10 +383,10 @@ def brauer_hom(vec, D: Subgroup, field: Fq):
 
     Input is a coefficient vector over G; output is a vector over
     C_G(D).as_group().  Raises if the element is not D-conjugation
-    fixed.
+    fixed; it is enough to test the generators of D.
     """
     G = D.parent
-    for d in D.elements:
+    for d in D.generators:
         for g in range(G.order):
             if vec[G.conj(d, g)] != vec[g]:
                 raise ValueError("element is not fixed under the subgroup")

@@ -4,22 +4,26 @@ A group of order n has elements 0..n-1 with 0 the identity whenever the
 group is built by generator closure.  A group built from a table stores
 it densely; a direct product stores only its two factors and multiplies
 componentwise.  Other modules multiply through mul/inv/conj/row and so
-never depend on which.  Groups are immutable once built; derived data
-(conjugacy classes, element orders, subgroup caches) is computed lazily
-and memoized.  Canonical representatives are always the smallest
-available integer id, which keeps every enumeration in the package
-deterministic.
+never depend on which.  A group closed from permutations composes only
+one row per generator; every other row is read off its closure parent's
+row, since row(a*s) = row(a) o row(s).  Group axioms and homomorphisms
+are checked exactly on generators (Light's associativity test), and
+conjugates, centralizers and normalizers of subgroups are computed from
+generators rather than from every element.  Groups are immutable once
+built; derived data (conjugacy classes, element orders, subgroup caches,
+p-subgroup classes) is computed lazily and memoized.  Canonical
+representatives are always the smallest available integer id, which
+keeps every enumeration in the package deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 DEFAULT_CLOSURE_CAP = 10080
-_EXHAUSTIVE_LIMIT = 64
 
 
 class SizeLimitError(ValueError):
@@ -32,9 +36,11 @@ class FiniteGroup:
     _uid_counter = itertools.count()
 
     def __init__(self, table, identity: int = 0, name: str = "",
-                 element_names=None, _skip_check: bool = False) -> None:
+                 element_names=None, generator_ids=None,
+                 _skip_check: bool = False) -> None:
         self.table = tuple(tuple(row) for row in table)
         self._start(len(self.table), identity, name, element_names)
+        self.generator_ids = generator_ids
         if not _skip_check:
             self._check_axioms()
 
@@ -58,7 +64,7 @@ class FiniteGroup:
         n = self.order
         e = self.identity
         for row in self.table:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValueError("multiplication table is not square over 0..n-1")
         for g in range(n):
             if self.table[e][g] != g or self.table[g][e] != g:
@@ -66,16 +72,34 @@ class FiniteGroup:
         for g in range(n):
             if e not in self.table[g]:
                 raise ValueError(f"element {g} has no inverse")
-        if n <= _EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(n)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(2000))
+        if n == 1:
+            return
+        # Light's test: the t with (a*t)*b == a*(t*b) for all a, b are
+        # closed under products, so testing generators whose products
+        # reach every element is exact.  In a group they do.
         t = self.table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError("multiplication table is not associative")
+        gens = list(dict.fromkeys(self.generators))
+        reached = set(gens)
+        frontier = gens
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = t[a]
+                for s in gens:
+                    b = row[s]
+                    if b not in reached:
+                        reached.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        if len(reached) != n:
+            missed = min(set(range(n)) - reached)
+            raise ValueError(f"multiplication table is not a group: products "
+                             f"of its generators miss element {missed}")
+        for s in gens:
+            compose = itemgetter(*t[s])
+            for a in range(n):
+                if t[t[a][s]] != compose(t[a]):
+                    raise ValueError("multiplication table is not associative")
 
     # -- basic operations --------------------------------------------
 
@@ -224,24 +248,44 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each element in id order not yet in the span of those before."""
+        return _greedy_generators(self.parent, self.elements, self.order)
+
     def is_normal(self) -> bool:
         G = self.parent
         return all(G.conj(x, h) in self.element_set
-                   for x in range(G.order) for h in self.elements)
+                   for x in G.generators for h in self.generators)
 
     def conjugated_by(self, x: int) -> "Subgroup":
         G = self.parent
         return Subgroup(G, [G.conj(x, h) for h in self.elements], check=False)
 
     def canonical_conjugate(self, largest: bool = False) -> "Subgroup":
-        """The conjugate with extremal element tuple; smallest by default."""
+        """The conjugate with extremal element tuple; smallest by default.
+
+        The conjugates are found by a search that conjugates by the
+        parent's generators only: the orbit they reach is the whole
+        orbit, at a cost of |G:N(S)| * |generators| * |S|.
+        """
         key = ("canon", self.elements, largest)
         cached = self.parent._subgroup_cache.get(key)
         if cached is None:
-            pick = max if largest else min
-            best = pick(
-                (tuple(sorted(self.parent.conj(x, h) for h in self.elements))
-                 for x in range(self.parent.order)))
+            conj = self.parent.conj
+            gens = self.parent.generators
+            orbit = {self.elements}
+            frontier = [self.elements]
+            while frontier:
+                nxt = []
+                for elems in frontier:
+                    for x in gens:
+                        image = tuple(sorted([conj(x, h) for h in elems]))
+                        if image not in orbit:
+                            orbit.add(image)
+                            nxt.append(image)
+                frontier = nxt
+            best = max(orbit) if largest else min(orbit)
             cached = Subgroup(self.parent, best, check=False)
             self.parent._subgroup_cache[key] = cached
         return cached
@@ -256,9 +300,15 @@ class Subgroup:
         key = ("asgroup", self.elements)
         cached = self.parent._subgroup_cache.get(key)
         if cached is None:
-            loc = {g: i for i, g in enumerate(self.elements)}
-            table = [[loc[row[b]] for b in self.elements]
-                     for row in map(self.parent.row, self.elements)]
+            G, elems = self.parent, self.elements
+            loc = {g: i for i, g in enumerate(elems)}
+            if isinstance(G, ProductGroup):
+                # A product row is built on every call: take |S|^2 products.
+                mul = G.mul
+                table = [[loc[mul(a, b)] for b in elems] for a in elems]
+            else:
+                table = [[loc[row[b]] for b in elems]
+                         for row in map(G.row, elems)]
             names = None
             if self.parent.element_names:
                 names = [self.parent.element_names[g] for g in self.elements]
@@ -319,18 +369,16 @@ class GroupHom:
             self._check()
 
     def _check(self) -> None:
+        """Exact: images[a*s] == images[a]*images[s] for every a and each
+        generator s gives images[a*b] == images[a]*images[b] for every
+        b = s1...sk, by induction on k."""
         if self.images[self.source.identity] != self.target.identity:
             raise ValueError("homomorphism must preserve the identity")
-        n = self.source.order
-        if n <= _EXHAUSTIVE_LIMIT:
-            pairs = itertools.product(range(n), repeat=2)
-        else:
-            rng = random.Random(n + 1)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(4000))
-        for a, b in pairs:
-            if (self.images[self.source.mul(a, b)]
-                    != self.target.mul(self.images[a], self.images[b])):
-                raise ValueError("map is not multiplicative")
+        src, tgt, im = self.source, self.target, self.images
+        for s in src.generators:
+            for a in range(src.order):
+                if im[src.mul(a, s)] != tgt.mul(im[a], im[s]):
+                    raise ValueError("map is not multiplicative")
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -433,7 +481,14 @@ def cycles_of(perm: tuple[int, ...]) -> str:
 def group_from_permutations(generators, degree: int = 0,
                             name: str = "", cap: int = DEFAULT_CLOSURE_CAP
                             ) -> FiniteGroup:
-    """Close a list of permutations (tuples or cycle strings) into a group."""
+    """Close a list of permutations (tuples or cycle strings) into a group.
+
+    Element i*j is the permutation k -> i[j[k]].  The closure records for
+    each new element a*s its parent a and generator s.  Only the rows of
+    the generators are composed point by point; every other row follows
+    from its parent's, row(a*s) = row(a) o row(s) since (a*s)*b =
+    a*(s*b), read in one itemgetter call.
+    """
     perms = []
     for g in generators:
         perms.append(parse_cycles(g, degree) if isinstance(g, str) else tuple(g))
@@ -442,29 +497,38 @@ def group_from_permutations(generators, degree: int = 0,
     ident = tuple(range(deg))
     elems = [ident]
     index = {ident: 0}
+    parents = [None]
     frontier = [ident]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in perms:
+            for k, g in enumerate(perms):
                 prod = tuple(a[g[i]] for i in range(deg))
                 if prod not in index:
                     if len(elems) >= cap:
                         raise SizeLimitError(
                             f"closure exceeded the order cap {cap}")
+                    parents.append((index[a], k))
                     index[prod] = len(elems)
                     elems.append(prod)
                     nxt.append(prod)
         frontier = nxt
     n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i][j] = index[tuple(a[b[k]] for k in range(deg))]
+    gen_ids = tuple(index[p] for p in perms)
+    table = [None] * n
+    table[0] = tuple(range(n))
+    for s, g in zip(gen_ids, perms):
+        table[s] = tuple(index[tuple(g[b[k]] for k in range(deg))]
+                         for b in elems)
+    gen_rows = [itemgetter(*table[s]) for s in gen_ids]
+    for i in range(1, n):
+        if table[i] is None:
+            a, k = parents[i]
+            table[i] = gen_rows[k](table[a])
     G = FiniteGroup(table, identity=0, name=name or f"perm{n}",
-                    element_names=[cycles_of(p) for p in elems])
+                    element_names=[cycles_of(p) for p in elems],
+                    generator_ids=gen_ids)
     G.permutations = tuple(elems)
-    G.generator_ids = tuple(index[p] for p in perms)
     return G
 
 
@@ -535,27 +599,31 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, part) -> Subgroup:
-    """Centralizer of an element, an iterable of elements, or a Subgroup."""
+    """Centralizer of an element, an iterable of elements, or a Subgroup;
+    of a Subgroup, only its generators are tested."""
     if isinstance(part, int):
         part = [part]
     elif isinstance(part, Subgroup):
-        part = part.elements
+        part = part.generators
     part = list(part)
     return Subgroup(G, [x for x in range(G.order)
                         if all(G.conj(x, s) == s for s in part)], check=False)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
+    """The x with x S x^-1 = S; since conjugation is injective, x S x^-1
+    contains S as soon as it holds the generators of S."""
+    gens = S.generators
     out = []
     for x in range(G.order):
-        if all(G.conj(x, h) in S.element_set for h in S.elements):
+        if all(G.conj(x, h) in S.element_set for h in gens):
             out.append(x)
     return Subgroup(G, out, check=False)
 
 
 def center(G: FiniteGroup) -> Subgroup:
     if G._center is None:
-        G._center = centralizer(G, range(G.order))
+        G._center = centralizer(G, G.generators)
     return G._center
 
 
@@ -730,9 +798,14 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
 
     Built bottom-up by cyclic extension: a class representative P is
     extended by elements g of its normalizer with g^p in P.  Classes are
-    keyed by the smallest conjugate element tuple.
+    keyed by the smallest conjugate element tuple.  Memoized on G per
+    (p, max_order).
     """
     _check_prime(p)
+    key = ("psubgroups", p, max_order)
+    cached = G._subgroup_cache.get(key)
+    if cached is not None:
+        return cached
     triv = trivial_subgroup(G)
     found = {triv.elements: triv}
     level = [triv]
@@ -747,14 +820,16 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
                     continue
                 if G.power(g, p) not in P.element_set:
                     continue
-                key = _cyclic_extension(G, P, g, p) \
+                canon = _cyclic_extension(G, P, g, p) \
                     .canonical_conjugate().elements
-                if key not in found:
-                    rep = Subgroup(G, key, check=False)
-                    found[key] = rep
+                if canon not in found:
+                    rep = Subgroup(G, canon, check=False)
+                    found[canon] = rep
                     nxt.append(rep)
         level = nxt
-    return tuple(sorted(found.values(), key=lambda S: (S.order, S.elements)))
+    out = tuple(sorted(found.values(), key=lambda S: (S.order, S.elements)))
+    G._subgroup_cache[key] = out
+    return out
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -809,10 +884,17 @@ def is_p_group(S: Subgroup, p: int) -> bool:
 
 def minimal_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """Each element in id order that is not yet in the span of those before."""
+    return _greedy_generators(G, range(G.order), G.order)
+
+
+def _greedy_generators(G: FiniteGroup, candidates, order: int
+                       ) -> tuple[int, ...]:
+    """Each candidate not yet in the span of those before, until the
+    span has the given order."""
     gens: list[int] = []
     elems, members = [G.identity], {G.identity}
-    for g in range(G.order):
-        if len(elems) == G.order:
+    for g in candidates:
+        if len(elems) == order:
             break
         if g not in members:
             gens.append(g)

@@ -1,10 +1,12 @@
 """Block idempotents, Brauer homomorphism, defect groups, Brauer pairs."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
+                                _structure_constants,
                                 assign_characters_to_blocks,
                                 block_idempotents, brauer_construction,
                                 brauer_hom, coset_module_rank, defect_group,
@@ -14,11 +16,11 @@ from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 splitting_field_degree, splitting_params)
 from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.gf import fq_field, mat_rank
-from bisetblocks.groups import (element_by_name, full_subgroup,
+from bisetblocks.groups import (centralizer, element_by_name, full_subgroup,
                                 p_subgroups_up_to_conjugacy,
                                 subgroup_generated, sylow_subgroup)
 from bisetblocks.gsets import biset_coset
-from bisetblocks.namedgroups import named_group
+from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal
 
@@ -41,6 +43,7 @@ BLOCK_DATA = {
 }
 
 A5_SPEC = {"name": "A5", "generators": ["(1 2 3)", "(1 2 3 4 5)"]}
+S5_SPEC = {"name": "S5", "generators": ["(1 2)", "(1 2 3 4 5)"]}
 
 
 def field_for(G, p):
@@ -329,3 +332,39 @@ def test_brauer_construction_counts_fixed_cosets():
     # the normalizer action must close on the fixed set
     dec = rec["action"].decompose()
     assert dec.total_size() == len(got)
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_NAMES) + ["A5", "S5"])
+def test_structure_constants_count_every_pair(name):
+    G = (group_from_spec(A5_SPEC if name == "A5" else S5_SPEC)
+         if name in ("A5", "S5") else named_group(name))
+    classes = G.conjugacy_classes()
+    reps = [cls[0] for cls in classes]
+    sc = _structure_constants(G)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            assert sc[i][j] == [sum(1 for x in ci for y in cj
+                                    if G.mul(x, y) == z) for z in reps]
+
+
+def test_brauer_hom_fixed_check_by_definition():
+    S4 = named_group("S4")
+    F = field_for(S4, 2)
+    rng = random.Random(11)
+    for D in p_subgroups_up_to_conjugacy(S4, 2):
+        C = centralizer(S4, D)
+        # a sum of D-conjugation orbits is fixed by definition
+        vec = [0] * S4.order
+        for g in range(S4.order):
+            if not vec[g] and rng.randrange(2):
+                for d in D.elements:
+                    vec[S4.conj(d, g)] = 1
+        assert brauer_hom(vec, D, F) == [vec[g] for g in C.elements]
+        moved = [g for g in range(S4.order)
+                 if any(S4.conj(d, g) != g for d in D.elements)]
+        assert bool(moved) == (C.order < S4.order)
+        for g in moved[:3]:
+            bad = list(vec)
+            bad[g] = 1 - bad[g]
+            with pytest.raises(ValueError, match="not fixed"):
+                brauer_hom(bad, D, F)

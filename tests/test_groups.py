@@ -6,8 +6,8 @@ from math import lcm
 
 import pytest
 
-from bisetblocks.groups import (GroupHom, ProductGroup, SizeLimitError,
-                                Subgroup, center,
+from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
+                                SizeLimitError, Subgroup, center,
                                 centralizer, cycles_of, double_coset_of,
                                 double_cosets, element_by_name,
                                 group_from_permutations, int_p_part,
@@ -367,3 +367,179 @@ def test_minimal_generating_sequence_is_the_greedy_one():
             product_group(named_group("D8"), named_group("C3")),
             quotient(A4, V)[0]]:
         assert minimal_generating_sequence(G) == greedy(G), G.name
+
+
+# -- tables, checks and conjugates on generators -------------------------
+
+LARGE_GENERATORS = {"A5": ["(1 2 3)", "(1 2 3 4 5)"],
+                    "S5": ["(1 2)", "(1 2 3 4 5)"],
+                    "S6": ["(1 2)", "(1 2 3 4 5 6)"]}
+
+
+def large_group(name):
+    return group_from_permutations(LARGE_GENERATORS[name], name=name)
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_NAMES) + ["A5", "S5", "S6"])
+def test_permutation_table_is_the_pairwise_composition(name):
+    G = named_group(name) if name in BUNDLED_NAMES else large_group(name)
+    perms = G.permutations
+    index = {p: i for i, p in enumerate(perms)}
+    deg = len(perms[0])
+    assert perms[G.identity] == tuple(range(deg))
+    for i, a in enumerate(perms):
+        assert G.element_names[i] == cycles_of(a)
+        assert G.row(i) == tuple(index[tuple(a[b[k]] for k in range(deg))]
+                                 for b in perms)
+    if name in LARGE_GENERATORS:
+        assert G.generator_ids == tuple(
+            index[parse_cycles(g, deg)] for g in LARGE_GENERATORS[name])
+
+
+def test_axiom_check_is_exact_on_a_swapped_row():
+    S5 = large_group("S5")
+    table = [list(row) for row in S5.table]
+    # Swapping two entries of row 1 keeps every row a permutation and the
+    # identity row and column intact; 2000 random triples seeded by the
+    # order, as an associativity check once sampled, miss it.
+    table[1][3], table[1][4] = table[1][4], table[1][3]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table)
+    FiniteGroup(S5.table)
+    FiniteGroup([[0]])
+
+
+def test_axiom_check_rejects_small_non_groups():
+    # identity row and column intact and a 0 in every row, but not
+    # associative; in the first, products of the generator 1 never reach 0
+    for table in ([[0, 1, 2], [1, 2, 0], [2, 2, 0]],
+                  [[0, 1, 2, 3], [1, 1, 0, 2], [2, 0, 0, 0], [3, 0, 3, 0]]):
+        with pytest.raises(ValueError, match="not a"):
+            FiniteGroup(table)
+
+
+def test_axiom_check_tests_every_generator():
+    # a*b is twisted to a*(c b c^-1) for a outside H = <(1 2)>, with c =
+    # (3 4) commuting with (1 2): translations by (1 2) stay associative,
+    # translations by the second generator do not.
+    S5 = large_group("S5")
+    s, c = el(S5, "(1 2)"), el(S5, "(3 4)")
+    H = (S5.identity, s)
+    twisted = [S5.row(a) if a in H else
+               [S5.mul(a, S5.conj(c, b)) for b in range(S5.order)]
+               for a in range(S5.order)]
+    assert minimal_generating_sequence(
+        FiniteGroup(twisted, _skip_check=True))[0] == s
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(twisted)
+    # generators that reach only H cannot vouch for the rest
+    with pytest.raises(ValueError, match="miss element"):
+        FiniteGroup(twisted, generator_ids=(s,))
+    with pytest.raises(ValueError, match="miss element"):
+        FiniteGroup(S5.table, generator_ids=(s,))
+
+
+def test_group_hom_check_is_exact_on_generators():
+    S5, C2 = large_group("S5"), named_group("C2")
+    sign = [sum(p[i] > p[j] for j in range(5) for i in range(j)) % 2
+            for p in S5.permutations]
+    GroupHom(S5, C2, sign)
+    for g in (7, 119):
+        bad = list(sign)
+        bad[g] = 1 - bad[g]
+        with pytest.raises(ValueError, match="not multiplicative"):
+            GroupHom(S5, C2, bad)
+    # flipping a whole coset {a, a s} keeps images[a s] = images[a] images[s]
+    # for the first generator s, so only a later generator can see it
+    s = S5.generators[0]
+    bad = list(sign)
+    for g in (7, S5.mul(7, s)):
+        bad[g] = 1 - bad[g]
+    with pytest.raises(ValueError, match="not multiplicative"):
+        GroupHom(S5, C2, bad)
+    amb = product_group(S5, C2)
+    proj = [amb.decode(x)[1] for x in range(amb.order)]
+    GroupHom(amb, C2, proj)
+    proj[5] = 1 - proj[5]
+    with pytest.raises(ValueError):
+        GroupHom(amb, C2, proj)
+
+
+def brute_canonical(S, largest=False):
+    G = S.parent
+    pick = max if largest else min
+    return pick(tuple(sorted(G.conj(x, h) for h in S.elements))
+                for x in range(G.order))
+
+
+def sample_subgroups(G, seed, count):
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        gens = [rng.randrange(G.order) for _ in range(1 + k % 2)]
+        out.append(subgroup_generated(G, gens))
+    return out
+
+
+def canonical_cases():
+    cases = []
+    for G in (named_group("S4"), large_group("A5"), large_group("S5")):
+        for p in (2, 3, 5):
+            if G.order % p == 0:
+                cases.extend(p_subgroups_up_to_conjugacy(G, p))
+    S4, D8, Q8 = named_group("S4"), named_group("D8"), named_group("Q8")
+    cases.extend(sample_subgroups(product_group(S4, S4), 3, 12))
+    cases.extend(sample_subgroups(product_group(D8, Q8), 4, 12))
+    local = subgroup_generated(S4, [el(S4, "(1 2 3 4)"),
+                                    el(S4, "(1 3)")]).as_group()
+    cases.extend(sample_subgroups(local, 5, 6))
+    return cases
+
+
+def test_canonical_conjugate_is_the_extreme_over_all_conjugators():
+    for S in canonical_cases():
+        assert S.canonical_conjugate().elements == brute_canonical(S), S
+        assert (S.canonical_conjugate(largest=True).elements
+                == brute_canonical(S, largest=True)), S
+
+
+def test_p_subgroup_classes_are_computed_once_per_group_and_prime():
+    S4 = named_group("S4")
+    first = p_subgroups_up_to_conjugacy(S4, 2)
+    assert p_subgroups_up_to_conjugacy(S4, 2) is first
+    assert p_subgroups_up_to_conjugacy(S4, 2, max_order=4) == tuple(
+        P for P in first if P.order <= 4)
+
+
+def test_centralizer_and_normalizer_of_a_subgroup_by_definition():
+    for S in canonical_cases():
+        G = S.parent
+        assert subgroup_generated(G, S.generators) == S
+        assert centralizer(G, S).elements == tuple(
+            x for x in range(G.order)
+            if all(G.mul(x, h) == G.mul(h, x) for h in S.elements))
+        assert normalizer(G, S).elements == tuple(
+            x for x in range(G.order)
+            if {G.conj(x, h) for h in S.elements} == S.element_set)
+        assert S.is_normal() == (normalizer(G, S).order == G.order)
+    for name in list(BUNDLED_NAMES) + ["A5"]:
+        G = named_group(name) if name in BUNDLED_NAMES else large_group(name)
+        assert center(G).elements == tuple(
+            x for x in range(G.order)
+            if all(G.mul(x, y) == G.mul(y, x) for y in range(G.order)))
+
+
+def test_local_group_of_a_product_subgroup_reads_no_product_row(
+        monkeypatch):
+    S4 = named_group("S4")
+    amb = product_group(S4, S4)
+    S = sample_subgroups(amb, 6, 2)[1]
+    assert S.order > 1
+
+    def no_row(self, a):
+        raise AssertionError("ProductGroup.row was called")
+    monkeypatch.setattr(ProductGroup, "row", no_row)
+    local = S.as_group()
+    for i, a in enumerate(S.elements):
+        for j, b in enumerate(S.elements):
+            assert S.elements[local.mul(i, j)] == amb.mul(a, b)
