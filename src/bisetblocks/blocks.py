@@ -103,18 +103,16 @@ class ReductionMap:
 
 # -- center of the group algebra -------------------------------------
 
-_STRUCTURE_CACHE: dict[int, list] = {}
-
-
 def _structure_constants(G: FiniteGroup):
     """Integer constants a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k.
 
     a[i][j][k] counts the pairs x in K_i, y in K_j with x y = z_k for the
     representative z_k of K_k; each x has exactly one partner y = x^-1 z_k,
-    so the count takes |G| products per target class.
+    so the count takes |G| products per target class.  Kept on G.
     """
-    if G.uid in _STRUCTURE_CACHE:
-        return _STRUCTURE_CACHE[G.uid]
+    cached = G._subgroup_cache.get("structure")
+    if cached is not None:
+        return cached
     classes = G.conjugacy_classes()
     k = len(classes)
     class_of = [G.class_index(g) for g in range(G.order)]
@@ -124,7 +122,7 @@ def _structure_constants(G: FiniteGroup):
         z = cls[0]
         for x, x_inv in enumerate(inverse_of):
             out[class_of[x]][class_of[G.mul(x_inv, z)]][t] += 1
-    _STRUCTURE_CACHE[G.uid] = out
+    G._subgroup_cache["structure"] = out
     return out
 
 

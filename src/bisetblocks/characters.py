@@ -10,11 +10,14 @@ before the table is used anywhere.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
 from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
-                     element_by_name, product_group)
+                     _extend_hom, element_by_name,
+                     minimal_generating_sequence, product_group)
 from .subdirect import ProductSubgroup, middle_kernel, middle_witnesses, star
 
 
@@ -391,36 +394,15 @@ def abelian_character_table(G: FiniteGroup) -> CharacterTable:
     """
     if not G.is_abelian():
         raise ValueError("group must be abelian")
-    from .groups import minimal_generating_sequence
-    import itertools
     gens = minimal_generating_sequence(G)
-    e = G.exponent()
-    chars = []
     pools = []
     for g in gens:
         o = G.element_order(g)
         pools.append([Cyclotomic.zeta(o, j) for j in range(o)])
+    chars = []
     for images in itertools.product(*pools):
-        vals: dict[int, Cyclotomic] = {G.identity: ONE}
-        frontier = [G.identity]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for a in frontier:
-                for g, ig in zip(gens, images):
-                    b = G.mul(a, g)
-                    vb = vals[a] * ig
-                    if b in vals:
-                        if vals[b] != vb:
-                            ok = False
-                            break
-                    else:
-                        vals[b] = vb
-                        nxt.append(b)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(vals) == G.order:
+        vals = _extend_hom(G, gens, images, operator.mul, ONE)
+        if vals is not None:
             chars.append(ClassFunction(
                 G, [vals[cls[0]] for cls in G.conjugacy_classes()]))
     if len(chars) != G.order:

@@ -67,21 +67,23 @@ def _field_degree(p: int, requested: int | None, splitting: int) -> int:
     """The requested field degree, or the splitting degree if none is.
 
     A requested degree must be a positive multiple of the splitting
-    degree (F_{p^k} contains F_{p^m} only when m divides k) and must keep
-    p^k within the field size cap.
+    degree (F_{p^k} contains F_{p^m} only when m divides k).  Either
+    degree must keep p^k within the field size cap; it is checked here,
+    before any field is built.
     """
-    if requested is None:
-        return splitting
-    if requested < 1 or requested % splitting:
+    if requested is not None and (requested < 1 or requested % splitting):
         raise InputError(f"--field-degree {requested} is not a positive "
                          f"multiple of the splitting degree {splitting}")
+    degree = splitting if requested is None else requested
     largest = 0
     while p ** (largest + 1) <= FIELD_SIZE_CAP:
         largest += 1
-    if requested > largest:
-        raise InputError(f"--field-degree {requested} makes a field larger "
-                         f"than {FIELD_SIZE_CAP} elements")
-    return requested
+    if degree > largest:
+        what = (f"the splitting degree {splitting}" if requested is None
+                else f"--field-degree {requested}")
+        raise InputError(f"{what} makes a field larger than "
+                         f"{FIELD_SIZE_CAP} elements")
+    return degree
 
 
 def _filter_names(names, max_order: int | None):
@@ -185,9 +187,8 @@ def cmd_broue(args) -> int:
         S = Scenario(doc)
     except (KeyError, ValueError) as ex:
         raise InputError(f"bad scenario: {ex}")
-    if args.field_degree is not None:
-        _field_degree(S.p, args.field_degree,
-                      scenario_field_degree(S.G, S.H, S.p))
+    _field_degree(S.p, args.field_degree,
+                  scenario_field_degree(S.G, S.H, S.p))
     report = run_scenario(S, field_degree=args.field_degree,
                           conventions=args.conventions)
     _emit(report, args.out)

@@ -10,8 +10,12 @@ row, since row(a*s) = row(a) o row(s).  Group axioms and homomorphisms
 are checked exactly on generators (Light's associativity test), and
 conjugates, centralizers and normalizers of subgroups are computed from
 generators rather than from every element.  Groups are immutable once
-built; derived data (conjugacy classes, element orders, subgroup caches,
-p-subgroup classes) is computed lazily and memoized.  Canonical
+built.  Data derived from a group (conjugacy classes, element orders,
+canonical conjugates, local groups, p-subgroup classes, quotients) is
+computed lazily and kept on that group, so it lives exactly as long as
+the group does.  A product
+G x H is kept weakly on G, so product_group returns one object for as
+long as anything holds it, and lets it go once nothing does.  Canonical
 representatives are always the smallest available integer id, which
 keeps every enumeration in the package deterministic.
 """
@@ -19,6 +23,7 @@ keeps every enumeration in the package deterministic.
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
@@ -56,7 +61,15 @@ class FiniteGroup:
         self._class_of = None
         self._orders = None
         self._center = None
+        # Data derived from this group lives here and dies with it:
+        # canonical conjugates, local groups, p-subgroup classes,
+        # quotients, class structure constants, the bundled table.
         self._subgroup_cache: dict = {}
+
+    @cached_property
+    def _products(self) -> weakref.WeakValueDictionary:
+        """Products self x H by H.uid, each kept while something holds it."""
+        return weakref.WeakValueDictionary()
 
     # -- construction-time validation --------------------------------
 
@@ -79,18 +92,7 @@ class FiniteGroup:
         # reach every element is exact.  In a group they do.
         t = self.table
         gens = list(dict.fromkeys(self.generators))
-        reached = set(gens)
-        frontier = gens
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = t[a]
-                for s in gens:
-                    b = row[s]
-                    if b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        reached = subgroup_generated(self, gens).element_set
         if len(reached) != n:
             missed = min(set(range(n)) - reached)
             raise ValueError(f"multiplication table is not a group: products "
@@ -718,36 +720,25 @@ class RowCache(dict):
         return out
 
 
-_PRODUCT_CACHE: dict[tuple[int, int], ProductGroup] = {}
-_QUOTIENT_CACHE: dict = {}
-
-
 def product_group(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
-    """Cached direct product; repeated calls return the same object."""
-    key = (G.uid, H.uid)
-    if key not in _PRODUCT_CACHE:
-        _PRODUCT_CACHE[key] = ProductGroup(G, H)
-    return _PRODUCT_CACHE[key]
+    """The direct product G x H, owned by G.
 
-
-def clear_derived_caches() -> None:
-    """Drop the global product and quotient caches.
-
-    Long randomized runs mint throwaway local groups whose products
-    would otherwise be cached forever.  Clearing is safe between fully
-    independent work items; never clear between building an object and
-    combining it with a later one, since identity of ambient products
-    would no longer be shared.
+    G keeps its products weakly, keyed by the uid of the right factor:
+    repeated calls return the same object for as long as anything holds
+    it, and a product goes with its factors once nothing does.
     """
-    _PRODUCT_CACHE.clear()
-    _QUOTIENT_CACHE.clear()
+    P = G._products.get(H.uid)
+    if P is None:
+        P = G._products[H.uid] = ProductGroup(G, H)
+    return P
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """The quotient G/N with its projection; N must be normal.  Cached."""
-    key = (G.uid, N.elements)
-    if key in _QUOTIENT_CACHE:
-        return _QUOTIENT_CACHE[key]
+    """The quotient G/N with its projection; N must be normal.  Kept on G."""
+    key = ("quotient", N.elements)
+    cached = G._subgroup_cache.get(key)
+    if cached is not None:
+        return cached
     if not N.is_normal():
         raise ValueError("quotient requires a normal subgroup")
     reps, idx = N.coset_index_map()
@@ -760,7 +751,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
                     _skip_check=True)
     Q.coset_reps = tuple(reps)
     pi = GroupHom(G, Q, idx, check=False)
-    _QUOTIENT_CACHE[key] = (Q, pi)
+    G._subgroup_cache[key] = (Q, pi)
     return Q, pi
 
 
@@ -902,16 +893,17 @@ def _greedy_generators(G: FiniteGroup, candidates, order: int
     return tuple(gens)
 
 
-def _extend_hom(G: FiniteGroup, H: FiniteGroup, gens, imgs):
-    """Extend generator images to a full hom table, or None if inconsistent."""
-    images = {G.identity: H.identity}
+def _extend_hom(G: FiniteGroup, gens, imgs, mul, one):
+    """Extend generator images to the table of a hom into a target with
+    product mul and identity one, or None if the images are inconsistent."""
+    images = {G.identity: one}
     frontier = [G.identity]
     while frontier:
         nxt = []
         for a in frontier:
             for g, ig in zip(gens, imgs):
                 b = G.mul(a, g)
-                ib = H.mul(images[a], ig)
+                ib = mul(images[a], ig)
                 if b in images:
                     if images[b] != ib:
                         return None
@@ -934,7 +926,7 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
              for o in orders]
     out = []
     for imgs in itertools.product(*pools):
-        table = _extend_hom(G, H, gens, imgs)
+        table = _extend_hom(G, gens, imgs, H.mul, H.identity)
         if table is not None and len(set(table)) == G.order:
             out.append(GroupHom(G, H, table, check=False))
     return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 from .groups import FiniteGroup, group_from_permutations
 
 _GENERATORS = {
@@ -14,17 +16,13 @@ _GENERATORS = {
     "C2xC2": ["(1 2)", "(3 4)"],
 }
 
-_CACHE: dict[str, FiniteGroup] = {}
-
-
+@cache
 def named_group(name: str) -> FiniteGroup:
-    """Build (and cache) one of the bundled groups by name.
+    """One of the bundled groups by name, built once per process.
 
     Cyclic groups are "C1".."C12", realized as a single n-cycle so that
     cycle notation works uniformly for element specs.
     """
-    if name in _CACHE:
-        return _CACHE[name]
     if name in _GENERATORS:
         G = group_from_permutations(_GENERATORS[name], name=name)
     elif name.startswith("C") and name[1:].isdigit():
@@ -38,19 +36,12 @@ def named_group(name: str) -> FiniteGroup:
             G = group_from_permutations([cycle], name=name)
     else:
         raise ValueError(f"unknown group name {name!r}")
-    _CACHE[name] = G
     return G
-
-
-_TRIVIAL = None
 
 
 def trivial_group() -> FiniteGroup:
     """The shared one-element group (degree-1 permutation realization)."""
-    global _TRIVIAL
-    if _TRIVIAL is None:
-        _TRIVIAL = named_group("C1")
-    return _TRIVIAL
+    return named_group("C1")
 
 
 BUNDLED_NAMES = tuple(f"C{i}" for i in range(1, 13)) + (

@@ -3,14 +3,16 @@
 A scenario document names two groups, a prime, one block on each side
 and a virtual bimodule given by twisted-diagonal terms.  Groups are
 given by bundled name, permutation generators, or an explicit
-multiplication table.  Loading the same bundled name twice yields the
-same group object, so cached constructions (products, local groups) are
-shared across a whole run.
+multiplication table.  A bundled name always yields the same group
+object, and equal custom specs yield the same object for as long as it
+is alive, so data kept on a group (its products, local groups and
+character table) is shared by everything that uses it and freed with it.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from importlib import resources
 
 from .characters import (CharacterTable, abelian_character_table,
@@ -22,7 +24,8 @@ from .namedgroups import BUNDLED_NAMES, named_group
 from .subdirect import ProductSubgroup, twisted_diagonal
 
 
-_CUSTOM_GROUPS: dict = {}
+# Groups built from custom specs, each kept while something holds it.
+_CUSTOM_GROUPS = weakref.WeakValueDictionary()
 
 
 def group_from_spec(spec) -> FiniteGroup:
@@ -39,15 +42,17 @@ def group_from_spec(spec) -> FiniteGroup:
     name = spec.get("name", "")
     if "generators" in spec:
         key = (name, tuple(spec["generators"]))
-        if key not in _CUSTOM_GROUPS:
-            _CUSTOM_GROUPS[key] = group_from_permutations(
+        G = _CUSTOM_GROUPS.get(key)
+        if G is None:
+            G = _CUSTOM_GROUPS[key] = group_from_permutations(
                 spec["generators"], name=name or "G")
-        return _CUSTOM_GROUPS[key]
+        return G
     if "table" in spec:
         key = (name, tuple(tuple(row) for row in spec["table"]))
-        if key not in _CUSTOM_GROUPS:
-            _CUSTOM_GROUPS[key] = FiniteGroup(key[1], name=name or "G")
-        return _CUSTOM_GROUPS[key]
+        G = _CUSTOM_GROUPS.get(key)
+        if G is None:
+            G = _CUSTOM_GROUPS[key] = FiniteGroup(key[1], name=name or "G")
+        return G
     if name:
         return named_group(name)
     raise ValueError("group spec needs a name, generators, or a table")
@@ -67,20 +72,25 @@ def group_to_spec(G: FiniteGroup):
 
 # -- bundled character tables ----------------------------------------
 
-_TABLE_CACHE: dict[str, CharacterTable] = {}
-
-
 def bundled_table(name: str) -> CharacterTable:
-    """The validated character table shipped for a bundled group name."""
-    if name not in _TABLE_CACHE:
-        if name not in BUNDLED_NAMES:
-            raise ValueError(f"no bundled table for {name!r}")
-        text = resources.files("bisetblocks") \
-            .joinpath(f"data/tables/{name}.json").read_text()
-        doc = json.loads(text)
-        _TABLE_CACHE[name] = ingest_character_table(doc,
-                                                    group=named_group(name))
-    return _TABLE_CACHE[name]
+    """The validated character table of a bundled group, kept on the group.
+
+    Abelian groups are tabulated by abelian_character_table; the others
+    are read from the documents shipped in data/tables.
+    """
+    if name not in BUNDLED_NAMES:
+        raise ValueError(f"no bundled table for {name!r}")
+    G = named_group(name)
+    table = G._subgroup_cache.get("table")
+    if table is None:
+        if G.is_abelian():
+            table = abelian_character_table(G)
+        else:
+            text = resources.files("bisetblocks") \
+                .joinpath(f"data/tables/{name}.json").read_text()
+            table = ingest_character_table(json.loads(text), group=G)
+        G._subgroup_cache["table"] = table
+    return table
 
 
 def table_for_group(G: FiniteGroup, doc: dict | None = None
@@ -131,8 +141,8 @@ def parse_term(doc: dict, G: FiniteGroup, H: FiniteGroup) -> GammaTerm:
         if im not in P.element_set:
             raise ValueError("phi image falls outside P")
         imgs_local.append(P.to_local(im))
-    table = _extend_hom(Qg, Pg, [Q.to_local(q) for q in q_gens],
-                        imgs_local)
+    table = _extend_hom(Qg, [Q.to_local(q) for q in q_gens], imgs_local,
+                        Pg.mul, Pg.identity)
     if table is None or sorted(table) != list(range(Pg.order)):
         raise ValueError("phi does not extend to an isomorphism Q -> P")
     phi = GroupHom(Qg, Pg, table, check=False)

@@ -14,8 +14,7 @@ import time
 
 from .characters import (contract_extended, contract_over_middle,
                          perm_character, verify_tensor_character_formula)
-from .groups import (FiniteGroup, ProductGroup, Subgroup,
-                     clear_derived_caches, product_group,
+from .groups import (FiniteGroup, ProductGroup, Subgroup, product_group,
                      subgroup_generated)
 from .gsets import (BisetView, GAction, biset_coset,
                     check_defres_description, coset_action, disjoint_union,
@@ -124,7 +123,6 @@ def mackey_suite(seed: int = 0, count: int = 200,
     t0 = time.perf_counter()
     failures = []
     for i in range(count):
-        clear_derived_caches()
         G, H, K = _pick_chain(rng, groups, 3)
         X = random_product_subgroup(rng, product_group(G, H))
         Y = random_product_subgroup(rng, product_group(H, K))
@@ -150,7 +148,6 @@ def defres_suite(seed: int = 0, count: int = 100,
     t0 = time.perf_counter()
     failures = []
     for i in range(count):
-        clear_derived_caches()
         G, H, K = _pick_chain(rng, groups, 3)
         # the internal rewrite tensors over X.as_group() x Y.as_group(),
         # so the subgroup orders are capped jointly
@@ -177,7 +174,6 @@ def induction_formula_suite(seed: int = 0, count: int = 100,
     failures = []
     cosets = 0
     for i in range(count):
-        clear_derived_caches()
         G, H, K = _pick_chain(rng, groups, 3)
         X = random_product_subgroup(rng, product_group(G, H),
                                     max_index=24, max_order=32)
@@ -210,7 +206,6 @@ def induced_bisets_suite(seed: int = 0, count: int = 100,
     failures = []
     cosets = 0
     for i in range(count):
-        clear_derived_caches()
         G, H, K = _pick_chain(rng, groups, 3)
         # the left side tensors over X.as_group() x Y.as_group(), and
         # the output ambient is star(X,Y) x (Xp x Yp); both stay small
@@ -244,7 +239,6 @@ def coherence_suite(seed: int = 0, count: int = 100,
     t0 = time.perf_counter()
     failures = []
     for i in range(count):
-        clear_derived_caches()
         law = ("unit", "distrib", "assoc", "ext-assoc")[i % 4]
         ok = _coherence_instance(rng, law, groups)
         if not ok:
@@ -310,7 +304,6 @@ def character_suite(seed: int = 0, count: int = 50,
     t0 = time.perf_counter()
     failures = []
     for i in range(count):
-        clear_derived_caches()
         G, H, K = _pick_chain(rng, groups, 3)
         X = random_product_subgroup(rng, product_group(G, H),
                                     max_index=20, max_order=16)

@@ -1,5 +1,6 @@
 """Class functions, character tables, and contraction formulas."""
 
+import cmath
 import json
 from fractions import Fraction
 from importlib import resources
@@ -272,3 +273,54 @@ def test_class_function_algebra():
     assert (a * a) == t.irreducibles[0] + 0 * a  # sign squared is trivial
     with pytest.raises(ValueError):
         a + abelian_character_table(named_group("C2")).irreducibles[0]
+
+
+# -- abelian tables against closed forms ------------------------------------
+
+def _complex_value(v):
+    """A cyclotomic value in C, with z = exp(2 pi i / conductor)."""
+    return sum(float(c) * cmath.exp(2j * cmath.pi * i / v.n)
+               for i, c in enumerate(v.coeffs))
+
+
+def _assert_same_characters(table, oracle):
+    """The irreducibles of table, as functions on the group's elements,
+    are exactly the oracle's rows (each a list of values by element id)."""
+    G = table.group
+    got = [[_complex_value(chi.values[G.class_index(g)])
+            for g in range(G.order)] for chi in table.irreducibles]
+    assert len(got) == len(oracle) == G.order
+    assert all(abs(v - 1) < 1e-9 for v in got[0])
+    unmatched = list(oracle)
+    for row in got:
+        hit = [o for o in unmatched
+               if all(abs(a - b) < 1e-9 for a, b in zip(row, o))]
+        assert len(hit) == 1, f"{G.name}: {row} is not a closed-form character"
+        unmatched.remove(hit[0])
+    assert table.names == [f"chi{i}" for i in range(G.order)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_tables_are_the_characters_of_the_n_cycle(n):
+    # C_n is generated by c = (1 2 ... n), and c^k moves point 0 to k:
+    # chi_j(c^k) = zeta_n^(jk).
+    G = named_group(f"C{n}")
+    k_of = [G.permutations[g][0] for g in range(G.order)]
+    oracle = [[cmath.exp(2j * cmath.pi * j * k_of[g] / n)
+               for g in range(G.order)] for j in range(n)]
+    _assert_same_characters(bundled_table(f"C{n}"), oracle)
+
+
+def test_klein_four_table_is_the_four_sign_characters():
+    # C2xC2 = <(1 2), (3 4)>: a^i b^j has chi_st = (-1)^(si + tj).
+    G = named_group("C2xC2")
+    ij = [(int(G.permutations[g][0] != 0), int(G.permutations[g][2] != 2))
+          for g in range(G.order)]
+    oracle = [[(-1) ** (s * i + t * j) for i, j in ij]
+              for s in (0, 1) for t in (0, 1)]
+    _assert_same_characters(bundled_table("C2xC2"), oracle)
+
+
+def test_every_abelian_bundled_name_is_covered_by_a_closed_form():
+    abelian = {n for n in BUNDLED_NAMES if named_group(n).is_abelian()}
+    assert abelian == {f"C{n}" for n in range(1, 13)} | {"C2xC2"}

@@ -1,7 +1,9 @@
 """Finite groups and direct products: construction, subgroups, quotients."""
 
+import gc
 import random
 import tracemalloc
+import weakref
 from math import lcm
 
 import pytest
@@ -17,6 +19,7 @@ from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
                                 product_group, quotient, subgroup_generated,
                                 sylow_subgroup, trivial_subgroup)
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
+from bisetblocks.subdirect import full_product_subgroup
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -543,3 +546,36 @@ def test_local_group_of_a_product_subgroup_reads_no_product_row(
     for i, a in enumerate(S.elements):
         for j, b in enumerate(S.elements):
             assert S.elements[local.mul(i, j)] == amb.mul(a, b)
+
+
+# -- ownership and lifetime of derived data --------------------------------
+
+def test_a_product_of_local_groups_is_freed_with_its_last_holder():
+    S4 = named_group("S4")
+    A = subgroup_generated(S4, [el(S4, "(1 2 3)")]).as_group()
+    B = subgroup_generated(S4, [el(S4, "(1 2)(3 4)")]).as_group()
+    P = product_group(A, B)
+    assert product_group(A, B) is P
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None
+
+
+def test_product_group_is_one_object_while_a_subgroup_holds_it():
+    S3, C4 = named_group("S3"), named_group("C4")
+    X = full_product_subgroup(product_group(S3, C4))
+    gc.collect()
+    assert product_group(S3, C4) is X.ambient
+    assert product_group(C4, S3) is not X.ambient
+
+
+def test_a_quotient_does_not_keep_a_throwaway_group_alive():
+    G = group_from_permutations(["(1 2)", "(1 2 3)"])
+    N = subgroup_generated(G, [el(G, "(1 2 3)")])
+    Q, pi = quotient(G, N)
+    assert quotient(G, N)[0] is Q and Q.order == 2
+    ref = weakref.ref(G)
+    del G, N, Q, pi
+    gc.collect()
+    assert ref() is None

@@ -377,3 +377,24 @@ def test_cli_inject_mutation_without_suite_mutates_mackey(capsys):
     assert verdicts.pop("mackey") is False
     assert all(verdicts.values())
     assert rep["suites"][0]["failures"][0]["mutated"] is True
+
+
+def test_cli_blocks_default_field_above_the_cap(capsys):
+    # 7 has order 10 mod 11, so C11 splits over F_7 only in F_{7^10}
+    assert_input_error(capsys, ["blocks", "C11", "--prime", "7"],
+                       "the splitting degree 10 makes a field larger than "
+                       "4096 elements")
+
+
+def test_cli_broue_default_field_above_the_cap(tmp_path, capsys):
+    path = tmp_path / "identity_c11_p7.json"
+    cycle = "(1 2 3 4 5 6 7 8 9 10 11)"
+    path.write_text(json.dumps({
+        "kind": "broue-scenario", "name": "identity_c11_p7",
+        "group_G": "C11", "group_H": "C11", "prime": 7,
+        "block_G": {"index": 0}, "block_H": {"index": 0},
+        "gamma": [{"p_gens": [cycle], "q_gens": [cycle], "phi": [cycle],
+                   "coefficient": 1}]}))
+    assert_input_error(capsys, ["broue", str(path)],
+                       "the splitting degree 10 makes a field larger than "
+                       "4096 elements")

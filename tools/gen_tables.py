@@ -1,8 +1,10 @@
-"""Regenerate the bundled character-table documents.
+"""Regenerate the bundled character-table documents of the non-abelian groups.
 
-Each table is built from first principles (abelian dual enumeration,
-inflation from small quotients, permutation characters), validated by
-the CharacterTable invariants (orthogonality, degree bookkeeping), then
+The tables of the abelian bundled groups are not shipped: bundled_table
+computes them with abelian_character_table.  Each non-abelian table is
+built from first principles (inflation from the abelianization and
+small quotients, permutation characters), validated by the
+CharacterTable invariants (orthogonality, degree bookkeeping), then
 serialized.  Run from the repository root:
 
     python3 tools/gen_tables.py
@@ -80,8 +82,6 @@ def central_two_dim(G):
 
 def build(name):
     G = named_group(name)
-    if G.is_abelian():
-        return abelian_character_table(G)
     chars = list(linear_inflations(G))
     if name == "S3":
         chars.append(natural_minus_one(G))
@@ -160,7 +160,8 @@ def emit(name, table):
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for name in BUNDLED_NAMES:
-        emit(name, build(name))
+        if not named_group(name).is_abelian():
+            emit(name, build(name))
 
 
 if __name__ == "__main__":
