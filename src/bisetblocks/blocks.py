@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .characters import CharacterTable, ClassFunction
 from .cyclotomic import Cyclotomic
-from .gf import (Fq, fq_field, mat_rank, mat_rref, mat_solve, poly_factor,
-                 poly_mul, poly_trim, poly_xgcd)
+from .gf import (Fq, fq_field, mat_rank, mat_rref, mat_solve, poly_exact_div,
+                 poly_factor, poly_mul, poly_trim, poly_xgcd)
 from .groups import (FiniteGroup, Subgroup, centralizer, center,
                      int_p_prime_part, p_subgroups_up_to_conjugacy, quotient,
                      sylow_subgroup)
@@ -337,8 +337,8 @@ def _try_split(F: Fq, G: FiniteGroup, e: CentralElement, sep_basis):
             continue
         parts = []
         for fi in irr:
-            hi, _ = _poly_exact_div(F, mp, list(fi))
-            g, _, v = poly_xgcd(F, list(fi), hi)
+            hi = poly_exact_div(F, mp, fi)
+            g, _, v = poly_xgcd(F, fi, hi)
             if len(g) != 1:
                 raise AssertionError("minimal polynomial was not squarefree")
             # CRT idempotent: (v * hi)(x) is 1 mod fi and 0 mod the rest.
@@ -351,14 +351,6 @@ def _try_split(F: Fq, G: FiniteGroup, e: CentralElement, sep_basis):
             raise AssertionError("CRT idempotents do not sum to the unit")
         return parts
     return None
-
-
-def _poly_exact_div(F: Fq, a, b):
-    from .gf import poly_divmod, poly_is_zero
-    q, r = poly_divmod(F, list(a), list(b))
-    if not poly_is_zero(r):
-        raise ArithmeticError("polynomial division was not exact")
-    return q, r
 
 
 def _assert_block_axioms(F: Fq, G: FiniteGroup, blocks) -> None:

@@ -17,7 +17,7 @@ from .blocks import (assign_characters_to_blocks, block_idempotents,
                      maximal_brauer_pair, splitting_params)
 from .broue import run_scenario, scenario_field_degree
 from .characters import ingest_character_table, value_to_doc
-from .gf import FIELD_SIZE_CAP, fq_field
+from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
 from .suites import ALL_SUITES, MACKEY_GROUPS, SMALL_GROUPS
@@ -127,8 +127,10 @@ def cmd_verify_biset_laws(args) -> int:
 def cmd_blocks(args) -> int:
     G = _group_arg(args.group)
     p = args.prime
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise InputError(f"{p} is not a prime")
+    try:
+        check_characteristic(p)
+    except ValueError as ex:
+        raise InputError(str(ex))
     m, _ = splitting_params(G, p)
     field = fq_field(p, _field_degree(p, args.field_degree, m))
     try:

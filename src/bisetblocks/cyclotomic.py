@@ -5,13 +5,37 @@ over the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), where z is a
 fixed primitive n-th root of unity and phi is Euler's totient.  Mixed
 conductors are handled by lifting both operands to the least common
 multiple.  All operations are exact; nothing is ever rounded.
+
+Polynomial division, the extended Euclidean algorithm and the linear
+solve behind conductor descent are the field-generic functions of gf,
+run over QQ.  Only the reduction modulo Phi_n, the hot path of every
+product, keeps its own precomputed power table.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .gf import mat_solve, poly_exact_div, poly_xgcd
+
+
+class _Rationals:
+    """Q as a coefficient field for the polynomial and matrix code in gf."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def inv(a):
+        return 1 / Fraction(a)
+
+
+QQ = _Rationals()
 
 
 @lru_cache(maxsize=None)
@@ -19,31 +43,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, little-endian, monic."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_exact_div(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _int_poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (little-endian), monic divisor."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        out[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("division was not exact")
-    return out
+            num = poly_exact_div(QQ, num, cyclotomic_polynomial(d))
+    return tuple(int(c) for c in num)
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +214,10 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coeffs[0])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        f = list(self.coeffs)
-        g, u = _poly_xgcd_mod(f, phi)
+        g, u, _ = poly_xgcd(QQ, self.coeffs, cyclotomic_polynomial(self.n))
         if len(g) != 1:
             raise ArithmeticError("element is not invertible")
-        scale = 1 / g[0]
-        return Cyclotomic(self.n, _reduce_poly(self.n, [c * scale for c in u]))
+        return Cyclotomic(self.n, _reduce_poly(self.n, u))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -327,92 +329,10 @@ def _try_descend(x: Cyclotomic, d: int):
             if x.galois(t) != x:
                 return None
     cols = [Cyclotomic.zeta(d, j).lift(n).coeffs for j in range(euler_phi(d))]
-    sol = _solve_fraction_system(cols, x.coeffs)
+    sol = mat_solve(QQ, list(zip(*cols)), x.coeffs)
     if sol is None:
         return None
     return Cyclotomic(d, sol)
-
-
-def _solve_fraction_system(cols, target):
-    """Solve sum_j a_j * cols[j] = target over the rationals, or None."""
-    rows = len(target)
-    ncols = len(cols)
-    mat = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-    piv_of_col: list[int | None] = [None] * ncols
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        piv_of_col[c] = r
-        r += 1
-    if any(row[ncols] != 0 for row in mat[r:]):
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, pr in enumerate(piv_of_col):
-        if pr is not None:
-            sol[c] = mat[pr][ncols]
-    return sol
-
-
-def _poly_xgcd_mod(f: list[Fraction], m: list[Fraction]):
-    """Return (g, u) with u*f = g mod m, g the monic gcd of f and m."""
-    r0, r1 = m[:], f[:]
-    s0: list[Fraction] = [Fraction(0)]
-    s1: list[Fraction] = [Fraction(1)]
-    while any(c != 0 for c in r1):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    r0 = _poly_trim(r0)
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
-
-
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], _poly_trim(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv
-        out[k] = c
-        if c:
-            for i, d in enumerate(b):
-                a[k + i] -= c * d
-    return _poly_trim(out), _poly_trim(a[: len(b) - 1])
 
 
 ZERO = Cyclotomic.from_rational(0)

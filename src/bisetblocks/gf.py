@@ -1,16 +1,25 @@
-"""Small finite fields F_q, q = p^m, with table-driven arithmetic.
+"""Small finite fields F_q, q = p^m, and polynomials and matrices over
+any field.
 
-Elements are integers 0..q-1 read as base-p digit vectors over the
-polynomial basis of F_p[x] modulo a fixed irreducible: the element
+Elements of F_q are integers 0..q-1 read as base-p digit vectors over
+the polynomial basis of F_p[x] modulo a fixed irreducible: the element
 sum(c_i p^i) stands for sum(c_i x^i).  The modulus is the
-lexicographically smallest monic irreducible of degree m, so a field is
-determined by (p, m) alone.  Integers 0..p-1 are the prime subfield.
+lexicographically smallest monic irreducible of degree m, and the
+generator is the smallest element of multiplicative order q-1, so a
+field is determined by (p, m) alone.  Integers 0..p-1 are the prime
+subfield.  The multiplication and inverse tables are read off the
+generator's exponent and logarithm tables (g^i g^j = g^(i+j)), so
+building them takes O(q) polynomial products; addition adds base-p
+digits.
 
-Polynomials over F_q are little-endian lists of element indices.
-Factorization runs squarefree, distinct-degree, then equal-degree
-splitting; the random choices inside equal-degree splitting come from a
-seeded generator and the factor list is sorted, so results are
-reproducible.
+The polynomial and matrix functions take the coefficient field as their
+first argument and use only its add, sub, mul, neg and inv and the
+constants 0 and 1, so they serve F_q and the rationals
+(cyclotomic.QQ) alike.  Polynomials are little-endian coefficient
+lists.  Factorization, over F_q only, runs squarefree, distinct-degree,
+then equal-degree splitting; the random choices inside equal-degree
+splitting come from a seeded generator and the factor list is sorted,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +27,18 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from .groups import _check_prime
+
 FIELD_SIZE_CAP = 4096
+
+
+def check_characteristic(p: int) -> None:
+    """Refuse p unless it is a prime with a field inside the size cap;
+    a p above the cap is refused before any primality test."""
+    if p > FIELD_SIZE_CAP:
+        raise ValueError(f"prime {p} is larger than the field size cap "
+                         f"{FIELD_SIZE_CAP}")
+    _check_prime(p)
 
 
 def _int_to_poly(k: int, p: int) -> tuple[int, ...]:
@@ -36,134 +56,104 @@ def _poly_to_int(poly, p: int) -> int:
     return out
 
 
-def _fp_poly_mulmod(a, b, mod, p):
-    # a, b little-endian coefficient tuples over F_p, reduced mod `mod`.
-    res = [0] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    m = len(mod) - 1
-    for k in range(len(res) - 1, m - 1, -1):
-        c = res[k]
-        if c:
-            res[k] = 0
-            for i in range(m):
-                res[k - m + i] = (res[k - m + i] - c * mod[i]) % p
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return tuple(res)
-
-
-def _fp_irreducible(p: int, m: int) -> tuple[int, ...]:
+def _smallest_irreducible(Fp: Fq, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p."""
-    if m == 1:
-        return (0, 1)
-    for tail in range(p ** m):
-        coeffs = list(_int_to_poly(tail, p))
-        coeffs += [0] * (m - len(coeffs)) + [1]
-        if _fp_is_irreducible(tuple(coeffs), p):
-            return tuple(coeffs)
+    for tail in range(Fp.p ** m):
+        f = list(_int_to_poly(tail, Fp.p))
+        f += [0] * (m - len(f)) + [1]
+        if _is_irreducible(Fp, f):
+            return tuple(f)
     raise AssertionError("no irreducible polynomial found")
 
 
-def _fp_is_irreducible(f, p: int) -> bool:
-    m = len(f) - 1
+def _is_irreducible(Fp: Fq, f) -> bool:
     # x^(p^d) mod f for d = 1..m; f irreducible iff x^(p^m) = x and
     # gcd(x^(p^d) - x, f) = 1 for every proper divisor d of m.
-    x = (0, 1)
+    m = len(f) - 1
+    x = [0, 1]
     xp = x
     for d in range(1, m + 1):
-        xp = _fp_poly_powmod(xp, p, f, p)
-        if d < m and m % d == 0:
-            diff = _fp_poly_sub(xp, x, p)
-            if len(_fp_poly_gcd(diff, f, p)) > 1:
-                return False
+        xp = poly_powmod(Fp, xp, Fp.p, f)
+        if d < m and m % d == 0 and \
+                poly_deg(poly_gcd(Fp, poly_sub(Fp, xp, x), f)) > 0:
+            return False
     return xp == x
 
 
-def _fp_poly_powmod(base, e, mod, p):
-    out = (1,)
-    while e:
-        if e & 1:
-            out = _fp_poly_mulmod(out, base, mod, p)
-        base = _fp_poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return out
+def _generator_powers(q: int, times) -> list[int]:
+    """Powers g^0..g^(q-2) of the smallest g of multiplicative order q-1.
+
+    Walks the powers of 1, 2, ... in turn until one runs through q-1
+    elements before coming back to 1.
+    """
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = times(x, g)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError("no generator found")
 
 
-def _fp_poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    res = [(x - y) % p for x, y in zip(a, b)]
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return tuple(res)
+def _digit_add_table(p: int, m: int) -> list[list[int]]:
+    """a + b for base-p digit vectors of length m.
 
-
-def _fp_poly_gcd(a, b, p):
-    a, b = tuple(a), tuple(b)
-    while any(b):
-        a, b = b, _fp_poly_mod(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return tuple(c * inv % p for c in a)
-
-
-def _fp_poly_mod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv % p
-        if c:
-            for i in range(db + 1):
-                a[k - db + i] = (a[k - db + i] - c * b[i]) % p
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
+    With P = p^k, row r + P*t of the table for k+1 digits is row r with
+    its p blocks of length P rotated by t blocks.  Entries are shared
+    int objects, so a large table holds pointers only.
+    """
+    elems = list(range(p ** m))
+    table = [[0]]
+    for k in range(m):
+        P = p ** k
+        nxt = [None] * (P * p)
+        for r in range(P):
+            row = [elems[x + P * t] for t in range(p) for x in table[r]]
+            for t in range(p):
+                nxt[r + P * t] = row[P * t:] + row[:P * t]
+        table = nxt
+    return table
 
 
 class Fq:
     """The field with p^m elements; construct through fq_field()."""
 
     def __init__(self, p: int, m: int) -> None:
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
-            raise ValueError("p must be prime")
         if m < 1:
             raise ValueError("m must be positive")
         q = p ** m
         if q > FIELD_SIZE_CAP:
             raise ValueError(f"field size {q} exceeds the cap")
+        _check_prime(p)
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = _fp_irreducible(p, m)
-        polys = [_int_to_poly(k, p) for k in range(q)]
-        self.add_table = [
-            [_poly_to_int(_fp_poly_sub(a, tuple(-c % p for c in b), p), p)
-             for b in polys] for a in polys]
-        self.mul_table = [
-            [_poly_to_int(_fp_poly_mulmod(a or (0,), b or (0,),
-                                          self.modulus, p), p)
-             if a and b else 0
-             for b in polys] for a in polys]
-        self.neg_table = [_poly_to_int(tuple(-c % p for c in a), p)
-                          for a in polys]
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            self.inv_table[a] = next(
-                b for b in range(1, q) if self.mul_table[a][b] == 1)
-        self.generator = next(
-            g for g in range(1, q)
-            if self._order_of(g) == q - 1)
+        if m == 1:
+            self.modulus = (0, 1)
 
-    def _order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != 1:
-            x = self.mul_table[x][a]
-            k += 1
-        return k
+            def times(a, b):
+                return a * b % p
+        else:
+            Fp = fq_field(p, 1)
+            self.modulus = _smallest_irreducible(Fp, m)
+
+            def times(a, b):
+                prod = poly_mul(Fp, _int_to_poly(a, p), _int_to_poly(b, p))
+                return _poly_to_int(poly_mod(Fp, prod, self.modulus), p)
+        exp = _generator_powers(q, times)
+        self.generator = exp[1 % (q - 1)]  # F_2: exp is [1], g = 1
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp
+        self.mul_table = [[0] * q] + [
+            [0] + [exp2[log[a] + log[b]] for b in range(1, q)]
+            for a in range(1, q)]
+        self.inv_table = [0] + [exp[-log[a]] for a in range(1, q)]
+        self.add_table = _digit_add_table(p, m)
+        self.neg_table = [row.index(0) for row in self.add_table]
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -214,7 +204,7 @@ def fq_field(p: int, m: int) -> Fq:
     return Fq(p, m)
 
 
-# -- polynomials over Fq (little-endian lists of element indices) -----
+# -- polynomials over a field (little-endian coefficient lists) -------
 
 def poly_trim(f):
     f = list(f)
@@ -232,39 +222,34 @@ def poly_deg(f) -> int:
     return -1 if f == [0] else len(f) - 1
 
 
-def poly_add(F: Fq, a, b):
+def poly_add(F, a, b):
     n = max(len(a), len(b))
     a = list(a) + [0] * (n - len(a))
     b = list(b) + [0] * (n - len(b))
     return poly_trim([F.add(x, y) for x, y in zip(a, b)])
 
 
-def poly_sub(F: Fq, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim([F.sub(x, y) for x, y in zip(a, b)])
+def poly_sub(F, a, b):
+    return poly_add(F, a, [F.neg(y) for y in b])
 
 
-def poly_mul(F: Fq, a, b):
+def poly_mul(F, a, b):
     if poly_is_zero(a) or poly_is_zero(b):
         return [0]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            row = F.mul_table[x]
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = F.add(out[i + j], row[y])
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
     return poly_trim(out)
 
 
-def poly_scale(F: Fq, a, c: int):
-    row = F.mul_table[c]
-    return poly_trim([row[x] for x in a])
+def poly_scale(F, a, c):
+    return poly_trim([F.mul(c, x) for x in a])
 
 
-def poly_divmod(F: Fq, a, b):
+def poly_divmod(F, a, b):
     a = poly_trim(a)
     b = poly_trim(b)
     if poly_is_zero(b):
@@ -283,25 +268,33 @@ def poly_divmod(F: Fq, a, b):
     return poly_trim(out), poly_trim(a[: len(b) - 1])
 
 
-def poly_mod(F: Fq, a, b):
+def poly_mod(F, a, b):
     return poly_divmod(F, a, b)[1]
 
 
-def poly_gcd(F: Fq, a, b):
+def poly_exact_div(F, a, b):
+    """The quotient a / b; ArithmeticError unless b divides a."""
+    q, r = poly_divmod(F, a, b)
+    if not poly_is_zero(r):
+        raise ArithmeticError("polynomial division was not exact")
+    return q
+
+
+def poly_gcd(F, a, b):
     a, b = poly_trim(a), poly_trim(b)
     while not poly_is_zero(b):
         a, b = b, poly_mod(F, a, b)
     return poly_monic(F, a)
 
 
-def poly_monic(F: Fq, a):
+def poly_monic(F, a):
     a = poly_trim(a)
     if poly_is_zero(a):
         return a
     return poly_scale(F, a, F.inv(a[-1]))
 
 
-def poly_powmod(F: Fq, base, e: int, mod):
+def poly_powmod(F, base, e: int, mod):
     out = [1]
     base = poly_mod(F, base, mod)
     while e:
@@ -312,7 +305,7 @@ def poly_powmod(F: Fq, base, e: int, mod):
     return out
 
 
-def poly_eval(F: Fq, f, x: int) -> int:
+def poly_eval(F, f, x):
     out = 0
     for c in reversed(poly_trim(f)):
         out = F.add(F.mul(out, x), c)
@@ -320,15 +313,11 @@ def poly_eval(F: Fq, f, x: int) -> int:
 
 
 def poly_derivative(F: Fq, f):
-    out = [0] * max(len(f) - 1, 1)
-    for k in range(1, len(f)):
-        c = f[k]
-        for _ in range(k % F.p):
-            out[k - 1] = F.add(out[k - 1], c)
-    return poly_trim(out)
+    # k % p is k's image in the prime subfield, which is 0..p-1
+    return poly_trim([F.mul(k % F.p, f[k]) for k in range(1, len(f))] or [0])
 
 
-def poly_xgcd(F: Fq, a, b):
+def poly_xgcd(F, a, b):
     """Return (g, u, v) monic with u*a + v*b = g."""
     r0, r1 = poly_trim(a), poly_trim(b)
     s0, s1 = [1], [0]
@@ -338,8 +327,7 @@ def poly_xgcd(F: Fq, a, b):
         r0, r1 = r1, r
         s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
         t0, t1 = t1, poly_sub(F, t0, poly_mul(F, q, t1))
-    lead = r0[-1]
-    inv = F.inv(lead)
+    inv = F.inv(r0[-1])
     return (poly_scale(F, r0, inv), poly_scale(F, s0, inv),
             poly_scale(F, t0, inv))
 
@@ -461,9 +449,9 @@ def poly_factor(F: Fq, f, seed: int = 0):
     return out
 
 
-# -- linear algebra over Fq ------------------------------------------
+# -- linear algebra over a field ------------------------------------
 
-def mat_rref(F: Fq, rows):
+def mat_rref(F, rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     rows = [list(r) for r in rows]
     if not rows:
@@ -490,24 +478,20 @@ def mat_rref(F: Fq, rows):
     return rows, pivots
 
 
-def mat_rank(F: Fq, rows) -> int:
+def mat_rank(F, rows) -> int:
     return len(mat_rref(F, rows)[1])
 
 
-def mat_solve(F: Fq, rows, rhs):
+def mat_solve(F, rows, rhs):
     """One solution of rows * x = rhs, or None if inconsistent."""
     if not rows:
         return [] if all(v == 0 for v in rhs) else None
     ncols = len(rows[0])
     aug = [list(r) + [v] for r, v in zip(rows, rhs)]
     red, pivots = mat_rref(F, aug)
-    for row in red:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None
+    if ncols in pivots:  # a pivot on the right-hand side: 0 = 1
+        return None
     sol = [0] * ncols
     for r, c in enumerate(pivots):
-        if c < ncols:
-            sol[c] = red[r][-1]
-    if ncols in pivots:
-        return None
+        sol[c] = red[r][-1]
     return sol

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from operator import itemgetter
 
 DEFAULT_CLOSURE_CAP = 10080
@@ -860,8 +860,8 @@ def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
-        raise ValueError("p must be prime")
+    if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        raise ValueError(f"{p} is not prime")
 
 
 def is_p_group(S: Subgroup, p: int) -> bool:

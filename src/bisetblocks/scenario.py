@@ -17,6 +17,7 @@ from importlib import resources
 
 from .characters import (CharacterTable, abelian_character_table,
                          ingest_character_table)
+from .gf import check_characteristic
 from .groups import (FiniteGroup, GroupHom, element_by_name,
                      group_from_permutations, subgroup_generated,
                      _extend_hom)
@@ -178,8 +179,7 @@ class Scenario:
         self.G = group_from_spec(doc["group_G"])
         self.H = group_from_spec(doc["group_H"])
         self.p = int(doc["prime"])
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, self.p)):
-            raise ValueError(f"{self.p} is not prime")
+        check_characteristic(self.p)
         self.block_G = doc["block_G"]
         self.block_H = doc["block_H"]
         for sel in (self.block_G, self.block_H):

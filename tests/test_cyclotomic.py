@@ -137,3 +137,42 @@ def test_power_with_negative_exponent():
     z = zeta(9)
     assert z ** -2 == z ** 7
     assert z ** 0 == 1
+
+
+# -- oracles that share no code with the implementation --------------
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_polynomial_vanishes_at_primitive_roots(n):
+    import cmath
+    from math import gcd
+    coeffs = cyclotomic_polynomial(n)
+    assert all(type(c) is int for c in coeffs)
+    primitive = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    assert len(coeffs) - 1 == len(primitive) and coeffs[-1] == 1
+    for k in primitive:
+        root = cmath.exp(2j * cmath.pi * k / n)
+        assert abs(sum(c * root ** i for i, c in enumerate(coeffs))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24])
+def test_random_elements_times_their_inverse_are_one(n):
+    import random
+    rng = random.Random(1000 + n)
+    for _ in range(6):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(euler_phi(n))]
+        x = Cyclotomic(n, coeffs)
+        if x.is_zero():
+            continue
+        assert x * x.inverse() == 1
+        assert x.inverse() * x == 1
+
+
+@pytest.mark.parametrize("n", [12, 15, 20, 24])
+def test_minimal_conductor_of_roots_of_unity(n):
+    from math import gcd
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        for j in range(d):
+            o = d // gcd(d, j)
+            want = o // 2 if o % 4 == 2 else o
+            assert zeta(d, j).lift(n).minimal().n == want, (d, j)

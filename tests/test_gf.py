@@ -1,5 +1,6 @@
 """Finite fields F_q and polynomial/matrix helpers over them."""
 
+import itertools
 import random
 
 import pytest
@@ -192,3 +193,84 @@ def test_mat_rank_random_products():
         M = [[F.mul(a, b) for b in v] for a in u]
         expected = 1 if any(u) and any(v) else 0
         assert mat_rank(F, M) == expected
+
+
+# -- F_q tables against an oracle that shares no code with gf --------
+
+def _small_fields(limit=128):
+    primes = [p for p in range(2, limit + 1)
+              if all(p % k for k in range(2, p))]
+    return [(p, m) for p in primes for m in range(1, 8) if p ** m <= limit]
+
+
+def _digits(a, p, m):
+    return [a // p ** i % p for i in range(m)]
+
+
+def _undigits(ds, p):
+    return sum(c * p ** i for i, c in enumerate(ds))
+
+
+def _mod_poly(f, g, p):
+    """Remainder of f by the monic g over Z/p, both little-endian."""
+    f = [c % p for c in f]
+    for k in range(len(f) - 1, len(g) - 2, -1):
+        c = f[k]
+        for i, gi in enumerate(g):
+            f[k - len(g) + 1 + i] = (f[k - len(g) + 1 + i] - c * gi) % p
+    return f[:len(g) - 1]
+
+
+def _schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _monic(p, deg):
+    """Monic polynomials of degree deg, in lexicographic order of the
+    coefficients read from degree deg-1 down to 0."""
+    for high_first in itertools.product(range(p), repeat=deg):
+        yield list(reversed(high_first)) + [1]
+
+
+def _irreducible(f, p):
+    m = len(f) - 1
+    return not any(not any(_mod_poly(f, g, p))
+                   for d in range(1, m // 2 + 1) for g in _monic(p, d))
+
+
+@pytest.mark.parametrize("p,m", _small_fields())
+def test_fq_tables_match_an_independent_oracle(p, m):
+    F = fq_field(p, m)
+    q = p ** m
+    assert F.q == q
+    f = list(F.modulus)
+    assert len(f) == m + 1 and f[-1] == 1 and _irreducible(f, p)
+    assert f == next(g for g in _monic(p, m) if _irreducible(g, p))
+
+    def mul(a, b):
+        prod = _schoolbook(_digits(a, p, m), _digits(b, p, m), p)
+        return _undigits(_mod_poly(prod, f, p), p)
+
+    for a in range(q):
+        da = _digits(a, p, m)
+        assert F.neg_table[a] == _undigits([-x % p for x in da], p)
+        for b in range(q):
+            db = _digits(b, p, m)
+            assert F.add_table[a][b] == \
+                _undigits([(x + y) % p for x, y in zip(da, db)], p)
+            assert F.mul_table[a][b] == mul(a, b)
+        if a:
+            assert mul(a, F.inv_table[a]) == 1
+
+    def order(g):
+        k, x = 1, g
+        while x != 1:
+            x, k = mul(x, g), k + 1
+        return k
+
+    assert order(F.generator) == q - 1
+    assert all(order(g) < q - 1 for g in range(1, F.generator))

@@ -398,3 +398,22 @@ def test_cli_broue_default_field_above_the_cap(tmp_path, capsys):
     assert_input_error(capsys, ["broue", str(path)],
                        "the splitting degree 10 makes a field larger than "
                        "4096 elements")
+
+
+# A prime above the field size cap has no field the pipeline can use,
+# so it is refused before any primality test (which would take minutes).
+
+@pytest.mark.parametrize("prime", [1000000007, 2 ** 61 - 1])
+def test_cli_broue_prime_above_the_cap(tmp_path, capsys, prime):
+    doc = base_doc()
+    doc["prime"] = prime
+    path = tmp_path / "huge_prime.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["broue", str(path)],
+                       f"prime {prime} is larger than the field size cap")
+
+
+def test_cli_blocks_prime_above_the_cap(capsys):
+    assert_input_error(capsys, ["blocks", "S3", "--prime",
+                                str(2 ** 61 - 1)],
+                       "is larger than the field size cap 4096")
