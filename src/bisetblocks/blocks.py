@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .characters import CharacterTable, ClassFunction
 from .cyclotomic import Cyclotomic
-from .gf import (Fq, fq_field, mat_rank, mat_rref, mat_solve, poly_exact_div,
+from .gf import (Fq, mat_rank, mat_rref, mat_solve, poly_exact_div,
                  poly_factor, poly_mul, poly_trim, poly_xgcd)
 from .groups import (FiniteGroup, Subgroup, centralizer, center,
                      int_p_prime_part, p_subgroups_up_to_conjugacy, quotient,
@@ -272,15 +272,13 @@ def _eval_poly_in_center(F: Fq, poly, x: CentralElement,
     return out
 
 
-def block_idempotents(G: FiniteGroup, p: int, field: Fq | None = None
+def block_idempotents(G: FiniteGroup, p: int, field: Fq
                       ) -> list[CentralElement]:
     """The primitive central idempotents of F_q G, in a stable order.
 
     The list is sorted by class-sum coefficient tuple; idempotency,
     orthogonality and summing to 1 are asserted before returning.
     """
-    if field is None:
-        field = fq_field(p, splitting_params(G, p)[0])
     F = field
     if F.p != p:
         raise ValueError("field characteristic must equal p")

@@ -35,6 +35,10 @@ from .scenario import GammaTerm, Scenario
 from .subdirect import ProductSubgroup, twisted_diagonal
 
 
+class SelectorError(ValueError):
+    """A block selector that names no block of its group."""
+
+
 class PipelineError(RuntimeError):
     """A pipeline failure tagged with the stage that produced it."""
 
@@ -90,8 +94,8 @@ class SideData:
         if "index" in selector:
             i = int(selector["index"])
             if not 0 <= i < len(self.blocks):
-                raise ValueError(f"block index {i} out of range "
-                                 f"(found {len(self.blocks)} blocks)")
+                raise SelectorError(f"block index {i} out of range "
+                                    f"(found {len(self.blocks)} blocks)")
             return i
         name = selector["contains_char"]
         if name not in self.table.names:

@@ -15,7 +15,7 @@ from .acceptance import DEFAULT_SEED, run_all
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_params)
-from .broue import run_scenario, scenario_field_degree
+from .broue import SelectorError, run_scenario, scenario_field_degree
 from .characters import ingest_character_table, value_to_doc
 from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
 from .namedgroups import named_group
@@ -187,12 +187,15 @@ def cmd_broue(args) -> int:
     doc = _load_json(args.scenario)
     try:
         S = Scenario(doc)
-    except (KeyError, ValueError) as ex:
+    except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"bad scenario: {ex}")
     _field_degree(S.p, args.field_degree,
                   scenario_field_degree(S.G, S.H, S.p))
-    report = run_scenario(S, field_degree=args.field_degree,
-                          conventions=args.conventions)
+    try:
+        report = run_scenario(S, field_degree=args.field_degree,
+                              conventions=args.conventions)
+    except SelectorError as ex:
+        raise InputError(f"bad scenario: {ex}")
     _emit(report, args.out)
     return EXIT_PASS if report["verdict"].get("holds") else EXIT_FAIL
 

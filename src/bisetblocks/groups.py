@@ -4,20 +4,21 @@ A group of order n has elements 0..n-1 with 0 the identity whenever the
 group is built by generator closure.  A group built from a table stores
 it densely; a direct product stores only its two factors and multiplies
 componentwise.  Other modules multiply through mul/inv/conj/row and so
-never depend on which.  A group closed from permutations composes only
-one row per generator; every other row is read off its closure parent's
-row, since row(a*s) = row(a) o row(s).  Group axioms and homomorphisms
-are checked exactly on generators (Light's associativity test), and
-conjugates, centralizers and normalizers of subgroups are computed from
-generators rather than from every element.  Groups are immutable once
-built.  Data derived from a group (conjugacy classes, element orders,
-canonical conjugates, local groups, p-subgroup classes, quotients) is
-computed lazily and kept on that group, so it lives exactly as long as
-the group does.  A product
-G x H is kept weakly on G, so product_group returns one object for as
-long as anything holds it, and lets it go once nothing does.  Canonical
-representatives are always the smallest available integer id, which
-keeps every enumeration in the package deterministic.
+never depend on which.  One routine, orbit, closes a point under
+generators, in breadth-first order with a Schreier tree.  A group closed
+from permutations composes only one row per generator; every other row
+is read off its tree parent's, since row(a*s) = row(a) o row(s).  Group
+axioms and homomorphisms are checked exactly on generators (Light's
+associativity test), and conjugates, centralizers and normalizers of
+subgroups are computed from generators rather than from every element.
+Groups are immutable once built.  Data derived from a group (conjugacy
+classes, element orders, canonical conjugates, local groups, p-subgroup
+classes, quotients) is computed lazily and kept on that group, so it
+lives exactly as long as the group does.  A product G x H is kept weakly
+on G, so product_group returns one object for as long as anything holds
+it, and lets it go once nothing does.  Canonical representatives are
+always the smallest available integer id, which keeps every enumeration
+in the package deterministic.
 """
 
 from __future__ import annotations
@@ -267,27 +268,18 @@ class Subgroup:
     def canonical_conjugate(self, largest: bool = False) -> "Subgroup":
         """The conjugate with extremal element tuple; smallest by default.
 
-        The conjugates are found by a search that conjugates by the
-        parent's generators only: the orbit they reach is the whole
-        orbit, at a cost of |G:N(S)| * |generators| * |S|.
+        The conjugates are the orbit of the element tuple under the
+        parent's generators only, which is the whole orbit, at a cost of
+        |G:N(S)| * |generators| * |S|.
         """
         key = ("canon", self.elements, largest)
         cached = self.parent._subgroup_cache.get(key)
         if cached is None:
             conj = self.parent.conj
-            gens = self.parent.generators
-            orbit = {self.elements}
-            frontier = [self.elements]
-            while frontier:
-                nxt = []
-                for elems in frontier:
-                    for x in gens:
-                        image = tuple(sorted([conj(x, h) for h in elems]))
-                        if image not in orbit:
-                            orbit.add(image)
-                            nxt.append(image)
-                frontier = nxt
-            best = max(orbit) if largest else min(orbit)
+            conjugates, _ = orbit(
+                self.elements, self.parent.generators,
+                lambda elems, x: tuple(sorted([conj(x, h) for h in elems])))
+            best = max(conjugates) if largest else min(conjugates)
             cached = Subgroup(self.parent, best, check=False)
             self.parent._subgroup_cache[key] = cached
         return cached
@@ -329,18 +321,6 @@ class Subgroup:
 
     def from_local(self, i: int) -> int:
         return self.elements[i]
-
-    def left_transversal(self) -> tuple[int, ...]:
-        """Minimal representatives of the left cosets gH, in id order."""
-        G = self.parent
-        seen = [False] * G.order
-        reps = []
-        for g in range(G.order):
-            if not seen[g]:
-                reps.append(g)
-                for h in self.elements:
-                    seen[G.mul(g, h)] = True
-        return tuple(reps)
 
     def coset_index_map(self):
         """Array mapping each parent element g to the index of its coset gH."""
@@ -462,21 +442,14 @@ def parse_cycles(text: str, degree: int = 0) -> tuple[int, ...]:
 
 
 def cycles_of(perm: tuple[int, ...]) -> str:
-    """Inverse of parse_cycles, producing canonical 1-based cycle text."""
-    seen = [False] * len(perm)
+    """Inverse of parse_cycles; each cycle is the orbit of its least point."""
+    seen: set[int] = set()
     out = []
     for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+        if start not in seen and perm[start] != start:
+            cyc, _ = orbit(start, (perm,), lambda x, p: p[x])
+            seen.update(cyc)
+            out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
     return "".join(out) or "()"
 
 
@@ -485,37 +458,22 @@ def group_from_permutations(generators, degree: int = 0,
                             ) -> FiniteGroup:
     """Close a list of permutations (tuples or cycle strings) into a group.
 
-    Element i*j is the permutation k -> i[j[k]].  The closure records for
-    each new element a*s its parent a and generator s.  Only the rows of
-    the generators are composed point by point; every other row follows
-    from its parent's, row(a*s) = row(a) o row(s) since (a*s)*b =
-    a*(s*b), read in one itemgetter call.
+    Element i*j is the permutation k -> i[j[k]].  The elements are the
+    orbit of the identity in breadth-first order; its tree gives each a*s
+    its parent a and generator s.  Only the rows of the generators are
+    composed point by point; every other row follows from its parent's,
+    row(a*s) = row(a) o row(s) since (a*s)*b = a*(s*b), read in one
+    itemgetter call.
     """
     perms = []
     for g in generators:
         perms.append(parse_cycles(g, degree) if isinstance(g, str) else tuple(g))
     deg = max([degree] + [len(p) for p in perms])
     perms = [p + tuple(range(len(p), deg)) for p in perms]
-    ident = tuple(range(deg))
-    elems = [ident]
-    index = {ident: 0}
-    parents = [None]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for k, g in enumerate(perms):
-                prod = tuple(a[g[i]] for i in range(deg))
-                if prod not in index:
-                    if len(elems) >= cap:
-                        raise SizeLimitError(
-                            f"closure exceeded the order cap {cap}")
-                    parents.append((index[a], k))
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    elems, tree = orbit(tuple(range(deg)), perms,
+                        lambda a, g: tuple([a[i] for i in g]), limit=cap)
     n = len(elems)
+    index = {p: i for i, p in enumerate(elems)}
     gen_ids = tuple(index[p] for p in perms)
     table = [None] * n
     table[0] = tuple(range(n))
@@ -525,8 +483,8 @@ def group_from_permutations(generators, degree: int = 0,
     gen_rows = [itemgetter(*table[s]) for s in gen_ids]
     for i in range(1, n):
         if table[i] is None:
-            a, k = parents[i]
-            table[i] = gen_rows[k](table[a])
+            a, k = tree[elems[i]]
+            table[i] = gen_rows[k](table[index[a]])
     G = FiniteGroup(table, identity=0, name=name or f"perm{n}",
                     element_names=[cycles_of(p) for p in elems],
                     generator_ids=gen_ids)
@@ -553,19 +511,30 @@ def element_by_name(G: FiniteGroup, spec) -> int:
 
 # -- derived constructions -------------------------------------------
 
+def orbit(start, gens, act, limit: int | None = None):
+    """The points act(x, s) reaches from start, with a Schreier tree.
+
+    Returns (points, tree): points in breadth-first order, start first,
+    and tree[y] = (x, k) for the point x and generator index k with
+    act(x, gens[k]) == y that first reached y; tree[start] is None.
+    Raises SizeLimitError past limit points.
+    """
+    points = [start]
+    tree = {start: None}
+    for x in points:
+        for k, s in enumerate(gens):
+            y = act(x, s)
+            if y not in tree:
+                if limit is not None and len(points) >= limit:
+                    raise SizeLimitError(f"orbit exceeded {limit} points")
+                tree[y] = (x, k)
+                points.append(y)
+    return points, tree
+
+
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
-    gens = list(gens)
-    elems = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    """The orbit of the identity under right multiplication by gens."""
+    elems, _ = orbit(G.identity, list(gens), G.mul)
     return Subgroup(G, elems, check=False)
 
 
@@ -577,6 +546,8 @@ def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
     r times a generator s falls outside the span, so the cost is |<gens>|
     products plus one per representative and generator (Dimino's
     algorithm).  members grows in place to the element set of the result.
+    Not an orbit: it adds whole cosets, so it never redoes the products
+    of elems that a closure under all of gens would.
     """
     mul = G.mul
     out = list(elems)
@@ -782,18 +753,16 @@ def double_coset_of(G: FiniteGroup, A: Subgroup, g: int, B: Subgroup
 
 # -- p-subgroups ------------------------------------------------------
 
-def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
-                                max_order: int | None = None
+def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int
                                 ) -> tuple[Subgroup, ...]:
     """Representatives of conjugacy classes of p-subgroups, smallest first.
 
     Built bottom-up by cyclic extension: a class representative P is
     extended by elements g of its normalizer with g^p in P.  Classes are
-    keyed by the smallest conjugate element tuple.  Memoized on G per
-    (p, max_order).
+    keyed by the smallest conjugate element tuple.  Memoized on G per p.
     """
     _check_prime(p)
-    key = ("psubgroups", p, max_order)
+    key = ("psubgroups", p)
     cached = G._subgroup_cache.get(key)
     if cached is not None:
         return cached
@@ -803,8 +772,6 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int,
     while level:
         nxt = []
         for P in level:
-            if max_order is not None and P.order * p > max_order:
-                continue
             N = normalizer(G, P)
             for g in N.elements:
                 if g in P.element_set:
@@ -895,24 +862,19 @@ def _greedy_generators(G: FiniteGroup, candidates, order: int
 
 def _extend_hom(G: FiniteGroup, gens, imgs, mul, one):
     """Extend generator images to the table of a hom into a target with
-    product mul and identity one, or None if the images are inconsistent."""
-    images = {G.identity: one}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, ig in zip(gens, imgs):
-                b = G.mul(a, g)
-                ib = mul(images[a], ig)
-                if b in images:
-                    if images[b] != ib:
-                        return None
-                else:
-                    images[b] = ib
-                    nxt.append(b)
-        frontier = nxt
-    if len(images) != G.order:
+    product mul and identity one, or None if the images are inconsistent
+    or gens does not generate G.  Over the orbit of the identity in
+    breadth-first order, each edge a -> a*s sets the image of a*s or must
+    agree with it; target values are compared, never hashed."""
+    elems, _ = orbit(G.identity, gens, G.mul)
+    if len(elems) != G.order:
         return None
+    images = {G.identity: one}
+    for a in elems:
+        for s, t in zip(gens, imgs):
+            ib = mul(images[a], t)
+            if images.setdefault(G.mul(a, s), ib) != ib:
+                return None
     return tuple(images[g] for g in range(G.order))
 
 

@@ -183,8 +183,13 @@ class Scenario:
         self.block_G = doc["block_G"]
         self.block_H = doc["block_H"]
         for sel in (self.block_G, self.block_H):
+            if not isinstance(sel, dict):
+                raise ValueError(f"block selector {sel!r} is not an object")
             if not ("contains_char" in sel or "index" in sel):
                 raise ValueError("block selector needs contains_char or index")
+            if not isinstance(sel.get("index", 0), int):
+                raise ValueError(f"block index {sel['index']!r} is not an "
+                                 "integer")
         self.table_G = table_for_group(self.G, doc.get("table_G"))
         self.table_H = table_for_group(self.H, doc.get("table_H"))
         if "complex" in doc:
@@ -194,10 +199,14 @@ class Scenario:
                 for entry in doc["complex"]]
         else:
             self.complex = None
+        if not isinstance(doc.get("gamma", []), list):
+            raise ValueError("gamma must be a list of terms")
         self.gamma_terms = [parse_term(t, self.G, self.H)
                             for t in doc.get("gamma", [])]
         if not self.gamma_terms and self.complex is None:
             raise ValueError("scenario carries neither gamma nor a complex")
+        if not isinstance(doc.get("checks", {}), dict):
+            raise ValueError("checks must be an object")
         self.checks = dict(doc.get("checks", {}))
         for sel in self.block_G, self.block_H:
             if "contains_char" in sel:

@@ -9,15 +9,17 @@ from math import lcm
 import pytest
 
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
-                                SizeLimitError, Subgroup, center,
+                                SizeLimitError, Subgroup, _extend_hom, center,
                                 centralizer, cycles_of, double_coset_of,
                                 double_cosets, element_by_name,
                                 group_from_permutations, int_p_part,
                                 int_p_prime_part, is_p_group, isomorphisms,
                                 minimal_generating_sequence, normalizer,
-                                p_subgroups_up_to_conjugacy, parse_cycles,
+                                orbit, p_subgroups_up_to_conjugacy,
+                                parse_cycles,
                                 product_group, quotient, subgroup_generated,
                                 sylow_subgroup, trivial_subgroup)
+from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
 from bisetblocks.subdirect import full_product_subgroup
 
@@ -117,7 +119,7 @@ def test_subgroup_membership_and_transversal():
     S4 = named_group("S4")
     S = subgroup_generated(S4, [el(S4, "(1 2 3)"), el(S4, "(1 2)")])
     assert S.order == 6
-    reps = S.left_transversal()
+    reps, _ = S.coset_index_map()
     assert len(reps) == 4
     seen = {S4.mul(r, s) for r in reps for s in S.elements}
     assert len(seen) == 24
@@ -510,8 +512,6 @@ def test_p_subgroup_classes_are_computed_once_per_group_and_prime():
     S4 = named_group("S4")
     first = p_subgroups_up_to_conjugacy(S4, 2)
     assert p_subgroups_up_to_conjugacy(S4, 2) is first
-    assert p_subgroups_up_to_conjugacy(S4, 2, max_order=4) == tuple(
-        P for P in first if P.order <= 4)
 
 
 def test_centralizer_and_normalizer_of_a_subgroup_by_definition():
@@ -579,3 +579,85 @@ def test_a_quotient_does_not_keep_a_throwaway_group_alive():
     del G, N, Q, pi
     gc.collect()
     assert ref() is None
+
+
+# -- the orbit routine -------------------------------------------------
+
+def orbit_cases(seed):
+    """(start, gens, act) on S4 by right multiplication, on S3 x C4 by
+    conjugation, and on the cosets of a subgroup of S4 of order 3."""
+    rng = random.Random(seed)
+    S4 = named_group("S4")
+    P = product_group(named_group("S3"), named_group("C4"))
+    A = coset_action(S4, subgroup_generated(S4, [el(S4, "(1 2 3)")]))
+    for _ in range(6):
+        yield (rng.randrange(S4.order), rng.sample(range(1, 24), 2), S4.mul)
+        yield (rng.randrange(P.order), rng.sample(range(1, 24), 2),
+               lambda y, x: P.conj(x, y))
+        yield (rng.randrange(A.size), rng.sample(range(1, 24), 2),
+               lambda y, g: A.rows[g][y])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_orbit_lists_each_point_once_with_a_schreier_tree(seed):
+    for start, gens, act in orbit_cases(seed):
+        points, tree = orbit(start, gens, act)
+        assert len(set(points)) == len(points) and set(tree) == set(points)
+        assert points[0] == start and tree[start] is None
+        position = {y: i for i, y in enumerate(points)}
+        for y in points[1:]:
+            x, k = tree[y]
+            assert act(x, gens[k]) == y and position[x] < position[y]
+        # closed under every generator, so it is the whole orbit
+        assert all(act(y, s) in position for y in points for s in gens)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_orbit_limit_admits_exactly_limit_points(seed):
+    for start, gens, act in orbit_cases(seed):
+        points, _ = orbit(start, gens, act)
+        if len(points) == 1:
+            continue
+        assert orbit(start, gens, act, limit=len(points))[0] == points
+        with pytest.raises(SizeLimitError):
+            orbit(start, gens, act, limit=len(points) - 1)
+
+
+def perm_power_is_identity(perm, n):
+    out = tuple(range(len(perm)))
+    for _ in range(n):
+        out = tuple(perm[i] for i in out)
+    return out == tuple(range(len(perm)))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_extend_hom_from_a_cyclic_group_counts_elements_of_order_dividing_n(
+        name):
+    G = named_group(name)
+    for n in range(1, 13):
+        Cn = named_group(f"C{n}")
+        c = el(Cn, "(" + " ".join(str(i + 1) for i in range(n)) + ")")
+        extended = [t for t in range(G.order) if _extend_hom(
+            Cn, [c], [t], G.mul, G.identity) is not None]
+        assert extended == [t for t, perm in enumerate(G.permutations)
+                            if perm_power_is_identity(perm, n)], n
+    if G.order > 1:
+        # images of a set that does not generate G define no table
+        assert _extend_hom(G, [G.identity], [G.identity], G.mul,
+                           G.identity) is None
+
+
+def test_closure_order_of_s4_and_a4_is_pinned():
+    S4, A4 = named_group("S4"), named_group("A4")
+    assert S4.element_names == (
+        "()", "(1 2)", "(1 2 3 4)", "(2 3 4)", "(1 3 4)", "(1 3)(2 4)",
+        "(1 3 4 2)", "(1 3 2 4)", "(1 2 4 3)", "(1 4 2 3)", "(1 4 3 2)",
+        "(2 4 3)", "(1 4)(2 3)", "(1 4 3)", "(1 4 2)", "(1 3 2)", "(1 4)",
+        "(1 3)", "(2 4)", "(2 3)", "(3 4)", "(1 2 4)", "(1 2 3)",
+        "(1 2)(3 4)")
+    assert S4.generators == (1, 2)
+    assert A4.element_names == (
+        "()", "(1 2 3)", "(1 2)(3 4)", "(1 3 2)", "(1 3 4)", "(2 4 3)",
+        "(2 3 4)", "(1 2 4)", "(1 4 3)", "(1 4 2)", "(1 3)(2 4)",
+        "(1 4)(2 3)")
+    assert A4.generators == (1, 2)

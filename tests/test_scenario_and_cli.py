@@ -193,6 +193,28 @@ def test_cli_broue_invalid_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+def c6_c3_with(edit) -> dict:
+    doc = json.loads(DATA.joinpath("scenarios/c6_c3.json").read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(block_G=3), "block selector 3 is not an object"),
+    (lambda d: d["gamma"][0].update(p_gens=[1.5]), "bad element spec 1.5"),
+    (lambda d: d.update(gamma=5), "gamma must be a list"),
+    (lambda d: d.update(checks=3), "checks must be an object"),
+    (lambda d: d.update(block_G={"index": 99}),
+     "block index 99 out of range (found 2 blocks)"),
+], ids=["block-not-object", "element-spec-float", "gamma-not-list",
+        "checks-not-object", "block-index-out-of-range"])
+def test_cli_broue_malformed_scenario_is_an_input_error(tmp_path, capsys,
+                                                        edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(c6_c3_with(edit)))
+    assert_input_error(capsys, ["broue", str(path)], message)
+
+
 def test_cli_blocks_s3(capsys):
     code, rep = run_cli(capsys, ["blocks", "S3", "--prime", "2"])
     assert code == 0
