@@ -17,15 +17,15 @@ do not depend on them.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      brauer_hom, defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_field_degree)
-from .characters import (CharacterTable, ClassFunction,
+from .characters import (CharacterTable, ClassFunction, _dot,
                          abelian_character_table, contract_middle,
-                         external_character, inner_product, perm_character,
-                         restrict)
+                         perm_character, restrict)
 from .gf import Fq, fq_field, mat_rank
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
                      int_p_part, int_p_prime_part, isomorphisms, normalizer,
@@ -203,9 +203,14 @@ class BrouePipeline:
         external products of irreducibles (checking integrality and
         exact reconstruction), then keeps the pairs (chi, theta) with
         chi in the G-block and the dual of theta in the H-block.
+
+        The multiplicities come in two steps over the class matrix
+        total(a, b) of G x H, never through a character of G x H per
+        pair: R_i(b) = sum_a |a| conj chi_i(a) total(a, b), then
+        m_ij = sum_b |b| R_i(b) conj theta_j(b) / (|G||H|).  The
+        reconstruction and mu are summed in the same two steps.
         """
         tG, tH = self.side_G.table, self.side_H.table
-        PG = self.ambient
         total: ClassFunction | None = None
         for t in gamma.terms:
             pc = perm_character(biset_coset(t.vertex).action)
@@ -213,13 +218,16 @@ class BrouePipeline:
             total = pc if total is None else total + pc
         if total is None:
             raise PipelineError("kappa", "gamma has no terms")
-        exts: dict = {}
+        kH = len(self.H.conjugacy_classes())
+        columns = [total.values[b::kH] for b in range(kH)]
+        scale = Fraction(1, self.G.order * self.H.order)
+        theta_bar = [_weighted_conjugate(th) for th in tH.irreducibles]
         full: dict = {}
-        recon: ClassFunction | None = None
         for i, chi in enumerate(tG.irreducibles):
-            for j, th in enumerate(tH.irreducibles):
-                ext = external_character(chi, th)
-                m = inner_product(total, ext)
+            chi_bar = _weighted_conjugate(chi)
+            R = [_dot(column, chi_bar) for column in columns]
+            for j, tb in enumerate(theta_bar):
+                m = _dot(R, tb) * scale
                 if not m.is_rational() \
                         or m.as_fraction().denominator != 1:
                     raise PipelineError(
@@ -228,29 +236,38 @@ class BrouePipeline:
                 mi = m.as_int()
                 if mi:
                     full[(i, j)] = mi
-                    exts[(i, j)] = ext
-                    part = ext * mi
-                    recon = part if recon is None else recon + part
-        if recon is None or recon != total:
+        if not full or self._external_sum(full) != total:
             raise PipelineError("kappa",
                                 "decomposition does not reconstruct kappa")
         irr_b = set(self.side_G.irr)
         irr_c = set(self.side_H.irr)
         kept = {(i, j): m for (i, j), m in full.items()
                 if i in irr_b and tH.dual_index(j) in irr_c}
-        mu: ClassFunction | None = None
-        for (i, j), m in kept.items():
-            part = exts[(i, j)] * m
-            mu = part if mu is None else mu + part
-        if mu is None:
-            mu = ClassFunction(
-                PG, [0] * len(PG.conjugacy_classes()))
         return {
-            "mu": mu,
+            "mu": self._external_sum(kept),
             "kept": kept,
             "full": full,
             "dropped_pairs": len(full) - len(kept),
         }
+
+    def _external_sum(self, mults: dict) -> ClassFunction:
+        """sum m_ij chi_i x theta_j over G x H, for mults {(i, j): m_ij}.
+
+        First s_j = sum_i m_ij chi_i on G, then the value at the class
+        (a, b) is sum_j s_j(a) theta_j(b).
+        """
+        tG, tH = self.side_G.table, self.side_H.table
+        s: dict = {}
+        for (i, j), m in mults.items():
+            part = tG.irreducibles[i] * m
+            s[j] = part if j not in s else s[j] + part
+        thetas = [tH.irreducibles[j].values for j in s]
+        theta_at = [[th[b] for th in thetas]
+                    for b in range(len(self.H.conjugacy_classes()))]
+        return ClassFunction(self.ambient, [
+            _dot([sj.values[a] for sj in s.values()], theta_b)
+            for a in range(len(self.G.conjugacy_classes()))
+            for theta_b in theta_at])
 
     # -- stage: perfectness ------------------------------------------
 
@@ -562,6 +579,16 @@ class BrouePipeline:
             "equivalence_axiom_checked": False,
             "stages": [],
         }
+        started = time.perf_counter()
+
+        def stage(name: str, ok: bool) -> None:
+            """Record a stage with its time, in seconds since the last."""
+            nonlocal started
+            now = time.perf_counter()
+            report["stages"].append({"stage": name, "ok": ok,
+                                     "elapsed": round(now - started, 3)})
+            started = now
+
         try:
             kres = self.kappa(gamma)
             report["kappa"] = {
@@ -570,44 +597,40 @@ class BrouePipeline:
                      self.side_H.table.names[j], m]
                     for (i, j), m in sorted(kres["kept"].items())],
                 "dropped_pairs": kres["dropped_pairs"]}
-            report["stages"].append({"stage": "kappa", "ok": True})
+            stage("kappa", True)
 
             perfect = self.check_perfect(kres["mu"])
             report["perfect"] = perfect
-            report["stages"].append({"stage": "perfect",
-                                     "ok": perfect["perfect"]})
+            stage("perfect", perfect["perfect"])
             if not perfect["perfect"]:
                 raise PipelineError("perfect", "mu is not perfect")
 
             isom = self.check_isometry(kres)
             report["isometry"] = isom
-            report["stages"].append({"stage": "isometry",
-                                     "ok": isom["is_isometry"]})
+            stage("isometry", isom["is_isometry"])
             if not isom["is_isometry"]:
                 raise PipelineError("isometry", "mu is not an isometry")
 
             inv = self.broue_invariant(isom)
             report["broue_invariant"] = inv
-            report["stages"].append({"stage": "broue_invariant", "ok": True})
+            stage("broue_invariant", True)
 
             local = self.local_invariant()
             report["local_invariant"] = local
-            report["stages"].append({"stage": "local_invariant", "ok": True})
+            stage("local_invariant", True)
 
             sign = self.sign_of_gamma(gamma)
             report["sign"] = sign
-            report["stages"].append({"stage": "sign", "ok": True})
+            stage("sign", True)
 
             cong = self.degree_congruences(isom)
             report["congruences"] = cong
-            report["stages"].append({"stage": "congruences",
-                                     "ok": cong["ok"]})
+            stage("congruences", cong["ok"])
 
             if correspondent:
                 report["correspondent"] = self.correspondent_check()
-                report["stages"].append({
-                    "stage": "correspondent",
-                    "ok": report["correspondent"]["status"] != "failed"})
+                stage("correspondent",
+                      report["correspondent"]["status"] != "failed")
 
             lhs = inv["value"]
             rhs = sign["epsilon"] * local["beta"] % self.p
@@ -618,8 +641,7 @@ class BrouePipeline:
                 "product": rhs,
                 "holds": lhs == rhs,
             }
-            report["stages"].append({"stage": "verdict",
-                                     "ok": lhs == rhs})
+            stage("verdict", lhs == rhs)
         except PipelineError as ex:
             report["error"] = {"stage": ex.stage, "message": str(ex)}
             report["verdict"] = {"holds": False,
@@ -670,6 +692,12 @@ class BrouePipeline:
                 entry["agrees"] = False
             out.append(entry)
         return out
+
+
+def _weighted_conjugate(chi: ClassFunction) -> list:
+    """|c| conj chi(c), class by class."""
+    return [len(c) * v.conjugate()
+            for c, v in zip(chi.group.conjugacy_classes(), chi.values)]
 
 
 def _el(G: FiniteGroup, g: int) -> str:

@@ -6,12 +6,27 @@ against a one-sided one) is computed exactly over the rationals.
 Character tables are ingested from documents rather than computed from
 scratch; ingestion validates orthogonality and degree bookkeeping
 before the table is used anywhere.
+
+Induction and the contractions work one conjugacy class at a time
+rather than one group element at a time:
+
+* induction from S to G sums over the classes of S by class fusion,
+  Ind chi(g) = |C_G(g)|/|S| * sum |d| chi(d) over the classes d of S
+  inside the class of g (Isaacs, Character Theory of Finite Groups,
+  (5.1)-(5.2));
+* the classes of a ProductGroup G x H are the products of the factor
+  classes, class i of G with class c of H at index i*k_H + c, so a
+  contraction over the middle group H is a product of class matrices,
+  sum over the classes c of H of |c| mu1[i*k_H + c] mu2[c*k_K + j];
+* the extended contraction counts its middle witnesses by their pair
+  of classes as integers, and multiplies values once per distinct pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, ONE, ZERO
@@ -69,7 +84,7 @@ class ClassFunction:
             return ClassFunction(
                 self.group,
                 [a * b for a, b in zip(self.values, other.values)])
-        return ClassFunction(self.group, [a * _cyc(other) for a in self.values])
+        return ClassFunction(self.group, [a * other for a in self.values])
 
     __rmul__ = __mul__
 
@@ -121,23 +136,25 @@ def perm_character(action) -> ClassFunction:
 
 
 def induce(chi: ClassFunction, S: Subgroup) -> ClassFunction:
-    """Induction of a character of S.as_group() up to the parent group."""
+    """Induction of a character of S.as_group() up to the parent group.
+
+    By class fusion: Ind chi(g) = |C_G(g)|/|S| * sum |d| chi(d), the sum
+    running over the classes d of S that lie in the class of g.  Costs
+    one class look-up per class of S.
+    """
     G = S.parent
     Sg = S.as_group()
     if chi.group.uid != Sg.uid:
         raise ValueError("character must live on the subgroup's local group")
-    scale = Fraction(1, S.order)
-    vals = []
-    for cls in G.conjugacy_classes():
-        g = cls[0]
-        total = ZERO
-        for x in range(G.order):
-            y = G.conj(G.inv(x), g)
-            if y in S.element_set:
-                total = total + chi.values[Sg.class_index(
-                    Sg.parent_to_local[y])]
-        vals.append(total * scale)
-    return ClassFunction(G, vals)
+    classes = G.conjugacy_classes()
+    sums = [ZERO] * len(classes)
+    for d, v in zip(Sg.conjugacy_classes(), chi.values):
+        if not v.is_zero():
+            c = G.class_index(Sg.local_to_parent[d[0]])
+            sums[c] = sums[c] + len(d) * v
+    return ClassFunction(G, [
+        v * Fraction(G.order // len(cls), S.order)
+        for v, cls in zip(sums, classes)])
 
 
 def restrict(chi: ClassFunction, S: Subgroup) -> ClassFunction:
@@ -170,46 +187,63 @@ def external_character(chi: ClassFunction, theta: ClassFunction
     return ClassFunction(amb, vals)
 
 
+def _dot(xs, ys) -> Cyclotomic:
+    """sum x*y over the pairs, skipping the zero terms."""
+    total = ZERO
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            total = total + x * y
+    return total
+
+
 def contract_middle(mu: ClassFunction, psi: ClassFunction,
                     ambient: ProductGroup) -> ClassFunction:
     """Pair a character on G x H against one on H, landing on G.
 
     The value at g is |H|^-1 sum_h mu(g,h) psi(h): the character of the
-    image of the psi-module under the functor attached to mu.
+    image of the psi-module under the functor attached to mu.  On class
+    i of G it is |H|^-1 sum_c |c| mu[i*k_H + c] psi[c] over the classes
+    c of H.
     """
     if mu.group.uid != ambient.uid:
         raise ValueError("mu must live on the ambient product group")
     H = ambient.right
     if psi.group.uid != H.uid:
         raise ValueError("psi must live on the right factor")
+    weighted = [len(c) * v for c, v in zip(H.conjugacy_classes(),
+                                            psi.values)]
+    kH = len(weighted)
     scale = Fraction(1, H.order)
-    vals = []
-    for cls in ambient.left.conjugacy_classes():
-        g = cls[0]
-        total = ZERO
-        for h in range(H.order):
-            total = total + mu.at(ambient.encode(g, h)) * psi.at(h)
-        vals.append(total * scale)
+    vals = [_dot(mu.values[i * kH:(i + 1) * kH], weighted) * scale
+            for i in range(len(ambient.left.conjugacy_classes()))]
     return ClassFunction(ambient.left, vals)
 
 
 def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
                          amb1: ProductGroup, amb2: ProductGroup
                          ) -> ClassFunction:
-    """Compose two-sided characters: (g,k) |-> |H|^-1 sum_h mu1(g,h)mu2(h,k)."""
+    """Compose two-sided characters: (g,k) |-> |H|^-1 sum_h mu1(g,h)mu2(h,k).
+
+    As a product of class matrices: on the class (i, j) of G x K the
+    value is |H|^-1 sum_c |c| mu1[i*k_H + c] mu2[c*k_K + j] over the
+    classes c of H, k_G*k_H*k_K products in all.
+    """
     if amb1.right is not amb2.left:
         raise ValueError("matching middle group required")
+    if mu1.group.uid != amb1.uid or mu2.group.uid != amb2.uid:
+        raise ValueError("characters must live on their product groups")
     H = amb1.right
     out_amb = product_group(amb1.left, amb2.right)
+    sizes = [len(c) for c in H.conjugacy_classes()]
+    kH = len(sizes)
+    kK = len(amb2.right.conjugacy_classes())
+    cols = [[n * v for n, v in zip(sizes, mu2.values[j::kK])]
+            for j in range(kK)]
     scale = Fraction(1, H.order)
     vals = []
-    for cls in out_amb.conjugacy_classes():
-        g, k = out_amb.decode(cls[0])
-        total = ZERO
-        for h in range(H.order):
-            total = total + (mu1.at(amb1.encode(g, h))
-                             * mu2.at(amb2.encode(h, k)))
-        vals.append(total * scale)
+    for i in range(len(amb1.left.conjugacy_classes())):
+        row = mu1.values[i * kH:(i + 1) * kH]
+        vals += [_dot(row, col) * scale for col in cols]
     return ClassFunction(out_amb, vals)
 
 
@@ -220,7 +254,9 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
 
     At (g,k) the value averages chi_m(g,h) chi_n(h,k) over the middle
     witnesses h, equivalently divides the full witness sum by the order
-    of the joint kernel.
+    of the joint kernel.  The witnesses are counted by their pair of
+    classes (of (g,h) in X, of (h,k) in Y) first, so each distinct pair
+    costs one product of values.
     """
     Xg, Yg = X.as_group(), Y.as_group()
     if chi_m.group.uid != Xg.uid or chi_n.group.uid != Yg.uid:
@@ -229,17 +265,24 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
     Sg = S.as_group()
     wits = middle_witnesses(X, Y)
     ker = middle_kernel(X, Y)
+    x_class, y_class = Xg.class_index, Yg.class_index
+    x_local, y_local = Xg.parent_to_local, Yg.parent_to_local
+    x_enc, y_enc = X.ambient.encode, Y.ambient.encode
+    products: dict = {}
     scale = Fraction(1, ker.order)
     vals = []
     for cls in Sg.conjugacy_classes():
         g, k = S.ambient.decode(Sg.local_to_parent[cls[0]])
+        counts = Counter((x_class(x_local[x_enc(g, h)]),
+                          y_class(y_local[y_enc(h, k)]))
+                         for h in wits[(g, k)])
         total = ZERO
-        for h in wits[(g, k)]:
-            total = total + (
-                chi_m.values[Xg.class_index(
-                    Xg.parent_to_local[X.ambient.encode(g, h)])]
-                * chi_n.values[Yg.class_index(
-                    Yg.parent_to_local[Y.ambient.encode(h, k)])])
+        for pair, n in counts.items():
+            v = products.get(pair)
+            if v is None:
+                v = products[pair] = (chi_m.values[pair[0]]
+                                      * chi_n.values[pair[1]])
+            total = total + n * v
         vals.append(total * scale)
     return ClassFunction(Sg, vals)
 

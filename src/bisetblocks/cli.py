@@ -98,9 +98,11 @@ def _filter_names(names, max_order: int | None):
 def cmd_verify_biset_laws(args) -> int:
     if args.count is not None and args.count < 1:
         raise InputError(f"--count {args.count} must be at least 1")
-    if args.inject_mutation and args.suite not in (None, "mackey"):
+    if args.inject_mutation and args.suite not in (None, "mackey",
+                                                   "characters"):
         raise InputError(f"--inject-mutation: suite {args.suite!r} has no "
-                         "mutation target; only mackey has one")
+                         "mutation target; mackey and characters have one, "
+                         "and without --suite only mackey has one")
     suites = ([args.suite] if args.suite else list(ALL_SUITES))
     report = {"kind": "biset-law-report", "seed": args.seed, "suites": []}
     ok = True
@@ -114,7 +116,7 @@ def cmd_verify_biset_laws(args) -> int:
             kwargs["count"] = args.count
         pool = MACKEY_GROUPS if name == "mackey" else SMALL_GROUPS
         kwargs["groups"] = _filter_names(pool, args.max_order)
-        if name == "mackey" and args.inject_mutation:
+        if args.inject_mutation and name == (args.suite or "mackey"):
             kwargs["mutate"] = True
         rep = fn(**kwargs)
         report["suites"].append(rep)
@@ -265,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="restrict base groups to this order")
     laws.add_argument("--suite", choices=sorted(ALL_SUITES), default=None)
     laws.add_argument("--inject-mutation", action="store_true",
-                      help="corrupt the first mackey instance to test "
-                      "failure reporting (mackey is the only target)")
+                      help="corrupt the first instance of --suite "
+                      "(mackey or characters; mackey without --suite) to "
+                      "test failure reporting")
     laws.add_argument("--out")
     laws.set_defaults(fn=cmd_verify_biset_laws)
 

@@ -6,6 +6,16 @@ fixed primitive n-th root of unity and phi is Euler's totient.  Mixed
 conductors are handled by lifting both operands to the least common
 multiple.  All operations are exact; nothing is ever rounded.
 
+Arithmetic touches the coefficients directly where it can: an int or
+Fraction operand of +, - or * (on either side) acts on the coefficients
+as a rational number, and so does an element of conductor 1, which
+lifts to any conductor by padding with zeros; two operands of one
+conductor are added or subtracted coordinate by coordinate.  Only
+operands of different conductors above 1 are lifted through a
+reduction modulo Phi_m, and only a product of two irrational elements
+multiplies polynomials.  Results are built without re-validating their
+coefficients, which are already phi(n) Fractions.
+
 Polynomial division, the extended Euclidean algorithm and the linear
 solve behind conductor descent are the field-generic functions of gf,
 run over QQ.  Only the reduction modulo Phi_n, the hot path of every
@@ -119,7 +129,7 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
-        return Cyclotomic(1, [_as_fraction(value)])
+        return _make(1, (_as_fraction(value),))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
@@ -127,7 +137,7 @@ class Cyclotomic:
         if n < 1:
             raise ValueError("conductor must be a positive integer")
         poly = [Fraction(0)] * (k % n) + [Fraction(1)]
-        return Cyclotomic(n, _reduce_poly(n, poly))
+        return _make(n, _reduce_poly(n, poly))
 
     # -- conductor handling ------------------------------------------
 
@@ -137,12 +147,15 @@ class Cyclotomic:
             raise ValueError("can only lift to a multiple of the conductor")
         if m == self.n:
             return self
+        if self.n == 1:
+            zeros = (Fraction(0),) * (euler_phi(m) - 1)
+            return _make(m, self.coeffs + zeros)
         step = m // self.n
         poly = [Fraction(0)] * (euler_phi(self.n) * step)
         for k, c in enumerate(self.coeffs):
             if c:
                 poly[k * step] = c
-        return Cyclotomic(m, _reduce_poly(m, poly))
+        return _make(m, _reduce_poly(m, poly))
 
     def _pair(self, other: "Cyclotomic"):
         m = self.n * other.n // gcd(self.n, other.n)
@@ -150,48 +163,51 @@ class Cyclotomic:
 
     # -- arithmetic --------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+    def _combine(self, other, op):
+        """self + other or self - other, coordinate by coordinate."""
+        if isinstance(other, Cyclotomic) and other.n == 1:
+            other = other.coeffs[0]
+        if isinstance(other, (int, Fraction)):
+            cs = self.coeffs
+            return _make(self.n, (op(cs[0], other),) + cs[1:])
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._pair(other)
-        return Cyclotomic(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        a, b = (self, other) if self.n == other.n else self._pair(other)
+        return _make(a.n, tuple(map(op, a.coeffs, b.coeffs)))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, [-c for c in self.coeffs])
+        return _make(self.n, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._combine(other, operator.add)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return _make(self.n, tuple([c * other for c in self.coeffs]))
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
         if other.is_rational():
             r = other.coeffs[0]
-            return Cyclotomic(self.n, [c * r for c in self.coeffs])
+            return _make(self.n, tuple([c * r for c in self.coeffs]))
         if self.is_rational():
             r = self.coeffs[0]
-            return Cyclotomic(other.n, [c * r for c in other.coeffs])
-        a, b = self._pair(other)
+            return _make(other.n, tuple([c * r for c in other.coeffs]))
+        a, b = (self, other) if self.n == other.n else self._pair(other)
         prod = [Fraction(0)] * (2 * len(a.coeffs))
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return Cyclotomic(a.n, _reduce_poly(a.n, prod))
+        return _make(a.n, _reduce_poly(a.n, prod))
 
     __rmul__ = __mul__
 
@@ -217,7 +233,7 @@ class Cyclotomic:
         g, u, _ = poly_xgcd(QQ, self.coeffs, cyclotomic_polynomial(self.n))
         if len(g) != 1:
             raise ArithmeticError("element is not invertible")
-        return Cyclotomic(self.n, _reduce_poly(self.n, u))
+        return _make(self.n, _reduce_poly(self.n, u))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -241,7 +257,7 @@ class Cyclotomic:
         for k, c in enumerate(self.coeffs):
             if c:
                 poly[(k * t) % self.n] += c
-        return Cyclotomic(self.n, _reduce_poly(self.n, poly))
+        return _make(self.n, _reduce_poly(self.n, poly))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta |-> zeta^(-1)."""
@@ -250,10 +266,10 @@ class Cyclotomic:
     # -- predicates and conversions ----------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -293,10 +309,11 @@ class Cyclotomic:
     # -- comparisons -------------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and self.is_rational()
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._pair(other)
+        a, b = (self, other) if self.n == other.n else self._pair(other)
         return a.coeffs == b.coeffs
 
     def __hash__(self):
@@ -318,6 +335,18 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return Cyclotomic.from_rational(value)
     return NotImplemented
+
+
+_new = object.__new__
+
+
+def _make(n: int, coeffs: tuple) -> Cyclotomic:
+    """An element from a tuple of phi(n) Fractions, taken as it is."""
+    out = _new(Cyclotomic)
+    out.n = n
+    out.coeffs = coeffs
+    out._min = None
+    return out
 
 
 def _try_descend(x: Cyclotomic, d: int):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 import time
 
-from .characters import (contract_extended, contract_over_middle,
-                         perm_character, verify_tensor_character_formula)
+from .characters import (ClassFunction, contract_extended,
+                         contract_over_middle, perm_character,
+                         verify_tensor_character_formula)
 from .groups import (FiniteGroup, ProductGroup, Subgroup, product_group,
                      subgroup_generated)
 from .gsets import (BisetView, GAction, biset_coset,
@@ -291,7 +292,7 @@ def _coherence_instance(rng: random.Random, law: str, groups) -> bool:
 
 
 def character_suite(seed: int = 0, count: int = 50,
-                    groups=SMALL_GROUPS) -> dict:
+                    groups=SMALL_GROUPS, mutate: bool = False) -> dict:
     """Character-level double-coset formula with fixed-point cross-checks.
 
     Per instance: the contraction identity for induced permutation
@@ -299,6 +300,10 @@ def character_suite(seed: int = 0, count: int = 50,
     equal the fixed-point count character of the constructed action;
     and the contraction of coset-biset characters must match the
     character of their direct tensor.
+
+    With mutate=True the trivial character is added to the left side
+    of the first double-coset formula; the suite must then report that
+    instance as a failure.
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
@@ -315,7 +320,10 @@ def character_suite(seed: int = 0, count: int = 50,
         chi_m, chi_n = perm_character(U), perm_character(V)
         bad = []
         res = verify_tensor_character_formula(X, Y, chi_m, chi_n)
-        if not res["equal"]:
+        lhs = res["lhs"]
+        if mutate and i == 0:
+            lhs = lhs + ClassFunction(lhs.group, [1] * len(lhs.values))
+        if lhs != res["rhs"]:
             bad.append("double-coset formula")
         ext = extended_tensor(X, Y, U, V)
         if perm_character(ext) != contract_extended(X, Y, chi_m, chi_n):
@@ -330,7 +338,8 @@ def character_suite(seed: int = 0, count: int = 50,
         if bad:
             failures.append({"index": i,
                              "groups": [G.name, H.name, K.name],
-                             "checks": bad})
+                             "checks": bad,
+                             "mutated": bool(mutate and i == 0)})
     return _report("characters", seed, failures, count, t0)
 
 

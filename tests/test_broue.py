@@ -1,5 +1,9 @@
 """The full verification pipeline on the bundled and synthetic scenarios."""
 
+import copy
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +12,9 @@ from bisetblocks.broue import (BrouePipeline, PipelineError,
                                VirtualPPermBimodule, residue_of_fraction,
                                rickard_reduce, run_scenario,
                                scenario_field_degree)
-from bisetblocks.characters import external_character
+from bisetblocks.characters import (external_character, inner_product,
+                                    perm_character)
+from bisetblocks.gsets import biset_coset
 from bisetblocks.namedgroups import named_group
 from bisetblocks.scenario import Scenario, bundled_scenario
 
@@ -283,3 +289,72 @@ def test_gamma_terms_must_live_in_the_ambient():
     pipe = pipeline_for(S)
     with pytest.raises(ValueError):
         VirtualPPermBimodule(pipe.ambient, S2.gamma_terms)
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "scenarios")
+IDENTITY_SCENARIOS = ("identity_s4_p2", "identity_s4_p3", "identity_a4_p2",
+                      "identity_d8_p2", "identity_q8_p2")
+
+
+def _scenario(name):
+    if name in IDENTITY_SCENARIOS:
+        with open(os.path.join(SCENARIO_DIR, f"{name}.json")) as fh:
+            return Scenario(json.load(fh))
+    return bundled_scenario(name)
+
+
+@pytest.mark.parametrize("name", ("c6_c3", "identity_s3", "a4_c3")
+                         + IDENTITY_SCENARIOS)
+def test_kappa_multiplicities_are_the_per_pair_inner_products(name):
+    S = _scenario(name)
+    pipe = pipeline_for(S)
+    gamma = gamma_of(S, pipe)
+    kres = pipe.kappa(gamma)
+    total = None
+    for t in gamma.terms:
+        pc = perm_character(biset_coset(t.vertex).action) * t.coefficient
+        total = pc if total is None else total + pc
+    full, mu = {}, None
+    for i, chi in enumerate(S.table_G.irreducibles):
+        for j, theta in enumerate(S.table_H.irreducibles):
+            ext = external_character(chi, theta)
+            m = inner_product(total, ext).as_int()
+            if m:
+                full[(i, j)] = m
+            if m and (i, j) in kres["kept"]:
+                mu = ext * m if mu is None else mu + ext * m
+    assert kres["full"] == full
+    assert set(kres["kept"]) <= set(full)
+    assert kres["mu"] == mu
+
+
+@pytest.mark.parametrize("factor, message", [
+    (Fraction(1, 2), "non-integer multiplicity"),
+    (0, "decomposition does not reconstruct kappa")])
+def test_kappa_checks_its_decomposition(factor, message):
+    # a copy of the H table whose character chi0 is scaled by factor
+    S = bundled_scenario("c6_c3")
+    pipe = pipeline_for(S)
+    table = copy.copy(pipe.side_H.table)
+    table.irreducibles = list(table.irreducibles)
+    table.irreducibles[0] = table.irreducibles[0] * factor
+    pipe.side_H.table = table
+    with pytest.raises(PipelineError, match=message):
+        pipe.kappa(gamma_of(S, pipe))
+
+
+def test_stage_times_sit_beside_an_unchanged_report():
+    def strip(doc):
+        if isinstance(doc, dict):
+            return {k: strip(v) for k, v in doc.items() if k != "elapsed"}
+        if isinstance(doc, list):
+            return [strip(v) for v in doc]
+        return doc
+    r = run_scenario(bundled_scenario("c6_c3"))
+    for s in r["stages"]:
+        assert type(s["elapsed"]) is float and s["elapsed"] >= 0
+    # the digest of this report as it was before stages carried times
+    text = json.dumps(strip(r), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2eced485fe9aba69cbe3824e45b2b9a67b1d0ffa6f22e23ff9c743d64af08b4b"

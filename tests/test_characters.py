@@ -324,3 +324,206 @@ def test_klein_four_table_is_the_four_sign_characters():
 def test_every_abelian_bundled_name_is_covered_by_a_closed_form():
     abelian = {n for n in BUNDLED_NAMES if named_group(n).is_abelian()}
     assert abelian == {f"C{n}" for n in range(1, 13)} | {"C2xC2"}
+
+
+# -- class-level formulas against their element-sum definitions ------------
+#
+# Each oracle below sums over group elements in complex floating point,
+# straight from the definition, and compares with the exact class-level
+# result evaluated in C.
+
+def _random_class_function(rng, G):
+    """Seeded values on the classes of G: rationals plus roots of unity."""
+    vals = []
+    for _ in G.conjugacy_classes():
+        v = Cyclotomic.from_rational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            n = rng.choice((3, 4, 5, 8))
+            v = v + rng.randint(-2, 2) * Cyclotomic.zeta(n, rng.randrange(n))
+        vals.append(v)
+    return ClassFunction(G, vals)
+
+
+def _values_in_c(chi):
+    """chi as a complex value per element id of its group."""
+    G = chi.group
+    by_class = [_complex_value(v) for v in chi.values]
+    return [by_class[G.class_index(g)] for g in range(G.order)]
+
+
+def _assert_close(got, want):
+    assert len(got.values) == len(want)
+    for v, w in zip(got.values, want):
+        assert abs(_complex_value(v) - w) < 1e-9, (v, w)
+
+
+def _induce_by_elements(chi, S):
+    """Ind chi(g) = |S|^-1 sum over x in G with x^-1 g x in S."""
+    G, Sg = S.parent, S.as_group()
+    local = _values_in_c(chi)
+    out = []
+    for cls in G.conjugacy_classes():
+        total = 0
+        for x in range(G.order):
+            y = G.conj(G.inv(x), cls[0])
+            if y in S.element_set:
+                total += local[Sg.parent_to_local[y]]
+        out.append(total / S.order)
+    return out
+
+
+def _contract_middle_by_elements(mu, psi, amb):
+    H = amb.right
+    m, p = _values_in_c(mu), _values_in_c(psi)
+    return [sum(m[amb.encode(cls[0], h)] * p[h] for h in range(H.order))
+            / H.order for cls in amb.left.conjugacy_classes()]
+
+
+def _contract_over_middle_by_elements(mu1, mu2, amb1, amb2, out_group):
+    H = amb1.right
+    m1, m2 = _values_in_c(mu1), _values_in_c(mu2)
+    out = []
+    for cls in out_group.conjugacy_classes():
+        g, k = out_group.decode(cls[0])
+        out.append(sum(m1[amb1.encode(g, h)] * m2[amb2.encode(h, k)]
+                       for h in range(H.order)) / H.order)
+    return out
+
+
+def _contract_extended_by_elements(X, Y, chi_m, chi_n, out_group):
+    """At (g,k): the sum over h with (g,h) in X and (h,k) in Y, divided by
+    the number of h with (1,h) in X and (h,1) in Y."""
+    H = X.ambient.right
+    G, K = X.ambient.left, Y.ambient.right
+    vm, vn = _values_in_c(chi_m), _values_in_c(chi_n)
+    xl, yl = X.as_group().parent_to_local, Y.as_group().parent_to_local
+    kernel = sum(1 for h in range(H.order)
+                 if X.ambient.encode(G.identity, h) in X.element_set
+                 and Y.ambient.encode(h, K.identity) in Y.element_set)
+    out = []
+    for cls in out_group.conjugacy_classes():
+        g, k = out_group.parent_group.decode(
+            out_group.local_to_parent[cls[0]])
+        total = 0
+        for h in range(H.order):
+            x, y = X.ambient.encode(g, h), Y.ambient.encode(h, k)
+            if x in X.element_set and y in Y.element_set:
+                total += vm[xl[x]] * vn[yl[y]]
+        out.append(total / kernel)
+    return out
+
+
+def _seeded_subgroup(rng, G):
+    return subgroup_generated(
+        G, [rng.randrange(G.order) for _ in range(rng.randint(1, 2))])
+
+
+def _seeded_product_subgroup(rng, amb):
+    from bisetblocks.subdirect import ProductSubgroup
+    return ProductSubgroup(amb, _seeded_subgroup(rng, amb).elements,
+                           check=False)
+
+
+# partners of every bundled group, each product at most 576 elements
+def _partners(rng):
+    return [named_group(rng.choice(BUNDLED_NAMES)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_induce_matches_the_element_sum(name):
+    import random
+    rng = random.Random(f"induce {name}")
+    G = named_group(name)
+    for _ in range(3):
+        S = _seeded_subgroup(rng, G)
+        chi = _random_class_function(rng, S.as_group())
+        _assert_close(induce(chi, S), _induce_by_elements(chi, S))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_induce_matches_the_element_sum_in_products(seed):
+    import random
+    rng = random.Random(9100 + seed)
+    names = ("S4", "A4", "D8", "Q8", "S3", "C6", "C12")
+    amb = product_group(named_group(rng.choice(names)),
+                        named_group(rng.choice(names)))
+    assert amb.order <= 576
+    S = _seeded_subgroup(rng, amb)
+    chi = _random_class_function(rng, S.as_group())
+    _assert_close(induce(chi, S), _induce_by_elements(chi, S))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_contract_middle_matches_the_element_sum(name):
+    import random
+    rng = random.Random(f"middle {name}")
+    G = named_group(name)
+    for H in _partners(rng) + [named_group("S4")]:
+        for left, right in ((G, H), (H, G)):
+            amb = product_group(left, right)
+            mu = _random_class_function(rng, amb)
+            psi = _random_class_function(rng, right)
+            _assert_close(contract_middle(mu, psi, amb),
+                          _contract_middle_by_elements(mu, psi, amb))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_contract_over_middle_matches_the_element_sum(name):
+    # every bundled group as the middle, between seeded outer groups
+    import random
+    rng = random.Random(f"over {name}")
+    H = named_group(name)
+    for G, K in (_partners(rng), (named_group("S4"), H)):
+        amb1, amb2 = product_group(G, H), product_group(H, K)
+        mu1 = _random_class_function(rng, amb1)
+        mu2 = _random_class_function(rng, amb2)
+        out = contract_over_middle(mu1, mu2, amb1, amb2)
+        assert out.group is product_group(G, K)
+        _assert_close(out, _contract_over_middle_by_elements(
+            mu1, mu2, amb1, amb2, out.group))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_contract_extended_matches_the_element_sum(name):
+    import random
+    rng = random.Random(f"extended {name}")
+    H = named_group(name)
+    for _ in range(3):
+        G, K = _partners(rng)
+        X = _seeded_product_subgroup(rng, product_group(G, H))
+        Y = _seeded_product_subgroup(rng, product_group(H, K))
+        chi_m = _random_class_function(rng, X.as_group())
+        chi_n = _random_class_function(rng, Y.as_group())
+        out = contract_extended(X, Y, chi_m, chi_n)
+        _assert_close(out, _contract_extended_by_elements(
+            X, Y, chi_m, chi_n, out.group))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contract_extended_matches_the_element_sum_with_large_middles(seed):
+    import random
+    rng = random.Random(9200 + seed)
+    names = ("S4", "A4", "D8", "Q8", "S3")
+    G, H, K = (named_group(rng.choice(names)) for _ in range(3))
+    X = _seeded_product_subgroup(rng, product_group(G, H))
+    Y = _seeded_product_subgroup(rng, product_group(H, K))
+    chi_m = _random_class_function(rng, X.as_group())
+    chi_n = _random_class_function(rng, Y.as_group())
+    out = contract_extended(X, Y, chi_m, chi_n)
+    _assert_close(out, _contract_extended_by_elements(
+        X, Y, chi_m, chi_n, out.group))
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_frobenius_reciprocity_on_every_bundled_table(name):
+    import random
+    rng = random.Random(f"frobenius {name}")
+    t = bundled_table(name)
+    for _ in range(3):
+        S = _seeded_subgroup(rng, t.group)
+        chi = _random_class_function(rng, S.as_group())
+        up = induce(chi, S)
+        for psi in t.irreducibles:
+            assert inner_product(up, psi) == \
+                inner_product(chi, restrict(psi, S))

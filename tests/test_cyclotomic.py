@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: roots of unity, conductors, Galois action."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -176,3 +177,85 @@ def test_minimal_conductor_of_roots_of_unity(n):
             o = d // gcd(d, j)
             want = o // 2 if o % 4 == 2 else o
             assert zeta(d, j).lift(n).minimal().n == want, (d, j)
+
+
+# -- the coefficient fast paths against the general path ---------------
+
+FAST_PATH_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
+
+
+def _seeded_element(rng, n):
+    return Cyclotomic(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                          if rng.random() < 0.7 else 0
+                          for _ in range(euler_phi(n))])
+
+
+def _reduce_mod_phi(poly, m):
+    """poly modulo Phi_m by long division, as phi(m) Fractions."""
+    phi = cyclotomic_polynomial(m)
+    d = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for top in range(len(poly) - 1, d - 1, -1):
+        lead = poly[top]
+        if lead:
+            for i, c in enumerate(phi):
+                poly[top - d + i] -= lead * c
+    return poly[:d]
+
+
+def _general(op, x, y):
+    """x op y through an explicit lift of both operands to the lcm."""
+    m = x.n * y.n // gcd(x.n, y.n)
+    a, b = x.lift(m).coeffs, y.lift(m).coeffs
+    if op == "*":
+        prod = [Fraction(0)] * (len(a) + len(b))
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                prod[i + j] += u * v
+        return Cyclotomic(m, _reduce_mod_phi(prod, m))
+    combine = {"+": lambda u, v: u + v, "-": lambda u, v: u - v}[op]
+    return Cyclotomic(m, [combine(u, v) for u, v in zip(a, b)])
+
+
+def _same(result, expected):
+    assert all(type(c) is Fraction for c in result.coeffs)
+    assert len(result.coeffs) == euler_phi(result.n)
+    assert result.n <= expected.n and expected.n % result.n == 0
+    assert result.lift(expected.n).coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("n", FAST_PATH_CONDUCTORS)
+def test_fast_paths_equal_the_general_path(n):
+    import operator
+    import random
+    rng = random.Random(4200 + n)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+    for _ in range(3):
+        x = _seeded_element(rng, n)
+        others = [_seeded_element(rng, m) for m in FAST_PATH_CONDUCTORS]
+        scalars = [rng.randint(-5, 5), Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 6))]
+        for sym, fn in ops.items():
+            for y in others:
+                _same(fn(x, y), _general(sym, x, y))
+                _same(fn(y, x), _general(sym, y, x))
+            for r in scalars:
+                c = Cyclotomic(1, [r])
+                _same(fn(x, r), _general(sym, x, c))
+                _same(fn(r, x), _general(sym, c, x))
+        _same(-x, _general("-", Cyclotomic(1, [0]), x))
+
+
+@pytest.mark.parametrize("n", FAST_PATH_CONDUCTORS)
+def test_equal_values_at_other_conductors_hash_equally(n):
+    import random
+    rng = random.Random(4300 + n)
+    for _ in range(3):
+        x = _seeded_element(rng, n)
+        for k in (2, 3, 5):
+            y = x.lift(k * n)
+            assert y == x and hash(y) == hash(x)
+            assert hash(y - x) == hash(Cyclotomic.from_rational(0))
+    r = Fraction(rng.randint(-9, 9), 7)
+    assert hash(Cyclotomic.from_rational(r).lift(n)) == \
+        hash(Cyclotomic.from_rational(r))

@@ -348,6 +348,18 @@ def test_cli_verify_biset_laws_mutation_is_caught(capsys):
     assert suite["failures"][0]["mutated"] is True
 
 
+def test_cli_characters_mutation_is_caught(capsys):
+    code, rep = run_cli(capsys, [
+        "verify-biset-laws", "--suite", "characters", "--count", "3",
+        "--max-order", "6", "--seed", "7", "--inject-mutation"])
+    assert code == 1
+    suite = rep["suites"][0]
+    assert suite["suite"] == "characters" and suite["ok"] is False
+    assert suite["failures"] == [{
+        "index": 0, "groups": suite["failures"][0]["groups"],
+        "checks": ["double-coset formula"], "mutated": True}]
+
+
 def test_cli_ingest_table(capsys):
     code, rep = run_cli(capsys, ["ingest-table", data_path("tables/S3.json")])
     assert code == 0
