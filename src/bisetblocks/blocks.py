@@ -8,10 +8,18 @@ separable subalgebra, and that subalgebra is split into primitive
 idempotents by factoring minimal polynomials of its basis elements.
 The Brauer homomorphism, defect groups, maximal Brauer pairs and the
 dimension of the defect-zero simple over the central quotient are built
-on top.  That dimension is read from a rank on the permutation module
-of the cosets of a Sylow p-subgroup, not on the regular module: a
-block ideal is projective, so it is free over any p-subgroup P, and
-its dimension is |P| times the rank of the block on F_q[G/P].
+on top, and stay in the class-sum basis: br_D maps Z(F_q G) into
+Z(F_q C_G(D)) class by class, products of central elements use the
+class structure constants, and a central element is pushed along a
+quotient map class by class.  Centralizers and local groups are kept
+on their group, and the whole group as a local group shares its rows.
+The one vector over group elements left is the pushed block's, whose
+rank on the permutation module of the cosets of a Sylow p-subgroup
+gives the dimension: a block ideal is projective, so it is free over
+any p-subgroup P, and its dimension is |P| times the rank of the block
+on F_q[G/P].  brauer_hom and group_algebra_mul work on coefficient
+vectors over the group elements; the block layer does not call them,
+and the tests use them as references for the class-sum versions.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .characters import CharacterTable, ClassFunction
 from .cyclotomic import Cyclotomic
 from .gf import (Fq, mat_rank, mat_rref, mat_solve, poly_exact_div,
                  poly_factor, poly_mul, poly_trim, poly_xgcd)
-from .groups import (FiniteGroup, Subgroup, centralizer, center,
+from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
                      int_p_prime_part, p_subgroups_up_to_conjugacy, quotient,
                      sylow_subgroup)
 
@@ -383,15 +391,41 @@ def brauer_hom(vec, D: Subgroup, field: Fq):
     return [vec[C.from_local(i)] for i in range(Cg.order)]
 
 
+def brauer_image(b: CentralElement, D: Subgroup) -> CentralElement:
+    """The Brauer image br_D(b) of a central element b of F_q G, as a
+    central element of F_q C_G(D).
+
+    br_D keeps the coefficients of b on C_G(D).  Since b is central its
+    coefficient on g depends only on the G-class of g, and each class of
+    C_G(D) lies in one G-class, so each local class takes b's
+    coefficient on the G-class that contains it (Navarro, *Characters
+    and Blocks of Finite Groups*, 1998, ch. 4).
+    """
+    G = b.group
+    if D.parent.uid != G.uid:
+        raise ValueError("D must be a subgroup of the group of b")
+    Cg = centralizer(G, D).as_group()
+    to_parent = Cg.local_to_parent
+    return CentralElement(Cg, b.field, [
+        b.coeffs[G.class_index(to_parent[cls[0]])]
+        for cls in Cg.conjugacy_classes()])
+
+
 def defect_group(G: FiniteGroup, p: int, b: CentralElement, field: Fq,
                  largest_rep: bool = False) -> Subgroup:
     """A defect group of the block b: a maximal p-subgroup with
     nonvanishing Brauer image, returned as a canonical class
-    representative."""
-    vec = b.to_vector()
-    reps = p_subgroups_up_to_conjugacy(G, p)
-    surviving = [P for P in reps
-                 if any(brauer_hom(vec, P, field))]
+    representative.
+
+    br_P(b) is nonzero exactly when a class on which b has a nonzero
+    coefficient meets C_G(P), so each p-subgroup class is tested on the
+    class-sum coefficients of b and the elements of its centralizer,
+    which is kept on G.
+    """
+    coeffs, class_of = b.coeffs, G.class_index
+    surviving = [P for P in p_subgroups_up_to_conjugacy(G, p)
+                 if any(coeffs[class_of(g)]
+                        for g in centralizer(G, P).elements)]
     top = max(P.order for P in surviving)
     tops = [P for P in surviving if P.order == top]
     if len(tops) != 1:
@@ -405,19 +439,21 @@ def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
                         largest_rep: bool = False
                         ) -> tuple[Subgroup, CentralElement]:
     """A maximal Brauer pair (D, e): a defect group with a block e of
-    F_q C_G(D) not killed by the Brauer image of b."""
+    F_q C_G(D) not killed by the Brauer image of b.
+
+    br_D(b) e is a product of central elements of F_q C_G(D), taken
+    with the class structure constants of C_G(D); it must be 0 or e.
+    """
     if D is None:
         D = defect_group(G, p, b, field, largest_rep=largest_rep)
-    C = centralizer(G, D)
-    Cg = C.as_group()
-    br = brauer_hom(b.to_vector(), D, field)
-    cand = block_idempotents(Cg, p, field)
+    br = brauer_image(b, D)
+    cand = block_idempotents(br.group, p, field)
     if reverse_blocks:
         cand = list(reversed(cand))
     for e in cand:
-        prod = group_algebra_mul(field, Cg, br, e.to_vector())
-        if any(prod):
-            if prod != e.to_vector():
+        prod = br * e
+        if not prod.is_zero():
+            if prod != e:
                 raise AssertionError(
                     "Brauer image times a block must be 0 or the block")
             return D, e
@@ -441,37 +477,53 @@ def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
     return mat_rank(F, rows)
 
 
+def push_central(e: CentralElement, pi: GroupHom) -> CentralElement:
+    """The image of a central element under a surjection pi, class by class.
+
+    pi maps each class K onto the class pi(K), every element of pi(K)
+    having |K|/|pi(K)| preimages in K, so K's coefficient reaches pi(K)
+    with that weight.
+    """
+    F, Q = e.field, pi.target
+    q_classes = Q.conjugacy_classes()
+    out = [0] * len(q_classes)
+    for K, c in zip(e.group.conjugacy_classes(), e.coeffs):
+        if c:
+            t = Q.class_index(pi(K[0]))
+            w = F.from_int(len(K) // len(q_classes[t]))
+            out[t] = F.add(out[t], F.mul(c, w))
+    return CentralElement(Q, F, out)
+
+
 def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
                            field: Fq) -> int:
     """Dimension of the simple module of the image block over C_G(D)/Z(D).
 
-    The block e of F_q C_G(D) is pushed along the central quotient Q by
-    Z(D); the image block algebra has square dimension d*d and the
-    simple has dimension d.  The block ideal is a summand of F_q Q, so
-    it is projective and hence free over a Sylow p-subgroup P of Q; its
-    rank there is the dimension of its image in F_q Q (x)_{F_q P} F_q =
-    F_q[Q/P].  So d*d = |P| * rank(e on F_q[Q/P]), a rank on |Q:P|
-    cosets instead of on the |Q| elements of the regular module.
+    Z(D) is D meet C_G(D).  The block e of F_q C_G(D) is pushed along
+    the central quotient Q by Z(D) in the class-sum basis (when Z(D) is
+    trivial, Q is C_G(D) itself and no quotient is built); the image
+    block algebra has square dimension d*d and the simple has dimension
+    d.  The block ideal is a summand of F_q Q, so it is projective and
+    hence free over a Sylow p-subgroup P of Q; its rank there is the
+    dimension of its image in F_q Q (x)_{F_q P} F_q = F_q[Q/P].  So
+    d*d = |P| * rank(e on F_q[Q/P]), a rank on |Q:P| cosets instead of
+    on the |Q| elements of the regular module.
     """
     C = centralizer(G, D)
     Cg = C.as_group()
     if e.group.uid != Cg.uid:
         raise ValueError("e must be a block of the centralizer algebra")
-    Dg = D.as_group()
-    zd_parent = [D.from_local(i) for i in center(Dg).elements]
-    Z_in_C = Subgroup(Cg, [Cg.parent_to_local[z] for z in zd_parent],
-                      check=False)
-    Q, pi = quotient(Cg, Z_in_C)
-    vec = e.to_vector()
-    F = field
-    qvec = [0] * Q.order
-    for g, c in enumerate(vec):
-        if c:
-            qvec[pi(g)] = F.add(qvec[pi(g)], c)
-    if group_algebra_mul(F, Q, qvec, qvec) != qvec:
+    z_local = [Cg.parent_to_local[z] for z in D.elements if z in C]
+    if len(z_local) == 1:
+        Q, qe = Cg, e
+    else:
+        Q, pi = quotient(Cg, Subgroup(Cg, z_local, check=False))
+        qe = push_central(e, pi)
+    if qe * qe != qe:
         raise AssertionError("image of the block is not idempotent")
+    F = field
     P = sylow_subgroup(Q, F.p)
-    dim = P.order * coset_module_rank(F, Q, qvec, P)
+    dim = P.order * coset_module_rank(F, Q, qe.to_vector(), P)
     root = int(round(dim ** 0.5))
     if root * root != dim:
         raise ValueError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .acceptance import DEFAULT_SEED, run_all
 from .blocks import (assign_characters_to_blocks, block_idempotents,
@@ -135,6 +136,7 @@ def cmd_blocks(args) -> int:
         raise InputError(str(ex))
     m, _ = splitting_params(G, p)
     field = fq_field(p, _field_degree(p, args.field_degree, m))
+    started = time.perf_counter()
     try:
         blocks = block_idempotents(G, p, field)
     except ValueError as ex:
@@ -152,8 +154,10 @@ def cmd_blocks(args) -> int:
         "field_order": field.q,
         "block_count": len(blocks),
         "blocks": [],
+        "elapsed": round(time.perf_counter() - started, 3),
     }
     for i, b in enumerate(blocks):
+        started = time.perf_counter()
         D = defect_group(G, p, b, field)
         _, e = maximal_brauer_pair(G, p, b, field, D=D)
         entry = {
@@ -167,6 +171,7 @@ def cmd_blocks(args) -> int:
             entry["defect_zero_dim"] = defect_zero_simple_dim(G, D, e, field)
         except ValueError as ex:
             raise InputError(str(ex))
+        entry["elapsed"] = round(time.perf_counter() - started, 3)
         if partition is not None:
             entry["characters"] = [table.names[j] for j in partition[i]]
         report["blocks"].append(entry)

@@ -12,13 +12,13 @@ axioms and homomorphisms are checked exactly on generators (Light's
 associativity test), and conjugates, centralizers and normalizers of
 subgroups are computed from generators rather than from every element.
 Groups are immutable once built.  Data derived from a group (conjugacy
-classes, element orders, canonical conjugates, local groups, p-subgroup
-classes, quotients) is computed lazily and kept on that group, so it
-lives exactly as long as the group does.  A product G x H is kept weakly
-on G, so product_group returns one object for as long as anything holds
-it, and lets it go once nothing does.  Canonical representatives are
-always the smallest available integer id, which keeps every enumeration
-in the package deterministic.
+classes, element orders, canonical conjugates, centralizers of
+subgroups, local groups, p-subgroup classes, quotients) is computed
+lazily and kept on that group, so it lives exactly as long as the group
+does.  A product G x H is kept weakly on G, so product_group returns one
+object for as long as anything holds it, and lets it go once nothing
+does.  Canonical representatives are always the smallest available
+integer id, which keeps every enumeration in the package deterministic.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ class FiniteGroup:
         self._orders = None
         self._center = None
         # Data derived from this group lives here and dies with it:
-        # canonical conjugates, local groups, p-subgroup classes,
-        # quotients, class structure constants, the bundled table.
+        # canonical conjugates, centralizers of subgroups, local groups,
+        # p-subgroup classes, quotients, class structure constants, the
+        # bundled table.
         self._subgroup_cache: dict = {}
 
     @cached_property
@@ -289,7 +290,8 @@ class Subgroup:
 
         Element i of the result is self.elements[i]; the result carries
         local_to_parent / parent_to_local translation maps.  Cached per
-        (parent, elements) so repeated calls share one object.
+        (parent, elements) so repeated calls share one object.  The whole
+        of a group with a table shares that table's rows.
         """
         key = ("asgroup", self.elements)
         cached = self.parent._subgroup_cache.get(key)
@@ -300,6 +302,10 @@ class Subgroup:
                 # A product row is built on every call: take |S|^2 products.
                 mul = G.mul
                 table = [[loc[mul(a, b)] for b in elems] for a in elems]
+            elif self.order == G.order:
+                # The whole group: local ids are parent ids, so the rows
+                # are shared with the parent, not copied.
+                table = G.table
             else:
                 table = [[loc[row[b]] for b in elems]
                          for row in map(G.row, elems)]
@@ -572,12 +578,19 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def centralizer(G: FiniteGroup, part) -> Subgroup:
-    """Centralizer of an element, an iterable of elements, or a Subgroup;
-    of a Subgroup, only its generators are tested."""
+    """Centralizer of an element, an iterable of elements, or a Subgroup.
+
+    Of a Subgroup only its generators are tested, and the result is kept
+    on G keyed by the subgroup's elements, so it lives as long as G.
+    """
+    if isinstance(part, Subgroup):
+        key = ("centralizer", part.elements)
+        cached = G._subgroup_cache.get(key)
+        if cached is None:
+            cached = G._subgroup_cache[key] = centralizer(G, part.generators)
+        return cached
     if isinstance(part, int):
         part = [part]
-    elif isinstance(part, Subgroup):
-        part = part.generators
     part = list(part)
     return Subgroup(G, [x for x in range(G.order)
                         if all(G.conj(x, s) == s for s in part)], check=False)

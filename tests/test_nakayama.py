@@ -1,0 +1,104 @@
+"""Nakayama's rule as an oracle for the blocks of S_n, 3 <= n <= 6.
+
+The p-blocks of S_n are labelled by the p-cores reached from the
+partitions of n by removing p-hooks; a block whose core has size
+n - pw (its weight w) has the Sylow p-subgroups of S_pw as defect
+groups, and a block of weight 0 is the single character of its core,
+of degree given by the hook-length formula.  Nothing here uses the
+block code: the oracle is built from partitions alone and compared
+with what block_idempotents, maximal_brauer_pair and
+defect_zero_simple_dim compute on S_n closed from (1 2) and (1 2 ... n).
+"""
+
+from math import factorial, prod
+
+import pytest
+
+from bisetblocks.blocks import (block_idempotents, defect_zero_simple_dim,
+                                maximal_brauer_pair, splitting_params)
+from bisetblocks.gf import fq_field
+from bisetblocks.scenario import group_from_spec
+
+
+def partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def core_and_weight(shape, p):
+    """Remove p-hooks on the beta-set of shape until none is left."""
+    k = len(shape)
+    beta = {part + k - 1 - i for i, part in enumerate(shape)}
+    w = 0
+    moved = True
+    while moved:
+        moved = False
+        for x in sorted(beta):
+            if x >= p and x - p not in beta:
+                beta = (beta - {x}) | {x - p}
+                w += 1
+                moved = True
+                break
+    ordered = sorted(beta, reverse=True)
+    core = tuple(b - (k - 1 - i) for i, b in enumerate(ordered))
+    return tuple(part for part in core if part), w
+
+
+def hook_degree(shape):
+    n = sum(shape)
+    conj = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    hooks = prod(shape[i] - j + conj[j] - i - 1
+                 for i in range(len(shape)) for j in range(shape[i]))
+    return factorial(n) // hooks
+
+
+def p_part(n, p):
+    out = 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
+
+
+def nakayama(n, p):
+    """(block count, sorted defect orders, sorted defect-zero dimensions)."""
+    cores = {}
+    for shape in partitions(n):
+        core, w = core_and_weight(shape, p)
+        cores[core] = w
+    defects = sorted(p_part(factorial(p * w), p) for w in cores.values())
+    dims = sorted(hook_degree(core) for core, w in cores.items() if w == 0)
+    return len(cores), defects, dims
+
+
+def test_the_oracle_on_known_cases():
+    assert core_and_weight((3, 1), 2) == ((), 2)
+    assert core_and_weight((2, 1), 2) == ((2, 1), 0)
+    assert core_and_weight((4, 2), 3) == ((4, 2), 0)
+    assert hook_degree((3, 2, 1)) == 16
+    assert hook_degree((4, 1, 1)) == 10
+    assert nakayama(4, 3) == (3, [1, 1, 3], [3, 3])
+    assert nakayama(6, 2) == (2, [1, 16], [16])
+
+
+CASES = [(n, p) for n in range(3, 7) for p in (2, 3, 5) if p <= n]
+
+
+@pytest.mark.parametrize("n, p", CASES)
+def test_blocks_of_symmetric_groups_follow_nakayama(n, p):
+    cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    G = group_from_spec({"name": f"S{n}", "generators": ["(1 2)", cycle]})
+    F = fq_field(p, splitting_params(G, p)[0])
+    orders, dims = [], []
+    blocks = block_idempotents(G, p, F)
+    for b in blocks:
+        D, e = maximal_brauer_pair(G, p, b, F)
+        orders.append(D.order)
+        if D.order == 1:
+            dims.append(defect_zero_simple_dim(G, D, e, F))
+    assert (len(blocks), sorted(orders), sorted(dims)) == nakayama(n, p)

@@ -451,3 +451,25 @@ def test_cli_blocks_prime_above_the_cap(capsys):
     assert_input_error(capsys, ["blocks", "S3", "--prime",
                                 str(2 ** 61 - 1)],
                        "is larger than the field size cap 4096")
+
+
+@pytest.mark.parametrize("prime, digest", [
+    (2, "5af8a52934a2903538ada283fc61eea1372d31befaca130ae6fe225066a5742c"),
+    (3, "f9a11f8322c8f56907aab1aadb3fe5c5f1394980ad0309b632ada210a1962c95")])
+def test_cli_blocks_times_sit_beside_an_unchanged_report(capsys, prime,
+                                                         digest):
+    import hashlib
+
+    def strip(doc):
+        if isinstance(doc, dict):
+            return {k: strip(v) for k, v in doc.items() if k != "elapsed"}
+        if isinstance(doc, list):
+            return [strip(v) for v in doc]
+        return doc
+    code, rep = run_cli(capsys, ["blocks", "S4", "--prime", str(prime)])
+    assert code == 0
+    for timed in [rep] + rep["blocks"]:
+        assert type(timed["elapsed"]) is float and timed["elapsed"] >= 0
+    # the digest of this report as it was before it carried times
+    text = json.dumps(strip(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
