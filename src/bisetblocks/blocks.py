@@ -11,22 +11,24 @@ dimension of the defect-zero simple over the central quotient are built
 on top, and stay in the class-sum basis: br_D maps Z(F_q G) into
 Z(F_q C_G(D)) class by class, products of central elements use the
 class structure constants, and a central element is pushed along a
-quotient map class by class.  Centralizers and local groups are kept
-on their group, and the whole group as a local group shares its rows.
+quotient map class by class.  Centralizers, local groups and block
+idempotents are kept on their group, and the whole group as a local
+group shares its rows.
 The one vector over group elements left is the pushed block's, whose
 rank on the permutation module of the cosets of a Sylow p-subgroup
 gives the dimension: a block ideal is projective, so it is free over
 any p-subgroup P, and its dimension is |P| times the rank of the block
-on F_q[G/P].  brauer_hom and group_algebra_mul work on coefficient
-vectors over the group elements; the block layer does not call them,
-and the tests use them as references for the class-sum versions.
+on F_q[G/P].  The tests check the class-sum code against references
+on element vectors; brauer_hom and group_algebra_mul are two of them,
+kept here because the benchmark tracer wraps them by name, and the
+others live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import CharacterTable, ClassFunction
+from .characters import CharacterTable
 from .cyclotomic import Cyclotomic
 from .gf import (Fq, mat_rank, mat_rref, mat_solve, poly_exact_div,
                  poly_factor, poly_mul, poly_trim, poly_xgcd)
@@ -285,11 +287,18 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
     """The primitive central idempotents of F_q G, in a stable order.
 
     The list is sorted by class-sum coefficient tuple; idempotency,
-    orthogonality and summing to 1 are asserted before returning.
+    orthogonality and summing to 1 are asserted before it is first
+    returned.  It is kept on G per field, since central elements over
+    different field objects never compare equal, and each call returns
+    a new list.
     """
     F = field
     if F.p != p:
         raise ValueError("field characteristic must equal p")
+    key = ("blocks", p, F)
+    cached = G._subgroup_cache.get(key)
+    if cached is not None:
+        return list(cached)
     classes = G.conjugacy_classes()
     k = len(classes)
     basis = []
@@ -322,6 +331,7 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
         blocks = refined
     blocks.sort(key=lambda b: b.coeffs)
     _assert_block_axioms(F, G, blocks)
+    G._subgroup_cache[key] = tuple(blocks)
     return blocks
 
 
@@ -567,17 +577,6 @@ def assign_characters_to_blocks(table: CharacterTable,
                 f"character {table.names[ci]} matched {len(hits)} blocks")
         partition[hits[0]].append(ci)
     return partition
-
-
-def principal_block_index(table: CharacterTable,
-                          blocks: list[CentralElement],
-                          field: Fq) -> int:
-    """Index of the block containing the trivial character."""
-    part = assign_characters_to_blocks(table, blocks, field)
-    for bi, chars in enumerate(part):
-        if 0 in chars:
-            return bi
-    raise AssertionError("trivial character matched no block")
 
 
 # -- Brauer construction on bisets -----------------------------------

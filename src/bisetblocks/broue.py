@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from .blocks import (assign_characters_to_blocks, block_idempotents,
-                     brauer_hom, defect_group, defect_zero_simple_dim,
+                     brauer_image, defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_field_degree)
 from .characters import (CharacterTable, ClassFunction, _dot,
                          abelian_character_table, contract_middle,
@@ -502,22 +502,21 @@ class BrouePipeline:
         return {"ok": not bad, "per_character": out,
                 "stabilizer_is_H": J.order == self.H.order}
 
-    def _pair_stabilizer(self) -> Subgroup | None:
-        """The subgroup of N_H(E) fixing the local block of the pair."""
+    def _pair_stabilizer(self) -> Subgroup:
+        """The subgroup of N_H(E) fixing the local block f of the pair.
+
+        n normalizes E, hence C = C_H(E), so conjugation by n permutes
+        the classes of C.  f is constant on each class, so n fixes f
+        exactly when f has the same coefficient on each class K and on
+        the class of n K[0] n^-1: one representative per class of C.
+        """
         H = self.H
-        E = self.side_H.D
-        N = normalizer(H, E)
-        C = self.side_H.C
-        f_vec = self.side_H.e.to_vector()
-        keep = []
-        for n in N.elements:
-            ok = True
-            for i, x in enumerate(C.elements):
-                if f_vec[C.to_local(H.conj(n, x))] != f_vec[i]:
-                    ok = False
-                    break
-            if ok:
-                keep.append(n)
+        C, f = self.side_H.C, self.side_H.e
+        Cg = C.as_group()
+        reps = [C.from_local(K[0]) for K in Cg.conjugacy_classes()]
+        keep = [n for n in normalizer(H, self.side_H.D).elements
+                if all(f.coeffs[Cg.class_index(C.to_local(H.conj(n, x)))]
+                       == c for x, c in zip(reps, f.coeffs))]
         return Subgroup(H, keep, check=False)
 
     def _local_rank(self, local_tab: CharacterTable, f_part,
@@ -536,8 +535,10 @@ class BrouePipeline:
 
         Requires C_G(D) = N_G(D) and an isomorphism of that group with
         H; then the Brauer image of b must equal the H-block idempotent
-        under some (hence a fixed) isomorphism.  Reports skipped when
-        the shape does not apply.
+        under some (hence a fixed) isomorphism.  Both are central, and
+        an isomorphism iota maps each class K of C_G(D) onto the class
+        of iota(K[0]) in H, so the two are compared one class at a time.
+        Reports skipped when the shape does not apply.
         """
         G, H = self.G, self.H
         D = self.side_G.D
@@ -551,13 +552,12 @@ class BrouePipeline:
         if not isos:
             return {"status": "skipped",
                     "reason": "local subgroup is not isomorphic to H"}
-        br = brauer_hom(self.side_G.block.to_vector(), D, self.field)
-        target = self.side_H.block.to_vector()
+        br = brauer_image(self.side_G.block, D)
+        target = self.side_H.block.coeffs
+        local_classes = Cg.conjugacy_classes()
         for k, iota in enumerate(isos):
-            moved = [0] * H.order
-            for i in range(Cg.order):
-                moved[iota(i)] = br[i]
-            if moved == target:
+            if all(c == target[H.class_index(iota(K[0]))]
+                   for K, c in zip(local_classes, br.coeffs)):
                 return {"status": "confirmed", "iso_index": k}
         return {"status": "failed",
                 "reason": "no isomorphism matches br_D(b) with the H-block"}

@@ -305,13 +305,6 @@ def poly_powmod(F, base, e: int, mod):
     return out
 
 
-def poly_eval(F, f, x):
-    out = 0
-    for c in reversed(poly_trim(f)):
-        out = F.add(F.mul(out, x), c)
-    return out
-
-
 def poly_derivative(F: Fq, f):
     # k % p is k's image in the prime subfield, which is 0..p-1
     return poly_trim([F.mul(k % F.p, f[k]) for k in range(1, len(f))] or [0])

@@ -64,8 +64,8 @@ class FiniteGroup:
         self._center = None
         # Data derived from this group lives here and dies with it:
         # canonical conjugates, centralizers of subgroups, local groups,
-        # p-subgroup classes, quotients, class structure constants, the
-        # bundled table.
+        # p-subgroup classes, quotients, class structure constants, block
+        # idempotents per field, the bundled table.
         self._subgroup_cache: dict = {}
 
     @cached_property
@@ -262,10 +262,6 @@ class Subgroup:
         return all(G.conj(x, h) in self.element_set
                    for x in G.generators for h in self.generators)
 
-    def conjugated_by(self, x: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, [G.conj(x, h) for h in self.elements], check=False)
-
     def canonical_conjugate(self, largest: bool = False) -> "Subgroup":
         """The conjugate with extremal element tuple; smallest by default.
 
@@ -376,9 +372,6 @@ class GroupHom:
         return Subgroup(self.source,
                         [g for g in range(self.source.order)
                          if self.images[g] == e], check=False)
-
-    def image(self) -> Subgroup:
-        return Subgroup(self.target, set(self.images), check=False)
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
@@ -754,16 +747,6 @@ def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def double_coset_of(G: FiniteGroup, A: Subgroup, g: int, B: Subgroup
-                    ) -> frozenset[int]:
-    out = set()
-    for a in A.elements:
-        ag = G.mul(a, g)
-        for b in B.elements:
-            out.add(G.mul(ag, b))
-    return frozenset(out)
-
-
 # -- p-subgroups ------------------------------------------------------
 
 def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int
@@ -842,13 +825,6 @@ def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
-
-
-def is_p_group(S: Subgroup, p: int) -> bool:
-    n = S.order
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # -- isomorphism search ----------------------------------------------

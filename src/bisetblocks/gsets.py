@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .groups import (FiniteGroup, GroupHom, ProductGroup, RowCache,
-                     Subgroup, double_cosets, extend_subgroup, orbit,
-                     product_group, quotient)
+from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
+                     double_cosets, extend_subgroup, orbit, product_group)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -75,9 +74,6 @@ class GAction:
             for b in range(G.order):
                 if rows[ts[b]] != tuple(rs[x] for x in rows[b]):
                     raise ValueError("action is not compatible with products")
-
-    def apply(self, g: int, x: int) -> int:
-        return self.rows[g][x]
 
     def _generator_rows(self) -> list[tuple[int, ...]]:
         return [self.rows[s] for s in self.group.generators]
@@ -157,14 +153,6 @@ class TransitiveDecomposition:
     def __hash__(self):
         return hash((self.group.uid, self.items))
 
-    def total_size(self) -> int:
-        return sum(m * (self.group.order // len(el))
-                   for el, m in self.items)
-
-    def summands(self) -> list[tuple[Subgroup, int]]:
-        return [(Subgroup(self.group, el, check=False), m)
-                for el, m in self.items]
-
     def __repr__(self):
         parts = ", ".join(f"{len(el)}^{m}" for el, m in self.items)
         return f"TransitiveDecomposition[{parts}]"
@@ -181,10 +169,6 @@ def iso_check(A: GAction, B: GAction) -> bool:
 
 def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
     return GAction(G, [tuple(range(size))] * G.order, check=False)
-
-
-def regular_action(G: FiniteGroup) -> GAction:
-    return GAction(G, G.row, size=G.order, check=False)
 
 
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
@@ -307,17 +291,6 @@ def left_action_of_biset(U: BisetView) -> GAction:
 
 # -- elementary bisets -----------------------------------------------
 
-def restriction_biset(S: Subgroup) -> BisetView:
-    """Restriction to a subgroup: the (H, G)-biset on G with H = S."""
-    G = S.parent
-    Hg = S.as_group()
-    amb = product_group(Hg, G)
-    X = ProductSubgroup(
-        amb, [amb.encode(i, S.from_local(i)) for i in range(Hg.order)],
-        check=False)
-    return biset_coset(X)
-
-
 def induction_biset(S: Subgroup) -> BisetView:
     """Induction from a subgroup: the (G, H)-biset on G with H = S."""
     G = S.parent
@@ -327,65 +300,6 @@ def induction_biset(S: Subgroup) -> BisetView:
         amb, [amb.encode(S.from_local(i), i) for i in range(Hg.order)],
         check=False)
     return biset_coset(X)
-
-
-def inflation_biset(G: FiniteGroup, N: Subgroup) -> BisetView:
-    """Inflation along G -> G/N as a (G, G/N)-biset."""
-    Q, pi = quotient(G, N)
-    amb = product_group(G, Q)
-    X = ProductSubgroup(amb, [amb.encode(g, pi(g)) for g in range(G.order)],
-                        check=False)
-    return biset_coset(X)
-
-
-def deflation_biset(G: FiniteGroup, N: Subgroup) -> BisetView:
-    """Deflation along G -> G/N as a (G/N, G)-biset."""
-    Q, pi = quotient(G, N)
-    amb = product_group(Q, G)
-    X = ProductSubgroup(amb, [amb.encode(pi(g), g) for g in range(G.order)],
-                        check=False)
-    return biset_coset(X)
-
-
-def isomorphism_biset(alpha: GroupHom) -> BisetView:
-    """Transport along an isomorphism alpha as a (target, source)-biset."""
-    if not alpha.is_isomorphism():
-        raise ValueError("alpha must be an isomorphism")
-    amb = product_group(alpha.target, alpha.source)
-    X = ProductSubgroup(
-        amb, [amb.encode(alpha(g), g) for g in range(alpha.source.order)],
-        check=False)
-    return biset_coset(X)
-
-
-def conjugation_biset(S: Subgroup, x: int) -> BisetView:
-    """Conjugation by x as a (xSx^-1, S)-biset."""
-    G = S.parent
-    Sc = S.conjugated_by(x)
-    amb = product_group(Sc.as_group(), S.as_group())
-    X = ProductSubgroup(
-        amb,
-        [amb.encode(Sc.to_local(G.conj(x, S.from_local(i))), i)
-         for i in range(S.order)],
-        check=False)
-    return biset_coset(X)
-
-
-def elementary_biset(kind: str, **data) -> BisetView:
-    """Dispatch on the five elementary kinds plus conjugation."""
-    if kind == "res":
-        return restriction_biset(data["subgroup"])
-    if kind == "ind":
-        return induction_biset(data["subgroup"])
-    if kind == "inf":
-        return inflation_biset(data["group"], data["normal"])
-    if kind == "def":
-        return deflation_biset(data["group"], data["normal"])
-    if kind == "iso":
-        return isomorphism_biset(data["alpha"])
-    if kind == "con":
-        return conjugation_biset(data["subgroup"], data["element"])
-    raise ValueError(f"unknown elementary biset kind {kind!r}")
 
 
 # -- tensor products -------------------------------------------------

@@ -59,18 +59,6 @@ def group_from_spec(spec) -> FiniteGroup:
     raise ValueError("group spec needs a name, generators, or a table")
 
 
-def group_to_spec(G: FiniteGroup):
-    """A document fragment that resolves back to G."""
-    if G.name in BUNDLED_NAMES and named_group(G.name) is G:
-        return G.name
-    if getattr(G, "generator_ids", None) is not None \
-            and getattr(G, "element_names", None) is not None:
-        return {"name": G.name,
-                "generators": [G.element_names[g] for g in G.generator_ids]}
-    return {"name": G.name,
-            "table": [list(G.row(g)) for g in range(G.order)]}
-
-
 # -- bundled character tables ----------------------------------------
 
 def bundled_table(name: str) -> CharacterTable:
@@ -150,31 +138,12 @@ def parse_term(doc: dict, G: FiniteGroup, H: FiniteGroup) -> GammaTerm:
     return GammaTerm(twisted_diagonal(P, phi, Q), int(doc["coefficient"]))
 
 
-def term_to_doc(term: GammaTerm) -> dict:
-    X = term.vertex
-    amb = X.ambient
-    G, H = amb.left, amb.right
-    if X.k2.order != 1 or X.k1.order != 1:
-        raise ValueError("term is not the graph of an isomorphism")
-    pair_map = {b: a for a, b in X.pairs()}
-    from .groups import minimal_generating_sequence
-    Qg = X.p2.as_group()
-    q_gens = [X.p2.from_local(i) for i in minimal_generating_sequence(Qg)]
-    return {
-        "p_gens": [G.element_names[pair_map[q]] for q in q_gens],
-        "q_gens": [H.element_names[q] for q in q_gens],
-        "phi": [G.element_names[pair_map[q]] for q in q_gens],
-        "coefficient": term.coefficient,
-    }
-
-
 class Scenario:
     """A parsed scenario: groups, prime, block selectors, gamma terms."""
 
     def __init__(self, doc: dict) -> None:
         if doc.get("kind") != "broue-scenario":
             raise ValueError("document is not a broue-scenario")
-        self.doc = doc
         self.name = doc.get("name", "scenario")
         self.G = group_from_spec(doc["group_G"])
         self.H = group_from_spec(doc["group_H"])
@@ -214,38 +183,6 @@ class Scenario:
                 if sel["contains_char"] not in tab.names:
                     raise ValueError(
                         f"unknown character {sel['contains_char']!r}")
-
-    def emit(self) -> dict:
-        """The canonical document for this scenario."""
-        out = {
-            "kind": "broue-scenario",
-            "name": self.name,
-            "group_G": group_to_spec(self.G),
-            "group_H": group_to_spec(self.H),
-            "prime": self.p,
-            "block_G": dict(self.block_G),
-            "block_H": dict(self.block_H),
-            "gamma": [term_to_doc(t) for t in self.gamma_terms],
-        }
-        if self.complex is not None:
-            out["complex"] = [
-                {"degree": d, "terms": [term_to_doc(t) for t in terms]}
-                for d, terms in self.complex]
-        if self.checks:
-            out["checks"] = dict(self.checks)
-        if "table_G" in self.doc:
-            out["table_G"] = self.doc["table_G"]
-        if "table_H" in self.doc:
-            out["table_H"] = self.doc["table_H"]
-        return out
-
-
-def parse_scenario(doc: dict) -> Scenario:
-    return Scenario(doc)
-
-
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 BUNDLED_SCENARIOS = ("c6_c3", "identity_s3", "a4_c3")

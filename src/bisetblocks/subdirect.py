@@ -10,8 +10,7 @@ the pullback onto X * Y has kernel isomorphic to k2(X) & k1(Y).
 
 from __future__ import annotations
 
-from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
-                     product_group)
+from .groups import GroupHom, ProductGroup, Subgroup, product_group
 
 
 class ProductSubgroup(Subgroup):
@@ -71,25 +70,8 @@ class ProductSubgroup(Subgroup):
                 f"{self.ambient.name})")
 
 
-def product_subgroup(ambient: ProductGroup, pairs, check: bool = True
-                     ) -> ProductSubgroup:
-    """Build from explicit (left, right) pairs."""
-    return ProductSubgroup(ambient,
-                           [ambient.encode(a, b) for a, b in pairs],
-                           check=check)
-
-
 def full_product_subgroup(ambient: ProductGroup) -> ProductSubgroup:
     return ProductSubgroup(ambient, range(ambient.order), check=False)
-
-
-def rectangle(ambient: ProductGroup, A: Subgroup, B: Subgroup
-              ) -> ProductSubgroup:
-    """The full rectangle A x B inside G x H."""
-    return ProductSubgroup(
-        ambient,
-        [ambient.encode(a, b) for a in A.elements for b in B.elements],
-        check=False)
 
 
 def star(X: ProductSubgroup, Y: ProductSubgroup) -> ProductSubgroup:

@@ -6,6 +6,7 @@ the check's own verdict.  Budgets are enforced inside the checks; a
 slow pass comes back as a failure.
 """
 
+from bisetblocks import acceptance
 from bisetblocks.acceptance import (DEFAULT_SEED, criterion_1, criterion_2,
                                     criterion_3, criterion_4, criterion_5,
                                     criterion_6, criterion_7, criterion_8,
@@ -41,6 +42,15 @@ def test_criterion_4_character_contraction(capfd):
 
 def test_criterion_5_s3_blocks(capfd):
     _run(capfd, criterion_5)
+
+
+def test_criterion_5_reports_a_failed_block_axiom(monkeypatch):
+    def broken(G, p, field):
+        raise AssertionError("block candidates are not orthogonal")
+    monkeypatch.setattr(acceptance, "block_idempotents", broken)
+    r = criterion_5()
+    assert not r["ok"]
+    assert r["detail"] == "block axioms: block candidates are not orthogonal"
 
 
 def test_criterion_6_c6_c3_scenario(capfd):

@@ -5,18 +5,26 @@ import hashlib
 import json
 import os
 from fractions import Fraction
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+from bisetblocks.blocks import block_idempotents, splitting_params
 from bisetblocks.broue import (BrouePipeline, PipelineError,
                                VirtualPPermBimodule, residue_of_fraction,
                                rickard_reduce, run_scenario,
                                scenario_field_degree)
 from bisetblocks.characters import (external_character, inner_product,
                                     perm_character)
+from bisetblocks.gf import fq_field
+from bisetblocks.groups import (centralizer, group_from_permutations,
+                                p_subgroups_up_to_conjugacy)
 from bisetblocks.gsets import biset_coset
 from bisetblocks.namedgroups import named_group
 from bisetblocks.scenario import Scenario, bundled_scenario
+
+from oracles import correspondent_iso_index, pair_stabilizer
 
 
 def pipeline_for(S, **kw):
@@ -237,6 +245,31 @@ def test_pair_projector_is_small_and_well_formed():
         assert 1 <= coeff < pipe.field.q
 
 
+def test_correspondent_check_skips_and_fails():
+    # identity_s3 at p=3: C_S3(C3) = C3 while N_S3(C3) = S3
+    pipe = pipeline_for(bundled_scenario("identity_s3"))
+    assert pipe.correspondent_check() == {
+        "status": "skipped",
+        "reason": "centralizer and normalizer of D differ"}
+    # c6_c3: C_C6(C3) = C6 is not isomorphic to H = C3
+    pipe = pipeline_for(bundled_scenario("c6_c3"))
+    assert pipe.correspondent_check() == {
+        "status": "skipped",
+        "reason": "local subgroup is not isomorphic to H"}
+    # two different defect-zero blocks of S4 at p=3: D = 1, br_D(b) = b,
+    # and no automorphism of S4 moves one central idempotent to another
+    S = _scenario("identity_s4_p3")
+    pipe = pipeline_for(S)
+    assert pipe.correspondent_check() == {"status": "confirmed",
+                                          "iso_index": 0}
+    pipe = BrouePipeline(S.G, S.H, S.p, S.table_G, S.table_H,
+                         {"index": 0}, {"index": 1})
+    assert pipe.side_G.D.order == pipe.side_H.D.order == 1
+    assert pipe.correspondent_check() == {
+        "status": "failed",
+        "reason": "no isomorphism matches br_D(b) with the H-block"}
+
+
 def test_rickard_reduce_merges_degrees():
     S = bundled_scenario("c6_c3")
     pipe = pipeline_for(S)
@@ -264,8 +297,8 @@ def test_degenerate_complex_reports_without_running():
 
 
 def test_complex_scenario_runs_after_reduction():
-    S = bundled_scenario("c6_c3")
-    base = S.emit()
+    base = json.loads(resources.files("bisetblocks")
+                      .joinpath("data/scenarios/c6_c3.json").read_text())
     term = base["gamma"][0]
     doc = {k: v for k, v in base.items() if k != "gamma"}
     doc["complex"] = [{"degree": 0, "terms": [dict(term)]},
@@ -358,3 +391,39 @@ def test_stage_times_sit_beside_an_unchanged_report():
     text = json.dumps(strip(r), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "2eced485fe9aba69cbe3824e45b2b9a67b1d0ffa6f22e23ff9c743d64af08b4b"
+
+
+@pytest.mark.parametrize("conventions", ("standard", "alternate"))
+@pytest.mark.parametrize("name", ("c6_c3", "identity_s3", "a4_c3")
+                         + IDENTITY_SCENARIOS)
+def test_class_basis_local_checks_match_element_vectors(name, conventions):
+    S = _scenario(name)
+    pipe = pipeline_for(S, conventions=conventions)
+    assert pipe._pair_stabilizer().elements == \
+        pair_stabilizer(pipe).elements
+    for j in range(len(pipe.side_H.blocks)):
+        other = BrouePipeline(S.G, S.H, S.p, S.table_G, S.table_H,
+                              S.block_G, {"index": j},
+                              conventions=conventions)
+        res = other.correspondent_check()
+        if res["status"] != "skipped":
+            assert res.get("iso_index") == correspondent_iso_index(other)
+
+
+def test_pair_stabilizer_sees_a_moved_local_block():
+    # D30 at p=5: E = C5, C_H(E) = C15 and N_H(E) = D30; the reflections
+    # swap the blocks of F_q C15 lying over the two nontrivial characters
+    # of C3, so those blocks have stabilizer C15.
+    H = group_from_permutations(
+        ["(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)",
+         "(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)"], name="D30")
+    F = fq_field(5, splitting_params(H, 5)[0])
+    orders = []
+    for E in p_subgroups_up_to_conjugacy(H, 5):
+        C = centralizer(H, E)
+        for f in block_idempotents(C.as_group(), 5, F):
+            pipe = SimpleNamespace(H=H, side_H=SimpleNamespace(C=C, e=f, D=E))
+            J = BrouePipeline._pair_stabilizer(pipe)
+            assert J.elements == pair_stabilizer(pipe).elements
+            orders.append((E.order, J.order))
+    assert sorted(orders) == [(1, 30), (1, 30), (5, 15), (5, 15), (5, 30)]

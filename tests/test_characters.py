@@ -18,10 +18,12 @@ from bisetblocks.characters import (CharacterTable, ClassFunction,
 from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.groups import (element_by_name, full_subgroup, product_group,
                                 quotient, subgroup_generated)
-from bisetblocks.gsets import coset_action, regular_action
+from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table
-from bisetblocks.subdirect import diagonal, rectangle
+from bisetblocks.subdirect import diagonal
+
+from oracles import rectangle, regular_action
 
 EXPECTED_DEGREES = {
     "S3": [1, 1, 2],

@@ -11,17 +11,17 @@ from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
 from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
                                biset_from_left_action, check_defres_description,
                                coset_action, defres_biset, disjoint_union,
-                               dual_biset, elementary_biset,
-                               extended_induction_formula, extended_tensor,
-                               external_product, induced_action,
-                               induction_biset, inflation_biset, iso_check,
-                               left_action_of_biset, regular_action,
-                               restriction_biset, tensor_direct, tensor_mackey,
-                               tensor_induced_bisets_formula, trivial_action)
+                               dual_biset, extended_induction_formula,
+                               extended_tensor, external_product,
+                               induced_action, induction_biset, iso_check,
+                               left_action_of_biset, tensor_direct,
+                               tensor_mackey, tensor_induced_bisets_formula,
+                               trivial_action)
 from bisetblocks.namedgroups import named_group
-from bisetblocks.subdirect import (ProductSubgroup, diagonal,
-                                   full_product_subgroup, rectangle,
-                                   twisted_diagonal)
+from bisetblocks.subdirect import ProductSubgroup, diagonal
+
+from oracles import (inflation_biset, rectangle, regular_action,
+                     restriction_biset, total_size)
 
 
 def el(G, spec):
@@ -54,7 +54,7 @@ def test_regular_action_decomposition():
     assert len(dec.items) == 1
     (key, mult), = dec.items
     assert mult == 1 and len(key) == 1  # trivial stabilizer
-    assert dec.total_size() == 6
+    assert total_size(dec) == 6
 
 
 def test_decompose_matches_disjoint_union():
@@ -65,7 +65,7 @@ def test_decompose_matches_disjoint_union():
     B = coset_action(S3, C3)
     both = disjoint_union(A, B, A)
     dec = both.decompose()
-    assert dec.total_size() == 3 + 2 + 3
+    assert total_size(dec) == 3 + 2 + 3
     counts = dict(dec.items)
     key2 = C2.canonical_conjugate().elements
     key3 = C3.canonical_conjugate().elements
@@ -88,7 +88,7 @@ def test_fixed_points_match_stabilizer_counts():
     A = coset_action(A4, V)
     for g in range(A4.order):
         fixed = A.fixed_points([g])
-        direct = sum(1 for x in range(A.size) if A.apply(g, x) == x)
+        direct = sum(1 for x in range(A.size) if A.rows[g][x] == x)
         assert len(fixed) == direct
 
 
@@ -99,12 +99,10 @@ def test_elementary_biset_sizes():
     assert restriction_biset(C2).size == 6
     assert induction_biset(C2).size == 6
     assert inflation_biset(S3, C3).size == 2  # underlying set is G/N
-    U = elementary_biset("res", subgroup=C2)
+    U = restriction_biset(C2)
     assert U.left.order == 2 and U.right.order == 6
-    V = elementary_biset("ind", subgroup=C2)
+    V = induction_biset(C2)
     assert V.left.order == 6 and V.right.order == 2
-    with pytest.raises(ValueError):
-        elementary_biset("frob", subgroup=C2)
 
 
 def test_mackey_res_ind_double_cosets():
@@ -190,7 +188,7 @@ def test_defres_biset_shape():
     W = defres_biset(X, Y)
     assert W.left.order == 3  # star of the two diagonals is delta(C3)
     assert W.right.order == X.order * Y.order
-    assert W.decompose().total_size() == W.size
+    assert total_size(W.decompose()) == W.size
 
 
 def test_induced_action_size_and_validity():
@@ -199,7 +197,7 @@ def test_induced_action_size_and_validity():
     U = regular_action(S.as_group())
     I = induced_action(S4, S, U)
     assert I.size == S.index * U.size
-    assert I.decompose().total_size() == I.size
+    assert total_size(I.decompose()) == I.size
 
 
 def test_extended_induction_formula_instance():
@@ -287,7 +285,7 @@ def test_gaction_row_function_needs_a_size():
     with pytest.raises(ValueError):
         GAction(S3, S3.row)
     A = GAction(S3, S3.row, size=6)
-    assert A.rows[4] == S3.row(4) and A.decompose().total_size() == 6
+    assert A.rows[4] == S3.row(4) and total_size(A.decompose()) == 6
 
 
 # -- oracles that scan every group element ----------------------------
@@ -362,7 +360,7 @@ def test_coset_biset_decompose_reads_only_generator_rows():
               rectangle(amb, subgroup_generated(S4, [el(S4, "(1 2 3)")]),
                         full_subgroup(S4))):
         U = biset_coset(X)
-        assert U.decompose().total_size() == U.size == amb.order // X.order
+        assert total_size(U.decompose()) == U.size == amb.order // X.order
         assert len(U.action.rows) <= len(amb.generators)
         T = tensor_direct(U, U)
         T.decompose()

@@ -9,9 +9,10 @@ from bisetblocks.groups import (GroupHom, element_by_name, full_subgroup,
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import (ProductSubgroup, diagonal,
                                    full_product_subgroup, is_twisted_diagonal,
-                                   middle_kernel, middle_witnesses,
-                                   product_subgroup, pullback, rectangle,
+                                   middle_kernel, middle_witnesses, pullback,
                                    star, twisted_diagonal)
+
+from oracles import product_subgroup, rectangle
 
 
 def el(G, spec):
