@@ -72,7 +72,8 @@ class ReductionMap:
 
     A value of minimal conductor n = p^a n' goes to w^(inverse of p^a
     mod n') evaluated on the fixed primitive n'-th root w of the field;
-    rational coefficients reduce mod p.  Requires n' to divide q - 1.
+    the integer numerators reduce mod p and the common denominator, which
+    must be prime to p, is inverted once.  Requires n' to divide q - 1.
     """
 
     def __init__(self, field: Fq) -> None:
@@ -97,18 +98,17 @@ class ReductionMap:
         else:
             t = pow(p, -a, n_prime) if a else 1
             root_img = F.power(F.root_of_unity(n_prime), t)
+        if v.den % p == 0:
+            raise NotPIntegral(f"denominator {v.den} not prime to {p}")
         out = 0
         zk = 1
-        for c in v.coeffs:
-            if c.denominator % p == 0:
-                raise NotPIntegral(
-                    f"denominator {c.denominator} not prime to {p}")
+        for c in v.num:
             if c:
-                cf = F.mul(F.from_int(c.numerator),
-                           F.inv(F.from_int(c.denominator)))
-                out = F.add(out, F.mul(cf, zk))
+                out = F.add(out, F.mul(F.from_int(c), zk))
             zk = F.mul(zk, root_img)
-        return out
+        if v.den == 1:
+            return out
+        return F.mul(out, F.inv(F.from_int(v.den)))
 
 
 # -- center of the group algebra -------------------------------------

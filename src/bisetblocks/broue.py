@@ -23,9 +23,10 @@ from fractions import Fraction
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      brauer_image, defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_field_degree)
-from .characters import (CharacterTable, ClassFunction, _dot,
+from .characters import (CharacterTable, ClassFunction,
                          abelian_character_table, contract_middle,
                          perm_character, restrict)
+from .cyclotomic import dot
 from .gf import Fq, fq_field, mat_rank
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
                      int_p_part, int_p_prime_part, isomorphisms, normalizer,
@@ -225,9 +226,9 @@ class BrouePipeline:
         full: dict = {}
         for i, chi in enumerate(tG.irreducibles):
             chi_bar = _weighted_conjugate(chi)
-            R = [_dot(column, chi_bar) for column in columns]
+            R = [dot(column, chi_bar) for column in columns]
             for j, tb in enumerate(theta_bar):
-                m = _dot(R, tb) * scale
+                m = dot(R, tb) * scale
                 if not m.is_rational() \
                         or m.as_fraction().denominator != 1:
                     raise PipelineError(
@@ -265,7 +266,7 @@ class BrouePipeline:
         theta_at = [[th[b] for th in thetas]
                     for b in range(len(self.H.conjugacy_classes()))]
         return ClassFunction(self.ambient, [
-            _dot([sj.values[a] for sj in s.values()], theta_b)
+            dot([sj.values[a] for sj in s.values()], theta_b)
             for a in range(len(self.G.conjugacy_classes()))
             for theta_b in theta_at])
 

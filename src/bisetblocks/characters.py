@@ -29,7 +29,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, ONE, ZERO
+from .cyclotomic import Cyclotomic, ONE, ZERO, dot
 from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
                      _extend_hom, element_by_name,
                      minimal_generating_sequence, product_group)
@@ -118,10 +118,9 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """The scalar product <a, b> = |G|^-1 sum_g a(g) conj(b(g))."""
     a._same(b)
     G = a.group
-    total = ZERO
-    for cls, va, vb in zip(G.conjugacy_classes(), a.values, b.values):
-        total = total + len(cls) * va * vb.conjugate()
-    return total * Fraction(1, G.order)
+    weighted = [len(cls) * vb.conjugate()
+                for cls, vb in zip(G.conjugacy_classes(), b.values)]
+    return dot(a.values, weighted) * Fraction(1, G.order)
 
 
 def perm_character(action) -> ClassFunction:
@@ -187,15 +186,6 @@ def external_character(chi: ClassFunction, theta: ClassFunction
     return ClassFunction(amb, vals)
 
 
-def _dot(xs, ys) -> Cyclotomic:
-    """sum x*y over the pairs, skipping the zero terms."""
-    total = ZERO
-    for x, y in zip(xs, ys):
-        if not (x.is_zero() or y.is_zero()):
-            total = total + x * y
-    return total
-
-
 def contract_middle(mu: ClassFunction, psi: ClassFunction,
                     ambient: ProductGroup) -> ClassFunction:
     """Pair a character on G x H against one on H, landing on G.
@@ -214,7 +204,7 @@ def contract_middle(mu: ClassFunction, psi: ClassFunction,
                                             psi.values)]
     kH = len(weighted)
     scale = Fraction(1, H.order)
-    vals = [_dot(mu.values[i * kH:(i + 1) * kH], weighted) * scale
+    vals = [dot(mu.values[i * kH:(i + 1) * kH], weighted) * scale
             for i in range(len(ambient.left.conjugacy_classes()))]
     return ClassFunction(ambient.left, vals)
 
@@ -243,7 +233,7 @@ def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
     vals = []
     for i in range(len(amb1.left.conjugacy_classes())):
         row = mu1.values[i * kH:(i + 1) * kH]
-        vals += [_dot(row, col) * scale for col in cols]
+        vals += [dot(row, col) * scale for col in cols]
     return ClassFunction(out_amb, vals)
 
 
@@ -400,17 +390,27 @@ def ingest_character_table(doc: dict, group: FiniteGroup | None = None
         if len(row["values"]) != k:
             raise ValueError("wrong number of character values")
         for col_idx, raw in enumerate(row["values"]):
-            vals[col_to_class[col_idx]] = _value_from_doc(raw)
+            vals[col_to_class[col_idx]] = _value_from_doc(raw, group)
         chars.append(ClassFunction(group, vals))
         names.append(row["name"])
     return CharacterTable(group, chars, names)
 
 
-def _value_from_doc(raw) -> Cyclotomic:
+def _value_from_doc(raw, group: FiniteGroup | None = None) -> Cyclotomic:
+    """A value from its document form, as a character value of group.
+
+    Every character value of G lies in Q(zeta_|G|), so given the group,
+    a conductor that does not divide 2|G| is refused before Phi_n is
+    built for it.
+    """
     if isinstance(raw, int):
         return Cyclotomic.from_rational(raw)
     if isinstance(raw, dict):
         n = raw["conductor"]
+        if group is not None and isinstance(n, int) and n >= 1 \
+                and (2 * group.order) % n:
+            raise ValueError(f"conductor {n} does not divide "
+                             f"2|G| = {2 * group.order}")
         out = ZERO
         for k, c in enumerate(raw["coeffs"]):
             if c:

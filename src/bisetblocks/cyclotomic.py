@@ -1,20 +1,32 @@
 """Exact arithmetic in cyclotomic fields.
 
-An element of conductor n is stored as a vector of rational coefficients
-over the power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), where z is a
-fixed primitive n-th root of unity and phi is Euler's totient.  Mixed
+An element of conductor n is a vector of rational coordinates over the
+power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), where z is a fixed
+primitive n-th root of unity and phi is Euler's totient.  It is stored
+as phi(n) integer numerators ``num`` over one common denominator
+``den`` >= 1, in lowest terms: gcd(den, *num) == 1, so two elements of
+one conductor are equal exactly when their numerators and denominators
+are.  Character values are algebraic integers, whose power-basis
+coordinates are integers (Washington, Introduction to Cyclotomic
+Fields, Thm 2.6), so the denominator is mostly 1 and arithmetic runs on
+Python ints; ``coeffs`` gives the coordinates as Fractions.  Mixed
 conductors are handled by lifting both operands to the least common
 multiple.  All operations are exact; nothing is ever rounded.
 
-Arithmetic touches the coefficients directly where it can: an int or
-Fraction operand of +, - or * (on either side) acts on the coefficients
-as a rational number, and so does an element of conductor 1, which
-lifts to any conductor by padding with zeros; two operands of one
-conductor are added or subtracted coordinate by coordinate.  Only
-operands of different conductors above 1 are lifted through a
-reduction modulo Phi_m, and only a product of two irrational elements
-multiplies polynomials.  Results are built without re-validating their
-coefficients, which are already phi(n) Fractions.
+Arithmetic touches the numerators directly where it can: an int operand
+of +, - or * (on either side) scales or shifts the numerators, a
+Fraction operand scales the numerators and the denominator, and so does
+an element of conductor 1, which lifts to any conductor by padding with
+zeros; two operands of one conductor and one denominator are added
+coordinate by coordinate.  Only operands of different conductors above
+1 are lifted through a reduction modulo Phi_m, and only a product of
+two irrational elements convolves numerators.
+
+``dot(xs, ys)`` is the fused sum of products behind the inner products
+and contractions of the character layer: every nonzero term is lifted
+to the lcm m of the conductors and accumulated into one int list of
+length 2 phi(m), rescaled when a term brings a new denominator, and the
+sum is reduced modulo Phi_m and put in lowest terms once, at the end.
 
 Polynomial division, the extended Euclidean algorithm and the linear
 solve behind conductor descent are the field-generic functions of gf,
@@ -27,7 +39,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .gf import mat_solve, poly_exact_div, poly_xgcd
 
@@ -67,36 +79,40 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row k is zeta_n^k expressed over the power basis, for 0 <= k < n."""
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k is zeta_n^k expressed over the power basis, for 0 <= k < n.
+
+    Phi_n is monic with integer coefficients, so every row is integral.
+    """
     d = euler_phi(n)
     phi = cyclotomic_polynomial(n)
     # z^d = -(phi_0 + phi_1 z + ... + phi_{d-1} z^{d-1})
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(d):
-        rows.append(tuple(Fraction(1) if i == k else Fraction(0) for i in range(d)))
+    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     for k in range(d, n):
         prev = rows[k - 1]
-        shifted = [Fraction(0)] + list(prev[:-1])
         lead = prev[-1]
-        if lead:
-            for i in range(d):
-                shifted[i] -= lead * phi[i]
-        rows.append(tuple(shifted))
+        rows.append(tuple(a - lead * c
+                          for a, c in zip((0,) + prev[:-1], phi)))
     return tuple(rows)
 
 
-def _reduce_poly(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n of any degree to the power basis."""
+def _reduce_poly(n: int, poly) -> tuple[int, ...]:
+    """Reduce an int polynomial in zeta_n of any degree to the power basis.
+
+    The coordinates below phi(n) are kept as they are; only the higher
+    degrees are rewritten through the power table.
+    """
     d = euler_phi(n)
+    if len(poly) <= d:
+        return tuple(poly) + (0,) * (d - len(poly))
+    out = list(poly[:d])
     table = _power_table(n)
-    out = [Fraction(0)] * d
-    for k, c in enumerate(coeffs):
+    for k in range(d, len(poly)):
+        c = poly[k]
         if c:
-            row = table[k % n]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
+            for i, r in enumerate(table[k % n]):
+                if r:
+                    out[i] += c * r
     return tuple(out)
 
 
@@ -108,10 +124,16 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to a rational number")
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 class Cyclotomic:
     """An exact element of some cyclotomic field Q(zeta_n)."""
 
-    __slots__ = ("n", "coeffs", "_min")
+    __slots__ = ("n", "num", "den", "_min")
 
     def __init__(self, n: int, coeffs) -> None:
         if n < 1:
@@ -121,23 +143,33 @@ class Cyclotomic:
         if len(cs) > d:
             raise ValueError("coefficient vector longer than the basis")
         cs += [Fraction(0)] * (d - len(cs))
+        num, den = _over_common_denominator(cs)
         self.n = n
-        self.coeffs = tuple(cs)
+        self.num = tuple(num)
+        self.den = den
         self._min = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(n) power-basis coordinates, as Fractions."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def from_rational(value) -> "Cyclotomic":
-        return _make(1, (_as_fraction(value),))
+        if type(value) is int:
+            return _make(1, (value,), 1)
+        q = _as_fraction(value)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         """The root of unity zeta_n^k."""
         if n < 1:
             raise ValueError("conductor must be a positive integer")
-        poly = [Fraction(0)] * (k % n) + [Fraction(1)]
-        return _make(n, _reduce_poly(n, poly))
+        return _make(n, _reduce_poly(n, [0] * (k % n) + [1]), 1)
 
     # -- conductor handling ------------------------------------------
 
@@ -147,33 +179,45 @@ class Cyclotomic:
             raise ValueError("can only lift to a multiple of the conductor")
         if m == self.n:
             return self
-        if self.n == 1:
-            zeros = (Fraction(0),) * (euler_phi(m) - 1)
-            return _make(m, self.coeffs + zeros)
-        step = m // self.n
-        poly = [Fraction(0)] * (euler_phi(self.n) * step)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                poly[k * step] = c
-        return _make(m, _reduce_poly(m, poly))
+        return _make(m, _lift_num(self, m), self.den)
 
     def _pair(self, other: "Cyclotomic"):
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.lift(m), other.lift(m)
+        """The common conductor and both numerator vectors over it."""
+        if self.n == other.n:
+            return self.n, self.num, other.num
+        m = lcm(self.n, other.n)
+        return m, _lift_num(self, m), _lift_num(other, m)
 
     # -- arithmetic --------------------------------------------------
 
     def _combine(self, other, op):
         """self + other or self - other, coordinate by coordinate."""
-        if isinstance(other, Cyclotomic) and other.n == 1:
-            other = other.coeffs[0]
-        if isinstance(other, (int, Fraction)):
-            cs = self.coeffs
-            return _make(self.n, (op(cs[0], other),) + cs[1:])
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = (self, other) if self.n == other.n else self._pair(other)
-        return _make(a.n, tuple(map(op, a.coeffs, b.coeffs)))
+        if isinstance(other, Cyclotomic):
+            if other.n == 1:
+                return self._shift(other.num[0], other.den, op)
+            m, a, b = self._pair(other)
+            da, db = self.den, other.den
+            if da == db:
+                return _make(m, tuple(map(op, a, b)), da)
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            return _make(m, tuple([op(x * fa, y * fb)
+                                   for x, y in zip(a, b)]), da * fa)
+        if isinstance(other, int):
+            return self._shift(other, 1, op)
+        if isinstance(other, Fraction):
+            return self._shift(other.numerator, other.denominator, op)
+        return NotImplemented
+
+    def _shift(self, r: int, s: int, op):
+        """self op r/s for a rational r/s, s >= 1."""
+        num, den = self.num, self.den
+        if s == den:
+            return _make(self.n, (op(num[0], r),) + num[1:], den)
+        g = gcd(den, s)
+        fa, fb = s // g, den // g
+        return _make(self.n, (op(num[0] * fa, r * fb),)
+                     + tuple([c * fa for c in num[1:]]), den * fa)
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -181,7 +225,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.n, tuple([-c for c in self.coeffs]))
+        return _make(self.n, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         return self._combine(other, operator.sub)
@@ -190,24 +234,30 @@ class Cyclotomic:
         return (-self)._combine(other, operator.add)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _make(self.n, tuple([c * other for c in self.coeffs]))
+        if isinstance(other, int):
+            return _make(self.n, tuple([c * other for c in self.num]),
+                         self.den)
+        if isinstance(other, Fraction):
+            r = other.numerator
+            return _make(self.n, tuple([c * r for c in self.num]),
+                         self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if other.is_rational():
-            r = other.coeffs[0]
-            return _make(self.n, tuple([c * r for c in self.coeffs]))
-        if self.is_rational():
-            r = self.coeffs[0]
-            return _make(other.n, tuple([c * r for c in other.coeffs]))
-        a, b = (self, other) if self.n == other.n else self._pair(other)
-        prod = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
+        den = self.den * other.den
+        if not any(other.num[1:]):
+            r = other.num[0]
+            return _make(self.n, tuple([c * r for c in self.num]), den)
+        if not any(self.num[1:]):
+            r = self.num[0]
+            return _make(other.n, tuple([c * r for c in other.num]), den)
+        m, a, b = self._pair(other)
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return _make(a.n, _reduce_poly(a.n, prod))
+        return _make(m, _reduce_poly(m, prod), den)
 
     __rmul__ = __mul__
 
@@ -229,11 +279,14 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0])
-        g, u, _ = poly_xgcd(QQ, self.coeffs, cyclotomic_polynomial(self.n))
+            return Cyclotomic.from_rational(Fraction(self.den, self.num[0]))
+        g, u, _ = poly_xgcd(QQ, self.num, cyclotomic_polynomial(self.n))
         if len(g) != 1:
             raise ArithmeticError("element is not invertible")
-        return _make(self.n, _reduce_poly(self.n, u))
+        # u inverts the numerator polynomial; (num/den)^-1 = den * u
+        num, den = _over_common_denominator([_as_fraction(c) for c in u])
+        return _make(self.n, _reduce_poly(self.n, [c * self.den for c in num]),
+                     den)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -251,13 +304,17 @@ class Cyclotomic:
 
     def galois(self, t: int) -> "Cyclotomic":
         """Apply the automorphism zeta |-> zeta^t; t must be prime to n."""
-        if gcd(t, self.n) != 1:
+        n = self.n
+        if gcd(t, n) != 1:
             raise ValueError("Galois exponent must be prime to the conductor")
-        poly = [Fraction(0)] * self.n
-        for k, c in enumerate(self.coeffs):
+        num = self.num
+        if not any(num[1:]):
+            return self
+        poly = [0] * n
+        for k, c in enumerate(num):
             if c:
-                poly[(k * t) % self.n] += c
-        return _make(self.n, _reduce_poly(self.n, poly))
+                poly[(k * t) % n] = c
+        return _make(n, _reduce_poly(n, poly), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta |-> zeta^(-1)."""
@@ -266,21 +323,22 @@ class Cyclotomic:
     # -- predicates and conversions ----------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_int(self) -> int:
-        q = self.as_fraction()
-        if q.denominator != 1:
+        if not self.is_rational():
+            raise ValueError("value is irrational")
+        if self.den != 1:
             raise ValueError("value is not an integer")
-        return q.numerator
+        return self.num[0]
 
     def is_p_integral(self, p: int) -> bool:
         """True when every basis coordinate has denominator prime to p.
@@ -288,20 +346,23 @@ class Cyclotomic:
         The power basis is an integral basis of the ring of integers of
         Q(zeta_n), so this tests membership in the localization at p.
         """
-        return all(c.denominator % p != 0 for c in self.coeffs)
+        return self.den % p != 0
 
     def minimal(self) -> "Cyclotomic":
         """Canonical copy over the smallest conductor containing the value."""
         if self._min is not None:
             return self._min
         reduced = self
-        for d in sorted(k for k in range(1, self.n + 1) if self.n % k == 0):
-            if d == self.n:
-                break
-            cand = _try_descend(self, d)
-            if cand is not None:
-                reduced = cand
-                break
+        if self.is_rational():
+            if self.n > 1:
+                reduced = _make(1, self.num[:1], self.den)
+        else:
+            for d in range(2, self.n):
+                if self.n % d == 0:
+                    cand = _try_descend(self, d)
+                    if cand is not None:
+                        reduced = cand
+                        break
         self._min = reduced
         reduced._min = reduced
         return reduced
@@ -309,20 +370,28 @@ class Cyclotomic:
     # -- comparisons -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and self.is_rational()
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other \
+                and self.is_rational()
+        if isinstance(other, Fraction):
+            return self.den == other.denominator \
+                and self.num[0] == other.numerator and self.is_rational()
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = (self, other) if self.n == other.n else self._pair(other)
-        return a.coeffs == b.coeffs
+        if self.den != other.den:
+            return False
+        _, a, b = self._pair(other)
+        return a == b
 
     def __hash__(self):
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         m = self.minimal()
-        return hash((m.n, m.coeffs))
+        return hash((m.n, m.num, m.den))
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyclotomic({self.coeffs[0]})"
+            return f"Cyclotomic({self.as_fraction()})"
         terms = " + ".join(
             f"{c}*z{self.n}^{k}" for k, c in enumerate(self.coeffs) if c
         )
@@ -340,13 +409,84 @@ def _coerce(value):
 _new = object.__new__
 
 
-def _make(n: int, coeffs: tuple) -> Cyclotomic:
-    """An element from a tuple of phi(n) Fractions, taken as it is."""
+def _make(n: int, num: tuple, den: int) -> Cyclotomic:
+    """An element from phi(n) int numerators over den >= 1, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple([c // g for c in num])
     out = _new(Cyclotomic)
     out.n = n
-    out.coeffs = coeffs
+    out.num = num
+    out.den = den
     out._min = None
     return out
+
+
+def _lift_num(x: Cyclotomic, m: int) -> tuple[int, ...]:
+    """The numerators of x over Q(zeta_m), for m a multiple of x.n.
+
+    The denominator does not change: Z[zeta_m] meets Q(zeta_n) in
+    Z[zeta_n], so lifting keeps the numerators in lowest terms.
+    """
+    n = x.n
+    if n == m:
+        return x.num
+    if n == 1:
+        return x.num + (0,) * (euler_phi(m) - 1)
+    step = m // n
+    poly = [0] * ((len(x.num) - 1) * step + 1)
+    for k, c in enumerate(x.num):
+        if c:
+            poly[k * step] = c
+    return _reduce_poly(m, poly)
+
+
+def dot(xs, ys) -> Cyclotomic:
+    """sum x*y over the pairs, skipping the zero terms.
+
+    One int accumulator over the lcm m of the conductors of the
+    irrational factors holds the unreduced sum; it is rescaled whenever
+    a term's denominator does not divide the running one, and reduced
+    modulo Phi_m and put in lowest terms once, at the end.
+    """
+    terms = []
+    m = 1
+    for x, y in zip(xs, ys):
+        a, b = x.num, y.num
+        if any(a) and any(b):
+            if any(a[1:]) and m % x.n:
+                m = lcm(m, x.n)
+            if any(b[1:]) and m % y.n:
+                m = lcm(m, y.n)
+            terms.append((x, y))
+    if not terms:
+        return ZERO
+    acc = [0] * (2 * euler_phi(m) - 1)
+    den = 1
+    for x, y in terms:
+        t = x.den * y.den
+        if den % t:
+            k = t // gcd(den, t)
+            acc = [c * k for c in acc]
+            den *= k
+        f = den // t
+        b = _factor(y, m)
+        for i, u in enumerate(_factor(x, m)):
+            if u:
+                u *= f
+                for j, v in enumerate(b):
+                    if v:
+                        acc[i + j] += u * v
+    return _make(m, _reduce_poly(m, acc), den)
+
+
+def _factor(x: Cyclotomic, m: int) -> tuple[int, ...]:
+    """The numerators of x over Q(zeta_m), shortened to one for a rational."""
+    if not any(x.num[1:]):
+        return x.num[:1]
+    return _lift_num(x, m)
 
 
 def _try_descend(x: Cyclotomic, d: int):

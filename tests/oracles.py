@@ -5,6 +5,8 @@ written from the definition, element by element, so that they share no
 algorithm with the code they check; the others build inputs for tests.
 """
 
+import cmath
+
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.groups import (Subgroup, isomorphisms, normalizer,
                                 product_group, quotient)
@@ -60,6 +62,20 @@ def poly_eval(F, f, x):
     for c in reversed(f):
         out = F.add(F.mul(out, x), c)
     return out
+
+
+# -- cyclotomic numbers ----------------------------------------------
+
+def complex_value(v, t: int = 1) -> complex:
+    """A cyclotomic number in C: its power-basis coordinates summed
+    against the powers of zeta_n^t, zeta_n = exp(2 pi i / n), in floating
+    point.  With t prime to n this is the value of v.galois(t)."""
+    return sum(float(c) * cmath.exp(2j * cmath.pi * k * t / v.n)
+               for k, c in enumerate(v.coeffs))
+
+
+def close(a: complex, b: complex) -> bool:
+    return abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
 
 
 # -- G-sets and bisets -----------------------------------------------

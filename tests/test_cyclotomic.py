@@ -259,3 +259,98 @@ def test_equal_values_at_other_conductors_hash_equally(n):
     r = Fraction(rng.randint(-9, 9), 7)
     assert hash(Cyclotomic.from_rational(r).lift(n)) == \
         hash(Cyclotomic.from_rational(r))
+
+
+# -- hashing agrees with equality --------------------------------------
+
+def test_rational_values_hash_like_the_number_they_equal():
+    from collections import Counter
+    for q in (Fraction(1, 2), Fraction(-3, 4), Fraction(6), 0, 7, -2):
+        c = Cyclotomic.from_rational(q)
+        for v in (c, c.lift(3), c.lift(12), zeta(5) - zeta(5) + q):
+            assert v == q and hash(v) == hash(q)
+    half = Fraction(1, 2)
+    counts = Counter([Cyclotomic.from_rational(half), half,
+                      zeta(4) * 0 + half])
+    assert counts[half] == 3 and len(counts) == 1
+
+
+# -- the integer representation against complex evaluation -------------
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24)
+
+
+def _random_element(rng, n):
+    """A random element of conductor n, coordinates with denominators 1-6."""
+    return Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          if rng.random() < 0.75 else 0
+                          for _ in range(euler_phi(n))])
+
+
+def _assert_normal(v):
+    assert len(v.num) == euler_phi(v.n)
+    assert all(type(c) is int for c in v.num) and type(v.den) is int
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+
+
+def _p_integral(v, p):
+    return all(c.denominator % p for c in v.coeffs)
+
+
+@pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
+def test_arithmetic_agrees_with_complex_evaluation(n):
+    import random
+
+    from bisetblocks.cyclotomic import dot
+    from oracles import close, complex_value as cv
+    rng = random.Random(5100 + n)
+    for _ in range(4):
+        x = _random_element(rng, n)
+        _assert_normal(x)
+        for m in ORACLE_CONDUCTORS:
+            if n * m // gcd(n, m) > 60:
+                continue        # keeps the division's Euclid small
+            y = _random_element(rng, m)
+            for got, want in ((x + y, cv(x) + cv(y)),
+                              (x - y, cv(x) - cv(y)),
+                              (x * y, cv(x) * cv(y))):
+                _assert_normal(got)
+                assert close(cv(got), want), (x, y, got)
+            if not y.is_zero():
+                q = x / y
+                _assert_normal(q)
+                assert close(cv(q), cv(x) / cv(y)), (x, y, q)
+        for t in (t for t in range(1, n + 1) if gcd(t, n) == 1):
+            g = x.galois(t)
+            _assert_normal(g)
+            assert close(cv(g), cv(x, t)), (x, t)
+        c = x.conjugate()
+        _assert_normal(c)
+        assert close(cv(c), cv(x).conjugate())
+        for k in (2, 3):
+            up = x.lift(k * n)
+            _assert_normal(up)
+            assert up.n == k * n and close(cv(up), cv(x))
+        low = x.minimal()
+        _assert_normal(low)
+        assert n % low.n == 0 and close(cv(low), cv(x))
+        assert low.lift(n) == x and x.lift(2 * n).minimal().n == low.n
+        for p in (2, 3, 5, 7):
+            assert x.is_p_integral(p) == _p_integral(x, p)
+            assert (x * x).is_p_integral(p) == _p_integral(x * x, p)
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        rational = x - x + r
+        _assert_normal(rational)
+        assert rational.as_fraction() == r
+        assert rational.minimal().n == 1
+        assert close(complex(float(r)), cv(rational))
+        # a dot product of terms over every conductor and denominator
+        xs = [_random_element(rng, m) for m in (n, 1, 3, 4, n, 2)] \
+            + [Cyclotomic(1, [0])]
+        ys = [_random_element(rng, m) for m in (n, 1, 2, n, 12, 4, 5)]
+        total = dot(xs, ys)
+        _assert_normal(total)
+        assert close(cv(total), sum(cv(a) * cv(b) for a, b in zip(xs, ys)))
+        assert total == sum((a * b for a, b in zip(xs, ys)),
+                            Cyclotomic.from_rational(0))
+        assert dot([], []) == 0 and dot([x], [Cyclotomic(n, [])]) == 0

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +353,23 @@ def test_cli_ingest_table_missing_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("conductor", (20000, 10 ** 8))
+def test_cli_ingest_table_refuses_a_conductor_outside_the_group(
+        tmp_path, capsys, conductor):
+    import time
+    with open(data_path("tables/S3.json")) as fh:
+        doc = json.load(fh)
+    doc["characters"][-1]["values"][-1] = {"conductor": conductor,
+                                           "coeffs": [1]}
+    path = tmp_path / "S3_bad.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert_input_error(capsys, ["ingest-table", str(path)],
+                       f"bad table: conductor {conductor} does not divide "
+                       f"2|G| = 12")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_cli_out_writes_json_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["blocks", "C6", "--prime", "3", "--out", str(out)])
@@ -451,3 +469,52 @@ def test_cli_blocks_times_sit_beside_an_unchanged_report(capsys, prime,
     # the digest of this report as it was before it carried times
     text = json.dumps(strip(rep), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _digest_without_times(rep) -> str:
+    """SHA-256 of a report with every "elapsed" field taken out."""
+    import hashlib
+
+    def strip(doc):
+        if isinstance(doc, dict):
+            return {k: strip(v) for k, v in doc.items() if k != "elapsed"}
+        if isinstance(doc, list):
+            return [strip(v) for v in doc]
+        return doc
+    text = json.dumps(strip(rep), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "scenarios"
+
+
+# The reports as the Fraction-coefficient arithmetic wrote them; the
+# integer arithmetic must reproduce them byte for byte.
+@pytest.mark.parametrize("argv, digest", [
+    (["broue", data_path("scenarios/c6_c3.json")],
+     "2eced485fe9aba69cbe3824e45b2b9a67b1d0ffa6f22e23ff9c743d64af08b4b"),
+    (["broue", data_path("scenarios/identity_s3.json")],
+     "bed52081e2666addf9904df0a63907381687cd708d40e3542798665c6dfb5e07"),
+    (["broue", data_path("scenarios/a4_c3.json")],
+     "09ebf31261b5294fd39d86dba504bee8b763c3efb2754b7113ce3cf58d0dddf1"),
+    (["broue", str(BENCH_SCENARIOS / "identity_s4_p2.json")],
+     "46c1db1b4d4783bfe7d07513e39efe8bbec5cdc9fdecb17a010a5ab499b8b2ba"),
+    (["broue", str(BENCH_SCENARIOS / "identity_s4_p3.json")],
+     "5ee7fa3ef29db33a1768d3aab40c472cfbcf66a8ac12d1857f4abab4f65988c3"),
+    (["broue", str(BENCH_SCENARIOS / "identity_a4_p2.json")],
+     "a2479f3879e91843229d8b36cada60cdd15f242e151a47c27f6dedae1ead98d4"),
+    (["broue", str(BENCH_SCENARIOS / "identity_d8_p2.json")],
+     "b564eacd5cb36132a2658654234f9be448a897709dde7a9b89fd63da78a9b2e1"),
+    (["broue", str(BENCH_SCENARIOS / "identity_q8_p2.json")],
+     "56cddb8b7e3eb982670aaac4577edad35573b54a1b500dc15cdaf89389c48b82"),
+    (["verify-biset-laws", "--suite", "characters", "--seed", "20260823",
+      "--count", "50"],
+     "c3945feef4583faca97ae80fde73ebbef2cd2b8c595800e85fb6ff07c4bdb0b7"),
+], ids=["c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
+        "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
+        "characters-suite"])
+def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
+    code, rep = run_cli(capsys, argv)
+    assert code == 0
+    assert _digest_without_times(rep) == digest
