@@ -33,8 +33,8 @@ from .cyclotomic import Cyclotomic
 from .gf import (Fq, mat_rank, mat_rref, mat_solve, poly_exact_div,
                  poly_factor, poly_mul, poly_trim, poly_xgcd)
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
-                     int_p_prime_part, p_subgroups_up_to_conjugacy, quotient,
-                     sylow_subgroup)
+                     class_structure_constants, int_p_prime_part,
+                     p_subgroups_up_to_conjugacy, quotient, sylow_subgroup)
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -113,29 +113,6 @@ class ReductionMap:
 
 # -- center of the group algebra -------------------------------------
 
-def _structure_constants(G: FiniteGroup):
-    """Integer constants a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k.
-
-    a[i][j][k] counts the pairs x in K_i, y in K_j with x y = z_k for the
-    representative z_k of K_k; each x has exactly one partner y = x^-1 z_k,
-    so the count takes |G| products per target class.  Kept on G.
-    """
-    cached = G._subgroup_cache.get("structure")
-    if cached is not None:
-        return cached
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    class_of = [G.class_index(g) for g in range(G.order)]
-    inverse_of = [G.inv(x) for x in range(G.order)]
-    out = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for t, cls in enumerate(classes):
-        z = cls[0]
-        for x, x_inv in enumerate(inverse_of):
-            out[class_of[x]][class_of[G.mul(x_inv, z)]][t] += 1
-    G._subgroup_cache["structure"] = out
-    return out
-
-
 class CentralElement:
     """An element of the center of F_q G in the class-sum basis."""
 
@@ -191,7 +168,7 @@ class CentralElement:
 
     def __mul__(self, other):
         F = self.field
-        sc = _structure_constants(self.group)
+        sc = class_structure_constants(self.group)
         k = len(self.coeffs)
         out = [0] * k
         for i, a in enumerate(self.coeffs):
@@ -347,7 +324,7 @@ def _try_split(F: Fq, G: FiniteGroup, e: CentralElement, sep_basis):
     for s in sep_basis:
         x = s * e
         mp = _min_poly_in_center(F, e, x)
-        factors = poly_factor(F, mp, seed=0)
+        factors = poly_factor(F, mp)
         irr = [f for f, _ in factors]
         if len(irr) < 2:
             continue

@@ -23,9 +23,8 @@ from fractions import Fraction
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      brauer_image, defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_field_degree)
-from .characters import (CharacterTable, ClassFunction,
-                         abelian_character_table, contract_middle,
-                         perm_character, restrict)
+from .characters import (CharacterTable, ClassFunction, character_table,
+                         contract_middle, perm_character, restrict)
 from .cyclotomic import dot
 from .gf import Fq, fq_field, mat_rank
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
@@ -469,7 +468,7 @@ class BrouePipeline:
         if J.order == self.H.order:
             Cg = self.side_H.C.as_group()
             if Cg.is_abelian():
-                local_tab = abelian_character_table(Cg)
+                local_tab = character_table(Cg)
                 blocks_local = block_idempotents(Cg, p, self.field)
                 f_index = next(i for i, blk in enumerate(blocks_local)
                                if blk == self.side_H.e)

@@ -1,11 +1,19 @@
 """Class functions and ordinary character tables, with exact values.
 
 Values are cyclotomic numbers; every operation (induction, restriction,
-inflation, inner products, the contraction of a two-sided character
-against a one-sided one) is computed exactly over the rationals.
-Character tables are ingested from documents rather than computed from
-scratch; ingestion validates orthogonality and degree bookkeeping
-before the table is used anywhere.
+inner products, the contraction of a two-sided character against a
+one-sided one) is computed exactly over the rationals.
+
+character_table(G) computes the irreducible characters of any group by
+the modular Dixon-Schneider method (Dixon, Numer. Math. 10 (1967);
+Schneider, J. Symb. Comp. 9 (1990)): the central characters are the
+common eigenvectors of the class matrices over a prime field F_r with
+r = 1 mod exp(G), each gives the degree and the values mod r, and each
+value is lifted to a sum of roots of unity.  Characters are listed
+trivial first, then by degree, then by the minimal conductors and
+coordinates of their values, and named chi0, chi1, ...  A table can
+also be ingested from a document.  Either way the table validates
+orthogonality and degree bookkeeping before it is used anywhere.
 
 Induction and the contractions work one conjugacy class at a time
 rather than one group element at a time:
@@ -24,15 +32,15 @@ rather than one group element at a time:
 
 from __future__ import annotations
 
-import itertools
-import operator
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
-from .cyclotomic import Cyclotomic, ONE, ZERO, dot
-from .groups import (FiniteGroup, GroupHom, ProductGroup, Subgroup,
-                     _extend_hom, element_by_name,
-                     minimal_generating_sequence, product_group)
+from .cyclotomic import Cyclotomic, ZERO, dot
+from .gf import fq_field, mat_rref
+from .groups import (FiniteGroup, ProductGroup, Subgroup,
+                     class_structure_constants, element_by_name,
+                     product_group)
 from .subdirect import ProductSubgroup, middle_kernel, middle_witnesses, star
 
 
@@ -53,11 +61,6 @@ class ClassFunction:
         if len(vals) != len(group.conjugacy_classes()):
             raise ValueError("need one value per conjugacy class")
         self.values = vals
-
-    @staticmethod
-    def from_element_function(group: FiniteGroup, fn) -> "ClassFunction":
-        reps = [cls[0] for cls in group.conjugacy_classes()]
-        return ClassFunction(group, [fn(r) for r in reps])
 
     def at(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_index(g)]
@@ -164,15 +167,6 @@ def restrict(chi: ClassFunction, S: Subgroup) -> ClassFunction:
     return ClassFunction(
         Sg, [chi.at(Sg.local_to_parent[cls[0]])
              for cls in Sg.conjugacy_classes()])
-
-
-def inflate(chi: ClassFunction, pi: GroupHom) -> ClassFunction:
-    """Inflation along a surjection pi from the source to chi's group."""
-    if chi.group.uid != pi.target.uid:
-        raise ValueError("character must live on the target of pi")
-    G = pi.source
-    return ClassFunction(G, [chi.at(pi(cls[0]))
-                             for cls in G.conjugacy_classes()])
 
 
 def external_character(chi: ClassFunction, theta: ClassFunction
@@ -314,7 +308,7 @@ class CharacterTable:
             raise ValueError("character names must be distinct")
         if any(not v == 1 for v in self.irreducibles[0].values):
             raise ValueError("first character must be trivial")
-        degs = [chi.degree().as_int() for chi in self.irreducibles]
+        degs = self.degrees()
         if any(d < 1 for d in degs):
             raise ValueError("degrees must be positive integers")
         if degs != sorted(degs):
@@ -396,19 +390,17 @@ def ingest_character_table(doc: dict, group: FiniteGroup | None = None
     return CharacterTable(group, chars, names)
 
 
-def _value_from_doc(raw, group: FiniteGroup | None = None) -> Cyclotomic:
+def _value_from_doc(raw, group: FiniteGroup) -> Cyclotomic:
     """A value from its document form, as a character value of group.
 
-    Every character value of G lies in Q(zeta_|G|), so given the group,
-    a conductor that does not divide 2|G| is refused before Phi_n is
-    built for it.
+    Every character value of G lies in Q(zeta_|G|), so a conductor that
+    does not divide 2|G| is refused before Phi_n is built for it.
     """
     if isinstance(raw, int):
         return Cyclotomic.from_rational(raw)
     if isinstance(raw, dict):
         n = raw["conductor"]
-        if group is not None and isinstance(n, int) and n >= 1 \
-                and (2 * group.order) % n:
+        if isinstance(n, int) and n >= 1 and (2 * group.order) % n:
             raise ValueError(f"conductor {n} does not divide "
                              f"2|G| = {2 * group.order}")
         out = ZERO
@@ -428,33 +420,131 @@ def value_to_doc(v: Cyclotomic):
                        for c in m.coeffs]}
 
 
-def abelian_character_table(G: FiniteGroup) -> CharacterTable:
-    """The table of an abelian group, built from scratch.
+def character_table(G: FiniteGroup) -> CharacterTable:
+    """The irreducible characters of G by Dixon-Schneider, kept on G.
 
-    The irreducible characters are the homomorphisms into the roots of
-    unity; they are enumerated by extending generator images, checking
-    consistency on the full multiplication table.
+    Listed trivial first, then by degree, then by the minimal conductor
+    and coordinates of their values class by class, and named chi0,
+    chi1, ... in that order.
     """
-    if not G.is_abelian():
-        raise ValueError("group must be abelian")
-    gens = minimal_generating_sequence(G)
-    pools = []
-    for g in gens:
-        o = G.element_order(g)
-        pools.append([Cyclotomic.zeta(o, j) for j in range(o)])
+    table = G._subgroup_cache.get("table")
+    if table is None:
+        chars = sorted(_dixon_schneider(G), key=lambda c: (
+            not all(v == 1 for v in c.values), c.degree().as_int(),
+            [(v.minimal().n, v.minimal().coeffs) for v in c.values]))
+        table = G._subgroup_cache["table"] = CharacterTable(G, chars)
+    return table
+
+
+def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
+    """The irreducible characters from the class structure constants.
+
+    Over F_r, r the smallest prime = 1 mod exp(G) with r^2 > 4|G|, the
+    central characters omega(K_j) = |K_j| chi(g_j) / chi(1) are the
+    common eigenvectors of the class matrices (M_i)_jl = a[i][j][l],
+    with M_i omega = omega(K_i) omega, and stay distinct since r does
+    not divide |G|.  Scaled to omega(K_1) = 1, an eigenvector gives
+    chi(1)^2 = |G| / sum_j omega_j omega_j' / |K_j| (j' the class of the
+    inverses), whose root in 1..sqrt|G| is unique mod r as r > 2 sqrt|G|,
+    and chi(g_j) = omega_j chi(1) / |K_j| mod r.  A value at an element
+    of order o is sum_t m_t zeta_o^t, each multiplicity m_t in 0..chi(1)
+    read off mod r by the discrete Fourier sum over the powers of the
+    element.  The roots of unity mod r are powers of one generator, so
+    they are compatible across orders; the reduction picks one prime
+    above r, and another would permute the characters by a Galois
+    automorphism, which the sort in character_table undoes.
+    """
+    classes = G.conjugacy_classes()
+    k = len(classes)
+    e = G.exponent()
+    r = e + 1
+    while r * r <= 4 * G.order \
+            or any(r % t == 0 for t in range(2, isqrt(r) + 1)):
+        r += e
+    F = fq_field(r, 1)
+    sc = class_structure_constants(G)
+    spaces = [mat_rref(F, [[int(i == j) for j in range(k)]
+                           for i in range(k)])]
+    for i in range(k):
+        spaces = [part for space in spaces
+                  for part in _eigenspaces(F, sc[i], *space)]
+    if len(spaces) != k:
+        raise AssertionError("class matrices did not split into lines")
+    one = G.class_index(G.identity)
+    inv_sizes = [F.inv(F.from_int(len(c))) for c in classes]
+    inverse = [G.class_index(G.inv(c[0])) for c in classes]
+    # the classes of g^0, g^1, ..., g^(o-1) for each representative g
+    power_classes = []
+    for c in classes:
+        seq, h = [one], c[0]
+        while h != G.identity:
+            seq.append(G.class_index(h))
+            h = G.mul(h, c[0])
+        power_classes.append(seq)
     chars = []
-    for images in itertools.product(*pools):
-        vals = _extend_hom(G, gens, images, operator.mul, ONE)
-        if vals is not None:
-            chars.append(ClassFunction(
-                G, [vals[cls[0]] for cls in G.conjugacy_classes()]))
-    if len(chars) != G.order:
-        raise AssertionError("abelian dual enumeration came up short")
-    # Trivial first, then a stable order on values.
-    chars.sort(key=lambda c: (not all(v == 1 for v in c.values),
-                              [(v.minimal().n, v.minimal().coeffs)
-                               for v in c.values]))
-    return CharacterTable(G, chars)
+    for (w,), _ in spaces:
+        s = F.inv(w[one])
+        w = [x * s % r for x in w]
+        dsq = G.order * F.inv(sum(w[j] * w[inverse[j]] * inv_sizes[j]
+                                  for j in range(k)) % r) % r
+        d = next(d for d in range(1, isqrt(G.order) + 1)
+                 if (d * d - dsq) % r == 0)
+        residues = [w[j] * d * inv_sizes[j] % r for j in range(k)]
+        chars.append(ClassFunction(G, [_lift(F, [residues[c] for c in seq])
+                                       for seq in power_classes]))
+    return chars
+
+
+def _eigenspaces(F, M, rows, pivots):
+    """Split an M-stable subspace of F^k into the eigenspaces of M.
+
+    The subspace is given by its reduced basis rows and their pivot
+    columns, so M restricted to it has the matrix A[u][s] = (M b_s) at
+    pivot u.  Every eigenspace comes back as (rows, pivots) again.
+    """
+    r = F.p
+    d = len(rows)
+    A = [[sum(c * x for c, x in zip(M[p], b)) % r for b in rows]
+         for p in pivots]
+    if all(A[u][s] == (A[0][0] if u == s else 0)
+           for u in range(d) for s in range(d)):
+        return [(rows, pivots)]
+    out = []
+    found = 0
+    for lam in range(r):
+        red, piv = mat_rref(F, [[(a - lam * (u == s)) % r
+                                 for s, a in enumerate(row)]
+                                for u, row in enumerate(A)])
+        vecs = []
+        for f in range(d):
+            if f not in piv:
+                x = [0] * d
+                x[f] = 1
+                for u, c in enumerate(piv):
+                    x[c] = -red[u][f] % r
+                vecs.append([sum(xs * b[l] for xs, b in zip(x, rows)) % r
+                             for l in range(len(rows[0]))])
+        if vecs:
+            out.append(mat_rref(F, vecs))
+            found += len(vecs)
+            if found == d:
+                return out
+    raise AssertionError("class matrix is not diagonalizable over F_r")
+
+
+def _lift(F, xs) -> Cyclotomic:
+    """chi(g) from the residues xs of chi(g^l), l = 0..o-1, o the order
+    of g: sum_t m_t zeta_o^t with m_t = (1/o) sum_l xs[l] zeta^(-tl)."""
+    r, o = F.p, len(xs)
+    z = F.inv(F.root_of_unity(o))
+    zs = [F.power(z, t) for t in range(o)]
+    inv_o = F.inv(F.from_int(o))
+    value = ZERO
+    for t in range(o):
+        m = inv_o * sum(x * zs[t * l % o] for l, x in enumerate(xs)) % r
+        if m:
+            value = value + m * Cyclotomic.zeta(o, t)
+    return value.minimal()
 
 
 def verify_tensor_character_formula(X: ProductSubgroup, Y: ProductSubgroup,

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .gf import mat_solve, poly_exact_div, poly_xgcd
+from .gf import mat_solve, poly_xgcd
 
 
 class _Rationals:
@@ -62,15 +62,42 @@ QQ = _Rationals()
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, little-endian, monic."""
+    """Coefficients of the n-th cyclotomic polynomial, little-endian, monic.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n:
+    the factors with mu(n/d) = 1 are multiplied together, then those
+    with mu(n/d) = -1 are divided out exactly, all on ints.
+    """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = poly_exact_div(QQ, num, cyclotomic_polynomial(d))
-    return tuple(int(c) for c in num)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    f = [1]
+    for d in divisors:
+        if _moebius(n // d) == 1:
+            # times x^d - 1: c_i = f_(i-d) - f_i
+            f = [(f[i - d] if i >= d else 0) - (f[i] if i < len(f) else 0)
+                 for i in range(len(f) + d)]
+    for d in divisors:
+        if _moebius(n // d) == -1:
+            # f = g (x^d - 1) gives g_i = g_(i-d) - f_i
+            g = [0] * (len(f) - d)
+            for i in range(len(g)):
+                g[i] = (g[i - d] if i >= d else 0) - f[i]
+            f = g
+    return tuple(f)
+
+
+def _moebius(m: int) -> int:
+    out = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
 
 
 @lru_cache(maxsize=None)

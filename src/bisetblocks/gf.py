@@ -31,6 +31,9 @@ from .groups import _check_prime
 
 FIELD_SIZE_CAP = 4096
 
+# Seed of the random choices of equal-degree splitting.
+SPLIT_SEED = 0
+
 
 def check_characteristic(p: int) -> None:
     """Refuse p unless it is a prime with a field inside the size cap;
@@ -422,7 +425,7 @@ def equal_degree_split(F: Fq, f, d: int, rng: random.Random):
             + equal_degree_split(F, rest, d, rng))
 
 
-def poly_factor(F: Fq, f, seed: int = 0):
+def poly_factor(F: Fq, f):
     """Full factorization into monic irreducibles.
 
     Returns a list of (factor, multiplicity) sorted by degree then by
@@ -432,7 +435,7 @@ def poly_factor(F: Fq, f, seed: int = 0):
     f = poly_trim(f)
     if poly_deg(f) < 1:
         raise ValueError("factor a polynomial of positive degree")
-    rng = random.Random(seed)
+    rng = random.Random(SPLIT_SEED)
     out = []
     for sqf, mult in squarefree_decomposition(F, f):
         for block, d in distinct_degree_split(F, sqf):

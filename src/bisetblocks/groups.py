@@ -606,6 +606,29 @@ def center(G: FiniteGroup) -> Subgroup:
     return G._center
 
 
+def class_structure_constants(G: FiniteGroup):
+    """Integer constants a[i][j][k] with K_i K_j = sum_k a[i][j][k] K_k.
+
+    a[i][j][k] counts the pairs x in K_i, y in K_j with x y = z_k for the
+    representative z_k of K_k; each x has exactly one partner y = x^-1 z_k,
+    so the count takes |G| products per target class.  Kept on G.
+    """
+    cached = G._subgroup_cache.get("structure")
+    if cached is not None:
+        return cached
+    classes = G.conjugacy_classes()
+    k = len(classes)
+    class_of = [G.class_index(g) for g in range(G.order)]
+    inverse_of = [G.inv(x) for x in range(G.order)]
+    out = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for t, cls in enumerate(classes):
+        z = cls[0]
+        for x, x_inv in enumerate(inverse_of):
+            out[class_of[x]][class_of[G.mul(x_inv, z)]][t] += 1
+    G._subgroup_cache["structure"] = out
+    return out
+
+
 class ProductGroup(FiniteGroup):
     """The direct product G x H; the pair (a, b) has id a * |H| + b.
 

@@ -1,4 +1,4 @@
-"""Scenario and table documents: parsing, validation, bundled data.
+"""Scenario documents: parsing, validation, and the tables they use.
 
 A scenario document names two groups, a prime, one block on each side
 and a virtual bimodule given by twisted-diagonal terms.  Groups are
@@ -7,6 +7,9 @@ multiplication table.  A bundled name always yields the same group
 object, and equal custom specs yield the same object for as long as it
 is alive, so data kept on a group (its products, local groups and
 character table) is shared by everything that uses it and freed with it.
+The character table of each side is ingested from the scenario when it
+carries one, and otherwise computed by characters.character_table for
+a bundled or an abelian group; no table is shipped.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import weakref
 from importlib import resources
 
-from .characters import (CharacterTable, abelian_character_table,
+from .characters import (CharacterTable, character_table,
                          ingest_character_table)
 from .gf import check_characteristic
 from .groups import (FiniteGroup, GroupHom, element_by_name,
@@ -59,38 +62,25 @@ def group_from_spec(spec) -> FiniteGroup:
     raise ValueError("group spec needs a name, generators, or a table")
 
 
-# -- bundled character tables ----------------------------------------
+# -- character tables ------------------------------------------------
 
 def bundled_table(name: str) -> CharacterTable:
-    """The validated character table of a bundled group, kept on the group.
-
-    Abelian groups are tabulated by abelian_character_table; the others
-    are read from the documents shipped in data/tables.
-    """
+    """The character table of a bundled group, computed once and kept on
+    the group."""
     if name not in BUNDLED_NAMES:
         raise ValueError(f"no bundled table for {name!r}")
-    G = named_group(name)
-    table = G._subgroup_cache.get("table")
-    if table is None:
-        if G.is_abelian():
-            table = abelian_character_table(G)
-        else:
-            text = resources.files("bisetblocks") \
-                .joinpath(f"data/tables/{name}.json").read_text()
-            table = ingest_character_table(json.loads(text), group=G)
-        G._subgroup_cache["table"] = table
-    return table
+    return character_table(named_group(name))
 
 
 def table_for_group(G: FiniteGroup, doc: dict | None = None
                     ) -> CharacterTable:
-    """Find a character table: explicit document, bundled, or abelian."""
+    """A character table: ingested from an explicit document, else
+    computed for a bundled or an abelian group."""
     if doc is not None:
         return ingest_character_table(doc, group=G)
-    if G.name in BUNDLED_NAMES and named_group(G.name) is G:
-        return bundled_table(G.name)
-    if G.is_abelian():
-        return abelian_character_table(G)
+    if (G.name in BUNDLED_NAMES and named_group(G.name) is G) \
+            or G.is_abelian():
+        return character_table(G)
     raise ValueError(
         f"no character table available for {G.name}; supply one")
 

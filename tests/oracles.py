@@ -8,6 +8,7 @@ algorithm with the code they check; the others build inputs for tests.
 import cmath
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
+from bisetblocks.characters import ClassFunction
 from bisetblocks.groups import (Subgroup, isomorphisms, normalizer,
                                 product_group, quotient)
 from bisetblocks.gsets import GAction, biset_coset
@@ -76,6 +77,13 @@ def complex_value(v, t: int = 1) -> complex:
 
 def close(a: complex, b: complex) -> bool:
     return abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
+
+
+def inflate(chi, pi):
+    """Inflation along a surjection pi from the source to chi's group."""
+    G = pi.source
+    return ClassFunction(G, [chi.at(pi(cls[0]))
+                             for cls in G.conjugacy_classes()])
 
 
 # -- G-sets and bisets -----------------------------------------------

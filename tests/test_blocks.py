@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
-                                _structure_constants,
                                 assign_characters_to_blocks,
                                 block_idempotents, brauer_construction,
                                 brauer_hom, coset_module_rank, defect_group,
@@ -14,9 +13,12 @@ from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 group_algebra_mul, maximal_brauer_pair,
                                 multiplicative_order, splitting_field_degree,
                                 splitting_params)
+from bisetblocks.characters import character_table
 from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.gf import fq_field, mat_rank
-from bisetblocks.groups import (centralizer, element_by_name, full_subgroup,
+from bisetblocks.groups import (centralizer, class_structure_constants,
+                                element_by_name, full_subgroup,
+                                int_p_prime_part,
                                 p_subgroups_up_to_conjugacy,
                                 subgroup_generated, sylow_subgroup)
 from bisetblocks.gsets import biset_coset
@@ -277,6 +279,27 @@ def test_s6_blocks_at_odd_primes():
         assert sorted(zero_dims) == dims
 
 
+S6_SPEC = {"name": "S6", "generators": ["(1 2)", "(1 2 3 4 5 6)"]}
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "S6"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_defect_zero_blocks_are_the_characters_of_full_defect(name, p):
+    # A block of defect zero holds exactly one character chi, the one
+    # with |G|_p dividing chi(1), and its simple module has dimension
+    # chi(1); the degrees come from the computed character table.
+    G = group_from_spec({"A5": A5_SPEC, "S5": S5_SPEC, "S6": S6_SPEC}[name])
+    G_p = G.order // int_p_prime_part(G.order, p)
+    degrees = [d for d in character_table(G).degrees() if d % G_p == 0]
+    F = field_for(G, p)
+    dims = []
+    for b in block_idempotents(G, p, F):
+        D, e = maximal_brauer_pair(G, p, b, F)
+        if D.order == 1:
+            dims.append(defect_zero_simple_dim(G, D, e, F))
+    assert sorted(dims) == degrees
+
+
 def test_defect_zero_dim_rejects_a_field_that_does_not_split():
     # A5 splits at p=3 only over F_81.  Over F_3 its two characters of
     # degree 3 are Galois conjugate and share one block of dimension
@@ -342,7 +365,7 @@ def test_structure_constants_count_every_pair(name):
          if name in ("A5", "S5") else named_group(name))
     classes = G.conjugacy_classes()
     reps = [cls[0] for cls in classes]
-    sc = _structure_constants(G)
+    sc = class_structure_constants(G)
     for i, ci in enumerate(classes):
         for j, cj in enumerate(classes):
             assert sc[i][j] == [sum(1 for x in ci for y in cj

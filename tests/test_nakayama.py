@@ -1,13 +1,15 @@
-"""Nakayama's rule as an oracle for the blocks of S_n, 3 <= n <= 6.
+"""Nakayama's rule as an oracle for the blocks of S_n, 3 <= n <= 6,
+and the hook-length formula for the character degrees of S_n, n <= 7.
 
 The p-blocks of S_n are labelled by the p-cores reached from the
 partitions of n by removing p-hooks; a block whose core has size
 n - pw (its weight w) has the Sylow p-subgroups of S_pw as defect
 groups, and a block of weight 0 is the single character of its core,
 of degree given by the hook-length formula.  Nothing here uses the
-block code: the oracle is built from partitions alone and compared
-with what block_idempotents, maximal_brauer_pair and
-defect_zero_simple_dim compute on S_n closed from (1 2) and (1 2 ... n).
+block code or the character table: the oracle is built from partitions
+alone and compared with what block_idempotents, maximal_brauer_pair,
+defect_zero_simple_dim and character_table compute on S_n closed from
+(1 2) and (1 2 ... n).
 """
 
 from math import factorial, prod
@@ -16,6 +18,7 @@ import pytest
 
 from bisetblocks.blocks import (block_idempotents, defect_zero_simple_dim,
                                 maximal_brauer_pair, splitting_params)
+from bisetblocks.characters import character_table
 from bisetblocks.gf import fq_field
 from bisetblocks.scenario import group_from_spec
 
@@ -102,3 +105,11 @@ def test_blocks_of_symmetric_groups_follow_nakayama(n, p):
         if D.order == 1:
             dims.append(defect_zero_simple_dim(G, D, e, F))
     assert (len(blocks), sorted(orders), sorted(dims)) == nakayama(n, p)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_character_degrees_of_symmetric_groups_are_hook_lengths(n):
+    cycle = "(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+    G = group_from_spec({"name": f"S{n}", "generators": ["(1 2)", cycle]})
+    assert character_table(G).degrees() == \
+        sorted(hook_degree(shape) for shape in partitions(n))

@@ -20,10 +20,6 @@ DEFERRED = {
     "fixed_cosets": 3,
     "brauer_construction": 3,
     "is_twisted_diagonal": 3,
-    # item 4 deletes tools/gen_tables.py, their only caller outside tests
-    "ClassFunction.from_element_function": 4,
-    "inflate": 4,
-    "CharacterTable.degrees": 4,
 }
 
 # The element-vector references of the block layer.  perfbench/tracer.py

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bisetblocks.characters import abelian_character_table
+from bisetblocks.characters import character_table
 from bisetblocks.cli import main
 from bisetblocks.groups import element_by_name, quotient, subgroup_generated
 from bisetblocks.namedgroups import named_group
@@ -14,6 +14,9 @@ from bisetblocks.scenario import (Scenario, bundled_scenario, bundled_table,
                                   group_from_spec, table_for_group)
 
 DATA = resources.files("bisetblocks").joinpath("data")
+
+
+TABLE_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "tables"
 
 
 def data_path(rel: str) -> str:
@@ -62,7 +65,7 @@ def test_table_for_group_fallbacks():
     assert table_for_group(S3) is bundled_table("S3")
     A = group_from_spec({"name": "Z3x",
                          "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
-    tab = abelian_character_table(A)
+    tab = character_table(A)
     assert [c.degree().as_int() for c in table_for_group(A).irreducibles] \
         == [c.degree().as_int() for c in tab.irreducibles]
     S4 = named_group("S4")
@@ -340,7 +343,8 @@ def test_cli_characters_mutation_is_caught(capsys):
 
 
 def test_cli_ingest_table(capsys):
-    code, rep = run_cli(capsys, ["ingest-table", data_path("tables/S3.json")])
+    code, rep = run_cli(capsys,
+                        ["ingest-table", str(TABLE_FIXTURES / "S3.json")])
     assert code == 0
     assert rep["ok"] is True
     assert rep["degrees"] == [1, 1, 2]
@@ -357,7 +361,7 @@ def test_cli_ingest_table_missing_file(capsys):
 def test_cli_ingest_table_refuses_a_conductor_outside_the_group(
         tmp_path, capsys, conductor):
     import time
-    with open(data_path("tables/S3.json")) as fh:
+    with open(TABLE_FIXTURES / "S3.json") as fh:
         doc = json.load(fh)
     doc["characters"][-1]["values"][-1] = {"conductor": conductor,
                                            "coeffs": [1]}
