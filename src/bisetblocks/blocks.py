@@ -2,10 +2,11 @@
 
 Everything happens in F_q G for q = p^m with m large enough that F_q is
 a splitting field (the multiplicative order of p modulo the p'-part of
-the exponent).  Block idempotents are found inside the center: the
-q-power map is F_q-linear there, its stable image is the maximal
-separable subalgebra, and that subalgebra is split into primitive
-idempotents by factoring minimal polynomials of its basis elements.
+the exponent).  Block idempotents are found inside the center, where
+the q-power map Phi is F_q-linear: its fixed points B are the span of
+the block idempotents over any F_q, split or not, as the center of a
+block is local.  B is one kernel of Phi - 1, and one pass over a basis
+of B splits 1 into the blocks by Lagrange idempotents.
 The Brauer homomorphism, defect groups, maximal Brauer pairs and the
 dimension of the defect-zero simple over the central quotient are built
 on top, and stay in the class-sum basis: br_D maps Z(F_q G) into
@@ -30,11 +31,12 @@ from fractions import Fraction
 
 from .characters import CharacterTable
 from .cyclotomic import Cyclotomic
-from .gf import (Fq, mat_rank, mat_rref, mat_solve, poly_exact_div,
-                 poly_factor, poly_mul, poly_trim, poly_xgcd)
+from .gf import (Fq, mat_kernel, mat_rank, mat_solve, poly_exact_div,
+                 poly_factor, poly_scale, poly_trim)
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
-                     class_structure_constants, int_p_prime_part,
+                     class_structure_constants, int_p_prime_part, normalizer,
                      p_subgroups_up_to_conjugacy, quotient, sylow_subgroup)
+from .gsets import GAction, biset_coset, coset_action
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -163,8 +165,8 @@ class CentralElement:
 
     def scale(self, c: int) -> "CentralElement":
         F = self.field
-        row = F.mul_table[c]
-        return CentralElement(self.group, F, [row[a] for a in self.coeffs])
+        return CentralElement(self.group, F,
+                              [F.mul(c, a) for a in self.coeffs])
 
     def __mul__(self, other):
         F = self.field
@@ -220,12 +222,11 @@ def group_algebra_mul(F: Fq, G: FiniteGroup, a, b):
         if not cx:
             continue
         row = G.row(x)
-        mrow = F.mul_table[cx]
         for y in range(G.order):
             cy = b[y]
             if cy:
                 z = row[y]
-                out[z] = F.add(out[z], mrow[cy])
+                out[z] = F.add(out[z], F.mul(cx, cy))
     return out
 
 
@@ -263,6 +264,7 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
                       ) -> list[CentralElement]:
     """The primitive central idempotents of F_q G, in a stable order.
 
+    One pass over a basis of B = ker(Phi - 1) splits 1 into the blocks.
     The list is sorted by class-sum coefficient tuple; idempotency,
     orthogonality and summing to 1 are asserted before it is first
     returned.  It is kept on G per field, since central elements over
@@ -276,74 +278,51 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
     cached = G._subgroup_cache.get(key)
     if cached is not None:
         return list(cached)
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    basis = []
+    k = len(G.conjugacy_classes())
+    moved = []
     for i in range(k):
-        coeffs = [0] * k
-        coeffs[i] = 1
-        basis.append(CentralElement(G, F, coeffs))
-    # Stable image of the q-power map: the maximal separable subalgebra.
-    frob_rows = [list(b.power(F.q).coeffs) for b in basis]
-    for _ in range(k.bit_length()):
-        frob_rows = [
-            [_dot(F, row, [fr[j] for fr in frob_rows]) for j in range(k)]
-            for row in frob_rows]
-    sep_rows, _ = mat_rref(F, frob_rows)
-    sep_basis = [CentralElement(G, F, row) for row in sep_rows
-                 if any(row)]
-
+        K = CentralElement(G, F, [int(i == j) for j in range(k)])
+        moved.append((K.power(F.q) - K).coeffs)
+    fixed = [CentralElement(G, F, c)
+             for c in mat_kernel(F, list(zip(*moved)), k)]
+    # A basis element s that does not split a piece e splits no part of
+    # e either, as the minimal polynomial of s on a part of e divides
+    # its minimal polynomial on e; so each s meets each piece once.
     blocks = [CentralElement.one(G, F)]
-    changed = True
-    while changed:
-        changed = False
-        refined = []
-        for e in blocks:
-            split = _try_split(F, G, e, sep_basis)
-            if split is None:
-                refined.append(e)
-            else:
-                refined.extend(split)
-                changed = True
-        blocks = refined
+    for s in fixed:
+        blocks = [part for e in blocks for part in _split(F, e, s) or [e]]
     blocks.sort(key=lambda b: b.coeffs)
     _assert_block_axioms(F, G, blocks)
     G._subgroup_cache[key] = tuple(blocks)
     return blocks
 
 
-def _dot(F: Fq, row, col):
-    out = 0
-    for a, b in zip(row, col):
-        if a and b:
-            out = F.add(out, F.mul(a, b))
-    return out
-
-
-def _try_split(F: Fq, G: FiniteGroup, e: CentralElement, sep_basis):
-    for s in sep_basis:
-        x = s * e
-        mp = _min_poly_in_center(F, e, x)
-        factors = poly_factor(F, mp)
-        irr = [f for f, _ in factors]
-        if len(irr) < 2:
-            continue
-        parts = []
-        for fi in irr:
-            hi = poly_exact_div(F, mp, fi)
-            g, _, v = poly_xgcd(F, fi, hi)
-            if len(g) != 1:
-                raise AssertionError("minimal polynomial was not squarefree")
-            # CRT idempotent: (v * hi)(x) is 1 mod fi and 0 mod the rest.
-            parts.append(_eval_poly_in_center(
-                F, poly_mul(F, v, hi), x, e))
-        total = CentralElement.zero(G, F)
-        for part in parts:
-            total = total + part
-        if total != e:
-            raise AssertionError("CRT idempotents do not sum to the unit")
-        return parts
-    return None
+def _split(F: Fq, e: CentralElement, s: CentralElement):
+    """The parts of e on which s in B takes each of its values lam, or
+    None if only one: h(s e) / h(lam), h the minimal polynomial of s e
+    over t - lam."""
+    x = s * e
+    mp = _min_poly_in_center(F, e, x)
+    if len(mp) == 2:
+        return None
+    factors = poly_factor(F, mp)
+    if any(len(f) != 2 or mult != 1 for f, mult in factors):
+        raise AssertionError("a minimal polynomial over B has a repeated "
+                             "or nonlinear factor")
+    parts = []
+    for f, _ in factors:
+        h = poly_exact_div(F, mp, f)
+        lam, value = F.neg(f[0]), 0
+        for c in reversed(h):
+            value = F.add(F.mul(value, lam), c)
+        parts.append(_eval_poly_in_center(
+            F, poly_scale(F, h, F.inv(value)), x, e))
+    total = CentralElement.zero(e.group, F)
+    for part in parts:
+        total = total + part
+    if total != e:
+        raise AssertionError("Lagrange idempotents do not sum to the unit")
+    return parts
 
 
 def _assert_block_axioms(F: Fq, G: FiniteGroup, blocks) -> None:
@@ -447,21 +426,37 @@ def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
     raise AssertionError("no local block survives the Brauer image")
 
 
+def action_rank(F: Fq, rows, coeffs: dict, points) -> int:
+    """Rank of sum c z on the span of points, z acting through rows[z].
+
+    coeffs maps group elements z to their coefficients c.  Raises
+    ValueError when some z takes one of the points outside them.
+    """
+    pos = {x: i for i, x in enumerate(points)}
+    support = [(rows[z], c) for z, c in coeffs.items()]
+    add = F.add
+    M = []      # one row per point v: the image of v
+    try:
+        for v in points:
+            image = [0] * len(pos)
+            for row, c in support:
+                i = pos[row[v]]
+                image[i] = add(image[i], c)
+            M.append(image)
+    except KeyError:
+        raise ValueError("an element takes a point outside the span"
+                         ) from None
+    return mat_rank(F, M)
+
+
 def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
     """Rank of left multiplication by vec on the permutation module F_q[G/P].
 
     The basis is the left cosets gP; vec is a coefficient vector over G.
     """
-    reps, idx = P.coset_index_map()
-    support = [(x, c) for x, c in enumerate(vec) if c]
-    rows = []
-    for r in reps:
-        row = [0] * len(reps)
-        for x, c in support:
-            j = idx[G.mul(x, r)]
-            row[j] = F.add(row[j], c)
-        rows.append(row)
-    return mat_rank(F, rows)
+    action = coset_action(G, P)
+    support = {x: c for x, c in enumerate(vec) if c}
+    return action_rank(F, action.rows, support, range(action.size))
 
 
 def push_central(e: CentralElement, pi: GroupHom) -> CentralElement:
@@ -560,7 +555,6 @@ def assign_characters_to_blocks(table: CharacterTable,
 
 def fixed_cosets(X, P: Subgroup) -> list[int]:
     """Points of the coset biset of X fixed by every element of P."""
-    from .gsets import biset_coset
     U = biset_coset(X)
     return U.action.fixed_points(P.elements)
 
@@ -572,8 +566,6 @@ def brauer_construction(terms, P: Subgroup):
     on the coset biset of X are returned together with the action of
     the normalizer of P on them and the coefficient.
     """
-    from .groups import normalizer
-    from .gsets import GAction, biset_coset
     out = []
     for X, coeff in terms:
         amb = X.ambient

@@ -20,16 +20,17 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .blocks import (assign_characters_to_blocks, block_idempotents,
-                     brauer_image, defect_group, defect_zero_simple_dim,
-                     maximal_brauer_pair, splitting_field_degree)
+from .blocks import (action_rank, assign_characters_to_blocks,
+                     block_idempotents, brauer_image, defect_group,
+                     defect_zero_simple_dim, maximal_brauer_pair,
+                     splitting_field_degree)
 from .characters import (CharacterTable, ClassFunction, character_table,
                          contract_middle, perm_character, restrict)
 from .cyclotomic import dot
-from .gf import Fq, fq_field, mat_rank
+from .gf import Fq, fq_field
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
                      int_p_part, int_p_prime_part, isomorphisms, normalizer,
-                     p_subgroups_up_to_conjugacy, product_group)
+                     product_group)
 from .gsets import biset_coset
 from .scenario import GammaTerm, Scenario
 from .subdirect import ProductSubgroup, twisted_diagonal
@@ -48,12 +49,9 @@ class PipelineError(RuntimeError):
 
 
 def scenario_field_degree(G: FiniteGroup, H: FiniteGroup, p: int) -> int:
-    """Splitting degree covering both groups and every p-local centralizer."""
-    groups = [G, H]
-    for base in (G, H):
-        for P in p_subgroups_up_to_conjugacy(base, p):
-            groups.append(centralizer(base, P).as_group())
-    return splitting_field_degree(groups, p)
+    """Splitting degree of G and H, which covers every p-local
+    centralizer: exp C_G(P) divides exp G, so its degree divides G's."""
+    return splitting_field_degree([G, H], p)
 
 
 def residue_of_fraction(x: Fraction, p: int) -> int:
@@ -432,19 +430,11 @@ class BrouePipeline:
         return z
 
     def _projected_rank(self, U, fixed, projector: dict) -> int:
-        F = self.field
-        pos = {x: i for i, x in enumerate(fixed)}
-        n = len(fixed)
-        M = [[0] * n for _ in range(n)]
-        for zp, coeff in projector.items():
-            row = U.action.rows[zp]
-            for v in fixed:
-                u = row[v]
-                if u not in pos:
-                    raise PipelineError(
-                        "sign", "projector does not preserve the fixed set")
-                M[pos[u]][pos[v]] = F.add(M[pos[u]][pos[v]], coeff)
-        return mat_rank(F, M)
+        try:
+            return action_rank(self.field, U.action.rows, projector, fixed)
+        except ValueError:
+            raise PipelineError(
+                "sign", "projector does not preserve the fixed set")
 
     # -- stage: degree congruences -----------------------------------
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import Cyclotomic, ZERO, dot
-from .gf import fq_field, mat_rref
+from .gf import fq_field, mat_kernel, mat_rref
 from .groups import (FiniteGroup, ProductGroup, Subgroup,
                      class_structure_constants, element_by_name,
                      product_group)
@@ -512,18 +512,11 @@ def _eigenspaces(F, M, rows, pivots):
     out = []
     found = 0
     for lam in range(r):
-        red, piv = mat_rref(F, [[(a - lam * (u == s)) % r
-                                 for s, a in enumerate(row)]
-                                for u, row in enumerate(A)])
-        vecs = []
-        for f in range(d):
-            if f not in piv:
-                x = [0] * d
-                x[f] = 1
-                for u, c in enumerate(piv):
-                    x[c] = -red[u][f] % r
-                vecs.append([sum(xs * b[l] for xs, b in zip(x, rows)) % r
-                             for l in range(len(rows[0]))])
+        shifted = [[(a - lam * (u == s)) % r for s, a in enumerate(row)]
+                   for u, row in enumerate(A)]
+        vecs = [[sum(xs * b[l] for xs, b in zip(x, rows)) % r
+                 for l in range(len(rows[0]))]
+                for x in mat_kernel(F, shifted, d)]
         if vecs:
             out.append(mat_rref(F, vecs))
             found += len(vecs)

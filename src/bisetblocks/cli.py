@@ -143,9 +143,8 @@ def cmd_blocks(args) -> int:
         raise InputError(str(ex))
     try:
         table = table_for_group(G)
-        partition = assign_characters_to_blocks(table, blocks, field)
     except ValueError:
-        table, partition = None, None
+        table = None
     report = {
         "kind": "block-report",
         "group": G.name,
@@ -172,9 +171,15 @@ def cmd_blocks(args) -> int:
         except ValueError as ex:
             raise InputError(str(ex))
         entry["elapsed"] = round(time.perf_counter() - started, 3)
-        if partition is not None:
-            entry["characters"] = [table.names[j] for j in partition[i]]
         report["blocks"].append(entry)
+    # after the loop, where a block the field does not split fails first
+    if table is not None:
+        try:
+            partition = assign_characters_to_blocks(table, blocks, field)
+        except ValueError as ex:
+            raise AssertionError(f"character partition: {ex}") from ex
+        for entry, part in zip(report["blocks"], partition):
+            entry["characters"] = [table.names[j] for j in part]
     _emit(report, args.out)
     return EXIT_PASS
 

@@ -478,6 +478,20 @@ def mat_rank(F, rows) -> int:
     return len(mat_rref(F, rows)[1])
 
 
+def mat_kernel(F, rows, ncols: int):
+    """A basis of the x of length ncols with rows * x = 0: one vector
+    per free column of the reduced form, 1 there and 0 at the others."""
+    red, pivots = mat_rref(F, rows)
+    out = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        x = [0] * ncols
+        x[f] = 1
+        for r, c in enumerate(pivots):
+            x[c] = F.neg(red[r][f])
+        out.append(x)
+    return out
+
+
 def mat_solve(F, rows, rhs):
     """One solution of rows * x = rhs, or None if inconsistent."""
     if not rows:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import bisetblocks.blocks as blocks_module
 from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
-                                assign_characters_to_blocks,
+                                action_rank, assign_characters_to_blocks,
                                 block_idempotents, brauer_construction,
                                 brauer_hom, coset_module_rank, defect_group,
                                 defect_zero_simple_dim, fixed_cosets,
@@ -15,13 +16,13 @@ from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 splitting_params)
 from bisetblocks.characters import character_table
 from bisetblocks.cyclotomic import Cyclotomic
-from bisetblocks.gf import fq_field, mat_rank
+from bisetblocks.gf import Fq, fq_field, mat_rank
 from bisetblocks.groups import (centralizer, class_structure_constants,
                                 element_by_name, full_subgroup,
                                 int_p_prime_part,
                                 p_subgroups_up_to_conjugacy,
                                 subgroup_generated, sylow_subgroup)
-from bisetblocks.gsets import biset_coset
+from bisetblocks.gsets import biset_coset, coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal
@@ -393,3 +394,126 @@ def test_brauer_hom_fixed_check_by_definition():
             bad[g] = 1 - bad[g]
             with pytest.raises(ValueError, match="not fixed"):
                 brauer_hom(bad, D, F)
+
+
+# -- the fixed subalgebra B = {x : x^q = x} of the center --------------
+
+SMALL_SPECS = {"A5": A5_SPEC, "S5": S5_SPEC, "S6": S6_SPEC}
+
+
+def small_group(name):
+    return (group_from_spec(SMALL_SPECS[name]) if name in SMALL_SPECS
+            else named_group(name))
+
+
+def primes_of(n):
+    return [p for p in (2, 3, 5, 7, 11) if n % p == 0]
+
+
+def frobenius_fixed_dimension(G, F):
+    """dim ker(Phi - 1), Phi(K) = K^q on the class sums."""
+    k = len(G.conjugacy_classes())
+    rows = []
+    for i in range(k):
+        K = CentralElement(G, F, [int(i == j) for j in range(k)])
+        rows.append(list((K.power(F.q) - K).coeffs))
+    return k - mat_rank(F, rows)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "A5"])
+def test_frobenius_fixed_points_count_the_blocks(name):
+    G = small_group(name)
+    for p in primes_of(G.order):
+        F = field_for(G, p)
+        assert frobenius_fixed_dimension(G, F) == \
+            len(block_idempotents(G, p, F)), (name, p)
+
+
+def test_frobenius_fixed_points_count_the_blocks_of_a_non_split_field():
+    # over F_3 the two Galois conjugate degree-3 characters of A5 share
+    # a block, which F_81 splits in two
+    A5 = group_from_spec(A5_SPEC)
+    for F, count in [(fq_field(3, 1), 2), (field_for(A5, 3), 3)]:
+        assert len(block_idempotents(A5, 3, F)) == count
+        assert frobenius_fixed_dimension(A5, F) == count
+
+
+@pytest.mark.parametrize("name, p", [("S6", 2), ("A5", 2), ("A5", 3),
+                                     ("A5", 5), ("C12", 2), ("S4", 3)])
+def test_one_pass_splits_over_any_basis_of_the_fixed_subalgebra(
+        monkeypatch, name, p):
+    # the partial sums e_1, e_1 + e_2, ..., 1 form a basis of B in which
+    # each e_1 + ... + e_i below 1 is the only element separating e_i
+    # from e_(i+1); both orders must give back every block
+    G = small_group(name)
+    F = field_for(G, p)
+    want = block_idempotents(G, p, F)
+    sums = [want[0]]
+    for b in want[1:]:
+        sums.append(sums[-1] + b)
+    for basis in (sums, sums[::-1]):
+        # a new field object is a new cache key
+        F2 = Fq(p, F.m)
+        monkeypatch.setattr(blocks_module, "mat_kernel", lambda *args: [
+            list(s.coeffs) for s in basis])
+        got = block_idempotents(G, p, F2)
+        assert [b.coeffs for b in got] == [b.coeffs for b in want]
+
+
+@pytest.mark.parametrize("name, p", [("S6", 2), ("A5", 2), ("A5", 3),
+                                     ("A5", 5)])
+def test_each_basis_element_meets_each_piece_once(monkeypatch, name, p):
+    calls = []
+    real = blocks_module._min_poly_in_center
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(blocks_module, "_min_poly_in_center", counted)
+    G = small_group(name)
+    F = Fq(p, field_for(G, p).m)      # a new cache key
+    count = len(block_idempotents(G, p, F))
+    dim_B = frobenius_fixed_dimension(G, F)
+    assert count > 1 and 0 < len(calls) <= dim_B * count
+
+
+@pytest.mark.parametrize("name", ["C2", "C3"])
+def test_an_element_outside_the_fixed_subalgebra_fails_the_split(
+        monkeypatch, name):
+    # over F_2 a generator g of C2 has minimal polynomial (t + 1)^2, and
+    # one of C3 has t^3 - 1 = (t + 1)(t^2 + t + 1): neither splits into
+    # distinct linear factors, as an element of B would
+    G = named_group(name)
+    g = G.class_index(next(x for x in range(G.order) if x != G.identity))
+    monkeypatch.setattr(blocks_module, "mat_kernel", lambda *args: [
+        [int(j == g) for j in range(G.order)]])
+    with pytest.raises(AssertionError, match="repeated or nonlinear"):
+        block_idempotents(G, 2, Fq(2, 1))
+
+
+def test_action_rank_on_a_span_of_points():
+    # S3 on the three cosets of <(1 2)>: the sum of the elements has
+    # rank 1, and (1 2) fixes exactly one coset, which (1 3) moves
+    S3 = named_group("S3")
+    F = fq_field(3, 1)
+    t = element_by_name(S3, "(1 2)")
+    U = coset_action(S3, subgroup_generated(S3, [t]))
+    everything = {g: 1 for g in range(S3.order)}
+    assert action_rank(F, U.rows, everything, range(U.size)) == 1
+    assert action_rank(F, U.rows, {S3.identity: 2}, range(U.size)) == 3
+    (fixed,) = U.fixed_points([t])
+    assert action_rank(F, U.rows, {t: 1}, [fixed]) == 1
+    with pytest.raises(ValueError, match="outside the span"):
+        action_rank(F, U.rows, {element_by_name(S3, "(1 3)"): 1}, [fixed])
+
+
+def test_splitting_degree_of_every_p_local_centralizer_divides_the_group():
+    # exp C_G(P) divides exp G, so a scenario needs the degrees of its two
+    # groups only
+    for name in list(BUNDLED_NAMES) + ["A5", "S5", "S6"]:
+        G = small_group(name)
+        for p in primes_of(G.order):
+            m = splitting_params(G, p)[0]
+            for P in p_subgroups_up_to_conjugacy(G, p):
+                C = centralizer(G, P).as_group()
+                assert m % splitting_params(C, p)[0] == 0, (name, p, P.order)

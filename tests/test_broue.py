@@ -316,6 +316,19 @@ def test_pipeline_error_has_stage():
     assert "nonzero" in str(err)
 
 
+def test_projected_rank_reports_a_projector_leaving_the_fixed_set():
+    S = bundled_scenario("c6_c3")
+    pipe = pipeline_for(S)
+    U = biset_coset(gamma_of(S, pipe).terms[0].vertex)
+    z = next(z for z in range(pipe.ambient.order) if U.action.rows[z][0])
+    assert pipe._projected_rank(U, [0], {pipe.ambient.identity: 1}) == 1
+    with pytest.raises(PipelineError,
+                       match="projector does not preserve the fixed set"
+                       ) as info:
+        pipe._projected_rank(U, [0], {z: 1})
+    assert info.value.stage == "sign"
+
+
 def test_gamma_terms_must_live_in_the_ambient():
     S = bundled_scenario("c6_c3")
     S2 = bundled_scenario("identity_s3")

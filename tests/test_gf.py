@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from bisetblocks.gf import (Fq, fq_field, mat_rank, mat_rref, mat_solve,
-                            poly_deg, poly_factor, poly_gcd, poly_mul,
-                            poly_monic, poly_sub, poly_trim, poly_xgcd)
+from bisetblocks.gf import (Fq, fq_field, mat_kernel, mat_rank, mat_rref,
+                            mat_solve, poly_deg, poly_factor, poly_gcd,
+                            poly_mul, poly_monic, poly_sub, poly_trim,
+                            poly_xgcd)
 
 from oracles import poly_eval
 
@@ -194,6 +195,38 @@ def test_mat_rank_random_products():
         M = [[F.mul(a, b) for b in v] for a in u]
         expected = 1 if any(u) and any(v) else 0
         assert mat_rank(F, M) == expected
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
+def test_mat_kernel_spans_every_solution(p, m):
+    # every x in F^n with M x = 0, enumerated, is a combination of the
+    # kernel basis, and the basis has q^dim combinations: it is free
+    F = fq_field(p, m)
+    q = F.q
+    rng = random.Random(p * 10 + m)
+
+    def times(M, x):
+        out = []
+        for row in M:
+            acc = 0
+            for a, b in zip(row, x):
+                acc = F.add(acc, F.mul(a, b))
+            out.append(acc)
+        return out
+    for _ in range(25):
+        nrows, ncols = rng.randrange(0, 4), rng.randrange(1, 5)
+        M = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        basis = mat_kernel(F, M, ncols)
+        solutions = {x for x in itertools.product(range(q), repeat=ncols)
+                     if not any(times(M, x))}
+        span = set()
+        for cs in itertools.product(range(q), repeat=len(basis)):
+            x = [0] * ncols
+            for c, v in zip(cs, basis):
+                x = [F.add(a, F.mul(c, b)) for a, b in zip(x, v)]
+            span.add(tuple(x))
+        assert span == solutions
+        assert len(solutions) == q ** len(basis)
 
 
 # -- F_q tables against an oracle that shares no code with gf --------

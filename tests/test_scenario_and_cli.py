@@ -287,6 +287,23 @@ def test_cli_blocks_maps_a_non_split_block_to_input_error(monkeypatch,
                        "not a perfect square")
 
 
+def test_cli_blocks_fails_a_character_partition(monkeypatch, tmp_path,
+                                              capsys):
+    # a character matching no block is a verification failure, not a
+    # report without characters
+    import bisetblocks.cli as cli
+
+    def refuse(table, blocks, field):
+        raise ValueError("character chi0 matched 0 blocks")
+    monkeypatch.setattr(cli, "assign_characters_to_blocks", refuse)
+    out = tmp_path / "r.json"
+    assert main(["blocks", "S4", "--prime", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("verification failure:")
+    assert "chi0 matched 0 blocks" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_cli_broue_field_degree_not_a_multiple(tmp_path, capsys):
     # identity A4 at p=2 needs F_4; F_8 does not contain it
     path = tmp_path / "identity_a4_p2.json"
