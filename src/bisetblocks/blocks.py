@@ -9,12 +9,14 @@ block is local.  B is one kernel of Phi - 1, and one pass over a basis
 of B splits 1 into the blocks by Lagrange idempotents.
 The Brauer homomorphism, defect groups, maximal Brauer pairs and the
 dimension of the defect-zero simple over the central quotient are built
-on top, and stay in the class-sum basis: br_D maps Z(F_q G) into
-Z(F_q C_G(D)) class by class, products of central elements use the
-class structure constants, and a central element is pushed along a
-quotient map class by class.  Centralizers, local groups and block
-idempotents are kept on their group, and the whole group as a local
-group shares its rows.
+on top.  A defect group is a Sylow p-subgroup of the centralizer of one
+class in the support of the block (Green's min-max theorem; Navarro,
+1998, ch. 4), so no p-subgroup is listed.  All of it stays in the
+class-sum basis: br_D maps Z(F_q G) into Z(F_q C_G(D)) class by class,
+products of central elements use the class structure constants, and a
+central element is pushed along a quotient map class by class.
+Centralizers, local groups and block idempotents are kept on their
+group, and the whole group as a local group shares its rows.
 The one vector over group elements left is the pushed block's, whose
 rank on the permutation module of the cosets of a Sylow p-subgroup
 gives the dimension: a block ideal is projective, so it is free over
@@ -34,8 +36,8 @@ from .cyclotomic import Cyclotomic
 from .gf import (Fq, mat_kernel, mat_rank, mat_solve, poly_exact_div,
                  poly_factor, poly_scale, poly_trim)
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
-                     class_structure_constants, int_p_prime_part, normalizer,
-                     p_subgroups_up_to_conjugacy, quotient, sylow_subgroup)
+                     class_structure_constants, int_p_part, int_p_prime_part,
+                     normalizer, quotient, sylow_subgroup)
 from .gsets import GAction, biset_coset, coset_action
 
 
@@ -379,39 +381,39 @@ def brauer_image(b: CentralElement, D: Subgroup) -> CentralElement:
 
 def defect_group(G: FiniteGroup, p: int, b: CentralElement, field: Fq,
                  largest_rep: bool = False) -> Subgroup:
-    """A defect group of the block b: a maximal p-subgroup with
-    nonvanishing Brauer image, returned as a canonical class
-    representative.
+    """A defect group D of b by Green's min-max theorem (Navarro, 1998,
+    ch. 4), returned as the smallest or largest canonical conjugate.
 
-    br_P(b) is nonzero exactly when a class on which b has a nonzero
-    coefficient meets C_G(P), so each p-subgroup class is tested on the
-    class-sum coefficients of b and the elements of its centralizer,
-    which is kept on G.
+    D is a Sylow p-subgroup of C_G(x) for a class x^G in the support of
+    b with the largest |C_G(x)|_p, over any F_q, split or not.  b is a
+    trace from D (Higman's criterion), so each class in its support has
+    a defect group in a conjugate of D; and br_D(b) != 0, so some class
+    in its support meets C_G(D).  That br_D(b) != 0 is checked.
     """
     coeffs, class_of = b.coeffs, G.class_index
-    surviving = [P for P in p_subgroups_up_to_conjugacy(G, p)
-                 if any(coeffs[class_of(g)]
-                        for g in centralizer(G, P).elements)]
-    top = max(P.order for P in surviving)
-    tops = [P for P in surviving if P.order == top]
-    if len(tops) != 1:
-        raise AssertionError("defect groups must form a single class")
-    return tops[0].canonical_conjugate(largest=largest_rep)
+    x = min((cls for cls, c in zip(G.conjugacy_classes(), coeffs) if c),
+            key=lambda cls: int_p_part(len(cls), p))[0]
+    C = centralizer(G, x).as_group()
+    P = sylow_subgroup(C, p)
+    D = Subgroup(G, [C.local_to_parent[g] for g in P.elements],
+                 check=False).canonical_conjugate(largest=largest_rep)
+    if not any(coeffs[class_of(g)] for g in centralizer(G, D).elements):
+        raise AssertionError("br_D(b) vanishes at the defect group")
+    return D
 
 
 def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
                         field: Fq, D: Subgroup | None = None,
-                        reverse_blocks: bool = False,
-                        largest_rep: bool = False
+                        reverse_blocks: bool = False
                         ) -> tuple[Subgroup, CentralElement]:
     """A maximal Brauer pair (D, e): a defect group with a block e of
-    F_q C_G(D) not killed by the Brauer image of b.
+    F_q C_G(D) not killed by br_D(b), which is not 0 (Navarro, ch. 4).
 
     br_D(b) e is a product of central elements of F_q C_G(D), taken
     with the class structure constants of C_G(D); it must be 0 or e.
     """
     if D is None:
-        D = defect_group(G, p, b, field, largest_rep=largest_rep)
+        D = defect_group(G, p, b, field)
     br = brauer_image(b, D)
     cand = block_idempotents(br.group, p, field)
     if reverse_blocks:

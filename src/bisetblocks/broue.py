@@ -81,8 +81,7 @@ class SideData:
                               largest_rep=largest_rep)
         _, self.e = maximal_brauer_pair(group, p, self.block, field,
                                         D=self.D,
-                                        reverse_blocks=reverse_blocks,
-                                        largest_rep=largest_rep)
+                                        reverse_blocks=reverse_blocks)
         self.C = centralizer(group, self.D)
         self.dim_simple = defect_zero_simple_dim(group, self.D, self.e,
                                                  field)

@@ -3,10 +3,10 @@
 A scenario document names two groups, a prime, one block on each side
 and a virtual bimodule given by twisted-diagonal terms.  Groups are
 given by bundled name, permutation generators, or an explicit
-multiplication table.  A bundled name always yields the same group
-object, and equal custom specs yield the same object for as long as it
-is alive, so data kept on a group (its products, local groups and
-character table) is shared by everything that uses it and freed with it.
+multiplication table.  A bundled name and equal custom specs each
+yield one group object per process, so data kept on a group (its
+products, local groups and character table) is built once and shared
+by everything that uses it.
 The character table of each side is ingested from the scenario when it
 carries one, and otherwise computed by characters.character_table for
 a bundled or an abelian group; no table is shipped.
@@ -15,7 +15,6 @@ a bundled or an abelian group; no table is shipped.
 from __future__ import annotations
 
 import json
-import weakref
 from importlib import resources
 
 from .characters import (CharacterTable, character_table,
@@ -28,8 +27,8 @@ from .namedgroups import BUNDLED_NAMES, named_group
 from .subdirect import ProductSubgroup, twisted_diagonal
 
 
-# Groups built from custom specs, each kept while something holds it.
-_CUSTOM_GROUPS = weakref.WeakValueDictionary()
+# Groups built from custom specs, kept for the process as named_group does.
+_CUSTOM_GROUPS: dict = {}
 
 
 def group_from_spec(spec) -> FiniteGroup:

@@ -9,7 +9,8 @@ import cmath
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
-from bisetblocks.groups import (Subgroup, isomorphisms, normalizer,
+from bisetblocks.groups import (Subgroup, centralizer, isomorphisms,
+                                normalizer, p_subgroups_up_to_conjugacy,
                                 product_group, quotient)
 from bisetblocks.gsets import GAction, biset_coset
 from bisetblocks.subdirect import ProductSubgroup
@@ -126,6 +127,21 @@ def principal_block_index(table, blocks, field) -> int:
         if 0 in chars:
             return bi
     raise AssertionError("trivial character matched no block")
+
+
+def defect_group_by_enumeration(G, p, b, largest_rep=False) -> Subgroup:
+    """A defect group of b from its definition: the largest classes of
+    p-subgroups P with br_P(b) != 0, which must form one class.  br_P(b)
+    is nonzero when a class on which b is nonzero meets C_G(P)."""
+    coeffs, class_of = b.coeffs, G.class_index
+    surviving = [P for P in p_subgroups_up_to_conjugacy(G, p)
+                 if any(coeffs[class_of(g)]
+                        for g in centralizer(G, P).elements)]
+    top = max(P.order for P in surviving)
+    tops = [P for P in surviving if P.order == top]
+    if len(tops) != 1:
+        raise AssertionError("defect groups must form a single class")
+    return tops[0].canonical_conjugate(largest=largest_rep)
 
 
 def pair_stabilizer(pipe) -> Subgroup:

@@ -27,7 +27,8 @@ from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal
 
-from oracles import principal_block_index, total_size
+from oracles import (defect_group_by_enumeration, principal_block_index,
+                     total_size)
 
 # (group, p) -> (splitting degree, block count, partition by names,
 #                defect orders in block order, principal index)
@@ -517,3 +518,39 @@ def test_splitting_degree_of_every_p_local_centralizer_divides_the_group():
             for P in p_subgroups_up_to_conjugacy(G, p):
                 C = centralizer(G, P).as_group()
                 assert m % splitting_params(C, p)[0] == 0, (name, p, P.order)
+
+
+# -- defect groups by Green's min-max theorem -------------------------
+
+def defect_groups_agree_with_enumeration(G):
+    for p in primes_of(G.order):
+        F = field_for(G, p)
+        for b in block_idempotents(G, p, F):
+            for largest in (False, True):
+                got = defect_group(G, p, b, F, largest_rep=largest)
+                want = defect_group_by_enumeration(G, p, b, largest)
+                assert got.elements == want.elements, (G.name, p, largest)
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_NAMES) + ["A5", "S5", "S6"])
+def test_defect_group_agrees_with_the_enumeration_of_p_subgroups(name):
+    defect_groups_agree_with_enumeration(small_group(name))
+
+
+def test_a_class_of_smallest_centralizer_p_part_fails_the_oracle(
+        monkeypatch):
+    # the mutant takes the support class with the smallest |C_G(x)|_p.
+    # The principal 2-block of S3 is 1 + (the sum of the 3-cycles), whose
+    # support has centralizer 2-parts 2 and 1: the mutant takes the
+    # 3-cycles and returns the trivial group instead of C2
+    S3 = named_group("S3")
+    F = field_for(S3, 2)
+    b0 = block_idempotents(S3, 2, F)[1]
+    assert defect_group(S3, 2, b0, F).order == 2
+    real = blocks_module.int_p_part
+    monkeypatch.setattr(blocks_module, "int_p_part",
+                        lambda n, p: -real(n, p))
+    assert defect_group(S3, 2, b0, F).order == 1
+    assert defect_group_by_enumeration(S3, 2, b0).order == 2
+    with pytest.raises(AssertionError):
+        defect_groups_agree_with_enumeration(S3)

@@ -22,10 +22,12 @@ DEFERRED = {
     "is_twisted_diagonal": 3,
 }
 
-# The element-vector references of the block layer.  perfbench/tracer.py
+# The element-vector references of the block layer, and the p-subgroup
+# enumeration that defect groups no longer use.  perfbench/tracer.py
 # wraps them by name, so they move to tests/oracles.py when the benchmark
 # next changes (ROADMAP item 5).
-TRACED_REFERENCES = {"brauer_hom", "group_algebra_mul"}
+TRACED_REFERENCES = {"brauer_hom", "group_algebra_mul",
+                     "p_subgroups_up_to_conjugacy"}
 
 
 def _trees():

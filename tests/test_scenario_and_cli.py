@@ -1,5 +1,6 @@
 """Scenario documents, bundled data lookup, and the command line."""
 
+import gc
 import json
 from importlib import resources
 from pathlib import Path
@@ -51,6 +52,15 @@ def test_group_from_spec_forms_and_caching():
         group_from_spec(42)
     with pytest.raises(ValueError):
         group_from_spec({})
+
+
+def test_a_spec_group_is_built_once_per_process():
+    # kept for the process, so data kept on it is not built again after
+    # the garbage collector runs
+    spec = {"name": "kept", "generators": ["(1 2 3 4)", "(1 3)"]}
+    uid = group_from_spec(spec).uid
+    gc.collect()
+    assert group_from_spec(dict(spec)).uid == uid
 
 
 def test_bundled_lookup_rejects_unknown_names():
