@@ -94,14 +94,14 @@ def criterion_5() -> dict:
                        for p in part2)
         if named != [("chi0", "chi1"), ("chi2",)]:
             problems.append(f"p=2 partition {named}")
-        orders = sorted(defect_group(G, 2, b, F2).order for b in blocks2)
+        orders = sorted(defect_group(G, 2, b).order for b in blocks2)
         if orders != [1, 2]:
             problems.append(f"p=2 defect orders {orders}")
 
     if len(blocks3) != 1:
         problems.append(f"expected 1 block at p=3, got {len(blocks3)}")
     else:
-        D = defect_group(G, 3, blocks3[0], F3)
+        D = defect_group(G, 3, blocks3[0])
         if D.order != 3:
             problems.append(f"p=3 defect order {D.order}")
 

@@ -379,7 +379,7 @@ def brauer_image(b: CentralElement, D: Subgroup) -> CentralElement:
         for cls in Cg.conjugacy_classes()])
 
 
-def defect_group(G: FiniteGroup, p: int, b: CentralElement, field: Fq,
+def defect_group(G: FiniteGroup, p: int, b: CentralElement,
                  largest_rep: bool = False) -> Subgroup:
     """A defect group D of b by Green's min-max theorem (Navarro, 1998,
     ch. 4), returned as the smallest or largest canonical conjugate.
@@ -395,8 +395,8 @@ def defect_group(G: FiniteGroup, p: int, b: CentralElement, field: Fq,
             key=lambda cls: int_p_part(len(cls), p))[0]
     C = centralizer(G, x).as_group()
     P = sylow_subgroup(C, p)
-    D = Subgroup(G, [C.local_to_parent[g] for g in P.elements],
-                 check=False).canonical_conjugate(largest=largest_rep)
+    D = Subgroup(G, [C.local_to_parent[g] for g in P.elements]
+                 ).canonical_conjugate(largest=largest_rep)
     if not any(coeffs[class_of(g)] for g in centralizer(G, D).elements):
         raise AssertionError("br_D(b) vanishes at the defect group")
     return D
@@ -413,7 +413,7 @@ def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
     with the class structure constants of C_G(D); it must be 0 or e.
     """
     if D is None:
-        D = defect_group(G, p, b, field)
+        D = defect_group(G, p, b)
     br = brauer_image(b, D)
     cand = block_idempotents(br.group, p, field)
     if reverse_blocks:
@@ -501,7 +501,7 @@ def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
     if len(z_local) == 1:
         Q, qe = Cg, e
     else:
-        Q, pi = quotient(Cg, Subgroup(Cg, z_local, check=False))
+        Q, pi = quotient(Cg, Subgroup(Cg, z_local))
         qe = push_central(e, pi)
     if qe * qe != qe:
         raise AssertionError("image of the block is not idempotent")
@@ -582,6 +582,6 @@ def brauer_construction(terms, P: Subgroup):
         for i in range(Ng.order):
             row = U.action.rows[N.from_local(i)]
             rows.append(tuple(pos[row[x]] for x in fixed))
-        out.append({"fixed": fixed, "action": GAction(Ng, rows, check=False),
+        out.append({"fixed": fixed, "action": GAction(Ng, rows),
                     "coefficient": coeff})
     return out

@@ -77,8 +77,7 @@ class SideData:
         self.block_index = self._resolve(selector)
         self.block = self.blocks[self.block_index]
         self.irr = list(self.partition[self.block_index])
-        self.D = defect_group(group, p, self.block, field,
-                              largest_rep=largest_rep)
+        self.D = defect_group(group, p, self.block, largest_rep=largest_rep)
         _, self.e = maximal_brauer_pair(group, p, self.block, field,
                                         D=self.D,
                                         reverse_blocks=reverse_blocks)
@@ -158,8 +157,7 @@ def rickard_reduce(ambient: ProductGroup, complex_terms) -> dict:
             canon = t.vertex.canonical_conjugate()
             key = canon.elements
             if key not in reps:
-                reps[key] = ProductSubgroup(ambient, canon.elements,
-                                            check=False)
+                reps[key] = ProductSubgroup(ambient, canon.elements)
             merged[key] = merged.get(key, 0) + sign * t.coefficient
     out = [GammaTerm(reps[k], c) for k, c in sorted(merged.items()) if c]
     return {
@@ -506,7 +504,7 @@ class BrouePipeline:
         keep = [n for n in normalizer(H, self.side_H.D).elements
                 if all(f.coeffs[Cg.class_index(C.to_local(H.conj(n, x)))]
                        == c for x, c in zip(reps, f.coeffs))]
-        return Subgroup(H, keep, check=False)
+        return Subgroup(H, keep)
 
     def _local_rank(self, local_tab: CharacterTable, f_part,
                     psi_index: int) -> int:

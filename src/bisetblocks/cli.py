@@ -157,7 +157,7 @@ def cmd_blocks(args) -> int:
     }
     for i, b in enumerate(blocks):
         started = time.perf_counter()
-        D = defect_group(G, p, b, field)
+        D = defect_group(G, p, b)
         _, e = maximal_brauer_pair(G, p, b, field, D=D)
         entry = {
             "index": i,

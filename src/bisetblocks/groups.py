@@ -7,10 +7,13 @@ componentwise.  Other modules multiply through mul/inv/conj/row and so
 never depend on which.  One routine, orbit, closes a point under
 generators, in breadth-first order with a Schreier tree.  A group closed
 from permutations composes only one row per generator; every other row
-is read off its tree parent's, since row(a*s) = row(a) o row(s).  Group
-axioms and homomorphisms are checked exactly on generators (Light's
-associativity test), and conjugates, centralizers and normalizers of
-subgroups are computed from generators rather than from every element.
+is read off its tree parent's, since row(a*s) = row(a) o row(s).  Input
+is checked once, where it enters: constructors trust their caller, and
+a multiplication table given from outside is checked by check_axioms,
+exactly on generators (Light's associativity test), and the generators
+of a permutation group are checked to be permutations.  Conjugates,
+centralizers and normalizers of subgroups are computed from generators
+rather than from every element.
 Groups are immutable once built.  Data derived from a group (conjugacy
 classes, element orders, canonical conjugates, centralizers of
 subgroups, local groups, p-subgroup classes, quotients) is computed
@@ -42,13 +45,9 @@ class FiniteGroup:
     _uid_counter = itertools.count()
 
     def __init__(self, table, identity: int = 0, name: str = "",
-                 element_names=None, generator_ids=None,
-                 _skip_check: bool = False) -> None:
+                 element_names=None) -> None:
         self.table = tuple(tuple(row) for row in table)
         self._start(len(self.table), identity, name, element_names)
-        self.generator_ids = generator_ids
-        if not _skip_check:
-            self._check_axioms()
 
     def _start(self, order: int, identity: int, name: str,
                element_names) -> None:
@@ -73,9 +72,11 @@ class FiniteGroup:
         """Products self x H by H.uid, each kept while something holds it."""
         return weakref.WeakValueDictionary()
 
-    # -- construction-time validation --------------------------------
+    # -- validation of a table from outside --------------------------
 
-    def _check_axioms(self) -> None:
+    def check_axioms(self) -> None:
+        """Raise ValueError unless the table is a group with identity
+        self.identity; exact, at |generators| * n row compositions."""
         n = self.order
         e = self.identity
         for row in self.table:
@@ -119,10 +120,10 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set: the permutation generators of a group closed
-        from permutations, else a minimal generating sequence."""
-        ids = getattr(self, "generator_ids", None)
-        return ids if ids is not None else minimal_generating_sequence(self)
+        """A generating set: a minimal generating sequence, unless the
+        builder set one, as group_from_permutations sets the ids of its
+        permutation generators."""
+        return minimal_generating_sequence(self)
 
     def row(self, a: int) -> tuple[int, ...]:
         """The products a*b for b = 0..order-1."""
@@ -212,23 +213,10 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup stored as a sorted tuple of parent element ids."""
 
-    def __init__(self, parent: FiniteGroup, elements, check: bool = True) -> None:
+    def __init__(self, parent: FiniteGroup, elements) -> None:
         self.parent = parent
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
-        if check:
-            self._check()
-
-    def _check(self) -> None:
-        if self.parent.identity not in self.element_set:
-            raise ValueError("subgroup is missing the identity")
-        mul = self.parent.mul
-        for a in self.elements:
-            if self.parent.inv(a) not in self.element_set:
-                raise ValueError("subgroup is not closed under inverses")
-            for b in self.elements:
-                if mul(a, b) not in self.element_set:
-                    raise ValueError("subgroup is not closed under products")
 
     @property
     def order(self) -> int:
@@ -277,7 +265,7 @@ class Subgroup:
                 self.elements, self.parent.generators,
                 lambda elems, x: tuple(sorted([conj(x, h) for h in elems])))
             best = max(conjugates) if largest else min(conjugates)
-            cached = Subgroup(self.parent, best, check=False)
+            cached = Subgroup(self.parent, best)
             self.parent._subgroup_cache[key] = cached
         return cached
 
@@ -311,7 +299,7 @@ class Subgroup:
             cached = FiniteGroup(
                 table, identity=loc[self.parent.identity],
                 name=f"{self.parent.name}|{self.order}",
-                element_names=names, _skip_check=True)
+                element_names=names)
             cached.local_to_parent = self.elements
             cached.parent_to_local = loc
             cached.parent_group = self.parent
@@ -340,29 +328,20 @@ class Subgroup:
 
 
 class GroupHom:
-    """A homomorphism given by its full image table."""
+    """A homomorphism given by its full image table.
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images,
-                 check: bool = True) -> None:
+    The table is trusted, as every constructor trusts its caller; a map
+    given from outside is checked where it enters, as scenario terms
+    are by extending their generator images edge by edge (_extend_hom).
+    """
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup,
+                 images) -> None:
         self.source = source
         self.target = target
         self.images = tuple(images)
         if len(self.images) != source.order:
             raise ValueError("image table must cover every source element")
-        if check:
-            self._check()
-
-    def _check(self) -> None:
-        """Exact: images[a*s] == images[a]*images[s] for every a and each
-        generator s gives images[a*b] == images[a]*images[b] for every
-        b = s1...sk, by induction on k."""
-        if self.images[self.source.identity] != self.target.identity:
-            raise ValueError("homomorphism must preserve the identity")
-        src, tgt, im = self.source, self.target, self.images
-        for s in src.generators:
-            for a in range(src.order):
-                if im[src.mul(a, s)] != tgt.mul(im[a], im[s]):
-                    raise ValueError("map is not multiplicative")
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -371,7 +350,7 @@ class GroupHom:
         e = self.target.identity
         return Subgroup(self.source,
                         [g for g in range(self.source.order)
-                         if self.images[g] == e], check=False)
+                         if self.images[g] == e])
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
@@ -388,7 +367,7 @@ class GroupHom:
         back = [0] * self.target.order
         for g, im in enumerate(self.images):
             back[im] = g
-        return GroupHom(self.target, self.source, back, check=False)
+        return GroupHom(self.target, self.source, back)
 
 
 # -- permutation input -----------------------------------------------
@@ -462,13 +441,18 @@ def group_from_permutations(generators, degree: int = 0,
     its parent a and generator s.  Only the rows of the generators are
     composed point by point; every other row follows from its parent's,
     row(a*s) = row(a) o row(s) since (a*s)*b = a*(s*b), read in one
-    itemgetter call.
+    itemgetter call.  Each generator is checked to be a permutation, so
+    the closure is a group.
     """
-    perms = []
-    for g in generators:
-        perms.append(parse_cycles(g, degree) if isinstance(g, str) else tuple(g))
+    generators = list(generators)
+    perms = [parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
+             for g in generators]
     deg = max([degree] + [len(p) for p in perms])
     perms = [p + tuple(range(len(p), deg)) for p in perms]
+    for g, p in zip(generators, perms):
+        if sorted(p) != list(range(deg)):
+            raise ValueError(f"generator {g!r} is not a permutation "
+                             f"of {deg} points")
     elems, tree = orbit(tuple(range(deg)), perms,
                         lambda a, g: tuple([a[i] for i in g]), limit=cap)
     n = len(elems)
@@ -485,8 +469,8 @@ def group_from_permutations(generators, degree: int = 0,
             a, k = tree[elems[i]]
             table[i] = gen_rows[k](table[index[a]])
     G = FiniteGroup(table, identity=0, name=name or f"perm{n}",
-                    element_names=[cycles_of(p) for p in elems],
-                    generator_ids=gen_ids)
+                    element_names=[cycles_of(p) for p in elems])
+    G.generators = gen_ids
     G.permutations = tuple(elems)
     return G
 
@@ -534,7 +518,7 @@ def orbit(start, gens, act, limit: int | None = None):
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     """The orbit of the identity under right multiplication by gens."""
     elems, _ = orbit(G.identity, list(gens), G.mul)
-    return Subgroup(G, elems, check=False)
+    return Subgroup(G, elems)
 
 
 def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
@@ -563,11 +547,11 @@ def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order), check=False)
+    return Subgroup(G, range(G.order))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity], check=False)
+    return Subgroup(G, [G.identity])
 
 
 def centralizer(G: FiniteGroup, part) -> Subgroup:
@@ -586,7 +570,7 @@ def centralizer(G: FiniteGroup, part) -> Subgroup:
         part = [part]
     part = list(part)
     return Subgroup(G, [x for x in range(G.order)
-                        if all(G.conj(x, s) == s for s in part)], check=False)
+                        if all(G.conj(x, s) == s for s in part)])
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -597,7 +581,7 @@ def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     for x in range(G.order):
         if all(G.conj(x, h) in S.element_set for h in gens):
             out.append(x)
-    return Subgroup(G, out, check=False)
+    return Subgroup(G, out)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -747,10 +731,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if G.element_names:
         names = [f"{G.element_names[r]}N" for r in reps]
     Q = FiniteGroup(table, identity=idx[G.identity],
-                    name=f"{G.name}/{N.order}", element_names=names,
-                    _skip_check=True)
+                    name=f"{G.name}/{N.order}", element_names=names)
     Q.coset_reps = tuple(reps)
-    pi = GroupHom(G, Q, idx, check=False)
+    pi = GroupHom(G, Q, idx)
     G._subgroup_cache[key] = (Q, pi)
     return Q, pi
 
@@ -800,7 +783,7 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int
                 canon = _cyclic_extension(G, P, g, p) \
                     .canonical_conjugate().elements
                 if canon not in found:
-                    rep = Subgroup(G, canon, check=False)
+                    rep = Subgroup(G, canon)
                     found[canon] = rep
                     nxt.append(rep)
         level = nxt
@@ -842,7 +825,7 @@ def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
         row = G.row(gk)
         ext.update(row[h] for h in P.elements)
         gk = G.mul(gk, g)
-    return Subgroup(G, ext, check=False)
+    return Subgroup(G, ext)
 
 
 def _check_prime(p: int) -> None:
@@ -902,7 +885,7 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[GroupHom]:
     for imgs in itertools.product(*pools):
         table = _extend_hom(G, gens, imgs, H.mul, H.identity)
         if table is not None and len(set(table)) == G.order:
-            out.append(GroupHom(G, H, table, check=False))
+            out.append(GroupHom(G, H, table))
     return out
 
 

@@ -38,10 +38,11 @@ class GAction:
     rows[g] is the permutation of element g.  rows is given as one
     permutation per element, or as a function from an element id to its
     permutation tuple together with size; each row is then computed on
-    its first lookup and kept.
+    its first lookup and kept.  The rows are trusted to form an action,
+    as every constructor in the package trusts its caller.
     """
 
-    def __init__(self, group: FiniteGroup, rows, check: bool = True,
+    def __init__(self, group: FiniteGroup, rows,
                  size: int | None = None) -> None:
         self.group = group
         if callable(rows):
@@ -55,25 +56,6 @@ class GAction:
                 raise ValueError("need one permutation per group element")
             self.size = len(self.rows[0]) if self.rows else 0
         self._decomposition = None
-        if check:
-            self._check()
-
-    def _check(self) -> None:
-        """Exact: rows[s*b] == rows[s] o rows[b] for each generator s and
-        every b gives rows[a*b] == rows[a] o rows[b] for all a, by
-        induction on the length of a as a word in the generators."""
-        G, rows = self.group, self.rows
-        points = tuple(range(self.size))
-        if rows[G.identity] != points:
-            raise ValueError("identity must act trivially")
-        for b in range(G.order):
-            if tuple(sorted(rows[b])) != points:
-                raise ValueError("each element must act by a permutation")
-        for s in G.generators:
-            rs, ts = rows[s], G.row(s)
-            for b in range(G.order):
-                if rows[ts[b]] != tuple(rs[x] for x in rows[b]):
-                    raise ValueError("action is not compatible with products")
 
     def _generator_rows(self) -> list[tuple[int, ...]]:
         return [self.rows[s] for s in self.group.generators]
@@ -113,7 +95,7 @@ class GAction:
                 if w not in members:
                     found.append(w)
                     elems = extend_subgroup(G, elems, members, found)
-        return Subgroup(G, elems, check=False)
+        return Subgroup(G, elems)
 
     def fixed_points(self, elements) -> list[int]:
         """Points fixed by every listed group element."""
@@ -168,7 +150,7 @@ def iso_check(A: GAction, B: GAction) -> bool:
 # -- basic constructors ----------------------------------------------
 
 def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
-    return GAction(G, [tuple(range(size))] * G.order, check=False)
+    return GAction(G, [tuple(range(size))] * G.order)
 
 
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
@@ -176,7 +158,7 @@ def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
     reps, idx = S.coset_index_map()
     mul = G.mul
     act = GAction(G, lambda g: tuple(idx[mul(g, r)] for r in reps),
-                  size=len(reps), check=False)
+                  size=len(reps))
     act.coset_reps = tuple(reps)
     act.coset_subgroup = S
     return act
@@ -196,7 +178,7 @@ def disjoint_union(*actions: GAction) -> GAction:
             out.extend(offset + v for v in a.rows[g])
             offset += a.size
         return tuple(out)
-    return GAction(G, row, size=sum(a.size for a in actions), check=False)
+    return GAction(G, row, size=sum(a.size for a in actions))
 
 
 def external_product(A: GAction, B: GAction) -> GAction:
@@ -208,7 +190,7 @@ def external_product(A: GAction, B: GAction) -> GAction:
         a, b = amb.decode(x)
         ra, rb = A.rows[a], B.rows[b]
         return tuple(ra[u] * nb + rb[v] for u in range(na) for v in range(nb))
-    return GAction(amb, row, size=na * nb, check=False)
+    return GAction(amb, row, size=na * nb)
 
 
 def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
@@ -222,7 +204,7 @@ def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
     if group.order != A.group.order or any(
             group.row(g) != A.group.row(g) for g in range(group.order)):
         raise ValueError("groups are not element-wise identical")
-    return GAction(group, A.rows.__getitem__, size=A.size, check=False)
+    return GAction(group, A.rows.__getitem__, size=A.size)
 
 
 # -- bisets ----------------------------------------------------------
@@ -264,7 +246,7 @@ class BisetView:
         def row(x: int) -> tuple[int, ...]:
             h, g = amb.decode(x)
             return rows[encode(g, h)]
-        return BisetView(amb, GAction(amb, row, size=self.size, check=False))
+        return BisetView(amb, GAction(amb, row, size=self.size))
 
 
 def biset_coset(X: ProductSubgroup) -> BisetView:
@@ -277,16 +259,14 @@ def biset_from_left_action(A: GAction) -> BisetView:
     one = trivial_group()
     amb = product_group(A.group, one)
     # (g, 1) has the id of g, so the rows carry over
-    return BisetView(amb, GAction(amb, A.rows.__getitem__, size=A.size,
-                                  check=False))
+    return BisetView(amb, GAction(amb, A.rows.__getitem__, size=A.size))
 
 
 def left_action_of_biset(U: BisetView) -> GAction:
     """Forget a trivial right side."""
     if U.right.order != 1:
         raise ValueError("right group must be trivial")
-    return GAction(U.left, U.action.rows.__getitem__, size=U.size,
-                   check=False)
+    return GAction(U.left, U.action.rows.__getitem__, size=U.size)
 
 
 # -- elementary bisets -----------------------------------------------
@@ -297,8 +277,7 @@ def induction_biset(S: Subgroup) -> BisetView:
     Hg = S.as_group()
     amb = product_group(G, Hg)
     X = ProductSubgroup(
-        amb, [amb.encode(S.from_local(i), i) for i in range(Hg.order)],
-        check=False)
+        amb, [amb.encode(S.from_local(i), i) for i in range(Hg.order)])
     return biset_coset(X)
 
 
@@ -364,7 +343,7 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
         gr = Urows[Uenc(g, H.identity)]
         kr = Vrows[Venc(H.identity, k)]
         return tuple(label[gr[r // nv] * nv + kr[r % nv]] for r in reps)
-    return BisetView(amb, GAction(amb, row, size=len(reps), check=False))
+    return BisetView(amb, GAction(amb, row, size=len(reps)))
 
 
 def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
@@ -383,8 +362,7 @@ def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
         pid = Y.ambient.encode(h, Y.ambient.right.identity)
         Yh = Y.conjugated_by_pair(pid)
         Z = star(X, Yh)
-        key = Subgroup(amb_out, Z.elements,
-                       check=False).canonical_conjugate().elements
+        key = Subgroup(amb_out, Z.elements).canonical_conjugate().elements
         items[key] += 1
     return TransitiveDecomposition(amb_out, tuple(sorted(items.items())))
 
@@ -433,7 +411,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         if len(hs) > 1 and row != row_via(g, k, hs[1]):
             raise AssertionError("middle witness changed the action")
         rows.append(row)
-    return GAction(Sg, rows, check=False)
+    return GAction(Sg, rows)
 
 
 def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
@@ -449,7 +427,7 @@ def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
     Pg = data.pullback.as_group()
     elems = [amb.encode(data.nu(i), Pg.local_to_parent[i])
              for i in range(Pg.order)]
-    Xsub = ProductSubgroup(amb, elems, check=False)
+    Xsub = ProductSubgroup(amb, elems)
     return biset_coset(Xsub)
 
 
@@ -489,7 +467,7 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
             sr = U.rows[s]
             row.extend(tj * n + sr[u] for u in range(n))
         rows.append(tuple(row))
-    return GAction(G, rows, check=False)
+    return GAction(G, rows)
 
 
 def conjugated_action(X: ProductSubgroup, x: int, U: GAction
@@ -505,7 +483,7 @@ def conjugated_action(X: ProductSubgroup, x: int, U: GAction
     xinv = G.inv(x)
     rows = [U.rows[Xg.parent_to_local[G.conj(xinv, Xcg.local_to_parent[i])]]
             for i in range(Xcg.order)]
-    return Xc, GAction(Xcg, rows, check=False)
+    return Xc, GAction(Xcg, rows)
 
 
 def sub_in_local(outer: ProductSubgroup, inner: ProductSubgroup) -> Subgroup:
@@ -513,8 +491,7 @@ def sub_in_local(outer: ProductSubgroup, inner: ProductSubgroup) -> Subgroup:
     if not inner.element_set <= outer.element_set:
         raise ValueError("inner must be contained in outer")
     Og = outer.as_group()
-    return Subgroup(Og, [Og.parent_to_local[e] for e in inner.elements],
-                    check=False)
+    return Subgroup(Og, [Og.parent_to_local[e] for e in inner.elements])
 
 
 def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
@@ -539,10 +516,10 @@ def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
 
     data = pullback(X, Y)
     PG = data.pullback.ambient
-    A = Subgroup(PG, data.pullback.elements, check=False)
+    A = Subgroup(PG, data.pullback.elements)
     B = Subgroup(PG,
                  [PG.encode(Xg.parent_to_local[e], Yg.parent_to_local[f])
-                  for e in Xp.elements for f in Yp.elements], check=False)
+                  for e in Xp.elements for f in Yp.elements])
     S = data.star_subgroup
     Sg = S.as_group()
     terms = []
@@ -583,15 +560,14 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
     data = pullback(X, Y)
     PG = data.pullback.ambient
     rect = Subgroup(PG, [PG.encode(X.to_local(e), Y.to_local(f))
-                          for e in Xp.elements for f in Yp.elements],
-                    check=False)
+                          for e in Xp.elements for f in Yp.elements])
     lhs = tensor_direct(defres_biset(X, Y), induction_biset(rect))
 
     S = data.star_subgroup
     Sg = S.as_group()
     rectg = rect.as_group()
     amb_out = product_group(Sg, rectg)
-    A = Subgroup(PG, data.pullback.elements, check=False)
+    A = Subgroup(PG, data.pullback.elements)
     GH, HK, GK = X.ambient, Y.ambient, S.ambient
     parts = []
     for rep in double_cosets(PG, A, rect):
@@ -616,7 +592,7 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
                     PG.encode(X.to_local(e0), Y.to_local(f0))]
                 elems.append(amb_out.encode(left_loc, right_loc))
         parts.append(biset_coset(
-            ProductSubgroup(amb_out, elems, check=False)).action)
+            ProductSubgroup(amb_out, elems)).action)
     rhs = disjoint_union(*parts)
     return {
         "lhs": lhs.decompose(),

@@ -34,9 +34,11 @@ _CUSTOM_GROUPS: dict = {}
 def group_from_spec(spec) -> FiniteGroup:
     """Resolve a group spec: bundled name, generator list, or table.
 
-    Dict specs accept {"name", "generators"} with one-line cycle strings
-    or {"name", "table"} with a full multiplication table.  Equal specs
-    return the identical group object.
+    Dict specs accept {"name", "generators"} with one-line cycle strings,
+    each checked to be a permutation, or {"name", "table"} with a full
+    multiplication table, whose group axioms are checked before the
+    group is kept.  Equal specs return
+    the identical group object.
     """
     if isinstance(spec, str):
         return named_group(spec)
@@ -54,7 +56,9 @@ def group_from_spec(spec) -> FiniteGroup:
         key = (name, tuple(tuple(row) for row in spec["table"]))
         G = _CUSTOM_GROUPS.get(key)
         if G is None:
-            G = _CUSTOM_GROUPS[key] = FiniteGroup(key[1], name=name or "G")
+            G = FiniteGroup(key[1], name=name or "G")
+            G.check_axioms()
+            _CUSTOM_GROUPS[key] = G
         return G
     if name:
         return named_group(name)
@@ -123,7 +127,7 @@ def parse_term(doc: dict, G: FiniteGroup, H: FiniteGroup) -> GammaTerm:
                         Pg.mul, Pg.identity)
     if table is None or sorted(table) != list(range(Pg.order)):
         raise ValueError("phi does not extend to an isomorphism Q -> P")
-    phi = GroupHom(Qg, Pg, table, check=False)
+    phi = GroupHom(Qg, Pg, table)
     return GammaTerm(twisted_diagonal(P, phi, Q), int(doc["coefficient"]))
 
 

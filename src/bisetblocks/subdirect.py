@@ -16,9 +16,8 @@ from .groups import GroupHom, ProductGroup, Subgroup, product_group
 class ProductSubgroup(Subgroup):
     """A subgroup of an ambient direct product, with projections and kernels."""
 
-    def __init__(self, ambient: ProductGroup, elements, check: bool = True
-                 ) -> None:
-        super().__init__(ambient, elements, check=check)
+    def __init__(self, ambient: ProductGroup, elements) -> None:
+        super().__init__(ambient, elements)
         self.ambient = ambient
         G, H = ambient.left, ambient.right
         lefts, rights = set(), set()
@@ -31,23 +30,10 @@ class ProductSubgroup(Subgroup):
                 k1.append(a)
             if a == G.identity:
                 k2.append(b)
-        self.p1 = Subgroup(G, lefts, check=False)
-        self.p2 = Subgroup(H, rights, check=False)
-        self.k1 = Subgroup(G, k1, check=False)
-        self.k2 = Subgroup(H, k2, check=False)
-        if check:
-            self._check_kernels_normal()
-
-    def _check_kernels_normal(self) -> None:
-        G, H = self.ambient.left, self.ambient.right
-        for g in self.p1.elements:
-            for n in self.k1.elements:
-                if G.conj(g, n) not in self.k1.element_set:
-                    raise AssertionError("k1 must be normal in p1")
-        for h in self.p2.elements:
-            for n in self.k2.elements:
-                if H.conj(h, n) not in self.k2.element_set:
-                    raise AssertionError("k2 must be normal in p2")
+        self.p1 = Subgroup(G, lefts)
+        self.p2 = Subgroup(H, rights)
+        self.k1 = Subgroup(G, k1)
+        self.k2 = Subgroup(H, k2)
 
     def pairs(self):
         dec = self.ambient.decode
@@ -56,14 +42,13 @@ class ProductSubgroup(Subgroup):
     def conjugated_by_pair(self, x: int) -> "ProductSubgroup":
         G = self.parent
         return ProductSubgroup(self.ambient,
-                               [G.conj(x, e) for e in self.elements],
-                               check=False)
+                               [G.conj(x, e) for e in self.elements])
 
     def opposite(self) -> "ProductSubgroup":
         """The same relation viewed inside H x G, pairs swapped."""
         amb = product_group(self.ambient.right, self.ambient.left)
         return ProductSubgroup(
-            amb, [amb.encode(b, a) for a, b in self.pairs()], check=False)
+            amb, [amb.encode(b, a) for a, b in self.pairs()])
 
     def __repr__(self):
         return (f"ProductSubgroup(order={self.order} of "
@@ -71,7 +56,7 @@ class ProductSubgroup(Subgroup):
 
 
 def full_product_subgroup(ambient: ProductGroup) -> ProductSubgroup:
-    return ProductSubgroup(ambient, range(ambient.order), check=False)
+    return ProductSubgroup(ambient, range(ambient.order))
 
 
 def star(X: ProductSubgroup, Y: ProductSubgroup) -> ProductSubgroup:
@@ -86,7 +71,7 @@ def star(X: ProductSubgroup, Y: ProductSubgroup) -> ProductSubgroup:
     for g, h in X.pairs():
         for k in by_middle.get(h, ()):
             out.add(amb.encode(g, k))
-    return ProductSubgroup(amb, out, check=False)
+    return ProductSubgroup(amb, out)
 
 
 def middle_witnesses(X: ProductSubgroup, Y: ProductSubgroup
@@ -111,7 +96,7 @@ def middle_kernel(X: ProductSubgroup, Y: ProductSubgroup) -> Subgroup:
     if X.ambient.right is not Y.ambient.left:
         raise ValueError("matching middle group required")
     H = X.ambient.right
-    return Subgroup(H, X.k2.element_set & Y.k1.element_set, check=False)
+    return Subgroup(H, X.k2.element_set & Y.k1.element_set)
 
 
 class PullbackData:
@@ -142,7 +127,7 @@ def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
         lx = X.to_local(x_pid)
         for y_pid in y_by_middle.get(h, ()):
             elems.append(amb.encode(lx, Y.to_local(y_pid)))
-    P = ProductSubgroup(amb, elems, check=False)
+    P = ProductSubgroup(amb, elems)
     S = star(X, Y)
     Sg = S.as_group()
     Pg = P.as_group()
@@ -152,7 +137,7 @@ def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
         g, _ = X.ambient.decode(X.from_local(lx))
         _, k = Y.ambient.decode(Y.from_local(ly))
         images.append(Sg.parent_to_local[S.ambient.encode(g, k)])
-    nu = GroupHom(Pg, Sg, images, check=False)
+    nu = GroupHom(Pg, Sg, images)
     return PullbackData(P, nu, nu.kernel(), S)
 
 
@@ -182,7 +167,7 @@ def twisted_diagonal(P: Subgroup, phi, Q: Subgroup) -> ProductSubgroup:
             if mapping[H.mul(a, b)] != G.mul(mapping[a], mapping[b]):
                 raise ValueError("phi is not multiplicative")
     return ProductSubgroup(
-        amb, [amb.encode(mapping[y], y) for y in Q.elements], check=False)
+        amb, [amb.encode(mapping[y], y) for y in Q.elements])
 
 
 def diagonal(S: Subgroup) -> ProductSubgroup:

@@ -49,12 +49,12 @@ def random_product_subgroup(rng: random.Random, amb: ProductGroup,
             continue
         if max_order is not None and S.order > max_order:
             continue
-        return ProductSubgroup(amb, S.elements, check=False)
+        return ProductSubgroup(amb, S.elements)
     if max_order is None or amb.order <= max_order:
         return full_product_subgroup(amb)
     from .groups import trivial_subgroup
     t = trivial_subgroup(amb)
-    return ProductSubgroup(amb, t.elements, check=False)
+    return ProductSubgroup(amb, t.elements)
 
 
 def random_sub_in(rng: random.Random, X: ProductSubgroup,
@@ -67,12 +67,12 @@ def random_sub_in(rng: random.Random, X: ProductSubgroup,
             continue
         if max_order is not None and S.order > max_order:
             continue
-        return ProductSubgroup(X.ambient, S.elements, check=False)
+        return ProductSubgroup(X.ambient, S.elements)
     if max_order is not None:
         from .groups import trivial_subgroup
         t = trivial_subgroup(X.parent)
-        return ProductSubgroup(X.ambient, t.elements, check=False)
-    return ProductSubgroup(X.ambient, X.elements, check=False)
+        return ProductSubgroup(X.ambient, t.elements)
+    return ProductSubgroup(X.ambient, X.elements)
 
 
 def random_action(rng: random.Random, G: FiniteGroup,

@@ -38,22 +38,80 @@ def is_p_group(S, p: int) -> bool:
 def conjugate_subgroup(S, x: int) -> Subgroup:
     """x S x^-1, element by element."""
     G = S.parent
-    return Subgroup(G, [G.conj(x, h) for h in S.elements], check=False)
+    return Subgroup(G, [G.conj(x, h) for h in S.elements])
 
 
-def product_subgroup(ambient, pairs, check: bool = True) -> ProductSubgroup:
+def product_subgroup(ambient, pairs) -> ProductSubgroup:
     """The subgroup of ambient = G x H given by explicit (left, right) pairs."""
-    return ProductSubgroup(ambient,
-                           [ambient.encode(a, b) for a, b in pairs],
-                           check=check)
+    return ProductSubgroup(ambient, [ambient.encode(a, b) for a, b in pairs])
 
 
 def rectangle(ambient, A, B) -> ProductSubgroup:
     """The full rectangle A x B inside G x H."""
     return ProductSubgroup(
         ambient,
-        [ambient.encode(a, b) for a in A.elements for b in B.elements],
-        check=False)
+        [ambient.encode(a, b) for a in A.elements for b in B.elements])
+
+
+# -- checks of what a constructor trusts ------------------------------
+
+def check_subgroup(S) -> None:
+    """Raise ValueError unless S holds the identity and is closed under
+    inverses and products, tested on every pair."""
+    if S.parent.identity not in S.element_set:
+        raise ValueError("subgroup is missing the identity")
+    mul = S.parent.mul
+    for a in S.elements:
+        if S.parent.inv(a) not in S.element_set:
+            raise ValueError("subgroup is not closed under inverses")
+        for b in S.elements:
+            if mul(a, b) not in S.element_set:
+                raise ValueError("subgroup is not closed under products")
+
+
+def check_hom(h) -> None:
+    """Exact: images[a*s] == images[a]*images[s] for every a and each
+    generator s gives images[a*b] == images[a]*images[b] for every
+    b = s1...sk, by induction on k."""
+    if h.images[h.source.identity] != h.target.identity:
+        raise ValueError("homomorphism must preserve the identity")
+    src, tgt, im = h.source, h.target, h.images
+    for s in src.generators:
+        for a in range(src.order):
+            if im[src.mul(a, s)] != tgt.mul(im[a], im[s]):
+                raise ValueError("map is not multiplicative")
+
+
+def check_action(A) -> None:
+    """Exact: rows[s*b] == rows[s] o rows[b] for each generator s and
+    every b gives rows[a*b] == rows[a] o rows[b] for all a, by
+    induction on the length of a as a word in the generators."""
+    G, rows = A.group, A.rows
+    points = tuple(range(A.size))
+    if rows[G.identity] != points:
+        raise ValueError("identity must act trivially")
+    for b in range(G.order):
+        if tuple(sorted(rows[b])) != points:
+            raise ValueError("each element must act by a permutation")
+    for s in G.generators:
+        rs, ts = rows[s], G.row(s)
+        for b in range(G.order):
+            if rows[ts[b]] != tuple(rs[x] for x in rows[b]):
+                raise ValueError("action is not compatible with products")
+
+
+def check_kernels_normal(X) -> None:
+    """Raise AssertionError unless k1(X) is normal in p1(X) and k2(X)
+    in p2(X), tested on every pair."""
+    G, H = X.ambient.left, X.ambient.right
+    for g in X.p1.elements:
+        for n in X.k1.elements:
+            if G.conj(g, n) not in X.k1.element_set:
+                raise AssertionError("k1 must be normal in p1")
+    for h in X.p2.elements:
+        for n in X.k2.elements:
+            if H.conj(h, n) not in X.k2.element_set:
+                raise AssertionError("k2 must be normal in p2")
 
 
 # -- fields ----------------------------------------------------------
@@ -90,7 +148,7 @@ def inflate(chi, pi):
 # -- G-sets and bisets -----------------------------------------------
 
 def regular_action(G) -> GAction:
-    return GAction(G, G.row, size=G.order, check=False)
+    return GAction(G, G.row, size=G.order)
 
 
 def total_size(dec) -> int:
@@ -104,8 +162,7 @@ def restriction_biset(S):
     Hg = S.as_group()
     amb = product_group(Hg, G)
     X = ProductSubgroup(
-        amb, [amb.encode(i, S.from_local(i)) for i in range(Hg.order)],
-        check=False)
+        amb, [amb.encode(i, S.from_local(i)) for i in range(Hg.order)])
     return biset_coset(X)
 
 
@@ -113,8 +170,7 @@ def inflation_biset(G, N):
     """Inflation along G -> G/N as a (G, G/N)-biset."""
     Q, pi = quotient(G, N)
     amb = product_group(G, Q)
-    X = ProductSubgroup(amb, [amb.encode(g, pi(g)) for g in range(G.order)],
-                        check=False)
+    X = ProductSubgroup(amb, [amb.encode(g, pi(g)) for g in range(G.order)])
     return biset_coset(X)
 
 
@@ -154,7 +210,7 @@ def pair_stabilizer(pipe) -> Subgroup:
     keep = [n for n in normalizer(H, side.D).elements
             if all(f_vec[C.to_local(H.conj(n, x))] == f_vec[i]
                    for i, x in enumerate(C.elements))]
-    return Subgroup(H, keep, check=False)
+    return Subgroup(H, keep)
 
 
 def correspondent_iso_index(pipe):

@@ -6,11 +6,14 @@ the check's own verdict.  Budgets are enforced inside the checks; a
 slow pass comes back as a failure.
 """
 
-from bisetblocks import acceptance
+from bisetblocks import acceptance, suites
 from bisetblocks.acceptance import (DEFAULT_SEED, criterion_1, criterion_2,
                                     criterion_3, criterion_4, criterion_5,
                                     criterion_6, criterion_7, criterion_8,
                                     criterion_9)
+from bisetblocks.suites import random_product_subgroup
+
+from oracles import check_kernels_normal, check_subgroup
 
 
 def _run(capfd, fn, **kw):
@@ -24,20 +27,36 @@ def _run(capfd, fn, **kw):
     return r
 
 
-def test_criterion_1_mackey_decomposition(capfd):
-    _run(capfd, criterion_1, seed=DEFAULT_SEED)
+def _run_randomized(capfd, monkeypatch, fn):
+    """Run a randomized suite, then check every subgroup of a product it
+    drew: the package builds them without checking."""
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(random_product_subgroup(*args, **kwargs))
+        return drawn[-1]
+    monkeypatch.setattr(suites, "random_product_subgroup", recording)
+    _run(capfd, fn, seed=DEFAULT_SEED)
+    assert drawn
+    for X in drawn:
+        check_subgroup(X)
+        check_kernels_normal(X)
 
 
-def test_criterion_2_induction_formulas(capfd):
-    _run(capfd, criterion_2, seed=DEFAULT_SEED)
+def test_criterion_1_mackey_decomposition(capfd, monkeypatch):
+    _run_randomized(capfd, monkeypatch, criterion_1)
 
 
-def test_criterion_3_tensor_coherence(capfd):
-    _run(capfd, criterion_3, seed=DEFAULT_SEED)
+def test_criterion_2_induction_formulas(capfd, monkeypatch):
+    _run_randomized(capfd, monkeypatch, criterion_2)
 
 
-def test_criterion_4_character_contraction(capfd):
-    _run(capfd, criterion_4, seed=DEFAULT_SEED)
+def test_criterion_3_tensor_coherence(capfd, monkeypatch):
+    _run_randomized(capfd, monkeypatch, criterion_3)
+
+
+def test_criterion_4_character_contraction(capfd, monkeypatch):
+    _run_randomized(capfd, monkeypatch, criterion_4)
 
 
 def test_criterion_5_s3_blocks(capfd):

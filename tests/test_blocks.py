@@ -111,7 +111,7 @@ def test_block_counts_partitions_and_defects():
         part = assign_characters_to_blocks(table, blocks, F)
         got = [tuple(table.names[i] for i in pa) for pa in part]
         assert got == partition, (name, p)
-        assert [defect_group(G, p, b, F).order for b in blocks] == defects
+        assert [defect_group(G, p, b).order for b in blocks] == defects
         assert principal_block_index(table, blocks, F) == principal
 
 
@@ -147,7 +147,7 @@ def test_principal_defect_group_is_sylow():
         blocks = block_idempotents(G, p, F)
         table = bundled_table(name)
         b0 = blocks[principal_block_index(table, blocks, F)]
-        D = defect_group(G, p, b0, F)
+        D = defect_group(G, p, b0)
         P = sylow_subgroup(G, p)
         assert D.elements == P.canonical_conjugate().elements
 
@@ -195,7 +195,7 @@ def test_maximal_brauer_pairs():
         blocks = block_idempotents(G, p, F)
         for b in blocks:
             D, e = maximal_brauer_pair(G, p, b, F)
-            assert D.elements == defect_group(G, p, b, F).elements
+            assert D.elements == defect_group(G, p, b).elements
             assert e.is_idempotent()
             from bisetblocks.groups import centralizer
             Cg = centralizer(G, D).as_group()
@@ -527,7 +527,7 @@ def defect_groups_agree_with_enumeration(G):
         F = field_for(G, p)
         for b in block_idempotents(G, p, F):
             for largest in (False, True):
-                got = defect_group(G, p, b, F, largest_rep=largest)
+                got = defect_group(G, p, b, largest_rep=largest)
                 want = defect_group_by_enumeration(G, p, b, largest)
                 assert got.elements == want.elements, (G.name, p, largest)
 
@@ -546,11 +546,11 @@ def test_a_class_of_smallest_centralizer_p_part_fails_the_oracle(
     S3 = named_group("S3")
     F = field_for(S3, 2)
     b0 = block_idempotents(S3, 2, F)[1]
-    assert defect_group(S3, 2, b0, F).order == 2
+    assert defect_group(S3, 2, b0).order == 2
     real = blocks_module.int_p_part
     monkeypatch.setattr(blocks_module, "int_p_part",
                         lambda n, p: -real(n, p))
-    assert defect_group(S3, 2, b0, F).order == 1
+    assert defect_group(S3, 2, b0).order == 1
     assert defect_group_by_enumeration(S3, 2, b0).order == 2
     with pytest.raises(AssertionError):
         defect_groups_agree_with_enumeration(S3)

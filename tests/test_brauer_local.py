@@ -118,7 +118,7 @@ def test_simple_dim_matches_the_regular_rank_of_the_pushed_block(name, p):
     F = field_for(G, p)
     for b in block_idempotents(G, p, F):
         D, e = maximal_brauer_pair(G, p, b, F)
-        assert D.elements == defect_group(G, p, b, F).elements
+        assert D.elements == defect_group(G, p, b).elements
         Cg = centralizer(G, D).as_group()
         Z = Subgroup(Cg, [Cg.parent_to_local[z] for z in center_of(G, D)])
         Q, pi = quotient(Cg, Z)

@@ -431,8 +431,7 @@ def _seeded_subgroup(rng, G):
 
 def _seeded_product_subgroup(rng, amb):
     from bisetblocks.subdirect import ProductSubgroup
-    return ProductSubgroup(amb, _seeded_subgroup(rng, amb).elements,
-                           check=False)
+    return ProductSubgroup(amb, _seeded_subgroup(rng, amb).elements)
 
 
 # partners of every bundled group, each product at most 576 elements

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
-                                SizeLimitError, Subgroup, _extend_hom, center,
+                                SizeLimitError, _extend_hom, center,
                                 centralizer, cycles_of, double_cosets,
                                 element_by_name, group_from_permutations,
                                 int_p_part, int_p_prime_part, isomorphisms,
@@ -22,7 +22,8 @@ from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
 from bisetblocks.subdirect import full_product_subgroup
 
-from oracles import conjugate_subgroup, double_coset_of, is_p_group
+from oracles import (check_action, check_hom, check_subgroup,
+                     conjugate_subgroup, double_coset_of, is_p_group)
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -72,6 +73,12 @@ def test_parse_cycles_round_trip():
 def test_parse_cycles_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_cycles(text)
+
+
+@pytest.mark.parametrize("generator", ["(1 2)(2 3)", (0, 0, 1), (0, 3)])
+def test_group_from_permutations_rejects_a_non_permutation(generator):
+    with pytest.raises(ValueError, match="is not a permutation"):
+        group_from_permutations(["(1 2)", generator])
 
 
 def test_group_from_permutations_respects_cap():
@@ -187,7 +194,7 @@ def test_sylow_subgroup_is_in_the_top_p_subgroup_class():
             if G.order % p:
                 continue
             P = sylow_subgroup(G, p)
-            Subgroup(G, P.elements)  # closed under products and inverses
+            check_subgroup(P)
             assert is_p_group(P, p) and P.order == int_p_part(G.order, p)
             reps = p_subgroups_up_to_conjugacy(G, p)
             top = [S for S in reps if S.order == P.order]
@@ -232,11 +239,13 @@ def test_group_hom_validation():
     C2 = named_group("C2")
     sign = [0 if S3.element_order(g) in (1, 3) else 1 for g in range(6)]
     h = GroupHom(S3, C2, sign)
+    check_hom(h)
     assert h.is_surjective() and not h.is_injective()
     assert h.kernel().order == 3
-    bad = [1] * 6
-    with pytest.raises((AssertionError, ValueError)):
-        GroupHom(S3, C2, bad)
+    with pytest.raises(ValueError, match="preserve the identity"):
+        check_hom(GroupHom(S3, C2, [1] * 6))
+    with pytest.raises(ValueError, match="cover every source element"):
+        GroupHom(S3, C2, sign[:5])
 
 
 def test_isomorphism_counts():
@@ -349,8 +358,8 @@ def test_product_generators_are_the_factor_generators():
     S3, Q8 = named_group("S3"), named_group("Q8")
     amb = product_group(S3, Q8)
     assert amb.generators == (
-        tuple(amb.encode(s, Q8.identity) for s in S3.generator_ids)
-        + tuple(amb.encode(S3.identity, t) for t in Q8.generator_ids))
+        tuple(amb.encode(s, Q8.identity) for s in S3.generators)
+        + tuple(amb.encode(S3.identity, t) for t in Q8.generators))
     # a local group has no permutations and takes a minimal sequence
     D = subgroup_generated(S3, [el(S3, "(1 2 3)")]).as_group()
     assert D.generators == minimal_generating_sequence(D)
@@ -398,11 +407,16 @@ def test_permutation_table_is_the_pairwise_composition(name):
         assert G.row(i) == tuple(index[tuple(a[b[k]] for k in range(deg))]
                                  for b in perms)
     if name in LARGE_GENERATORS:
-        assert G.generator_ids == tuple(
+        assert G.generators == tuple(
             index[parse_cycles(g, deg)] for g in LARGE_GENERATORS[name])
 
 
 def test_axiom_check_is_exact_on_a_swapped_row():
+    # group_from_permutations derives its table and does not check it;
+    # the check passes on every table it builds here
+    for G in [named_group(n) for n in BUNDLED_NAMES] + [
+            large_group(n) for n in LARGE_GENERATORS]:
+        G.check_axioms()
     S5 = large_group("S5")
     table = [list(row) for row in S5.table]
     # Swapping two entries of row 1 keeps every row a permutation and the
@@ -410,9 +424,9 @@ def test_axiom_check_is_exact_on_a_swapped_row():
     # order, as an associativity check once sampled, miss it.
     table[1][3], table[1][4] = table[1][4], table[1][3]
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(table)
-    FiniteGroup(S5.table)
-    FiniteGroup([[0]])
+        FiniteGroup(table).check_axioms()
+    FiniteGroup(S5.table).check_axioms()
+    FiniteGroup([[0]]).check_axioms()
 
 
 def test_axiom_check_rejects_small_non_groups():
@@ -421,7 +435,7 @@ def test_axiom_check_rejects_small_non_groups():
     for table in ([[0, 1, 2], [1, 2, 0], [2, 2, 0]],
                   [[0, 1, 2, 3], [1, 1, 0, 2], [2, 0, 0, 0], [3, 0, 3, 0]]):
         with pytest.raises(ValueError, match="not a"):
-            FiniteGroup(table)
+            FiniteGroup(table).check_axioms()
 
 
 def test_axiom_check_tests_every_generator():
@@ -434,27 +448,21 @@ def test_axiom_check_tests_every_generator():
     twisted = [S5.row(a) if a in H else
                [S5.mul(a, S5.conj(c, b)) for b in range(S5.order)]
                for a in range(S5.order)]
-    assert minimal_generating_sequence(
-        FiniteGroup(twisted, _skip_check=True))[0] == s
+    assert minimal_generating_sequence(FiniteGroup(twisted))[0] == s
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(twisted)
-    # generators that reach only H cannot vouch for the rest
-    with pytest.raises(ValueError, match="miss element"):
-        FiniteGroup(twisted, generator_ids=(s,))
-    with pytest.raises(ValueError, match="miss element"):
-        FiniteGroup(S5.table, generator_ids=(s,))
+        FiniteGroup(twisted).check_axioms()
 
 
 def test_group_hom_check_is_exact_on_generators():
     S5, C2 = large_group("S5"), named_group("C2")
     sign = [sum(p[i] > p[j] for j in range(5) for i in range(j)) % 2
             for p in S5.permutations]
-    GroupHom(S5, C2, sign)
+    check_hom(GroupHom(S5, C2, sign))
     for g in (7, 119):
         bad = list(sign)
         bad[g] = 1 - bad[g]
         with pytest.raises(ValueError, match="not multiplicative"):
-            GroupHom(S5, C2, bad)
+            check_hom(GroupHom(S5, C2, bad))
     # flipping a whole coset {a, a s} keeps images[a s] = images[a] images[s]
     # for the first generator s, so only a later generator can see it
     s = S5.generators[0]
@@ -462,13 +470,45 @@ def test_group_hom_check_is_exact_on_generators():
     for g in (7, S5.mul(7, s)):
         bad[g] = 1 - bad[g]
     with pytest.raises(ValueError, match="not multiplicative"):
-        GroupHom(S5, C2, bad)
+        check_hom(GroupHom(S5, C2, bad))
     amb = product_group(S5, C2)
     proj = [amb.decode(x)[1] for x in range(amb.order)]
-    GroupHom(amb, C2, proj)
+    check_hom(GroupHom(amb, C2, proj))
     proj[5] = 1 - proj[5]
     with pytest.raises(ValueError):
-        GroupHom(amb, C2, proj)
+        check_hom(GroupHom(amb, C2, proj))
+
+
+def subgroup_classes(G):
+    """One subgroup of each conjugacy class; every subgroup of a bundled
+    group is generated by two elements."""
+    reps = {}
+    for a in range(G.order):
+        for b in range(a, G.order):
+            S = subgroup_generated(G, [a, b])
+            reps.setdefault(S.canonical_conjugate().elements, S)
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_the_checks_hold_on_what_the_package_builds(name):
+    # constructors trust their caller, so the checks they once ran are
+    # run here on the subgroups, actions and homs the package derives
+    G = named_group(name)
+    for S in subgroup_classes(G):
+        for T in (S, centralizer(G, S), normalizer(G, S)):
+            check_subgroup(T)
+        check_action(coset_action(G, S))
+        if S.is_normal():
+            check_hom(quotient(G, S)[1])
+    for p in (2, 3, 5, 7, 11):
+        if G.order % p == 0:
+            check_subgroup(sylow_subgroup(G, p))
+    autos = isomorphisms(G, G)
+    assert autos
+    for h in autos:
+        check_hom(h)
+        check_hom(h.inverse())
 
 
 def brute_canonical(S, largest=False):

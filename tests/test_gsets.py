@@ -20,8 +20,8 @@ from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal
 
-from oracles import (inflation_biset, rectangle, regular_action,
-                     restriction_biset, total_size)
+from oracles import (check_action, inflation_biset, rectangle,
+                     regular_action, restriction_biset, total_size)
 
 
 def el(G, spec):
@@ -30,9 +30,12 @@ def el(G, spec):
 
 def test_gaction_validates_rows():
     C2 = named_group("C2")
-    with pytest.raises(ValueError):
-        GAction(C2, [(1, 0), (1, 0)])  # identity must act trivially
+    with pytest.raises(ValueError, match="identity must act trivially"):
+        check_action(GAction(C2, [(1, 0), (1, 0)]))
+    with pytest.raises(ValueError, match="need one permutation"):
+        GAction(C2, [(0, 1)])
     A = GAction(C2, [(0, 1), (1, 0)])
+    check_action(A)
     assert A.size == 2
 
 
@@ -130,7 +133,7 @@ def test_tensor_mackey_agrees_with_direct_tensor():
             gens = [rng.randrange(amb.order)
                     for _ in range(rng.randint(1, 2))]
             S = subgroup_generated(amb, gens)
-            return ProductSubgroup(amb, S.elements, check=False)
+            return ProductSubgroup(amb, S.elements)
 
         X, Y = pick(ambL), pick(ambR)
         lhs = tensor_mackey(X, Y)
@@ -143,7 +146,7 @@ def test_tensor_unit_laws():
     C6 = named_group("C6")
     amb = product_group(S3, C6)
     S = subgroup_generated(amb, [amb.encode(el(S3, "(1 2)"), 3)])
-    U = biset_coset(ProductSubgroup(amb, S.elements, check=False))
+    U = biset_coset(ProductSubgroup(amb, S.elements))
     ident_right = biset_coset(diagonal(full_subgroup(C6)))
     ident_left = biset_coset(diagonal(full_subgroup(S3)))
     assert tensor_direct(U, ident_right).decompose() == U.decompose()
@@ -275,9 +278,11 @@ def test_gaction_check_is_exact_on_a_large_product():
                              for u in range(3) for v in range(4)))
         return out
     with pytest.raises(ValueError, match="compatible with products"):
-        GAction(amb, rows(lambda a: (0, 1, 2) if a == S4.identity
-                          else (1, 0, 2)))
-    assert GAction(amb, rows(lambda a: (0, 1, 2))).size == 12
+        check_action(GAction(amb, rows(lambda a: (0, 1, 2)
+                                       if a == S4.identity else (1, 0, 2))))
+    A = GAction(amb, rows(lambda a: (0, 1, 2)))
+    check_action(A)
+    assert A.size == 12
 
 
 def test_gaction_row_function_needs_a_size():
@@ -328,7 +333,7 @@ def _random_actions(rng):
 
     def biset(amb, max_index=24):
         S = sub(amb, max_index)
-        return biset_coset(ProductSubgroup(amb, S.elements, check=False))
+        return biset_coset(ProductSubgroup(amb, S.elements))
 
     for G in (S4, DQ, SS):
         yield coset(G)

@@ -14,18 +14,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bisetblocks"
 
 # Names that wait for a caller, with the ROADMAP item that brings it.
 DEFERRED = {
-    # item 3, the paper's theorem as executable checks
-    "dual_biset": 3,
-    "external_character": 3,
-    "fixed_cosets": 3,
-    "brauer_construction": 3,
-    "is_twisted_diagonal": 3,
+    # item 4, the paper's theorem as executable checks
+    "dual_biset": 4,
+    "external_character": 4,
+    "fixed_cosets": 4,
+    "brauer_construction": 4,
+    "is_twisted_diagonal": 4,
 }
 
 # The element-vector references of the block layer, and the p-subgroup
 # enumeration that defect groups no longer use.  perfbench/tracer.py
 # wraps them by name, so they move to tests/oracles.py when the benchmark
-# next changes (ROADMAP item 5).
+# next changes (ROADMAP item 6).
 TRACED_REFERENCES = {"brauer_hom", "group_algebra_mul",
                      "p_subgroups_up_to_conjugacy"}
 

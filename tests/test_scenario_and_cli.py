@@ -253,6 +253,24 @@ def assert_input_error(capsys, argv, message):
     assert message in captured.err
 
 
+def test_cli_blocks_rejects_a_non_associative_table(tmp_path, capsys):
+    # a table from a spec file is the one group input whose axioms are
+    # checked; this one keeps the identity and a 0 in every row
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad",
+                                "table": [[0, 1, 2], [1, 2, 0], [2, 2, 0]]}))
+    assert_input_error(capsys, ["blocks", str(path), "--prime", "2"],
+                       "not associative")
+
+
+def test_cli_blocks_rejects_a_generator_that_is_no_permutation(tmp_path, capsys):
+    # (1 2)(2 3) sends 1 and 3 to 2: its closure would be a monoid
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"generators": ["(1 2)(2 3)"]}))
+    assert_input_error(capsys, ["blocks", str(path), "--prime", "2"],
+                       "is not a permutation of 3 points")
+
+
 def test_cli_blocks_field_degree_below_the_splitting_field(tmp_path, capsys):
     # A5 splits at p=3 only over F_81; F_3 leaves a block of dimension 18
     a5 = tmp_path / "A5.json"

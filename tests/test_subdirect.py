@@ -12,7 +12,8 @@ from bisetblocks.subdirect import (ProductSubgroup, diagonal,
                                    middle_kernel, middle_witnesses, pullback,
                                    star, twisted_diagonal)
 
-from oracles import product_subgroup, rectangle
+from oracles import (check_kernels_normal, check_subgroup, product_subgroup,
+                     rectangle)
 
 
 def el(G, spec):
@@ -100,7 +101,7 @@ def _random_product_subgroup(rng, amb):
     n = amb.order
     gens = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
     S = subgroup_generated(amb, gens)
-    return ProductSubgroup(amb, S.elements, check=False)
+    return ProductSubgroup(amb, S.elements)
 
 
 def test_star_is_associative_on_random_triples():
@@ -200,19 +201,17 @@ def test_conjugated_by_pair_moves_projections():
 def test_kernel_normality_is_checked():
     S3 = named_group("S3")
     amb = product_group(S3, S3)
-    # {(e, e), ((1 2), e)} has k1 = <(1 2)> but p1 = <(1 2)>: fine.
-    # A genuinely bad relation: p1 = S3 with k1 = <(1 2)> not normal.
+    # The diagonal plus ((1 2), e) has p1 = S3 and k1 = <(1 2)>, which is
+    # not normal; its closure widens k1 to S3, which is.
     elems = set(diagonal(full_subgroup(S3)).elements)
     elems.add(amb.encode(el(S3, "(1 2)"), S3.identity))
-    from bisetblocks.groups import subgroup_generated as sg
-    closed = sg(amb, list(elems))
-    X = ProductSubgroup(amb, closed.elements, check=False)
-    if X.k1.order == 2:
-        with pytest.raises(AssertionError):
-            ProductSubgroup(amb, closed.elements, check=True)
-    else:
-        # closure widened the kernel; the checked build must then pass
-        ProductSubgroup(amb, closed.elements, check=True)
+    X = ProductSubgroup(amb, elems)
+    assert X.p1.order == 6 and X.k1.order == 2
+    with pytest.raises(AssertionError, match="k1 must be normal"):
+        check_kernels_normal(X)
+    closed = ProductSubgroup(amb, subgroup_generated(amb, list(elems)).elements)
+    assert closed.k1.order == 6
+    check_kernels_normal(closed)
 
 
 def test_product_subgroup_from_pairs():
@@ -220,5 +219,6 @@ def test_product_subgroup_from_pairs():
     amb = product_group(C3, C3)
     X = product_subgroup(amb, [(g, g) for g in range(3)])
     assert X.order == 3 and is_twisted_diagonal(X)
-    with pytest.raises((AssertionError, ValueError)):
-        product_subgroup(amb, [(0, 0), (1, 0)])  # not closed
+    check_subgroup(X)
+    with pytest.raises(ValueError, match="not closed"):
+        check_subgroup(product_subgroup(amb, [(0, 0), (1, 0)]))
