@@ -15,8 +15,9 @@ class in the support of the block (Green's min-max theorem; Navarro,
 class-sum basis: br_D maps Z(F_q G) into Z(F_q C_G(D)) class by class,
 products of central elements use the class structure constants, and a
 central element is pushed along a quotient map class by class.
-Centralizers, local groups and block idempotents are kept on their
-group, and the whole group as a local group shares its rows.
+Centralizers, local groups, Sylow subgroups and block idempotents are
+kept on their group, and the whole group is its own local group, so a
+block with C_G(D) = G reuses G's classes, constants and blocks.
 The one vector over group elements left is the pushed block's, whose
 rank on the permutation module of the cosets of a Sylow p-subgroup
 gives the dimension: a block ideal is projective, so it is free over
@@ -38,7 +39,7 @@ from .gf import (Fq, mat_kernel, mat_rank, mat_solve, poly_exact_div,
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
                      class_structure_constants, int_p_part, int_p_prime_part,
                      normalizer, quotient, sylow_subgroup)
-from .gsets import GAction, biset_coset, coset_action
+from .gsets import GAction, biset_coset
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -354,9 +355,7 @@ def brauer_hom(vec, D: Subgroup, field: Fq):
         for g in range(G.order):
             if vec[G.conj(d, g)] != vec[g]:
                 raise ValueError("element is not fixed under the subgroup")
-    C = centralizer(G, D)
-    Cg = C.as_group()
-    return [vec[C.from_local(i)] for i in range(Cg.order)]
+    return [vec[g] for g in centralizer(G, D).elements]
 
 
 def brauer_image(b: CentralElement, D: Subgroup) -> CentralElement:
@@ -372,10 +371,10 @@ def brauer_image(b: CentralElement, D: Subgroup) -> CentralElement:
     G = b.group
     if D.parent.uid != G.uid:
         raise ValueError("D must be a subgroup of the group of b")
-    Cg = centralizer(G, D).as_group()
-    to_parent = Cg.local_to_parent
+    C = centralizer(G, D)
+    Cg = C.as_group()
     return CentralElement(Cg, b.field, [
-        b.coeffs[G.class_index(to_parent[cls[0]])]
+        b.coeffs[G.class_index(C.from_local(cls[0]))]
         for cls in Cg.conjugacy_classes()])
 
 
@@ -393,9 +392,9 @@ def defect_group(G: FiniteGroup, p: int, b: CentralElement,
     coeffs, class_of = b.coeffs, G.class_index
     x = min((cls for cls, c in zip(G.conjugacy_classes(), coeffs) if c),
             key=lambda cls: int_p_part(len(cls), p))[0]
-    C = centralizer(G, x).as_group()
-    P = sylow_subgroup(C, p)
-    D = Subgroup(G, [C.local_to_parent[g] for g in P.elements]
+    C = centralizer(G, x)
+    P = sylow_subgroup(C.as_group(), p)
+    D = Subgroup(G, map(C.from_local, P.elements)
                  ).canonical_conjugate(largest=largest_rep)
     if not any(coeffs[class_of(g)] for g in centralizer(G, D).elements):
         raise AssertionError("br_D(b) vanishes at the defect group")
@@ -428,23 +427,22 @@ def maximal_brauer_pair(G: FiniteGroup, p: int, b: CentralElement,
     raise AssertionError("no local block survives the Brauer image")
 
 
-def action_rank(F: Fq, rows, coeffs: dict, points) -> int:
-    """Rank of sum c z on the span of points, z acting through rows[z].
+def action_rank(F: Fq, row, coeffs: dict, points) -> int:
+    """Rank of sum c z on the span of points, z acting through row(z).
 
-    coeffs maps group elements z to their coefficients c.  Raises
+    coeffs maps group elements z to their coefficients c.  The matrix is
+    built one z at a time, so only one row(z) is held.  Raises
     ValueError when some z takes one of the points outside them.
     """
     pos = {x: i for i, x in enumerate(points)}
-    support = [(rows[z], c) for z, c in coeffs.items()]
     add = F.add
-    M = []      # one row per point v: the image of v
+    M = [[0] * len(pos) for _ in pos]   # one row per point v: its image
     try:
-        for v in points:
-            image = [0] * len(pos)
-            for row, c in support:
-                i = pos[row[v]]
+        for z, c in coeffs.items():
+            r = row(z)
+            for image, v in zip(M, pos):
+                i = pos[r[v]]
                 image[i] = add(image[i], c)
-            M.append(image)
     except KeyError:
         raise ValueError("an element takes a point outside the span"
                          ) from None
@@ -456,9 +454,13 @@ def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
 
     The basis is the left cosets gP; vec is a coefficient vector over G.
     """
-    action = coset_action(G, P)
+    reps, idx = P.coset_index_map()
     support = {x: c for x, c in enumerate(vec) if c}
-    return action_rank(F, action.rows, support, range(action.size))
+
+    def row(z: int) -> list[int]:
+        zrow = G.row(z)
+        return [idx[zrow[r]] for r in reps]
+    return action_rank(F, row, support, range(len(reps)))
 
 
 def push_central(e: CentralElement, pi: GroupHom) -> CentralElement:
@@ -497,7 +499,7 @@ def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
     Cg = C.as_group()
     if e.group.uid != Cg.uid:
         raise ValueError("e must be a block of the centralizer algebra")
-    z_local = [Cg.parent_to_local[z] for z in D.elements if z in C]
+    z_local = [C.to_local(z) for z in D.elements if z in C]
     if len(z_local) == 1:
         Q, qe = Cg, e
     else:
@@ -577,11 +579,10 @@ def brauer_construction(terms, P: Subgroup):
         fixed = U.action.fixed_points(P.elements)
         pos = {x: i for i, x in enumerate(fixed)}
         N = normalizer(amb, P)
-        Ng = N.as_group()
         rows = []
-        for i in range(Ng.order):
-            row = U.action.rows[N.from_local(i)]
+        for g in N.elements:
+            row = U.action.rows[g]
             rows.append(tuple(pos[row[x]] for x in fixed))
-        out.append({"fixed": fixed, "action": GAction(Ng, rows),
+        out.append({"fixed": fixed, "action": GAction(N.as_group(), rows),
                     "coefficient": coeff})
     return out

@@ -428,7 +428,8 @@ class BrouePipeline:
 
     def _projected_rank(self, U, fixed, projector: dict) -> int:
         try:
-            return action_rank(self.field, U.action.rows, projector, fixed)
+            return action_rank(self.field, U.action.rows.__getitem__,
+                               projector, fixed)
         except ValueError:
             raise PipelineError(
                 "sign", "projector does not preserve the fixed set")
@@ -688,7 +689,7 @@ def _weighted_conjugate(chi: ClassFunction) -> list:
 
 
 def _el(G: FiniteGroup, g: int) -> str:
-    if G.element_names:
+    if G.has_names:
         return G.element_names[g]
     return str(g)
 

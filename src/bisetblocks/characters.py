@@ -152,7 +152,7 @@ def induce(chi: ClassFunction, S: Subgroup) -> ClassFunction:
     sums = [ZERO] * len(classes)
     for d, v in zip(Sg.conjugacy_classes(), chi.values):
         if not v.is_zero():
-            c = G.class_index(Sg.local_to_parent[d[0]])
+            c = G.class_index(S.from_local(d[0]))
             sums[c] = sums[c] + len(d) * v
     return ClassFunction(G, [
         v * Fraction(G.order // len(cls), S.order)
@@ -165,7 +165,7 @@ def restrict(chi: ClassFunction, S: Subgroup) -> ClassFunction:
         raise ValueError("character must live on the parent group")
     Sg = S.as_group()
     return ClassFunction(
-        Sg, [chi.at(Sg.local_to_parent[cls[0]])
+        Sg, [chi.at(S.from_local(cls[0]))
              for cls in Sg.conjugacy_classes()])
 
 
@@ -250,15 +250,15 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
     wits = middle_witnesses(X, Y)
     ker = middle_kernel(X, Y)
     x_class, y_class = Xg.class_index, Yg.class_index
-    x_local, y_local = Xg.parent_to_local, Yg.parent_to_local
+    x_local, y_local = X.to_local, Y.to_local
     x_enc, y_enc = X.ambient.encode, Y.ambient.encode
     products: dict = {}
     scale = Fraction(1, ker.order)
     vals = []
     for cls in Sg.conjugacy_classes():
-        g, k = S.ambient.decode(Sg.local_to_parent[cls[0]])
-        counts = Counter((x_class(x_local[x_enc(g, h)]),
-                          y_class(y_local[y_enc(h, k)]))
+        g, k = S.ambient.decode(S.from_local(cls[0]))
+        counts = Counter((x_class(x_local(x_enc(g, h))),
+                          y_class(y_local(y_enc(h, k))))
                          for h in wits[(g, k)])
         total = ZERO
         for pair, n in counts.items():
@@ -280,9 +280,9 @@ def conjugate_character_by(chi: ClassFunction, X: ProductSubgroup, x: int
     xinv = amb.inv(x)
     vals = []
     for cls in Xcg.conjugacy_classes():
-        e = Xcg.local_to_parent[cls[0]]
+        e = Xc.from_local(cls[0])
         vals.append(chi.values[Xg.class_index(
-            Xg.parent_to_local[amb.conj(xinv, e)])])
+            X.to_local(amb.conj(xinv, e)))])
     return Xc, ClassFunction(Xcg, vals)
 
 

@@ -190,7 +190,7 @@ def _subgroup_names(D) -> list:
     if D.order == 1:
         return []
     gens = [D.from_local(i) for i in minimal_generating_sequence(D.as_group())]
-    if G.element_names:
+    if G.has_names:
         return [G.element_names[g] for g in gens]
     return gens
 

@@ -16,12 +16,15 @@ centralizers and normalizers of subgroups are computed from generators
 rather than from every element.
 Groups are immutable once built.  Data derived from a group (conjugacy
 classes, element orders, canonical conjugates, centralizers of
-subgroups, local groups, p-subgroup classes, quotients) is computed
-lazily and kept on that group, so it lives exactly as long as the group
-does.  A product G x H is kept weakly on G, so product_group returns one
-object for as long as anything holds it, and lets it go once nothing
-does.  Canonical representatives are always the smallest available
-integer id, which keeps every enumeration in the package deterministic.
+subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
+element names) is computed on first read and kept on that group, so it
+lives exactly as long as the group does.  A group carries no embedding:
+a Subgroup translates between parent and local ids, and the whole group
+is its own local group.  A product G x H is kept weakly on G, so
+product_group returns one object for as long as anything holds it, and
+lets it go once nothing does.  Canonical representatives are always the
+smallest available integer id, which keeps every enumeration in the
+package deterministic.
 """
 
 from __future__ import annotations
@@ -45,17 +48,16 @@ class FiniteGroup:
     _uid_counter = itertools.count()
 
     def __init__(self, table, identity: int = 0, name: str = "",
-                 element_names=None) -> None:
+                 names=None) -> None:
         self.table = tuple(tuple(row) for row in table)
-        self._start(len(self.table), identity, name, element_names)
+        self._start(len(self.table), identity, name, names)
 
-    def _start(self, order: int, identity: int, name: str,
-               element_names) -> None:
+    def _start(self, order: int, identity: int, name: str, names) -> None:
         """Set the state every group carries, however it multiplies."""
         self.order = order
         self.identity = identity
         self.name = name or f"G{order}"
-        self.element_names = tuple(element_names) if element_names else None
+        self._names = names
         self.uid = next(FiniteGroup._uid_counter)
         self._classes = None
         self._class_of = None
@@ -63,9 +65,20 @@ class FiniteGroup:
         self._center = None
         # Data derived from this group lives here and dies with it:
         # canonical conjugates, centralizers of subgroups, local groups,
-        # p-subgroup classes, quotients, class structure constants, block
-        # idempotents per field, the bundled table.
+        # p-subgroup classes, Sylow subgroups, quotients, class structure
+        # constants, block idempotents per field, the character table.
         self._subgroup_cache: dict = {}
+
+    @cached_property
+    def element_names(self) -> tuple[str, ...] | None:
+        """The name of each element, or None: built on first read by the
+        function of no arguments given to the constructor as names."""
+        return tuple(self._names()) if self._names else None
+
+    @property
+    def has_names(self) -> bool:
+        """Whether the elements are named, without building the names."""
+        return self._names is not None
 
     @cached_property
     def _products(self) -> weakref.WeakValueDictionary:
@@ -270,44 +283,41 @@ class Subgroup:
         return cached
 
     def as_group(self) -> FiniteGroup:
-        """This subgroup as a group in its own right.
-
-        Element i of the result is self.elements[i]; the result carries
-        local_to_parent / parent_to_local translation maps.  Cached per
-        (parent, elements) so repeated calls share one object.  The whole
-        of a group with a table shares that table's rows.
+        """This subgroup as a group in its own right, element i being
+        self.elements[i].  The embedding stays here: from_local and
+        to_local translate.  The whole group is its own local group.
+        Kept on the parent per element tuple with the map to local ids.
         """
-        key = ("asgroup", self.elements)
-        cached = self.parent._subgroup_cache.get(key)
+        return self._local[0]
+
+    @cached_property
+    def _local(self) -> tuple[FiniteGroup, dict]:
+        G, elems = self.parent, self.elements
+        key = ("asgroup", elems)
+        cached = G._subgroup_cache.get(key)
         if cached is None:
-            G, elems = self.parent, self.elements
             loc = {g: i for i, g in enumerate(elems)}
-            if isinstance(G, ProductGroup):
-                # A product row is built on every call: take |S|^2 products.
-                mul = G.mul
-                table = [[loc[mul(a, b)] for b in elems] for a in elems]
-            elif self.order == G.order:
-                # The whole group: local ids are parent ids, so the rows
-                # are shared with the parent, not copied.
-                table = G.table
-            else:
-                table = [[loc[row[b]] for b in elems]
-                         for row in map(G.row, elems)]
-            names = None
-            if self.parent.element_names:
-                names = [self.parent.element_names[g] for g in self.elements]
-            cached = FiniteGroup(
-                table, identity=loc[self.parent.identity],
-                name=f"{self.parent.name}|{self.order}",
-                element_names=names)
-            cached.local_to_parent = self.elements
-            cached.parent_to_local = loc
-            cached.parent_group = self.parent
-            self.parent._subgroup_cache[key] = cached
+            local = G
+            if self.order < G.order:
+                # A product builds a row on every call: take |S|^2 products.
+                if isinstance(G, ProductGroup):
+                    mul = G.mul
+                    table = [[loc[mul(a, b)] for b in elems] for a in elems]
+                else:
+                    table = [[loc[row[b]] for b in elems]
+                             for row in map(G.row, elems)]
+                local = FiniteGroup(
+                    table, identity=loc[G.identity],
+                    name=f"{G.name}|{self.order}",
+                    names=(lambda: [G.element_names[g] for g in elems])
+                    if G.has_names else None)
+            cached = G._subgroup_cache[key] = (local, loc)
         return cached
 
-    def to_local(self, g: int) -> int:
-        return self.as_group().parent_to_local[g]
+    @cached_property
+    def to_local(self):
+        """to_local(g) is the id in as_group() of the parent element g."""
+        return self._local[1].__getitem__
 
     def from_local(self, i: int) -> int:
         return self.elements[i]
@@ -468,10 +478,11 @@ def group_from_permutations(generators, degree: int = 0,
         if table[i] is None:
             a, k = tree[elems[i]]
             table[i] = gen_rows[k](table[index[a]])
+    perms = tuple(elems)
     G = FiniteGroup(table, identity=0, name=name or f"perm{n}",
-                    element_names=[cycles_of(p) for p in elems])
+                    names=lambda: map(cycles_of, perms))
     G.generators = gen_ids
-    G.permutations = tuple(elems)
+    G.permutations = perms
     return G
 
 
@@ -625,12 +636,11 @@ class ProductGroup(FiniteGroup):
         nl, nr = left.order, right.order
         if nl * nr > DEFAULT_CLOSURE_CAP:
             raise SizeLimitError("direct product exceeds the order cap")
-        names = None
-        if left.element_names and right.element_names:
-            names = [f"({x},{y})" for x in left.element_names
-                     for y in right.element_names]
         self._start(nl * nr, left.identity * nr + right.identity,
-                    f"{left.name}x{right.name}", names)
+                    f"{left.name}x{right.name}",
+                    (lambda: [f"({x},{y})" for x in left.element_names
+                              for y in right.element_names])
+                    if left.has_names and right.has_names else None)
         self.left = left
         self.right = right
         self._nr = nr
@@ -727,12 +737,10 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise ValueError("quotient requires a normal subgroup")
     reps, idx = N.coset_index_map()
     table = [[idx[row[b]] for b in reps] for row in map(G.row, reps)]
-    names = None
-    if G.element_names:
-        names = [f"{G.element_names[r]}N" for r in reps]
     Q = FiniteGroup(table, identity=idx[G.identity],
-                    name=f"{G.name}/{N.order}", element_names=names)
-    Q.coset_reps = tuple(reps)
+                    name=f"{G.name}/{N.order}",
+                    names=(lambda: [f"{G.element_names[r]}N" for r in reps])
+                    if G.has_names else None)
     pi = GroupHom(G, Q, idx)
     G._subgroup_cache[key] = (Q, pi)
     return Q, pi
@@ -798,9 +806,13 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     Below Sylow order p divides |N(P):P|, so the normalizer has an
     element g outside P with g^p in P; the first such g in id order
     extends P to a p-group of order p|P|.  No conjugacy classes are
-    listed, so the cost is a normalizer per step.
+    listed, so the cost is a normalizer per step.  Kept on G per p.
     """
     _check_prime(p)
+    key = ("sylow", p)
+    cached = G._subgroup_cache.get(key)
+    if cached is not None:
+        return cached
     full = int_p_part(G.order, p)
     P = trivial_subgroup(G)
     while P.order < full:
@@ -813,6 +825,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     if P.order != full:
         raise AssertionError(
             f"p-subgroup of order {P.order} stopped below |G|_p = {full}")
+    G._subgroup_cache[key] = P
     return P
 
 

@@ -157,11 +157,8 @@ def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
     """Left translation on the cosets gS; point order is by minimal member."""
     reps, idx = S.coset_index_map()
     mul = G.mul
-    act = GAction(G, lambda g: tuple(idx[mul(g, r)] for r in reps),
-                  size=len(reps))
-    act.coset_reps = tuple(reps)
-    act.coset_subgroup = S
-    return act
+    return GAction(G, lambda g: tuple(idx[mul(g, r)] for r in reps),
+                   size=len(reps))
 
 
 def disjoint_union(*actions: GAction) -> GAction:
@@ -274,10 +271,9 @@ def left_action_of_biset(U: BisetView) -> GAction:
 def induction_biset(S: Subgroup) -> BisetView:
     """Induction from a subgroup: the (G, H)-biset on G with H = S."""
     G = S.parent
-    Hg = S.as_group()
-    amb = product_group(G, Hg)
+    amb = product_group(G, S.as_group())
     X = ProductSubgroup(
-        amb, [amb.encode(S.from_local(i), i) for i in range(Hg.order)])
+        amb, [amb.encode(g, i) for i, g in enumerate(S.elements)])
     return biset_coset(X)
 
 
@@ -395,7 +391,6 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
                           for p in range(nu * nv)))
     label, reps = _orbit_labels(nu * nv, glue)
     S = star(X, Y)
-    Sg = S.as_group()
     witnesses = middle_witnesses(X, Y)
 
     def row_via(g: int, k: int, h: int):
@@ -404,14 +399,14 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         return tuple(label[ur[r // nv] * nv + vr[r % nv]] for r in reps)
 
     rows = []
-    for s in Sg.local_to_parent:
+    for s in S.elements:
         g, k = S.ambient.decode(s)
         hs = witnesses[(g, k)]
         row = row_via(g, k, hs[0])
         if len(hs) > 1 and row != row_via(g, k, hs[1]):
             raise AssertionError("middle witness changed the action")
         rows.append(row)
-    return GAction(Sg, rows)
+    return GAction(S.as_group(), rows)
 
 
 def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
@@ -421,12 +416,10 @@ def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
     natural surjection nu from the pullback X x_H Y onto X * Y.
     """
     data: PullbackData = pullback(X, Y)
-    Sg = data.star_subgroup.as_group()
-    Pg_parent = data.pullback.ambient
-    amb = product_group(Sg, Pg_parent)
-    Pg = data.pullback.as_group()
-    elems = [amb.encode(data.nu(i), Pg.local_to_parent[i])
-             for i in range(Pg.order)]
+    amb = product_group(data.star_subgroup.as_group(),
+                        data.pullback.ambient)
+    elems = [amb.encode(data.nu(i), z)
+             for i, z in enumerate(data.pullback.elements)]
     Xsub = ProductSubgroup(amb, elems)
     return biset_coset(Xsub)
 
@@ -463,7 +456,7 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
         for ti, t in enumerate(reps):
             gt = G.mul(g, t)
             tj = idx[gt]
-            s = Sg.parent_to_local[G.mul(G.inv(reps[tj]), gt)]
+            s = S.to_local(G.mul(G.inv(reps[tj]), gt))
             sr = U.rows[s]
             row.extend(tj * n + sr[u] for u in range(n))
         rows.append(tuple(row))
@@ -479,19 +472,16 @@ def conjugated_action(X: ProductSubgroup, x: int, U: GAction
     """
     G = X.ambient
     Xc = X.conjugated_by_pair(x)
-    Xg, Xcg = X.as_group(), Xc.as_group()
     xinv = G.inv(x)
-    rows = [U.rows[Xg.parent_to_local[G.conj(xinv, Xcg.local_to_parent[i])]]
-            for i in range(Xcg.order)]
-    return Xc, GAction(Xcg, rows)
+    rows = [U.rows[X.to_local(G.conj(xinv, e))] for e in Xc.elements]
+    return Xc, GAction(Xc.as_group(), rows)
 
 
 def sub_in_local(outer: ProductSubgroup, inner: ProductSubgroup) -> Subgroup:
     """inner viewed as a subgroup of outer.as_group()."""
     if not inner.element_set <= outer.element_set:
         raise ValueError("inner must be contained in outer")
-    Og = outer.as_group()
-    return Subgroup(Og, [Og.parent_to_local[e] for e in inner.elements])
+    return Subgroup(outer.as_group(), map(outer.to_local, inner.elements))
 
 
 def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
@@ -518,15 +508,15 @@ def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
     PG = data.pullback.ambient
     A = Subgroup(PG, data.pullback.elements)
     B = Subgroup(PG,
-                 [PG.encode(Xg.parent_to_local[e], Yg.parent_to_local[f])
+                 [PG.encode(X.to_local(e), Y.to_local(f))
                   for e in Xp.elements for f in Yp.elements])
     S = data.star_subgroup
     Sg = S.as_group()
     terms = []
     for rep in double_cosets(PG, A, B):
         lx, ly = PG.decode(rep)
-        x_pid = Xg.local_to_parent[lx]
-        y_pid = Yg.local_to_parent[ly]
+        x_pid = X.from_local(lx)
+        y_pid = Y.from_local(ly)
         Xc, Uc = conjugated_action(Xp, x_pid, U)
         Yc, Vc = conjugated_action(Yp, y_pid, V)
         T = extended_tensor(Xc, Yc, Uc, Vc)
@@ -564,9 +554,7 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
     lhs = tensor_direct(defres_biset(X, Y), induction_biset(rect))
 
     S = data.star_subgroup
-    Sg = S.as_group()
-    rectg = rect.as_group()
-    amb_out = product_group(Sg, rectg)
+    amb_out = product_group(S.as_group(), rect.as_group())
     A = Subgroup(PG, data.pullback.elements)
     GH, HK, GK = X.ambient, Y.ambient, S.ambient
     parts = []
@@ -585,11 +573,11 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
                 h2, k = HK.decode(f)
                 if h2 != h:
                     continue
-                left_loc = Sg.parent_to_local[GK.encode(g, k)]
+                left_loc = S.to_local(GK.encode(g, k))
                 e0 = GH.conj(xinv, e)
                 f0 = HK.conj(yinv, f)
-                right_loc = rectg.parent_to_local[
-                    PG.encode(X.to_local(e0), Y.to_local(f0))]
+                right_loc = rect.to_local(
+                    PG.encode(X.to_local(e0), Y.to_local(f0)))
                 elems.append(amb_out.encode(left_loc, right_loc))
         parts.append(biset_coset(
             ProductSubgroup(amb_out, elems)).action)

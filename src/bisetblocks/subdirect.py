@@ -114,9 +114,7 @@ def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
     """The fibered product over the middle group, as a subgroup of X x Y."""
     if X.ambient.right is not Y.ambient.left:
         raise ValueError("matching middle group required")
-    Xg = X.as_group()
-    Yg = Y.as_group()
-    amb = product_group(Xg, Yg)
+    amb = product_group(X.as_group(), Y.as_group())
     y_by_middle: dict[int, list[int]] = {}
     for y_pid in Y.elements:
         h, _ = Y.ambient.decode(y_pid)
@@ -129,15 +127,13 @@ def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
             elems.append(amb.encode(lx, Y.to_local(y_pid)))
     P = ProductSubgroup(amb, elems)
     S = star(X, Y)
-    Sg = S.as_group()
-    Pg = P.as_group()
     images = []
-    for z in Pg.local_to_parent:
+    for z in P.elements:
         lx, ly = amb.decode(z)
         g, _ = X.ambient.decode(X.from_local(lx))
         _, k = Y.ambient.decode(Y.from_local(ly))
-        images.append(Sg.parent_to_local[S.ambient.encode(g, k)])
-    nu = GroupHom(Pg, Sg, images)
+        images.append(S.to_local(S.ambient.encode(g, k)))
+    nu = GroupHom(P.as_group(), S.as_group(), images)
     return PullbackData(P, nu, nu.kernel(), S)
 
 

@@ -1,6 +1,8 @@
 """Block idempotents, Brauer homomorphism, defect groups, Brauer pairs."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 multiplicative_order, splitting_field_degree,
                                 splitting_params)
 from bisetblocks.characters import character_table
+from bisetblocks.cli import main
 from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.gf import Fq, fq_field, mat_rank
 from bisetblocks.groups import (centralizer, class_structure_constants,
@@ -499,13 +502,14 @@ def test_action_rank_on_a_span_of_points():
     F = fq_field(3, 1)
     t = element_by_name(S3, "(1 2)")
     U = coset_action(S3, subgroup_generated(S3, [t]))
+    row = U.rows.__getitem__
     everything = {g: 1 for g in range(S3.order)}
-    assert action_rank(F, U.rows, everything, range(U.size)) == 1
-    assert action_rank(F, U.rows, {S3.identity: 2}, range(U.size)) == 3
+    assert action_rank(F, row, everything, range(U.size)) == 1
+    assert action_rank(F, row, {S3.identity: 2}, range(U.size)) == 3
     (fixed,) = U.fixed_points([t])
-    assert action_rank(F, U.rows, {t: 1}, [fixed]) == 1
+    assert action_rank(F, row, {t: 1}, [fixed]) == 1
     with pytest.raises(ValueError, match="outside the span"):
-        action_rank(F, U.rows, {element_by_name(S3, "(1 3)"): 1}, [fixed])
+        action_rank(F, row, {element_by_name(S3, "(1 3)"): 1}, [fixed])
 
 
 def test_splitting_degree_of_every_p_local_centralizer_divides_the_group():
@@ -554,3 +558,44 @@ def test_a_class_of_smallest_centralizer_p_part_fails_the_oracle(
     assert defect_group_by_enumeration(S3, 2, b0).order == 2
     with pytest.raises(AssertionError):
         defect_groups_agree_with_enumeration(S3)
+
+
+def _run_blocks_counted(monkeypatch, tmp_path, generators, p):
+    """Run the blocks command on a group built afresh from a spec file.
+
+    Returns the orders of the groups whose centre was split into blocks,
+    sorted, and the number of Sylow subgroups built per group order.
+    """
+    splits, sylows = [], {}
+    check = blocks_module._assert_block_axioms
+    sylow = blocks_module.sylow_subgroup
+
+    def counted_check(F, G, found):
+        splits.append(G.order)
+        return check(F, G, found)
+
+    def counted_sylow(G, q):
+        P = sylow(G, q)
+        sylows[id(P)] = (G.order, P)
+        return P
+    monkeypatch.setattr(blocks_module, "_assert_block_axioms", counted_check)
+    monkeypatch.setattr(blocks_module, "sylow_subgroup", counted_sylow)
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"name": "counted", "generators": generators}))
+    out = tmp_path / "report.json"
+    assert main(["blocks", str(spec), "--prime", str(p),
+                 "--out", str(out)]) == 0
+    return sorted(splits), Counter(n for n, _ in sylows.values())
+
+
+def test_the_whole_group_splits_its_centre_once(monkeypatch, tmp_path):
+    # The defect-zero blocks have C_G(1) = G as their local group, which
+    # is G itself: its centre is split once, and its Sylow subgroup is
+    # built once for defect_group and defect_zero_simple_dim together.
+    splits, _ = _run_blocks_counted(monkeypatch, tmp_path,
+                                    ["(1 2)", "(1 2 3 4)"], 3)
+    assert splits == [3, 24]                 # G and C_G(C3), not G twice
+    splits, built = _run_blocks_counted(monkeypatch, tmp_path,
+                                        ["(1 2)", "(1 2 3 4 5 6)"], 2)
+    assert splits.count(720) == 1 and len(splits) == 2
+    assert built[720] == 1

@@ -102,8 +102,9 @@ def test_push_along_the_center_of_a_p_subgroup_matches_vectors(name, p):
     G = group(name)
     F = field_for(G, p)
     for D in p_subgroups_up_to_conjugacy(G, p):
-        Cg = centralizer(G, D).as_group()
-        Z = Subgroup(Cg, [Cg.parent_to_local[z] for z in center_of(G, D)])
+        C = centralizer(G, D)
+        Cg = C.as_group()
+        Z = Subgroup(Cg, map(C.to_local, center_of(G, D)))
         Q, pi = quotient(Cg, Z)
         for x in block_idempotents(Cg, p, F) + class_sums(Cg, F):
             pushed = push_central(x, pi)
@@ -119,8 +120,9 @@ def test_simple_dim_matches_the_regular_rank_of_the_pushed_block(name, p):
     for b in block_idempotents(G, p, F):
         D, e = maximal_brauer_pair(G, p, b, F)
         assert D.elements == defect_group(G, p, b).elements
-        Cg = centralizer(G, D).as_group()
-        Z = Subgroup(Cg, [Cg.parent_to_local[z] for z in center_of(G, D)])
+        C = centralizer(G, D)
+        Cg = C.as_group()
+        Z = Subgroup(Cg, map(C.to_local, center_of(G, D)))
         Q, pi = quotient(Cg, Z)
         qvec = vector_push(F, e.to_vector(), Q, pi)
         assert group_algebra_mul(F, Q, qvec, qvec) == qvec
@@ -138,15 +140,14 @@ def test_centralizers_are_kept_on_their_group():
             if all(G.conj(x, d) == d for d in D.elements))
 
 
-def test_the_whole_group_as_a_local_group_shares_rows_and_is_freed():
+def test_the_whole_group_is_its_own_local_group_and_is_freed():
     G = group_from_permutations(["(1 2)", "(1 2 3 4)"], name="S4")
-    L = full_subgroup(G).as_group()
-    assert L is not G and L.order == G.order
-    assert all(L.row(g) is G.row(g) for g in range(G.order))
-    assert [L.parent_to_local[g] for g in range(G.order)] == \
-        list(range(G.order))
-    gone = weakref.ref(L)
+    S = full_subgroup(G)
+    L = S.as_group()
+    assert L is G
+    assert [S.to_local(g) for g in range(G.order)] == list(range(G.order))
+    assert centralizer(G, G.identity).as_group() is G
     parent_gone = weakref.ref(G)
-    del G, L
+    del G, S, L
     gc.collect()
-    assert gone() is None and parent_gone() is None
+    assert parent_gone() is None

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bisetblocks.characters import (CharacterTable, ClassFunction,
-                                    character_table, contract_extended,
-                                    contract_middle, contract_over_middle,
+from bisetblocks.characters import (ClassFunction, character_table,
+                                    contract_extended, contract_middle,
+                                    contract_over_middle,
                                     conjugate_character_by, external_character,
                                     induce, ingest_character_table,
                                     inner_product, perm_character, restrict,
@@ -21,7 +21,7 @@ from bisetblocks.groups import (element_by_name, full_subgroup, product_group,
 from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table
-from bisetblocks.subdirect import diagonal
+from bisetblocks.subdirect import diagonal, star
 
 from oracles import inflate, rectangle, regular_action
 
@@ -370,7 +370,7 @@ def _assert_close(got, want):
 
 def _induce_by_elements(chi, S):
     """Ind chi(g) = |S|^-1 sum over x in G with x^-1 g x in S."""
-    G, Sg = S.parent, S.as_group()
+    G = S.parent
     local = _values_in_c(chi)
     out = []
     for cls in G.conjugacy_classes():
@@ -378,7 +378,7 @@ def _induce_by_elements(chi, S):
         for x in range(G.order):
             y = G.conj(G.inv(x), cls[0])
             if y in S.element_set:
-                total += local[Sg.parent_to_local[y]]
+                total += local[S.to_local(y)]
         out.append(total / S.order)
     return out
 
@@ -401,25 +401,24 @@ def _contract_over_middle_by_elements(mu1, mu2, amb1, amb2, out_group):
     return out
 
 
-def _contract_extended_by_elements(X, Y, chi_m, chi_n, out_group):
-    """At (g,k): the sum over h with (g,h) in X and (h,k) in Y, divided by
-    the number of h with (1,h) in X and (h,1) in Y."""
+def _contract_extended_by_elements(X, Y, chi_m, chi_n, S):
+    """At (g,k) in S = X * Y: the sum over h with (g,h) in X and (h,k) in
+    Y, divided by the number of h with (1,h) in X and (h,1) in Y."""
     H = X.ambient.right
     G, K = X.ambient.left, Y.ambient.right
     vm, vn = _values_in_c(chi_m), _values_in_c(chi_n)
-    xl, yl = X.as_group().parent_to_local, Y.as_group().parent_to_local
+    xl, yl = X.to_local, Y.to_local
     kernel = sum(1 for h in range(H.order)
                  if X.ambient.encode(G.identity, h) in X.element_set
                  and Y.ambient.encode(h, K.identity) in Y.element_set)
     out = []
-    for cls in out_group.conjugacy_classes():
-        g, k = out_group.parent_group.decode(
-            out_group.local_to_parent[cls[0]])
+    for cls in S.as_group().conjugacy_classes():
+        g, k = S.parent.decode(S.from_local(cls[0]))
         total = 0
         for h in range(H.order):
             x, y = X.ambient.encode(g, h), Y.ambient.encode(h, k)
             if x in X.element_set and y in Y.element_set:
-                total += vm[xl[x]] * vn[yl[y]]
+                total += vm[xl(x)] * vn[yl(y)]
         out.append(total / kernel)
     return out
 
@@ -505,8 +504,10 @@ def test_contract_extended_matches_the_element_sum(name):
         chi_m = _random_class_function(rng, X.as_group())
         chi_n = _random_class_function(rng, Y.as_group())
         out = contract_extended(X, Y, chi_m, chi_n)
+        S = star(X, Y)
+        assert out.group is S.as_group()
         _assert_close(out, _contract_extended_by_elements(
-            X, Y, chi_m, chi_n, out.group))
+            X, Y, chi_m, chi_n, S))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -520,8 +521,9 @@ def test_contract_extended_matches_the_element_sum_with_large_middles(seed):
     chi_m = _random_class_function(rng, X.as_group())
     chi_n = _random_class_function(rng, Y.as_group())
     out = contract_extended(X, Y, chi_m, chi_n)
-    _assert_close(out, _contract_extended_by_elements(
-        X, Y, chi_m, chi_n, out.group))
+    S = star(X, Y)
+    assert out.group is S.as_group()
+    _assert_close(out, _contract_extended_by_elements(X, Y, chi_m, chi_n, S))
 
 
 @pytest.mark.parametrize("name", BUNDLED_NAMES)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bisetblocks.gf import (Fq, fq_field, mat_kernel, mat_rank, mat_rref,
+from bisetblocks.gf import (fq_field, mat_kernel, mat_rank, mat_rref,
                             mat_solve, poly_deg, poly_factor, poly_gcd,
                             poly_mul, poly_monic, poly_sub, poly_trim,
                             poly_xgcd)

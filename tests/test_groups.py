@@ -1,6 +1,7 @@
 """Finite groups and direct products: construction, subgroups, quotients."""
 
 import gc
+import hashlib
 import random
 import tracemalloc
 import weakref
@@ -8,10 +9,12 @@ from math import lcm
 
 import pytest
 
+from bisetblocks import groups
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
                                 SizeLimitError, _extend_hom, center,
                                 centralizer, cycles_of, double_cosets,
-                                element_by_name, group_from_permutations,
+                                element_by_name, full_subgroup,
+                                group_from_permutations,
                                 int_p_part, int_p_prime_part, isomorphisms,
                                 minimal_generating_sequence, normalizer,
                                 orbit, p_subgroups_up_to_conjugacy,
@@ -702,3 +705,48 @@ def test_closure_order_of_s4_and_a4_is_pinned():
         "(2 3 4)", "(1 2 4)", "(1 4 3)", "(1 4 2)", "(1 3)(2 4)",
         "(1 4)(2 3)")
     assert A4.generators == (1, 2)
+
+
+def _digest(names):
+    return hashlib.sha256("\n".join(names).encode()).hexdigest()
+
+
+def test_element_names_are_built_on_first_read(monkeypatch):
+    # The lists and digests were taken when every name was built eagerly.
+    formatted = []
+    monkeypatch.setattr(groups, "cycles_of",
+                        lambda perm: formatted.append(perm) or
+                        cycles_of(perm))
+    S6 = group_from_permutations(["(1 2)", "(1 2 3 4 5 6)"], name="S6")
+    S4 = group_from_permutations(["(1 2)", "(1 2 3 4)"], name="S4")
+    P = product_group(S4, S4)
+    assert S6.has_names and P.has_names and not formatted
+    assert all("element_names" not in vars(G) for G in (S6, S4, P))
+    assert S6.element_names[:6] == ("()", "(1 2)", "(1 2 3 4 5 6)",
+                                    "(2 3 4 5 6)", "(1 3 4 5 6)",
+                                    "(1 3 5)(2 4 6)")
+    assert len(formatted) == 720 and "element_names" not in vars(S4)
+    assert _digest(S6.element_names) == (
+        "08e10d7d6bc01b9c05802677b58f209d62e8b28802a751aee7b7a96f0cb643c1")
+    assert P.element_names[:3] == ("((),())", "((),(1 2))",
+                                   "((),(1 2 3 4))")
+    assert P.element_names[-1] == "((1 2)(3 4),(1 2)(3 4))"
+    assert _digest(P.element_names) == (
+        "870a6109ae82e1b0f34de2e30e82d81f2ccdf931fe6dd15073969598bc118069")
+    V = subgroup_generated(S4, [el(S4, "(1 2)(3 4)"), el(S4, "(1 3)(2 4)")])
+    Q, _ = quotient(S4, V)
+    assert Q.has_names and "element_names" not in vars(Q)
+    assert Q.element_names == ("()N", "(1 2)N", "(1 2 3 4)N", "(2 3 4)N",
+                               "(1 3 4)N", "(1 3 4 2)N")
+    D = subgroup_generated(S4, [el(S4, "(1 2 3 4)"), el(S4, "(1 3)")])
+    assert D.as_group().element_names == (
+        "()", "(1 2 3 4)", "(1 3)(2 4)", "(1 4 3 2)", "(1 4)(2 3)", "(1 3)",
+        "(2 4)", "(1 2)(3 4)")
+    X = subgroup_generated(P, [P.encode(el(S4, "(1 2 3)"), el(S4, "(1 2)"))])
+    assert X.as_group().element_names == (
+        "((),())", "((),(1 2))", "((1 3 2),())", "((1 3 2),(1 2))",
+        "((1 2 3),())", "((1 2 3),(1 2))")
+    assert full_subgroup(S4).as_group().element_names is S4.element_names
+    unnamed = FiniteGroup(S4.table)
+    assert not unnamed.has_names and unnamed.element_names is None
+    assert not product_group(unnamed, S4).has_names

@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
-                                product_group, subgroup_generated,
-                                trivial_subgroup)
+                                product_group, subgroup_generated)
 from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
                                biset_from_left_action, check_defres_description,
                                coset_action, defres_biset, disjoint_union,
