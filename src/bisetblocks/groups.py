@@ -4,10 +4,12 @@ A group of order n has elements 0..n-1 with 0 the identity whenever the
 group is built by generator closure.  A group built from a table stores
 it densely; a direct product stores only its two factors and multiplies
 componentwise.  Other modules multiply through mul/inv/conj/row and so
-never depend on which.  One routine, orbit, closes a point under
-generators, in breadth-first order with a Schreier tree.  A group closed
-from permutations composes only one row per generator; every other row
-is read off its tree parent's, since row(a*s) = row(a) o row(s).  Input
+never depend on which; hot loops take their products in bulk through
+left_products and right_products, with no method call per product.
+One routine, orbit, closes a point under generators, in breadth-first
+order with a Schreier tree.  A group closed from permutations composes
+only one row per generator; every other row is read off its tree
+parent's, since row(a*s) = row(a) o row(s).  Input
 is checked once, where it enters: constructors trust their caller, and
 a multiplication table given from outside is checked by check_axioms,
 exactly on generators (Light's associativity test), and the generators
@@ -145,6 +147,16 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def left_products(self, a: int, elems) -> list[int]:
+        """[a*b for b in elems], read off one row."""
+        row = self.table[a]
+        return [row[b] for b in elems]
+
+    def right_products(self, elems, b: int) -> list[int]:
+        """[a*b for a in elems]."""
+        t = self.table
+        return [t[a][b] for a in elems]
+
     def inv(self, a: int) -> int:
         return self._inv[a]
 
@@ -256,7 +268,7 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Each element in id order not yet in the span of those before."""
-        return _greedy_generators(self.parent, self.elements, self.order)
+        return tuple(span(self.parent, self.elements, self.order)[0])
 
     def is_normal(self) -> bool:
         G = self.parent
@@ -299,13 +311,8 @@ class Subgroup:
             loc = {g: i for i, g in enumerate(elems)}
             local = G
             if self.order < G.order:
-                # A product builds a row on every call: take |S|^2 products.
-                if isinstance(G, ProductGroup):
-                    mul = G.mul
-                    table = [[loc[mul(a, b)] for b in elems] for a in elems]
-                else:
-                    table = [[loc[row[b]] for b in elems]
-                             for row in map(G.row, elems)]
+                table = [[loc[x] for x in G.left_products(a, elems)]
+                         for a in elems]
                 local = FiniteGroup(
                     table, identity=loc[G.identity],
                     name=f"{G.name}|{self.order}",
@@ -325,15 +332,14 @@ class Subgroup:
     def coset_index_map(self):
         """Array mapping each parent element g to the index of its coset gH."""
         G = self.parent
-        mul = G.mul
         idx = [-1] * G.order
         reps = []
         for g in range(G.order):
             if idx[g] < 0:
                 k = len(reps)
                 reps.append(g)
-                for h in self.elements:
-                    idx[mul(g, h)] = k
+                for x in G.left_products(g, self.elements):
+                    idx[x] = k
         return reps, idx
 
 
@@ -532,6 +538,22 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, elems)
 
 
+def span(G: FiniteGroup, candidates, order: int | None = None
+         ) -> tuple[list[int], list[int]]:
+    """(kept, elements): each candidate outside the span of those kept
+    before extends it by extend_subgroup, until the span has the given
+    order; no candidate is drawn after that, so they may come lazily."""
+    kept: list[int] = []
+    elems, members = [G.identity], {G.identity}
+    for g in candidates:
+        if len(elems) == order:
+            break
+        if g not in members:
+            kept.append(g)
+            elems = extend_subgroup(G, elems, members, kept)
+    return kept, elems
+
+
 def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
                     gens: list[int]) -> list[int]:
     """Extend elems = <gens[:-1]> to <gens>, one right coset at a time.
@@ -543,15 +565,13 @@ def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
     Not an orbit: it adds whole cosets, so it never redoes the products
     of elems that a closure under all of gens would.
     """
-    mul = G.mul
     out = list(elems)
     reps = [G.identity]
     for r in reps:
-        for s in gens:
-            rs = mul(r, s)
+        for rs in G.left_products(r, gens):
             if rs not in members:
                 reps.append(rs)
-                coset = [mul(k, rs) for k in elems]
+                coset = G.right_products(elems, rs)
                 members.update(coset)
                 out.extend(coset)
     return out
@@ -617,9 +637,8 @@ def class_structure_constants(G: FiniteGroup):
     inverse_of = [G.inv(x) for x in range(G.order)]
     out = [[[0] * k for _ in range(k)] for _ in range(k)]
     for t, cls in enumerate(classes):
-        z = cls[0]
-        for x, x_inv in enumerate(inverse_of):
-            out[class_of[x]][class_of[G.mul(x_inv, z)]][t] += 1
+        for x, y in enumerate(G.right_products(inverse_of, cls[0])):
+            out[class_of[x]][class_of[y]][t] += 1
     G._subgroup_cache["structure"] = out
     return out
 
@@ -674,11 +693,22 @@ class ProductGroup(FiniteGroup):
     def row(self, a: int) -> tuple[int, ...]:
         nr = self._nr
         ra = self._rt[a % nr]
-        return tuple(c * nr + d for c in self._lt[a // nr] for d in ra)
+        return tuple([c * nr + d for c in self._lt[a // nr] for d in ra])
 
     def mul(self, a: int, b: int) -> int:
         nr = self._nr
         return self._lt[a // nr][b // nr] * nr + self._rt[a % nr][b % nr]
+
+    def left_products(self, a: int, elems) -> list[int]:
+        nr = self._nr
+        la, ra = self._lt[a // nr], self._rt[a % nr]
+        return [la[b // nr] * nr + ra[b % nr] for b in elems]
+
+    def right_products(self, elems, b: int) -> list[int]:
+        nr = self._nr
+        lt, rt = self._lt, self._rt
+        b1, b2 = b // nr, b % nr
+        return [lt[a // nr][b1] * nr + rt[a % nr][b2] for a in elems]
 
     def conj(self, x: int, g: int) -> int:
         nr = self._nr
@@ -736,7 +766,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not N.is_normal():
         raise ValueError("quotient requires a normal subgroup")
     reps, idx = N.coset_index_map()
-    table = [[idx[row[b]] for b in reps] for row in map(G.row, reps)]
+    table = [[idx[x] for x in G.left_products(r, reps)] for r in reps]
     Q = FiniteGroup(table, identity=idx[G.identity],
                     name=f"{G.name}/{N.order}",
                     names=(lambda: [f"{G.element_names[r]}N" for r in reps])
@@ -747,17 +777,18 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
 
 def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
-    """Minimal representatives of the double cosets AgB, in id order."""
+    """Minimal representatives of the double cosets AgB, in id order,
+    each marking its |A||B| products in |A| bulk calls: an orbit under
+    generators of A and B takes fewer, but finding them costs as much."""
     seen = [False] * G.order
     reps = []
     for g in range(G.order):
         if seen[g]:
             continue
         reps.append(g)
-        for a in A.elements:
-            ag = G.mul(a, g)
-            for b in B.elements:
-                seen[G.mul(ag, b)] = True
+        for ag in G.right_products(A.elements, g):
+            for x in G.left_products(ag, B.elements):
+                seen[x] = True
     return tuple(reps)
 
 
@@ -835,8 +866,7 @@ def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
     ext = set(P.elements)
     gk = g
     for _ in range(p - 1):
-        row = G.row(gk)
-        ext.update(row[h] for h in P.elements)
+        ext.update(G.left_products(gk, P.elements))
         gk = G.mul(gk, g)
     return Subgroup(G, ext)
 
@@ -850,22 +880,7 @@ def _check_prime(p: int) -> None:
 
 def minimal_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """Each element in id order that is not yet in the span of those before."""
-    return _greedy_generators(G, range(G.order), G.order)
-
-
-def _greedy_generators(G: FiniteGroup, candidates, order: int
-                       ) -> tuple[int, ...]:
-    """Each candidate not yet in the span of those before, until the
-    span has the given order."""
-    gens: list[int] = []
-    elems, members = [G.identity], {G.identity}
-    for g in candidates:
-        if len(elems) == order:
-            break
-        if g not in members:
-            gens.append(g)
-            elems = extend_subgroup(G, elems, members, gens)
-    return tuple(gens)
+    return tuple(span(G, range(G.order), G.order)[0])
 
 
 def _extend_hom(G: FiniteGroup, gens, imgs, mul, one):

@@ -3,9 +3,10 @@
 A GAction maps each group element id to the permutation it induces on
 0..size-1.  Its rows are given either in full or as a row function,
 whose rows are computed on first lookup and kept; the constructors of
-coset actions, unions, products and tensor products give row functions.
-Orbits read only the rows of the group's generators, and a stabilizer
-is closed from the Schreier generators of its groups.orbit tree, so an
+coset actions, unions, products, tensor products and induced actions
+give row functions.  Orbits read only the rows of the group's
+generators, and a stabilizer is closed from the Schreier generators of
+its groups.orbit tree until it has the order the orbit gives it, so an
 action over a large group materialises few rows.  A biset for (G, H) is
 an action of the direct product G x H, with (g,h) acting as u |-> g.u.h^-1.
 Isomorphism of actions is decided by comparing transitive
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
-                     double_cosets, extend_subgroup, orbit, product_group)
+                     double_cosets, orbit, product_group, span)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -78,7 +79,9 @@ class GAction:
         With u_y taking x to y, read off the Schreier tree of the orbit,
         every u_{s.y}^-1 s u_y for a generator s fixes x, and together
         they generate the stabilizer (Schreier's lemma).  Only those
-        outside the span so far extend it, each at least doubling it.
+        outside the span so far extend it, each at least doubling it,
+        and none is formed once the span has order |G|/|orbit|, which
+        by the orbit-stabilizer theorem is the whole stabilizer.
         """
         G = self.group
         mul, inv = G.mul, G.inv
@@ -88,14 +91,9 @@ class GAction:
         for y in points[1:]:
             z, k = tree[y]
             u[y] = mul(gens[k][0], u[z])
-        elems, members, found = [G.identity], {G.identity}, []
-        for y in points:
-            for s, row in gens:
-                w = mul(inv(u[row[y]]), mul(s, u[y]))
-                if w not in members:
-                    found.append(w)
-                    elems = extend_subgroup(G, elems, members, found)
-        return Subgroup(G, elems)
+        schreier = (mul(inv(u[row[y]]), mul(s, u[y]))
+                    for y in points for s, row in gens)
+        return Subgroup(G, span(G, schreier, G.order // len(points))[1])
 
     def fixed_points(self, elements) -> list[int]:
         """Points fixed by every listed group element."""
@@ -156,8 +154,8 @@ def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
     """Left translation on the cosets gS; point order is by minimal member."""
     reps, idx = S.coset_index_map()
-    mul = G.mul
-    return GAction(G, lambda g: tuple(idx[mul(g, r)] for r in reps),
+    left = G.left_products
+    return GAction(G, lambda g: tuple([idx[x] for x in left(g, reps)]),
                    size=len(reps))
 
 
@@ -185,8 +183,8 @@ def external_product(A: GAction, B: GAction) -> GAction:
 
     def row(x: int) -> tuple[int, ...]:
         a, b = amb.decode(x)
-        ra, rb = A.rows[a], B.rows[b]
-        return tuple(ra[u] * nb + rb[v] for u in range(na) for v in range(nb))
+        rb = B.rows[b]
+        return tuple([u * nb + v for u in A.rows[a] for v in rb])
     return GAction(amb, row, size=na * nb)
 
 
@@ -329,8 +327,7 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
         # the generators of H have the orbits of H.
         ur = Urows[Uenc(U.left.identity, h)]
         vr = Vrows[Venc(h, V.right.identity)]
-        glue.append(tuple(ur[p // nv] * nv + vr[p % nv]
-                          for p in range(nu * nv)))
+        glue.append([x * nv + y for x in ur for y in vr])
     label, reps = _orbit_labels(nu * nv, glue)
     amb = product_group(U.left, V.right)
 
@@ -338,7 +335,7 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
         g, k = amb.decode(x)
         gr = Urows[Uenc(g, H.identity)]
         kr = Vrows[Venc(H.identity, k)]
-        return tuple(label[gr[r // nv] * nv + kr[r % nv]] for r in reps)
+        return tuple([label[gr[r // nv] * nv + kr[r % nv]] for r in reps])
     return BisetView(amb, GAction(amb, row, size=len(reps)))
 
 
@@ -387,8 +384,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         # t.(u, v) = (u.t^-1, t.v) through (1,t) in X and (t,1) in Y.
         ur = U.rows[X.to_local(X.ambient.encode(X.ambient.left.identity, t))]
         vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
-        glue.append(tuple(ur[p // nv] * nv + vr[p % nv]
-                          for p in range(nu * nv)))
+        glue.append([x * nv + y for x in ur for y in vr])
     label, reps = _orbit_labels(nu * nv, glue)
     S = star(X, Y)
     witnesses = middle_witnesses(X, Y)
@@ -396,7 +392,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
     def row_via(g: int, k: int, h: int):
         ur = U.rows[X.to_local(X.ambient.encode(g, h))]
         vr = V.rows[Y.to_local(Y.ambient.encode(h, k))]
-        return tuple(label[ur[r // nv] * nv + vr[r % nv]] for r in reps)
+        return tuple([label[ur[r // nv] * nv + vr[r % nv]] for r in reps])
 
     rows = []
     for s in S.elements:
@@ -424,15 +420,16 @@ def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
     return biset_coset(Xsub)
 
 
-def check_defres_description(X: ProductSubgroup, Y: ProductSubgroup,
-                             U: GAction, V: GAction) -> bool:
-    """Extended tensor equals deflation-restriction of the plain product."""
+def defres_description(X: ProductSubgroup, Y: ProductSubgroup,
+                       U: GAction, V: GAction) -> dict:
+    """Compare the extended tensor with the deflation-restriction of the
+    plain product."""
     lhs = extended_tensor(X, Y, U, V)
     W = defres_biset(X, Y)
     UV = external_product(U, V)
     rhs = left_action_of_biset(
         tensor_direct(W, biset_from_left_action(UV)))
-    return iso_check(lhs, rhs)
+    return {"lhs": lhs, "rhs": rhs, "isomorphic": iso_check(lhs, rhs)}
 
 
 # -- induction of one-sided actions ----------------------------------
@@ -441,7 +438,8 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
     """Induce an S.as_group()-set to G along the inclusion.
 
     Points are (coset representative, point of U); g moves (t, u) to
-    (t', s.u) where g t = t' s with t' the chosen representative.
+    (t', s.u) where g t = t' s with t' the chosen representative.  The
+    rows are computed when read.
     """
     if S.parent is not G:
         raise ValueError("S must be a subgroup of G")
@@ -449,18 +447,17 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
     if U.group is not Sg:
         U = rebase_action(U, Sg)
     reps, idx = S.coset_index_map()
+    inv_reps = [G.inv(t) for t in reps]
     n = U.size
-    rows = []
-    for g in range(G.order):
-        row = []
-        for ti, t in enumerate(reps):
-            gt = G.mul(g, t)
+
+    def row(g: int) -> tuple[int, ...]:
+        out: list[int] = []
+        for gt in G.left_products(g, reps):
             tj = idx[gt]
-            s = S.to_local(G.mul(G.inv(reps[tj]), gt))
-            sr = U.rows[s]
-            row.extend(tj * n + sr[u] for u in range(n))
-        rows.append(tuple(row))
-    return GAction(G, rows)
+            sr = U.rows[S.to_local(G.mul(inv_reps[tj], gt))]
+            out.extend([tj * n + u for u in sr])
+        return tuple(out)
+    return GAction(G, row, size=len(reps) * n)
 
 
 def conjugated_action(X: ProductSubgroup, x: int, U: GAction
@@ -583,10 +580,10 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
             ProductSubgroup(amb_out, elems)).action)
     rhs = disjoint_union(*parts)
     return {
-        "lhs": lhs.decompose(),
-        "rhs": rhs.decompose(),
+        "lhs": lhs.action,
+        "rhs": rhs,
         "double_coset_count": len(parts),
-        "isomorphic": lhs.decompose() == rhs.decompose(),
+        "isomorphic": iso_check(lhs.action, rhs),
     }
 
 

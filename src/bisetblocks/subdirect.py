@@ -1,14 +1,17 @@
 """Subgroups of direct products and the calculus that composes them.
 
 A subgroup X of G x H carries its two projections p1(X), p2(X) and the
-two kernels k1(X) = {g : (g,1) in X} and k2(X) = {h : (1,h) in X}.  The
-star product X * Y of X <= G x H and Y <= H x K is the set of pairs
-(g,k) joined by a common middle element, and the pullback X x_H Y is the
-subgroup of X x Y of pairs agreeing in the middle; the natural map from
-the pullback onto X * Y has kernel isomorphic to k2(X) & k1(Y).
+two kernels k1(X) = {g : (g,1) in X} and k2(X) = {h : (1,h) in X}, each
+computed on first read.  The star product X * Y of X <= G x H and
+Y <= H x K is the set of pairs (g,k) joined by a common middle element,
+and the pullback X x_H Y is the subgroup of X x Y of pairs agreeing in
+the middle; the natural map from the pullback onto X * Y has kernel
+isomorphic to k2(X) & k1(Y).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .groups import GroupHom, ProductGroup, Subgroup, product_group
 
@@ -19,21 +22,26 @@ class ProductSubgroup(Subgroup):
     def __init__(self, ambient: ProductGroup, elements) -> None:
         super().__init__(ambient, elements)
         self.ambient = ambient
-        G, H = ambient.left, ambient.right
-        lefts, rights = set(), set()
-        k1, k2 = [], []
-        for x in self.elements:
-            a, b = ambient.decode(x)
-            lefts.add(a)
-            rights.add(b)
-            if b == H.identity:
-                k1.append(a)
-            if a == G.identity:
-                k2.append(b)
-        self.p1 = Subgroup(G, lefts)
-        self.p2 = Subgroup(H, rights)
-        self.k1 = Subgroup(G, k1)
-        self.k2 = Subgroup(H, k2)
+
+    @cached_property
+    def p1(self) -> Subgroup:
+        return Subgroup(self.ambient.left, [a for a, _ in self.pairs()])
+
+    @cached_property
+    def p2(self) -> Subgroup:
+        return Subgroup(self.ambient.right, [b for _, b in self.pairs()])
+
+    @cached_property
+    def k1(self) -> Subgroup:
+        e = self.ambient.right.identity
+        return Subgroup(self.ambient.left,
+                        [a for a, b in self.pairs() if b == e])
+
+    @cached_property
+    def k2(self) -> Subgroup:
+        e = self.ambient.left.identity
+        return Subgroup(self.ambient.right,
+                        [b for a, b in self.pairs() if a == e])
 
     def pairs(self):
         dec = self.ambient.decode

@@ -9,10 +9,11 @@ import cmath
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
-from bisetblocks.groups import (Subgroup, centralizer, isomorphisms,
-                                normalizer, p_subgroups_up_to_conjugacy,
-                                product_group, quotient)
-from bisetblocks.gsets import GAction, biset_coset
+from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
+                                isomorphisms, normalizer, orbit,
+                                p_subgroups_up_to_conjugacy, product_group,
+                                quotient)
+from bisetblocks.gsets import GAction, biset_coset, rebase_action
 from bisetblocks.subdirect import ProductSubgroup
 
 
@@ -100,6 +101,22 @@ def check_action(A) -> None:
                 raise ValueError("action is not compatible with products")
 
 
+def product_subgroup_parts(X) -> tuple:
+    """(p1, p2, k1, k2) of X, decoded together in one pass over X."""
+    G, H = X.ambient.left, X.ambient.right
+    lefts, rights, k1, k2 = set(), set(), [], []
+    for x in X.elements:
+        a, b = X.ambient.decode(x)
+        lefts.add(a)
+        rights.add(b)
+        if b == H.identity:
+            k1.append(a)
+        if a == G.identity:
+            k2.append(b)
+    return (Subgroup(G, lefts), Subgroup(H, rights), Subgroup(G, k1),
+            Subgroup(H, k2))
+
+
 def check_kernels_normal(X) -> None:
     """Raise AssertionError unless k1(X) is normal in p1(X) and k2(X)
     in p2(X), tested on every pair."""
@@ -149,6 +166,46 @@ def inflate(chi, pi):
 
 def regular_action(G) -> GAction:
     return GAction(G, G.row, size=G.order)
+
+
+def stabilizer_by_all_schreier_generators(A, x) -> Subgroup:
+    """The stabilizer of x closed from every Schreier generator u_{s.y}^-1
+    s u_y of the orbit tree, with no stop at the order |G|/|orbit|."""
+    G = A.group
+    gens = [(s, A.rows[s]) for s in G.generators]
+    points, tree = orbit(x, gens, lambda y, gen: gen[1][y])
+    u = {x: G.identity}
+    for y in points[1:]:
+        z, k = tree[y]
+        u[y] = G.mul(gens[k][0], u[z])
+    elems, members, found = [G.identity], {G.identity}, []
+    for y in points:
+        for s, row in gens:
+            w = G.mul(G.inv(u[row[y]]), G.mul(s, u[y]))
+            if w not in members:
+                found.append(w)
+                elems = extend_subgroup(G, elems, members, found)
+    return Subgroup(G, elems)
+
+
+def induced_action_eager(G, S, U) -> GAction:
+    """Induction of an S.as_group()-set to G with every row built at
+    once, one product at a time."""
+    Sg = S.as_group()
+    if U.group is not Sg:
+        U = rebase_action(U, Sg)
+    reps, idx = S.coset_index_map()
+    n = U.size
+    rows = []
+    for g in range(G.order):
+        row = []
+        for t in reps:
+            gt = G.mul(g, t)
+            tj = idx[gt]
+            sr = U.rows[S.to_local(G.mul(G.inv(reps[tj]), gt))]
+            row.extend(tj * n + sr[u] for u in range(n))
+        rows.append(tuple(row))
+    return GAction(G, rows)
 
 
 def total_size(dec) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 from bisetblocks import groups
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
-                                SizeLimitError, _extend_hom, center,
+                                RowCache, SizeLimitError, _extend_hom, center,
                                 centralizer, cycles_of, double_cosets,
                                 element_by_name, full_subgroup,
                                 group_from_permutations,
@@ -330,6 +330,27 @@ def test_product_of_a_product_matches_factors():
     inner = ProductGroup(named_group("S3"), named_group("C2"))
     check_product_against_factors(inner)
     check_product_against_factors(ProductGroup(named_group("S3"), inner))
+
+
+def test_bulk_products_equal_the_mul_loop():
+    S4 = named_group("S4")
+    inner = ProductGroup(named_group("S3"), named_group("C2"))
+    nested = ProductGroup(inner, named_group("C3"))
+    cases = ([named_group(name) for name in BUNDLED_NAMES]
+             + [ProductGroup(S4, S4), nested])
+    rng = random.Random(3)
+    for G in cases:
+        every = range(G.order)
+        some = [rng.randrange(G.order) for _ in range(9)]
+        for a in every:
+            for elems in (every, some):
+                assert G.left_products(a, elems) == [G.mul(a, b)
+                                                     for b in elems]
+                assert G.right_products(elems, a) == [G.mul(b, a)
+                                                      for b in elems]
+    # the nested product reads its left factor's rows through a RowCache
+    assert isinstance(nested._lt, RowCache)
+    assert sorted(nested._lt) == list(range(inner.order))
 
 
 def test_product_builds_no_table():

@@ -5,22 +5,27 @@ from collections import Counter
 
 import pytest
 
+from bisetblocks import gsets
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
                                 product_group, subgroup_generated)
 from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
-                               biset_from_left_action, check_defres_description,
-                               coset_action, defres_biset, disjoint_union,
-                               dual_biset, extended_induction_formula,
-                               extended_tensor, external_product,
+                               biset_from_left_action, coset_action,
+                               defres_biset, defres_description,
+                               disjoint_union, dual_biset,
+                               extended_induction_formula, extended_tensor,
+                               external_product,
                                induced_action, induction_biset, iso_check,
                                left_action_of_biset, tensor_direct,
                                tensor_mackey, tensor_induced_bisets_formula,
                                trivial_action)
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal
+from bisetblocks.suites import (defres_suite, induction_formula_suite,
+                                mackey_suite)
 
-from oracles import (check_action, inflation_biset, rectangle,
-                     regular_action, restriction_biset, total_size)
+from oracles import (check_action, induced_action_eager, inflation_biset,
+                     rectangle, regular_action, restriction_biset,
+                     stabilizer_by_all_schreier_generators, total_size)
 
 
 def el(G, spec):
@@ -172,7 +177,7 @@ def test_extended_tensor_against_defres():
     Y = rectangle(amb, C3, full_subgroup(S3))
     U = regular_action(X.as_group())
     V = coset_action(Y.as_group(), full_subgroup(Y.as_group()))
-    assert check_defres_description(X, Y, U, V)
+    assert defres_description(X, Y, U, V)["isomorphic"]
     W = extended_tensor(X, Y, U, V)
     # the result is a star(X, Y)-set glued over the joint kernel
     assert W.group.order == star_order(X, Y)
@@ -200,6 +205,35 @@ def test_induced_action_size_and_validity():
     I = induced_action(S4, S, U)
     assert I.size == S.index * U.size
     assert total_size(I.decompose()) == I.size
+
+
+def test_induced_rows_read_lazily_equal_the_eager_ones(monkeypatch):
+    lazy, checked = gsets.induced_action, []
+
+    def both(G, S, U):
+        A = lazy(G, S, U)
+        E = induced_action_eager(G, S, U)
+        assert A.size == E.size
+        assert tuple(A.rows[g] for g in range(G.order)) == E.rows
+        checked.append(G.order)
+        return A
+    monkeypatch.setattr(gsets, "induced_action", both)
+    assert induction_formula_suite(seed=20260823, count=100)["ok"]
+    assert len(checked) > 200
+
+
+def test_early_exit_stabilizer_is_the_full_schreier_closure(monkeypatch):
+    early, checked = GAction.stabilizer, []
+
+    def both(self, x):
+        S = early(self, x)
+        assert S == stabilizer_by_all_schreier_generators(self, x)
+        checked.append(S.order)
+        return S
+    monkeypatch.setattr(GAction, "stabilizer", both)
+    assert mackey_suite(seed=20260823, count=200)["ok"]
+    assert defres_suite(seed=20260825, count=100)["ok"]
+    assert len(checked) > 500
 
 
 def test_extended_induction_formula_instance():

@@ -387,6 +387,20 @@ def test_cli_characters_mutation_is_caught(capsys):
         "checks": ["double-coset formula"], "mutated": True}]
 
 
+@pytest.mark.parametrize("suite_name", ["induction-formula", "induced-bisets",
+                                        "defres"])
+def test_cli_laws_suite_mutation_is_caught(capsys, suite_name):
+    # the right side of instance 0 gains a fixed point: only it fails
+    code, rep = run_cli(capsys, [
+        "verify-biset-laws", "--suite", suite_name, "--count", "3",
+        "--seed", "7", "--inject-mutation"])
+    assert code == 1
+    suite = rep["suites"][0]
+    assert suite["suite"] == suite_name and suite["passes"] == 2
+    assert [(f["index"], f["mutated"]) for f in suite["failures"]] == [
+        (0, True)]
+
+
 def test_cli_ingest_table(capsys):
     code, rep = run_cli(capsys,
                         ["ingest-table", str(TABLE_FIXTURES / "S3.json")])
@@ -442,7 +456,7 @@ def test_cli_verify_biset_laws_count_below_one(capsys, count):
 
 
 def test_cli_inject_mutation_needs_a_mutable_suite(capsys):
-    assert_input_error(capsys, ["verify-biset-laws", "--suite", "defres",
+    assert_input_error(capsys, ["verify-biset-laws", "--suite", "coherence",
                                 "--count", "1", "--inject-mutation"],
                        "only mackey has one")
 
@@ -560,9 +574,28 @@ BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" \
     (["verify-biset-laws", "--suite", "characters", "--seed", "20260823",
       "--count", "50"],
      "c3945feef4583faca97ae80fde73ebbef2cd2b8c595800e85fb6ff07c4bdb0b7"),
+    # the laws suites as the per-product kernels wrote them, before the
+    # bulk product kernels replaced them
+    (["verify-biset-laws", "--suite", "induction-formula", "--seed",
+      "20260823", "--count", "100"],
+     "f8e6b40c9596a2c3e1635f3365973491392370f5252061aa9f06bf9ff363aa58"),
+    (["verify-biset-laws", "--suite", "induced-bisets", "--seed",
+      "20260824", "--count", "100"],
+     "046dbc03c5cd6a1bed1172fa303c94f02291026c31a532a732fd8af4e6d27f50"),
+    (["verify-biset-laws", "--suite", "defres", "--seed", "20260825",
+      "--count", "100"],
+     "7bc11467d2909dedc3ea43c3b67e6a41729b5194e740341d6ebcf9dad7d087dd"),
+    (["verify-biset-laws", "--suite", "mackey", "--seed", "20260823",
+      "--count", "200"],
+     "c06cbfc479ea296f08040844d685a7bb35fa4d6c33c57e9b0d870abcb4a82b7d"),
+    (["verify-biset-laws", "--suite", "coherence", "--seed", "20260823",
+      "--count", "100"],
+     "3d66745a96237b41b4da7e30e38a70647da7cdd4f28d7bee6df3cb50cf8728ba"),
 ], ids=["c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
         "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
-        "characters-suite"])
+        "characters-suite", "induction-formula-suite",
+        "induced-bisets-suite", "defres-suite", "mackey-suite",
+        "coherence-suite"])
 def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
     code, rep = run_cli(capsys, argv)
     assert code == 0

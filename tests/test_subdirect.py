@@ -13,7 +13,7 @@ from bisetblocks.subdirect import (ProductSubgroup, diagonal,
                                    star, twisted_diagonal)
 
 from oracles import (check_kernels_normal, check_subgroup, product_subgroup,
-                     rectangle)
+                     product_subgroup_parts, rectangle)
 
 
 def el(G, spec):
@@ -102,6 +102,16 @@ def _random_product_subgroup(rng, amb):
     gens = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
     S = subgroup_generated(amb, gens)
     return ProductSubgroup(amb, S.elements)
+
+
+def test_projections_and_kernels_read_lazily_equal_the_eager_decode():
+    rng = random.Random(13)
+    names = ("C2", "C4", "S3", "D8", "Q8", "A4")
+    for _ in range(40):
+        G, H = (named_group(rng.choice(names)) for _ in range(2))
+        X = _random_product_subgroup(rng, product_group(G, H))
+        assert "p1" not in vars(X)
+        assert (X.p1, X.p2, X.k1, X.k2) == product_subgroup_parts(X)
 
 
 def test_star_is_associative_on_random_triples():
