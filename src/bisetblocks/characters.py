@@ -232,23 +232,25 @@ def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
 
 
 def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
-                      chi_m: ClassFunction, chi_n: ClassFunction
-                      ) -> ClassFunction:
+                      chi_m: ClassFunction, chi_n: ClassFunction, *,
+                      witnesses=None) -> ClassFunction:
     """Character of the extended tensor product on star(X, Y).
 
     At (g,k) the value averages chi_m(g,h) chi_n(h,k) over the middle
     witnesses h, equivalently divides the full witness sum by the order
     of the joint kernel.  The witnesses are counted by their pair of
     classes (of (g,h) in X, of (h,k) in Y) first, so each distinct pair
-    costs one product of values.
+    costs one product of values.  witnesses, when given, is
+    middle_witnesses(X, Y).
     """
     Xg, Yg = X.as_group(), Y.as_group()
     if chi_m.group.uid != Xg.uid or chi_n.group.uid != Yg.uid:
         raise ValueError("characters must live on the local groups")
-    S = star(X, Y)
+    if witnesses is None:
+        witnesses = middle_witnesses(X, Y)
+    S = star(X, Y, witnesses)
     Sg = S.as_group()
-    wits = middle_witnesses(X, Y)
-    ker = middle_kernel(X, Y)
+    ker = middle_kernel(X, Y, witnesses)
     x_class, y_class = Xg.class_index, Yg.class_index
     x_local, y_local = X.to_local, Y.to_local
     x_enc, y_enc = X.ambient.encode, Y.ambient.encode
@@ -259,7 +261,7 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
         g, k = S.ambient.decode(S.from_local(cls[0]))
         counts = Counter((x_class(x_local(x_enc(g, h))),
                           y_class(y_local(y_enc(h, k))))
-                         for h in wits[(g, k)])
+                         for h in witnesses[(g, k)])
         total = ZERO
         for pair, n in counts.items():
             v = products.get(pair)
@@ -563,8 +565,9 @@ def verify_tensor_character_formula(X: ProductSubgroup, Y: ProductSubgroup,
     for h in double_cosets(H, X.p2, Y.p1):
         pid = Y.ambient.encode(h, Y.ambient.right.identity)
         Yc, chi_c = conjugate_character_by(chi_n, Y, pid)
-        t = contract_extended(X, Yc, chi_m, chi_c)
-        rhs = rhs + induce(t, star(X, Yc))
+        wits = middle_witnesses(X, Yc)
+        t = contract_extended(X, Yc, chi_m, chi_c, witnesses=wits)
+        rhs = rhs + induce(t, star(X, Yc, wits))
         count += 1
     return {"lhs": lhs, "rhs": rhs, "double_coset_count": count,
             "equal": lhs == rhs}

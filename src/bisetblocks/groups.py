@@ -362,12 +362,6 @@ class GroupHom:
     def __call__(self, g: int) -> int:
         return self.images[g]
 
-    def kernel(self) -> Subgroup:
-        e = self.target.identity
-        return Subgroup(self.source,
-                        [g for g in range(self.source.order)
-                         if self.images[g] == e])
-
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
 

@@ -18,6 +18,10 @@ on orbits of pairs, and by the double-coset decomposition for transitive
 bisets.  The extended tensor product over a subgroup X * Y of a product,
 its description as deflation-restriction along the pullback map, and the
 double-coset formula for tensoring induced actions are all provided.
+Each of them joins a pair of subgroups over the middle group once,
+through subdirect.middle_witnesses, and reads the star, the joint kernel
+and the pullback off that one join; the two double-coset formulas build
+one pullback of (X, Y) and share it.
 """
 
 from __future__ import annotations
@@ -353,27 +357,27 @@ def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
     items: Counter = Counter()
     for h in double_cosets(H, X.p2, Y.p1):
         pid = Y.ambient.encode(h, Y.ambient.right.identity)
-        Yh = Y.conjugated_by_pair(pid)
-        Z = star(X, Yh)
-        key = Subgroup(amb_out, Z.elements).canonical_conjugate().elements
-        items[key] += 1
+        Z = star(X, Y.conjugated_by_pair(pid))
+        items[Z.canonical_conjugate().elements] += 1
     return TransitiveDecomposition(amb_out, tuple(sorted(items.items())))
 
 
 def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
-                    U: GAction, V: GAction) -> GAction:
+                    U: GAction, V: GAction, *, witnesses=None) -> GAction:
     """Tensor an X-set and a Y-set into an (X * Y)-set.
 
     Points are orbits of pairs under the joint kernel k2(X) & k1(Y);
     (g,k) acts through any middle witness h with (g,h) in X and (h,k) in
     Y.  Each row is recomputed through a second witness where one exists
-    and compared.
+    and compared.  witnesses, when given, is middle_witnesses(X, Y).
     """
     Xg, Yg = X.as_group(), Y.as_group()
     if U.group is not Xg or V.group is not Yg:
         raise ValueError("U and V must be actions of the local groups")
+    if witnesses is None:
+        witnesses = middle_witnesses(X, Y)
     H = X.ambient.right
-    ker = middle_kernel(X, Y)
+    ker = middle_kernel(X, Y, witnesses)
     nu, nv = U.size, V.size
     if nu * nv > TENSOR_POINT_CAP:
         raise ValueError("extended tensor product too large")
@@ -386,8 +390,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
         glue.append([x * nv + y for x in ur for y in vr])
     label, reps = _orbit_labels(nu * nv, glue)
-    S = star(X, Y)
-    witnesses = middle_witnesses(X, Y)
+    S = star(X, Y, witnesses)
 
     def row_via(g: int, k: int, h: int):
         ur = U.rows[X.to_local(X.ambient.encode(g, h))]
@@ -395,8 +398,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         return tuple([label[ur[r // nv] * nv + vr[r % nv]] for r in reps])
 
     rows = []
-    for s in S.elements:
-        g, k = S.ambient.decode(s)
+    for g, k in S.pairs():
         hs = witnesses[(g, k)]
         row = row_via(g, k, hs[0])
         if len(hs) > 1 and row != row_via(g, k, hs[1]):
@@ -405,13 +407,12 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
     return GAction(S.as_group(), rows)
 
 
-def defres_biset(X: ProductSubgroup, Y: ProductSubgroup) -> BisetView:
+def defres_biset(data: PullbackData) -> BisetView:
     """Deflation-restriction along the pullback map, as a biset.
 
     The (X*Y, X x Y)-biset of cosets of the graph {(nu(z), z)} of the
     natural surjection nu from the pullback X x_H Y onto X * Y.
     """
-    data: PullbackData = pullback(X, Y)
     amb = product_group(data.star_subgroup.as_group(),
                         data.pullback.ambient)
     elems = [amb.encode(data.nu(i), z)
@@ -424,8 +425,9 @@ def defres_description(X: ProductSubgroup, Y: ProductSubgroup,
                        U: GAction, V: GAction) -> dict:
     """Compare the extended tensor with the deflation-restriction of the
     plain product."""
-    lhs = extended_tensor(X, Y, U, V)
-    W = defres_biset(X, Y)
+    data = pullback(X, Y)
+    lhs = extended_tensor(X, Y, U, V, witnesses=data.witnesses)
+    W = defres_biset(data)
     UV = external_product(U, V)
     rhs = left_action_of_biset(
         tensor_direct(W, biset_from_left_action(UV)))
@@ -481,6 +483,26 @@ def sub_in_local(outer: ProductSubgroup, inner: ProductSubgroup) -> Subgroup:
     return Subgroup(outer.as_group(), map(outer.to_local, inner.elements))
 
 
+def _pullback_double_cosets(X: ProductSubgroup, Y: ProductSubgroup,
+                            Xp: ProductSubgroup, Yp: ProductSubgroup):
+    """What both double-coset formulas start from.
+
+    Returns the pullback of X and Y, the rectangle Xp x Yp inside its
+    ambient X x Y, and one representative (x, y), as ambient elements,
+    of each double coset of the pullback and the rectangle there.
+    """
+    if not (Xp.element_set <= X.element_set
+            and Yp.element_set <= Y.element_set):
+        raise ValueError("Xp, Yp must be subgroups of X, Y")
+    data = pullback(X, Y)
+    PG = data.pullback.ambient
+    rect = Subgroup(PG, [PG.encode(X.to_local(e), Y.to_local(f))
+                         for e in Xp.elements for f in Yp.elements])
+    reps = [(X.from_local(lx), Y.from_local(ly)) for lx, ly in
+            map(PG.decode, double_cosets(PG, data.pullback, rect))]
+    return data, rect, reps
+
+
 def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
                                Xp: ProductSubgroup, Yp: ProductSubgroup,
                                U: GAction, V: GAction) -> dict:
@@ -493,32 +515,21 @@ def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
     contributes the induction, from the star of the conjugated
     subgroups, of the extended tensor of the conjugated actions.
     """
-    if not (Xp.element_set <= X.element_set
-            and Yp.element_set <= Y.element_set):
-        raise ValueError("Xp, Yp must be subgroups of X, Y")
-    Xg, Yg = X.as_group(), Y.as_group()
-    IndU = induced_action(Xg, sub_in_local(X, Xp), U)
-    IndV = induced_action(Yg, sub_in_local(Y, Yp), V)
-    lhs = extended_tensor(X, Y, IndU, IndV)
+    data, _, reps = _pullback_double_cosets(X, Y, Xp, Yp)
+    IndU = induced_action(X.as_group(), sub_in_local(X, Xp), U)
+    IndV = induced_action(Y.as_group(), sub_in_local(Y, Yp), V)
+    lhs = extended_tensor(X, Y, IndU, IndV, witnesses=data.witnesses)
 
-    data = pullback(X, Y)
-    PG = data.pullback.ambient
-    A = Subgroup(PG, data.pullback.elements)
-    B = Subgroup(PG,
-                 [PG.encode(X.to_local(e), Y.to_local(f))
-                  for e in Xp.elements for f in Yp.elements])
     S = data.star_subgroup
     Sg = S.as_group()
     terms = []
-    for rep in double_cosets(PG, A, B):
-        lx, ly = PG.decode(rep)
-        x_pid = X.from_local(lx)
-        y_pid = Y.from_local(ly)
-        Xc, Uc = conjugated_action(Xp, x_pid, U)
-        Yc, Vc = conjugated_action(Yp, y_pid, V)
-        T = extended_tensor(Xc, Yc, Uc, Vc)
-        sub = sub_in_local(S, star(Xc, Yc))
-        terms.append(induced_action(Sg, sub, T))
+    for x, y in reps:
+        Xc, Uc = conjugated_action(Xp, x, U)
+        Yc, Vc = conjugated_action(Yp, y, V)
+        wc = middle_witnesses(Xc, Yc)
+        T = extended_tensor(Xc, Yc, Uc, Vc, witnesses=wc)
+        terms.append(induced_action(Sg, sub_in_local(S, star(Xc, Yc, wc)),
+                                    T))
     rhs = disjoint_union(*terms) if terms else trivial_action(Sg, 0)
     return {
         "lhs": lhs,
@@ -539,40 +550,25 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
     deflation-restriction and with conjugation back by (x, y).  Each
     right-hand composite is transitive, so it is built directly as the
     coset biset of its stabilizer {(nu(w), (x,y)^-1 w (x,y))}, w over
-    the pullback of the conjugated subgroups.
+    the pullback of the conjugated subgroups, read off their witnesses.
     """
-    if not (Xp.element_set <= X.element_set
-            and Yp.element_set <= Y.element_set):
-        raise ValueError("Xp, Yp must be subgroups of X, Y")
-    data = pullback(X, Y)
-    PG = data.pullback.ambient
-    rect = Subgroup(PG, [PG.encode(X.to_local(e), Y.to_local(f))
-                          for e in Xp.elements for f in Yp.elements])
-    lhs = tensor_direct(defres_biset(X, Y), induction_biset(rect))
+    data, rect, reps = _pullback_double_cosets(X, Y, Xp, Yp)
+    lhs = tensor_direct(defres_biset(data), induction_biset(rect))
 
     S = data.star_subgroup
     amb_out = product_group(S.as_group(), rect.as_group())
-    A = Subgroup(PG, data.pullback.elements)
     GH, HK, GK = X.ambient, Y.ambient, S.ambient
+    PG = data.pullback.ambient
     parts = []
-    for rep in double_cosets(PG, A, rect):
-        lx, ly = PG.decode(rep)
-        x_pid = X.from_local(lx)
-        y_pid = Y.from_local(ly)
-        Xc = Xp.conjugated_by_pair(x_pid)
-        Yc = Yp.conjugated_by_pair(y_pid)
-        xinv = GH.inv(x_pid)
-        yinv = HK.inv(y_pid)
+    for x, y in reps:
+        xinv, yinv = GH.inv(x), HK.inv(y)
         elems = []
-        for e in Xc.elements:
-            g, h = GH.decode(e)
-            for f in Yc.elements:
-                h2, k = HK.decode(f)
-                if h2 != h:
-                    continue
-                left_loc = S.to_local(GK.encode(g, k))
-                e0 = GH.conj(xinv, e)
-                f0 = HK.conj(yinv, f)
+        for (g, k), hs in middle_witnesses(Xp.conjugated_by_pair(x),
+                                           Yp.conjugated_by_pair(y)).items():
+            left_loc = S.to_local(GK.encode(g, k))
+            for h in hs:
+                e0 = GH.conj(xinv, GH.encode(g, h))
+                f0 = HK.conj(yinv, HK.encode(h, k))
                 right_loc = rect.to_local(
                     PG.encode(X.to_local(e0), Y.to_local(f0)))
                 elems.append(amb_out.encode(left_loc, right_loc))

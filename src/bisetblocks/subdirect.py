@@ -2,16 +2,23 @@
 
 A subgroup X of G x H carries its two projections p1(X), p2(X) and the
 two kernels k1(X) = {g : (g,1) in X} and k2(X) = {h : (1,h) in X}, each
-computed on first read.  The star product X * Y of X <= G x H and
-Y <= H x K is the set of pairs (g,k) joined by a common middle element,
-and the pullback X x_H Y is the subgroup of X x Y of pairs agreeing in
-the middle; the natural map from the pullback onto X * Y has kernel
-isomorphic to k2(X) & k1(Y).
+computed on first read from its pairs, which are decoded once.
+
+X <= G x H and Y <= H x K are joined over the middle group H in one
+place, middle_witnesses: for each (g,k) it lists the h with (g,h) in X
+and (h,k) in Y.  The rest is read off that join.  The star product
+X * Y is the set of its keys, the joint kernel k2(X) & k1(Y) is the
+witness list of (1,1), and the pullback X x_H Y is the subgroup of
+X x Y of the pairs ((g,h), (h,k)), whose natural map nu onto X * Y
+sends such a pair to (g,k) and has kernel isomorphic to the joint
+kernel.  A caller that needs several of them joins once and passes the
+witnesses on; a pullback keeps the join it was read from.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .groups import GroupHom, ProductGroup, Subgroup, product_group
 
@@ -43,9 +50,13 @@ class ProductSubgroup(Subgroup):
         return Subgroup(self.ambient.right,
                         [b for a, b in self.pairs() if a == e])
 
-    def pairs(self):
-        dec = self.ambient.decode
-        return [dec(x) for x in self.elements]
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (left, right) pair of each element, in element order."""
+        return self._pairs
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(self.ambient.decode, self.elements))
 
     def conjugated_by_pair(self, x: int) -> "ProductSubgroup":
         G = self.parent
@@ -67,24 +78,13 @@ def full_product_subgroup(ambient: ProductGroup) -> ProductSubgroup:
     return ProductSubgroup(ambient, range(ambient.order))
 
 
-def star(X: ProductSubgroup, Y: ProductSubgroup) -> ProductSubgroup:
-    """The composite relation {(g,k) : some h has (g,h) in X, (h,k) in Y}."""
-    if X.ambient.right is not Y.ambient.left:
-        raise ValueError("star requires matching middle group")
-    amb = product_group(X.ambient.left, Y.ambient.right)
-    by_middle: dict[int, list[int]] = {}
-    for h, k in Y.pairs():
-        by_middle.setdefault(h, []).append(k)
-    out = set()
-    for g, h in X.pairs():
-        for k in by_middle.get(h, ()):
-            out.add(amb.encode(g, k))
-    return ProductSubgroup(amb, out)
-
-
 def middle_witnesses(X: ProductSubgroup, Y: ProductSubgroup
                      ) -> dict[tuple[int, int], list[int]]:
-    """For each (g,k) in X * Y, the sorted list of middle elements h."""
+    """The join of X and Y over their middle group.
+
+    For each (g,k) in X * Y, the middle elements h with (g,h) in X and
+    (h,k) in Y, in increasing order since X's pairs are sorted by (g,h).
+    """
     if X.ambient.right is not Y.ambient.left:
         raise ValueError("matching middle group required")
     by_middle: dict[int, list[int]] = {}
@@ -94,55 +94,58 @@ def middle_witnesses(X: ProductSubgroup, Y: ProductSubgroup
     for g, h in X.pairs():
         for k in by_middle.get(h, ()):
             out.setdefault((g, k), []).append(h)
-    for hs in out.values():
-        hs.sort()
     return out
 
 
-def middle_kernel(X: ProductSubgroup, Y: ProductSubgroup) -> Subgroup:
-    """k2(X) & k1(Y), a subgroup of the shared middle group."""
-    if X.ambient.right is not Y.ambient.left:
-        raise ValueError("matching middle group required")
-    H = X.ambient.right
-    return Subgroup(H, X.k2.element_set & Y.k1.element_set)
+def star(X: ProductSubgroup, Y: ProductSubgroup,
+         witnesses=None) -> ProductSubgroup:
+    """The composite relation {(g,k) : some h has (g,h) in X, (h,k) in Y}.
+
+    witnesses, when given, is middle_witnesses(X, Y).
+    """
+    if witnesses is None:
+        witnesses = middle_witnesses(X, Y)
+    amb = product_group(X.ambient.left, Y.ambient.right)
+    return ProductSubgroup(amb, [amb.encode(g, k) for g, k in witnesses])
 
 
-class PullbackData:
-    """The pullback X x_H Y with its map onto X * Y and that map's kernel."""
+def middle_kernel(X: ProductSubgroup, Y: ProductSubgroup,
+                  witnesses: dict) -> Subgroup:
+    """k2(X) & k1(Y), a subgroup of the shared middle group: the middle
+    witnesses of (1,1), witnesses being middle_witnesses(X, Y)."""
+    return Subgroup(X.ambient.right, witnesses[
+        X.ambient.left.identity, Y.ambient.right.identity])
 
-    def __init__(self, pullback: ProductSubgroup, nu: GroupHom,
-                 kernel: Subgroup, star_subgroup: ProductSubgroup) -> None:
-        self.pullback = pullback
-        self.nu = nu
-        self.kernel = kernel
-        self.star_subgroup = star_subgroup
+
+class PullbackData(NamedTuple):
+    """The pullback X x_H Y, its natural map nu onto X * Y, X * Y, and
+    the join of X and Y they were read from."""
+
+    pullback: ProductSubgroup
+    nu: GroupHom
+    star_subgroup: ProductSubgroup
+    witnesses: dict
 
 
 def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
-    """The fibered product over the middle group, as a subgroup of X x Y."""
-    if X.ambient.right is not Y.ambient.left:
-        raise ValueError("matching middle group required")
+    """The fibered product over the middle group, as a subgroup of X x Y.
+
+    Each witness h of (g,k) gives the element ((g,h), (h,k)), which nu
+    sends to (g,k).
+    """
+    witnesses = middle_witnesses(X, Y)
+    S = star(X, Y, witnesses)
     amb = product_group(X.as_group(), Y.as_group())
-    y_by_middle: dict[int, list[int]] = {}
-    for y_pid in Y.elements:
-        h, _ = Y.ambient.decode(y_pid)
-        y_by_middle.setdefault(h, []).append(y_pid)
-    elems = []
-    for x_pid in X.elements:
-        _, h = X.ambient.decode(x_pid)
-        lx = X.to_local(x_pid)
-        for y_pid in y_by_middle.get(h, ()):
-            elems.append(amb.encode(lx, Y.to_local(y_pid)))
-    P = ProductSubgroup(amb, elems)
-    S = star(X, Y)
-    images = []
-    for z in P.elements:
-        lx, ly = amb.decode(z)
-        g, _ = X.ambient.decode(X.from_local(lx))
-        _, k = Y.ambient.decode(Y.from_local(ly))
-        images.append(S.to_local(S.ambient.encode(g, k)))
-    nu = GroupHom(P.as_group(), S.as_group(), images)
-    return PullbackData(P, nu, nu.kernel(), S)
+    x_loc, y_loc, s_loc = X.to_local, Y.to_local, S.to_local
+    x_enc, y_enc, s_enc = X.ambient.encode, Y.ambient.encode, S.ambient.encode
+    image: dict[int, int] = {}
+    for (g, k), hs in witnesses.items():
+        s = s_loc(s_enc(g, k))
+        for h in hs:
+            image[amb.encode(x_loc(x_enc(g, h)), y_loc(y_enc(h, k)))] = s
+    P = ProductSubgroup(amb, image)
+    nu = GroupHom(P.as_group(), S.as_group(), map(image.get, P.elements))
+    return PullbackData(P, nu, S, witnesses)
 
 
 def twisted_diagonal(P: Subgroup, phi, Q: Subgroup) -> ProductSubgroup:
@@ -166,8 +169,10 @@ def twisted_diagonal(P: Subgroup, phi, Q: Subgroup) -> ProductSubgroup:
         raise ValueError("phi must be defined exactly on Q")
     if sorted(set(mapping.values())) != list(P.elements):
         raise ValueError("phi must be a bijection onto P")
+    # phi(ab) = phi(a)phi(b) for b a generator gives it for every b,
+    # by induction on the length of b as a word in the generators
     for a in Q.elements:
-        for b in Q.elements:
+        for b in Q.generators:
             if mapping[H.mul(a, b)] != G.mul(mapping[a], mapping[b]):
                 raise ValueError("phi is not multiplicative")
     return ProductSubgroup(

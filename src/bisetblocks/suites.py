@@ -25,7 +25,7 @@ from .gsets import (BisetView, GAction, TransitiveDecomposition,
                     trivial_action)
 from .namedgroups import named_group
 from .subdirect import (ProductSubgroup, diagonal, full_product_subgroup,
-                        star)
+                        middle_witnesses, star)
 
 MACKEY_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8", "A4")
 SMALL_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8")
@@ -110,13 +110,13 @@ def _pick_chain(rng: random.Random, names, length: int):
 
 
 def _holds(res: dict, mutated: bool) -> bool:
-    """Whether the two sides of a formula agree.  When mutated, the
-    right side gains one fixed point first, so they must not."""
-    if not mutated:
-        return res["isomorphic"]
-    rhs = res["rhs"]
-    return iso_check(res["lhs"],
-                     disjoint_union(rhs, trivial_action(rhs.group)))
+    """Whether the two sides res["lhs"] and res["rhs"] of a law are
+    isomorphic actions of one group.  When mutated, the right side gains
+    one fixed point first, so they must not be."""
+    lhs, rhs = res["lhs"], res["rhs"]
+    if mutated:
+        rhs = disjoint_union(rhs, trivial_action(rhs.group))
+    return lhs.group.uid == rhs.group.uid and iso_check(lhs, rhs)
 
 
 def mackey_suite(seed: int = 0, count: int = 200,
@@ -248,20 +248,22 @@ def induced_bisets_suite(seed: int = 0, count: int = 100,
 
 
 def coherence_suite(seed: int = 0, count: int = 100,
-                    groups=SMALL_GROUPS) -> dict:
+                    groups=SMALL_GROUPS, mutate: bool = False) -> dict:
     """Unit, distributivity and associativity laws for tensor products.
 
-    Instances rotate through four law shapes; each contributes one
-    iso_check verdict.
+    Instances rotate through four law shapes; an instance holds when
+    each of its pairs of sides is isomorphic.  mutate as in
+    defres_suite, applied to every pair of the first instance.
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
     failures = []
     for i in range(count):
         law = ("unit", "distrib", "assoc", "ext-assoc")[i % 4]
-        ok = _coherence_instance(rng, law, groups)
-        if not ok:
-            failures.append({"index": i, "law": law})
+        mutated = mutate and i == 0
+        if not all(_holds(res, mutated)
+                   for res in _coherence_instance(rng, law, groups)):
+            failures.append({"index": i, "law": law, "mutated": mutated})
     return _report("coherence", seed, failures, count, t0)
 
 
@@ -274,7 +276,9 @@ def _biset_union(a: BisetView, b: BisetView) -> BisetView:
     return BisetView(a.ambient, disjoint_union(a.action, b.action))
 
 
-def _coherence_instance(rng: random.Random, law: str, groups) -> bool:
+def _coherence_instance(rng: random.Random, law: str, groups) -> list:
+    """The pairs of sides of one instance of a law, each a dict with the
+    two actions under "lhs" and "rhs", as the formulas return them."""
     G, H, K, L = _pick_chain(rng, groups, 4)
     X = random_product_subgroup(rng, product_group(G, H), max_index=20)
     Y = random_product_subgroup(rng, product_group(H, K), max_index=20)
@@ -282,31 +286,30 @@ def _coherence_instance(rng: random.Random, law: str, groups) -> bool:
     if law == "unit":
         lhs = tensor_direct(_identity_biset(G), U)
         rhs = tensor_direct(U, _identity_biset(H))
-        return (iso_check(lhs.action, U.action)
-                and iso_check(rhs.action, U.action))
+        return [{"lhs": lhs.action, "rhs": U.action},
+                {"lhs": rhs.action, "rhs": U.action}]
     if law == "distrib":
         X2 = random_product_subgroup(rng, product_group(G, H))
         U2 = biset_coset(X2)
         lhs = tensor_direct(_biset_union(U, U2), V)
         rhs = _biset_union(tensor_direct(U, V), tensor_direct(U2, V))
-        return iso_check(lhs.action, rhs.action)
+        return [{"lhs": lhs.action, "rhs": rhs.action}]
     Z = random_product_subgroup(rng, product_group(K, L), max_index=20)
     if law == "assoc":
         W = biset_coset(Z)
         lhs = tensor_direct(tensor_direct(U, V), W)
         rhs = tensor_direct(U, tensor_direct(V, W))
-        return iso_check(lhs.action, rhs.action)
+        return [{"lhs": lhs.action, "rhs": rhs.action}]
     # extended associativity over the star composites
     Ux = random_action(rng, X.as_group(), max_points=8)
     Vy = random_action(rng, Y.as_group(), max_points=8)
     Wz = random_action(rng, Z.as_group(), max_points=8)
-    left = extended_tensor(star(X, Y), Z,
-                           extended_tensor(X, Y, Ux, Vy), Wz)
-    right = extended_tensor(X, star(Y, Z), Ux,
-                            extended_tensor(Y, Z, Vy, Wz))
-    if left.group.uid != right.group.uid:
-        return False
-    return iso_check(left, right)
+    xy, yz = middle_witnesses(X, Y), middle_witnesses(Y, Z)
+    left = extended_tensor(star(X, Y, xy), Z, extended_tensor(
+        X, Y, Ux, Vy, witnesses=xy), Wz)
+    right = extended_tensor(X, star(Y, Z, yz), Ux, extended_tensor(
+        Y, Z, Vy, Wz, witnesses=yz))
+    return [{"lhs": left, "rhs": right}]
 
 
 def character_suite(seed: int = 0, count: int = 50,

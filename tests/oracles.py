@@ -42,6 +42,13 @@ def conjugate_subgroup(S, x: int) -> Subgroup:
     return Subgroup(G, [G.conj(x, h) for h in S.elements])
 
 
+def hom_kernel(h) -> Subgroup:
+    """The elements that the homomorphism h sends to the identity."""
+    e = h.target.identity
+    return Subgroup(h.source,
+                    [g for g in range(h.source.order) if h.images[g] == e])
+
+
 def product_subgroup(ambient, pairs) -> ProductSubgroup:
     """The subgroup of ambient = G x H given by explicit (left, right) pairs."""
     return ProductSubgroup(ambient, [ambient.encode(a, b) for a, b in pairs])
@@ -115,6 +122,25 @@ def product_subgroup_parts(X) -> tuple:
             k2.append(b)
     return (Subgroup(G, lefts), Subgroup(H, rights), Subgroup(G, k1),
             Subgroup(H, k2))
+
+
+def star_by_pairs(X, Y) -> set:
+    """The pairs (g, k) of X * Y, testing every pair of X and Y."""
+    return set(pullback_by_pairs(X, Y).values())
+
+
+def pullback_by_pairs(X, Y) -> dict:
+    """The pullback X x_H Y, testing every pair of X and Y: each pair
+    (x, y) of ambient elements with a common middle, mapped to the pair
+    (g, k) that nu sends it to."""
+    out = {}
+    for x in X.elements:
+        g, h = X.ambient.decode(x)
+        for y in Y.elements:
+            h2, k = Y.ambient.decode(y)
+            if h == h2:
+                out[x, y] = (g, k)
+    return out
 
 
 def check_kernels_normal(X) -> None:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from bisetblocks import gsets
+from bisetblocks import gsets, subdirect, suites
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
                                 product_group, subgroup_generated)
 from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
@@ -19,9 +19,9 @@ from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
                                tensor_mackey, tensor_induced_bisets_formula,
                                trivial_action)
 from bisetblocks.namedgroups import named_group
-from bisetblocks.subdirect import ProductSubgroup, diagonal
-from bisetblocks.suites import (defres_suite, induction_formula_suite,
-                                mackey_suite)
+from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
+from bisetblocks.suites import (defres_suite, induced_bisets_suite,
+                                induction_formula_suite, mackey_suite)
 
 from oracles import (check_action, induced_action_eager, inflation_biset,
                      rectangle, regular_action, restriction_biset,
@@ -192,7 +192,7 @@ def test_defres_biset_shape():
     S3 = named_group("S3")
     X = diagonal(full_subgroup(S3))
     Y = diagonal(subgroup_generated(S3, [el(S3, "(1 2 3)")]))
-    W = defres_biset(X, Y)
+    W = defres_biset(pullback(X, Y))
     assert W.left.order == 3  # star of the two diagonals is delta(C3)
     assert W.right.order == X.order * Y.order
     assert total_size(W.decompose()) == W.size
@@ -262,6 +262,37 @@ def test_tensor_induced_bisets_formula_instance():
     out = tensor_induced_bisets_formula(X, Y, Xp, Yp)
     assert out["isomorphic"]
     assert out["double_coset_count"] >= 1
+
+
+@pytest.mark.parametrize("name, suite", [
+    ("tensor_induced_bisets_formula", induced_bisets_suite),
+    ("extended_induction_formula", induction_formula_suite)])
+def test_double_coset_formulas_join_each_pair_once(monkeypatch, name, suite):
+    # one pullback, of (X, Y) itself, and one join per double coset
+    calls = []
+
+    def recording(module, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, args[:2]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, fn.__name__, wrapper)
+    recording(gsets, gsets.pullback)
+    recording(gsets, gsets.middle_witnesses)
+    recording(subdirect, subdirect.middle_witnesses)
+    formula, instances = getattr(suites, name), []
+
+    def checked(X, Y, *rest):
+        calls.clear()
+        res = formula(X, Y, *rest)
+        assert [a for fn, a in calls if fn == "pullback"] == [(X, Y)]
+        joins = [a for fn, a in calls if fn == "middle_witnesses"]
+        assert joins[0] == (X, Y)
+        assert len(joins) == 1 + res["double_coset_count"]
+        instances.append(res)
+        return res
+    monkeypatch.setattr(suites, name, checked)
+    assert suite(seed=20260824, count=20)["ok"]
+    assert len(instances) == 20
 
 
 def test_transitive_decomposition_equality():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bisetblocks import gsets, subdirect
 from bisetblocks.groups import (GroupHom, element_by_name, full_subgroup,
                                 product_group, subgroup_generated)
 from bisetblocks.namedgroups import named_group
@@ -11,9 +12,11 @@ from bisetblocks.subdirect import (ProductSubgroup, diagonal,
                                    full_product_subgroup, is_twisted_diagonal,
                                    middle_kernel, middle_witnesses, pullback,
                                    star, twisted_diagonal)
+from bisetblocks.suites import induced_bisets_suite, induction_formula_suite
 
-from oracles import (check_kernels_normal, check_subgroup, product_subgroup,
-                     product_subgroup_parts, rectangle)
+from oracles import (check_kernels_normal, check_subgroup, hom_kernel,
+                     product_subgroup, product_subgroup_parts,
+                     pullback_by_pairs, rectangle, star_by_pairs)
 
 
 def el(G, spec):
@@ -67,6 +70,19 @@ def test_twisted_diagonal_rejects_non_homs():
     squares = {g: C4.mul(g, g) for g in range(4)}
     with pytest.raises(ValueError):
         twisted_diagonal(S, squares, S)  # not a bijection onto P
+
+
+def test_twisted_diagonal_checks_every_generator():
+    # swapping (2 3) and (1 3 2) respects right multiplication by (1 2),
+    # the first generator of S3, but not by (1 2 3), the second
+    S3 = named_group("S3")
+    S = full_subgroup(S3)
+    assert S.generators == (el(S3, "(1 2)"), el(S3, "(1 2 3)"))
+    phi = {g: g for g in S.elements}
+    a, b = el(S3, "(2 3)"), el(S3, "(1 3 2)")
+    phi[a], phi[b] = b, a
+    with pytest.raises(ValueError, match="not multiplicative"):
+        twisted_diagonal(S, phi, S)
 
 
 def test_star_of_diagonals_is_diagonal_of_intersection():
@@ -156,12 +172,12 @@ def test_middle_kernel_is_the_kernel_intersection():
     X = full_product_subgroup(amb)
     Y = diagonal(full_subgroup(S3))
     # k2(X) is everything, k1(Y) is trivial: the intersection is trivial
-    assert middle_kernel(X, Y).order == 1
+    assert middle_kernel(X, Y, middle_witnesses(X, Y)).order == 1
     C3 = subgroup_generated(S3, [el(S3, "(1 2 3)")])
     C2 = c2_in(S3, "(1 2)")
     X2 = rectangle(amb, C2, C3)
     Y2 = rectangle(amb, C3, C2)
-    mk = middle_kernel(X2, Y2)
+    mk = middle_kernel(X2, Y2, middle_witnesses(X2, Y2))
     assert mk.elements == C3.elements
     assert all(m in X2.k2.element_set for m in mk.elements)
     assert all(m in Y2.k1.element_set for m in mk.elements)
@@ -181,8 +197,10 @@ def test_pullback_data_consistency():
         assert data.star_subgroup.elements == S.elements
         assert data.nu.source.order == data.pullback.order
         assert data.nu.is_surjective()
-        assert data.kernel.order * S.order == data.pullback.order
-        assert data.nu.kernel().elements == data.kernel.elements
+        # the kernel of nu is isomorphic to the joint kernel
+        kernel = hom_kernel(data.nu)
+        assert kernel.order * S.order == data.pullback.order
+        assert kernel.order == middle_kernel(X, Y, data.witnesses).order
 
 
 def test_opposite_is_an_involution():
@@ -232,3 +250,44 @@ def test_product_subgroup_from_pairs():
     check_subgroup(X)
     with pytest.raises(ValueError, match="not closed"):
         check_subgroup(product_subgroup(amb, [(0, 0), (1, 0)]))
+
+
+def _joined_pairs(monkeypatch, run) -> list:
+    """Every (X, Y) that run() joins over the middle group."""
+    joined = []
+
+    def recording(X, Y, join=subdirect.middle_witnesses):
+        joined.append((X, Y))
+        return join(X, Y)
+    monkeypatch.setattr(subdirect, "middle_witnesses", recording)
+    monkeypatch.setattr(gsets, "middle_witnesses", recording)
+    run()
+    monkeypatch.undo()
+    return joined
+
+
+@pytest.mark.parametrize("suite, seed", [(induction_formula_suite, 20260823),
+                                         (induced_bisets_suite, 20260824)])
+def test_join_matches_the_pairwise_definitions(monkeypatch, suite, seed):
+    # every (X, Y) and every conjugated (Xc, Yc) of the suite at its
+    # acceptance seed
+    joined = _joined_pairs(monkeypatch,
+                           lambda: suite(seed=seed, count=100))
+    assert len(joined) > 100
+    for X, Y in joined:
+        S = star(X, Y)
+        assert set(S.pairs()) == star_by_pairs(X, Y)
+        data = pullback(X, Y)
+        assert data.star_subgroup.elements == S.elements
+        PG, P = data.pullback.ambient, data.pullback
+        nu_by_pair = {}
+        for i, z in enumerate(P.elements):
+            lx, ly = PG.decode(z)
+            nu_by_pair[X.from_local(lx), Y.from_local(ly)] = \
+                S.pairs()[data.nu(i)]
+        by_pairs = pullback_by_pairs(X, Y)
+        assert nu_by_pair == by_pairs
+        one = (X.ambient.left.identity, Y.ambient.right.identity)
+        assert set(middle_kernel(X, Y, data.witnesses).elements) == {
+            X.ambient.decode(x)[1] for (x, _), gk in by_pairs.items()
+            if gk == one}
