@@ -458,8 +458,7 @@ def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
     support = {x: c for x, c in enumerate(vec) if c}
 
     def row(z: int) -> list[int]:
-        zrow = G.row(z)
-        return [idx[zrow[r]] for r in reps]
+        return [idx[x] for x in G.left_products(z, reps)]
     return action_rank(F, row, support, range(len(reps)))
 
 

@@ -690,7 +690,7 @@ def _weighted_conjugate(chi: ClassFunction) -> list:
 
 def _el(G: FiniteGroup, g: int) -> str:
     if G.has_names:
-        return G.element_names[g]
+        return G.element_name(g)
     return str(g)
 
 

@@ -186,7 +186,7 @@ def _subgroup_names(D) -> list:
         return []
     gens = [D.from_local(i) for i in minimal_generating_sequence(D.as_group())]
     if G.has_names:
-        return [G.element_names[g] for g in gens]
+        return [G.element_name(g) for g in gens]
     return gens
 
 

@@ -15,11 +15,12 @@ digits.
 The polynomial and matrix functions take the coefficient field as their
 first argument and use only its add, sub, mul, neg and inv and the
 constants 0 and 1, so they serve F_q and the rationals
-(cyclotomic.QQ) alike.  Polynomials are little-endian coefficient
-lists.  Factorization, over F_q only, runs squarefree, distinct-degree,
-then equal-degree splitting; the random choices inside equal-degree
-splitting come from a seeded generator and the factor list is sorted,
-so results are reproducible.
+(cyclotomic.QQ) alike; mat_rank, over F_q only, reads its tables.
+Polynomials are little-endian coefficient lists.  Factorization, over
+F_q only, runs squarefree, distinct-degree, then equal-degree
+splitting; the random choices inside equal-degree splitting come from
+a seeded generator and the factor list is sorted, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -448,34 +449,48 @@ def poly_factor(F: Fq, f):
 # -- linear algebra over a field ------------------------------------
 
 def mat_rref(F, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list).  A
+    pivot row starts at its column, so row operations start there too."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [F.sub(v, F.mul(fac, w))
-                           for v, w in zip(rows[i], rows[r])]
+        pivot = rows[r][c:] = [F.mul(inv, v) for v in rows[r][c:]]
+        for row in rows[:r] + rows[r + 1:]:
+            fac = row[c]
+            if fac:
+                row[c:] = [F.sub(v, F.mul(fac, w))
+                           for v, w in zip(row[c:], pivot)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == len(rows):
             break
     return rows, pivots
 
 
 def mat_rank(F, rows) -> int:
-    return len(mat_rref(F, rows)[1])
+    """Rank by forward elimination: a pivot clears only the rows below
+    it, adding row[c] times the negated pivot row through the tables."""
+    rows = [list(r) for r in rows]
+    add, mul, neg = F.add_table, F.mul_table, F.neg_table
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is not None:
+            rows[rank], rows[pr] = rows[pr], rows[rank]
+            scale = mul[F.inv(rows[rank][c])]
+            minus = [neg[scale[w]] for w in rows[rank][c:]]
+            rank += 1
+            for row in rows[rank:]:
+                if row[c]:
+                    times = mul[row[c]]
+                    row[c:] = [add[v][times[w]]
+                               for v, w in zip(row[c:], minus)]
+    return rank
 
 
 def mat_kernel(F, rows, ncols: int):

@@ -1,15 +1,19 @@
 """Finite groups with integer element ids.
 
 A group of order n has elements 0..n-1 with 0 the identity whenever the
-group is built by generator closure.  A group built from a table stores
+group is built by generator closure.  A group given as a table stores
 it densely; a direct product stores only its two factors and multiplies
-componentwise.  Other modules multiply through mul/inv/conj/row and so
-never depend on which; hot loops take their products in bulk through
-left_products and right_products, with no method call per product.
-One routine, orbit, closes a point under generators, in breadth-first
-order with a Schreier tree.  A group closed from permutations composes
-only one row per generator; every other row is read off its tree
-parent's, since row(a*s) = row(a) o row(s).  Input
+componentwise; a permutation group stores only its permutations and a
+dict from permutation to id, and multiplies by composing two
+permutations in one C-level call.  Other modules multiply through
+mul/inv/conj/row and so never depend on which; hot loops take their
+products in bulk through left_products and right_products, with no
+method call per product, so no loop reads every row of a permutation
+group, which computes a row only when it is read.  Its conjugacy
+classes are orbits under conjugation by its generators, and a
+centralizer is read off the products x*s and s*x of the fixed s.  One
+routine, orbit, closes a point under generators, in breadth-first order
+with a Schreier tree.  Input
 is checked once, where it enters: constructors trust their caller, and
 a multiplication table given from outside is checked by check_axioms,
 exactly on generators (Light's associativity test), and the generators
@@ -20,9 +24,10 @@ Groups are immutable once built.  Data derived from a group (conjugacy
 classes, element orders, canonical conjugates, centralizers of
 subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
 element names) is computed on first read and kept on that group, so it
-lives exactly as long as the group does.  A group carries no embedding:
-a Subgroup translates between parent and local ids, and the whole group
-is its own local group.  A product G x H is kept weakly on G, so
+lives as long as the group does; a local group is kept weakly, as it
+keeps its parent alive.  A Subgroup translates between parent and local
+ids (a local group holds the map only so that another Subgroup with the
+same elements finds it), and the whole group is its own local group.  A product G x H is kept weakly on G, so
 product_group returns one object for as long as anything holds it, and
 lets it go once nothing does.  Canonical representatives are always the
 smallest available integer id, which keeps every enumeration in the
@@ -82,10 +87,37 @@ class FiniteGroup:
         """Whether the elements are named, without building the names."""
         return self._names is not None
 
+    def element_name(self, g: int) -> str:
+        """The name of element g; has_names must hold."""
+        return self.element_names[g]
+
+    def _names_of(self, ids):
+        """A function of no arguments that lists the names of ids, or
+        None if the elements have no names.  It holds this group's names
+        function, not the group, so a group built with it does not keep
+        this one alive."""
+        names = self._names
+        if names is None:
+            return None
+
+        def picked():
+            every = tuple(names())
+            return [every[g] for g in ids]
+        return picked
+
     @cached_property
     def _products(self) -> weakref.WeakValueDictionary:
         """Products self x H by H.uid, each kept while something holds it."""
         return weakref.WeakValueDictionary()
+
+    def _restriction(self, elems, loc: dict) -> "FiniteGroup":
+        """The subgroup on the sorted ids elems as a group, element i
+        being elems[i]; loc maps elems back to i."""
+        table = [[loc[x] for x in self.left_products(a, elems)]
+                 for a in elems]
+        return FiniteGroup(table, identity=loc[self.identity],
+                           name=f"{self.name}|{len(elems)}",
+                           names=self._names_of(elems))
 
     # -- validation of a table from outside --------------------------
 
@@ -110,9 +142,9 @@ class FiniteGroup:
         # reach every element is exact.  In a group they do.
         t = self.table
         gens = list(dict.fromkeys(self.generators))
-        reached = subgroup_generated(self, gens).element_set
+        reached, _ = orbit(e, gens, self.mul)
         if len(reached) != n:
-            missed = min(set(range(n)) - reached)
+            missed = min(set(range(n)).difference(reached))
             raise ValueError(f"multiplication table is not a group: products "
                              f"of its generators miss element {missed}")
         for s in gens:
@@ -176,6 +208,11 @@ class FiniteGroup:
         t = self.table
         return t[t[x][g]][self._inv[x]]
 
+    def conjugates(self, x: int, elems) -> list[int]:
+        """[x g x^-1 for g in elems], in two bulk products."""
+        return self.right_products(self.left_products(x, elems),
+                                   self._inv[x])
+
     def commutes(self, a: int, b: int) -> bool:
         return self.mul(a, b) == self.mul(b, a)
 
@@ -185,7 +222,7 @@ class FiniteGroup:
             for x in range(self.order):
                 k, y = 1, x
                 while y != self.identity:
-                    y = self.table[y][x]
+                    y = self.mul(y, x)
                     k += 1
                 orders.append(k)
             self._orders = tuple(orders)
@@ -216,15 +253,19 @@ class FiniteGroup:
         return self._classes
 
     def _find_classes(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.order
+        # The class of g is its orbit under conjugation by generators,
+        # layer by layer: |class| * |generators| conjugations, in bulk.
+        seen: set[int] = set()
         classes = []
         for g in range(self.order):
-            if seen[g]:
-                continue
-            cls = sorted({self.conj(x, g) for x in range(self.order)})
-            for y in cls:
-                seen[y] = True
-            classes.append(tuple(cls))
+            if g not in seen:
+                cls, new = {g}, [g]
+                while new:
+                    new = {z for s in self.generators
+                           for z in self.conjugates(s, new)} - cls
+                    cls |= new
+                seen |= cls
+                classes.append(tuple(sorted(cls)))
         return tuple(classes)
 
     def class_index(self, g: int) -> int:
@@ -271,9 +312,9 @@ class Subgroup:
         return tuple(span(self.parent, self.elements, self.order)[0])
 
     def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conj(x, h) in self.element_set
-                   for x in G.generators for h in self.generators)
+        G, within = self.parent, self.element_set.issuperset
+        return all(within(G.conjugates(x, self.generators))
+                   for x in G.generators)
 
     def canonical_conjugate(self, largest: bool = False) -> "Subgroup":
         """The conjugate with extremal element tuple; smallest by default.
@@ -285,10 +326,10 @@ class Subgroup:
         key = ("canon", self.elements, largest)
         cached = self.parent._subgroup_cache.get(key)
         if cached is None:
-            conj = self.parent.conj
+            conj = self.parent.conjugates
             conjugates, _ = orbit(
                 self.elements, self.parent.generators,
-                lambda elems, x: tuple(sorted([conj(x, h) for h in elems])))
+                lambda elems, x: tuple(sorted(conj(x, elems))))
             best = max(conjugates) if largest else min(conjugates)
             cached = Subgroup(self.parent, best)
             self.parent._subgroup_cache[key] = cached
@@ -296,30 +337,30 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a group in its own right, element i being
-        self.elements[i].  The embedding stays here: from_local and
-        to_local translate.  The whole group is its own local group.
-        Kept on the parent per element tuple with the map to local ids.
+        self.elements[i]: a permutation group on the same points when
+        the parent is one, else a group with its own table.  The
+        embedding stays here: from_local and to_local translate.  The
+        whole group is its own local group.  A local group keeps its
+        parent alive, with the map to local ids, and the parent keeps it
+        weakly per element tuple: one object for as long as anything
+        holds it, and no reference cycle.
         """
         return self._local[0]
 
     @cached_property
     def _local(self) -> tuple[FiniteGroup, dict]:
         G, elems = self.parent, self.elements
+        if self.order == G.order:
+            return G, {g: g for g in elems}
         key = ("asgroup", elems)
-        cached = G._subgroup_cache.get(key)
-        if cached is None:
+        ref = G._subgroup_cache.get(key)
+        local = ref and ref()
+        if local is None:
             loc = {g: i for i, g in enumerate(elems)}
-            local = G
-            if self.order < G.order:
-                table = [[loc[x] for x in G.left_products(a, elems)]
-                         for a in elems]
-                local = FiniteGroup(
-                    table, identity=loc[G.identity],
-                    name=f"{G.name}|{self.order}",
-                    names=(lambda: [G.element_names[g] for g in elems])
-                    if G.has_names else None)
-            cached = G._subgroup_cache[key] = (local, loc)
-        return cached
+            local = G._restriction(elems, loc)
+            local._embedding = (G, loc)
+            G._subgroup_cache[key] = weakref.ref(local)
+        return local, local._embedding[1]
 
     @cached_property
     def to_local(self):
@@ -443,16 +484,13 @@ def cycles_of(perm: tuple[int, ...]) -> str:
 
 def group_from_permutations(generators, degree: int = 0,
                             name: str = "", cap: int = DEFAULT_CLOSURE_CAP
-                            ) -> FiniteGroup:
+                            ) -> "PermutationGroup":
     """Close a list of permutations (tuples or cycle strings) into a group.
 
     Element i*j is the permutation k -> i[j[k]].  The elements are the
-    orbit of the identity in breadth-first order; its tree gives each a*s
-    its parent a and generator s.  Only the rows of the generators are
-    composed point by point; every other row follows from its parent's,
-    row(a*s) = row(a) o row(s) since (a*s)*b = a*(s*b), read in one
-    itemgetter call.  Each generator is checked to be a permutation, so
-    the closure is a group.
+    orbit of the identity in breadth-first order under right
+    multiplication by the generators.  Each generator is checked to be
+    a permutation, so the closure is a group.
     """
     generators = list(generators)
     perms = [parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
@@ -463,27 +501,111 @@ def group_from_permutations(generators, degree: int = 0,
         if sorted(p) != list(range(deg)):
             raise ValueError(f"generator {g!r} is not a permutation "
                              f"of {deg} points")
-    elems, tree = orbit(tuple(range(deg)), perms,
-                        lambda a, g: tuple([a[i] for i in g]), limit=cap)
-    n = len(elems)
-    index = {p: i for i, p in enumerate(elems)}
-    gen_ids = tuple(index[p] for p in perms)
-    table = [None] * n
-    table[0] = tuple(range(n))
-    for s, g in zip(gen_ids, perms):
-        table[s] = tuple(index[tuple(g[b[k]] for k in range(deg))]
-                         for b in elems)
-    gen_rows = [itemgetter(*table[s]) for s in gen_ids]
-    for i in range(1, n):
-        if table[i] is None:
-            a, k = tree[elems[i]]
-            table[i] = gen_rows[k](table[index[a]])
-    perms = tuple(elems)
-    G = FiniteGroup(table, identity=0, name=name or f"perm{n}",
-                    names=lambda: map(cycles_of, perms))
-    G.generators = gen_ids
-    G.permutations = perms
+    key, lookup, _ = codec = _codec(deg)
+    elems, _ = orbit(key(range(deg)), [key(p) for p in perms],
+                     lambda a, s: s.translate(lookup(a)), limit=cap)
+    G = PermutationGroup(codec, elems, [lookup(a) for a in elems],
+                         name or f"perm{len(elems)}")
+    G.generators = tuple(G._index[key(p)] for p in perms)
     return G
+
+
+def _codec(degree: int):
+    """(key, lookup, decode) for permutations of degree points.
+
+    key encodes a sequence of points as a permutation's hashable form;
+    p.translate(lookup(a)) is the form of a*p, k -> a[p[k]], in one
+    C-level call; decode gives back the tuple of points.  Up to 256
+    points a permutation is bytes and lookup pads it to bytes.translate's
+    256-byte table; above that it is a str of code points, and lookup
+    is a tuple, which str.translate indexes by code point.
+    """
+    if degree <= 256:
+        tail = bytes(range(degree, 256))
+        return bytes, lambda a: a + tail, tuple
+
+    def points(a):
+        return tuple(map(ord, a))
+    return (lambda p: "".join(map(chr, p))), points, points
+
+
+class PermutationGroup(FiniteGroup):
+    """A group of permutations, element i being perms[i]; no table.
+
+    The group keeps its permutations, a dict from permutation to id, and
+    a lookup form of each permutation (see _codec), so a product is one
+    translate and one dict look-up.  Element 0 is the identity.  A row is
+    computed when read; only a product of which the group is a factor
+    reads, and keeps, them all.
+    """
+
+    def __init__(self, codec, perms, lookups, name: str) -> None:
+        decode = codec[2]
+        self._start(len(perms), 0, name,
+                    lambda: map(cycles_of, map(decode, perms)))
+        self._codec = codec
+        self._perms = perms
+        self._lookups = lookups
+        self._index = {p: i for i, p in enumerate(perms)}
+        self.degree = len(decode(perms[0]))
+
+    def permutation(self, g: int) -> tuple[int, ...]:
+        """Element g as the tuple of images of the points 0..degree-1."""
+        return self._codec[2](self._perms[g])
+
+    def element_of(self, perm) -> int | None:
+        """The id of a permutation given as a tuple, or None if it is
+        not an element."""
+        if len(perm) != self.degree:
+            return None
+        return self._index.get(self._codec[0](perm))
+
+    def element_name(self, g: int) -> str:
+        return cycles_of(self.permutation(g))
+
+    def _names_of(self, ids):
+        perms, decode = self._perms, self._codec[2]
+        return lambda: [cycles_of(decode(perms[g])) for g in ids]
+
+    def _restriction(self, elems, loc: dict) -> "PermutationGroup":
+        # Sorted ids start at the identity 0, as a local group must.
+        return PermutationGroup(self._codec, [self._perms[g] for g in elems],
+                                [self._lookups[g] for g in elems],
+                                f"{self.name}|{len(elems)}")
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # Read only by the products this group is a factor of, once per
+        # product element, so all rows at once: a tuple indexes faster
+        # than a RowCache, whose look-ups cost small-ambients about 3%.
+        return tuple(map(self.row, range(self.order)))
+
+    @cached_property
+    def _inv(self) -> tuple[int, ...]:
+        # the points sorted by their images are the inverse permutation
+        key, _, decode = self._codec
+        index, points = self._index, range(self.degree)
+        return tuple(index[key(sorted(points, key=decode(p).__getitem__))]
+                     for p in self._perms)
+
+    def row(self, a: int) -> tuple[int, ...]:
+        return tuple(self.left_products(a, range(self.order)))
+
+    def mul(self, a: int, b: int) -> int:
+        return self._index[self._perms[b].translate(self._lookups[a])]
+
+    def left_products(self, a: int, elems) -> list[int]:
+        index, perms, la = self._index, self._perms, self._lookups[a]
+        return [index[perms[b].translate(la)] for b in elems]
+
+    def right_products(self, elems, b: int) -> list[int]:
+        index, lookups, pb = self._index, self._lookups, self._perms[b]
+        return [index[pb.translate(lookups[a])] for a in elems]
+
+    def conj(self, x: int, g: int) -> int:
+        lookups = self._lookups
+        return self._index[self._perms[self._inv[x]].translate(
+            lookups[g]).translate(lookups[x])]
 
 
 def element_by_name(G: FiniteGroup, spec) -> int:
@@ -493,13 +615,12 @@ def element_by_name(G: FiniteGroup, spec) -> int:
             raise ValueError(f"element id {spec} out of range for {G.name}")
         return spec
     if isinstance(spec, str):
-        if getattr(G, "permutations", None) is None:
+        if not isinstance(G, PermutationGroup):
             raise ValueError("group has no permutation realization")
-        perm = parse_cycles(spec, len(G.permutations[0]))
-        try:
-            return G.permutations.index(perm)
-        except ValueError:
-            raise ValueError(f"{spec!r} is not an element of {G.name}") from None
+        g = G.element_of(parse_cycles(spec, G.degree))
+        if g is None:
+            raise ValueError(f"{spec!r} is not an element of {G.name}")
+        return g
     raise TypeError(f"bad element spec {spec!r}")
 
 
@@ -527,9 +648,8 @@ def orbit(start, gens, act, limit: int | None = None):
 
 
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
-    """The orbit of the identity under right multiplication by gens."""
-    elems, _ = orbit(G.identity, list(gens), G.mul)
-    return Subgroup(G, elems)
+    """The subgroup generated by gens, closed one coset at a time."""
+    return Subgroup(G, span(G, gens)[1])
 
 
 def span(G: FiniteGroup, candidates, order: int | None = None
@@ -593,20 +713,20 @@ def centralizer(G: FiniteGroup, part) -> Subgroup:
         return cached
     if isinstance(part, int):
         part = [part]
-    part = list(part)
-    return Subgroup(G, [x for x in range(G.order)
-                        if all(G.conj(x, s) == s for s in part)])
+    found = range(G.order)
+    for s in part:
+        found = [x for x, xs, sx in zip(found, G.right_products(found, s),
+                                         G.left_products(s, found))
+                 if xs == sx]
+    return Subgroup(G, found)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     """The x with x S x^-1 = S; since conjugation is injective, x S x^-1
     contains S as soon as it holds the generators of S."""
-    gens = S.generators
-    out = []
-    for x in range(G.order):
-        if all(G.conj(x, h) in S.element_set for h in gens):
-            out.append(x)
-    return Subgroup(G, out)
+    gens, within = S.generators, S.element_set.issuperset
+    return Subgroup(G, [x for x in range(G.order)
+                        if within(G.conjugates(x, gens))])
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -756,18 +876,21 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     key = ("quotient", N.elements)
     cached = G._subgroup_cache.get(key)
     if cached is not None:
-        return cached
+        Q, images = cached
+        return Q, GroupHom(G, Q, images)
     if not N.is_normal():
         raise ValueError("quotient requires a normal subgroup")
     reps, idx = N.coset_index_map()
     table = [[idx[x] for x in G.left_products(r, reps)] for r in reps]
+    rep_names = G._names_of(reps)
     Q = FiniteGroup(table, identity=idx[G.identity],
                     name=f"{G.name}/{N.order}",
-                    names=(lambda: [f"{G.element_names[r]}N" for r in reps])
-                    if G.has_names else None)
-    pi = GroupHom(G, Q, idx)
-    G._subgroup_cache[key] = (Q, pi)
-    return Q, pi
+                    names=(lambda: [f"{x}N" for x in rep_names()])
+                    if rep_names else None)
+    # The projection refers to G, so G keeps only its image table.
+    images = tuple(idx)
+    G._subgroup_cache[key] = (Q, images)
+    return Q, GroupHom(G, Q, images)
 
 
 def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
@@ -883,15 +1006,19 @@ def _extend_hom(G: FiniteGroup, gens, imgs, mul, one):
     or gens does not generate G.  Over the orbit of the identity in
     breadth-first order, each edge a -> a*s sets the image of a*s or must
     agree with it; target values are compared, never hashed."""
-    elems, _ = orbit(G.identity, gens, G.mul)
-    if len(elems) != G.order:
-        return None
     images = {G.identity: one}
-    for a in elems:
-        for s, t in zip(gens, imgs):
-            ib = mul(images[a], t)
-            if images.setdefault(G.mul(a, s), ib) != ib:
+    reached = [G.identity]
+    for a in reached:
+        ia = images[a]
+        for b, t in zip(G.left_products(a, gens), imgs):
+            ib = mul(ia, t)
+            if b not in images:
+                images[b] = ib
+                reached.append(b)
+            elif images[b] != ib:
                 return None
+    if len(reached) != G.order:
+        return None
     return tuple(images[g] for g in range(G.order))
 
 

@@ -472,7 +472,7 @@ def conjugated_action(X: ProductSubgroup, x: int, U: GAction
     G = X.ambient
     Xc = X.conjugated_by_pair(x)
     xinv = G.inv(x)
-    rows = [U.rows[X.to_local(G.conj(xinv, e))] for e in Xc.elements]
+    rows = [U.rows[X.to_local(e)] for e in G.conjugates(xinv, Xc.elements)]
     return Xc, GAction(Xc.as_group(), rows)
 
 

@@ -60,8 +60,7 @@ class ProductSubgroup(Subgroup):
 
     def conjugated_by_pair(self, x: int) -> "ProductSubgroup":
         G = self.parent
-        return ProductSubgroup(self.ambient,
-                               [G.conj(x, e) for e in self.elements])
+        return ProductSubgroup(self.ambient, G.conjugates(x, self.elements))
 
     def opposite(self) -> "ProductSubgroup":
         """The same relation viewed inside H x G, pairs swapped."""

@@ -190,25 +190,30 @@ def induction_formula_suite(seed: int = 0, count: int = 100,
     failures = []
     cosets = 0
     for i in range(count):
-        G, H, K = _pick_chain(rng, groups, 3)
-        X = random_product_subgroup(rng, product_group(G, H),
-                                    max_index=24, max_order=32)
-        Y = random_product_subgroup(rng, product_group(H, K),
-                                    max_index=24, max_order=32)
-        Xp = random_sub_in(rng, X, max_index=6)
-        Yp = random_sub_in(rng, Y, max_index=6)
-        U = random_action(rng, Xp.as_group(), max_points=4)
-        V = random_action(rng, Yp.as_group(), max_points=4)
-        res = extended_induction_formula(X, Y, Xp, Yp, U, V)
-        cosets += res["double_coset_count"]
-        if not _holds(res, mutate and i == 0):
-            failures.append({"index": i,
-                             "groups": [G.name, H.name, K.name],
-                             "orders": [X.order, Y.order,
-                                        Xp.order, Yp.order],
-                             "mutated": mutate and i == 0})
+        seen, failure = _induction_formula_instance(rng, groups,
+                                                    mutate and i == 0)
+        cosets += seen
+        if failure:
+            failures.append({"index": i, **failure})
     return _report("induction-formula", seed, failures, count, t0,
                    {"double_cosets_seen": cosets})
+
+
+def _induction_formula_instance(rng: random.Random, groups, mutated: bool):
+    """One instance as _outcome gives it.  Nothing returned holds the
+    instance's actions or groups, so they go before the next instance is
+    built."""
+    G, H, K = _pick_chain(rng, groups, 3)
+    X = random_product_subgroup(rng, product_group(G, H),
+                                max_index=24, max_order=32)
+    Y = random_product_subgroup(rng, product_group(H, K),
+                                max_index=24, max_order=32)
+    Xp = random_sub_in(rng, X, max_index=6)
+    Yp = random_sub_in(rng, Y, max_index=6)
+    U = random_action(rng, Xp.as_group(), max_points=4)
+    V = random_action(rng, Yp.as_group(), max_points=4)
+    return _outcome(extended_induction_formula(X, Y, Xp, Yp, U, V),
+                    mutated, (G, H, K), (X, Y, Xp, Yp))
 
 
 def induced_bisets_suite(seed: int = 0, count: int = 100,
@@ -224,27 +229,37 @@ def induced_bisets_suite(seed: int = 0, count: int = 100,
     failures = []
     cosets = 0
     for i in range(count):
-        G, H, K = _pick_chain(rng, groups, 3)
-        # the left side tensors over X.as_group() x Y.as_group(), and
-        # the output ambient is star(X,Y) x (Xp x Yp); both stay small
-        # only if the subgroup orders are capped jointly
-        X = random_product_subgroup(rng, product_group(G, H),
-                                    max_index=24, max_order=12)
-        Y = random_product_subgroup(rng, product_group(H, K),
-                                    max_index=24,
-                                    max_order=max(2, 64 // X.order))
-        Xp = random_sub_in(rng, X, max_order=4)
-        Yp = random_sub_in(rng, Y, max_order=4)
-        res = tensor_induced_bisets_formula(X, Y, Xp, Yp)
-        cosets += res["double_coset_count"]
-        if not _holds(res, mutate and i == 0):
-            failures.append({"index": i,
-                             "groups": [G.name, H.name, K.name],
-                             "orders": [X.order, Y.order,
-                                        Xp.order, Yp.order],
-                             "mutated": mutate and i == 0})
+        seen, failure = _induced_bisets_instance(rng, groups,
+                                                 mutate and i == 0)
+        cosets += seen
+        if failure:
+            failures.append({"index": i, **failure})
     return _report("induced-bisets", seed, failures, count, t0,
                    {"double_cosets_seen": cosets})
+
+
+def _induced_bisets_instance(rng: random.Random, groups, mutated: bool):
+    """One instance, returned as by _induction_formula_instance."""
+    G, H, K = _pick_chain(rng, groups, 3)
+    # the left side tensors over X.as_group() x Y.as_group(), and the
+    # output ambient is star(X,Y) x (Xp x Yp); both stay small only if
+    # the subgroup orders are capped jointly
+    X = random_product_subgroup(rng, product_group(G, H),
+                                max_index=24, max_order=12)
+    Y = random_product_subgroup(rng, product_group(H, K), max_index=24,
+                                max_order=max(2, 64 // X.order))
+    Xp = random_sub_in(rng, X, max_order=4)
+    Yp = random_sub_in(rng, Y, max_order=4)
+    return _outcome(tensor_induced_bisets_formula(X, Y, Xp, Yp),
+                    mutated, (G, H, K), (X, Y, Xp, Yp))
+
+
+def _outcome(res: dict, mutated: bool, chain, subgroups):
+    """(double cosets seen, failure record or None) of an instance."""
+    failure = None if _holds(res, mutated) else {
+        "groups": [G.name for G in chain],
+        "orders": [S.order for S in subgroups], "mutated": mutated}
+    return res["double_coset_count"], failure
 
 
 def coherence_suite(seed: int = 0, count: int = 100,

@@ -19,6 +19,19 @@ from bisetblocks.subdirect import ProductSubgroup
 
 # -- groups ----------------------------------------------------------
 
+def permutations(G) -> list:
+    """The permutation of each element of a permutation group, by id."""
+    return [G.permutation(g) for g in range(G.order)]
+
+
+def dense_table(G) -> list:
+    """The Cayley table of a permutation group, composed point by point:
+    row a, column b is the id of k -> a[b[k]]."""
+    perms = permutations(G)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple([a[k] for k in b])] for b in perms] for a in perms]
+
+
 def double_coset_of(G, A, g, B) -> frozenset:
     """The double coset A g B, by multiplying out every pair."""
     out = set()

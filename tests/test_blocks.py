@@ -287,6 +287,23 @@ def test_s6_blocks_at_odd_primes():
 S6_SPEC = {"name": "S6", "generators": ["(1 2)", "(1 2 3 4 5 6)"]}
 
 
+def test_blocks_of_s6_read_few_rows_and_names_of_s6(tmp_path):
+    # loops take the products of fixed elements in bulk, so the blocks
+    # of S6 compute next to none of its 720 rows (none today), and the
+    # defect generators are named one by one, not all 720 elements
+    spec = {"name": "S6 rows", "generators": S6_SPEC["generators"]}
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps(spec))
+    assert main(["blocks", str(path), "--prime", "2",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    S6 = group_from_spec(spec)
+    assert S6.order == 720 and len(vars(S6).get("_rows", ())) <= 24
+    assert "element_names" not in vars(S6)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [b["defect_generators"] for b in report["blocks"]] == [
+        [], ["(1 2)", "(1 4)(2 5)(3 6)", "(1 4)(2 5)"]]
+
+
 @pytest.mark.parametrize("name", ["A5", "S5", "S6"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_defect_zero_blocks_are_the_characters_of_full_defect(name, p):

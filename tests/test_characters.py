@@ -315,7 +315,7 @@ def test_cyclic_tables_are_the_characters_of_the_n_cycle(n):
     # C_n is generated by c = (1 2 ... n), and c^k moves point 0 to k:
     # chi_j(c^k) = zeta_n^(jk).
     G = named_group(f"C{n}")
-    k_of = [G.permutations[g][0] for g in range(G.order)]
+    k_of = [G.permutation(g)[0] for g in range(G.order)]
     oracle = [[cmath.exp(2j * cmath.pi * j * k_of[g] / n)
                for g in range(G.order)] for j in range(n)]
     _assert_same_characters(bundled_table(f"C{n}"), oracle)
@@ -324,7 +324,7 @@ def test_cyclic_tables_are_the_characters_of_the_n_cycle(n):
 def test_klein_four_table_is_the_four_sign_characters():
     # C2xC2 = <(1 2), (3 4)>: a^i b^j has chi_st = (-1)^(si + tj).
     G = named_group("C2xC2")
-    ij = [(int(G.permutations[g][0] != 0), int(G.permutations[g][2] != 2))
+    ij = [(int(G.permutation(g)[0] != 0), int(G.permutation(g)[2] != 2))
           for g in range(G.order)]
     oracle = [[(-1) ** (s * i + t * j) for i, j in ij]
               for s in (0, 1) for t in (0, 1)]

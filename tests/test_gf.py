@@ -197,6 +197,27 @@ def test_mat_rank_random_products():
         assert mat_rank(F, M) == expected
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (2, 4), (3, 4)])
+def test_mat_rank_agrees_with_the_reduced_form(p, m):
+    # forward elimination against the pivots of the full reduced form, on
+    # products of random n x r and r x k matrices (rank at most r, often
+    # less over a small field) with zero rows and columns mixed in
+    F = fq_field(p, m)
+    rng = random.Random(p ** m)
+    for _ in range(40):
+        n, r, k = rng.randint(1, 9), rng.randint(0, 6), rng.randint(1, 9)
+        A = [[rng.randrange(F.q) if rng.random() < 0.8 else 0
+              for _ in range(r)] for _ in range(n)]
+        B = [[rng.randrange(F.q) for _ in range(k)] for _ in range(r)]
+        M = [[0] * k for _ in range(n)]
+        for i in range(n):
+            for j in range(k):
+                for t in range(r):
+                    M[i][j] = F.add(M[i][j], F.mul(A[i][t], B[t][j]))
+        rank = mat_rank(F, M)
+        assert rank == len(mat_rref(F, M)[1]) and rank <= min(r, n, k)
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
 def test_mat_kernel_spans_every_solution(p, m):
     # every x in F^n with M x = 0, enumerated, is a combination of the

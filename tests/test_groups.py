@@ -11,7 +11,8 @@ import pytest
 
 from bisetblocks import groups
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
-                                RowCache, SizeLimitError, _extend_hom, center,
+                                RowCache, SizeLimitError, Subgroup,
+                                _extend_hom, center,
                                 centralizer, cycles_of, double_cosets,
                                 element_by_name, full_subgroup,
                                 group_from_permutations,
@@ -26,8 +27,8 @@ from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
 from bisetblocks.subdirect import full_product_subgroup
 
 from oracles import (check_action, check_hom, check_subgroup,
-                     conjugate_subgroup, double_coset_of, hom_kernel,
-                     is_p_group)
+                     conjugate_subgroup, dense_table, double_coset_of,
+                     hom_kernel, is_p_group, permutations)
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -366,6 +367,18 @@ def test_product_builds_no_table():
     assert peak < 1 << 20
 
 
+def test_s7_is_built_without_a_table():
+    # a dense table of S7 took about 200 MB
+    tracemalloc.start()
+    try:
+        S7 = group_from_permutations(["(1 2)", "(1 2 3 4 5 6 7)"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S7.order == 5040 and peak < 20 << 20
+    assert "_rows" not in vars(S7)
+
+
 def test_generators_generate_every_group():
     S3, S4, A4 = named_group("S3"), named_group("S4"), named_group("A4")
     V = subgroup_generated(A4, [el(A4, "(1 2)(3 4)"), el(A4, "(1 3)(2 4)")])
@@ -385,7 +398,7 @@ def test_product_generators_are_the_factor_generators():
     assert amb.generators == (
         tuple(amb.encode(s, Q8.identity) for s in S3.generators)
         + tuple(amb.encode(S3.identity, t) for t in Q8.generators))
-    # a local group has no permutations and takes a minimal sequence
+    # a local group takes a minimal sequence
     D = subgroup_generated(S3, [el(S3, "(1 2 3)")]).as_group()
     assert D.generators == minimal_generating_sequence(D)
 
@@ -420,37 +433,77 @@ def large_group(name):
     return group_from_permutations(LARGE_GENERATORS[name], name=name)
 
 
-@pytest.mark.parametrize("name", list(BUNDLED_NAMES) + ["A5", "S5", "S6"])
+# S3 on 300 points, as 100 copies of its natural action: above 256
+# points a permutation is composed as a str, not as bytes
+WIDE_S3 = ["".join(f"({3 * i + 1} {3 * i + 2})" for i in range(100)),
+           "".join(f"({3 * i + 1} {3 * i + 2} {3 * i + 3})"
+                   for i in range(100))]
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_NAMES) + ["A5", "S5", "S6",
+                                                        "wide S3"])
 def test_permutation_table_is_the_pairwise_composition(name):
-    G = named_group(name) if name in BUNDLED_NAMES else large_group(name)
-    perms = G.permutations
+    # every operation of a permutation group against the table composed
+    # point by point; all pairs up to order 120, sampled ones for S6
+    if name == "wide S3":
+        G = group_from_permutations(WIDE_S3)
+    else:
+        G = named_group(name) if name in BUNDLED_NAMES else large_group(name)
+    perms = permutations(G)
     index = {p: i for i, p in enumerate(perms)}
     deg = len(perms[0])
     assert perms[G.identity] == tuple(range(deg))
+    table = dense_table(G)
     for i, a in enumerate(perms):
-        assert G.element_names[i] == cycles_of(a)
-        assert G.row(i) == tuple(index[tuple(a[b[k]] for k in range(deg))]
-                                 for b in perms)
+        assert G.element_names[i] == cycles_of(a) == G.element_name(i)
+        assert G.row(i) == tuple(table[i])
     if name in LARGE_GENERATORS:
         assert G.generators == tuple(
             index[parse_cycles(g, deg)] for g in LARGE_GENERATORS[name])
+    n, e = G.order, G.identity
+    inv = [row.index(e) for row in table]
+    rng = random.Random(name)
+    pairs = ([(a, b) for a in range(n) for b in range(n)] if n <= 120
+             else [(rng.randrange(n), rng.randrange(n)) for _ in range(5000)])
+    for a, b in pairs:
+        assert G.mul(a, b) == table[a][b]
+        assert G.conj(a, b) == table[table[a][b]][inv[a]]
+    some = [rng.randrange(n) for _ in range(20)]
+    for a in range(n):
+        assert G.inv(a) == inv[a]
+        assert G.left_products(a, some) == [table[a][b] for b in some]
+        assert G.right_products(some, a) == [table[b][a] for b in some]
+        k, y = 1, a
+        while y != e:
+            k, y = k + 1, table[y][a]
+        assert G.element_order(a) == k
+    classes, seen = [], set()
+    for g in range(n):
+        if g not in seen:
+            cls = sorted({table[table[x][g]][inv[x]] for x in range(n)})
+            seen.update(cls)
+            classes.append(tuple(cls))
+    assert G.conjugacy_classes() == tuple(classes)
+    for part in ([some[0]], some[:2], list(G.generators)):
+        assert centralizer(G, part).elements == tuple(
+            x for x in range(n) if all(table[x][s] == table[s][x]
+                                       for s in part))
 
 
 def test_axiom_check_is_exact_on_a_swapped_row():
-    # group_from_permutations derives its table and does not check it;
-    # the check passes on every table it builds here
+    # the check passes on the table of every permutation group here
     for G in [named_group(n) for n in BUNDLED_NAMES] + [
             large_group(n) for n in LARGE_GENERATORS]:
-        G.check_axioms()
+        FiniteGroup(dense_table(G)).check_axioms()
     S5 = large_group("S5")
-    table = [list(row) for row in S5.table]
+    table = dense_table(S5)
     # Swapping two entries of row 1 keeps every row a permutation and the
     # identity row and column intact; 2000 random triples seeded by the
     # order, as an associativity check once sampled, miss it.
     table[1][3], table[1][4] = table[1][4], table[1][3]
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(table).check_axioms()
-    FiniteGroup(S5.table).check_axioms()
+    FiniteGroup(dense_table(S5)).check_axioms()
     FiniteGroup([[0]]).check_axioms()
 
 
@@ -481,7 +534,7 @@ def test_axiom_check_tests_every_generator():
 def test_group_hom_check_is_exact_on_generators():
     S5, C2 = large_group("S5"), named_group("C2")
     sign = [sum(p[i] > p[j] for j in range(5) for i in range(j)) % 2
-            for p in S5.permutations]
+            for p in permutations(S5)]
     check_hom(GroupHom(S5, C2, sign))
     for g in (7, 119):
         bad = list(sign)
@@ -647,6 +700,41 @@ def test_a_quotient_does_not_keep_a_throwaway_group_alive():
     assert ref() is None
 
 
+def test_deleting_a_group_frees_its_local_groups_and_quotients():
+    # with the cyclic collector off, so that nothing may sit in a
+    # reference cycle: a local group holds its parent, which holds it
+    # weakly, and a quotient is kept without its projection
+    gc.disable()
+    try:
+        G = group_from_permutations(["(1 2)", "(1 2 3 4)"], name="S4")
+        P = product_group(G, group_from_permutations(["(1 2)"], name="C2"))
+        V = subgroup_generated(G, [el(G, "(1 2)(3 4)"), el(G, "(1 3)(2 4)")])
+        D = subgroup_generated(G, [el(G, "(1 2 3 4)"), el(G, "(1 3)")])
+        X = subgroup_generated(P, [P.encode(el(G, "(1 2 3)"), 1)])
+        N = Subgroup(P, [P.encode(v, 0) for v in V.elements])
+        made = [D.as_group(), X.as_group(), quotient(G, V)[0],
+                quotient(P, N)[0]]
+        assert [M.element_names[-1] for M in made] == [
+            "(1 2)(3 4)", "((1 2 3),(1 2))", "(1 3 4 2)N",
+            "((1 3 4 2),(1 2))N"]
+        refs = [weakref.ref(x) for x in [G, P] + made]
+        del G, P, V, D, X, N, made
+        assert [r() for r in refs] == [None] * 6
+    finally:
+        gc.enable()
+
+
+def test_a_local_group_is_one_object_and_keeps_its_parent_alive():
+    S3, C4 = named_group("S3"), named_group("C4")
+    X = subgroup_generated(product_group(S3, C4),
+                           [product_group(S3, C4).encode(1, 1)])
+    L, elems = X.as_group(), X.elements
+    assert Subgroup(X.parent, elems).as_group() is L
+    del X
+    gc.collect()
+    assert Subgroup(product_group(S3, C4), elems).as_group() is L
+
+
 # -- the orbit routine -------------------------------------------------
 
 def orbit_cases(seed):
@@ -705,7 +793,7 @@ def test_extend_hom_from_a_cyclic_group_counts_elements_of_order_dividing_n(
         c = el(Cn, "(" + " ".join(str(i + 1) for i in range(n)) + ")")
         extended = [t for t in range(G.order) if _extend_hom(
             Cn, [c], [t], G.mul, G.identity) is not None]
-        assert extended == [t for t, perm in enumerate(G.permutations)
+        assert extended == [t for t, perm in enumerate(permutations(G))
                             if perm_power_is_identity(perm, n)], n
     if G.order > 1:
         # images of a set that does not generate G define no table
@@ -769,6 +857,6 @@ def test_element_names_are_built_on_first_read(monkeypatch):
         "((),())", "((),(1 2))", "((1 3 2),())", "((1 3 2),(1 2))",
         "((1 2 3),())", "((1 2 3),(1 2))")
     assert full_subgroup(S4).as_group().element_names is S4.element_names
-    unnamed = FiniteGroup(S4.table)
+    unnamed = FiniteGroup(dense_table(S4))
     assert not unnamed.has_names and unnamed.element_names is None
     assert not product_group(unnamed, S4).has_names

@@ -337,7 +337,7 @@ def test_gaction_check_is_exact_on_a_large_product():
         out = []
         for x in range(amb.order):
             a, b = amb.decode(x)
-            sa, tb = sigma(a), S4.permutations[b]
+            sa, tb = sigma(a), S4.permutation(b)
             out.append(tuple(sa[u] * 4 + tb[v]
                              for u in range(3) for v in range(4)))
         return out
