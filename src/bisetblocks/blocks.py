@@ -5,8 +5,10 @@ a splitting field (the multiplicative order of p modulo the p'-part of
 the exponent).  Block idempotents are found inside the center, where
 the q-power map Phi is F_q-linear: its fixed points B are the span of
 the block idempotents over any F_q, split or not, as the center of a
-block is local.  B is one kernel of Phi - 1, and one pass over a basis
-of B splits 1 into the blocks by Lagrange idempotents.
+block is local.  B is one kernel of Phi - 1.  Multiplication by an
+element s of B is diagonal on B in the basis of block idempotents, so
+splitting B into the common eigenspaces of x -> s x, for s in a basis
+of B (gf.eigenspaces), leaves one line through each e_B.
 The Brauer homomorphism, defect groups, maximal Brauer pairs and the
 dimension of the defect-zero simple over the central quotient are built
 on top.  A defect group is a Sylow p-subgroup of the centralizer of one
@@ -34,8 +36,7 @@ from fractions import Fraction
 
 from .characters import CharacterTable
 from .cyclotomic import Cyclotomic
-from .gf import (Fq, mat_kernel, mat_rank, mat_solve, poly_exact_div,
-                 poly_factor, poly_scale, poly_trim)
+from .gf import Fq, eigenspaces, mat_kernel, mat_rank, mat_rref
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
                      class_structure_constants, int_p_part, int_p_prime_part,
                      normalizer, quotient, sylow_subgroup)
@@ -233,46 +234,16 @@ def group_algebra_mul(F: Fq, G: FiniteGroup, a, b):
     return out
 
 
-def _min_poly_in_center(F: Fq, unit: CentralElement, x: CentralElement):
-    """Minimal polynomial of x in the corner algebra with the given unit."""
-    k = len(x.coeffs)
-    powers = [unit]
-    rows = [list(unit.coeffs)]
-    while True:
-        nxt = powers[-1] * x
-        # Solve rows^T c = nxt over F.
-        cols = [[rows[i][j] for i in range(len(rows))] for j in range(k)]
-        sol = mat_solve(F, cols, list(nxt.coeffs))
-        if sol is not None:
-            # x^d = sum sol_i x^i, so minpoly = t^d - sum sol_i t^i.
-            coeffs = [F.neg(c) for c in sol] + [1]
-            return poly_trim(coeffs)
-        powers.append(nxt)
-        rows.append(list(nxt.coeffs))
-        if len(powers) > k + 1:
-            raise AssertionError("minimal polynomial search ran away")
-
-
-def _eval_poly_in_center(F: Fq, poly, x: CentralElement,
-                         unit: CentralElement) -> CentralElement:
-    out = CentralElement.zero(x.group, F)
-    for c in reversed(poly_trim(poly)):
-        out = out * x
-        if c:
-            out = out + unit.scale(c)
-    return out
-
-
 def block_idempotents(G: FiniteGroup, p: int, field: Fq
                       ) -> list[CentralElement]:
     """The primitive central idempotents of F_q G, in a stable order.
 
-    One pass over a basis of B = ker(Phi - 1) splits 1 into the blocks.
-    The list is sorted by class-sum coefficient tuple; idempotency,
-    orthogonality and summing to 1 are asserted before it is first
-    returned.  It is kept on G per field, since central elements over
-    different field objects never compare equal, and each call returns
-    a new list.
+    One pass over a basis of B = ker(Phi - 1) splits B into lines, one
+    through each block idempotent.  The list is sorted by class-sum
+    coefficient tuple; idempotency, orthogonality and summing to 1 are
+    asserted before it is first returned.  It is kept on G per field,
+    since central elements over different field objects never compare
+    equal, and each call returns a new list.
     """
     F = field
     if F.p != p:
@@ -282,50 +253,30 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
     if cached is not None:
         return list(cached)
     k = len(G.conjugacy_classes())
-    moved = []
-    for i in range(k):
-        K = CentralElement(G, F, [int(i == j) for j in range(k)])
-        moved.append((K.power(F.q) - K).coeffs)
-    fixed = [CentralElement(G, F, c)
-             for c in mat_kernel(F, list(zip(*moved)), k)]
-    # A basis element s that does not split a piece e splits no part of
-    # e either, as the minimal polynomial of s on a part of e divides
-    # its minimal polynomial on e; so each s meets each piece once.
-    blocks = [CentralElement.one(G, F)]
+    units = [CentralElement(G, F, [int(i == j) for j in range(k)])
+             for i in range(k)]
+    moved = [(K.power(F.q) - K).coeffs for K in units]
+    fixed = mat_kernel(F, list(zip(*moved)), k)
+    # B is commutative and spanned by the block idempotents, so the
+    # common eigenspaces in B of the maps x -> s x, s in a basis of B,
+    # are the lines through the e_B; the reduced row x = c e_B of a line
+    # has x x = c x, and c is read at its pivot.
+    spaces = [mat_rref(F, fixed)]
     for s in fixed:
-        blocks = [part for e in blocks for part in _split(F, e, s) or [e]]
+        s = CentralElement(G, F, s)
+        times_s = list(zip(*((s * K).coeffs for K in units)))
+        spaces = [part for space in spaces
+                  for part in eigenspaces(F, times_s, *space)]
+    if any(len(rows) != 1 for rows, _ in spaces):
+        raise AssertionError("the fixed subalgebra did not split into lines")
+    blocks = []
+    for (x,), (pivot,) in spaces:
+        x = CentralElement(G, F, x)
+        blocks.append(x.scale(F.inv((x * x).coeffs[pivot])))
     blocks.sort(key=lambda b: b.coeffs)
     _assert_block_axioms(F, G, blocks)
     G._subgroup_cache[key] = tuple(blocks)
     return blocks
-
-
-def _split(F: Fq, e: CentralElement, s: CentralElement):
-    """The parts of e on which s in B takes each of its values lam, or
-    None if only one: h(s e) / h(lam), h the minimal polynomial of s e
-    over t - lam."""
-    x = s * e
-    mp = _min_poly_in_center(F, e, x)
-    if len(mp) == 2:
-        return None
-    factors = poly_factor(F, mp)
-    if any(len(f) != 2 or mult != 1 for f, mult in factors):
-        raise AssertionError("a minimal polynomial over B has a repeated "
-                             "or nonlinear factor")
-    parts = []
-    for f, _ in factors:
-        h = poly_exact_div(F, mp, f)
-        lam, value = F.neg(f[0]), 0
-        for c in reversed(h):
-            value = F.add(F.mul(value, lam), c)
-        parts.append(_eval_poly_in_center(
-            F, poly_scale(F, h, F.inv(value)), x, e))
-    total = CentralElement.zero(e.group, F)
-    for part in parts:
-        total = total + part
-    if total != e:
-        raise AssertionError("Lagrange idempotents do not sum to the unit")
-    return parts
 
 
 def _assert_block_axioms(F: Fq, G: FiniteGroup, blocks) -> None:

@@ -8,11 +8,12 @@ character_table(G) computes the irreducible characters of any group by
 the modular Dixon-Schneider method (Dixon, Numer. Math. 10 (1967);
 Schneider, J. Symb. Comp. 9 (1990)): the central characters are the
 common eigenvectors of the class matrices over a prime field F_r with
-r = 1 mod exp(G), each gives the degree and the values mod r, and each
-value is lifted to a sum of roots of unity.  Characters are listed
-trivial first, then by degree, then by the minimal conductors and
-coordinates of their values, and named chi0, chi1, ...  A table can
-also be ingested from a document.  Either way the table validates
+r = 1 mod exp(G), found one root of a minimal polynomial and one kernel
+at a time; each gives the degree and the values mod r, and each value
+is lifted to a sum of roots of unity.  Characters are listed trivial
+first, then by degree, then by the minimal conductors and coordinates
+of their values, and named chi0, chi1, ...  A table can also be
+ingested from a document.  Either way the table validates
 orthogonality and degree bookkeeping before it is used anywhere.
 
 Induction and the contractions work one conjugacy class at a time
@@ -37,7 +38,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import Cyclotomic, ZERO, dot
-from .gf import fq_field, mat_kernel, mat_rref
+from .gf import eigenspaces, fq_field, mat_rref
 from .groups import (FiniteGroup, ProductGroup, Subgroup,
                      class_structure_constants, element_by_name,
                      product_group)
@@ -445,7 +446,11 @@ def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
     central characters omega(K_j) = |K_j| chi(g_j) / chi(1) are the
     common eigenvectors of the class matrices (M_i)_jl = a[i][j][l],
     with M_i omega = omega(K_i) omega, and stay distinct since r does
-    not divide |G|.  Scaled to omega(K_1) = 1, an eigenvector gives
+    not divide |G|.  F_r^k is split by each M_i in turn into common
+    eigenspaces (gf.eigenspaces): the eigenvalues of M_i on a space are
+    the roots of its minimal polynomial there, which split into distinct
+    linear factors as r = 1 mod exp(G), and each root costs one kernel.
+    Scaled to omega(K_1) = 1, an eigenvector gives
     chi(1)^2 = |G| / sum_j omega_j omega_j' / |K_j| (j' the class of the
     inverses), whose root in 1..sqrt|G| is unique mod r as r > 2 sqrt|G|,
     and chi(g_j) = omega_j chi(1) / |K_j| mod r.  A value at an element
@@ -467,9 +472,10 @@ def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
     sc = class_structure_constants(G)
     spaces = [mat_rref(F, [[int(i == j) for j in range(k)]
                            for i in range(k)])]
-    for i in range(k):
+    for M in sc:
+        M = [[a % r for a in row] for row in M]
         spaces = [part for space in spaces
-                  for part in _eigenspaces(F, sc[i], *space)]
+                  for part in eigenspaces(F, M, *space)]
     if len(spaces) != k:
         raise AssertionError("class matrices did not split into lines")
     one = G.class_index(G.identity)
@@ -495,36 +501,6 @@ def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
         chars.append(ClassFunction(G, [_lift(F, [residues[c] for c in seq])
                                        for seq in power_classes]))
     return chars
-
-
-def _eigenspaces(F, M, rows, pivots):
-    """Split an M-stable subspace of F^k into the eigenspaces of M.
-
-    The subspace is given by its reduced basis rows and their pivot
-    columns, so M restricted to it has the matrix A[u][s] = (M b_s) at
-    pivot u.  Every eigenspace comes back as (rows, pivots) again.
-    """
-    r = F.p
-    d = len(rows)
-    A = [[sum(c * x for c, x in zip(M[p], b)) % r for b in rows]
-         for p in pivots]
-    if all(A[u][s] == (A[0][0] if u == s else 0)
-           for u in range(d) for s in range(d)):
-        return [(rows, pivots)]
-    out = []
-    found = 0
-    for lam in range(r):
-        shifted = [[(a - lam * (u == s)) % r for s, a in enumerate(row)]
-                   for u, row in enumerate(A)]
-        vecs = [[sum(xs * b[l] for xs, b in zip(x, rows)) % r
-                 for l in range(len(rows[0]))]
-                for x in mat_kernel(F, shifted, d)]
-        if vecs:
-            out.append(mat_rref(F, vecs))
-            found += len(vecs)
-            if found == d:
-                return out
-    raise AssertionError("class matrix is not diagonalizable over F_r")
 
 
 def _lift(F, xs) -> Cyclotomic:

@@ -16,24 +16,23 @@ The polynomial and matrix functions take the coefficient field as their
 first argument and use only its add, sub, mul, neg and inv and the
 constants 0 and 1, so they serve F_q and the rationals
 (cyclotomic.QQ) alike; mat_rank, over F_q only, reads its tables.
-Polynomials are little-endian coefficient lists.  Factorization, over
-F_q only, runs squarefree, distinct-degree, then equal-degree
-splitting; the random choices inside equal-degree splitting come from
-a seeded generator and the factor list is sorted, so results are
-reproducible.
+Polynomials are little-endian coefficient lists.
+
+Over F_q only, eigenspaces splits an M-stable subspace into the
+eigenspaces of M, for the character tables and the block idempotents
+alike: the minimal polynomial of M on the subspace comes from one
+Krylov sequence, poly_factor finds its roots by evaluating it at every
+element of F_q and refuses it unless it splits into distinct linear
+factors, and each root gives one kernel.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .groups import _check_prime
 
 FIELD_SIZE_CAP = 4096
-
-# Seed of the random choices of equal-degree splitting.
-SPLIT_SEED = 0
 
 
 def check_characteristic(p: int) -> None:
@@ -187,9 +186,6 @@ class Fq:
             e >>= 1
         return out
 
-    def frobenius(self, a: int) -> int:
-        return self.power(a, self.p)
-
     def from_int(self, k: int) -> int:
         return k % self.p
 
@@ -276,14 +272,6 @@ def poly_mod(F, a, b):
     return poly_divmod(F, a, b)[1]
 
 
-def poly_exact_div(F, a, b):
-    """The quotient a / b; ArithmeticError unless b divides a."""
-    q, r = poly_divmod(F, a, b)
-    if not poly_is_zero(r):
-        raise ArithmeticError("polynomial division was not exact")
-    return q
-
-
 def poly_gcd(F, a, b):
     a, b = poly_trim(a), poly_trim(b)
     while not poly_is_zero(b):
@@ -309,11 +297,6 @@ def poly_powmod(F, base, e: int, mod):
     return out
 
 
-def poly_derivative(F: Fq, f):
-    # k % p is k's image in the prime subfield, which is 0..p-1
-    return poly_trim([F.mul(k % F.p, f[k]) for k in range(1, len(f))] or [0])
-
-
 def poly_xgcd(F, a, b):
     """Return (g, u, v) monic with u*a + v*b = g."""
     r0, r1 = poly_trim(a), poly_trim(b)
@@ -329,121 +312,30 @@ def poly_xgcd(F, a, b):
             poly_scale(F, t0, inv))
 
 
-def _pth_root_poly(F: Fq, f):
-    """Write f = g(x^p) and return g; valid when f' = 0."""
-    out = []
-    for k in range(0, len(f), F.p):
-        c = f[k]
-        # p-th root in F_q is frobenius applied m-1 times.
-        for _ in range(F.m - 1):
-            c = F.frobenius(c)
-        out.append(c)
-    return poly_trim(out)
-
-
-def squarefree_decomposition(F: Fq, f):
-    """List of (squarefree factor, multiplicity), f monic."""
-    out = []
-    f = poly_monic(F, f)
-    if poly_deg(f) == 0:
-        return out
-    d = poly_derivative(F, f)
-    if poly_is_zero(d):
-        for g, m in squarefree_decomposition(F, _pth_root_poly(F, f)):
-            out.append((g, m * F.p))
-        return out
-    w = poly_gcd(F, f, d)
-    s = poly_divmod(F, f, w)[0]  # product of squarefree part
-    mult = 1
-    while poly_deg(s) > 0:
-        y = poly_gcd(F, s, w)
-        piece = poly_divmod(F, s, y)[0]
-        if poly_deg(piece) > 0:
-            out.append((poly_monic(F, piece), mult))
-        s = y
-        w = poly_divmod(F, w, y)[0]
-        mult += 1
-    if poly_deg(w) > 0:
-        # w is the product of the factors with multiplicity divisible by
-        # p, each at full multiplicity; it is a p-th power, so the
-        # recursion takes the derivative-zero branch.
-        for g, m in squarefree_decomposition(F, w):
-            out.append((g, m))
-    return out
-
-
-def distinct_degree_split(F: Fq, f):
-    """Split a squarefree monic f into (product of degree-d factors, d)."""
-    out = []
-    x = [0, 1]
-    h = x[:]
-    d = 0
-    rest = poly_trim(f)
-    while poly_deg(rest) > 0:
-        d += 1
-        if 2 * d > poly_deg(rest):
-            out.append((rest, poly_deg(rest)))
-            break
-        h = poly_powmod(F, h, F.q, rest)
-        g = poly_gcd(F, poly_sub(F, h, x), rest)
-        if poly_deg(g) > 0:
-            out.append((g, d))
-            rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
-    return out
-
-
-def equal_degree_split(F: Fq, f, d: int, rng: random.Random):
-    """Factor a squarefree monic f whose irreducible factors all have
-    degree d, by repeated random splitting."""
-    n = poly_deg(f)
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(F.q) for _ in range(n)]
-        a = poly_trim(a)
-        if poly_deg(a) < 1:
-            continue
-        g = poly_gcd(F, a, f)
-        if 0 < poly_deg(g) < n:
-            break
-        if F.p == 2:
-            # Trace map over F_2: a + a^2 + a^4 + ... has md-1 doublings.
-            t = a[:]
-            acc = a[:]
-            for _ in range(F.m * d - 1):
-                t = poly_mod(F, poly_mul(F, t, t), f)
-                acc = poly_add(F, acc, t)
-            g = poly_gcd(F, acc, f)
-        else:
-            e = (F.q ** d - 1) // 2
-            b = poly_powmod(F, a, e, f)
-            g = poly_gcd(F, poly_sub(F, b, [1]), f)
-        if 0 < poly_deg(g) < n:
-            break
-    rest = poly_divmod(F, f, g)[0]
-    return (equal_degree_split(F, g, d, rng)
-            + equal_degree_split(F, rest, d, rng))
-
-
 def poly_factor(F: Fq, f):
-    """Full factorization into monic irreducibles.
+    """The factors x - lam of an f that splits into distinct linear
+    factors over F_q, as ((-lam, 1), 1) pairs sorted by coefficients.
 
-    Returns a list of (factor, multiplicity) sorted by degree then by
-    coefficient tuple, so the output is independent of the internal
-    random splitting choices.
+    The roots are found by evaluating f at every element of F_q, and
+    the product of the x - lam is checked against f made monic; an f
+    with a repeated or nonlinear factor raises ValueError.
     """
-    f = poly_trim(f)
-    if poly_deg(f) < 1:
+    f = poly_monic(F, f)
+    if len(f) < 2:
         raise ValueError("factor a polynomial of positive degree")
-    rng = random.Random(SPLIT_SEED)
-    out = []
-    for sqf, mult in squarefree_decomposition(F, f):
-        for block, d in distinct_degree_split(F, sqf):
-            for irr in equal_degree_split(F, block, d, rng):
-                out.append((tuple(poly_monic(F, irr)), mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
+    add, mul = F.add_table, F.mul_table
+    values = [f[-1]] * F.q
+    for c in reversed(f[:-1]):
+        values = [add[mul[lam][v]][c] for lam, v in enumerate(values)]
+    factors = sorted(((F.neg(lam), 1), 1)
+                     for lam, v in enumerate(values) if v == 0)
+    product = [1]
+    for factor, _ in factors:
+        product = poly_mul(F, product, factor)
+    if product != f:
+        raise ValueError(f"{f} does not split into distinct linear "
+                         f"factors over F_{F.q}")
+    return factors
 
 
 # -- linear algebra over a field ------------------------------------
@@ -520,3 +412,55 @@ def mat_solve(F, rows, rhs):
     for r, c in enumerate(pivots):
         sol[c] = red[r][-1]
     return sol
+
+
+# -- eigenspaces over F_q ---------------------------------------------
+
+def _dot(F: Fq, xs, ys) -> int:
+    add, mul = F.add_table, F.mul_table
+    acc = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = add[acc][mul[x][y]]
+    return acc
+
+
+def eigenspaces(F: Fq, M, rows, pivots):
+    """Split an M-stable subspace of F_q^k into the eigenspaces of M.
+
+    The subspace is given by its reduced basis rows and their pivot
+    columns, so M restricted to it has the matrix A[u][s] = (M b_s) at
+    pivot u.  The eigenvalues are the roots of the minimal polynomial of
+    A, which poly_factor finds and which must split into distinct
+    linear factors, as it does when M is diagonalizable over F_q; each
+    eigenspace is one kernel of A - lam, and comes back as (rows,
+    pivots) again.  A scalar A returns the subspace whole.
+    """
+    d = len(rows)
+    A = [[_dot(F, M[p], b) for b in rows] for p in pivots]
+    if all(A[u][s] == (A[0][0] if u == s else 0)
+           for u in range(d) for s in range(d)):
+        return [(rows, pivots)]
+    cols = list(zip(*rows))
+    out = []
+    for (minus_lam, _), _ in poly_factor(F, _minimal_polynomial(F, A)):
+        shifted = [[F.add(a, minus_lam) if u == s else a
+                    for s, a in enumerate(row)] for u, row in enumerate(A)]
+        out.append(mat_rref(F, [[_dot(F, x, col) for col in cols]
+                                for x in mat_kernel(F, shifted, d)]))
+    return out
+
+
+def _minimal_polynomial(F: Fq, A):
+    """The monic minimal polynomial of a square matrix A over F_q: the
+    first power in the Krylov sequence I, A, ..., A^d that is a
+    combination of the powers before it, read off the kernel vector of
+    the first free column."""
+    d = len(A)
+    cols = list(zip(*A))
+    powers = [[[int(u == s) for s in range(d)] for u in range(d)]]
+    for _ in range(d):
+        powers.append([[_dot(F, row, col) for col in cols]
+                       for row in powers[-1]])
+    flat = [[P[u][s] for P in powers] for u in range(d) for s in range(d)]
+    return poly_trim(mat_kernel(F, flat, d + 1)[0])

@@ -484,13 +484,14 @@ def test_one_pass_splits_over_any_basis_of_the_fixed_subalgebra(
 @pytest.mark.parametrize("name, p", [("S6", 2), ("A5", 2), ("A5", 3),
                                      ("A5", 5)])
 def test_each_basis_element_meets_each_piece_once(monkeypatch, name, p):
+    # one eigenspace split per basis element of B and piece found so far
     calls = []
-    real = blocks_module._min_poly_in_center
+    real = blocks_module.eigenspaces
 
     def counted(*args):
         calls.append(1)
         return real(*args)
-    monkeypatch.setattr(blocks_module, "_min_poly_in_center", counted)
+    monkeypatch.setattr(blocks_module, "eigenspaces", counted)
     G = small_group(name)
     F = Fq(p, field_for(G, p).m)      # a new cache key
     count = len(block_idempotents(G, p, F))
@@ -501,14 +502,15 @@ def test_each_basis_element_meets_each_piece_once(monkeypatch, name, p):
 @pytest.mark.parametrize("name", ["C2", "C3"])
 def test_an_element_outside_the_fixed_subalgebra_fails_the_split(
         monkeypatch, name):
-    # over F_2 a generator g of C2 has minimal polynomial (t + 1)^2, and
-    # one of C3 has t^3 - 1 = (t + 1)(t^2 + t + 1): neither splits into
-    # distinct linear factors, as an element of B would
+    # handed the whole centre of F_2 G for B, the split meets a generator
+    # g: over F_2 multiplication by g has minimal polynomial (t + 1)^2 in
+    # C2, and t^3 - 1 = (t + 1)(t^2 + t + 1) in C3; neither splits into
+    # distinct linear factors, as that of an element of B would
     G = named_group(name)
-    g = G.class_index(next(x for x in range(G.order) if x != G.identity))
+    k = len(G.conjugacy_classes())
     monkeypatch.setattr(blocks_module, "mat_kernel", lambda *args: [
-        [int(j == g) for j in range(G.order)]])
-    with pytest.raises(AssertionError, match="repeated or nonlinear"):
+        [int(i == j) for j in range(k)] for i in range(k)])
+    with pytest.raises(ValueError, match="distinct linear factors"):
         block_idempotents(G, 2, Fq(2, 1))
 
 

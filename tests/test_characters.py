@@ -20,7 +20,7 @@ from bisetblocks.groups import (element_by_name, full_subgroup, product_group,
                                 quotient, subgroup_generated)
 from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
-from bisetblocks.scenario import bundled_table
+from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal, star
 
 from oracles import inflate, rectangle, regular_action
@@ -60,6 +60,18 @@ def test_computed_table_is_the_hand_built_fixture(name):
     assert computed.names == fixture.names
     assert [c.values for c in computed.irreducibles] == \
         [c.values for c in fixture.irreducibles]
+
+
+def test_the_table_of_s7_keeps_its_values_and_order():
+    # SHA-256 of every value in document form, row by row in table order;
+    # the Murnaghan-Nakayama test checks the values, this pins the order
+    import hashlib
+    G = group_from_spec({"name": "S7",
+                         "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]})
+    values = [[value_to_doc(v) for v in chi.values]
+              for chi in character_table(G).irreducibles]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == \
+        "bffeffc273d902a0a530d2cbcb4b0b845b9461331be3d67a124b4d24f59169a2"
 
 
 def test_expected_degree_sequences():

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
-from bisetblocks.gf import (fq_field, mat_kernel, mat_rank, mat_rref,
-                            mat_solve, poly_deg, poly_factor, poly_gcd,
-                            poly_mul, poly_monic, poly_sub, poly_trim,
-                            poly_xgcd)
+from bisetblocks.gf import (eigenspaces, fq_field, mat_kernel, mat_rank,
+                            mat_rref, mat_solve, poly_deg, poly_factor,
+                            poly_gcd, poly_mul, poly_monic, poly_sub,
+                            poly_trim, poly_xgcd)
 
 from oracles import poly_eval
 
@@ -69,12 +70,12 @@ def test_frobenius_is_additive_and_fixes_prime_field():
     F = fq_field(2, 3)
     for a in range(F.q):
         for b in range(F.q):
-            assert F.frobenius(F.add(a, b)) == \
-                F.add(F.frobenius(a), F.frobenius(b))
-    fixed = [a for a in range(F.q) if F.frobenius(a) == a]
+            assert F.power(F.add(a, b), 2) == \
+                F.add(F.power(a, 2), F.power(b, 2))
+    fixed = [a for a in range(F.q) if F.power(a, 2) == a]
     assert sorted(fixed) == [0, 1]  # exactly the prime field
     F9 = fq_field(3, 2)
-    fixed9 = [a for a in range(9) if F9.frobenius(a) == a]
+    fixed9 = [a for a in range(9) if F9.power(a, 3) == a]
     assert len(fixed9) == 3
 
 
@@ -132,20 +133,25 @@ def test_poly_xgcd_bezout_identity():
         assert poly_trim(poly_gcd(F, a, b)) == poly_trim(poly_monic(F, g))
 
 
-def test_poly_factor_recombines():
-    rng = random.Random(3)
-    F = fq_field(2, 2)
+@pytest.mark.parametrize("p, m", [(2, 2), (7, 1), (3, 2)])
+def test_poly_factor_returns_distinct_linear_factors_sorted(p, m):
+    F = fq_field(p, m)
+    rng = random.Random(p ** m)
     for _ in range(20):
-        f = [rng.randrange(F.q) for _ in range(rng.randint(2, 6))]
-        if poly_deg(f) < 1:
-            continue
-        f = poly_monic(F, f)
-        factors = poly_factor(F, f)
-        prod = [1]
-        for fac, mult in factors:
-            for _ in range(mult):
-                prod = poly_mul(F, prod, fac)
-        assert poly_trim(prod) == poly_trim(f)
+        roots = rng.sample(range(F.q), rng.randint(1, F.q))
+        f = [rng.randrange(1, F.q)]             # any leading coefficient
+        for lam in roots:
+            f = poly_mul(F, f, [F.neg(lam), 1])
+        want = sorted(((F.neg(lam), 1), 1) for lam in roots)
+        assert poly_factor(F, f) == want
+
+
+@pytest.mark.parametrize("f", [[1, 1, 1], [1, 0, 1], [1], [0]])
+def test_poly_factor_refuses_what_does_not_split_into_distinct_lines(f):
+    # x^2 + x + 1 is irreducible over F_2, x^2 + 1 = (x + 1)^2, and a
+    # constant has no factors
+    with pytest.raises(ValueError):
+        poly_factor(fq_field(2, 1), f)
 
 
 def test_poly_factor_splits_x_q_minus_x():
@@ -248,6 +254,82 @@ def test_mat_kernel_spans_every_solution(p, m):
             span.add(tuple(x))
         assert span == solutions
         assert len(solutions) == q ** len(basis)
+
+
+# -- eigenspaces of diagonalizable matrices ----------------------------
+
+def _times(F, A, B):
+    return [[reduce(F.add, map(F.mul, row, col), 0) for col in zip(*B)]
+            for row in A]
+
+
+def _inverse(F, P):
+    n = len(P)
+    red, pivots = mat_rref(F, [list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(P)])
+    assert pivots == list(range(n))
+    return [row[n:] for row in red]
+
+
+def _invertible(F, n, rng):
+    while True:
+        P = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+        if mat_rank(F, P) == n:
+            return P
+
+
+def _conjugated_diagonal(F, eigenvalues, rng):
+    """M = P diag(eigenvalues) P^-1 and the eigenspace of each value,
+    spanned by the columns of P that carry it, in reduced form."""
+    n = len(eigenvalues)
+    P = _invertible(F, n, rng)
+    D = [[lam if i == j else 0 for j in range(n)]
+         for i, lam in enumerate(eigenvalues)]
+    M = _times(F, _times(F, P, D), _inverse(F, P))
+    cols = list(zip(*P))
+    spaces = {lam: mat_rref(F, [cols[i] for i, mu in enumerate(eigenvalues)
+                                if mu == lam])
+              for lam in set(eigenvalues)}
+    return M, spaces
+
+
+def _identity_space(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)], \
+        list(range(n))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (3, 2), (2, 4)])
+def test_eigenspaces_of_a_conjugated_diagonal(p, m):
+    F = fq_field(p, m)
+    rng = random.Random(p ** m)
+    for n in (1, 2, 4, 6):
+        # repeated eigenvalues, and zero among them
+        eigenvalues = [rng.choice([0, 1, F.q - 1, F.generator])
+                       for _ in range(n)]
+        M, spaces = _conjugated_diagonal(F, eigenvalues, rng)
+        got = eigenspaces(F, M, *_identity_space(n))
+        assert sorted(got) == sorted(spaces.values())
+        for rows, pivots in spaces.values():
+            # an eigenspace is M-stable and comes back whole, a line too
+            assert eigenspaces(F, M, rows, pivots) == [(rows, pivots)]
+            line = mat_rref(F, rows[-1:])
+            assert eigenspaces(F, M, *line) == [line]
+        if len(spaces) > 1:
+            # the sum of two eigenspaces splits back into them
+            (a, _), (b, _) = list(spaces.values())[:2]
+            got = eigenspaces(F, M, *mat_rref(F, a + b))
+            assert sorted(got) == sorted(mat_rref(F, rows)
+                                         for rows in (a, b))
+
+
+@pytest.mark.parametrize("M", [
+    [[3, 1], [0, 3]],         # a Jordan block: minimal polynomial (t - 3)^2
+    [[0, 6], [1, 0]],         # t^2 + 1, irreducible over F_7
+    [[2, 0, 0], [0, 3, 1], [0, 0, 3]]])
+def test_eigenspaces_refuses_a_matrix_that_does_not_diagonalize(M):
+    F = fq_field(7, 1)
+    with pytest.raises(ValueError, match="distinct linear factors"):
+        eigenspaces(F, M, *_identity_space(len(M)))
 
 
 # -- F_q tables against an oracle that shares no code with gf --------

@@ -506,26 +506,51 @@ def test_cli_blocks_prime_above_the_cap(capsys):
                        "is larger than the field size cap 4096")
 
 
-@pytest.mark.parametrize("prime, digest", [
-    (2, "5af8a52934a2903538ada283fc61eea1372d31befaca130ae6fe225066a5742c"),
-    (3, "f9a11f8322c8f56907aab1aadb3fe5c5f1394980ad0309b632ada210a1962c95")])
-def test_cli_blocks_times_sit_beside_an_unchanged_report(capsys, prime,
-                                                         digest):
-    import hashlib
+SPEC_GROUPS = {
+    "A5": {"name": "A5", "generators": ["(1 2 3)", "(1 2 3 4 5)"]},
+    "S5": {"name": "S5", "generators": ["(1 2)", "(1 2 3 4 5)"]},
+    "S6": {"name": "S6", "generators": ["(1 2)", "(1 2 3 4 5 6)"]}}
 
-    def strip(doc):
-        if isinstance(doc, dict):
-            return {k: strip(v) for k, v in doc.items() if k != "elapsed"}
-        if isinstance(doc, list):
-            return [strip(v) for v in doc]
-        return doc
-    code, rep = run_cli(capsys, ["blocks", "S4", "--prime", str(prime)])
+
+# (group, prime, SHA-256 of the report without its "elapsed" fields)
+PINNED_BLOCKS_REPORTS = [
+    ("S4", 2,
+     "5af8a52934a2903538ada283fc61eea1372d31befaca130ae6fe225066a5742c"),
+    ("S4", 3,
+     "f9a11f8322c8f56907aab1aadb3fe5c5f1394980ad0309b632ada210a1962c95"),
+    ("A5", 2,
+     "022968dac2af3c9d6cf3cccba01a1c5b8e377ae64adb54c626e80616eeb2ca18"),
+    ("A5", 3,
+     "dc9d91ac8466c0181178d8f4b417ad853924a5cd633246405c776d122cbf1fb8"),
+    ("A5", 5,
+     "3a4e560937e582ddd688a137a49cb93fce3e93499b8d4d8cb725290729457add"),
+    ("S5", 2,
+     "fe1f1035364cede08cd4a358a3dba85e146cc64708f45fef868e473c23d2998f"),
+    ("S5", 3,
+     "519fe84689dc7d611451e04db0a2f18b63623d5c1ed9337b9baca2e18b013ad2"),
+    ("S5", 5,
+     "ad687d977b3dcaac7b3e2a2a5565d84e4a09b65f5227723072fef5f5b352b40a"),
+    ("S6", 2,
+     "0366faaf38a08672b088135be278f92c1542b98e705ef08d120f23d070a60724")]
+
+
+# the bundled S4 keeps the test id it had before spec groups were added
+@pytest.mark.parametrize("group, prime, digest", [
+    pytest.param(*case, id="-".join(
+        map(str, case[1:] if case[0] == "S4" else case)))
+    for case in PINNED_BLOCKS_REPORTS])
+def test_cli_blocks_times_sit_beside_an_unchanged_report(
+        tmp_path, capsys, group, prime, digest):
+    arg = group
+    if group in SPEC_GROUPS:
+        arg = tmp_path / f"{group}.json"
+        arg.write_text(json.dumps(SPEC_GROUPS[group]))
+    code, rep = run_cli(capsys, ["blocks", str(arg), "--prime", str(prime)])
     assert code == 0
     for timed in [rep] + rep["blocks"]:
         assert type(timed["elapsed"]) is float and timed["elapsed"] >= 0
     # the digest of this report as it was before it carried times
-    text = json.dumps(strip(rep), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest_without_times(rep) == digest
 
 
 def _digest_without_times(rep) -> str:
