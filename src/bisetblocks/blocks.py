@@ -20,14 +20,15 @@ central element is pushed along a quotient map class by class.
 Centralizers, local groups, Sylow subgroups and block idempotents are
 kept on their group, and the whole group is its own local group, so a
 block with C_G(D) = G reuses G's classes, constants and blocks.
-The one vector over group elements left is the pushed block's, whose
-rank on the permutation module of the cosets of a Sylow p-subgroup
-gives the dimension: a block ideal is projective, so it is free over
-any p-subgroup P, and its dimension is |P| times the rank of the block
-on F_q[G/P].  The tests check the class-sum code against references
-on element vectors; brauer_hom and group_algebra_mul are two of them,
-kept here because the benchmark tracer wraps them by name, and the
-others live in tests/oracles.py.
+The dimension is a rank on the permutation module of the cosets of a
+Sylow p-subgroup: a block ideal is projective, so it is free over any
+p-subgroup P, and its dimension is |P| times the rank of the block on
+F_q[G/P].  As the block e is central, e(tP) = t(eP), so its matrix
+there is the one column eP, summed from the classes, with its cosets
+moved by each coset representative t.  The tests check the class-sum
+code against references on element vectors; brauer_hom and
+group_algebra_mul are two of them, kept here because the benchmark
+tracer wraps them by name, and the others live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -400,17 +401,30 @@ def action_rank(F: Fq, row, coeffs: dict, points) -> int:
     return mat_rank(F, M)
 
 
-def coset_module_rank(F: Fq, G: FiniteGroup, vec, P: Subgroup) -> int:
-    """Rank of left multiplication by vec on the permutation module F_q[G/P].
+def coset_module_rank(F: Fq, G: FiniteGroup, e: CentralElement,
+                      P: Subgroup) -> int:
+    """Rank of left multiplication by e on the permutation module F_q[G/P].
 
-    The basis is the left cosets gP; vec is a coefficient vector over G.
+    The basis is the left cosets tP; e is central in F_q G.  So
+    e(tP) = t(eP): the column w = eP is summed once, at most |G| additions,
+    and the image of each coset tP is w with its cosets moved by t, which
+    takes no field operation.
     """
     reps, idx = P.coset_index_map()
-    support = {x: c for x, c in enumerate(vec) if c}
-
-    def row(z: int) -> list[int]:
-        return [idx[x] for x in G.left_products(z, reps)]
-    return action_rank(F, row, support, range(len(reps)))
+    add = F.add
+    w = [0] * len(reps)
+    for cls, c in zip(G.conjugacy_classes(), e.coeffs):
+        if c:
+            for z in cls:
+                i = idx[z]
+                w[i] = add(w[i], c)
+    M = []
+    for t in reps:
+        image = [0] * len(reps)
+        for tr, c in zip(G.left_products(t, reps), w):
+            image[idx[tr]] = c
+        M.append(image)
+    return mat_rank(F, M)
 
 
 def push_central(e: CentralElement, pi: GroupHom) -> CentralElement:
@@ -459,7 +473,7 @@ def defect_zero_simple_dim(G: FiniteGroup, D: Subgroup, e: CentralElement,
         raise AssertionError("image of the block is not idempotent")
     F = field
     P = sylow_subgroup(Q, F.p)
-    dim = P.order * coset_module_rank(F, Q, qe.to_vector(), P)
+    dim = P.order * coset_module_rank(F, Q, qe, P)
     root = int(round(dim ** 0.5))
     if root * root != dim:
         raise ValueError(

@@ -2,12 +2,14 @@
 
 Verbs: verify-biset-laws, blocks, broue, ingest-table, run-acceptance.
 All reports are JSON on stdout (or --out).  Exit codes: 0 all checks
-pass, 1 a verification failed, 2 the input was invalid.
+pass, 1 a verification failed, 2 the input was invalid.  The argument
+parser is built once per process and reused by every call of main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -257,7 +259,9 @@ def cmd_run_acceptance(args) -> int:
     return EXIT_PASS if rep["ok"] else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state on it."""
     ap = argparse.ArgumentParser(
         prog="bisetblocks",
         description="Exact biset calculus and block-theory verification")

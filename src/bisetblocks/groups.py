@@ -19,7 +19,9 @@ a multiplication table given from outside is checked by check_axioms,
 exactly on generators (Light's associativity test), and the generators
 of a permutation group are checked to be permutations.  Conjugates,
 centralizers and normalizers of subgroups are computed from generators
-rather than from every element.
+rather than from every element.  A Sylow subgroup grows by the first
+element in id order that extends it, tested as it is scanned, so no
+normalizer is built for it.
 Groups are immutable once built.  Data derived from a group (conjugacy
 classes, element orders, canonical conjugates, centralizers of
 subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
@@ -953,8 +955,10 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
     Below Sylow order p divides |N(P):P|, so the normalizer has an
     element g outside P with g^p in P; the first such g in id order
-    extends P to a p-group of order p|P|.  No conjugacy classes are
-    listed, so the cost is a normalizer per step.  Kept on G per p.
+    extends P to a p-group of order p|P|.  The scan stops at that g:
+    membership and the p-th power are tested first, and g normalizes P
+    when it conjugates the generators of P into P, so no normalizer is
+    built and no conjugacy classes are listed.  Kept on G per p.
     """
     _check_prime(p)
     key = ("sylow", p)
@@ -964,9 +968,10 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     full = int_p_part(G.order, p)
     P = trivial_subgroup(G)
     while P.order < full:
-        N = normalizer(G, P)
-        g = next((g for g in N.elements if g not in P.element_set
-                  and G.power(g, p) in P.element_set), None)
+        members, gens = P.element_set, P.generators
+        g = next((g for g in range(G.order) if g not in members
+                  and G.power(g, p) in members
+                  and members.issuperset(G.conjugates(g, gens))), None)
         if g is None:
             break
         P = _cyclic_extension(G, P, g, p)

@@ -9,10 +9,11 @@ import cmath
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
+from bisetblocks.gf import mat_rank
 from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
-                                isomorphisms, normalizer, orbit,
+                                int_p_part, isomorphisms, normalizer, orbit,
                                 p_subgroups_up_to_conjugacy, product_group,
-                                quotient)
+                                quotient, subgroup_generated)
 from bisetblocks.gsets import GAction, biset_coset, rebase_action
 from bisetblocks.subdirect import ProductSubgroup
 
@@ -47,6 +48,18 @@ def is_p_group(S, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def sylow_by_normalizers(G, p: int) -> Subgroup:
+    """A Sylow p-subgroup grown from the trivial one: each step builds
+    the whole normalizer N(P) and extends P by the first g of N(P) in id
+    order with g outside P and g^p in P."""
+    P = Subgroup(G, [G.identity])
+    while P.order < int_p_part(G.order, p):
+        g = next(g for g in normalizer(G, P).elements
+                 if g not in P and G.power(g, p) in P)
+        P = subgroup_generated(G, P.elements + (g,))
+    return P
 
 
 def conjugate_subgroup(S, x: int) -> Subgroup:
@@ -294,6 +307,22 @@ def defect_group_by_enumeration(G, p, b, largest_rep=False) -> Subgroup:
     if len(tops) != 1:
         raise AssertionError("defect groups must form a single class")
     return tops[0].canonical_conjugate(largest=largest_rep)
+
+
+def coset_module_rank_by_elements(F, G, vec, P) -> int:
+    """Rank of sum c z on F_q[G/P] for the coefficient vector vec over
+    G: every element z of the support moves every coset, one product at
+    a time, and each coset is named by its smallest element."""
+    name = [min(G.mul(g, h) for h in P.elements) for g in range(G.order)]
+    cosets = sorted(set(name))
+    pos = {t: i for i, t in enumerate(cosets)}
+    M = [[0] * len(cosets) for _ in cosets]
+    for z, c in enumerate(vec):
+        if c:
+            for image, t in zip(M, cosets):
+                i = pos[name[G.mul(z, t)]]
+                image[i] = F.add(image[i], c)
+    return mat_rank(F, M)
 
 
 def pair_stabilizer(pipe) -> Subgroup:

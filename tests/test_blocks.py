@@ -30,7 +30,8 @@ from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal
 
-from oracles import (defect_group_by_enumeration, principal_block_index,
+from oracles import (coset_module_rank_by_elements,
+                     defect_group_by_enumeration, principal_block_index,
                      total_size)
 
 # (group, p) -> (splitting degree, block count, partition by names,
@@ -258,8 +259,9 @@ def test_block_ideal_is_free_over_every_p_subgroup():
             dim = regular_rank(F, G, vec)
             dims.append(dim)
             for P in Ps:
-                assert P.order * coset_module_rank(F, G, vec, P) == dim, \
-                    (G.name, p, P.order)
+                rank = coset_module_rank(F, G, b, P)
+                assert rank == coset_module_rank_by_elements(F, G, vec, P)
+                assert P.order * rank == dim, (G.name, p, P.order)
         assert sum(dims) == G.order
 
 

@@ -28,7 +28,8 @@ from bisetblocks.subdirect import full_product_subgroup
 
 from oracles import (check_action, check_hom, check_subgroup,
                      conjugate_subgroup, dense_table, double_coset_of,
-                     hom_kernel, is_p_group, permutations)
+                     hom_kernel, is_p_group, permutations,
+                     sylow_by_normalizers)
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -204,6 +205,26 @@ def test_sylow_subgroup_is_in_the_top_p_subgroup_class():
             reps = p_subgroups_up_to_conjugacy(G, p)
             top = [S for S in reps if S.order == P.order]
             assert top == [P.canonical_conjugate()], (G.name, p)
+
+
+def test_sylow_subgroup_is_the_normalizer_scan_result():
+    # the first hit of the scan is the first suitable element of the
+    # normalizer, so each Sylow subgroup is the same element tuple; the
+    # centralizers of class representatives are what defect_group uses
+    perms = {"A5": ["(1 2 3)", "(1 2 3 4 5)"], "S5": ["(1 2)", "(1 2 3 4 5)"],
+             "S6": ["(1 2)", "(1 2 3 4 5 6)"]}
+    big = {name: group_from_permutations(gens, name=name)
+           for name, gens in perms.items()}
+    cases = [named_group(name) for name in BUNDLED_NAMES] + list(big.values())
+    for name in ("S5", "S6"):
+        G = big[name]
+        cases += [centralizer(G, cls[0]).as_group()
+                  for cls in G.conjugacy_classes()]
+    for G in cases:
+        for p in (2, 3, 5, 7, 11):
+            if G.order % p == 0:
+                assert sylow_subgroup(G, p).elements == \
+                    sylow_by_normalizers(G, p).elements, (G.name, p)
 
 
 def test_p_subgroup_classes():

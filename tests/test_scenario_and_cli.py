@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bisetblocks.characters import character_table
-from bisetblocks.cli import main
+from bisetblocks.cli import build_parser, main
 from bisetblocks.groups import element_by_name, quotient, subgroup_generated
 from bisetblocks.namedgroups import named_group
 from bisetblocks.scenario import (Scenario, bundled_scenario, bundled_table,
@@ -570,12 +570,14 @@ def _digest_without_times(rep) -> str:
 BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" \
     / "scenarios"
 
+C6_C3_DIGEST = \
+    "2eced485fe9aba69cbe3824e45b2b9a67b1d0ffa6f22e23ff9c743d64af08b4b"
+
 
 # The reports as the Fraction-coefficient arithmetic wrote them; the
 # integer arithmetic must reproduce them byte for byte.
 @pytest.mark.parametrize("argv, digest", [
-    (["broue", data_path("scenarios/c6_c3.json")],
-     "2eced485fe9aba69cbe3824e45b2b9a67b1d0ffa6f22e23ff9c743d64af08b4b"),
+    (["broue", data_path("scenarios/c6_c3.json")], C6_C3_DIGEST),
     (["broue", data_path("scenarios/identity_s3.json")],
      "bed52081e2666addf9904df0a63907381687cd708d40e3542798665c6dfb5e07"),
     (["broue", data_path("scenarios/a4_c3.json")],
@@ -619,3 +621,18 @@ def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
     code, rep = run_cli(capsys, argv)
     assert code == 0
     assert _digest_without_times(rep) == digest
+
+
+def test_one_parser_serves_every_call_of_main(capsys):
+    # the parser is built once per process; a call it rejects leaves
+    # nothing behind that changes the reports of the calls after it
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as rejected:
+        main(["blocks", "S4", "--prime", "three"])
+    assert rejected.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    pinned = {(g, p): digest for g, p, digest in PINNED_BLOCKS_REPORTS}
+    code, rep = run_cli(capsys, ["blocks", "S4", "--prime", "3"])
+    assert code == 0 and _digest_without_times(rep) == pinned["S4", 3]
+    code, rep = run_cli(capsys, ["broue", data_path("scenarios/c6_c3.json")])
+    assert code == 0 and _digest_without_times(rep) == C6_C3_DIGEST
