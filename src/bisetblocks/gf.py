@@ -120,6 +120,17 @@ def _digit_add_table(p: int, m: int) -> list[list[int]]:
     return table
 
 
+def _digit_neg_table(p: int, m: int) -> list[int]:
+    """-a for base-p digit vectors of length m: each digit c becomes
+    -c mod p, so the entry of r + P*t for k+1 digits is that of r for k
+    digits plus P*(-t mod p), P = p^k."""
+    table = [0]
+    for k in range(m):
+        P = p ** k
+        table = [x + P * (-t % p) for t in range(p) for x in table]
+    return table
+
+
 class Fq:
     """The field with p^m elements; construct through fq_field()."""
 
@@ -156,7 +167,7 @@ class Fq:
             for a in range(1, q)]
         self.inv_table = [0] + [exp[-log[a]] for a in range(1, q)]
         self.add_table = _digit_add_table(p, m)
-        self.neg_table = [row.index(0) for row in self.add_table]
+        self.neg_table = _digit_neg_table(p, m)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

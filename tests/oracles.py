@@ -14,7 +14,8 @@ from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
                                 int_p_part, isomorphisms, normalizer, orbit,
                                 p_subgroups_up_to_conjugacy, product_group,
                                 quotient, subgroup_generated)
-from bisetblocks.gsets import GAction, biset_coset, rebase_action
+from bisetblocks.gsets import (BisetView, GAction, _orbit_labels, biset_coset,
+                               rebase_action)
 from bisetblocks.subdirect import ProductSubgroup
 
 
@@ -238,6 +239,33 @@ def stabilizer_by_all_schreier_generators(A, x) -> Subgroup:
                 found.append(w)
                 elems = extend_subgroup(G, elems, members, found)
     return Subgroup(G, elems)
+
+
+def tensor_by_pairs(U, V) -> BisetView:
+    """The tensor product over the middle group as orbits of all nu*nv
+    pairs (u, v) under h.(u, v) = (u.h^-1, h.v), one label per pair."""
+    H = U.ambient.right
+    nu, nv = U.size, V.size
+    Urows, Vrows = U.action.rows, V.action.rows
+    Uenc, Venc = U.ambient.encode, V.ambient.encode
+    glue = []
+    for h in H.generators:
+        if h == H.identity:
+            continue
+        # h.(u, v) = (u.h^-1, h.v): both via the (1,h) / (h,1) actions;
+        # the generators of H have the orbits of H.
+        ur = Urows[Uenc(U.left.identity, h)]
+        vr = Vrows[Venc(h, V.right.identity)]
+        glue.append([x * nv + y for x in ur for y in vr])
+    label, reps = _orbit_labels(nu * nv, glue)
+    amb = product_group(U.left, V.right)
+
+    def row(x: int) -> tuple[int, ...]:
+        g, k = amb.decode(x)
+        gr = Urows[Uenc(g, H.identity)]
+        kr = Vrows[Venc(H.identity, k)]
+        return tuple([label[gr[r // nv] * nv + kr[r % nv]] for r in reps])
+    return BisetView(amb, GAction(amb, row, size=len(reps)))
 
 
 def induced_action_eager(G, S, U) -> GAction:

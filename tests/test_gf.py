@@ -6,7 +6,8 @@ from functools import reduce
 
 import pytest
 
-from bisetblocks.gf import (eigenspaces, fq_field, mat_kernel, mat_rank,
+from bisetblocks.gf import (_digit_add_table, _digit_neg_table, eigenspaces,
+                            fq_field, mat_kernel, mat_rank,
                             mat_rref, mat_solve, poly_deg, poly_factor,
                             poly_gcd, poly_mul, poly_monic, poly_sub,
                             poly_trim, poly_xgcd)
@@ -27,6 +28,17 @@ def test_field_parameters():
 
 def test_fq_field_is_cached():
     assert fq_field(2, 3) is fq_field(2, 3)
+
+
+def test_digit_negation_matches_the_zero_of_each_add_table_row():
+    # every field with q <= 729, against -a read off the row a + b
+    primes = [p for p in range(2, 730) if all(p % d for d in range(2, p))]
+    for p in primes:
+        m = 1
+        while p ** m <= 729:
+            assert _digit_neg_table(p, m) == [
+                row.index(0) for row in _digit_add_table(p, m)], (p, m)
+            m += 1
 
 
 def test_field_axioms_exhaustive_f8():

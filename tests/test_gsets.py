@@ -1,15 +1,18 @@
 """G-sets and bisets: orbits, tensor products, elementary pieces."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from bisetblocks import gsets, subdirect, suites
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
-                                product_group, subgroup_generated)
-from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
-                               biset_from_left_action, coset_action,
+                                product_group, subgroup_generated,
+                                trivial_subgroup)
+from bisetblocks.gsets import (BisetView, GAction, TransitiveDecomposition,
+                               biset_coset, biset_from_left_action,
+                               coset_action,
                                defres_biset, defres_description,
                                disjoint_union, dual_biset,
                                extended_induction_formula, extended_tensor,
@@ -20,12 +23,14 @@ from bisetblocks.gsets import (GAction, TransitiveDecomposition, biset_coset,
                                trivial_action)
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
-from bisetblocks.suites import (defres_suite, induced_bisets_suite,
-                                induction_formula_suite, mackey_suite)
+from bisetblocks.suites import (MACKEY_GROUPS, defres_suite,
+                                induced_bisets_suite, induction_formula_suite,
+                                mackey_suite, random_product_subgroup)
 
 from oracles import (check_action, induced_action_eager, inflation_biset,
                      rectangle, regular_action, restriction_biset,
-                     stabilizer_by_all_schreier_generators, total_size)
+                     stabilizer_by_all_schreier_generators, tensor_by_pairs,
+                     total_size)
 
 
 def el(G, spec):
@@ -143,6 +148,98 @@ def test_tensor_mackey_agrees_with_direct_tensor():
         lhs = tensor_mackey(X, Y)
         rhs = tensor_direct(biset_coset(X), biset_coset(Y)).decompose()
         assert lhs == rhs
+
+
+def _tensor_cases(rng):
+    """Pairs (U, V) of bisets over a shared middle group H."""
+    def coset(amb):
+        return biset_coset(random_product_subgroup(rng, amb, max_index=24))
+
+    def union(*bisets):
+        return BisetView(bisets[0].ambient,
+                         disjoint_union(*(B.action for B in bisets)))
+
+    for _ in range(16):
+        G, H, K = (named_group(rng.choice(MACKEY_GROUPS)) for _ in range(3))
+        left, right = product_group(G, H), product_group(H, K)
+        U, V = coset(left), coset(right)
+        yield U, V
+        # V with several H-orbits, U with several H-orbits
+        yield U, union(V, coset(right), V)
+        yield union(U, coset(left)), V
+        # H acts freely on cosets of 1 x K, trivially on those of H x K
+        free = biset_coset(rectangle(right, trivial_subgroup(H),
+                                     full_subgroup(K)))
+        fixed = biset_coset(rectangle(right, full_subgroup(H),
+                                      trivial_subgroup(K)))
+        yield U, free
+        yield U, fixed
+        yield U, union(fixed, coset(right), free)
+    # a trivial middle group
+    for name in ("S3", "A4"):
+        G = named_group(name)
+        A = coset_action(G, subgroup_generated(G, [rng.randrange(G.order)]))
+        yield biset_from_left_action(A), biset_from_left_action(A).opposite()
+
+
+def test_tensor_direct_matches_the_pair_sweep():
+    for U, V in _tensor_cases(random.Random(23)):
+        T, want = tensor_direct(U, V), tensor_by_pairs(U, V)
+        assert T.ambient is want.ambient
+        assert T.size == want.size
+        check_action(T.action)
+        assert T.decompose() == want.decompose()
+
+
+def test_tensor_of_regular_s4_bisets_forms_no_pairs():
+    S4 = named_group("S4")
+    amb = product_group(S4, S4)
+    X = ProductSubgroup(amb, [amb.identity])
+    U = biset_coset(X)
+    assert U.size * U.size == 331_776
+    tracemalloc.start()
+    try:
+        T = tensor_direct(U, U)
+        T.decompose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert T.decompose() == tensor_mackey(X, X)
+
+
+def test_tensor_cap_bounds_points_times_orbits(monkeypatch):
+    S3, C2 = named_group("S3"), named_group("C2")
+    U = biset_coset(diagonal(full_subgroup(S3)))
+    amb = product_group(S3, C2)
+    # three H-orbits on V: two free ones and a fixed point
+    V = BisetView(amb, disjoint_union(*(
+        coset_action(amb, rectangle(amb, S, full_subgroup(C2)))
+        for S in (trivial_subgroup(S3), trivial_subgroup(S3),
+                  full_subgroup(S3)))))
+    bound = U.size * 3
+    assert U.size * V.size > bound
+    monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", bound)
+    assert tensor_direct(U, V).size == 6 + 6 + 1
+    monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", bound - 1)
+
+    def no_labels(*args):
+        raise AssertionError("labels built before the refusal")
+    monkeypatch.setattr(gsets, "_orbit_labels", no_labels)
+    with pytest.raises(ValueError, match=f"exceeds {bound - 1} points"):
+        tensor_direct(U, V)
+
+
+def test_extended_tensor_cap_names_the_cap(monkeypatch):
+    S3 = named_group("S3")
+    X = Y = diagonal(full_subgroup(S3))
+    U = V = regular_action(X.as_group())
+    monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", 36)
+    assert extended_tensor(X, Y, U, V).size == 36
+    monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", 35)
+    with pytest.raises(ValueError,
+                       match="extended tensor product exceeds 35 pairs"):
+        extended_tensor(X, Y, U, V)
 
 
 def test_tensor_unit_laws():
