@@ -508,14 +508,13 @@ def _lift(F, xs) -> Cyclotomic:
     of g: sum_t m_t zeta_o^t with m_t = (1/o) sum_l xs[l] zeta^(-tl)."""
     r, o = F.p, len(xs)
     z = F.inv(F.root_of_unity(o))
-    zs = [F.power(z, t) for t in range(o)]
+    zs = [1]
+    for _ in range(1, o):
+        zs.append(zs[-1] * z % r)
     inv_o = F.inv(F.from_int(o))
-    value = ZERO
-    for t in range(o):
-        m = inv_o * sum(x * zs[t * l % o] for l, x in enumerate(xs)) % r
-        if m:
-            value = value + m * Cyclotomic.zeta(o, t)
-    return value.minimal()
+    return Cyclotomic.from_exponents(o, [
+        inv_o * sum(x * zs[t * l % o] for l, x in enumerate(xs)) % r
+        for t in range(o)]).minimal()
 
 
 def verify_tensor_character_formula(X: ProductSubgroup, Y: ProductSubgroup,

@@ -28,10 +28,14 @@ to the lcm m of the conductors and accumulated into one int list of
 length 2 phi(m), rescaled when a term brings a new denominator, and the
 sum is reduced modulo Phi_m and put in lowest terms once, at the end.
 
-Polynomial division, the extended Euclidean algorithm and the linear
-solve behind conductor descent are the field-generic functions of gf,
-run over QQ.  Only the reduction modulo Phi_n, the hot path of every
-product, keeps its own precomputed power table.
+No linear algebra is needed.  ``minimal`` descends one prime p of the
+conductor n at a time: the relative trace from Q(zeta_n) down to
+Q(zeta_(n/p)), over its degree, is read straight off the numerators,
+and the value lies in the subfield exactly when that candidate lifts
+back to it.  ``inverse`` is the product of the other Galois conjugates
+over the rational norm.  The reduction modulo Phi_n, the hot path of
+every product, runs through a precomputed power table, and the module
+imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -40,24 +44,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from .gf import mat_solve, poly_xgcd
-
-
-class _Rationals:
-    """Q as a coefficient field for the polynomial and matrix code in gf."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    @staticmethod
-    def inv(a):
-        return 1 / Fraction(a)
-
-
-QQ = _Rationals()
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +74,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def _moebius(m: int) -> int:
-    out = 1
+    primes = _prime_divisors(m)
+    if any(m % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return -out if m > 1 else out
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
@@ -194,9 +186,15 @@ class Cyclotomic:
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         """The root of unity zeta_n^k."""
+        return Cyclotomic.from_exponents(n, [0] * (k % n) + [1])
+
+    @staticmethod
+    def from_exponents(n: int, coeffs) -> "Cyclotomic":
+        """sum c_k zeta_n^k over int coefficients c_0, c_1, ..., of any
+        length, reduced to the power basis in one pass."""
         if n < 1:
             raise ValueError("conductor must be a positive integer")
-        return _make(n, _reduce_poly(n, [0] * (k % n) + [1]), 1)
+        return _make(n, _reduce_poly(n, coeffs), 1)
 
     # -- conductor handling ------------------------------------------
 
@@ -302,18 +300,19 @@ class Cyclotomic:
         return out
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates of the value, divided by its norm, the product of all
+        of them, which is a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return Cyclotomic.from_rational(Fraction(self.den, self.num[0]))
-        g, u, _ = poly_xgcd(QQ, self.num, cyclotomic_polynomial(self.n))
-        if len(g) != 1:
-            raise ArithmeticError("element is not invertible")
-        # u inverts the numerator polynomial; (num/den)^-1 = den * u
-        num, den = _over_common_denominator([_as_fraction(c) for c in u])
-        return _make(self.n, _reduce_poly(self.n, [c * self.den for c in num]),
-                     den)
+        n = self.n
+        others = ONE
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                others = others * self.galois(t)
+        return others * (1 / (self * others).as_fraction())
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -376,7 +375,15 @@ class Cyclotomic:
         return self.den % p != 0
 
     def minimal(self) -> "Cyclotomic":
-        """Canonical copy over the smallest conductor containing the value."""
+        """Canonical copy over the smallest conductor containing the value.
+
+        The divisors d of n with the value in Q(zeta_d) are closed under
+        gcd, since Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), so the
+        smallest is reached by stripping the primes of n one at a time,
+        each as often as the value stays in the smaller field: it does
+        exactly when its relative trace there, over the degree, lifts
+        back to it.
+        """
         if self._min is not None:
             return self._min
         reduced = self
@@ -384,12 +391,12 @@ class Cyclotomic:
             if self.n > 1:
                 reduced = _make(1, self.num[:1], self.den)
         else:
-            for d in range(2, self.n):
-                if self.n % d == 0:
-                    cand = _try_descend(self, d)
-                    if cand is not None:
-                        reduced = cand
+            for p in _prime_divisors(self.n):
+                while reduced.n % p == 0:
+                    cand = _trace_down(reduced, p)
+                    if cand.lift(reduced.n) != reduced:
                         break
+                    reduced = cand
         self._min = reduced
         reduced._min = reduced
         return reduced
@@ -516,19 +523,26 @@ def _factor(x: Cyclotomic, m: int) -> tuple[int, ...]:
     return _lift_num(x, m)
 
 
-def _try_descend(x: Cyclotomic, d: int):
-    """Express x over Q(zeta_d) if possible, else None (d divides conductor)."""
-    n = x.n
-    # Quick Galois-fixedness test before the linear algebra.
-    for t in range(2, n + 1):
-        if gcd(t, n) == 1 and t % d == 1:
-            if x.galois(t) != x:
-                return None
-    cols = [Cyclotomic.zeta(d, j).lift(n).coeffs for j in range(euler_phi(d))]
-    sol = mat_solve(QQ, list(zip(*cols)), x.coeffs)
-    if sol is None:
-        return None
-    return Cyclotomic(d, sol)
+def _trace_down(x: Cyclotomic, p: int) -> Cyclotomic:
+    """The relative trace of x from Q(zeta_n) to Q(zeta_m), m = n/p,
+    divided by the degree, with zeta_m = zeta_n^p.
+
+    When p divides m, the trace of zeta_n^k is p zeta_m^(k/p) for k = 0
+    mod p and 0 otherwise, so the candidate is every p-th numerator.
+    Otherwise zeta_n^k = zeta_m^(k u) zeta_p^(k v) with u = p^-1 mod m
+    and v = m^-1 mod p, and the trace of zeta_p^(k v) over Q(zeta_m) is
+    p - 1 when p divides k and -1 when it does not.
+    """
+    n, num = x.n, x.num
+    m = n // p
+    if m % p == 0:
+        return _make(m, num[::p], x.den)
+    u = pow(p, -1, m)
+    poly = [0] * m
+    for k, c in enumerate(num):
+        if c:
+            poly[k * u % m] += c * (p - 1) if k % p == 0 else -c
+    return _make(m, _reduce_poly(m, poly), x.den * (p - 1))
 
 
 ZERO = Cyclotomic.from_rational(0)

@@ -1,5 +1,5 @@
 """Small finite fields F_q, q = p^m, and polynomials and matrices over
-any field.
+them.
 
 Elements of F_q are integers 0..q-1 read as base-p digit vectors over
 the polynomial basis of F_p[x] modulo a fixed irreducible: the element
@@ -12,18 +12,17 @@ generator's exponent and logarithm tables (g^i g^j = g^(i+j)), so
 building them takes O(q) polynomial products; addition adds base-p
 digits.
 
-The polynomial and matrix functions take the coefficient field as their
-first argument and use only its add, sub, mul, neg and inv and the
-constants 0 and 1, so they serve F_q and the rationals
-(cyclotomic.QQ) alike; mat_rank, over F_q only, reads its tables.
-Polynomials are little-endian coefficient lists.
+The polynomial and matrix functions take the field as their first
+argument; mat_rref and mat_rank read its addition, multiplication and
+negation tables directly.  Polynomials are little-endian coefficient
+lists.
 
-Over F_q only, eigenspaces splits an M-stable subspace into the
-eigenspaces of M, for the character tables and the block idempotents
-alike: the minimal polynomial of M on the subspace comes from one
-Krylov sequence, poly_factor finds its roots by evaluating it at every
-element of F_q and refuses it unless it splits into distinct linear
-factors, and each root gives one kernel.
+eigenspaces splits an M-stable subspace into the eigenspaces of M, for
+the character tables and the block idempotents alike: the minimal
+polynomial of M on the subspace comes from one Krylov sequence,
+poly_factor finds its roots by evaluating it at every element of F_q
+and refuses it unless it splits into distinct linear factors, and each
+root gives one kernel.
 """
 
 from __future__ import annotations
@@ -308,21 +307,6 @@ def poly_powmod(F, base, e: int, mod):
     return out
 
 
-def poly_xgcd(F, a, b):
-    """Return (g, u, v) monic with u*a + v*b = g."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while not poly_is_zero(r1):
-        q, r = poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
-        t0, t1 = t1, poly_sub(F, t0, poly_mul(F, q, t1))
-    inv = F.inv(r0[-1])
-    return (poly_scale(F, r0, inv), poly_scale(F, s0, inv),
-            poly_scale(F, t0, inv))
-
-
 def poly_factor(F: Fq, f):
     """The factors x - lam of an f that splits into distinct linear
     factors over F_q, as ((-lam, 1), 1) pairs sorted by coefficients.
@@ -349,12 +333,14 @@ def poly_factor(F: Fq, f):
     return factors
 
 
-# -- linear algebra over a field ------------------------------------
+# -- linear algebra over F_q -----------------------------------------
 
-def mat_rref(F, rows):
+def mat_rref(F: Fq, rows):
     """Reduced row echelon form; returns (rows, pivot column list).  A
-    pivot row starts at its column, so row operations start there too."""
+    pivot row starts at its column, so row operations start there too,
+    adding row[c] times the negated pivot row through the tables."""
     rows = [list(r) for r in rows]
+    add, mul, neg = F.add_table, F.mul_table, F.neg_table
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -362,20 +348,21 @@ def mat_rref(F, rows):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        pivot = rows[r][c:] = [F.mul(inv, v) for v in rows[r][c:]]
+        scale = mul[F.inv(rows[r][c])]
+        pivot = rows[r][c:] = [scale[v] for v in rows[r][c:]]
+        minus = [neg[w] for w in pivot]
         for row in rows[:r] + rows[r + 1:]:
             fac = row[c]
             if fac:
-                row[c:] = [F.sub(v, F.mul(fac, w))
-                           for v, w in zip(row[c:], pivot)]
+                times = mul[fac]
+                row[c:] = [add[v][times[w]] for v, w in zip(row[c:], minus)]
         pivots.append(c)
         if r + 1 == len(rows):
             break
     return rows, pivots
 
 
-def mat_rank(F, rows) -> int:
+def mat_rank(F: Fq, rows) -> int:
     """Rank by forward elimination: a pivot clears only the rows below
     it, adding row[c] times the negated pivot row through the tables."""
     rows = [list(r) for r in rows]
@@ -408,21 +395,6 @@ def mat_kernel(F, rows, ncols: int):
             x[c] = F.neg(red[r][f])
         out.append(x)
     return out
-
-
-def mat_solve(F, rows, rhs):
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = mat_rref(F, aug)
-    if ncols in pivots:  # a pivot on the right-hand side: 0 = 1
-        return None
-    sol = [0] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][-1]
-    return sol
 
 
 # -- eigenspaces over F_q ---------------------------------------------

@@ -405,23 +405,6 @@ class GroupHom:
     def __call__(self, g: int) -> int:
         return self.images[g]
 
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == self.source.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
-
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def inverse(self) -> "GroupHom":
-        if not self.is_isomorphism():
-            raise ValueError("only isomorphisms can be inverted")
-        back = [0] * self.target.order
-        for g, im in enumerate(self.images):
-            back[im] = g
-        return GroupHom(self.target, self.source, back)
-
 
 # -- permutation input -----------------------------------------------
 

@@ -155,7 +155,8 @@ def test_cyclotomic_polynomial_vanishes_at_primitive_roots(n):
         assert abs(sum(c * root ** i for i, c in enumerate(coeffs))) < 1e-9
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24])
+@pytest.mark.parametrize(
+    "n", [n for n in range(1, 91) if euler_phi(n) <= 24])
 def test_random_elements_times_their_inverse_are_one(n):
     import random
     rng = random.Random(1000 + n)
@@ -354,3 +355,60 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
         assert total == sum((a * b for a, b in zip(xs, ys)),
                             Cyclotomic.from_rational(0))
         assert dot([], []) == 0 and dot([x], [Cyclotomic(n, [])]) == 0
+
+
+# -- conductor descent against the Galois criterion --------------------
+
+def _outside_every_proper_subfield(y):
+    """For every proper divisor d of the conductor m, some t = 1 mod d
+    prime to m moves y, so y lies in no Q(zeta_d) with d < m."""
+    m = y.n
+    return all(any(y.galois(t) != y for t in range(1 + d, m + 1, d)
+                   if gcd(t, m) == 1)
+               for d in range(1, m) if m % d == 0)
+
+
+def _descent_values():
+    import random
+    from bisetblocks.characters import character_table
+    from bisetblocks.groups import group_from_permutations
+    from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
+    rng = random.Random(24)
+    lifted = []
+    for n in range(1, 121):
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        k = rng.choice([k for k in range(1, 6) if k * n <= 240])
+        lifted += [_random_element(rng, n).lift(k * n),
+                   _random_element(rng, d).lift(n)]
+    values = []
+    groups = [named_group(name) for name in BUNDLED_NAMES] + [
+        group_from_permutations(gens) for gens in (
+            ["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5)"],
+            ["(1 2)", "(1 2 3 4 5 6)"])]
+    for G in groups:
+        for chi in character_table(G).irreducibles:
+            values += set(chi.values)
+    return lifted + [x.lift(k * x.n) for x in values for k in range(1, 6)]
+
+
+def test_minimal_lifts_back_and_lies_in_no_smaller_field():
+    for x in _descent_values():
+        # a fresh copy, so that no descent cached on a shared value is read
+        x = Cyclotomic(x.n, x.coeffs)
+        y = x.minimal()
+        assert x.n % y.n == 0 and y.lift(x.n) == x, x
+        assert _outside_every_proper_subfield(y), (x, y)
+
+
+def test_the_module_imports_nothing_from_the_package():
+    import ast
+    from pathlib import Path
+    import bisetblocks.cyclotomic as module
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.dump(node)
+            assert not node.module.startswith("bisetblocks"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bisetblocks")
+                           for a in node.names)

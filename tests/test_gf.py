@@ -7,10 +7,9 @@ from functools import reduce
 import pytest
 
 from bisetblocks.gf import (_digit_add_table, _digit_neg_table, eigenspaces,
-                            fq_field, mat_kernel, mat_rank,
-                            mat_rref, mat_solve, poly_deg, poly_factor,
-                            poly_gcd, poly_mul, poly_monic, poly_sub,
-                            poly_trim, poly_xgcd)
+                            fq_field, mat_kernel, mat_rank, mat_rref,
+                            poly_deg, poly_factor, poly_mul, poly_sub,
+                            poly_trim)
 
 from oracles import poly_eval
 
@@ -129,22 +128,6 @@ def test_poly_arithmetic_basics():
     assert poly_is_zero(poly_sub(F, a, a))
 
 
-def test_poly_xgcd_bezout_identity():
-    rng = random.Random(12)
-    F = fq_field(3, 2)
-    for _ in range(40):
-        a = [rng.randrange(F.q) for _ in range(rng.randint(1, 5))]
-        b = [rng.randrange(F.q) for _ in range(rng.randint(1, 5))]
-        if not any(a) or not any(b):
-            continue
-        g, u, v = poly_xgcd(F, a, b)
-        from bisetblocks.gf import poly_add
-        lhs = poly_add(F, poly_mul(F, u, a), poly_mul(F, v, b))
-        assert poly_trim(lhs) == poly_trim(g)
-        # g divides both inputs
-        assert poly_trim(poly_gcd(F, a, b)) == poly_trim(poly_monic(F, g))
-
-
 @pytest.mark.parametrize("p, m", [(2, 2), (7, 1), (3, 2)])
 def test_poly_factor_returns_distinct_linear_factors_sorted(p, m):
     F = fq_field(p, m)
@@ -186,21 +169,6 @@ def test_mat_rref_and_rank():
     red, pivots = mat_rref(F, [[2, 4], [1, 3]])
     assert red[0][0] == 1  # leading entries normalized
     assert len(pivots) == 2
-
-
-def test_mat_solve():
-    F = fq_field(7, 1)
-    rows = [[1, 2], [3, 4]]
-    rhs = [5, 6]
-    sol = mat_solve(F, rows, rhs)
-    assert sol is not None
-    for r, want in zip(rows, rhs):
-        acc = 0
-        for c, x in zip(r, sol):
-            acc = F.add(acc, F.mul(c, x))
-        assert acc == want
-    # inconsistent system
-    assert mat_solve(F, [[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_mat_rank_random_products():

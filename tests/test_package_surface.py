@@ -5,6 +5,10 @@ referenced by name in the code of src/bisetblocks other than its own
 def: as a name or as an attribute.  Docstrings and comments do not
 count.  References and helpers that only the tests need live in
 tests/oracles.py.
+
+Methods are matched by their bare name, so a method that no code calls
+goes unseen while another method of the same name has a caller, as
+ProductSubgroup.opposite does behind BisetView.opposite.
 """
 
 import ast
@@ -21,6 +25,9 @@ DEFERRED = {
     "brauer_construction": 4,
     "is_twisted_diagonal": 4,
 }
+# ProductSubgroup.opposite has no caller either, but the check below
+# cannot see it behind BisetView.opposite.  It stays for the duality
+# check of item 3: the dual of (G x H)/X is (H x G)/X^op.
 
 # The element-vector references of the block layer, and the p-subgroup
 # enumeration that defect groups no longer use.  perfbench/tracer.py
