@@ -13,15 +13,16 @@ group, which computes a row only when it is read.  Its conjugacy
 classes are orbits under conjugation by its generators, and a
 centralizer is read off the products x*s and s*x of the fixed s.  One
 routine, orbit, closes a point under generators, in breadth-first order
-with a Schreier tree.  Input
-is checked once, where it enters: constructors trust their caller, and
-a multiplication table given from outside is checked by check_axioms,
-exactly on generators (Light's associativity test), and the generators
-of a permutation group are checked to be permutations.  Conjugates,
-centralizers and normalizers of subgroups are computed from generators
-rather than from every element.  A Sylow subgroup grows by the first
-element in id order that extends it, tested as it is scanned, so no
-normalizer is built for it.
+with a Schreier tree; one sweep, _orbit_labels, labels every orbit of a
+set of permutations, and the double cosets AgB are its orbits of A's
+generators on one coset map of B.  Input is checked once, where it
+enters: constructors trust their caller, a multiplication table given
+from outside is checked by check_axioms, exactly on generators (Light's
+associativity test), and the generators of a permutation group are
+checked to be permutations.  Conjugates, centralizers and normalizers
+of subgroups are computed from generators rather than from every
+element.  A Sylow subgroup grows by the first element in id order that
+extends it, tested as it is scanned, so no normalizer is built for it.
 Groups are immutable once built.  Data derived from a group (conjugacy
 classes, element orders, canonical conjugates, centralizers of
 subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
@@ -29,11 +30,11 @@ element names) is computed on first read and kept on that group, so it
 lives as long as the group does; a local group is kept weakly, as it
 keeps its parent alive.  A Subgroup translates between parent and local
 ids (a local group holds the map only so that another Subgroup with the
-same elements finds it), and the whole group is its own local group.  A product G x H is kept weakly on G, so
-product_group returns one object for as long as anything holds it, and
-lets it go once nothing does.  Canonical representatives are always the
-smallest available integer id, which keeps every enumeration in the
-package deterministic.
+same elements finds it), and the whole group is its own local group.
+A product G x H is kept weakly on G, so product_group returns one
+object for as long as anything holds it, and lets it go once nothing
+does.  Canonical representatives are always the smallest available
+integer id, which keeps every enumeration in the package deterministic.
 """
 
 from __future__ import annotations
@@ -879,19 +880,40 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
 
 def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
-    """Minimal representatives of the double cosets AgB, in id order,
-    each marking its |A||B| products in |A| bulk calls: an orbit under
-    generators of A and B takes fewer, but finding them costs as much."""
-    seen = [False] * G.order
+    """Minimal representatives of the double cosets AgB, in id order:
+    the orbits of A's generators on the cosets gB, which are numbered
+    by their minimal members, so each orbit's least coset holds the
+    least member of its double coset."""
+    reps, idx = B.coset_index_map()
+    rows = [[idx[x] for x in G.left_products(a, reps)]
+            for a in A.generators]
+    return tuple(reps[k] for k in _orbit_labels(len(reps), rows)[1])
+
+
+def _orbit_labels(size: int, rows) -> tuple[list[int], list[int]]:
+    """Label points by orbit under the given permutations.
+
+    Returns (label per point, representative point per orbit); sweeping
+    points in increasing order makes each representative the orbit
+    minimum.  Not orbit: one list-indexed label sweep over all points
+    needs no Schreier tree and no dict.
+    """
+    label = [-1] * size
     reps = []
-    for g in range(G.order):
-        if seen[g]:
+    for x in range(size):
+        if label[x] >= 0:
             continue
-        reps.append(g)
-        for ag in G.right_products(A.elements, g):
-            for x in G.left_products(ag, B.elements):
-                seen[x] = True
-    return tuple(reps)
+        label[x] = k = len(reps)
+        reps.append(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for row in rows:
+                z = row[y]
+                if label[z] < 0:
+                    label[z] = k
+                    stack.append(z)
+    return label, reps
 
 
 # -- p-subgroups ------------------------------------------------------

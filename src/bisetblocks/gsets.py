@@ -1,29 +1,29 @@
 """Finite group actions, bisets, and their tensor calculus.
 
 A GAction maps each group element id to the permutation it induces on
-0..size-1.  Its rows are given either in full or as a row function,
-whose rows are computed on first lookup and kept; the constructors of
-coset actions, unions, products, tensor products and induced actions
-give row functions.  Orbits read only the rows of the group's
-generators, and a stabilizer is closed from the Schreier generators of
-its groups.orbit tree until it has the order the orbit gives it, so an
-action over a large group materialises few rows.  A biset for (G, H) is
-an action of the direct product G x H, with (g,h) acting as u |-> g.u.h^-1.
-Isomorphism of actions is decided by comparing transitive
-decompositions: the multiset of point-stabilizer conjugacy classes,
-each keyed by its smallest conjugate element tuple.
+0..size-1, given in full or as a row function whose rows are computed
+on first lookup and kept, as the constructors of coset actions,
+unions, products, tensor products and induced actions give them.  A
+biset for (G, H) is an action of G x H, (g,h) acting as u |-> g.u.h^-1.
+Isomorphism of actions compares transitive decompositions: the
+multiset of point-stabilizer classes, each keyed by its smallest
+conjugate element tuple.  A coset action G/S decomposes as the class
+of S and a union as its summands do, so neither reads a row for it,
+and a coset action builds its coset map when a row is first read.
+Any other action reads only its generators' rows for its orbits and
+closes a stabilizer per orbit from the Schreier generators of its
+groups.orbit tree until it has the order the orbit gives it.
 
-The tensor product over the middle group H is computed two ways:
-directly, one H-orbit of the right factor V at a time, as the union of
-U/Stab_H(v0) over representatives v0 of those orbits, so no pair is
-formed; and by the double-coset decomposition for transitive bisets.
-The extended tensor product over a subgroup X * Y of a product, its
-description as deflation-restriction along the pullback map, and the
-double-coset formula for tensoring induced actions are all provided.
-Each of them joins a pair of subgroups over the middle group once,
-through subdirect.middle_witnesses, and reads the star, the joint kernel
-and the pullback off that one join; the two double-coset formulas build
-one pullback of (X, Y) and share it.
+The tensor product over the middle group H is computed directly, one
+H-orbit of the right factor V at a time, as the union of U/Stab_H(v0)
+over representatives v0 of those orbits, so no pair is formed; and for
+transitive bisets by double cosets.  The extended tensor product over
+X * Y, its description as deflation-restriction along the pullback map
+nu, and the double-coset formula for tensoring induced actions each
+join their pair of subgroups over the middle group once, through
+subdirect.middle_witnesses, and read the star, the joint kernel and
+the pullback off that join; the two double-coset formulas share one
+pullback of (X, Y).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
-                     double_cosets, orbit, product_group, span)
+                     _orbit_labels, double_cosets, orbit, product_group,
+                     span)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -46,11 +47,13 @@ class GAction:
     permutation per element, or as a function from an element id to its
     permutation tuple together with size; each row is then computed on
     its first lookup and kept.  The rows are trusted to form an action,
-    as every constructor in the package trusts its caller.
+    as every constructor in the package trusts its caller.  classes,
+    when given, returns the decomposition's classes with multiplicities
+    as the constructor knows them, so no row is read for it.
     """
 
     def __init__(self, group: FiniteGroup, rows,
-                 size: int | None = None) -> None:
+                 size: int | None = None, classes=None) -> None:
         self.group = group
         if callable(rows):
             if size is None:
@@ -62,6 +65,7 @@ class GAction:
             if len(self.rows) != group.order:
                 raise ValueError("need one permutation per group element")
             self.size = len(self.rows[0]) if self.rows else 0
+        self._classes = classes
         self._decomposition = None
 
     def _generator_rows(self) -> list[tuple[int, ...]]:
@@ -103,33 +107,34 @@ class GAction:
 
     def fixed_points(self, elements) -> list[int]:
         """Points fixed by every listed group element."""
-        out = []
-        for x in range(self.size):
-            if all(self.rows[g][x] == x for g in elements):
-                out.append(x)
-        return out
+        return [x for x in range(self.size)
+                if all(self.rows[g][x] == x for g in elements)]
 
     def decompose(self) -> "TransitiveDecomposition":
         if self._decomposition is None:
-            items: Counter = Counter()
-            total = 0
-            for orb in self.orbits():
-                stab = self.stabilizer(orb[0]).canonical_conjugate()
-                items[stab.elements] += 1
-                total += self.group.order // stab.order
-            if total != self.size:
-                raise AssertionError("orbit sizes fail the counting identity")
-            self._decomposition = TransitiveDecomposition(
-                self.group, tuple(sorted(items.items())))
+            items = (self._classes or self._classes_by_orbit)().items()
+            self._decomposition = TransitiveDecomposition(self.group, items)
         return self._decomposition
+
+    def _classes_by_orbit(self) -> Counter:
+        """One canonical stabilizer class per orbit."""
+        items: Counter = Counter()
+        total = 0
+        for orb in self.orbits():
+            stab = self.stabilizer(orb[0]).canonical_conjugate()
+            items[stab.elements] += 1
+            total += self.group.order // stab.order
+        if total != self.size:
+            raise AssertionError("orbit sizes fail the counting identity")
+        return items
 
 
 class TransitiveDecomposition:
-    """Multiset of canonical stabilizer classes of a G-set."""
+    """Multiset of canonical stabilizer classes of a G-set, kept sorted."""
 
     def __init__(self, group: FiniteGroup, items) -> None:
         self.group = group
-        self.items = tuple(items)
+        self.items = tuple(sorted(items))
 
     def __eq__(self, other):
         return (isinstance(other, TransitiveDecomposition)
@@ -158,11 +163,18 @@ def trivial_action(G: FiniteGroup, size: int = 1) -> GAction:
 
 
 def coset_action(G: FiniteGroup, S: Subgroup) -> GAction:
-    """Left translation on the cosets gS; point order is by minimal member."""
-    reps, idx = S.coset_index_map()
-    left = G.left_products
-    return GAction(G, lambda g: tuple([idx[x] for x in left(g, reps)]),
-                   size=len(reps))
+    """Left translation on the cosets gS, numbered by minimal member.
+    Its stabilizers are the conjugates of S, so it decomposes as the
+    class of S, and its coset map is built when a row is first read."""
+    reps = idx = None
+
+    def row(g: int) -> tuple[int, ...]:
+        nonlocal reps, idx
+        if reps is None:
+            reps, idx = S.coset_index_map()
+        return tuple([idx[x] for x in G.left_products(g, reps)])
+    return GAction(G, row, size=S.index,
+                   classes=lambda: {S.canonical_conjugate().elements: 1})
 
 
 def disjoint_union(*actions: GAction) -> GAction:
@@ -179,7 +191,9 @@ def disjoint_union(*actions: GAction) -> GAction:
             out.extend(offset + v for v in a.rows[g])
             offset += a.size
         return tuple(out)
-    return GAction(G, row, size=sum(a.size for a in actions))
+    return GAction(G, row, size=sum(a.size for a in actions),
+                   classes=lambda: sum((Counter(dict(a.decompose().items))
+                                        for a in actions), Counter()))
 
 
 def external_product(A: GAction, B: GAction) -> GAction:
@@ -257,8 +271,7 @@ def biset_coset(X: ProductSubgroup) -> BisetView:
 
 def biset_from_left_action(A: GAction) -> BisetView:
     """View a plain G-set as a (G, 1)-biset over the shared trivial group."""
-    one = trivial_group()
-    amb = product_group(A.group, one)
+    amb = product_group(A.group, trivial_group())
     # (g, 1) has the id of g, so the rows carry over
     return BisetView(amb, GAction(amb, A.rows.__getitem__, size=A.size))
 
@@ -274,43 +287,12 @@ def left_action_of_biset(U: BisetView) -> GAction:
 
 def induction_biset(S: Subgroup) -> BisetView:
     """Induction from a subgroup: the (G, H)-biset on G with H = S."""
-    G = S.parent
-    amb = product_group(G, S.as_group())
-    X = ProductSubgroup(
-        amb, [amb.encode(g, i) for i, g in enumerate(S.elements)])
-    return biset_coset(X)
+    amb = product_group(S.parent, S.as_group())
+    return biset_coset(ProductSubgroup(
+        amb, map(amb.encode, S.elements, range(S.order))))
 
 
 # -- tensor products -------------------------------------------------
-
-def _orbit_labels(size: int, rows) -> tuple[list[int], list[int]]:
-    """Label points by orbit under the given permutations.
-
-    Returns (label per point, representative point per orbit); sweeping
-    points in increasing order makes each representative the orbit
-    minimum.  It labels the orbits of a whole action, and in
-    tensor_direct those of a stabilizer on the points of U.  Not
-    groups.orbit: one list-indexed label sweep over all points needs no
-    Schreier tree and no dict.
-    """
-    label = [-1] * size
-    reps = []
-    for x in range(size):
-        if label[x] >= 0:
-            continue
-        k = len(reps)
-        reps.append(x)
-        stack = [x]
-        label[x] = k
-        while stack:
-            y = stack.pop()
-            for row in rows:
-                z = row[y]
-                if label[z] < 0:
-                    label[z] = k
-                    stack.append(z)
-    return label, reps
-
 
 def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
     """The tensor product over the middle group H, one H-orbit of V at a
@@ -418,7 +400,7 @@ def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
         pid = Y.ambient.encode(h, Y.ambient.right.identity)
         Z = star(X, Y.conjugated_by_pair(pid))
         items[Z.canonical_conjugate().elements] += 1
-    return TransitiveDecomposition(amb_out, tuple(sorted(items.items())))
+    return TransitiveDecomposition(amb_out, items.items())
 
 
 def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
@@ -475,10 +457,8 @@ def defres_biset(data: PullbackData) -> BisetView:
     """
     amb = product_group(data.star_subgroup.as_group(),
                         data.pullback.ambient)
-    elems = [amb.encode(data.nu(i), z)
-             for i, z in enumerate(data.pullback.elements)]
-    Xsub = ProductSubgroup(amb, elems)
-    return biset_coset(Xsub)
+    return biset_coset(ProductSubgroup(
+        amb, map(amb.encode, data.nu, data.pullback.elements)))
 
 
 def defres_description(X: ProductSubgroup, Y: ProductSubgroup,

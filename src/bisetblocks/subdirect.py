@@ -11,8 +11,10 @@ X * Y is the set of its keys, the joint kernel k2(X) & k1(Y) is the
 witness list of (1,1), and the pullback X x_H Y is the subgroup of
 X x Y of the pairs ((g,h), (h,k)), whose natural map nu onto X * Y
 sends such a pair to (g,k) and has kernel isomorphic to the joint
-kernel.  A caller that needs several of them joins once and passes the
-witnesses on; a pullback keeps the join it was read from.
+kernel.  nu is kept as the tuple of local ids in X * Y of the
+pullback's elements, so no local group of the pullback is built.  A
+caller that needs several of them joins once and passes the witnesses
+on; a pullback keeps the join it was read from.
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ def middle_kernel(X: ProductSubgroup, Y: ProductSubgroup,
 
 class PullbackData(NamedTuple):
     """The pullback X x_H Y, its natural map nu onto X * Y, X * Y, and
-    the join of X and Y they were read from."""
+    the join of X and Y they were read from.  nu[i] is the local id in
+    X * Y of the pullback's i-th element."""
 
     pullback: ProductSubgroup
-    nu: GroupHom
+    nu: tuple[int, ...]
     star_subgroup: ProductSubgroup
     witnesses: dict
 
@@ -143,8 +146,7 @@ def pullback(X: ProductSubgroup, Y: ProductSubgroup) -> PullbackData:
         for h in hs:
             image[amb.encode(x_loc(x_enc(g, h)), y_loc(y_enc(h, k)))] = s
     P = ProductSubgroup(amb, image)
-    nu = GroupHom(P.as_group(), S.as_group(), map(image.get, P.elements))
-    return PullbackData(P, nu, S, witnesses)
+    return PullbackData(P, tuple(map(image.get, P.elements)), S, witnesses)
 
 
 def twisted_diagonal(P: Subgroup, phi, Q: Subgroup) -> ProductSubgroup:

@@ -53,9 +53,7 @@ def random_product_subgroup(rng: random.Random, amb: ProductGroup,
         return ProductSubgroup(amb, S.elements)
     if max_order is None or amb.order <= max_order:
         return full_product_subgroup(amb)
-    from .groups import trivial_subgroup
-    t = trivial_subgroup(amb)
-    return ProductSubgroup(amb, t.elements)
+    return ProductSubgroup(amb, [amb.identity])
 
 
 def random_sub_in(rng: random.Random, X: ProductSubgroup,
@@ -70,9 +68,7 @@ def random_sub_in(rng: random.Random, X: ProductSubgroup,
             continue
         return ProductSubgroup(X.ambient, S.elements)
     if max_order is not None:
-        from .groups import trivial_subgroup
-        t = trivial_subgroup(X.parent)
-        return ProductSubgroup(X.ambient, t.elements)
+        return ProductSubgroup(X.ambient, [X.ambient.identity])
     return ProductSubgroup(X.ambient, X.elements)
 
 

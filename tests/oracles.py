@@ -10,12 +10,12 @@ import cmath
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
 from bisetblocks.gf import mat_rank
-from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
-                                int_p_part, isomorphisms, normalizer, orbit,
+from bisetblocks.groups import (Subgroup, _orbit_labels, centralizer,
+                                extend_subgroup, int_p_part, isomorphisms,
+                                normalizer, orbit,
                                 p_subgroups_up_to_conjugacy, product_group,
                                 quotient, subgroup_generated)
-from bisetblocks.gsets import (BisetView, GAction, _orbit_labels, biset_coset,
-                               rebase_action)
+from bisetblocks.gsets import BisetView, GAction, biset_coset, rebase_action
 from bisetblocks.subdirect import ProductSubgroup
 
 

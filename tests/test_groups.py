@@ -184,6 +184,46 @@ def test_double_cosets_partition_the_group():
     assert len(covered) == 6
 
 
+def _check_double_cosets(G, A, B):
+    reps = double_cosets(G, A, B)
+    assert list(reps) == sorted(reps)
+    covered = set()
+    for r in reps:
+        cell = double_coset_of(G, A, r, B)
+        assert r == min(cell)
+        assert covered.isdisjoint(cell)
+        covered.update(cell)
+    assert len(covered) == G.order
+
+
+def test_double_cosets_are_the_minima_of_a_partition():
+    rng = random.Random(23)
+    S4, D8, Q8 = named_group("S4"), named_group("D8"), named_group("Q8")
+    for G in (product_group(S4, S4), product_group(D8, Q8)):
+        for _ in range(30):
+            A, B = (subgroup_generated(G, [rng.randrange(G.order)
+                                           for _ in range(rng.randint(1, 2))])
+                    for _ in range(2))
+            _check_double_cosets(G, A, B)
+
+
+def test_double_cosets_of_pullbacks_and_rectangles(monkeypatch):
+    # the (pullback, rectangle) pairs that 20 induction-formula
+    # instances split into double cosets
+    from bisetblocks import gsets
+    from bisetblocks.suites import induction_formula_suite
+    seen = []
+
+    def recording(G, A, B, split=double_cosets):
+        seen.append((G, A, B))
+        return split(G, A, B)
+    monkeypatch.setattr(gsets, "double_cosets", recording)
+    induction_formula_suite(seed=20260823, count=20)
+    assert len(seen) == 20
+    for G, A, B in seen:
+        _check_double_cosets(G, A, B)
+
+
 def test_sylow_subgroups():
     S4 = named_group("S4")
     P = sylow_subgroup(S4, 2)

@@ -519,6 +519,50 @@ def test_orbits_stabilizers_decompose_match_a_full_scan():
             assert A.decompose() == brute_decomposition(A)
 
 
+def test_coset_actions_decompose_without_reading_a_row():
+    # G/S has point stabilizer S, so its decomposition is the class of
+    # S; the coset map waits for the first row read
+    rng = random.Random(29)
+    S4, D8, Q8 = named_group("S4"), named_group("D8"), named_group("Q8")
+    for G in (S4, product_group(D8, Q8), product_group(S4, S4)):
+        for _ in range(4):
+            S = subgroup_generated(G, [rng.randrange(G.order)
+                                       for _ in range(rng.randint(1, 2))])
+            actions = [coset_action(G, S)]
+            if G is not S4:
+                actions.append(
+                    biset_coset(ProductSubgroup(G, S.elements)).action)
+            for A in actions:
+                dec = A.decompose()
+                assert len(A.rows) == 0
+                assert dec.items == ((S.canonical_conjugate().elements, 1),)
+                assert dec == brute_decomposition(A)
+
+
+def test_a_union_decomposes_as_the_sum_of_its_parts():
+    rng = random.Random(31)
+    S4, D8 = named_group("S4"), named_group("D8")
+    SS, SD = product_group(S4, S4), product_group(S4, D8)
+
+    def sub(G, max_index):
+        while True:
+            S = subgroup_generated(G, [rng.randrange(G.order)
+                                       for _ in range(rng.randint(1, 2))])
+            if S.index <= max_index:
+                return S
+
+    def biset(amb):
+        return biset_coset(ProductSubgroup(amb, sub(amb, 24).elements))
+    for _ in range(3):
+        T = tensor_direct(biset(SS), biset(SD)).action
+        C = coset_action(SD, sub(SD, 24))
+        union = disjoint_union(C, T, C)
+        dec = union.decompose()
+        assert len(C.rows) == 0
+        assert dec == brute_decomposition(union)
+        assert total_size(dec) == union.size
+
+
 def test_coset_biset_decompose_reads_only_generator_rows():
     S4 = named_group("S4")
     amb = product_group(S4, S4)
@@ -527,7 +571,7 @@ def test_coset_biset_decompose_reads_only_generator_rows():
                         full_subgroup(S4))):
         U = biset_coset(X)
         assert total_size(U.decompose()) == U.size == amb.order // X.order
-        assert len(U.action.rows) <= len(amb.generators)
+        assert len(U.action.rows) == 0
         T = tensor_direct(U, U)
         T.decompose()
         assert len(T.action.rows) <= len(amb.generators)

@@ -606,6 +606,17 @@ C6_C3_DIGEST = \
     (["verify-biset-laws", "--suite", "defres", "--seed", "20260825",
       "--count", "100"],
      "7bc11467d2909dedc3ea43c3b67e6a41729b5194e740341d6ebcf9dad7d087dd"),
+    # the same three suites away from the acceptance seeds, so that a
+    # change of representatives there shows too
+    (["verify-biset-laws", "--suite", "induction-formula", "--seed", "1",
+      "--count", "100"],
+     "3902578eb9d3eff945ff485c8e83f6ba190237559fb7286c7f8a5ce690bc3fed"),
+    (["verify-biset-laws", "--suite", "induced-bisets", "--seed", "1",
+      "--count", "100"],
+     "d2afe8a95adc634c9791b8a363ad12176b61e29f2f6b72fa8414d87e0e56cd86"),
+    (["verify-biset-laws", "--suite", "defres", "--seed", "1", "--count",
+      "100"],
+     "5d2ec0eda9c09e4d70f9763d1fc16aac1828922eda1e2551eca53007255714b5"),
     (["verify-biset-laws", "--suite", "mackey", "--seed", "20260823",
       "--count", "200"],
      "c06cbfc479ea296f08040844d685a7bb35fa4d6c33c57e9b0d870abcb4a82b7d"),
@@ -615,7 +626,9 @@ C6_C3_DIGEST = \
 ], ids=["c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
         "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
         "characters-suite", "induction-formula-suite",
-        "induced-bisets-suite", "defres-suite", "mackey-suite",
+        "induced-bisets-suite", "defres-suite",
+        "induction-formula-suite-seed-1", "induced-bisets-suite-seed-1",
+        "defres-suite-seed-1", "mackey-suite",
         "coherence-suite"])
 def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
     code, rep = run_cli(capsys, argv)

@@ -193,12 +193,16 @@ def test_pullback_data_consistency():
         X = _random_product_subgroup(rng, ambXY)
         Y = _random_product_subgroup(rng, ambYZ)
         data = pullback(X, Y)
+        P = data.pullback
+        # nu is a tuple of local ids: no local group of P is built
+        assert ("asgroup", P.elements) not in P.ambient._subgroup_cache
+        nu = GroupHom(P.as_group(), data.star_subgroup.as_group(), data.nu)
         S = star(X, Y)
         assert data.star_subgroup.elements == S.elements
-        assert data.nu.source.order == data.pullback.order
-        assert len(set(data.nu.images)) == data.nu.target.order
+        assert nu.source.order == P.order
+        assert len(set(nu.images)) == nu.target.order
         # the kernel of nu is isomorphic to the joint kernel
-        kernel = hom_kernel(data.nu)
+        kernel = hom_kernel(nu)
         assert kernel.order * S.order == data.pullback.order
         assert kernel.order == middle_kernel(X, Y, data.witnesses).order
 
@@ -284,7 +288,7 @@ def test_join_matches_the_pairwise_definitions(monkeypatch, suite, seed):
         for i, z in enumerate(P.elements):
             lx, ly = PG.decode(z)
             nu_by_pair[X.from_local(lx), Y.from_local(ly)] = \
-                S.pairs()[data.nu(i)]
+                S.pairs()[data.nu[i]]
         by_pairs = pullback_by_pairs(X, Y)
         assert nu_by_pair == by_pairs
         one = (X.ambient.left.identity, Y.ambient.right.identity)
