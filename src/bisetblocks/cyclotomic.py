@@ -102,16 +102,20 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row k is zeta_n^k expressed over the power basis, for 0 <= k < n.
 
     Phi_n is monic with integer coefficients, so every row is integral.
+    Row k is z times row k-1: its coordinates shifted up by one, and,
+    when the coordinate shifted out is c != 0, c Phi_n subtracted.
     """
     d = euler_phi(n)
-    phi = cyclotomic_polynomial(n)
-    # z^d = -(phi_0 + phi_1 z + ... + phi_{d-1} z^{d-1})
-    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-    for k in range(d, n):
-        prev = rows[k - 1]
+    phi = cyclotomic_polynomial(n)[:d]
+    zero = (0,) * d
+    rows = [zero[:k] + (1,) + zero[k + 1:] for k in range(d)]
+    prev = rows[-1]
+    for _ in range(d, n):
         lead = prev[-1]
-        rows.append(tuple(a - lead * c
-                          for a, c in zip((0,) + prev[:-1], phi)))
+        prev = (0,) + prev[:-1]
+        if lead:
+            prev = tuple(map(operator.sub, prev, [lead * c for c in phi]))
+        rows.append(prev)
     return tuple(rows)
 
 

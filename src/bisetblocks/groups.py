@@ -28,7 +28,11 @@ classes, element orders, canonical conjugates, centralizers of
 subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
 element names) is computed on first read and kept on that group, so it
 lives as long as the group does; a local group is kept weakly, as it
-keeps its parent alive.  A Subgroup translates between parent and local
+keeps its parent alive.  An attribute computed on first read is a
+cached_attribute, which stores it in the instance without the lock
+that functools.cached_property takes in Python 3.11.  A Subgroup
+builds its membership set when membership is first tested, as most
+subgroups never are.  A Subgroup translates between parent and local
 ids (a local group holds the map only so that another Subgroup with the
 same elements finds it), and the whole group is its own local group.
 A product G x H is kept weakly on G, so product_group returns one
@@ -41,11 +45,30 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from functools import cached_property
 from math import isqrt, lcm
 from operator import itemgetter
 
 DEFAULT_CLOSURE_CAP = 10080
+
+
+class cached_attribute:
+    """A method of no arguments read as an attribute, computed on first
+    read and stored in the instance __dict__, which shadows this
+    descriptor from then on.  Unlike functools.cached_property in
+    Python 3.11, the first read takes no lock."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class SizeLimitError(ValueError):
@@ -79,7 +102,7 @@ class FiniteGroup:
         # constants, block idempotents per field, the character table.
         self._subgroup_cache: dict = {}
 
-    @cached_property
+    @cached_attribute
     def element_names(self) -> tuple[str, ...] | None:
         """The name of each element, or None: built on first read by the
         function of no arguments given to the constructor as names."""
@@ -108,7 +131,7 @@ class FiniteGroup:
             return [every[g] for g in ids]
         return picked
 
-    @cached_property
+    @cached_attribute
     def _products(self) -> weakref.WeakValueDictionary:
         """Products self x H by H.uid, each kept while something holds it."""
         return weakref.WeakValueDictionary()
@@ -163,12 +186,12 @@ class FiniteGroup:
         """Indexed like a Cayley table: _rows[a][b] is mul(a, b)."""
         return self.table
 
-    @cached_property
+    @cached_attribute
     def _inv(self) -> tuple[int, ...]:
         e = self.identity
         return tuple(row.index(e) for row in self.table)
 
-    @cached_property
+    @cached_attribute
     def generators(self) -> tuple[int, ...]:
         """A generating set: a minimal generating sequence, unless the
         builder set one, as group_from_permutations sets the ids of its
@@ -285,7 +308,6 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, elements) -> None:
         self.parent = parent
         self.elements = tuple(sorted(set(elements)))
-        self.element_set = frozenset(self.elements)
 
     @property
     def order(self) -> int:
@@ -294,6 +316,12 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.parent.order // self.order
+
+    @cached_attribute
+    def element_set(self) -> frozenset:
+        """The elements as a set, built on first read: most subgroups
+        are never tested for membership."""
+        return frozenset(self.elements)
 
     def __contains__(self, g: int) -> bool:
         return g in self.element_set
@@ -309,7 +337,7 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
-    @cached_property
+    @cached_attribute
     def generators(self) -> tuple[int, ...]:
         """Each element in id order not yet in the span of those before."""
         return tuple(span(self.parent, self.elements, self.order)[0])
@@ -350,7 +378,7 @@ class Subgroup:
         """
         return self._local[0]
 
-    @cached_property
+    @cached_attribute
     def _local(self) -> tuple[FiniteGroup, dict]:
         G, elems = self.parent, self.elements
         if self.order == G.order:
@@ -365,7 +393,7 @@ class Subgroup:
             G._subgroup_cache[key] = weakref.ref(local)
         return local, local._embedding[1]
 
-    @cached_property
+    @cached_attribute
     def to_local(self):
         """to_local(g) is the id in as_group() of the parent element g."""
         return self._local[1].__getitem__
@@ -559,14 +587,14 @@ class PermutationGroup(FiniteGroup):
                                 [self._lookups[g] for g in elems],
                                 f"{self.name}|{len(elems)}")
 
-    @cached_property
+    @cached_attribute
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         # Read only by the products this group is a factor of, once per
         # product element, so all rows at once: a tuple indexes faster
         # than a RowCache, whose look-ups cost small-ambients about 3%.
         return tuple(map(self.row, range(self.order)))
 
-    @cached_property
+    @cached_attribute
     def _inv(self) -> tuple[int, ...]:
         # the points sorted by their images are the inverse permutation
         key, _, decode = self._codec
@@ -772,12 +800,12 @@ class ProductGroup(FiniteGroup):
     def decode(self, x: int) -> tuple[int, int]:
         return divmod(x, self._nr)
 
-    @cached_property
+    @cached_attribute
     def _rows(self):
         # Only read when this product is a factor of another product.
         return RowCache(self.row)
 
-    @cached_property
+    @cached_attribute
     def generators(self) -> tuple[int, ...]:
         """(s,1) for the left generators s, then (1,t) for the right ones."""
         nr = self._nr
@@ -785,7 +813,7 @@ class ProductGroup(FiniteGroup):
         return (tuple(s * nr + e2 for s in self.left.generators)
                 + tuple(e1 * nr + t for t in self.right.generators))
 
-    @cached_property
+    @cached_attribute
     def _inv(self) -> tuple[int, ...]:
         nr = self._nr
         return tuple(a * nr + b for a in self._linv for b in self._rinv)

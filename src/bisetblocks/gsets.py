@@ -3,16 +3,25 @@
 A GAction maps each group element id to the permutation it induces on
 0..size-1, given in full or as a row function whose rows are computed
 on first lookup and kept, as the constructors of coset actions,
-unions, products, tensor products and induced actions give them.  A
-biset for (G, H) is an action of G x H, (g,h) acting as u |-> g.u.h^-1.
-Isomorphism of actions compares transitive decompositions: the
-multiset of point-stabilizer classes, each keyed by its smallest
-conjugate element tuple.  A coset action G/S decomposes as the class
-of S and a union as its summands do, so neither reads a row for it,
-and a coset action builds its coset map when a row is first read.
-Any other action reads only its generators' rows for its orbits and
-closes a stabilizer per orbit from the Schreier generators of its
-groups.orbit tree until it has the order the orbit gives it.
+unions, products, tensor products, extended tensor products and
+induced actions give them.  A biset for (G, H) is an action of G x H,
+(g,h) acting as u |-> g.u.h^-1.  Isomorphism of actions compares
+transitive decompositions: the multiset of point-stabilizer classes,
+each keyed by its smallest conjugate element tuple.  A coset action
+G/S decomposes as the class of S and a union as its summands do, so
+neither reads a row for it, and a coset action builds its coset map
+when a row is first read.  Any other action reads only its
+generators' rows for its orbits and closes a stabilizer per orbit from
+the Schreier generators of its groups.orbit tree until it has the
+order the orbit gives it.
+
+The elementary bisets of induction and of deflation-restriction along
+the pullback map are (G x H)/L for L the graph {(phi(z), z)} of a
+homomorphism phi from Q <= H to G.  They are built on G x H/Q, the
+pairs (x, tQ), as Bouc defines them on group elements (Biset Functors
+for Finite Groups, LNM 1990, 2010, ch. 2): only the coset map of Q in
+H is built, never that of L in G x H, and they decompose as the class
+of L.  Every other coset biset is a coset action of its ambient.
 
 The tensor product over the middle group H is computed directly, one
 H-orbit of the right factor V at a time, as the union of U/Stab_H(v0)
@@ -23,7 +32,9 @@ nu, and the double-coset formula for tensoring induced actions each
 join their pair of subgroups over the middle group once, through
 subdirect.middle_witnesses, and read the star, the joint kernel and
 the pullback off that join; the two double-coset formulas share one
-pullback of (X, Y).
+pullback of (X, Y).  An extended tensor product computes a row through
+its first middle witness, and checks it through a second, when the row
+is first read, so a decomposition computes only its generators' rows.
 """
 
 from __future__ import annotations
@@ -31,8 +42,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
-                     _orbit_labels, double_cosets, orbit, product_group,
-                     span)
+                     _orbit_labels, double_cosets, full_subgroup, orbit,
+                     product_group, span)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -285,11 +296,57 @@ def left_action_of_biset(U: BisetView) -> GAction:
 
 # -- elementary bisets -----------------------------------------------
 
+def _graph_biset(amb: ProductGroup, Q: Subgroup, phi) -> BisetView:
+    """The biset (G x H)/L of the graph L = {(phi(z), z) : z in Q} of a
+    homomorphism phi from Q <= H to G, phi[i] being the image of the
+    i-th element of Q.
+
+    As k1(L) = 1, its points are the pairs (x, tQ) for x in G and t the
+    least member of its coset of Q in H, the point (x, t) being the
+    coset (x, t)L and numbered j * |G| + x for t the j-th such member.
+    (g,1) sends (x, t) to (g.x, t); (1,h) sends it to (x.phi(b)^-1, t')
+    where h.t = t'.b with b in Q; a mixed row composes the two.  Only
+    the coset map of Q in H is built, and the biset decomposes as the
+    class of L without reading a row.
+    """
+    G, H = amb.left, amb.right
+    n, eG, eH = G.order, G.identity, H.identity
+    L = ProductSubgroup(amb, map(amb.encode, phi, Q.elements))
+    image = dict(zip(Q.elements, phi))
+    reps, idx = Q.coset_index_map()
+    inv_reps = [H.inv(t) for t in reps]
+    points = range(n)
+
+    def row(x: int) -> tuple[int, ...]:
+        g, h = amb.decode(x)
+        if h == eH:
+            gr = G.row(g)
+            return tuple([j + y for j in range(0, len(reps) * n, n)
+                          for y in gr])
+        if g == eG:
+            out: list[int] = []
+            for ht in H.left_products(h, reps):
+                k = idx[ht]
+                b = H.mul(inv_reps[k], ht)
+                j = k * n
+                out.extend([j + y for y in G.right_products(
+                    points, G.inv(image[b]))])
+            return tuple(out)
+        # the two rows it composes, read through the action's own cache
+        gr, hr = rows[amb.encode(g, eH)], rows[amb.encode(eG, h)]
+        return tuple([gr[p] for p in hr])
+    action = GAction(amb, row, size=len(reps) * n,
+                     classes=lambda: {L.canonical_conjugate().elements: 1})
+    rows = action.rows
+    return BisetView(amb, action)
+
+
 def induction_biset(S: Subgroup) -> BisetView:
-    """Induction from a subgroup: the (G, H)-biset on G with H = S."""
-    amb = product_group(S.parent, S.as_group())
-    return biset_coset(ProductSubgroup(
-        amb, map(amb.encode, S.elements, range(S.order))))
+    """Induction from a subgroup: the (G, H)-biset on G with H = S, the
+    cosets of the graph of the inclusion of H into G."""
+    Sg = S.as_group()
+    return _graph_biset(product_group(S.parent, Sg), full_subgroup(Sg),
+                        S.elements)
 
 
 # -- tensor products -------------------------------------------------
@@ -409,8 +466,9 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
 
     Points are orbits of pairs under the joint kernel k2(X) & k1(Y);
     (g,k) acts through any middle witness h with (g,h) in X and (h,k) in
-    Y.  Each row is recomputed through a second witness where one exists
-    and compared.  witnesses, when given, is middle_witnesses(X, Y).
+    Y.  A row is computed through the first witness when it is first
+    read, and recomputed through a second where one exists and
+    compared.  witnesses, when given, is middle_witnesses(X, Y).
     """
     Xg, Yg = X.as_group(), Y.as_group()
     if U.group is not Xg or V.group is not Yg:
@@ -433,20 +491,21 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         glue.append([x * nv + y for x in ur for y in vr])
     label, reps = _orbit_labels(nu * nv, glue)
     S = star(X, Y, witnesses)
+    pairs = S.pairs()
 
     def row_via(g: int, k: int, h: int):
         ur = U.rows[X.to_local(X.ambient.encode(g, h))]
         vr = V.rows[Y.to_local(Y.ambient.encode(h, k))]
         return tuple([label[ur[r // nv] * nv + vr[r % nv]] for r in reps])
 
-    rows = []
-    for g, k in S.pairs():
+    def row(i: int) -> tuple[int, ...]:
+        g, k = pairs[i]
         hs = witnesses[(g, k)]
-        row = row_via(g, k, hs[0])
-        if len(hs) > 1 and row != row_via(g, k, hs[1]):
+        out = row_via(g, k, hs[0])
+        if len(hs) > 1 and out != row_via(g, k, hs[1]):
             raise AssertionError("middle witness changed the action")
-        rows.append(row)
-    return GAction(S.as_group(), rows)
+        return out
+    return GAction(S.as_group(), row, size=len(reps))
 
 
 def defres_biset(data: PullbackData) -> BisetView:
@@ -455,10 +514,9 @@ def defres_biset(data: PullbackData) -> BisetView:
     The (X*Y, X x Y)-biset of cosets of the graph {(nu(z), z)} of the
     natural surjection nu from the pullback X x_H Y onto X * Y.
     """
-    amb = product_group(data.star_subgroup.as_group(),
-                        data.pullback.ambient)
-    return biset_coset(ProductSubgroup(
-        amb, map(amb.encode, data.nu, data.pullback.elements)))
+    return _graph_biset(product_group(data.star_subgroup.as_group(),
+                                      data.pullback.ambient),
+                        data.pullback, data.nu)
 
 
 def defres_description(X: ProductSubgroup, Y: ProductSubgroup,

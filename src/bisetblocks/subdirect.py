@@ -19,10 +19,10 @@ on; a pullback keeps the join it was read from.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
-from .groups import GroupHom, ProductGroup, Subgroup, product_group
+from .groups import (GroupHom, ProductGroup, Subgroup, cached_attribute,
+                     product_group)
 
 
 class ProductSubgroup(Subgroup):
@@ -32,21 +32,21 @@ class ProductSubgroup(Subgroup):
         super().__init__(ambient, elements)
         self.ambient = ambient
 
-    @cached_property
+    @cached_attribute
     def p1(self) -> Subgroup:
         return Subgroup(self.ambient.left, [a for a, _ in self.pairs()])
 
-    @cached_property
+    @cached_attribute
     def p2(self) -> Subgroup:
         return Subgroup(self.ambient.right, [b for _, b in self.pairs()])
 
-    @cached_property
+    @cached_attribute
     def k1(self) -> Subgroup:
         e = self.ambient.right.identity
         return Subgroup(self.ambient.left,
                         [a for a, b in self.pairs() if b == e])
 
-    @cached_property
+    @cached_attribute
     def k2(self) -> Subgroup:
         e = self.ambient.left.identity
         return Subgroup(self.ambient.right,
@@ -56,7 +56,7 @@ class ProductSubgroup(Subgroup):
         """The (left, right) pair of each element, in element order."""
         return self._pairs
 
-    @cached_property
+    @cached_attribute
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(self.ambient.decode, self.elements))
 

@@ -16,7 +16,8 @@ from bisetblocks.groups import (Subgroup, _orbit_labels, centralizer,
                                 p_subgroups_up_to_conjugacy, product_group,
                                 quotient, subgroup_generated)
 from bisetblocks.gsets import BisetView, GAction, biset_coset, rebase_action
-from bisetblocks.subdirect import ProductSubgroup
+from bisetblocks.subdirect import (ProductSubgroup, middle_kernel,
+                                   middle_witnesses, star)
 
 
 # -- groups ----------------------------------------------------------
@@ -204,6 +205,24 @@ def complex_value(v, t: int = 1) -> complex:
                for k, c in enumerate(v.coeffs))
 
 
+def power_by_long_division(phi, k: int) -> tuple[int, ...]:
+    """The coordinates of z^k over 1, z, ..., z^(d-1) for z a root of
+    the monic int polynomial phi of degree d (little-endian): the
+    remainder of x^k on long division by phi, one leading term at a
+    time."""
+    d = len(phi) - 1
+    terms = [(i, c) for i, c in enumerate(phi[:d]) if c]
+    rem = [0] * max(k + 1, d)
+    rem[k] = 1
+    for top in range(k, d - 1, -1):
+        lead = rem[top]
+        if lead:
+            rem[top] = 0
+            for i, c in terms:
+                rem[top - d + i] -= lead * c
+    return tuple(rem[:d])
+
+
 def close(a: complex, b: complex) -> bool:
     return abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
 
@@ -286,6 +305,55 @@ def induced_action_eager(G, S, U) -> GAction:
             row.extend(tj * n + sr[u] for u in range(n))
         rows.append(tuple(row))
     return GAction(G, rows)
+
+
+def extended_tensor_eager(X, Y, U, V) -> GAction:
+    """The extended tensor of an X-set U and a Y-set V with every row
+    built at once: the orbits of all pairs (u, v) under the joint kernel,
+    and each row computed through the first middle witness and checked
+    against the second."""
+    witnesses = middle_witnesses(X, Y)
+    H = X.ambient.right
+    nu, nv = U.size, V.size
+    glue = []
+    for t in middle_kernel(X, Y, witnesses).elements:
+        if t == H.identity:
+            continue
+        ur = U.rows[X.to_local(X.ambient.encode(X.ambient.left.identity, t))]
+        vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
+        glue.append([x * nv + y for x in ur for y in vr])
+    label, reps = _orbit_labels(nu * nv, glue)
+
+    def row_via(g, k, h):
+        ur = U.rows[X.to_local(X.ambient.encode(g, h))]
+        vr = V.rows[Y.to_local(Y.ambient.encode(h, k))]
+        return tuple(label[ur[r // nv] * nv + vr[r % nv]] for r in reps)
+
+    S = star(X, Y, witnesses)
+    rows = []
+    for g, k in S.pairs():
+        hs = witnesses[g, k]
+        row = row_via(g, k, hs[0])
+        if len(hs) > 1 and row != row_via(g, k, hs[1]):
+            raise AssertionError("middle witness changed the action")
+        rows.append(row)
+    return GAction(S.as_group(), rows)
+
+
+def induction_biset_by_cosets(S) -> BisetView:
+    """Induction from S as the coset biset of the graph of the inclusion
+    inside G x S, built through the coset map of the whole product."""
+    amb = product_group(S.parent, S.as_group())
+    return biset_coset(ProductSubgroup(
+        amb, map(amb.encode, S.elements, range(S.order))))
+
+
+def defres_biset_by_cosets(data) -> BisetView:
+    """Deflation-restriction along the pullback map as the coset biset of
+    the graph of nu, built through the coset map of the whole product."""
+    amb = product_group(data.star_subgroup.as_group(), data.pullback.ambient)
+    return biset_coset(ProductSubgroup(
+        amb, map(amb.encode, data.nu, data.pullback.elements)))
 
 
 def total_size(dec) -> int:

@@ -10,6 +10,29 @@ from bisetblocks.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 zeta = Cyclotomic.zeta
 
 
+def test_power_tables_agree_with_long_division():
+    # every row up to conductor 60; above it, up to 600, the last row
+    # before the power basis ends, the first rows after it, the last
+    # row and two seeded ones
+    import random
+    from bisetblocks.cyclotomic import _power_table
+    from oracles import power_by_long_division
+    rng = random.Random(26)
+    for n in range(1, 601):
+        # not through the cache, which would keep every table
+        table = _power_table.__wrapped__(n)
+        d = euler_phi(n)
+        assert len(table) == n and all(len(row) == d for row in table)
+        if n <= 60:
+            ks = range(n)
+        else:
+            ks = {d - 1, d, min(d + 1, n - 1), n - 1,
+                  rng.randrange(d, n), rng.randrange(d, n)}
+        phi = cyclotomic_polynomial(n)
+        for k in ks:
+            assert table[k] == power_by_long_division(phi, k), (n, k)
+
+
 def test_euler_phi_small_values():
     assert [euler_phi(n) for n in range(1, 13)] == \
         [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
@@ -377,7 +400,7 @@ def _descent_values():
     lifted = []
     for n in range(1, 121):
         d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
-        k = rng.choice([k for k in range(1, 6) if k * n <= 240])
+        k = rng.choice([k for k in range(1, 6) if k * n <= 600])
         lifted += [_random_element(rng, n).lift(k * n),
                    _random_element(rng, d).lift(n)]
     values = []

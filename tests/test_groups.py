@@ -12,7 +12,7 @@ import pytest
 from bisetblocks import groups
 from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
                                 RowCache, SizeLimitError, Subgroup,
-                                _extend_hom, center,
+                                _extend_hom, cached_attribute, center,
                                 centralizer, cycles_of, double_cosets,
                                 element_by_name, full_subgroup,
                                 group_from_permutations,
@@ -925,3 +925,33 @@ def test_element_names_are_built_on_first_read(monkeypatch):
     unnamed = FiniteGroup(dense_table(S4))
     assert not unnamed.has_names and unnamed.element_names is None
     assert not product_group(unnamed, S4).has_names
+
+
+def test_cached_attribute_is_computed_once_per_instance():
+    calls = []
+
+    class Box:
+        def __init__(self, value):
+            self.value = value
+
+        @cached_attribute
+        def doubled(self):
+            """Twice the value, in a fresh list."""
+            calls.append(self.value)
+            return [2 * self.value]
+    a, b = Box(1), Box(2)
+    assert a.doubled is a.doubled and a.doubled == [2]
+    assert b.doubled == [4] and calls == [1, 2]
+    # stored on the instance, which shadows the descriptor from then on
+    assert vars(a)["doubled"] is a.doubled
+    assert isinstance(Box.doubled, cached_attribute)
+    assert Box.doubled.__doc__ == "Twice the value, in a fresh list."
+
+
+def test_membership_set_is_built_on_first_test():
+    S4 = named_group("S4")
+    S = subgroup_generated(S4, [1])
+    assert "element_set" not in vars(S)
+    assert all(g in S for g in S.elements)
+    assert S.element_set == frozenset(S.elements)
+    assert sum(g in S for g in range(S4.order)) == S.order

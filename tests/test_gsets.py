@@ -23,12 +23,15 @@ from bisetblocks.gsets import (BisetView, GAction, TransitiveDecomposition,
                                trivial_action)
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
-from bisetblocks.suites import (MACKEY_GROUPS, defres_suite,
+from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, defres_suite,
                                 induced_bisets_suite, induction_formula_suite,
-                                mackey_suite, random_product_subgroup)
+                                mackey_suite, random_action,
+                                random_product_subgroup)
 
-from oracles import (check_action, induced_action_eager, inflation_biset,
-                     rectangle, regular_action, restriction_biset,
+from oracles import (check_action, defres_biset_by_cosets,
+                     extended_tensor_eager, induced_action_eager,
+                     induction_biset_by_cosets, inflation_biset, rectangle,
+                     regular_action, restriction_biset,
                      stabilizer_by_all_schreier_generators, tensor_by_pairs,
                      total_size)
 
@@ -575,3 +578,94 @@ def test_coset_biset_decompose_reads_only_generator_rows():
         T = tensor_direct(U, U)
         T.decompose()
         assert len(T.action.rows) <= len(amb.generators)
+
+
+# -- graph bisets and extended-tensor rows against their references ---
+
+def _same_graph_biset(W, ref, rng):
+    """W against the coset biset ref of the same graph subgroup: the
+    same decomposition, read off no row, rows that form an action with
+    that decomposition, and a tensor with a random right biset over the
+    same middle group that is isomorphic."""
+    assert W.ambient is ref.ambient and W.size == ref.size
+    assert W.decompose() == ref.decompose()
+    assert len(W.action.rows) == 0
+    check_action(W.action)
+    assert brute_decomposition(W.action) == ref.decompose()
+    amb = product_group(W.right, named_group("C2"))
+    V = biset_coset(random_product_subgroup(rng, amb, max_index=12))
+    assert iso_check(tensor_direct(W, V).action, tensor_direct(ref, V).action)
+
+
+def test_induction_bisets_equal_the_coset_bisets_of_their_graphs():
+    rng = random.Random(26)
+    S4, D8, Q8 = named_group("S4"), named_group("D8"), named_group("Q8")
+    for G in (S4, product_group(D8, Q8)):
+        # the whole group first, so that a non-abelian S is among them
+        subgroups = [full_subgroup(G)] + [
+            subgroup_generated(G, [rng.randrange(G.order)
+                                   for _ in range(rng.randint(1, 2))])
+            for _ in range(6)]
+        for S in subgroups:
+            _same_graph_biset(induction_biset(S),
+                              induction_biset_by_cosets(S), rng)
+
+
+@pytest.mark.parametrize("suite, seed", [(induced_bisets_suite, 20260824),
+                                         (defres_suite, 20260825)])
+def test_suite_graph_bisets_equal_the_coset_bisets(monkeypatch, suite, seed):
+    # the rectangles and pullbacks the double-coset formula and the
+    # defres description draw, twenty instances of each suite
+    rng, seen = random.Random(seed), []
+
+    def against(built, reference):
+        def both(arg):
+            W = built(arg)
+            _same_graph_biset(W, reference(arg), rng)
+            seen.append(W.size)
+            return W
+        return both
+    monkeypatch.setattr(gsets, "induction_biset", against(
+        gsets.induction_biset, induction_biset_by_cosets))
+    monkeypatch.setattr(gsets, "defres_biset", against(
+        gsets.defres_biset, defres_biset_by_cosets))
+    assert suite(seed=seed, count=20)["ok"]
+    assert len(seen) == (40 if suite is induced_bisets_suite else 20)
+
+
+def _extended_instances(rng, count):
+    """count random (X, Y, U, V) as the defres suite draws them."""
+    for _ in range(count):
+        G, H, K = (named_group(rng.choice(SMALL_GROUPS)) for _ in range(3))
+        X = random_product_subgroup(rng, product_group(G, H),
+                                    max_index=24, max_order=16)
+        Y = random_product_subgroup(rng, product_group(H, K), max_index=24,
+                                    max_order=max(2, 128 // X.order))
+        yield (X, Y, random_action(rng, X.as_group(), max_points=6),
+               random_action(rng, Y.as_group(), max_points=6))
+
+
+def test_extended_tensor_rows_are_read_lazily_and_equal_the_eager_ones():
+    for X, Y, U, V in _extended_instances(random.Random(27), 60):
+        W, E = extended_tensor(X, Y, U, V), extended_tensor_eager(X, Y, U, V)
+        assert W.group is E.group and W.size == E.size
+        # a decomposition computes only the generators' rows
+        assert W.decompose() == E.decompose()
+        assert set(W.rows) <= set(W.group.generators)
+        assert tuple(W.rows[g] for g in range(W.group.order)) == E.rows
+
+
+def test_a_changed_row_through_the_second_witness_raises_when_read():
+    # over C2 every (g, k) of the full products has both middle
+    # elements as witnesses; U moves its points only under (1, 1), which
+    # the row of (1, 0) reads through the witness 1 and not through 0
+    C2 = named_group("C2")
+    amb = product_group(C2, C2)
+    X = Y = ProductSubgroup(amb, range(amb.order))
+    bad = amb.encode(1, 1)
+    U = GAction(amb, lambda a: (1, 0) if a == bad else (0, 1), size=2)
+    W = extended_tensor(X, Y, U, trivial_action(amb))
+    assert W.rows[amb.encode(0, 0)] == (0, 1)
+    with pytest.raises(AssertionError,
+                       match="middle witness changed the action"):
+        W.rows[amb.encode(1, 0)]

@@ -27,7 +27,7 @@ DEFERRED = {
 }
 # ProductSubgroup.opposite has no caller either, but the check below
 # cannot see it behind BisetView.opposite.  It stays for the duality
-# check of item 3: the dual of (G x H)/X is (H x G)/X^op.
+# check of item 4: the dual of (G x H)/X is (H x G)/X^op.
 
 # The element-vector references of the block layer, and the p-subgroup
 # enumeration that defect groups no longer use.  perfbench/tracer.py

@@ -623,13 +623,25 @@ C6_C3_DIGEST = \
     (["verify-biset-laws", "--suite", "coherence", "--seed", "20260823",
       "--count", "100"],
      "3d66745a96237b41b4da7e30e38a70647da7cdd4f28d7bee6df3cb50cf8728ba"),
+    # the other three suites away from the acceptance seed, as they were
+    # before the graph bisets and extended tensors built rows on demand
+    (["verify-biset-laws", "--suite", "mackey", "--seed", "1", "--count",
+      "200"],
+     "53c1d884e352caea17104caae2109d79af364a6edbcc5da2afb9ea0dd5078bc5"),
+    (["verify-biset-laws", "--suite", "coherence", "--seed", "1", "--count",
+      "100"],
+     "acf13917a92813632b8fbec715e784794d6d72d7a336a068167fdfd42376bd34"),
+    (["verify-biset-laws", "--suite", "characters", "--seed", "1",
+      "--count", "50"],
+     "68a795ea7448a8aaacaa77da40054175e0db8cd87f6c3fbfd3dd7421d5a93d85"),
 ], ids=["c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
         "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
         "characters-suite", "induction-formula-suite",
         "induced-bisets-suite", "defres-suite",
         "induction-formula-suite-seed-1", "induced-bisets-suite-seed-1",
         "defres-suite-seed-1", "mackey-suite",
-        "coherence-suite"])
+        "coherence-suite", "mackey-suite-seed-1", "coherence-suite-seed-1",
+        "characters-suite-seed-1"])
 def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
     code, rep = run_cli(capsys, argv)
     assert code == 0
