@@ -16,9 +16,7 @@ from .broue import BrouePipeline, VirtualPPermBimodule, run_scenario
 from .gf import fq_field
 from .namedgroups import named_group
 from .scenario import bundled_scenario, bundled_table
-from .suites import (character_suite, coherence_suite, defres_suite,
-                     induction_formula_suite, induced_bisets_suite,
-                     mackey_suite)
+from .suites import run_suite
 
 DEFAULT_SEED = 20260823
 
@@ -34,7 +32,7 @@ def _result(cid: int, name: str, ok: bool, detail: str, elapsed: float,
 
 def criterion_1(seed: int = DEFAULT_SEED) -> dict:
     """Double-coset tensor decomposition, 200 random instances."""
-    rep = mackey_suite(seed=seed, count=200)
+    rep = run_suite("mackey", seed)
     return _result(
         1, "mackey-decomposition", rep["ok"],
         f"{rep['passes']}/{rep['count']} exact decomposition matches",
@@ -44,9 +42,9 @@ def criterion_1(seed: int = DEFAULT_SEED) -> dict:
 def criterion_2(seed: int = DEFAULT_SEED) -> dict:
     """Induced-tensor formulas and deflation-restriction, 100 each."""
     t0 = time.perf_counter()
-    reps = [induction_formula_suite(seed=seed, count=100),
-            induced_bisets_suite(seed=seed + 1, count=100),
-            defres_suite(seed=seed + 2, count=100)]
+    reps = [run_suite("induction-formula", seed),
+            run_suite("induced-bisets", seed + 1),
+            run_suite("defres", seed + 2)]
     ok = all(r["ok"] for r in reps)
     detail = "; ".join(f"{r['suite']} {r['passes']}/{r['count']}"
                        for r in reps)
@@ -56,7 +54,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> dict:
 
 def criterion_3(seed: int = DEFAULT_SEED) -> dict:
     """Unit, distributivity, associativity coherence, 100 instances."""
-    rep = coherence_suite(seed=seed, count=100)
+    rep = run_suite("coherence", seed)
     return _result(3, "tensor-coherence", rep["ok"],
                    f"{rep['passes']}/{rep['count']} iso checks",
                    rep["elapsed"])
@@ -64,7 +62,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> dict:
 
 def criterion_4(seed: int = DEFAULT_SEED) -> dict:
     """Character-level contraction formulas with fixed-point oracle."""
-    rep = character_suite(seed=seed, count=50)
+    rep = run_suite("characters", seed)
     return _result(4, "character-contraction", rep["ok"],
                    f"{rep['passes']}/{rep['count']} instances, "
                    "3 checks each", rep["elapsed"])
@@ -223,18 +221,15 @@ def criterion_9() -> dict:
                    time.perf_counter() - t0)
 
 
-ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
-                criterion_5, criterion_6, criterion_7, criterion_8,
-                criterion_9]
+# the law criteria run their suites at the seed given to run_all
+SEEDED_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4]
+FIXED_CRITERIA = [criterion_5, criterion_6, criterion_7, criterion_8,
+                  criterion_9]
 
 
 def run_all(seed: int = DEFAULT_SEED) -> dict:
-    results = []
-    for fn in ALL_CRITERIA:
-        if fn in (criterion_1, criterion_2, criterion_3, criterion_4):
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
+    results = ([fn(seed=seed) for fn in SEEDED_CRITERIA]
+               + [fn() for fn in FIXED_CRITERIA])
     return {
         "kind": "acceptance-report",
         "seed": seed,

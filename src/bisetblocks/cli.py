@@ -17,13 +17,14 @@ import time
 from .acceptance import DEFAULT_SEED, run_all
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      defect_group, defect_zero_simple_dim,
-                     maximal_brauer_pair, splitting_params)
-from .broue import SelectorError, run_scenario, scenario_field_degree
+                     maximal_brauer_pair, splitting_field_degree,
+                     splitting_params)
+from .broue import SelectorError, run_scenario
 from .characters import ingest_character_table, value_to_doc
 from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
-from .suites import ALL_SUITES, MACKEY_GROUPS, SMALL_GROUPS
+from .suites import ALL_SUITES, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -105,18 +106,11 @@ def cmd_verify_biset_laws(args) -> int:
     report = {"kind": "biset-law-report", "seed": args.seed, "suites": []}
     ok = True
     for name in suites:
-        if name not in ALL_SUITES:
-            raise InputError(f"unknown suite {name!r}; "
-                             f"choose from {', '.join(ALL_SUITES)}")
-        fn = ALL_SUITES[name]
-        kwargs = {"seed": args.seed}
-        if args.count is not None:
-            kwargs["count"] = args.count
-        pool = MACKEY_GROUPS if name == "mackey" else SMALL_GROUPS
-        kwargs["groups"] = _filter_names(pool, args.max_order)
-        if args.inject_mutation and name == (args.suite or "mackey"):
-            kwargs["mutate"] = True
-        rep = fn(**kwargs)
+        _, _, pool = ALL_SUITES[name]
+        rep = run_suite(name, args.seed, count=args.count,
+                        groups=_filter_names(pool, args.max_order),
+                        mutate=(args.inject_mutation
+                                and name == (args.suite or "mackey")))
         report["suites"].append(rep)
         ok = ok and rep["ok"]
     report["ok"] = ok
@@ -199,7 +193,7 @@ def cmd_broue(args) -> int:
     except (KeyError, TypeError, ValueError) as ex:
         raise InputError(f"bad scenario: {ex}")
     _field_degree(S.p, args.field_degree,
-                  scenario_field_degree(S.G, S.H, S.p))
+                  splitting_field_degree([S.G, S.H], S.p))
     try:
         report = run_scenario(S, field_degree=args.field_degree,
                               conventions=args.conventions)
@@ -273,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     laws.add_argument("--count", type=int, default=None,
                       help="instances per suite (default: suite standard)")
     laws.add_argument("--max-order", type=int, default=None,
-                      help="restrict base groups to this order")
+                      help="keep each law's base groups up to this order")
     laws.add_argument("--suite", choices=sorted(ALL_SUITES), default=None)
     laws.add_argument("--inject-mutation", action="store_true",
                       help="corrupt the first instance of --suite "

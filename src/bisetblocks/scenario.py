@@ -90,6 +90,13 @@ def table_for_group(G: FiniteGroup, doc: dict | None = None
 
 # -- scenario documents ----------------------------------------------
 
+def _json_int(value, what: str) -> int:
+    """value, refused unless it is a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 class GammaTerm:
     """One transitive summand of a virtual bimodule: vertex + weight."""
 
@@ -128,7 +135,8 @@ def parse_term(doc: dict, G: FiniteGroup, H: FiniteGroup) -> GammaTerm:
     if table is None or sorted(table) != list(range(Pg.order)):
         raise ValueError("phi does not extend to an isomorphism Q -> P")
     phi = GroupHom(Qg, Pg, table)
-    return GammaTerm(twisted_diagonal(P, phi, Q), int(doc["coefficient"]))
+    return GammaTerm(twisted_diagonal(P, phi, Q),
+                     _json_int(doc["coefficient"], "coefficient"))
 
 
 class Scenario:
@@ -140,7 +148,7 @@ class Scenario:
         self.name = doc.get("name", "scenario")
         self.G = group_from_spec(doc["group_G"])
         self.H = group_from_spec(doc["group_H"])
-        self.p = int(doc["prime"])
+        self.p = _json_int(doc["prime"], "prime")
         check_characteristic(self.p)
         self.block_G = doc["block_G"]
         self.block_H = doc["block_H"]
@@ -149,14 +157,12 @@ class Scenario:
                 raise ValueError(f"block selector {sel!r} is not an object")
             if not ("contains_char" in sel or "index" in sel):
                 raise ValueError("block selector needs contains_char or index")
-            if not isinstance(sel.get("index", 0), int):
-                raise ValueError(f"block index {sel['index']!r} is not an "
-                                 "integer")
+            _json_int(sel.get("index", 0), "block index")
         self.table_G = table_for_group(self.G, doc.get("table_G"))
         self.table_H = table_for_group(self.H, doc.get("table_H"))
         if "complex" in doc:
             self.complex = [
-                (int(entry["degree"]),
+                (_json_int(entry["degree"], "degree"),
                  [parse_term(t, self.G, self.H) for t in entry["terms"]])
                 for entry in doc["complex"]]
         else:

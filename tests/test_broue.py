@@ -10,11 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from bisetblocks.blocks import block_idempotents, splitting_params
+from bisetblocks.blocks import (block_idempotents, splitting_field_degree,
+                                splitting_params)
 from bisetblocks.broue import (BrouePipeline, PipelineError,
                                VirtualPPermBimodule, residue_of_fraction,
-                               rickard_reduce, run_scenario,
-                               scenario_field_degree)
+                               rickard_reduce, run_scenario)
 from bisetblocks.characters import (external_character, inner_product,
                                     perm_character)
 from bisetblocks.gf import fq_field
@@ -47,9 +47,9 @@ BAD_S3_DOC = {
 
 def test_scenario_field_degrees():
     C6, C3, S3 = (named_group(n) for n in ("C6", "C3", "S3"))
-    assert scenario_field_degree(C6, C3, 3) == 1
-    assert scenario_field_degree(S3, S3, 3) == 1
-    assert scenario_field_degree(S3, S3, 2) == 2
+    assert splitting_field_degree([C6, C3], 3) == 1
+    assert splitting_field_degree([S3, S3], 3) == 1
+    assert splitting_field_degree([S3, S3], 2) == 2
 
 
 def test_residue_of_fraction():

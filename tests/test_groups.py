@@ -211,14 +211,14 @@ def test_double_cosets_of_pullbacks_and_rectangles(monkeypatch):
     # the (pullback, rectangle) pairs that 20 induction-formula
     # instances split into double cosets
     from bisetblocks import gsets
-    from bisetblocks.suites import induction_formula_suite
+    from bisetblocks.suites import run_suite
     seen = []
 
     def recording(G, A, B, split=double_cosets):
         seen.append((G, A, B))
         return split(G, A, B)
     monkeypatch.setattr(gsets, "double_cosets", recording)
-    induction_formula_suite(seed=20260823, count=20)
+    run_suite("induction-formula", 20260823, count=20)
     assert len(seen) == 20
     for G, A, B in seen:
         _check_double_cosets(G, A, B)

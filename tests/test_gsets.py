@@ -23,10 +23,8 @@ from bisetblocks.gsets import (BisetView, GAction, TransitiveDecomposition,
                                trivial_action)
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
-from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, defres_suite,
-                                induced_bisets_suite, induction_formula_suite,
-                                mackey_suite, random_action,
-                                random_product_subgroup)
+from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, random_action,
+                                random_product_subgroup, run_suite)
 
 from oracles import (check_action, defres_biset_by_cosets,
                      extended_tensor_eager, induced_action_eager,
@@ -318,7 +316,7 @@ def test_induced_rows_read_lazily_equal_the_eager_ones(monkeypatch):
         checked.append(G.order)
         return A
     monkeypatch.setattr(gsets, "induced_action", both)
-    assert induction_formula_suite(seed=20260823, count=100)["ok"]
+    assert run_suite("induction-formula", 20260823)["ok"]
     assert len(checked) > 200
 
 
@@ -331,8 +329,8 @@ def test_early_exit_stabilizer_is_the_full_schreier_closure(monkeypatch):
         checked.append(S.order)
         return S
     monkeypatch.setattr(GAction, "stabilizer", both)
-    assert mackey_suite(seed=20260823, count=200)["ok"]
-    assert defres_suite(seed=20260825, count=100)["ok"]
+    assert run_suite("mackey", 20260823)["ok"]
+    assert run_suite("defres", 20260825)["ok"]
     assert len(checked) > 500
 
 
@@ -365,8 +363,11 @@ def test_tensor_induced_bisets_formula_instance():
 
 
 @pytest.mark.parametrize("name, suite", [
-    ("tensor_induced_bisets_formula", induced_bisets_suite),
-    ("extended_induction_formula", induction_formula_suite)])
+    ("tensor_induced_bisets_formula", "induced-bisets"),
+    ("extended_induction_formula", "induction-formula")],
+    # the ids keep the names the suites had as functions of their own
+    ids=["tensor_induced_bisets_formula-induced_bisets_suite",
+         "extended_induction_formula-induction_formula_suite"])
 def test_double_coset_formulas_join_each_pair_once(monkeypatch, name, suite):
     # one pullback, of (X, Y) itself, and one join per double coset
     calls = []
@@ -391,7 +392,7 @@ def test_double_coset_formulas_join_each_pair_once(monkeypatch, name, suite):
         instances.append(res)
         return res
     monkeypatch.setattr(suites, name, checked)
-    assert suite(seed=20260824, count=20)["ok"]
+    assert run_suite(suite, 20260824, count=20)["ok"]
     assert len(instances) == 20
 
 
@@ -611,8 +612,10 @@ def test_induction_bisets_equal_the_coset_bisets_of_their_graphs():
                               induction_biset_by_cosets(S), rng)
 
 
-@pytest.mark.parametrize("suite, seed", [(induced_bisets_suite, 20260824),
-                                         (defres_suite, 20260825)])
+@pytest.mark.parametrize("suite, seed", [("induced-bisets", 20260824),
+                                         ("defres", 20260825)],
+                         ids=["induced_bisets_suite-20260824",
+                              "defres_suite-20260825"])
 def test_suite_graph_bisets_equal_the_coset_bisets(monkeypatch, suite, seed):
     # the rectangles and pullbacks the double-coset formula and the
     # defres description draw, twenty instances of each suite
@@ -629,8 +632,8 @@ def test_suite_graph_bisets_equal_the_coset_bisets(monkeypatch, suite, seed):
         gsets.induction_biset, induction_biset_by_cosets))
     monkeypatch.setattr(gsets, "defres_biset", against(
         gsets.defres_biset, defres_biset_by_cosets))
-    assert suite(seed=seed, count=20)["ok"]
-    assert len(seen) == (40 if suite is induced_bisets_suite else 20)
+    assert run_suite(suite, seed, count=20)["ok"]
+    assert len(seen) == (40 if suite == "induced-bisets" else 20)
 
 
 def _extended_instances(rng, count):

@@ -13,6 +13,7 @@ from bisetblocks.groups import element_by_name, quotient, subgroup_generated
 from bisetblocks.namedgroups import named_group
 from bisetblocks.scenario import (Scenario, bundled_scenario, bundled_table,
                                   group_from_spec, table_for_group)
+from bisetblocks.suites import ALL_SUITES
 
 DATA = resources.files("bisetblocks").joinpath("data")
 
@@ -207,6 +208,35 @@ def test_cli_broue_malformed_scenario_is_an_input_error(tmp_path, capsys,
     assert_input_error(capsys, ["broue", str(path)], message)
 
 
+def _gamma_as_complex(doc, degree):
+    doc["complex"] = [{"degree": degree, "terms": doc.pop("gamma")}]
+
+
+# a scenario number must be a JSON integer: nothing is rounded or parsed
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(prime=3.9), "prime 3.9 is not an integer"),
+    (lambda d: d.update(prime="3"), "prime '3' is not an integer"),
+    (lambda d: d.update(prime=True), "prime True is not an integer"),
+    (lambda d: d["gamma"][0].update(coefficient=1.7),
+     "coefficient 1.7 is not an integer"),
+    (lambda d: d["gamma"][0].update(coefficient="-1"),
+     "coefficient '-1' is not an integer"),
+    (lambda d: d["gamma"][0].update(coefficient=False),
+     "coefficient False is not an integer"),
+    (lambda d: _gamma_as_complex(d, 0.5), "degree 0.5 is not an integer"),
+    (lambda d: d.update(block_H={"index": True}),
+     "block index True is not an integer"),
+], ids=["prime-float", "prime-string", "prime-bool", "coefficient-float",
+        "coefficient-string", "coefficient-bool", "degree-float",
+        "block-index-bool"])
+def test_cli_broue_scenario_numbers_must_be_integers(tmp_path, capsys, edit,
+                                                     message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(c6_c3_with(edit)))
+    assert_input_error(capsys, ["broue", str(path)],
+                       f"bad scenario: {message}")
+
+
 def test_cli_blocks_s3(capsys):
     code, rep = run_cli(capsys, ["blocks", "S3", "--prime", "2"])
     assert code == 0
@@ -346,6 +376,40 @@ def test_cli_broue_field_degree_not_a_multiple(tmp_path, capsys):
                        "multiple of the splitting degree 2")
 
 
+def _block_idempotents_raising_over_f9(monkeypatch, error):
+    from bisetblocks import broue
+    computed = broue.block_idempotents
+
+    def raising(G, p, field):
+        if field.q == 9:
+            raise error("refused over F_9")
+        return computed(G, p, field)
+    monkeypatch.setattr(broue, "block_idempotents", raising)
+
+
+def test_cli_broue_a_refused_replication_field_is_reported(monkeypatch,
+                                                           capsys):
+    # c6_c3 replicates over F_9; a ValueError there is how a field that
+    # is refused or too small surfaces, so the variant reports it
+    _block_idempotents_raising_over_f9(monkeypatch, ValueError)
+    code, rep = run_cli(capsys, ["broue", data_path("scenarios/c6_c3.json")])
+    assert code == 0 and rep["verdict"]["holds"]
+    assert rep["replications"][0]["agrees"] is True
+    assert rep["replications"][1] == {"variant": "field-degree-plus-one",
+                                      "error": "refused over F_9",
+                                      "agrees": False}
+
+
+def test_cli_broue_a_failed_check_in_a_replication_exits_1(monkeypatch,
+                                                           capsys):
+    # any other error is a failed verification, not a disagreement
+    _block_idempotents_raising_over_f9(monkeypatch, AssertionError)
+    assert main(["broue", data_path("scenarios/c6_c3.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: refused over F_9\n"
+
+
 def test_cli_broue_field_degree_above_the_cap(capsys):
     assert_input_error(capsys, ["broue", data_path("scenarios/c6_c3.json"),
                                 "--field-degree", "13"],
@@ -364,41 +428,42 @@ def test_cli_verify_biset_laws_small(capsys):
     assert suite["passes"] == 4
 
 
-def test_cli_verify_biset_laws_mutation_is_caught(capsys):
-    code, rep = run_cli(capsys, [
-        "verify-biset-laws", "--suite", "mackey", "--count", "3",
-        "--max-order", "8", "--seed", "7", "--inject-mutation"])
-    assert code == 1
-    suite = rep["suites"][0]
-    assert suite["ok"] is False
-    assert suite["failures"][0]["index"] == 0
-    assert suite["failures"][0]["mutated"] is True
+# the --inject-mutation reports at --count 5 --seed 7, "elapsed" fields
+# taken out, as the suites wrote them with a harness each
+MUTATED_SUITE_DIGESTS = {
+    "mackey":
+    "11034ac80db22365bab047067c482161f0d8210e5b236323fcb357579edd41c8",
+    "defres":
+    "7071a236f397c183662d484297aeb4e74cb28e5855faf23ae94aa76aebd88b05",
+    "induction-formula":
+    "942da5ad98ad8c2fccf4a0d1de4b0e529de92802b4ed2c43f2064dd2cc1a5515",
+    "induced-bisets":
+    "16d2e55bf82a656f9fca64ee4051f83fd092a608f1bb58c372ed4adaabcf6ce4",
+    "coherence":
+    "444153ca602634d553ad88f5bd87d70ca003eb773fdcfddb6458d64cd7c16d50",
+    "characters":
+    "966733e9188accac82738ea020899761bce9eedafd213586660d07d6623f64a0",
+}
 
 
-def test_cli_characters_mutation_is_caught(capsys):
-    code, rep = run_cli(capsys, [
-        "verify-biset-laws", "--suite", "characters", "--count", "3",
-        "--max-order", "6", "--seed", "7", "--inject-mutation"])
-    assert code == 1
-    suite = rep["suites"][0]
-    assert suite["suite"] == "characters" and suite["ok"] is False
-    assert suite["failures"] == [{
-        "index": 0, "groups": suite["failures"][0]["groups"],
-        "checks": ["double-coset formula"], "mutated": True}]
-
-
-@pytest.mark.parametrize("suite_name", ["induction-formula", "induced-bisets",
-                                        "defres", "coherence"])
+@pytest.mark.parametrize("suite_name", list(ALL_SUITES))
 def test_cli_laws_suite_mutation_is_caught(capsys, suite_name):
-    # the right side of instance 0 gains a fixed point: only it fails
+    # the right side of the first check of instance 0 gains a fixed
+    # point: only that instance fails
     code, rep = run_cli(capsys, [
-        "verify-biset-laws", "--suite", suite_name, "--count", "3",
+        "verify-biset-laws", "--suite", suite_name, "--count", "5",
         "--seed", "7", "--inject-mutation"])
     assert code == 1
     suite = rep["suites"][0]
-    assert suite["suite"] == suite_name and suite["passes"] == 2
+    assert suite["suite"] == suite_name and suite["ok"] is False
+    assert suite["passes"] == suite["count"] - 1 == 4
     assert [(f["index"], f["mutated"]) for f in suite["failures"]] == [
         (0, True)]
+    if suite_name == "characters":
+        assert suite["failures"] == [{
+            "index": 0, "groups": ["C4", "C3", "C6"],
+            "checks": ["double-coset formula"], "mutated": True}]
+    assert _digest_without_times(rep) == MUTATED_SUITE_DIGESTS[suite_name]
 
 
 def test_cli_ingest_table(capsys):
@@ -457,13 +522,16 @@ def test_cli_verify_biset_laws_count_below_one(capsys, count):
 
 def test_cli_inject_mutation_without_suite_mutates_mackey(capsys):
     code, rep = run_cli(capsys, [
-        "verify-biset-laws", "--count", "1", "--max-order", "4",
+        "verify-biset-laws", "--count", "2", "--max-order", "4",
         "--seed", "7", "--inject-mutation"])
     assert code == 1
     verdicts = {s["suite"]: s["ok"] for s in rep["suites"]}
     assert verdicts.pop("mackey") is False
     assert all(verdicts.values())
     assert rep["suites"][0]["failures"][0]["mutated"] is True
+    # the report as the suites wrote it with a harness each
+    assert _digest_without_times(rep) == \
+        "369e2a3345a1e53a14285047bb72291d57de21484f00a5d13095e5ac0c2bdbb5"
 
 
 def test_cli_blocks_default_field_above_the_cap(capsys):

@@ -12,7 +12,7 @@ from bisetblocks.subdirect import (ProductSubgroup, diagonal,
                                    full_product_subgroup, is_twisted_diagonal,
                                    middle_kernel, middle_witnesses, pullback,
                                    star, twisted_diagonal)
-from bisetblocks.suites import induced_bisets_suite, induction_formula_suite
+from bisetblocks.suites import run_suite
 
 from oracles import (check_kernels_normal, check_subgroup, hom_kernel,
                      product_subgroup, product_subgroup_parts,
@@ -270,13 +270,16 @@ def _joined_pairs(monkeypatch, run) -> list:
     return joined
 
 
-@pytest.mark.parametrize("suite, seed", [(induction_formula_suite, 20260823),
-                                         (induced_bisets_suite, 20260824)])
+# the ids keep the names the suites had as functions of their own
+@pytest.mark.parametrize("suite, seed", [("induction-formula", 20260823),
+                                         ("induced-bisets", 20260824)],
+                         ids=["induction_formula_suite-20260823",
+                              "induced_bisets_suite-20260824"])
 def test_join_matches_the_pairwise_definitions(monkeypatch, suite, seed):
     # every (X, Y) and every conjugated (Xc, Yc) of the suite at its
     # acceptance seed
     joined = _joined_pairs(monkeypatch,
-                           lambda: suite(seed=seed, count=100))
+                           lambda: run_suite(suite, seed))
     assert len(joined) > 100
     for X, Y in joined:
         S = star(X, Y)
