@@ -10,9 +10,15 @@ sign from the Brauer construction at full vertex, and reports whether
     beta(gamma) = epsilon(gamma) * beta(B,C)  in F_p*.
 
 All choices (conjugacy representatives, local block order, field size)
-are pinned by conventions; a replication pass re-runs everything with
-the opposite conventions and a larger field to confirm the invariants
-do not depend on them.
+are pinned by conventions; a replication pass runs the pipeline again
+under the opposite conventions and over a larger field to confirm the
+invariants do not depend on them.  Each replication recomputes the
+modular stages: the blocks and their characters, the defect group, the
+Brauer pair, the simple dimension, the sign and the congruences.  The
+characteristic-0 stages (the decomposition of gamma's character, mu,
+perfectness, the isometry and beta) read neither the conventions nor
+the field, so a replication takes them from its base run whenever its
+blocks hold the base's characters.
 """
 
 from __future__ import annotations
@@ -54,11 +60,27 @@ def residue_of_fraction(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+def _reuse(shared: dict, key: tuple, compute):
+    """shared[key], computed and kept there on the first ask.  A key
+    holds every input of its result, so a result is reused only where
+    those inputs are unchanged."""
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _partition(shared: dict, table: CharacterTable, blocks: list,
+               field: Fq) -> list[list[int]]:
+    """assign_characters_to_blocks, kept in shared under its inputs."""
+    return _reuse(shared, ("partition", table, field, tuple(blocks)),
+                  lambda: assign_characters_to_blocks(table, blocks, field))
+
+
 class SideData:
     """Everything the pipeline needs about one block of one group."""
 
     def __init__(self, group: FiniteGroup, table: CharacterTable,
-                 p: int, field: Fq, selector: dict,
+                 p: int, field: Fq, selector: dict, shared: dict,
                  largest_rep: bool = False,
                  reverse_blocks: bool = False) -> None:
         self.group = group
@@ -66,8 +88,7 @@ class SideData:
         self.p = p
         self.field = field
         self.blocks = block_idempotents(group, p, field)
-        self.partition = assign_characters_to_blocks(table, self.blocks,
-                                                     field)
+        self.partition = _partition(shared, table, self.blocks, field)
         self.block_index = self._resolve(selector)
         self.block = self.blocks[self.block_index]
         self.irr = list(self.partition[self.block_index])
@@ -163,37 +184,71 @@ def rickard_reduce(ambient: ProductGroup, complex_terms) -> dict:
 
 class BrouePipeline:
     """All stages of the verification for one scenario and one set of
-    conventions."""
+    conventions.
+
+    Results worth sharing go into `shared` under keys that hold all
+    their inputs; a replication is given its base's `shared`, so it
+    computes again only what its conventions and field reach.
+    """
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, p: int,
                  table_G: CharacterTable, table_H: CharacterTable,
                  selector_G: dict, selector_H: dict,
                  field_degree: int | None = None,
-                 conventions: str = "standard") -> None:
+                 conventions: str = "standard",
+                 shared: dict | None = None) -> None:
         if conventions not in ("standard", "alternate"):
             raise ValueError("conventions must be standard or alternate")
         self.G, self.H, self.p = G, H, p
         self.conventions = conventions
         alt = conventions == "alternate"
+        self.shared = {} if shared is None else shared
         # exp C_G(P) divides exp G, so G's degree covers every local
         # centralizer
         self.base_degree = splitting_field_degree([G, H], p)
         self.field = fq_field(p, field_degree or self.base_degree)
         self.ambient = product_group(G, H)
         self.side_G = SideData(G, table_G, p, self.field, selector_G,
-                               largest_rep=alt, reverse_blocks=alt)
+                               self.shared, largest_rep=alt,
+                               reverse_blocks=alt)
         self.side_H = SideData(H, table_H, p, self.field, selector_H,
-                               largest_rep=alt, reverse_blocks=alt)
+                               self.shared, largest_rep=alt,
+                               reverse_blocks=alt)
+
+    def _gamma_key(self, gamma: VirtualPPermBimodule) -> tuple:
+        """The inputs of the decomposition of gamma's character."""
+        return (self.p, self.side_G.table, self.side_H.table,
+                tuple((t.vertex, t.coefficient) for t in gamma.terms))
 
     # -- stage: kappa ------------------------------------------------
 
     def kappa(self, gamma: VirtualPPermBimodule) -> dict:
         """Character of gamma, projected to the chosen block pair.
 
-        Decomposes the permutation character of every term over the
-        external products of irreducibles (checking integrality and
-        exact reconstruction), then keeps the pairs (chi, theta) with
-        chi in the G-block and the dual of theta in the H-block.
+        Takes the decomposition of gamma's character over the external
+        products of irreducibles, kept in shared under gamma and the two
+        tables, then keeps the pairs (chi, theta) with chi in the G-block
+        and the dual of theta in the H-block.
+        """
+        full = _reuse(self.shared, ("decomposition",)
+                      + self._gamma_key(gamma),
+                      lambda: self._decompose(gamma))
+        irr_b = set(self.side_G.irr)
+        irr_c = set(self.side_H.irr)
+        dual = self.side_H.table.dual_index
+        kept = {(i, j): m for (i, j), m in full.items()
+                if i in irr_b and dual(j) in irr_c}
+        return {
+            "mu": self._external_sum(kept),
+            "kept": kept,
+            "full": full,
+            "dropped_pairs": len(full) - len(kept),
+        }
+
+    def _decompose(self, gamma: VirtualPPermBimodule) -> dict:
+        """The multiplicities {(i, j): m_ij} of chi_i x theta_j in the
+        permutation character of gamma, checked to be integers and to
+        reconstruct it exactly.
 
         The multiplicities come in two steps over the class matrix
         total(a, b) of G x H, never through a character of G x H per
@@ -230,16 +285,7 @@ class BrouePipeline:
         if not full or self._external_sum(full) != total:
             raise PipelineError("kappa",
                                 "decomposition does not reconstruct kappa")
-        irr_b = set(self.side_G.irr)
-        irr_c = set(self.side_H.irr)
-        kept = {(i, j): m for (i, j), m in full.items()
-                if i in irr_b and tH.dual_index(j) in irr_c}
-        return {
-            "mu": self._external_sum(kept),
-            "kept": kept,
-            "full": full,
-            "dropped_pairs": len(full) - len(kept),
-        }
+        return full
 
     def _external_sum(self, mults: dict) -> ClassFunction:
         """sum m_ij chi_i x theta_j over G x H, for mults {(i, j): m_ij}.
@@ -373,7 +419,8 @@ class BrouePipeline:
         """
         D, E = self.side_G.D, self.side_H.D
         projector = self._pair_projector()
-        isos = isomorphisms(E.as_group(), D.as_group())
+        isos = _reuse(self.shared, ("isomorphisms", E, D),
+                      lambda: isomorphisms(E.as_group(), D.as_group()))
         if not isos:
             raise PipelineError("sign", "defect groups are not isomorphic")
         scans = []
@@ -447,7 +494,6 @@ class BrouePipeline:
         out = []
         J = self._pair_stabilizer()
         local_tab = None
-        partition_local = None
         f_part = None
         if J.order == self.H.order:
             Cg = self.side_H.C.as_group()
@@ -456,9 +502,8 @@ class BrouePipeline:
                 blocks_local = block_idempotents(Cg, p, self.field)
                 f_index = next(i for i, blk in enumerate(blocks_local)
                                if blk == self.side_H.e)
-                partition_local = assign_characters_to_blocks(
-                    local_tab, blocks_local, self.field)
-                f_part = partition_local[f_index]
+                f_part = _partition(self.shared, local_tab, blocks_local,
+                                    self.field)[f_index]
         for entry in isometry["map"]:
             j, i = entry["psi_index"], entry["chi_index"]
             psi1 = tH.irreducibles[j].degree().as_int()
@@ -505,10 +550,17 @@ class BrouePipeline:
 
     def _local_rank(self, local_tab: CharacterTable, f_part,
                     psi_index: int) -> int:
-        """Dimension of the local block part of the restricted character."""
-        res = restrict(self.side_H.table.irreducibles[psi_index],
-                       self.side_H.C)
-        mults = local_tab.decompose(res)
+        """Dimension of the local block part of the restricted character.
+
+        local_tab is the table of C = C_H(E); the decomposition of psi
+        restricted to C is kept in shared, since a larger field leaves
+        E and C as they are.
+        """
+        tH, C = self.side_H.table, self.side_H.C
+        mults = _reuse(
+            self.shared, ("restricted", tH, psi_index, local_tab),
+            lambda: local_tab.decompose(restrict(tH.irreducibles[psi_index],
+                                                 C)))
         return sum(mults[t] * local_tab.irreducibles[t].degree().as_int()
                    for t in f_part)
 
@@ -573,8 +625,16 @@ class BrouePipeline:
                                      "elapsed": round(now - started, 3)})
             started = now
 
+        # the characteristic-0 stages read gamma, the tables and the
+        # characters of the two blocks, never the conventions or the field
+        ordinary = self._gamma_key(gamma) + (tuple(self.side_G.irr),
+                                             tuple(self.side_H.irr))
+
+        def char0(name: str, compute):
+            return _reuse(self.shared, (name,) + ordinary, compute)
+
         try:
-            kres = self.kappa(gamma)
+            kres = char0("kappa", lambda: self.kappa(gamma))
             report["kappa"] = {
                 "kept_pairs": [
                     [self.side_G.table.names[i],
@@ -583,19 +643,21 @@ class BrouePipeline:
                 "dropped_pairs": kres["dropped_pairs"]}
             stage("kappa", True)
 
-            perfect = self.check_perfect(kres["mu"])
+            perfect = char0("perfect",
+                            lambda: self.check_perfect(kres["mu"]))
             report["perfect"] = perfect
             stage("perfect", perfect["perfect"])
             if not perfect["perfect"]:
                 raise PipelineError("perfect", "mu is not perfect")
 
-            isom = self.check_isometry(kres)
+            isom = char0("isometry", lambda: self.check_isometry(kres))
             report["isometry"] = isom
             stage("isometry", isom["is_isometry"])
             if not isom["is_isometry"]:
                 raise PipelineError("isometry", "mu is not an isometry")
 
-            inv = self.broue_invariant(isom)
+            inv = char0("broue_invariant",
+                        lambda: self.broue_invariant(isom))
             report["broue_invariant"] = inv
             stage("broue_invariant", True)
 
@@ -648,6 +710,12 @@ class BrouePipeline:
              {"conventions": "standard",
               "field_degree": 2 * self.base_degree}),
         ]
+        # Each variant recomputes the modular stages and takes the
+        # characteristic-0 ones from the base when its blocks hold the
+        # base's characters.  The alternate conventions keep the field
+        # object, so they also reuse the character partitions; the larger
+        # field keeps D, E and C, so it reuses the restrictions to C and
+        # the isomorphisms E -> D.
         for label, kw in variants:
             entry = {"variant": label}
             try:
@@ -657,7 +725,7 @@ class BrouePipeline:
                     {"index": self.side_G.block_index},
                     {"index": self.side_H.block_index},
                     field_degree=kw["field_degree"],
-                    conventions=kw["conventions"])
+                    conventions=kw["conventions"], shared=self.shared)
                 rep = other.verify(gamma, replicate=False)
                 entry["beta_local"] = rep.get("local_invariant", {}).get(
                     "beta")

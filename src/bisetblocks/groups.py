@@ -244,18 +244,23 @@ class FiniteGroup:
 
     def element_order(self, g: int) -> int:
         if self._orders is None:
-            orders = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != self.identity:
-                    y = self.mul(y, x)
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
+            self._orders = tuple(map(self._order_by_powers,
+                                     range(self.order)))
         return self._orders[g]
 
+    def _order_by_powers(self, g: int) -> int:
+        k, y = 1, g
+        while y != self.identity:
+            y = self.mul(y, g)
+            k += 1
+        return k
+
     def exponent(self) -> int:
-        return lcm(*(self.element_order(g) for g in range(self.order)))
+        """The lcm of the element orders.  Order is a class function, so
+        one representative per class is enough, each order found from its
+        own powers without the table of every element's order."""
+        return lcm(*(self._order_by_powers(cls[0])
+                     for cls in self.conjugacy_classes()))
 
     def is_abelian(self) -> bool:
         return all(self.commutes(a, b)
@@ -661,29 +666,36 @@ def orbit(start, gens, act, limit: int | None = None):
     return points, tree
 
 
-def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
-    """The subgroup generated by gens, closed one coset at a time."""
-    return Subgroup(G, span(G, gens)[1])
+def subgroup_generated(G: FiniteGroup, gens,
+                       max_order: int | None = None) -> Subgroup | None:
+    """The subgroup generated by gens, closed one coset at a time; None,
+    closed no further, once it has more than max_order elements."""
+    elems = span(G, gens, limit=max_order)[1]
+    if max_order is not None and len(elems) > max_order:
+        return None
+    return Subgroup(G, elems)
 
 
-def span(G: FiniteGroup, candidates, order: int | None = None
-         ) -> tuple[list[int], list[int]]:
+def span(G: FiniteGroup, candidates, order: int | None = None,
+         limit: int | None = None) -> tuple[list[int], list[int]]:
     """(kept, elements): each candidate outside the span of those kept
     before extends it by extend_subgroup, until the span has the given
-    order; no candidate is drawn after that, so they may come lazily."""
+    order; no candidate is drawn after that, so they may come lazily.
+    The closure stops as soon as it has more than limit elements, which
+    are then only part of the span."""
     kept: list[int] = []
     elems, members = [G.identity], {G.identity}
     for g in candidates:
-        if len(elems) == order:
+        if len(elems) == order or limit is not None and len(elems) > limit:
             break
         if g not in members:
             kept.append(g)
-            elems = extend_subgroup(G, elems, members, kept)
+            elems = extend_subgroup(G, elems, members, kept, limit)
     return kept, elems
 
 
 def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
-                    gens: list[int]) -> list[int]:
+                    gens: list[int], limit: int | None = None) -> list[int]:
     """Extend elems = <gens[:-1]> to <gens>, one right coset at a time.
 
     A coset K r s of K = elems is added whenever a coset representative
@@ -691,7 +703,8 @@ def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
     products plus one per representative and generator (Dimino's
     algorithm).  members grows in place to the element set of the result.
     Not an orbit: it adds whole cosets, so it never redoes the products
-    of elems that a closure under all of gens would.
+    of elems that a closure under all of gens would.  With a limit, the
+    extension stops at the first coset that takes it past limit elements.
     """
     out = list(elems)
     reps = [G.identity]
@@ -702,6 +715,8 @@ def extend_subgroup(G: FiniteGroup, elems: list[int], members: set[int],
                 coset = G.right_products(elems, rs)
                 members.update(coset)
                 out.extend(coset)
+                if limit is not None and len(out) > limit:
+                    return out
     return out
 
 

@@ -33,9 +33,12 @@ MACKEY_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8", "A4")
 SMALL_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8")
 
 
-def random_subgroup(rng: random.Random, G: FiniteGroup) -> Subgroup:
+def random_subgroup(rng: random.Random, G: FiniteGroup,
+                    max_order: int | None = None) -> Subgroup | None:
+    """The span of one to three random elements, or None once the span
+    has more than max_order elements."""
     gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
-    return subgroup_generated(G, gens)
+    return subgroup_generated(G, gens, max_order)
 
 
 def random_product_subgroup(rng: random.Random, amb: ProductGroup,
@@ -47,10 +50,9 @@ def random_product_subgroup(rng: random.Random, amb: ProductGroup,
     bounds only steer the sampling, correctness never depends on them.
     """
     for _ in range(64):
-        S = random_subgroup(rng, amb)
-        if amb.order // S.order > max_index:
-            continue
-        if max_order is not None and S.order > max_order:
+        # a span past max_order is rejected, so it is not closed further
+        S = random_subgroup(rng, amb, max_order)
+        if S is None or amb.order // S.order > max_index:
             continue
         return ProductSubgroup(amb, S.elements)
     if max_order is None or amb.order <= max_order:
@@ -63,10 +65,9 @@ def random_sub_in(rng: random.Random, X: ProductSubgroup,
                   max_order: int | None = None) -> ProductSubgroup:
     for _ in range(32):
         gens = [rng.choice(X.elements) for _ in range(rng.randint(1, 2))]
-        S = subgroup_generated(X.parent, gens)
-        if max_index is not None and X.order // S.order > max_index:
-            continue
-        if max_order is not None and S.order > max_order:
+        S = subgroup_generated(X.parent, gens, max_order)
+        if S is None or (max_index is not None
+                         and X.order // S.order > max_index):
             continue
         return ProductSubgroup(X.ambient, S.elements)
     if max_order is not None:

@@ -440,3 +440,76 @@ def test_pair_stabilizer_sees_a_moved_local_block():
             assert J.elements == pair_stabilizer(pipe).elements
             orders.append((E.order, J.order))
     assert sorted(orders) == [(1, 30), (1, 30), (5, 15), (5, 15), (5, 30)]
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls of some BrouePipeline methods, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(BrouePipeline, name)
+
+        def counted(self, *args, _name=name, _method=method, **kw):
+            calls[_name] += 1
+            return _method(self, *args, **kw)
+        monkeypatch.setattr(BrouePipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("c6_c3", "identity_s3", "a4_c3")
+                         + IDENTITY_SCENARIOS)
+def test_replications_share_the_characteristic_0_stages(name, monkeypatch):
+    calls = _counted(monkeypatch, "verify", "_decompose", "kappa",
+                     "check_perfect", "check_isometry", "broue_invariant",
+                     "sign_of_gamma")
+    r = run_scenario(_scenario(name))
+    assert [e["variant"] for e in r["replications"]] == [
+        "alternate-conventions", "field-degree-plus-one"]
+    # every variant verifies and computes its own sign; the blocks of
+    # both variants hold the base's characters, so nothing of
+    # characteristic 0 is computed twice
+    assert calls == {"verify": 3, "_decompose": 1, "kappa": 1,
+                     "check_perfect": 1, "check_isometry": 1,
+                     "broue_invariant": 1, "sign_of_gamma": 3}
+
+
+def test_a_replication_with_other_block_characters_recomputes(monkeypatch):
+    # over F_9, the larger field of c6_c3, the two blocks of C6 trade
+    # characters, so the variant's G-block holds chi0, chi2 and chi4
+    from bisetblocks import broue
+    S = bundled_scenario("c6_c3")
+    assign = broue.assign_characters_to_blocks
+
+    def traded(table, blocks, field):
+        partition = assign(table, blocks, field)
+        if field.q == 9 and table is S.table_G:
+            return partition[::-1]
+        return partition
+    monkeypatch.setattr(broue, "assign_characters_to_blocks", traded)
+    calls = _counted(monkeypatch, "_decompose", "kappa", "check_perfect",
+                     "check_isometry")
+    r = run_scenario(S)
+    assert r["side_G"]["characters"] == ["chi1", "chi3", "chi5"]
+    assert calls == {"_decompose": 1, "kappa": 2, "check_perfect": 2,
+                     "check_isometry": 2}
+    assert r["replications"][0]["agrees"] is True
+    assert "error" not in r["replications"][1]
+
+
+def test_a_replication_whose_sign_differs_disagrees(monkeypatch):
+    # the sign is modular: a variant whose sign flips disagrees, though
+    # it takes beta(gamma) from the base
+    sign = BrouePipeline.sign_of_gamma
+
+    def flipped(self, gamma):
+        out = sign(self, gamma)
+        if self.conventions == "alternate":
+            out = dict(out, epsilon=-out["epsilon"])
+        return out
+    monkeypatch.setattr(BrouePipeline, "sign_of_gamma", flipped)
+    r = run_scenario(bundled_scenario("c6_c3"))
+    assert r["verdict"]["holds"]
+    alt, big = r["replications"]
+    assert alt == {"variant": "alternate-conventions", "beta_local": 2,
+                   "epsilon": -1, "beta_gamma": 2, "verdict_holds": False,
+                   "agrees": False}
+    assert big["agrees"] is True

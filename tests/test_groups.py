@@ -101,6 +101,35 @@ def test_element_orders_and_exponent():
     assert named_group("C12").exponent() == 12
 
 
+def _permutation_order(perm):
+    k, power = 1, perm
+    while power != tuple(range(len(perm))):
+        power = tuple(perm[x] for x in power)
+        k += 1
+    return k
+
+
+# generators and exponent
+LARGER_GROUPS = {"A5": (["(1 2 3)", "(1 2 3 4 5)"], 30),
+                 "S5": (["(1 2)", "(1 2 3 4 5)"], 60),
+                 "S6": (["(1 2)", "(1 2 3 4 5 6)"], 60)}
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES + tuple(LARGER_GROUPS))
+def test_exponent_reads_one_representative_per_class(name):
+    # a fresh group each time, so no test before has built its orders
+    if name in LARGER_GROUPS:
+        gens, expected = LARGER_GROUPS[name]
+        G = group_from_permutations(gens, name=name)
+    else:
+        G = named_group.__wrapped__(name)
+        expected = None
+    brute = lcm(*map(_permutation_order, permutations(G)))
+    assert expected in (None, brute)
+    assert G.exponent() == brute
+    assert G._orders is None
+
+
 def test_conjugacy_class_counts():
     for name, k in [("S3", 3), ("S4", 5), ("A4", 4), ("D8", 5), ("Q8", 5),
                     ("C6", 6)]:
@@ -127,6 +156,18 @@ def test_centralizer_and_normalizer():
     assert normalizer(S3, C3).order == 6  # C3 is normal in S3
     C2 = subgroup_generated(S3, [t])
     assert normalizer(S3, C2).order == 2  # self-normalizing
+
+
+def test_subgroup_generated_stops_past_max_order():
+    S4 = named_group("S4")
+    gens = [el(S4, "(1 2 3 4)"), el(S4, "(1 2)")]
+    assert subgroup_generated(S4, gens, max_order=24) == \
+        subgroup_generated(S4, gens)
+    assert subgroup_generated(S4, gens, max_order=23) is None
+    assert subgroup_generated(S4, gens[:1], max_order=4).order == 4
+    assert subgroup_generated(S4, gens[:1], max_order=3) is None
+    # the closure stops at the first coset past the bound
+    assert 5 < len(groups.span(S4, gens, limit=5)[1]) < 24
 
 
 def test_subgroup_membership_and_transversal():

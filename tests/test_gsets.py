@@ -24,7 +24,8 @@ from bisetblocks.gsets import (BisetView, GAction, TransitiveDecomposition,
 from bisetblocks.namedgroups import named_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
 from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, random_action,
-                                random_product_subgroup, run_suite)
+                                random_product_subgroup, random_sub_in,
+                                run_suite)
 
 from oracles import (check_action, defres_biset_by_cosets,
                      extended_tensor_eager, induced_action_eager,
@@ -634,6 +635,44 @@ def test_suite_graph_bisets_equal_the_coset_bisets(monkeypatch, suite, seed):
         gsets.defres_biset, defres_biset_by_cosets))
     assert run_suite(suite, seed, count=20)["ok"]
     assert len(seen) == (40 if suite == "induced-bisets" else 20)
+
+
+def _draw_closing_every_span(rng, amb, max_index, max_order):
+    """random_product_subgroup's draw with each span closed in full, or
+    None where it falls back."""
+    for _ in range(64):
+        gens = [rng.randrange(amb.order) for _ in range(rng.randint(1, 3))]
+        S = subgroup_generated(amb, gens)
+        if amb.order // S.order <= max_index and S.order <= max_order:
+            return S
+    return None
+
+
+def _sub_closing_every_span(rng, X, max_order):
+    """random_sub_in's draw with each span closed in full, or None."""
+    for _ in range(32):
+        gens = [rng.choice(X.elements) for _ in range(rng.randint(1, 2))]
+        S = subgroup_generated(X.parent, gens)
+        if S.order <= max_order:
+            return S
+    return None
+
+
+@pytest.mark.parametrize("max_order", (8, 16, 32))
+def test_draws_that_stop_past_max_order_draw_what_full_spans_draw(max_order):
+    # a span past max_order is rejected either way, so stopping its
+    # closure changes neither the subgroup drawn nor the generator's state
+    amb = product_group(named_group("S4"), named_group("D8"))
+    for seed in range(30):
+        rng, ref = random.Random(seed), random.Random(seed)
+        X = random_product_subgroup(rng, amb, max_index=24,
+                                    max_order=max_order)
+        S = _draw_closing_every_span(ref, amb, 24, max_order)
+        assert X.elements == (S.elements if S else (amb.identity,))
+        Xp = random_sub_in(rng, X, max_order=max_order // 4)
+        Sp = _sub_closing_every_span(ref, X, max_order // 4)
+        assert Xp.elements == (Sp.elements if Sp else (amb.identity,))
+        assert rng.getstate() == ref.getstate()
 
 
 def _extended_instances(rng, count):
