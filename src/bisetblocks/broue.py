@@ -18,7 +18,8 @@ Brauer pair, the simple dimension, the sign and the congruences.  The
 characteristic-0 stages (the decomposition of gamma's character, mu,
 perfectness, the isometry and beta) read neither the conventions nor
 the field, so a replication takes them from its base run whenever its
-blocks hold the base's characters.
+blocks hold the base's characters.  A replication whose blocks hold
+other characters computes them again and disagrees.
 """
 
 from __future__ import annotations
@@ -312,22 +313,23 @@ class BrouePipeline:
         G, H, p = self.G, self.H, self.p
         PG = self.ambient
         violations = []
-        for cls in PG.conjugacy_classes():
-            g, h = PG.decode(cls[0])
-            v = mu.at(PG.encode(g, h))
-            cg = centralizer(G, g).order
-            ch = centralizer(H, h).order
-            if not (v * Fraction(1, cg)).is_p_integral(p):
-                violations.append({"g": _el(G, g), "h": _el(H, h),
-                                   "condition": "value/|C_G(g)| integral"})
-            if not (v * Fraction(1, ch)).is_p_integral(p):
-                violations.append({"g": _el(G, g), "h": _el(H, h),
-                                   "condition": "value/|C_H(h)| integral"})
-            if not v.is_zero():
-                if G.is_p_prime_element(g, p) != H.is_p_prime_element(h, p):
-                    violations.append(
-                        {"g": _el(G, g), "h": _el(H, h),
-                         "condition": "p-part parity match"})
+
+        def violation(condition: str) -> None:
+            violations.append({"g": _el(G, g), "h": _el(H, h),
+                               "condition": condition})
+        # the classes of G x H are the products of the factor classes,
+        # in this order, and |C_G(g)| = |G|/|g^G|
+        for A in G.conjugacy_classes():
+            for B in H.conjugacy_classes():
+                g, h = A[0], B[0]
+                v = mu.at(PG.encode(g, h))
+                if not (v * Fraction(len(A), G.order)).is_p_integral(p):
+                    violation("value/|C_G(g)| integral")
+                if not (v * Fraction(len(B), H.order)).is_p_integral(p):
+                    violation("value/|C_H(h)| integral")
+                if not v.is_zero() and (G.is_p_prime_element(g, p)
+                                        != H.is_p_prime_element(h, p)):
+                    violation("p-part parity match")
         return {"perfect": not violations, "violations": violations}
 
     # -- stage: isometry ---------------------------------------------
@@ -712,10 +714,11 @@ class BrouePipeline:
         ]
         # Each variant recomputes the modular stages and takes the
         # characteristic-0 ones from the base when its blocks hold the
-        # base's characters.  The alternate conventions keep the field
-        # object, so they also reuse the character partitions; the larger
-        # field keeps D, E and C, so it reuses the restrictions to C and
-        # the isomorphisms E -> D.
+        # base's characters; it agrees only when they do and it finds
+        # the base's beta(B, C), beta(gamma) and verdict.  The alternate
+        # conventions keep the field object, so they also reuse the
+        # character partitions; the larger field keeps D, E and C, so it
+        # reuses the restrictions to C and the isomorphisms E -> D.
         for label, kw in variants:
             entry = {"variant": label}
             try:
@@ -738,7 +741,10 @@ class BrouePipeline:
                     and entry["verdict_holds"]
                     == base["verdict"]["holds"]
                     and entry["beta_gamma"]
-                    == base["broue_invariant"]["value"])
+                    == base["broue_invariant"]["value"]
+                    and all(rep[side]["characters"]
+                            == base[side]["characters"]
+                            for side in ("side_G", "side_H")))
             except ValueError as ex:
                 # a field that is refused or too small for the variant
                 entry["error"] = str(ex)

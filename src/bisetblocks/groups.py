@@ -790,8 +790,9 @@ class ProductGroup(FiniteGroup):
     """The direct product G x H; the pair (a, b) has id a * |H| + b.
 
     Products multiply componentwise by indexing the factors' rows, so no
-    table of the product is built.  Its classes are the products of the
-    factor classes.
+    table of the product is built; the dense table of a local group is
+    read off the same rows.  Its classes are the products of the factor
+    classes.
     """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup) -> None:
@@ -859,6 +860,16 @@ class ProductGroup(FiniteGroup):
         x1, x2 = x // nr, x % nr
         return (lt[lt[x1][g // nr]][self._linv[x1]] * nr
                 + rt[rt[x2][g % nr]][self._rinv[x2]])
+
+    def _restriction(self, elems, loc: dict) -> FiniteGroup:
+        # Each entry is read off the two factor rows, (a,b)(c,d) = (ac,bd).
+        nr, lt, rt = self._nr, self._lt, self._rt
+        pairs = [divmod(x, nr) for x in elems]
+        table = [tuple([loc[la[c] * nr + ra[d]] for c, d in pairs])
+                 for la, ra in [(lt[a], rt[b]) for a, b in pairs]]
+        return FiniteGroup(table, identity=loc[self.identity],
+                           name=f"{self.name}|{len(elems)}",
+                           names=self._names_of(elems))
 
     def element_order(self, g: int) -> int:
         nr = self._nr

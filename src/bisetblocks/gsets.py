@@ -11,9 +11,12 @@ each keyed by its smallest conjugate element tuple.  A coset action
 G/S decomposes as the class of S and a union as its summands do, so
 neither reads a row for it, and a coset action builds its coset map
 when a row is first read.  Any other action reads only its
-generators' rows for its orbits and closes a stabilizer per orbit from
-the Schreier generators of its groups.orbit tree until it has the
-order the orbit gives it.
+generators' rows, in one kept sweep, orbit by orbit from the least
+point not yet reached, that records each point's orbit and an element
+u_y taking the orbit's least point to y.  Its orbits and stabilizers
+are read off that sweep: a stabilizer is closed from the Schreier
+generators u_{s.y}^-1 s u_y until it has the order the orbit gives it,
+which for a fixed point or a regular orbit needs no Schreier generator.
 
 The elementary bisets of induction and of deflation-restriction along
 the pullback map are (G x H)/L for L the graph {(phi(z), z)} of a
@@ -42,8 +45,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
-                     _orbit_labels, double_cosets, full_subgroup, orbit,
-                     product_group, span)
+                     _orbit_labels, cached_attribute, double_cosets,
+                     full_subgroup, product_group, span, trivial_subgroup)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -82,39 +85,48 @@ class GAction:
     def _generator_rows(self) -> list[tuple[int, ...]]:
         return [self.rows[s] for s in self.group.generators]
 
+    @cached_attribute
+    def _sweep(self) -> tuple[list, list[int], list[int], list[list[int]]]:
+        """(gens, orbit_of, u, orbits): each generator with its row, and
+        _sweep_orbits over those rows."""
+        gens = list(zip(self.group.generators, self._generator_rows()))
+        return (gens,) + _sweep_orbits(self.group, gens, self.size)
+
     def orbits(self) -> list[list[int]]:
         """Orbits as sorted lists, ordered by smallest point.
 
         An orbit of the generators is an orbit of the group, so only
         their rows are read.
         """
-        label, reps = _orbit_labels(self.size, self._generator_rows())
-        out: list[list[int]] = [[] for _ in reps]
-        for x, k in enumerate(label):
-            out[k].append(x)
-        return out
+        return [sorted(points) for points in self._sweep[3]]
 
     def stabilizer(self, x: int) -> Subgroup:
         """The stabilizer of x, closed from Schreier generators.
 
-        With u_y taking x to y, read off the Schreier tree of the orbit,
-        every u_{s.y}^-1 s u_y for a generator s fixes x, and together
-        they generate the stabilizer (Schreier's lemma).  Only those
-        outside the span so far extend it, each at least doubling it,
-        and none is formed once the span has order |G|/|orbit|, which
-        by the orbit-stabilizer theorem is the whole stabilizer.
+        With u_y taking the orbit's least point x0 to y, every
+        u_{s.y}^-1 s u_y for a generator s fixes x0, and together they
+        generate its stabilizer (Schreier's lemma).  Only those outside
+        the span so far extend it, each at least doubling it, and none
+        is formed once the span has order |G|/|orbit|, which by the
+        orbit-stabilizer theorem is the whole stabilizer; so a fixed
+        point has all of G and a point of a regular orbit the trivial
+        group without forming any.  The stabilizer of x = u_x.x0 is its
+        conjugate by u_x.
         """
         G = self.group
+        gens, orbit_of, u, orbits = self._sweep
+        points = orbits[orbit_of[x]]
+        if len(points) == 1:
+            return full_subgroup(G)
+        if len(points) == G.order:
+            return trivial_subgroup(G)
         mul, inv = G.mul, G.inv
-        gens = tuple(zip(G.generators, self._generator_rows()))
-        points, tree = orbit(x, gens, lambda y, gen: gen[1][y])
-        u = {x: G.identity}
-        for y in points[1:]:
-            z, k = tree[y]
-            u[y] = mul(gens[k][0], u[z])
         schreier = (mul(inv(u[row[y]]), mul(s, u[y]))
                     for y in points for s, row in gens)
-        return Subgroup(G, span(G, schreier, G.order // len(points))[1])
+        elems = span(G, schreier, G.order // len(points))[1]
+        if x != points[0]:
+            elems = G.conjugates(u[x], elems)
+        return Subgroup(G, elems)
 
     def fixed_points(self, elements) -> list[int]:
         """Points fixed by every listed group element."""
@@ -138,6 +150,37 @@ class GAction:
         if total != self.size:
             raise AssertionError("orbit sizes fail the counting identity")
         return items
+
+
+def _sweep_orbits(G: FiniteGroup, gens, size: int
+                  ) -> tuple[list[int], list[int], list[list[int]]]:
+    """(orbit_of, u, orbits) from one sweep of the points 0..size-1 under
+    the rows of gens, pairs (s, row of s) for generators s of G, orbit
+    by orbit from the least point not yet reached.
+
+    orbit_of[y] numbers the orbit of y, orbits lists each orbit's points
+    in the order reached, its least point first, and u[y] takes that
+    point to y: u[z] = s.u[y] when z = s.y is first reached.
+    """
+    mul = G.mul
+    orbit_of, u = [-1] * size, [G.identity] * size
+    orbits: list[list[int]] = []
+    for x in range(size):
+        if orbit_of[x] >= 0:
+            continue
+        j = len(orbits)
+        orbit_of[x] = j
+        points = [x]
+        for y in points:
+            uy = u[y]
+            for s, row in gens:
+                z = row[y]
+                if orbit_of[z] < 0:
+                    orbit_of[z] = j
+                    u[z] = mul(s, uy)
+                    points.append(z)
+        orbits.append(points)
+    return orbit_of, u, orbits
 
 
 class TransitiveDecomposition:
@@ -375,25 +418,12 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
     Urows, Vrows = U.action.rows, V.action.rows
     Uenc, Venc = U.ambient.encode, V.ambient.encode
     eG, eK = U.left.identity, V.right.identity
-    gens = [(h, Vrows[Venc(h, eK)]) for h in H.generators if h != e]
-    # orbit_of[v] numbers the H-orbit of v and trans[v] is t_v
-    orbit_of, trans = [-1] * nv, [e] * nv
-    reps, stab_gens = [], []
-    for x in range(nv):
-        if orbit_of[x] >= 0:
-            continue
-        j = len(reps)
-        reps.append(x)
-        orbit_of[x] = j
-        points = [x]
-        for y in points:
-            ty = trans[y]
-            for h, hr in gens:
-                z = hr[y]
-                if orbit_of[z] < 0:
-                    orbit_of[z] = j
-                    trans[z] = mul(h, ty)
-                    points.append(z)
+    # V swept as an H-set: orbit_of[v] numbers the H-orbit of v and
+    # trans[v] is t_v
+    gens = [(h, Vrows[Venc(h, eK)]) for h in H.generators]
+    orbit_of, trans, orbits = _sweep_orbits(H, gens, nv)
+    reps, stab_gens = [points[0] for points in orbits], []
+    for points in orbits:
         if len(points) == H.order:
             stab_gens.append(None)
             continue

@@ -361,6 +361,73 @@ def total_size(dec) -> int:
     return sum(m * (dec.group.order // len(el)) for el, m in dec.items)
 
 
+def subgroup_classes_by_cyclic_joins(G) -> list:
+    """One (elements, generators) per conjugacy class of subgroups of G.
+
+    Every subgroup is a join of cyclic ones, so the cyclic subgroups are
+    joined with one more element until no new subgroup appears; each
+    join is closed by right multiplication from the identity.  Two
+    subgroups are conjugate when some element of G carries one onto the
+    other, tried element by element.
+    """
+    def closure(gens) -> frozenset:
+        elems, new = {G.identity}, [G.identity]
+        for x in new:
+            for s in gens:
+                y = G.mul(x, s)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        return frozenset(elems)
+
+    found: dict = {}
+    for g in range(G.order):
+        found.setdefault(closure([g]), (g,))
+    level = list(found)
+    while level:
+        nxt = []
+        for S in level:
+            for g in range(G.order):
+                if g not in S:
+                    J = closure(found[S] + (g,))
+                    if J not in found:
+                        found[J] = found[S] + (g,)
+                        nxt.append(J)
+        level = nxt
+    classes, seen = [], set()
+    for S in sorted(found, key=lambda S: (len(S), sorted(S))):
+        if S not in seen:
+            seen.update(frozenset(G.mul(G.mul(x, s), G.inv(x)) for s in S)
+                        for x in range(G.order))
+            classes.append((S, found[S]))
+    return classes
+
+
+def marks_mismatches(A, items, classes) -> list:
+    """The subgroups S of classes, as subgroup_classes_by_cyclic_joins
+    gives them for A's group, at which the mark |X^S| of the action A,
+    counted from rows, differs from sum m |(G/T)^S| over the transitive
+    classes (T, m) of items (Burnside: the marks decide a G-set up to
+    isomorphism; Pfeiffer, Exp. Math. 6, 1997).
+
+    |(G/T)^S| counts the cosets gT with g^-1 S g inside T.
+    """
+    G = A.group
+    out = []
+    for S, gens in classes:
+        rows = [A.rows[s] for s in gens]
+        fixed = sum(all(r[x] == x for r in rows) for x in range(A.size))
+        expected = 0
+        for T, m in items:
+            inside = frozenset(T).__contains__
+            into = sum(all(inside(G.mul(G.mul(G.inv(g), s), g)) for s in gens)
+                       for g in range(G.order))
+            expected += m * into // len(T)
+        if fixed != expected:
+            out.append(sorted(S))
+    return out
+
+
 def restriction_biset(S):
     """Restriction to a subgroup: the (S, G)-biset on G."""
     G = S.parent

@@ -493,6 +493,8 @@ def test_a_replication_with_other_block_characters_recomputes(monkeypatch):
                      "check_isometry": 2}
     assert r["replications"][0]["agrees"] is True
     assert "error" not in r["replications"][1]
+    # the variant's G-block holds other characters, so it disagrees
+    assert r["replications"][1]["agrees"] is False
 
 
 def test_a_replication_whose_sign_differs_disagrees(monkeypatch):

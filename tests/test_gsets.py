@@ -29,9 +29,10 @@ from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, random_action,
 
 from oracles import (check_action, defres_biset_by_cosets,
                      extended_tensor_eager, induced_action_eager,
-                     induction_biset_by_cosets, inflation_biset, rectangle,
-                     regular_action, restriction_biset,
-                     stabilizer_by_all_schreier_generators, tensor_by_pairs,
+                     induction_biset_by_cosets, inflation_biset,
+                     marks_mismatches, rectangle, regular_action,
+                     restriction_biset, stabilizer_by_all_schreier_generators,
+                     subgroup_classes_by_cyclic_joins, tensor_by_pairs,
                      total_size)
 
 
@@ -522,6 +523,51 @@ def test_orbits_stabilizers_decompose_match_a_full_scan():
                 for x in orb[:2]:
                     assert A.stabilizer(x).elements == brute_stabilizer(A, x)
             assert A.decompose() == brute_decomposition(A)
+
+
+def _traded(items, src, dst):
+    """items with one summand of class src given class dst instead."""
+    moved = Counter(dict(items))
+    moved[src] -= 1
+    moved[dst] += 1
+    return [(T, m) for T, m in moved.items() if m]
+
+
+def test_suite_decompositions_agree_with_the_marks(monkeypatch):
+    # every action of a group of order at most 24 that the mackey,
+    # coherence and defres suites decompose at seed 1, checked against
+    # marks counted from its rows at each class of subgroups
+    by_group, decompose = {}, GAction.decompose
+
+    def kept(self):
+        if self.group.order <= 24:
+            by_group.setdefault(self.group.uid, (self.group, {}))[1][
+                id(self)] = self
+        return decompose(self)
+    monkeypatch.setattr(GAction, "decompose", kept)
+    for name in ("mackey", "coherence", "defres"):
+        assert run_suite(name, 1)["ok"]
+    monkeypatch.undo()
+    checked, mutants = 0, Counter()
+    for G, actions in by_group.values():
+        classes = subgroup_classes_by_cyclic_joins(G)
+        one, whole = (G.identity,), tuple(range(G.order))
+        for A in actions.values():
+            items = A.decompose().items
+            assert marks_mismatches(A, items, classes) == []
+            checked += 1
+            if G.order == 1:
+                continue
+            # a regular orbit given the whole group, a fixed point given
+            # the trivial group: the marks must see each
+            for src, dst, kind in ((one, whole, "regular"),
+                                   (whole, one, "fixed")):
+                if src in dict(items):
+                    assert marks_mismatches(A, _traded(items, src, dst),
+                                            classes)
+                    mutants[kind] += 1
+    assert checked > 400
+    assert mutants["regular"] > 10 and mutants["fixed"] > 10
 
 
 def test_coset_actions_decompose_without_reading_a_row():
