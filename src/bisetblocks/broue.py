@@ -32,8 +32,8 @@ from .blocks import (action_rank, assign_characters_to_blocks,
                      defect_zero_simple_dim, maximal_brauer_pair,
                      splitting_field_degree)
 from .characters import (CharacterTable, ClassFunction, character_table,
-                         contract_middle, perm_character, restrict)
-from .cyclotomic import dot
+                         contract_middle, external_character, inner_product,
+                         perm_character, restrict)
 from .gf import Fq, fq_field
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
                      int_p_part, int_p_prime_part, isomorphisms, normalizer,
@@ -251,11 +251,10 @@ class BrouePipeline:
         permutation character of gamma, checked to be integers and to
         reconstruct it exactly.
 
-        The multiplicities come in two steps over the class matrix
-        total(a, b) of G x H, never through a character of G x H per
-        pair: R_i(b) = sum_a |a| conj chi_i(a) total(a, b), then
-        m_ij = sum_b |b| R_i(b) conj theta_j(b) / (|G||H|).  The
-        reconstruction and mu are summed in the same two steps.
+        The multiplicities come in two steps, never through a character
+        of G x H per pair: T_j = contract_middle(total, conj theta_j) on
+        G, then m_ij = <T_j, chi_i>.  The reconstruction and mu are
+        external products summed over j.
         """
         tG, tH = self.side_G.table, self.side_H.table
         total: ClassFunction | None = None
@@ -265,16 +264,12 @@ class BrouePipeline:
             total = pc if total is None else total + pc
         if total is None:
             raise PipelineError("kappa", "gamma has no terms")
-        kH = len(self.H.conjugacy_classes())
-        columns = [total.values[b::kH] for b in range(kH)]
-        scale = Fraction(1, self.G.order * self.H.order)
-        theta_bar = [_weighted_conjugate(th) for th in tH.irreducibles]
+        parts = [contract_middle(total, theta.conjugate(), self.ambient)
+                 for theta in tH.irreducibles]
         full: dict = {}
         for i, chi in enumerate(tG.irreducibles):
-            chi_bar = _weighted_conjugate(chi)
-            R = [dot(column, chi_bar) for column in columns]
-            for j, tb in enumerate(theta_bar):
-                m = dot(R, tb) * scale
+            for j, part in enumerate(parts):
+                m = inner_product(part, chi)
                 if not m.is_rational() \
                         or m.as_fraction().denominator != 1:
                     raise PipelineError(
@@ -289,23 +284,18 @@ class BrouePipeline:
         return full
 
     def _external_sum(self, mults: dict) -> ClassFunction:
-        """sum m_ij chi_i x theta_j over G x H, for mults {(i, j): m_ij}.
-
-        First s_j = sum_i m_ij chi_i on G, then the value at the class
-        (a, b) is sum_j s_j(a) theta_j(b).
-        """
+        """sum m_ij chi_i x theta_j over G x H, for mults {(i, j): m_ij}:
+        the external products s_j x theta_j, s_j = sum_i m_ij chi_i."""
         tG, tH = self.side_G.table, self.side_H.table
         s: dict = {}
         for (i, j), m in mults.items():
             part = tG.irreducibles[i] * m
             s[j] = part if j not in s else s[j] + part
-        thetas = [tH.irreducibles[j].values for j in s]
-        theta_at = [[th[b] for th in thetas]
-                    for b in range(len(self.H.conjugacy_classes()))]
-        return ClassFunction(self.ambient, [
-            dot([sj.values[a] for sj in s.values()], theta_b)
-            for a in range(len(self.G.conjugacy_classes()))
-            for theta_b in theta_at])
+        out = ClassFunction(self.ambient,
+                            [0] * len(self.ambient.conjugacy_classes()))
+        for j, sj in s.items():
+            out = out + external_character(sj, tH.irreducibles[j])
+        return out
 
     # -- stage: perfectness ------------------------------------------
 
@@ -751,12 +741,6 @@ class BrouePipeline:
                 entry["agrees"] = False
             out.append(entry)
         return out
-
-
-def _weighted_conjugate(chi: ClassFunction) -> list:
-    """|c| conj chi(c), class by class."""
-    return [len(c) * v.conjugate()
-            for c, v in zip(chi.group.conjugacy_classes(), chi.values)]
 
 
 def _el(G: FiniteGroup, g: int) -> str:

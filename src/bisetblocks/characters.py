@@ -1,8 +1,13 @@
 """Class functions and ordinary character tables, with exact values.
 
-Values are cyclotomic numbers; every operation (induction, restriction,
-inner products, the contraction of a two-sided character against a
-one-sided one) is computed exactly over the rationals.
+A class function holds its values as integer numerators over one
+denominator and one conductor n, a row per power-basis coordinate of
+Q(zeta_n); a permutation character has n = 1 and one row, its
+fixed-point counts.  Induction, restriction, sums, products, inner
+products and the contractions compute on the rows exactly, a product
+of rows of degrees s and t landing in degree s + t, reduced modulo
+Phi_n once per kernel.  A Cyclotomic is formed only when ``values``
+is read, one per class over its minimal conductor.
 
 character_table(G) computes the irreducible characters of any group by
 the modular Dixon-Schneider method (Dixon, Numer. Math. 10 (1967);
@@ -28,16 +33,18 @@ rather than one group element at a time:
   contraction over the middle group H is a product of class matrices,
   sum over the classes c of H of |c| mu1[i*k_H + c] mu2[c*k_K + j];
 * the extended contraction counts its middle witnesses by their pair
-  of classes as integers, and multiplies values once per distinct pair.
+  of classes as integers, and sums count times values over the pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import add, eq, mul
 
-from .cyclotomic import Cyclotomic, ZERO, dot
+from .cyclotomic import (Cyclotomic, ZERO, _as_fraction, _lift_num, _make,
+                         _power_table, euler_phi)
 from .gf import eigenspaces, fq_field, mat_rref
 from .groups import (FiniteGroup, ProductGroup, Subgroup,
                      class_structure_constants, element_by_name,
@@ -45,23 +52,53 @@ from .groups import (FiniteGroup, ProductGroup, Subgroup,
 from .subdirect import ProductSubgroup, middle_kernel, middle_witnesses, star
 
 
-def _cyc(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic.from_rational(value)
-
-
 class ClassFunction:
-    """A function on conjugacy classes of a fixed group."""
+    """A function on conjugacy classes of a fixed group.
 
-    __slots__ = ("group", "values")
+    ``rows[t][c] / den`` is the t-th coordinate over Q(zeta_n) of the
+    value at class c, for t < phi(n), in lowest terms: den >= 1 is prime
+    to the numerators taken together, and n is 1 when every value is
+    rational.  ``values`` forms the Cyclotomics on first read.  Two
+    class functions are equal when their groups are and their rows agree
+    over the lcm of the conductors; the hash is that of the values.
+    """
+
+    __slots__ = ("group", "n", "rows", "den", "_values")
 
     def __init__(self, group: FiniteGroup, values) -> None:
-        self.group = group
-        vals = tuple(_cyc(v) for v in values)
+        vals = [v if isinstance(v, (int, Cyclotomic)) else _as_fraction(v)
+                for v in values]
         if len(vals) != len(group.conjugacy_classes()):
             raise ValueError("need one value per conjugacy class")
-        self.values = vals
+        n = lcm(*(v.n for v in vals if isinstance(v, Cyclotomic)))
+        pad = (0,) * (euler_phi(n) - 1)
+        nums = [_lift_num(v, n) if isinstance(v, Cyclotomic)
+                else (v.numerator,) + pad for v in vals]
+        dens = [v.den if isinstance(v, Cyclotomic) else v.denominator
+                for v in vals]
+        den = lcm(*dens)
+        self._set(group, n, [[c * (den // e) for c, e in zip(row, dens)]
+                             for row in zip(*nums)], den)
+
+    def _set(self, group, n: int, rows, den: int) -> None:
+        if n > 1 and not any(map(any, rows[1:])):
+            n, rows = 1, rows[:1]
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = [[c // g for c in row] for row in rows]
+        self.group, self.n, self.den = group, n, den
+        self.rows = tuple(map(tuple, rows))
+        self._values = None
+
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        if self._values is None:
+            n, den = self.n, self.den
+            self._values = tuple([_value(n, num, den)
+                                  for num in zip(*self.rows)])
+        return self._values
 
     def at(self, g: int) -> Cyclotomic:
         return self.values[self.group.class_index(g)]
@@ -71,45 +108,55 @@ class ClassFunction:
 
     def __add__(self, other):
         self._same(other)
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
+        m, den = lcm(self.n, other.n), lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return _class_function(self.group, m, [
+            [x * fa + y * fb for x, y in zip(a, b)]
+            for a, b in zip(_rows_over(self, m), _rows_over(other, m))], den)
 
     def __sub__(self, other):
-        self._same(other)
-        return ClassFunction(self.group,
-                             [a - b for a, b in zip(self.values, other.values)])
+        return self + -other
 
     def __neg__(self):
-        return ClassFunction(self.group, [-a for a in self.values])
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._same(other)
-            return ClassFunction(
-                self.group,
-                [a * b for a, b in zip(self.values, other.values)])
-        return ClassFunction(self.group, [a * other for a in self.values])
+        if not isinstance(other, ClassFunction):
+            other = ClassFunction(self.group, [other] * len(self.rows[0]))
+        self._same(other)
+        return _class_function(self.group, *_bilinear(
+            self, other, lambda x, y: list(map(mul, x, y)),
+            len(self.rows[0])))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conjugate() for v in self.values])
-
-    def galois(self, t: int) -> "ClassFunction":
-        return ClassFunction(self.group, [v.galois(t) for v in self.values])
+        """Complex conjugation: row t goes to degree -t."""
+        return _class_function(self.group, self.n,
+                               _rows_over(self, self.n, -1), self.den)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not any(map(any, self.rows))
 
     def _same(self, other) -> None:
         if not isinstance(other, ClassFunction) \
                 or other.group.uid != self.group.uid:
             raise ValueError("class functions live over different groups")
 
+    def _pulled(self, group: FiniteGroup, index) -> "ClassFunction":
+        """The class function on group with this one's value at index[c]
+        on class c."""
+        return _class_function(group, self.n, [[row[i] for i in index]
+                                               for row in self.rows],
+                               self.den)
+
     def __eq__(self, other):
-        return (isinstance(other, ClassFunction)
-                and self.group.uid == other.group.uid
-                and self.values == other.values)
+        if not isinstance(other, ClassFunction) \
+                or self.group.uid != other.group.uid \
+                or self.den != other.den:
+            return False
+        m = lcm(self.n, other.n)
+        return _rows_over(self, m) == _rows_over(other, m)
 
     def __hash__(self):
         return hash((self.group.uid, self.values))
@@ -118,24 +165,79 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}, {list(self.values)})"
 
 
+def _class_function(group, n: int, rows, den: int) -> ClassFunction:
+    out = ClassFunction.__new__(ClassFunction)
+    out._set(group, n, rows, den)
+    return out
+
+
+def _value(n: int, num: tuple, den: int) -> Cyclotomic:
+    """num / den over Q(zeta_n) as a Cyclotomic of minimal conductor."""
+    if not any(num[1:]):
+        return _make(1, num[:1], den)
+    return _make(n, num, den).minimal()
+
+
+def _reduce(m: int, poly, k: int) -> tuple:
+    """Rows by degree in zeta_m, None for a zero row, rewritten over the
+    phi(m) rows of the power basis through the power table."""
+    d = euler_phi(m)
+    out = [list(row) if row else [0] * k for row in poly[:d]]
+    table = _power_table(m)
+    for e in range(d, len(poly)):
+        if poly[e]:
+            for i, c in enumerate(table[e % m]):
+                if c:
+                    out[i] = [a + c * b for a, b in zip(out[i], poly[e])]
+    return tuple(map(tuple, out))
+
+
+def _rows_over(f: ClassFunction, m: int, t: int = 1) -> tuple:
+    """The rows of f over Q(zeta_m), for m a multiple of f.n, after
+    zeta_n |-> zeta_n^t, for t prime to f.n."""
+    if f.n == m and t == 1:
+        return f.rows
+    poly = [None] * m
+    for k, row in enumerate(f.rows):
+        poly[k * t * (m // f.n) % m] = row
+    return _reduce(m, poly, len(f.rows[0]))
+
+
+def _bilinear(f: ClassFunction, g: ClassFunction, form, k: int,
+              scale: int = 1) -> tuple:
+    """(m, rows, den) of the k values sum form(x, y) / (f.den g.den scale)
+    over the rows x of f and y of g, the pair of degrees s and t landing
+    in degree s + t over zeta_m, m = lcm(f.n, g.n); form is bilinear on
+    int rows."""
+    m = lcm(f.n, g.n)
+    a, b = _rows_over(f, m), _rows_over(g, m)
+    poly = [None] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            if any(x) and any(y):
+                r = form(x, y)
+                p = poly[s + t]
+                poly[s + t] = r if p is None else list(map(add, p, r))
+    return m, _reduce(m, poly, k), f.den * g.den * scale
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """The scalar product <a, b> = |G|^-1 sum_g a(g) conj(b(g))."""
     a._same(b)
     G = a.group
-    weighted = [len(cls) * vb.conjugate()
-                for cls, vb in zip(G.conjugacy_classes(), b.values)]
-    return dot(a.values, weighted) * Fraction(1, G.order)
+    sizes = [len(cls) for cls in G.conjugacy_classes()]
+    m, rows, den = _bilinear(
+        a, b.conjugate(), lambda x, y: [sum(map(mul, x, map(mul, sizes, y)))],
+        1, G.order)
+    return _value(m, tuple([row[0] for row in rows]), den)
 
 
 def perm_character(action) -> ClassFunction:
     """Fixed-point counts of a GAction, one value per class."""
     G = action.group
-    reps = [cls[0] for cls in G.conjugacy_classes()]
-    vals = []
-    for r in reps:
-        row = action.rows[r]
-        vals.append(sum(1 for x in range(action.size) if row[x] == x))
-    return ClassFunction(G, vals)
+    points = range(action.size)
+    return _class_function(G, 1, [[sum(map(eq, action.rows[cls[0]], points))
+                                   for cls in G.conjugacy_classes()]], 1)
 
 
 def induce(chi: ClassFunction, S: Subgroup) -> ClassFunction:
@@ -143,21 +245,24 @@ def induce(chi: ClassFunction, S: Subgroup) -> ClassFunction:
 
     By class fusion: Ind chi(g) = |C_G(g)|/|S| * sum |d| chi(d), the sum
     running over the classes d of S that lie in the class of g.  Costs
-    one class look-up per class of S.
+    one class look-up per class of S where chi is not zero.
     """
     G = S.parent
     Sg = S.as_group()
     if chi.group.uid != Sg.uid:
         raise ValueError("character must live on the subgroup's local group")
     classes = G.conjugacy_classes()
-    sums = [ZERO] * len(classes)
-    for d, v in zip(Sg.conjugacy_classes(), chi.values):
-        if not v.is_zero():
-            c = G.class_index(S.from_local(d[0]))
-            sums[c] = sums[c] + len(d) * v
-    return ClassFunction(G, [
-        v * Fraction(G.order // len(cls), S.order)
-        for v, cls in zip(sums, classes)])
+    fused = [(G.class_index(S.from_local(d[0])), len(d), i)
+             for i, d in enumerate(Sg.conjugacy_classes())
+             if any(row[i] for row in chi.rows)]
+    rows = []
+    for row in chi.rows:
+        sums = [0] * len(classes)
+        for c, size, i in fused:
+            sums[c] += size * row[i]
+        rows.append([v * (G.order // len(cls))
+                     for v, cls in zip(sums, classes)])
+    return _class_function(G, chi.n, rows, chi.den * S.order)
 
 
 def restrict(chi: ClassFunction, S: Subgroup) -> ClassFunction:
@@ -165,20 +270,18 @@ def restrict(chi: ClassFunction, S: Subgroup) -> ClassFunction:
     if chi.group.uid != S.parent.uid:
         raise ValueError("character must live on the parent group")
     Sg = S.as_group()
-    return ClassFunction(
-        Sg, [chi.at(S.from_local(cls[0]))
-             for cls in Sg.conjugacy_classes()])
+    return chi._pulled(Sg, [chi.group.class_index(S.from_local(cls[0]))
+                            for cls in Sg.conjugacy_classes()])
 
 
 def external_character(chi: ClassFunction, theta: ClassFunction
                        ) -> ClassFunction:
-    """The product character chi x theta on the direct product group."""
+    """The product character chi x theta on the direct product group,
+    whose class i*k_H + c is class i of G times class c of H."""
     amb = product_group(chi.group, theta.group)
-    vals = []
-    for cls in amb.conjugacy_classes():
-        a, b = amb.decode(cls[0])
-        vals.append(chi.at(a) * theta.at(b))
-    return ClassFunction(amb, vals)
+    return _class_function(amb, *_bilinear(
+        chi, theta, lambda x, y: [u * v for u in x for v in y],
+        len(amb.conjugacy_classes())))
 
 
 def contract_middle(mu: ClassFunction, psi: ClassFunction,
@@ -195,13 +298,14 @@ def contract_middle(mu: ClassFunction, psi: ClassFunction,
     H = ambient.right
     if psi.group.uid != H.uid:
         raise ValueError("psi must live on the right factor")
-    weighted = [len(c) * v for c, v in zip(H.conjugacy_classes(),
-                                            psi.values)]
-    kH = len(weighted)
-    scale = Fraction(1, H.order)
-    vals = [dot(mu.values[i * kH:(i + 1) * kH], weighted) * scale
-            for i in range(len(ambient.left.conjugacy_classes()))]
-    return ClassFunction(ambient.left, vals)
+    sizes = [len(c) for c in H.conjugacy_classes()]
+    kH, kG = len(sizes), len(ambient.left.conjugacy_classes())
+
+    def form(x, y):
+        w = list(map(mul, sizes, y))
+        return [sum(map(mul, x[i * kH:(i + 1) * kH], w)) for i in range(kG)]
+    return _class_function(ambient.left,
+                           *_bilinear(mu, psi, form, kG, H.order))
 
 
 def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
@@ -211,7 +315,7 @@ def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
 
     As a product of class matrices: on the class (i, j) of G x K the
     value is |H|^-1 sum_c |c| mu1[i*k_H + c] mu2[c*k_K + j] over the
-    classes c of H, k_G*k_H*k_K products in all.
+    classes c of H, k_G*k_H*k_K products per pair of rows.
     """
     if amb1.right is not amb2.left:
         raise ValueError("matching middle group required")
@@ -220,16 +324,15 @@ def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
     H = amb1.right
     out_amb = product_group(amb1.left, amb2.right)
     sizes = [len(c) for c in H.conjugacy_classes()]
-    kH = len(sizes)
+    kH, kG = len(sizes), len(amb1.left.conjugacy_classes())
     kK = len(amb2.right.conjugacy_classes())
-    cols = [[n * v for n, v in zip(sizes, mu2.values[j::kK])]
-            for j in range(kK)]
-    scale = Fraction(1, H.order)
-    vals = []
-    for i in range(len(amb1.left.conjugacy_classes())):
-        row = mu1.values[i * kH:(i + 1) * kH]
-        vals += [dot(row, col) * scale for col in cols]
-    return ClassFunction(out_amb, vals)
+
+    def form(x, y):
+        cols = [list(map(mul, sizes, y[j::kK])) for j in range(kK)]
+        return [sum(map(mul, x[i * kH:(i + 1) * kH], col))
+                for i in range(kG) for col in cols]
+    return _class_function(out_amb,
+                           *_bilinear(mu1, mu2, form, kG * kK, H.order))
 
 
 def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
@@ -241,8 +344,8 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
     witnesses h, equivalently divides the full witness sum by the order
     of the joint kernel.  The witnesses are counted by their pair of
     classes (of (g,h) in X, of (h,k) in Y) first, so each distinct pair
-    costs one product of values.  witnesses, when given, is
-    middle_witnesses(X, Y).
+    costs one product of numerators per pair of rows.  witnesses, when
+    given, is middle_witnesses(X, Y).
     """
     Xg, Yg = X.as_group(), Y.as_group()
     if chi_m.group.uid != Xg.uid or chi_n.group.uid != Yg.uid:
@@ -255,23 +358,18 @@ def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,
     x_class, y_class = Xg.class_index, Yg.class_index
     x_local, y_local = X.to_local, Y.to_local
     x_enc, y_enc = X.ambient.encode, Y.ambient.encode
-    products: dict = {}
-    scale = Fraction(1, ker.order)
-    vals = []
+    counts = []
     for cls in Sg.conjugacy_classes():
         g, k = S.ambient.decode(S.from_local(cls[0]))
-        counts = Counter((x_class(x_local(x_enc(g, h))),
-                          y_class(y_local(y_enc(h, k))))
-                         for h in witnesses[(g, k)])
-        total = ZERO
-        for pair, n in counts.items():
-            v = products.get(pair)
-            if v is None:
-                v = products[pair] = (chi_m.values[pair[0]]
-                                      * chi_n.values[pair[1]])
-            total = total + n * v
-        vals.append(total * scale)
-    return ClassFunction(Sg, vals)
+        counts.append(Counter((x_class(x_local(x_enc(g, h))),
+                               y_class(y_local(y_enc(h, k))))
+                              for h in witnesses[(g, k)]).items())
+
+    def form(x, y):
+        return [sum([n * x[i] * y[j] for (i, j), n in pairs])
+                for pairs in counts]
+    return _class_function(Sg, *_bilinear(chi_m, chi_n, form, len(counts),
+                                          ker.order))
 
 
 def conjugate_character_by(chi: ClassFunction, X: ProductSubgroup, x: int
@@ -281,12 +379,9 @@ def conjugate_character_by(chi: ClassFunction, X: ProductSubgroup, x: int
     Xc = X.conjugated_by_pair(x)
     Xg, Xcg = X.as_group(), Xc.as_group()
     xinv = amb.inv(x)
-    vals = []
-    for cls in Xcg.conjugacy_classes():
-        e = Xc.from_local(cls[0])
-        vals.append(chi.values[Xg.class_index(
-            X.to_local(amb.conj(xinv, e)))])
-    return Xc, ClassFunction(Xcg, vals)
+    return Xc, chi._pulled(Xcg, [
+        Xg.class_index(X.to_local(amb.conj(xinv, Xc.from_local(cls[0]))))
+        for cls in Xcg.conjugacy_classes()])
 
 
 # -- character tables ------------------------------------------------

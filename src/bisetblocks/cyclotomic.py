@@ -22,12 +22,6 @@ coordinate by coordinate.  Only operands of different conductors above
 1 are lifted through a reduction modulo Phi_m, and only a product of
 two irrational elements convolves numerators.
 
-``dot(xs, ys)`` is the fused sum of products behind the inner products
-and contractions of the character layer: every nonzero term is lifted
-to the lcm m of the conductors and accumulated into one int list of
-length 2 phi(m), rescaled when a term brings a new denominator, and the
-sum is reduced modulo Phi_m and put in lowest terms once, at the end.
-
 No linear algebra is needed.  ``minimal`` descends one prime p of the
 conductor n at a time: the relative trace from Q(zeta_n) down to
 Q(zeta_(n/p)), over its degree, is read straight off the numerators,
@@ -479,52 +473,6 @@ def _lift_num(x: Cyclotomic, m: int) -> tuple[int, ...]:
         if c:
             poly[k * step] = c
     return _reduce_poly(m, poly)
-
-
-def dot(xs, ys) -> Cyclotomic:
-    """sum x*y over the pairs, skipping the zero terms.
-
-    One int accumulator over the lcm m of the conductors of the
-    irrational factors holds the unreduced sum; it is rescaled whenever
-    a term's denominator does not divide the running one, and reduced
-    modulo Phi_m and put in lowest terms once, at the end.
-    """
-    terms = []
-    m = 1
-    for x, y in zip(xs, ys):
-        a, b = x.num, y.num
-        if any(a) and any(b):
-            if any(a[1:]) and m % x.n:
-                m = lcm(m, x.n)
-            if any(b[1:]) and m % y.n:
-                m = lcm(m, y.n)
-            terms.append((x, y))
-    if not terms:
-        return ZERO
-    acc = [0] * (2 * euler_phi(m) - 1)
-    den = 1
-    for x, y in terms:
-        t = x.den * y.den
-        if den % t:
-            k = t // gcd(den, t)
-            acc = [c * k for c in acc]
-            den *= k
-        f = den // t
-        b = _factor(y, m)
-        for i, u in enumerate(_factor(x, m)):
-            if u:
-                u *= f
-                for j, v in enumerate(b):
-                    if v:
-                        acc[i + j] += u * v
-    return _make(m, _reduce_poly(m, acc), den)
-
-
-def _factor(x: Cyclotomic, m: int) -> tuple[int, ...]:
-    """The numerators of x over Q(zeta_m), shortened to one for a rational."""
-    if not any(x.num[1:]):
-        return x.num[:1]
-    return _lift_num(x, m)
 
 
 def _trace_down(x: Cyclotomic, p: int) -> Cyclotomic:

@@ -79,6 +79,7 @@ class FiniteGroup:
     """A finite group; this class stores its full multiplication table."""
 
     _uid_counter = itertools.count()
+    bundled = False             # set on the groups named_group returns
 
     def __init__(self, table, identity: int = 0, name: str = "",
                  names=None) -> None:
@@ -903,12 +904,19 @@ def product_group(G: FiniteGroup, H: FiniteGroup) -> ProductGroup:
 
     G keeps its products weakly, keyed by the uid of the right factor:
     repeated calls return the same object for as long as anything holds
-    it, and a product goes with its factors once nothing does.
+    it, and a product goes with its factors once nothing does.  A
+    product of two bundled groups (from named_group, which live as long
+    as the process) lives as long too, so it is built once.
     """
     P = G._products.get(H.uid)
     if P is None:
         P = G._products[H.uid] = ProductGroup(G, H)
+        if G.bundled and H.bundled:
+            _BUNDLED_PRODUCTS.append(P)
     return P
+
+
+_BUNDLED_PRODUCTS: list = []
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:

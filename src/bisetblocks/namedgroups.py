@@ -36,6 +36,7 @@ def named_group(name: str) -> FiniteGroup:
             G = group_from_permutations([cycle], name=name)
     else:
         raise ValueError(f"unknown group name {name!r}")
+    G.bundled = True
     return G
 
 

@@ -6,9 +6,11 @@ algorithm with the code they check; the others build inputs for tests.
 """
 
 import cmath
+from fractions import Fraction
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
+from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.gf import mat_rank
 from bisetblocks.groups import (Subgroup, _orbit_labels, centralizer,
                                 extend_subgroup, int_p_part, isomorphisms,
@@ -233,6 +235,75 @@ def inflate(chi, pi):
     return ClassFunction(G, [chi.at(pi(cls[0]))
                              for cls in G.conjugacy_classes()])
 
+
+
+# -- class functions, exactly ----------------------------------------
+#
+# Element sums straight from the definitions, in Cyclotomic arithmetic
+# on the values read off each class function, one value per class of
+# the group the result lives on.
+
+def _by_element(chi) -> list:
+    G = chi.group
+    return [chi.values[G.class_index(g)] for g in range(G.order)]
+
+
+def induce_by_elements(chi, S) -> list:
+    """Ind chi(g) = |S|^-1 sum over x in G with x^-1 g x in S."""
+    G = S.parent
+    local = _by_element(chi)
+    out = []
+    for cls in G.conjugacy_classes():
+        total = Cyclotomic.from_rational(0)
+        for x in range(G.order):
+            y = G.conj(G.inv(x), cls[0])
+            if y in S.element_set:
+                total = total + local[S.to_local(y)]
+        out.append(total * Fraction(1, S.order))
+    return out
+
+
+def inner_product_by_elements(a, b):
+    """|G|^-1 sum over g of a(g) conj(b(g))."""
+    total = Cyclotomic.from_rational(0)
+    for x, y in zip(_by_element(a), _by_element(b)):
+        total = total + x * y.conjugate()
+    return total * Fraction(1, a.group.order)
+
+
+def contract_over_middle_by_elements(mu1, mu2, amb1, amb2, out_group):
+    """At (g,k): |H|^-1 sum over h of mu1(g,h) mu2(h,k)."""
+    H = amb1.right
+    m1, m2 = _by_element(mu1), _by_element(mu2)
+    out = []
+    for cls in out_group.conjugacy_classes():
+        g, k = out_group.decode(cls[0])
+        total = Cyclotomic.from_rational(0)
+        for h in range(H.order):
+            total = total + m1[amb1.encode(g, h)] * m2[amb2.encode(h, k)]
+        out.append(total * Fraction(1, H.order))
+    return out
+
+
+def contract_extended_by_elements(X, Y, chi_m, chi_n, S):
+    """At (g,k) in S = X * Y: the sum over h with (g,h) in X and (h,k) in
+    Y, divided by the number of h with (1,h) in X and (h,1) in Y."""
+    H = X.ambient.right
+    G, K = X.ambient.left, Y.ambient.right
+    vm, vn = _by_element(chi_m), _by_element(chi_n)
+    kernel = sum(1 for h in range(H.order)
+                 if X.ambient.encode(G.identity, h) in X.element_set
+                 and Y.ambient.encode(h, K.identity) in Y.element_set)
+    out = []
+    for cls in S.as_group().conjugacy_classes():
+        g, k = S.parent.decode(S.from_local(cls[0]))
+        total = Cyclotomic.from_rational(0)
+        for h in range(H.order):
+            x, y = X.ambient.encode(g, h), Y.ambient.encode(h, k)
+            if x in X.element_set and y in Y.element_set:
+                total = total + vm[X.to_local(x)] * vn[Y.to_local(y)]
+        out.append(total * Fraction(1, kernel))
+    return out
 
 # -- G-sets and bisets -----------------------------------------------
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,10 @@ from bisetblocks.namedgroups import BUNDLED_NAMES, named_group
 from bisetblocks.scenario import bundled_table, group_from_spec
 from bisetblocks.subdirect import diagonal, star
 
-from oracles import inflate, rectangle, regular_action
+from oracles import (contract_extended_by_elements,
+                     contract_over_middle_by_elements, induce_by_elements,
+                     inflate, inner_product_by_elements, rectangle,
+                     regular_action)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "tables"
 
@@ -550,3 +554,126 @@ def test_frobenius_reciprocity_on_every_bundled_table(name):
         for psi in t.irreducibles:
             assert inner_product(up, psi) == \
                 inner_product(chi, restrict(psi, S))
+
+
+# -- exact kernels on mixed conductors --------------------------------------
+#
+# Sums of external products of characters of C12, C5 and C8 mix values
+# in Q(zeta_3), Q(zeta_4) and Q(zeta_5) on C12 x C5, and in Q(zeta_4),
+# Q(zeta_5) and Q(zeta_8) on C5 x C8.
+# Each kernel is compared value for value with an exact element sum, and
+# no value it gives may need a conductor outside its inputs' fields.
+
+def _conductor(*chis):
+    return lcm(*(v.n for chi in chis for v in chi.values))
+
+
+def _of_conductor(name, n):
+    """The first irreducible character of a bundled group whose values
+    generate Q(zeta_n)."""
+    return next(chi for chi in bundled_table(name).irreducibles
+                if _conductor(chi) == n)
+
+
+def _mixed(rng, left, right, pairs):
+    """A seeded rational combination of the products chi x theta of the
+    characters of the given conductors, on left x right."""
+    out = None
+    for a, b in pairs:
+        term = external_character(_of_conductor(left, a),
+                                  _of_conductor(right, b)) \
+            * Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        out = term if out is None else out + term
+    return out
+
+
+def _assert_exact(got, want, *inputs):
+    assert list(got.values) == want
+    m = _conductor(*inputs)
+    assert all(m % v.n == 0 for v in got.values), (m, got)
+
+
+def _mixed_pair(seed):
+    import random
+    rng = random.Random(9300 + seed)
+    mu1 = _mixed(rng, "C12", "C5", [(3, 5), (4, 1), (12, 5), (1, 1)])
+    mu2 = _mixed(rng, "C5", "C8", [(5, 8), (1, 4), (5, 1)])
+    assert {3, 4, 5} <= {v.n for v in mu1.values}
+    assert {4, 5, 8} <= {v.n for v in mu2.values}
+    return rng, mu1, mu2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernels_are_exact_on_mixed_conductors(seed):
+    rng, mu1, mu2 = _mixed_pair(seed)
+    amb1, amb2 = mu1.group, mu2.group
+    out = contract_over_middle(mu1, mu2, amb1, amb2)
+    _assert_exact(out, contract_over_middle_by_elements(
+        mu1, mu2, amb1, amb2, out.group), mu1, mu2)
+    other = _mixed(rng, "C12", "C5", [(4, 5), (12, 1)])
+    for a, b in ((mu1, other), (other, mu1), (mu1, mu1)):
+        got = inner_product(a, b)
+        assert got == inner_product_by_elements(a, b)
+        assert _conductor(a, b) % got.n == 0
+    for amb, mu in ((amb1, mu1), (amb2, mu2)):
+        S = _seeded_subgroup(rng, amb)
+        chi = restrict(mu, S)
+        _assert_exact(induce(chi, S), induce_by_elements(chi, S), chi)
+    X = _seeded_product_subgroup(rng, amb1)
+    Y = _seeded_product_subgroup(rng, amb2)
+    chi_m, chi_n = restrict(mu1, X), restrict(mu2, Y)
+    _assert_exact(contract_extended(X, Y, chi_m, chi_n),
+                  contract_extended_by_elements(X, Y, chi_m, chi_n,
+                                                star(X, Y)), chi_m, chi_n)
+
+
+def test_induction_fuses_mixed_conductor_values_exactly():
+    # S3 x C12 has classes of size 2 and 3 that fuse under induction
+    import random
+    rng = random.Random(9310)
+    amb = product_group(named_group("S3"), named_group("C12"))
+    mu = external_character(bundled_table("S3").irreducibles[2],
+                            _of_conductor("C12", 12)) \
+        + external_character(bundled_table("S3").irreducibles[1],
+                             _of_conductor("C12", 4)) * Fraction(1, 2)
+    for _ in range(3):
+        S = _seeded_subgroup(rng, amb)
+        chi = restrict(mu, S)
+        _assert_exact(induce(chi, S), induce_by_elements(chi, S), chi)
+
+
+# -- equality and hash -------------------------------------------------------
+
+def test_class_functions_are_equal_and_hash_alike_whatever_the_input_form():
+    G = named_group("S3")
+    third = Cyclotomic.zeta(3)
+    forms = [ClassFunction(G, [2, 0, -1]),
+             ClassFunction(G, [Fraction(4, 2), Fraction(0), Fraction(-3, 3)]),
+             ClassFunction(G, [Cyclotomic.from_rational(2).lift(12),
+                               Cyclotomic.from_rational(0),
+                               third + third * third])]
+    assert all(f == forms[0] for f in forms)
+    assert len({hash(f) for f in forms}) == 1
+    assert ClassFunction(G, [Fraction(1, 2), 0, 0]) == ClassFunction(
+        G, [Cyclotomic.from_rational(Fraction(1, 2)).lift(5), 0, 0])
+    assert ClassFunction(G, [2, 0, 1]) != forms[0]
+    H = named_group("C3")
+    assert ClassFunction(H, [2, 0, -1]) != forms[0]
+    chi = _of_conductor("C12", 12)
+    lifted = ClassFunction(chi.group, [v.lift(24) for v in chi.values])
+    assert lifted == chi and hash(lifted) == hash(chi)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_kernel_result_equals_the_class_function_of_its_values(seed):
+    rng, mu1, mu2 = _mixed_pair(seed)
+    S = _seeded_subgroup(rng, mu1.group)
+    results = [contract_over_middle(mu1, mu2, mu1.group, mu2.group),
+               induce(restrict(mu1, S), S), mu1 * mu1.conjugate(), -mu2,
+               perm_character(coset_action(mu1.group, S))]
+    for f in results:
+        for rebuilt in (ClassFunction(f.group, f.values),
+                        ClassFunction(f.group,
+                                      [v.lift(7 * v.n) for v in f.values])):
+            assert rebuilt == f and f == rebuilt
+            assert hash(rebuilt) == hash(f)

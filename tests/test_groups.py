@@ -6,6 +6,7 @@ import random
 import tracemalloc
 import weakref
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -840,6 +841,43 @@ def test_a_local_group_is_one_object_and_keeps_its_parent_alive():
     gc.collect()
     assert Subgroup(product_group(S3, C4), elems).as_group() is L
 
+
+_COUNT_BUNDLED_PRODUCTS = """
+import gc
+from bisetblocks import groups
+from bisetblocks.acceptance import DEFAULT_SEED
+from bisetblocks.suites import run_suite
+built = []
+init = groups.ProductGroup.__init__
+def counted(self, left, right):
+    init(self, left, right)
+    built.append(left.bundled and right.bundled)
+groups.ProductGroup.__init__ = counted
+%s
+assert run_suite("mackey", DEFAULT_SEED)["ok"]
+print(sum(built), len(built))
+"""
+
+
+def test_products_of_bundled_groups_do_not_follow_the_collector():
+    # the mackey suite in a fresh interpreter, with the cyclic collector
+    # off, at its default thresholds and running every 50 allocations:
+    # products of two bundled groups are each built once in all three,
+    # while products with a local factor may be built again
+    import os
+    import subprocess
+    import sys
+    src = str(Path(groups.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    counts = []
+    for setup in ("gc.disable()", "", "gc.set_threshold(50)"):
+        out = subprocess.run([sys.executable, "-c",
+                              _COUNT_BUNDLED_PRODUCTS % setup],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout.split()
+        counts.append([int(x) for x in out])
+    bundled = [c[0] for c in counts]
+    assert bundled[0] > 0 and bundled == [bundled[0]] * 3, counts
 
 # -- the orbit routine -------------------------------------------------
 
