@@ -2,12 +2,15 @@
 
 Each criterion returns a dict with an ``ok`` flag, a one-line detail
 string, and the elapsed time.  Budgets are part of the check: a slow
-pass is a failure.  Expected values for the scenario criteria are the
-hand-derived ones shipped with the bundled data.
+pass is a failure, and run_all reports a criterion that raises as
+failed.  Expected values for the scenario criteria are the hand-derived
+ones shipped with the bundled data.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 
 from .blocks import (assign_characters_to_blocks, block_idempotents,
@@ -21,22 +24,28 @@ from .suites import run_suite
 DEFAULT_SEED = 20260823
 
 
-def _result(cid: int, name: str, ok: bool, detail: str, elapsed: float,
+# each criterion's name by id, for its result and for a criterion that raises
+NAMES = {1: "mackey-decomposition", 2: "induction-formulas",
+         3: "tensor-coherence", 4: "character-contraction", 5: "s3-blocks",
+         6: "c6-c3-scenario", 7: "identity-and-negation",
+         8: "correspondent-scenarios", 9: "choice-independence"}
+
+
+def _result(cid: int, ok: bool, detail: str, elapsed: float,
             budget: float | None = None) -> dict:
     if budget is not None and elapsed >= budget:
         ok = False
         detail += f" [budget {budget}s exceeded]"
-    return {"id": cid, "name": name, "ok": bool(ok), "detail": detail,
+    return {"id": cid, "name": NAMES[cid], "ok": bool(ok), "detail": detail,
             "elapsed": round(elapsed, 3), "budget": budget}
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> dict:
     """Double-coset tensor decomposition, 200 random instances."""
     rep = run_suite("mackey", seed)
-    return _result(
-        1, "mackey-decomposition", rep["ok"],
-        f"{rep['passes']}/{rep['count']} exact decomposition matches",
-        rep["elapsed"], budget=60.0)
+    return _result(1, rep["ok"],
+                   f"{rep['passes']}/{rep['count']} exact decomposition "
+                   "matches", rep["elapsed"], budget=60.0)
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> dict:
@@ -48,14 +57,13 @@ def criterion_2(seed: int = DEFAULT_SEED) -> dict:
     ok = all(r["ok"] for r in reps)
     detail = "; ".join(f"{r['suite']} {r['passes']}/{r['count']}"
                        for r in reps)
-    return _result(2, "induction-formulas", ok, detail,
-                   time.perf_counter() - t0, budget=120.0)
+    return _result(2, ok, detail, time.perf_counter() - t0, budget=120.0)
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> dict:
     """Unit, distributivity, associativity coherence, 100 instances."""
     rep = run_suite("coherence", seed)
-    return _result(3, "tensor-coherence", rep["ok"],
+    return _result(3, rep["ok"],
                    f"{rep['passes']}/{rep['count']} iso checks",
                    rep["elapsed"])
 
@@ -63,7 +71,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> dict:
 def criterion_4(seed: int = DEFAULT_SEED) -> dict:
     """Character-level contraction formulas with fixed-point oracle."""
     rep = run_suite("characters", seed)
-    return _result(4, "character-contraction", rep["ok"],
+    return _result(4, rep["ok"],
                    f"{rep['passes']}/{rep['count']} instances, "
                    "3 checks each", rep["elapsed"])
 
@@ -77,13 +85,9 @@ def criterion_5() -> dict:
 
     F2 = fq_field(2, splitting_params(G, 2)[0])
     F3 = fq_field(3, splitting_params(G, 3)[0])
-    try:
-        # block_idempotents asserts idempotency, orthogonality and sum 1
-        blocks2 = block_idempotents(G, 2, F2)
-        blocks3 = block_idempotents(G, 3, F3)
-    except AssertionError as ex:
-        return _result(5, "s3-blocks", False, f"block axioms: {ex}",
-                       time.perf_counter() - t0)
+    # block_idempotents asserts idempotency, orthogonality and sum 1
+    blocks2 = block_idempotents(G, 2, F2)
+    blocks3 = block_idempotents(G, 3, F3)
     if len(blocks2) != 2:
         problems.append(f"expected 2 blocks at p=2, got {len(blocks2)}")
     else:
@@ -106,8 +110,7 @@ def criterion_5() -> dict:
     detail = "S3: 2 blocks at p=2 (defects 1, 2; split chi2 off), " \
              "1 block at p=3 (defect 3)" if not problems \
         else "; ".join(problems)
-    return _result(5, "s3-blocks", not problems, detail,
-                   time.perf_counter() - t0)
+    return _result(5, not problems, detail, time.perf_counter() - t0)
 
 
 def criterion_6() -> dict:
@@ -137,7 +140,7 @@ def criterion_6() -> dict:
     detail = ("perfect isometry, signs +1, beta=2, D=E=C3, dims 1, "
               "b=2, eps=+1, verdict holds" if not problems
               else "; ".join(problems))
-    return _result(6, "c6-c3-scenario", not problems, detail,
+    return _result(6, not problems, detail,
                    time.perf_counter() - t0, budget=5.0)
 
 
@@ -169,8 +172,7 @@ def criterion_7() -> dict:
         problems.append("negated verdict fails")
     detail = ("beta=1, eps=+1, b=1; negation flips beta and eps, "
               "verdict preserved" if not problems else "; ".join(problems))
-    return _result(7, "identity-and-negation", not problems, detail,
-                   time.perf_counter() - t0)
+    return _result(7, not problems, detail, time.perf_counter() - t0)
 
 
 def criterion_8() -> dict:
@@ -197,8 +199,7 @@ def criterion_8() -> dict:
     detail = ("b(B,C) = 1 in both scenarios, beta in {1,-1}, "
               "correspondent block confirmed via the Brauer map"
               if not problems else "; ".join(problems))
-    return _result(8, "correspondent-scenarios", not problems, detail,
-                   time.perf_counter() - t0)
+    return _result(8, not problems, detail, time.perf_counter() - t0)
 
 
 def criterion_9() -> dict:
@@ -217,8 +218,7 @@ def criterion_9() -> dict:
     detail = ("alternate conventions and larger field reproduce "
               "beta(B,C)=2 and the verdict" if not problems
               else "; ".join(problems))
-    return _result(9, "choice-independence", not problems, detail,
-                   time.perf_counter() - t0)
+    return _result(9, not problems, detail, time.perf_counter() - t0)
 
 
 # the law criteria run their suites at the seed given to run_all
@@ -227,9 +227,29 @@ FIXED_CRITERIA = [criterion_5, criterion_6, criterion_7, criterion_8,
                   criterion_9]
 
 
+def _guarded(cid: int, check) -> dict:
+    """The result of check(), criterion cid.  A check that raises fails,
+    with the exception and the line that raised it as its detail, and
+    the other criteria still run."""
+    t0 = time.perf_counter()
+    try:
+        return check()
+    except Exception as ex:
+        # the innermost frame, read without importing traceback, which
+        # would cost every command its import
+        tb = ex.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = os.path.basename(tb.tb_frame.f_code.co_filename)
+        return _result(cid, False, f"raised {type(ex).__name__} at "
+                       f"{where}:{tb.tb_lineno}: {ex}",
+                       time.perf_counter() - t0)
+
+
 def run_all(seed: int = DEFAULT_SEED) -> dict:
-    results = ([fn(seed=seed) for fn in SEEDED_CRITERIA]
-               + [fn() for fn in FIXED_CRITERIA])
+    checks = ([functools.partial(fn, seed=seed) for fn in SEEDED_CRITERIA]
+              + FIXED_CRITERIA)
+    results = [_guarded(cid, check) for cid, check in enumerate(checks, 1)]
     return {
         "kind": "acceptance-report",
         "seed": seed,

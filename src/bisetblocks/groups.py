@@ -10,13 +10,15 @@ mul/inv/conj/row and so never depend on which; hot loops take their
 products in bulk through left_products and right_products, with no
 method call per product, so no loop reads every row of a permutation
 group, which computes a row only when it is read.  Its conjugacy
-classes are orbits under conjugation by its generators, and a
-centralizer is read off the products x*s and s*x of the fixed s.  One
-routine, orbit, closes a point under generators, in breadth-first order
-with a Schreier tree; one sweep, _orbit_labels, labels every orbit of a
-set of permutations, and the double cosets AgB are its orbits of A's
-generators on one coset map of B.  Input is checked once, where it
-enters: constructors trust their caller, a multiplication table given
+classes are the orbits of one bulk row of conjugates per generator, and
+a centralizer is read off the products x*s and s*x of the fixed s.
+Every orbit of int points is one sweep_orbits, which records a Schreier
+tree; transversal forms from it, only where they are read, elements
+taking an orbit's least point to its points.  Double cosets AgB are
+the orbits of A's generators on one coset map of B.  orbit closes
+points that are not ints, and in check_axioms the identity of a table
+not yet known to be a group.  Input is checked once, where it enters:
+constructors trust their caller, a multiplication table given
 from outside is checked by check_axioms, exactly on generators (Light's
 associativity test), and the generators of a permutation group are
 checked to be permutations.  Conjugates, centralizers and normalizers
@@ -285,20 +287,12 @@ class FiniteGroup:
         return self._classes
 
     def _find_classes(self) -> tuple[tuple[int, ...], ...]:
-        # The class of g is its orbit under conjugation by generators,
-        # layer by layer: |class| * |generators| conjugations, in bulk.
-        seen: set[int] = set()
-        classes = []
-        for g in range(self.order):
-            if g not in seen:
-                cls, new = {g}, [g]
-                while new:
-                    new = {z for s in self.generators
-                           for z in self.conjugates(s, new)} - cls
-                    cls |= new
-                seen |= cls
-                classes.append(tuple(sorted(cls)))
-        return tuple(classes)
+        # The classes are the orbits of conjugation by the generators:
+        # one bulk row of conjugates per generator, then one sweep.
+        rows = [self.conjugates(s, range(self.order))
+                for s in self.generators]
+        return tuple(tuple(sorted(points))
+                     for points in sweep_orbits(self.order, rows)[1])
 
     def class_index(self, g: int) -> int:
         self.conjugacy_classes()
@@ -492,14 +486,9 @@ def parse_cycles(text: str, degree: int = 0) -> tuple[int, ...]:
 
 def cycles_of(perm: tuple[int, ...]) -> str:
     """Inverse of parse_cycles; each cycle is the orbit of its least point."""
-    seen: set[int] = set()
-    out = []
-    for start in range(len(perm)):
-        if start not in seen and perm[start] != start:
-            cyc, _ = orbit(start, (perm,), lambda x, p: p[x])
-            seen.update(cyc)
-            out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(out) or "()"
+    return "".join("(" + " ".join(str(p + 1) for p in cyc) + ")"
+                   for cyc in sweep_orbits(len(perm), [perm])[1]
+                   if len(cyc) > 1) or "()"
 
 
 def group_from_permutations(generators, degree: int = 0,
@@ -665,6 +654,46 @@ def orbit(start, gens, act, limit: int | None = None):
                 tree[y] = (x, k)
                 points.append(y)
     return points, tree
+
+
+def sweep_orbits(size: int, rows) -> tuple[list[int], list[list[int]], list]:
+    """(orbit_of, orbits, tree) of the permutations rows on 0..size-1.
+
+    One sweep, orbit by orbit from the least point not yet reached and
+    in breadth-first order: orbits lists each orbit with its least point
+    first, orbit_of[y] numbers the orbit of y, and tree[y] = (x, k) for
+    the step rows[k][x] == y that first reached y, as in orbit.
+    """
+    orbit_of, tree = [-1] * size, [None] * size
+    orbits: list[list[int]] = []
+    indexed = list(enumerate(rows))
+    for x in range(size):
+        if orbit_of[x] >= 0:
+            continue
+        j = len(orbits)
+        orbit_of[x] = j
+        points = [x]
+        for y in points:
+            for k, row in indexed:
+                z = row[y]
+                if orbit_of[z] < 0:
+                    orbit_of[z] = j
+                    tree[z] = (y, k)
+                    points.append(z)
+        orbits.append(points)
+    return orbit_of, orbits, tree
+
+
+def transversal(G: FiniteGroup, gens, points, tree, u):
+    """u, with u[y] set for each y of one orbit listed by sweep_orbits as
+    points, swept under the rows of gens, to an element taking the
+    orbit's first point to y: u_y = gens[k].u_x along tree[y] = (x, k)."""
+    mul = G.mul
+    u[points[0]] = G.identity
+    for y in points[1:]:
+        x, k = tree[y]
+        u[y] = mul(gens[k], u[x])
+    return u
 
 
 def subgroup_generated(G: FiniteGroup, gens,
@@ -949,33 +978,8 @@ def double_cosets(G: FiniteGroup, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
     reps, idx = B.coset_index_map()
     rows = [[idx[x] for x in G.left_products(a, reps)]
             for a in A.generators]
-    return tuple(reps[k] for k in _orbit_labels(len(reps), rows)[1])
-
-
-def _orbit_labels(size: int, rows) -> tuple[list[int], list[int]]:
-    """Label points by orbit under the given permutations.
-
-    Returns (label per point, representative point per orbit); sweeping
-    points in increasing order makes each representative the orbit
-    minimum.  Not orbit: one list-indexed label sweep over all points
-    needs no Schreier tree and no dict.
-    """
-    label = [-1] * size
-    reps = []
-    for x in range(size):
-        if label[x] >= 0:
-            continue
-        label[x] = k = len(reps)
-        reps.append(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for row in rows:
-                z = row[y]
-                if label[z] < 0:
-                    label[z] = k
-                    stack.append(z)
-    return label, reps
+    return tuple(reps[points[0]]
+                 for points in sweep_orbits(len(reps), rows)[1])
 
 
 # -- p-subgroups ------------------------------------------------------

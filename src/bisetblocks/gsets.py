@@ -11,12 +11,13 @@ each keyed by its smallest conjugate element tuple.  A coset action
 G/S decomposes as the class of S and a union as its summands do, so
 neither reads a row for it, and a coset action builds its coset map
 when a row is first read.  Any other action reads only its
-generators' rows, in one kept sweep, orbit by orbit from the least
-point not yet reached, that records each point's orbit and an element
-u_y taking the orbit's least point to y.  Its orbits and stabilizers
-are read off that sweep: a stabilizer is closed from the Schreier
+generators' rows, in one kept groups.sweep_orbits, which records each
+point's orbit and a Schreier tree.  Its orbits are read off that sweep.
+A stabilizer of a fixed point or of a point of a regular orbit is read
+off the orbit's length; any other is closed from the Schreier
 generators u_{s.y}^-1 s u_y until it has the order the orbit gives it,
-which for a fixed point or a regular orbit needs no Schreier generator.
+with u_y, taking the orbit's least point to y, formed from the tree for
+that orbit only.
 
 The elementary bisets of induction and of deflation-restriction along
 the pullback map are (G x H)/L for L the graph {(phi(z), z)} of a
@@ -45,8 +46,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .groups import (FiniteGroup, ProductGroup, RowCache, Subgroup,
-                     _orbit_labels, cached_attribute, double_cosets,
-                     full_subgroup, product_group, span, trivial_subgroup)
+                     cached_attribute, double_cosets, full_subgroup,
+                     product_group, span, sweep_orbits, transversal,
+                     trivial_subgroup)
 from .namedgroups import trivial_group
 from .subdirect import (ProductSubgroup, PullbackData, middle_kernel,
                         middle_witnesses, pullback, star)
@@ -82,15 +84,12 @@ class GAction:
         self._classes = classes
         self._decomposition = None
 
-    def _generator_rows(self) -> list[tuple[int, ...]]:
-        return [self.rows[s] for s in self.group.generators]
-
     @cached_attribute
-    def _sweep(self) -> tuple[list, list[int], list[int], list[list[int]]]:
-        """(gens, orbit_of, u, orbits): each generator with its row, and
-        _sweep_orbits over those rows."""
-        gens = list(zip(self.group.generators, self._generator_rows()))
-        return (gens,) + _sweep_orbits(self.group, gens, self.size)
+    def _sweep(self) -> tuple[list, list[int], list[list[int]], list]:
+        """(rows, orbit_of, orbits, tree): the rows of the generators,
+        and sweep_orbits over them."""
+        rows = [self.rows[s] for s in self.group.generators]
+        return (rows,) + sweep_orbits(self.size, rows)
 
     def orbits(self) -> list[list[int]]:
         """Orbits as sorted lists, ordered by smallest point.
@@ -98,31 +97,32 @@ class GAction:
         An orbit of the generators is an orbit of the group, so only
         their rows are read.
         """
-        return [sorted(points) for points in self._sweep[3]]
+        return [sorted(points) for points in self._sweep[2]]
 
     def stabilizer(self, x: int) -> Subgroup:
         """The stabilizer of x, closed from Schreier generators.
 
-        With u_y taking the orbit's least point x0 to y, every
-        u_{s.y}^-1 s u_y for a generator s fixes x0, and together they
-        generate its stabilizer (Schreier's lemma).  Only those outside
-        the span so far extend it, each at least doubling it, and none
-        is formed once the span has order |G|/|orbit|, which by the
-        orbit-stabilizer theorem is the whole stabilizer; so a fixed
-        point has all of G and a point of a regular orbit the trivial
-        group without forming any.  The stabilizer of x = u_x.x0 is its
-        conjugate by u_x.
+        A fixed point has all of G, and a point of a regular orbit the
+        trivial group, by the orbit-stabilizer theorem.  Otherwise u_y,
+        taking the orbit's least point x0 to y, is formed along the
+        sweep's tree for this orbit alone; every u_{s.y}^-1 s u_y for a
+        generator s fixes x0, and together they generate its stabilizer
+        (Schreier's lemma).  Only those outside the span so far extend
+        it, each at least doubling it, and none is formed once the span
+        has order |G|/|orbit|, the whole stabilizer.  The stabilizer of
+        x = u_x.x0 is its conjugate by u_x.
         """
         G = self.group
-        gens, orbit_of, u, orbits = self._sweep
+        rows, orbit_of, orbits, tree = self._sweep
         points = orbits[orbit_of[x]]
         if len(points) == 1:
             return full_subgroup(G)
         if len(points) == G.order:
             return trivial_subgroup(G)
+        u = transversal(G, G.generators, points, tree, {})
         mul, inv = G.mul, G.inv
         schreier = (mul(inv(u[row[y]]), mul(s, u[y]))
-                    for y in points for s, row in gens)
+                    for y in points for s, row in zip(G.generators, rows))
         elems = span(G, schreier, G.order // len(points))[1]
         if x != points[0]:
             elems = G.conjugates(u[x], elems)
@@ -143,44 +143,13 @@ class GAction:
         """One canonical stabilizer class per orbit."""
         items: Counter = Counter()
         total = 0
-        for orb in self.orbits():
-            stab = self.stabilizer(orb[0]).canonical_conjugate()
+        for points in self._sweep[2]:
+            stab = self.stabilizer(points[0]).canonical_conjugate()
             items[stab.elements] += 1
             total += self.group.order // stab.order
         if total != self.size:
             raise AssertionError("orbit sizes fail the counting identity")
         return items
-
-
-def _sweep_orbits(G: FiniteGroup, gens, size: int
-                  ) -> tuple[list[int], list[int], list[list[int]]]:
-    """(orbit_of, u, orbits) from one sweep of the points 0..size-1 under
-    the rows of gens, pairs (s, row of s) for generators s of G, orbit
-    by orbit from the least point not yet reached.
-
-    orbit_of[y] numbers the orbit of y, orbits lists each orbit's points
-    in the order reached, its least point first, and u[y] takes that
-    point to y: u[z] = s.u[y] when z = s.y is first reached.
-    """
-    mul = G.mul
-    orbit_of, u = [-1] * size, [G.identity] * size
-    orbits: list[list[int]] = []
-    for x in range(size):
-        if orbit_of[x] >= 0:
-            continue
-        j = len(orbits)
-        orbit_of[x] = j
-        points = [x]
-        for y in points:
-            uy = u[y]
-            for s, row in gens:
-                z = row[y]
-                if orbit_of[z] < 0:
-                    orbit_of[z] = j
-                    u[z] = mul(s, uy)
-                    points.append(z)
-        orbits.append(points)
-    return orbit_of, u, orbits
 
 
 class TransitiveDecomposition:
@@ -401,14 +370,15 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
     The classes of pairs (u, v) under (u.h, v) ~ (u, h.v) are the union,
     over representatives v0 of the H-orbits of V, of U/Stab_H(v0): the
     pair (u, v) is the class of (u.t_v, v0), with t_v.v0 = v.  One sweep
-    of V records each orbit and t_v.  A free orbit contributes the points
-    of U as they are; any other contributes the orbits on U of its
-    Schreier elements t_{h.y}^-1 h t_y, which generate the stabilizer.
+    of V records each orbit and a Schreier tree, which gives every t_v.
+    A free orbit contributes the points of U as they are; any other the
+    orbits on U, a second sweep, of its Schreier elements
+    t_{h.y}^-1 h t_y, which generate the stabilizer.
     The result is a (G, K)-biset whose points are numbered orbit by orbit
     of V, and (g,k) sends the class of (u, v0) to that of
     (g.u.t_v', v0') with v' = v0.k^-1 in the orbit of v0'.  No pair is
     formed.  More than TENSOR_POINT_CAP points of U times orbits of V
-    raise ValueError before any label is built.
+    raise ValueError right after the sweep of V.
     """
     if U.ambient.right is not V.ambient.left:
         raise ValueError("tensor requires matching middle group")
@@ -420,30 +390,29 @@ def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
     eG, eK = U.left.identity, V.right.identity
     # V swept as an H-set: orbit_of[v] numbers the H-orbit of v and
     # trans[v] is t_v
-    gens = [(h, Vrows[Venc(h, eK)]) for h in H.generators]
-    orbit_of, trans, orbits = _sweep_orbits(H, gens, nv)
-    reps, stab_gens = [points[0] for points in orbits], []
-    for points in orbits:
-        if len(points) == H.order:
-            stab_gens.append(None)
-            continue
-        schreier = {mul(inv(trans[hr[y]]), mul(h, trans[y]))
-                    for y in points for h, hr in gens}
-        schreier.discard(e)
-        stab_gens.append(schreier)
-    if nu * len(reps) > TENSOR_POINT_CAP:
+    gens = H.generators
+    rows = [Vrows[Venc(h, eK)] for h in gens]
+    orbit_of, orbits, tree = sweep_orbits(nv, rows)
+    if nu * len(orbits) > TENSOR_POINT_CAP:
         raise ValueError(f"tensor product exceeds {TENSOR_POINT_CAP} points")
-    # per orbit of V: its first point with its labels on U (None when
-    # the orbit is free), and one point of U per label
-    parts, ureps = [], []
+    trans = [e] * nv
+    # per orbit of V: its first point, its labels on U (None when the
+    # orbit is free) and one point of U per label
+    reps, parts, ureps = [], [], []
     size = 0
-    for schreier in stab_gens:
-        if schreier is None:
+    for points in orbits:
+        transversal(H, gens, points, tree, trans)
+        if len(points) == H.order:
             label, urep = None, range(nu)
         else:
+            schreier = {mul(inv(trans[hr[y]]), mul(h, trans[y]))
+                        for y in points for h, hr in zip(gens, rows)}
+            schreier.discard(e)
             # the rows of (1, s) have the orbits of the rows of (1, s^-1)
-            label, urep = _orbit_labels(
+            label, uorbits, _ = sweep_orbits(
                 nu, [Urows[Uenc(eG, s)] for s in schreier])
+            urep = [upoints[0] for upoints in uorbits]
+        reps.append(points[0])
         parts.append((size, label))
         ureps.append(urep)
         size += len(urep)
@@ -519,7 +488,8 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         ur = U.rows[X.to_local(X.ambient.encode(X.ambient.left.identity, t))]
         vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
         glue.append([x * nv + y for x in ur for y in vr])
-    label, reps = _orbit_labels(nu * nv, glue)
+    label, orbits, _ = sweep_orbits(nu * nv, glue)
+    reps = [points[0] for points in orbits]
     S = star(X, Y, witnesses)
     pairs = S.pairs()
 

@@ -45,7 +45,11 @@ def group_from_spec(spec) -> FiniteGroup:
     if not isinstance(spec, dict):
         raise ValueError(f"bad group spec {spec!r}")
     name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f'"name" must be a string, not {name!r}')
     if "generators" in spec:
+        if not isinstance(spec["generators"], list):
+            raise ValueError('"generators" must be a list of cycle strings')
         key = (name, tuple(spec["generators"]))
         G = _CUSTOM_GROUPS.get(key)
         if G is None:

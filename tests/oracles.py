@@ -12,9 +12,8 @@ from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
 from bisetblocks.cyclotomic import Cyclotomic
 from bisetblocks.gf import mat_rank
-from bisetblocks.groups import (Subgroup, _orbit_labels, centralizer,
-                                extend_subgroup, int_p_part, isomorphisms,
-                                normalizer, orbit,
+from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
+                                int_p_part, isomorphisms, normalizer, orbit,
                                 p_subgroups_up_to_conjugacy, product_group,
                                 quotient, subgroup_generated)
 from bisetblocks.gsets import BisetView, GAction, biset_coset, rebase_action
@@ -307,6 +306,28 @@ def contract_extended_by_elements(X, Y, chi_m, chi_n, S):
 
 # -- G-sets and bisets -----------------------------------------------
 
+def union_find_labels(size, rows) -> tuple:
+    """(label, reps): the orbits of the permutations rows on 0..size-1,
+    merged pair by pair (x, row[x]) in a union-find forest whose root is
+    always the least point of its set; orbits are numbered by their
+    least points, which are the reps, in increasing order."""
+    parent = list(range(size))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for row in rows:
+        for x in range(size):
+            a, b = root(x), root(row[x])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    roots = [root(x) for x in range(size)]
+    reps = sorted(set(roots))
+    number = {r: i for i, r in enumerate(reps)}
+    return [number[r] for r in roots], reps
+
+
 def regular_action(G) -> GAction:
     return GAction(G, G.row, size=G.order)
 
@@ -347,7 +368,7 @@ def tensor_by_pairs(U, V) -> BisetView:
         ur = Urows[Uenc(U.left.identity, h)]
         vr = Vrows[Venc(h, V.right.identity)]
         glue.append([x * nv + y for x in ur for y in vr])
-    label, reps = _orbit_labels(nu * nv, glue)
+    label, reps = union_find_labels(nu * nv, glue)
     amb = product_group(U.left, V.right)
 
     def row(x: int) -> tuple[int, ...]:
@@ -393,7 +414,7 @@ def extended_tensor_eager(X, Y, U, V) -> GAction:
         ur = U.rows[X.to_local(X.ambient.encode(X.ambient.left.identity, t))]
         vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
         glue.append([x * nv + y for x in ur for y in vr])
-    label, reps = _orbit_labels(nu * nv, glue)
+    label, reps = union_find_labels(nu * nv, glue)
 
     def row_via(g, k, h):
         ur = U.rows[X.to_local(X.ambient.encode(g, h))]

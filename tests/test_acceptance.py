@@ -11,6 +11,7 @@ from bisetblocks.acceptance import (DEFAULT_SEED, criterion_1, criterion_2,
                                     criterion_3, criterion_4, criterion_5,
                                     criterion_6, criterion_7, criterion_8,
                                     criterion_9)
+from bisetblocks.cli import main
 from bisetblocks.suites import random_product_subgroup
 
 from oracles import check_kernels_normal, check_subgroup
@@ -67,9 +68,10 @@ def test_criterion_5_reports_a_failed_block_axiom(monkeypatch):
     def broken(G, p, field):
         raise AssertionError("block candidates are not orthogonal")
     monkeypatch.setattr(acceptance, "block_idempotents", broken)
-    r = criterion_5()
-    assert not r["ok"]
-    assert r["detail"] == "block axioms: block candidates are not orthogonal"
+    r = acceptance._guarded(5, criterion_5)
+    assert not r["ok"] and r["name"] == "s3-blocks"
+    assert r["detail"].startswith("raised AssertionError at test_acceptance")
+    assert r["detail"].endswith(": block candidates are not orthogonal")
 
 
 def test_criterion_6_c6_c3_scenario(capfd):
@@ -86,3 +88,19 @@ def test_criterion_8_correspondent_scenarios(capfd):
 
 def test_criterion_9_choice_independence(capfd):
     _run(capfd, criterion_9)
+
+
+def test_a_criterion_that_raises_is_a_fail_line(monkeypatch, capsys):
+    # an internal check that raises fails its criterion; the others run
+    def raising():
+        raise ValueError("orthogonality fails at characters 2, 2")
+    fixed = list(acceptance.FIXED_CRITERIA)
+    fixed[1] = raising
+    monkeypatch.setattr(acceptance, "FIXED_CRITERIA", fixed)
+    assert main(["run-acceptance"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 5 + [
+        "FAIL"] + ["PASS"] * 3
+    assert "6. c6-c3-scenario" in lines[5]
+    assert "raised ValueError at test_acceptance.py:" in lines[5]
+    assert lines[5].endswith(": orthogonality fails at characters 2, 2")

@@ -22,15 +22,17 @@ from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
                                 orbit, p_subgroups_up_to_conjugacy,
                                 parse_cycles,
                                 product_group, quotient, subgroup_generated,
-                                sylow_subgroup, trivial_subgroup)
+                                sweep_orbits, sylow_subgroup, transversal,
+                                trivial_subgroup)
 from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
 from bisetblocks.subdirect import full_product_subgroup
+from bisetblocks.suites import random_action
 
 from oracles import (check_action, check_hom, check_subgroup,
                      conjugate_subgroup, dense_table, double_coset_of,
                      hom_kernel, is_p_group, permutations,
-                     sylow_by_normalizers)
+                     sylow_by_normalizers, union_find_labels)
 
 EXPECTED_ORDERS = {"S3": 6, "S4": 24, "A4": 12, "D8": 8, "Q8": 8,
                    "C2xC2": 4}
@@ -919,6 +921,56 @@ def test_orbit_limit_admits_exactly_limit_points(seed):
         assert orbit(start, gens, act, limit=len(points))[0] == points
         with pytest.raises(SizeLimitError):
             orbit(start, gens, act, limit=len(points) - 1)
+
+
+def sweep_cases(seed):
+    """(size, rows): up to three random permutations of up to 12 points,
+    each moving a random subset of them, so that most have several
+    orbits."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        size = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            perm = list(range(size))
+            moved = rng.sample(range(size), rng.randint(0, size))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                perm[x] = y
+            rows.append(tuple(perm))
+        yield size, rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_orbits_labels_as_union_find_with_a_schreier_tree(seed):
+    for size, rows in sweep_cases(seed):
+        orbit_of, orbits, tree = sweep_orbits(size, rows)
+        assert orbit_of == union_find_labels(size, rows)[0]
+        assert sorted(y for points in orbits for y in points) == list(
+            range(size))
+        for j, points in enumerate(orbits):
+            assert points[0] == min(points) and tree[points[0]] is None
+            assert all(orbit_of[y] == j for y in points)
+            position = {y: i for i, y in enumerate(points)}
+            for y in points[1:]:
+                x, k = tree[y]
+                assert rows[k][x] == y and position[x] < position[y]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transversal_takes_the_least_point_of_an_orbit_to_each_point(seed):
+    rng = random.Random(seed)
+    for G in (named_group("S4"),
+              product_group(named_group("S3"), named_group("C4"))):
+        for _ in range(4):
+            A = random_action(rng, G)
+            gens = G.generators
+            _, orbits, tree = sweep_orbits(
+                A.size, [A.rows[s] for s in gens])
+            u = {}
+            for points in orbits:
+                transversal(G, gens, points, tree, u)
+                assert all(A.rows[u[y]][points[0]] == y for y in points)
+            assert sorted(u) == list(range(A.size))
 
 
 def perm_power_is_identity(perm, n):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from bisetblocks import gsets, subdirect, suites
+from bisetblocks import groups, gsets, subdirect, suites
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
                                 product_group, subgroup_generated,
                                 trivial_subgroup)
@@ -226,11 +226,40 @@ def test_tensor_cap_bounds_points_times_orbits(monkeypatch):
     assert tensor_direct(U, V).size == 6 + 6 + 1
     monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", bound - 1)
 
-    def no_labels(*args):
-        raise AssertionError("labels built before the refusal")
-    monkeypatch.setattr(gsets, "_orbit_labels", no_labels)
+    # the one sweep of V comes first; a sweep of U must not
+    sizes = []
+
+    def sweep_of_v_only(size, rows):
+        sizes.append(size)
+        if len(sizes) > 1:
+            raise AssertionError("labels built before the refusal")
+        return groups.sweep_orbits(size, rows)
+    monkeypatch.setattr(gsets, "sweep_orbits", sweep_of_v_only)
     with pytest.raises(ValueError, match=f"exceeds {bound - 1} points"):
         tensor_direct(U, V)
+    assert sizes == [V.size]
+
+
+def test_a_sweep_that_drops_its_last_row_fails_against_the_pair_oracle(
+        monkeypatch):
+    # tensor_by_pairs labels its pairs by union-find, which shares no
+    # code with sweep_orbits, so a fault in the sweep cannot cancel.
+    # The fixed point of V has all of S3 as its stabilizer, whose two
+    # Schreier elements give two rows on U.
+    S3, C2 = named_group("S3"), named_group("C2")
+    U = biset_coset(diagonal(subgroup_generated(S3, [el(S3, "(1 2 3)")])))
+    amb = product_group(S3, C2)
+    V = BisetView(amb, disjoint_union(*(
+        coset_action(amb, rectangle(amb, S, full_subgroup(C2)))
+        for S in (full_subgroup(S3), trivial_subgroup(S3)))))
+    assert len(S3.generators) == 2
+    want = tensor_by_pairs(U, V).decompose()
+    assert tensor_direct(U, V).decompose() == want
+    with monkeypatch.context() as m:
+        m.setattr(gsets, "sweep_orbits",
+                  lambda size, rows: groups.sweep_orbits(size, rows[:-1]))
+        T = tensor_direct(U, V)
+    assert T.decompose() != want
 
 
 def test_extended_tensor_cap_names_the_cap(monkeypatch):

@@ -283,6 +283,24 @@ def assert_input_error(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"name": 1000000}, '"name"'),
+    ({"name": True}, '"name"'),
+    ({"name": "A5", "generators": "(1 2 3)"}, '"generators"')])
+def test_cli_blocks_refuses_a_spec_key_of_the_wrong_type(tmp_path, capsys,
+                                                        spec, key):
+    # a name that is no string reached named_group and raised
+    # AttributeError; generators given as one string were read one
+    # character at a time
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["blocks", str(path), "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:"), lines
+    assert key in lines[0]
+
+
 def test_cli_blocks_rejects_a_non_associative_table(tmp_path, capsys):
     # a table from a spec file is the one group input whose axioms are
     # checked; this one keeps the identity and a 0 in every row
