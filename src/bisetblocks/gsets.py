@@ -12,12 +12,11 @@ G/S decomposes as the class of S and a union as its summands do, so
 neither reads a row for it, and a coset action builds its coset map
 when a row is first read.  Any other action reads only its
 generators' rows, in one kept groups.sweep_orbits, which records each
-point's orbit and a Schreier tree.  Its orbits are read off that sweep.
-A stabilizer of a fixed point or of a point of a regular orbit is read
-off the orbit's length; any other is closed from the Schreier
-generators u_{s.y}^-1 s u_y until it has the order the orbit gives it,
-with u_y, taking the orbit's least point to y, formed from the tree for
-that orbit only.
+point's orbit and a Schreier tree.  A stabilizer of a fixed point or of
+a point of a regular orbit is read off the orbit's length; any other is
+closed from the Schreier generators u_{s.y}^-1 s u_y until it has the
+order the orbit gives it, with u_y, taking the orbit's least point to
+y, formed from the tree for that orbit only.
 
 The elementary bisets of induction and of deflation-restriction along
 the pullback map are (G x H)/L for L the graph {(phi(z), z)} of a
@@ -27,15 +26,18 @@ for Finite Groups, LNM 1990, 2010, ch. 2): only the coset map of Q in
 H is built, never that of L in G x H, and they decompose as the class
 of L.  Every other coset biset is a coset action of its ambient.
 
-The tensor product over the middle group H is computed directly, one
-H-orbit of the right factor V at a time, as the union of U/Stab_H(v0)
-over representatives v0 of those orbits, so no pair is formed; and for
-transitive bisets by double cosets.  The extended tensor product over
-X * Y, its description as deflation-restriction along the pullback map
-nu, and the double-coset formula for tensoring induced actions each
+Both tensor products are one quotient, U x V modulo a subgroup M of
+the middle group H acting by t.(u, v) = (u.t^-1, t.v) (Bouc, ch. 2),
+computed by one kernel, _balanced, one M-orbit of V at a time with no
+pair formed: M is H for the tensor product over H, and the joint kernel
+k2(X) & k1(Y) for the extended tensor product over X * Y.  For both,
+TENSOR_POINT_CAP bounds the points of U times the M-orbits of V.
+Transitive bisets also tensor by double cosets.  The extended tensor
+product, its description as deflation-restriction along the pullback
+map nu, and the double-coset formula for tensoring induced actions each
 join their pair of subgroups over the middle group once, through
-subdirect.middle_witnesses, and read the star, the joint kernel and
-the pullback off that join; the two double-coset formulas share one
+subdirect.middle_witnesses, and read the star, the joint kernel and the
+pullback off that join; the two double-coset formulas share one
 pullback of (X, Y).  An extended tensor product computes a row through
 its first middle witness, and checks it through a second, when the row
 is first read, so a decomposition computes only its generators' rows.
@@ -90,14 +92,6 @@ class GAction:
         and sweep_orbits over them."""
         rows = [self.rows[s] for s in self.group.generators]
         return (rows,) + sweep_orbits(self.size, rows)
-
-    def orbits(self) -> list[list[int]]:
-        """Orbits as sorted lists, ordered by smallest point.
-
-        An orbit of the generators is an orbit of the group, so only
-        their rows are read.
-        """
-        return [sorted(points) for points in self._sweep[2]]
 
     def stabilizer(self, x: int) -> Subgroup:
         """The stabilizer of x, closed from Schreier generators.
@@ -363,80 +357,88 @@ def induction_biset(S: Subgroup) -> BisetView:
 
 # -- tensor products -------------------------------------------------
 
-def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
-    """The tensor product over the middle group H, one H-orbit of V at a
-    time.
+def _balanced(H: FiniteGroup, gens, order: int, nu: int, nv: int,
+              urow, vrow):
+    """U x V modulo a subgroup M of H acting by t.(u, v) = (u.t^-1, t.v).
 
-    The classes of pairs (u, v) under (u.h, v) ~ (u, h.v) are the union,
-    over representatives v0 of the H-orbits of V, of U/Stab_H(v0): the
-    pair (u, v) is the class of (u.t_v, v0), with t_v.v0 = v.  One sweep
-    of V records each orbit and a Schreier tree, which gives every t_v.
-    A free orbit contributes the points of U as they are; any other the
-    orbits on U, a second sweep, of its Schreier elements
-    t_{h.y}^-1 h t_y, which generate the stabilizer.
-    The result is a (G, K)-biset whose points are numbered orbit by orbit
-    of V, and (g,k) sends the class of (u, v0) to that of
-    (g.u.t_v', v0') with v' = v0.k^-1 in the orbit of v0'.  No pair is
-    formed.  More than TENSOR_POINT_CAP points of U times orbits of V
-    raise ValueError right after the sweep of V.
+    M is generated by gens and has the given order; urow(t) is the row
+    of u |-> u.t^-1 on U and vrow(t) that of v |-> t.v on V.  The
+    quotient is the union, over representatives v0 of the M-orbits of V,
+    of U/Stab_M(v0), the pair (u, v) being the class of (u.t_v, v0) with
+    t_v.v0 = v.  One sweep of V records each orbit and a Schreier tree,
+    which gives every t_v.  A free orbit contributes the points of U as
+    they are; any other the orbits on U, a second sweep, of its Schreier
+    elements t_{s.y}^-1 s t_y.  Points are numbered orbit by orbit of V.
+    More than TENSOR_POINT_CAP points of U times orbits of V raise
+    ValueError right after the sweep of V.  Returns (size, classes):
+    classes(ur, vr) is the row of an element acting by ur on U and vr on
+    V that permutes the classes, sending that of (u, v) to that of
+    (ur[u], vr[v]).
     """
-    if U.ambient.right is not V.ambient.left:
-        raise ValueError("tensor requires matching middle group")
-    H = U.ambient.right
     e, mul, inv = H.identity, H.mul, H.inv
-    nu, nv = U.size, V.size
-    Urows, Vrows = U.action.rows, V.action.rows
-    Uenc, Venc = U.ambient.encode, V.ambient.encode
-    eG, eK = U.left.identity, V.right.identity
-    # V swept as an H-set: orbit_of[v] numbers the H-orbit of v and
-    # trans[v] is t_v
-    gens = H.generators
-    rows = [Vrows[Venc(h, eK)] for h in gens]
+    # orbit_of[v] numbers the M-orbit of v and trans[v] is t_v
+    rows = [vrow(s) for s in gens]
     orbit_of, orbits, tree = sweep_orbits(nv, rows)
     if nu * len(orbits) > TENSOR_POINT_CAP:
         raise ValueError(f"tensor product exceeds {TENSOR_POINT_CAP} points")
     trans = [e] * nv
-    # per orbit of V: its first point, its labels on U (None when the
-    # orbit is free) and one point of U per label
-    reps, parts, ureps = [], [], []
+    # per orbit of V: its labels on U (None when the orbit is free) and
+    # one point of U per label
+    parts, ureps = [], []
     size = 0
     for points in orbits:
-        transversal(H, gens, points, tree, trans)
-        if len(points) == H.order:
+        if len(points) > 1:
+            transversal(H, gens, points, tree, trans)
+        if len(points) == order:
             label, urep = None, range(nu)
         else:
-            schreier = {mul(inv(trans[hr[y]]), mul(h, trans[y]))
-                        for y in points for h, hr in zip(gens, rows)}
+            schreier = {mul(inv(trans[r[y]]), mul(s, trans[y]))
+                        for y in points for s, r in zip(gens, rows)}
             schreier.discard(e)
-            # the rows of (1, s) have the orbits of the rows of (1, s^-1)
-            label, uorbits, _ = sweep_orbits(
-                nu, [Urows[Uenc(eG, s)] for s in schreier])
+            # the rows of s^-1 have the orbits of the rows of s
+            label, uorbits, _ = sweep_orbits(nu, [urow(s) for s in schreier])
             urep = [upoints[0] for upoints in uorbits]
-        reps.append(points[0])
         parts.append((size, label))
         ureps.append(urep)
         size += len(urep)
+    # u.t is read off the row of t^-1, kept per t
+    right_by = {e: tuple(range(nu))}
+
+    def classes(ur, vr) -> tuple[int, ...]:
+        out: list[int] = []
+        for points, urep in zip(orbits, ureps):
+            v = vr[points[0]]
+            t = trans[v]
+            tr = right_by.get(t)
+            if tr is None:
+                tr = right_by[t] = urow(inv(t))
+            off, label = parts[orbit_of[v]]
+            if label is None:
+                out.extend([off + tr[w] for w in ur])
+            else:
+                out.extend([off + label[tr[ur[u]]] for u in urep])
+        return tuple(out)
+    return size, classes
+
+
+def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
+    """The tensor product over the middle group H: _balanced with M = H,
+    read through (1, h) on U and (h, 1) on V.  (g,k) acts through (g, 1)
+    on U and (1, k) on V, which commute with H."""
+    if U.ambient.right is not V.ambient.left:
+        raise ValueError("tensor requires matching middle group")
+    H = U.ambient.right
+    Urows, Vrows = U.action.rows, V.action.rows
+    Uenc, Venc = U.ambient.encode, V.ambient.encode
+    eG, e, eK = U.left.identity, H.identity, V.right.identity
+    size, classes = _balanced(H, H.generators, H.order, U.size, V.size,
+                              lambda t: Urows[Uenc(eG, t)],
+                              lambda t: Vrows[Venc(t, eK)])
     amb = product_group(U.left, V.right)
-    right_by: dict[int, tuple[int, ...]] = {}
 
     def row(x: int) -> tuple[int, ...]:
         g, k = amb.decode(x)
-        gr = Urows[Uenc(g, e)]
-        kr = Vrows[Venc(e, k)]
-        out: list[int] = []
-        for v0, urep in zip(reps, ureps):
-            v = kr[v0]
-            t = trans[v]
-            # u.t is read off the row of (1, t^-1), kept per t
-            tr = right_by.get(t)
-            if tr is None:
-                tr = right_by[t] = Urows[Uenc(eG, inv(t))]
-            off, label = parts[orbit_of[v]]
-            if label is None:
-                out.extend([off + tr[w] for w in gr])
-            else:
-                out.extend([off + label[tr[gr[u]]] for u in urep])
-        return tuple(out)
+        return classes(Urows[Uenc(g, e)], Vrows[Venc(e, k)])
     return BisetView(amb, GAction(amb, row, size=size))
 
 
@@ -463,40 +465,31 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
                     U: GAction, V: GAction, *, witnesses=None) -> GAction:
     """Tensor an X-set and a Y-set into an (X * Y)-set.
 
-    Points are orbits of pairs under the joint kernel k2(X) & k1(Y);
-    (g,k) acts through any middle witness h with (g,h) in X and (h,k) in
-    Y.  A row is computed through the first witness when it is first
-    read, and recomputed through a second where one exists and
-    compared.  witnesses, when given, is middle_witnesses(X, Y).
+    Points are orbits of pairs under the joint kernel M = k2(X) & k1(Y),
+    from _balanced.  (g,k) acts through any middle witness h with (g,h)
+    in X and (h,k) in Y, which normalizes M.  A row is computed through
+    the first witness when it is first read, and recomputed through a
+    second where one exists and compared.  witnesses, when given, is
+    middle_witnesses(X, Y).
     """
-    Xg, Yg = X.as_group(), Y.as_group()
-    if U.group is not Xg or V.group is not Yg:
+    if U.group is not X.as_group() or V.group is not Y.as_group():
         raise ValueError("U and V must be actions of the local groups")
     if witnesses is None:
         witnesses = middle_witnesses(X, Y)
-    H = X.ambient.right
+    XH, HK = X.ambient, Y.ambient
+    e, eG, eK = XH.right.identity, XH.left.identity, HK.right.identity
     ker = middle_kernel(X, Y, witnesses)
-    nu, nv = U.size, V.size
-    if nu * nv > TENSOR_POINT_CAP:
-        raise ValueError(
-            f"extended tensor product exceeds {TENSOR_POINT_CAP} pairs")
-    glue = []
-    for t in ker.elements:
-        if t == H.identity:
-            continue
-        # t.(u, v) = (u.t^-1, t.v) through (1,t) in X and (t,1) in Y.
-        ur = U.rows[X.to_local(X.ambient.encode(X.ambient.left.identity, t))]
-        vr = V.rows[Y.to_local(Y.ambient.encode(t, Y.ambient.right.identity))]
-        glue.append([x * nv + y for x in ur for y in vr])
-    label, orbits, _ = sweep_orbits(nu * nv, glue)
-    reps = [points[0] for points in orbits]
+    # t.(u, v) = (u.t^-1, t.v) through (1,t) in X and (t,1) in Y
+    size, classes = _balanced(
+        XH.right, [t for t in ker.elements if t != e], ker.order,
+        U.size, V.size, lambda t: U.rows[X.to_local(XH.encode(eG, t))],
+        lambda t: V.rows[Y.to_local(HK.encode(t, eK))])
     S = star(X, Y, witnesses)
     pairs = S.pairs()
 
-    def row_via(g: int, k: int, h: int):
-        ur = U.rows[X.to_local(X.ambient.encode(g, h))]
-        vr = V.rows[Y.to_local(Y.ambient.encode(h, k))]
-        return tuple([label[ur[r // nv] * nv + vr[r % nv]] for r in reps])
+    def row_via(g: int, k: int, h: int) -> tuple[int, ...]:
+        return classes(U.rows[X.to_local(XH.encode(g, h))],
+                       V.rows[Y.to_local(HK.encode(h, k))])
 
     def row(i: int) -> tuple[int, ...]:
         g, k = pairs[i]
@@ -505,7 +498,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
         if len(hs) > 1 and out != row_via(g, k, hs[1]):
             raise AssertionError("middle witness changed the action")
         return out
-    return GAction(S.as_group(), row, size=len(reps))
+    return GAction(S.as_group(), row, size=size)
 
 
 def defres_biset(data: PullbackData) -> BisetView:

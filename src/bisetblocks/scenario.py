@@ -48,16 +48,22 @@ def group_from_spec(spec) -> FiniteGroup:
     if not isinstance(name, str):
         raise ValueError(f'"name" must be a string, not {name!r}')
     if "generators" in spec:
-        if not isinstance(spec["generators"], list):
+        gens = spec["generators"]
+        if not isinstance(gens, list) or any(type(g) is not str for g in gens):
             raise ValueError('"generators" must be a list of cycle strings')
-        key = (name, tuple(spec["generators"]))
+        key = (name, tuple(gens))
         G = _CUSTOM_GROUPS.get(key)
         if G is None:
             G = _CUSTOM_GROUPS[key] = group_from_permutations(
-                spec["generators"], name=name or "G")
+                gens, name=name or "G")
         return G
     if "table" in spec:
-        key = (name, tuple(tuple(row) for row in spec["table"]))
+        table = spec["table"]
+        if not isinstance(table, list) or any(
+                type(row) is not list or any(type(x) is not int for x in row)
+                for row in table):
+            raise ValueError('"table" must be a list of lists of integers')
+        key = (name, tuple(map(tuple, table)))
         G = _CUSTOM_GROUPS.get(key)
         if G is None:
             G = FiniteGroup(key[1], name=name or "G")

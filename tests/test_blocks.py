@@ -19,10 +19,10 @@ from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
 from bisetblocks.characters import character_table
 from bisetblocks.cli import main
 from bisetblocks.cyclotomic import Cyclotomic
-from bisetblocks.gf import Fq, fq_field, mat_rank
+from bisetblocks.gf import FIELD_SIZE_CAP, Fq, fq_field, mat_rank
 from bisetblocks.groups import (centralizer, class_structure_constants,
                                 element_by_name, full_subgroup,
-                                int_p_prime_part,
+                                int_p_prime_part, normalizer,
                                 p_subgroups_up_to_conjugacy,
                                 subgroup_generated, sylow_subgroup)
 from bisetblocks.gsets import biset_coset, coset_action
@@ -620,3 +620,68 @@ def test_the_whole_group_splits_its_centre_once(monkeypatch, tmp_path):
                                         ["(1 2)", "(1 2 3 4 5 6)"], 2)
     assert splits.count(720) == 1 and len(splits) == 2
     assert built[720] == 1
+
+
+# -- Dade's cyclic defect theorem ---------------------------------------
+
+PSL27_SPEC = {"name": "PSL(2,7)",
+              "generators": ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)",
+                             "(1 2)(3 6)"]}
+CYCLIC_DEFECT_SPECS = {"A5": A5_SPEC, "S5": S5_SPEC, "S6": S6_SPEC,
+                       "PSL(2,7)": PSL27_SPEC}
+# blocks whose defect group is cyclic and not trivial, over every prime
+# whose splitting field fits under the cap: C_n has n/|D| blocks with
+# D its Sylow p-subgroup at each p dividing n; the symmetric groups have
+# one per p-core of weight 1 (Nakayama's rule), and A5 and PSL(2,7) one
+# at each prime whose Sylow subgroup is cyclic
+NONTRIVIAL_CYCLIC_BLOCKS = {
+    "C1": 0, "C2": 1, "C3": 1, "C4": 1, "C5": 1, "C6": 5, "C7": 1, "C8": 1,
+    "C9": 1, "C10": 7, "C11": 1, "C12": 7, "S3": 2, "S4": 1, "A4": 1,
+    "D8": 0, "Q8": 0, "C2xC2": 0, "A5": 2, "S5": 4, "S6": 1, "PSL(2,7)": 2}
+
+
+def inertial_index(G, D, e):
+    """|N_G(D, e) : C_G(D)|: the elements of N_G(D) whose conjugation
+    fixes the class coefficients of the block e of C_G(D)."""
+    C = centralizer(G, D)
+    Cg = e.group
+    assert Cg is C.as_group()
+    coeff = [e.coeffs[Cg.class_index(c)] for c in range(Cg.order)]
+    stable = [n for n in normalizer(G, D).elements
+              if all(coeff[C.to_local(G.conj(n, C.from_local(c)))] == a
+                     for c, a in enumerate(coeff))]
+    assert len(stable) % C.order == 0
+    return len(stable) // C.order
+
+
+@pytest.mark.parametrize("name", list(NONTRIVIAL_CYCLIC_BLOCKS))
+def test_blocks_of_cyclic_defect_have_dade_many_characters(name):
+    # Dade (Ann. Math. 84, 1966): a block with cyclic defect group D of
+    # order p^a and inertial index e holds e + (p^a - 1)/e characters.
+    # e is read off the maximal Brauer pair (D, e_D) and counted here
+    # from conjugation alone; the characters come from the character
+    # table and the central characters, which share no code with it.
+    G = (group_from_spec(CYCLIC_DEFECT_SPECS[name])
+         if name in CYCLIC_DEFECT_SPECS else named_group(name))
+    table = character_table(G)
+    found = []
+    for p in (2, 3, 5, 7, 11):
+        if G.order % p or splitting_params(G, p)[1] > FIELD_SIZE_CAP:
+            continue
+        F = field_for(G, p)
+        blocks = block_idempotents(G, p, F)
+        partition = assign_characters_to_blocks(table, blocks, F)
+        for b, chars in zip(blocks, partition):
+            D, e_D = maximal_brauer_pair(G, p, b, F)
+            if not any(G.element_order(d) == D.order for d in D.elements):
+                continue
+            e = inertial_index(G, D, e_D)
+            assert (D.order - 1) % e == 0, (p, D.order, e)
+            assert len(chars) == e + (D.order - 1) // e, (p, D.order, e)
+            if D.order > 1:
+                found.append((p, D.order, e, len(chars)))
+    assert len(found) == NONTRIVIAL_CYCLIC_BLOCKS[name], found
+    examples = {"A5": (5, 5, 2, 4), "S5": (5, 5, 4, 5),
+                "PSL(2,7)": (7, 7, 3, 5)}
+    if name in examples:
+        assert examples[name] in found, found

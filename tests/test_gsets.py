@@ -58,7 +58,7 @@ def test_orbit_stabilizer():
         gens = [rng.randrange(24) for _ in range(2)]
         S = subgroup_generated(S4, gens)
         A = coset_action(S4, S)
-        orb = A.orbits()
+        orb = brute_orbits(A)
         assert len(orb) == 1 and len(orb[0]) == S.index
         assert A.stabilizer(0).order * len(orb[0]) == S4.order
 
@@ -130,8 +130,7 @@ def test_mackey_res_ind_double_cosets():
     dec = T.decompose()
     assert T.size == 6
     assert len(dec.items) == 2
-    assert sorted(T.action.orbits(), key=len) != []
-    assert sorted(len(o) for o in T.action.orbits()) == [2, 4]
+    assert sorted(len(o) for o in brute_orbits(T.action)) == [2, 4]
 
 
 def test_tensor_mackey_agrees_with_direct_tensor():
@@ -268,10 +267,74 @@ def test_extended_tensor_cap_names_the_cap(monkeypatch):
     U = V = regular_action(X.as_group())
     monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", 36)
     assert extended_tensor(X, Y, U, V).size == 36
+    # the joint kernel is trivial: 6 points of U times 6 orbits of V
     monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", 35)
-    with pytest.raises(ValueError,
-                       match="extended tensor product exceeds 35 pairs"):
+    with pytest.raises(ValueError, match="tensor product exceeds 35 points"):
         extended_tensor(X, Y, U, V)
+
+
+def test_extended_tensor_of_regular_s4_actions_forms_no_pairs():
+    # over the full S4 x S4 on both sides the joint kernel is S4, which
+    # acts freely on the 576 points of V
+    S4 = named_group("S4")
+    amb = product_group(S4, S4)
+    X = ProductSubgroup(amb, range(amb.order))
+    U = regular_action(X.as_group())
+    assert U.size * U.size == 331_776
+    tracemalloc.start()
+    try:
+        W = extended_tensor(X, X, U, U)
+        W.decompose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    T = biset_coset(ProductSubgroup(amb, [amb.identity]))
+    assert W.group is amb and W.size == 576 * 24
+    assert W.decompose() == tensor_direct(T, T).decompose()
+
+
+def test_a_sweep_that_drops_its_last_row_fails_the_extended_tensor(
+        monkeypatch):
+    # X = 1 x C2 and Y = C2 x 1 have the joint kernel C2, whose one
+    # element other than 1 is the one row of the sweep of V, and a
+    # trivial star, so no row is read and no witness is compared.  The
+    # fixed point of V has the whole kernel as its stabilizer, and its
+    # one Schreier element gives the one row on U.  extended_tensor_eager
+    # labels its pairs by union-find, which shares no code with
+    # sweep_orbits, so a fault in the sweep cannot cancel.
+    C1, C2 = named_group("C1"), named_group("C2")
+    X = ProductSubgroup(product_group(C1, C2), range(2))
+    Y = ProductSubgroup(product_group(C2, C1), range(2))
+    U = regular_action(X.as_group())
+    V = disjoint_union(trivial_action(Y.as_group()),
+                       regular_action(Y.as_group()))
+    want = extended_tensor_eager(X, Y, U, V).decompose()
+    assert extended_tensor(X, Y, U, V).decompose() == want
+    with monkeypatch.context() as m:
+        m.setattr(gsets, "sweep_orbits",
+                  lambda size, rows: groups.sweep_orbits(size, rows[:-1]))
+        W = extended_tensor(X, Y, U, V)
+    assert W.decompose() != want
+    # over a star that is not trivial, the second middle witness of a
+    # generator differs from the first by a kernel element, so the same
+    # fault is caught as a row is read
+    S3 = named_group("S3")
+    amb = product_group(S3, S3)
+    X = rectangle(amb, full_subgroup(S3),
+                  subgroup_generated(S3, [el(S3, "(1 2)")]))
+    Y = ProductSubgroup(amb, range(amb.order))
+    U = regular_action(X.as_group())
+    V = disjoint_union(trivial_action(Y.as_group()),
+                       regular_action(Y.as_group()))
+    assert extended_tensor(X, Y, U, V).decompose() == \
+        extended_tensor_eager(X, Y, U, V).decompose()
+    with monkeypatch.context() as m:
+        m.setattr(gsets, "sweep_orbits",
+                  lambda size, rows: groups.sweep_orbits(size, rows[:-1]))
+        W = extended_tensor(X, Y, U, V)
+    with pytest.raises(AssertionError, match="middle witness changed"):
+        W.decompose()
 
 
 def test_tensor_unit_laws():
@@ -455,7 +518,7 @@ def test_external_product_sizes():
     P = external_product(A, B)
     assert P.size == 12
     assert P.group.order == 12
-    assert len(P.orbits()) == 1
+    assert len(brute_orbits(P)) == 1
 
 
 def test_gaction_check_is_exact_on_a_large_product():
@@ -547,8 +610,9 @@ def test_orbits_stabilizers_decompose_match_a_full_scan():
     rng = random.Random(17)
     for _ in range(3):
         for A in _random_actions(rng):
-            assert A.orbits() == brute_orbits(A)
-            for orb in A.orbits():
+            orbits = brute_orbits(A)
+            assert sorted(map(sorted, A._sweep[2])) == orbits
+            for orb in orbits:
                 for x in orb[:2]:
                     assert A.stabilizer(x).elements == brute_stabilizer(A, x)
             assert A.decompose() == brute_decomposition(A)
@@ -762,14 +826,17 @@ def _extended_instances(rng, count):
                random_action(rng, Y.as_group(), max_points=6))
 
 
-def test_extended_tensor_rows_are_read_lazily_and_equal_the_eager_ones():
+def test_extended_tensor_rows_are_read_lazily_and_act_as_the_eager_ones():
+    # the points are numbered orbit by orbit of V, not as the pair
+    # oracle numbers its pairs, so the two agree up to isomorphism: a
+    # decomposition is a complete invariant of a finite G-set
     for X, Y, U, V in _extended_instances(random.Random(27), 60):
         W, E = extended_tensor(X, Y, U, V), extended_tensor_eager(X, Y, U, V)
         assert W.group is E.group and W.size == E.size
         # a decomposition computes only the generators' rows
         assert W.decompose() == E.decompose()
         assert set(W.rows) <= set(W.group.generators)
-        assert tuple(W.rows[g] for g in range(W.group.order)) == E.rows
+        check_action(W)
 
 
 def test_a_changed_row_through_the_second_witness_raises_when_read():

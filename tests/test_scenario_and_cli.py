@@ -286,12 +286,16 @@ def assert_input_error(capsys, argv, message):
 @pytest.mark.parametrize("spec, key", [
     ({"name": 1000000}, '"name"'),
     ({"name": True}, '"name"'),
-    ({"name": "A5", "generators": "(1 2 3)"}, '"generators"')])
+    ({"name": "A5", "generators": "(1 2 3)"}, '"generators"'),
+    ({"generators": [[1, 0]]}, '"generators"'),
+    ({"table": [0, 1]}, '"table"'),
+    ({"table": [[0, 1], [1, True]]}, '"table"')])
 def test_cli_blocks_refuses_a_spec_key_of_the_wrong_type(tmp_path, capsys,
                                                         spec, key):
     # a name that is no string reached named_group and raised
     # AttributeError; generators given as one string were read one
-    # character at a time
+    # character at a time; a generator that is a list, or a table that
+    # is not a list of lists, raised TypeError from building the key
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["blocks", str(path), "--prime", "2"]) == 2
