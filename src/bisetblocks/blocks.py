@@ -17,9 +17,9 @@ class in the support of the block (Green's min-max theorem; Navarro,
 class-sum basis: br_D maps Z(F_q G) into Z(F_q C_G(D)) class by class,
 products of central elements use the class structure constants, and a
 central element is pushed along a quotient map class by class.
-Centralizers, local groups, Sylow subgroups and block idempotents are
-kept on their group, and the whole group is its own local group, so a
-block with C_G(D) = G reuses G's classes, constants and blocks.
+Centralizers, Sylow subgroups and block idempotents are kept on their
+group as element or coefficient tuples, and the whole group is its own
+local group: a block with C_G(D) = G reuses G's classes and blocks.
 The dimension is a rank on the permutation module of the cosets of a
 Sylow p-subgroup: a block ideal is projective, so it is free over any
 p-subgroup P, and its dimension is |P| times the rank of the block on
@@ -242,17 +242,18 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
     One pass over a basis of B = ker(Phi - 1) splits B into lines, one
     through each block idempotent.  The list is sorted by class-sum
     coefficient tuple; idempotency, orthogonality and summing to 1 are
-    asserted before it is first returned.  It is kept on G per field,
-    since central elements over different field objects never compare
-    equal, and each call returns a new list.
+    asserted before it is first returned.  Only the coefficient tuples
+    are kept on G, plain data with no reference back to it, per field
+    object, and each call makes new central elements around them.
     """
     F = field
     if F.p != p:
         raise ValueError("field characteristic must equal p")
-    key = ("blocks", p, F)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        return list(cached)
+    return [CentralElement(G, F, coeffs) for coeffs in
+            G.kept(("blocks", p, F), lambda: _split_centre(G, F))]
+
+
+def _split_centre(G: FiniteGroup, F: Fq) -> tuple[tuple[int, ...], ...]:
     k = len(G.conjugacy_classes())
     units = [CentralElement(G, F, [int(i == j) for j in range(k)])
              for i in range(k)]
@@ -276,8 +277,7 @@ def block_idempotents(G: FiniteGroup, p: int, field: Fq
         blocks.append(x.scale(F.inv((x * x).coeffs[pivot])))
     blocks.sort(key=lambda b: b.coeffs)
     _assert_block_axioms(F, G, blocks)
-    G._subgroup_cache[key] = tuple(blocks)
-    return blocks
+    return tuple(b.coeffs for b in blocks)
 
 
 def _assert_block_axioms(F: Fq, G: FiniteGroup, blocks) -> None:

@@ -31,9 +31,9 @@ from .blocks import (action_rank, assign_characters_to_blocks,
                      block_idempotents, brauer_image, defect_group,
                      defect_zero_simple_dim, maximal_brauer_pair,
                      splitting_field_degree)
-from .characters import (CharacterTable, ClassFunction, character_table,
-                         contract_middle, external_character, inner_product,
-                         perm_character, restrict)
+from .characters import (CharacterTable, ClassFunction, contract_middle,
+                         external_character, inner_product,
+                         irreducible_characters, perm_character, restrict)
 from .gf import Fq, fq_field
 from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
                      int_p_part, int_p_prime_part, isomorphisms, normalizer,
@@ -490,7 +490,10 @@ class BrouePipeline:
         if J.order == self.H.order:
             Cg = self.side_H.C.as_group()
             if Cg.is_abelian():
-                local_tab = character_table(Cg)
+                # H is its own local group; any other's table is shared
+                local_tab = tH if Cg is self.H else _reuse(
+                    self.shared, ("table", Cg),
+                    lambda: irreducible_characters(Cg))
                 blocks_local = block_idempotents(Cg, p, self.field)
                 f_index = next(i for i, blk in enumerate(blocks_local)
                                if blk == self.side_H.e)

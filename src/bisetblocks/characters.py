@@ -9,7 +9,7 @@ of rows of degrees s and t landing in degree s + t, reduced modulo
 Phi_n once per kernel.  A Cyclotomic is formed only when ``values``
 is read, one per class over its minimal conductor.
 
-character_table(G) computes the irreducible characters of any group by
+irreducible_characters(G) computes the characters of any group by
 the modular Dixon-Schneider method (Dixon, Numer. Math. 10 (1967);
 Schneider, J. Symb. Comp. 9 (1990)): the central characters are the
 common eigenvectors of the class matrices over a prime field F_r with
@@ -519,19 +519,21 @@ def value_to_doc(v: Cyclotomic):
 
 
 def character_table(G: FiniteGroup) -> CharacterTable:
-    """The irreducible characters of G by Dixon-Schneider, kept on G.
+    """irreducible_characters(G), kept on G.  The table refers to G, so
+    this is only for groups that live for the process, bundled or given
+    by a spec: any other would sit in a reference cycle with its table."""
+    return G.kept("table", lambda: irreducible_characters(G))
 
-    Listed trivial first, then by degree, then by the minimal conductor
-    and coordinates of their values class by class, and named chi0,
-    chi1, ... in that order.
-    """
-    table = G._subgroup_cache.get("table")
-    if table is None:
-        chars = sorted(_dixon_schneider(G), key=lambda c: (
-            not all(v == 1 for v in c.values), c.degree().as_int(),
-            [(v.minimal().n, v.minimal().coeffs) for v in c.values]))
-        table = G._subgroup_cache["table"] = CharacterTable(G, chars)
-    return table
+
+def irreducible_characters(G: FiniteGroup) -> CharacterTable:
+    """The character table of G by Dixon-Schneider, computed afresh:
+    trivial first, then by degree, then by the minimal conductor and
+    coordinates of their values class by class, named chi0, chi1, ... in
+    that order."""
+    chars = sorted(_dixon_schneider(G), key=lambda c: (
+        not all(v == 1 for v in c.values), c.degree().as_int(),
+        [(v.minimal().n, v.minimal().coeffs) for v in c.values]))
+    return CharacterTable(G, chars)
 
 
 def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:

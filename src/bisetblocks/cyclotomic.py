@@ -383,7 +383,7 @@ class Cyclotomic:
         back to it.
         """
         if self._min is not None:
-            return self._min
+            return self if self._min is True else self._min
         reduced = self
         if self.is_rational():
             if self.n > 1:
@@ -395,8 +395,8 @@ class Cyclotomic:
                     if cand.lift(reduced.n) != reduced:
                         break
                     reduced = cand
-        self._min = reduced
-        reduced._min = reduced
+        self._min = True if reduced is self else reduced
+        reduced._min = True     # minimal, with no reference to itself
         return reduced
 
     # -- comparisons -------------------------------------------------

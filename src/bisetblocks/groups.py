@@ -25,22 +25,21 @@ checked to be permutations.  Conjugates, centralizers and normalizers
 of subgroups are computed from generators rather than from every
 element.  A Sylow subgroup grows by the first element in id order that
 extends it, tested as it is scanned, so no normalizer is built for it.
-Groups are immutable once built.  Data derived from a group (conjugacy
-classes, element orders, canonical conjugates, centralizers of
-subgroups, local groups, p-subgroup classes, Sylow subgroups, quotients,
-element names) is computed on first read and kept on that group, so it
-lives as long as the group does; a local group is kept weakly, as it
-keeps its parent alive.  An attribute computed on first read is a
-cached_attribute, which stores it in the instance without the lock
-that functools.cached_property takes in Python 3.11.  A Subgroup
-builds its membership set when membership is first tested, as most
-subgroups never are.  A Subgroup translates between parent and local
-ids (a local group holds the map only so that another Subgroup with the
-same elements finds it), and the whole group is its own local group.
-A product G x H is kept weakly on G, so product_group returns one
-object for as long as anything holds it, and lets it go once nothing
-does.  Canonical representatives are always the smallest available
-integer id, which keeps every enumeration in the package deterministic.
+Groups are immutable once built.  What a group keeps about itself,
+computed on first read, is plain data that holds no reference back to
+it: classes, element orders, and through FiniteGroup.kept the element
+tuples of canonical conjugates, centralizers, the centre, p-subgroup
+classes and Sylow subgroups, quotients and block coefficients, each
+wrapped anew on read.  So a group and all it keeps die by reference
+count, in no cycle; the one exception is the character table, which
+refers to its group and is kept only on groups that live for the
+process.  A local group holds its parent, which holds it weakly, as G
+holds its products G x H: each is one object while anything holds it.
+The whole group is its own local group.  An attribute computed on
+first read is a cached_attribute, which stores it in the instance
+without the lock that functools.cached_property takes in Python 3.11.
+Canonical representatives are always the smallest available integer
+id, which keeps every enumeration in the package deterministic.
 """
 
 from __future__ import annotations
@@ -97,13 +96,16 @@ class FiniteGroup:
         self.uid = next(FiniteGroup._uid_counter)
         self._classes = None
         self._class_of = None
-        self._orders = None
-        self._center = None
-        # Data derived from this group lives here and dies with it:
-        # canonical conjugates, centralizers of subgroups, local groups,
-        # p-subgroup classes, Sylow subgroups, quotients, class structure
-        # constants, block idempotents per field, the character table.
-        self._subgroup_cache: dict = {}
+        self._kept: dict = {}   # what kept() keeps; local groups weakly
+
+    def kept(self, key, compute):
+        """The value kept on this group under key, compute() on the first
+        ask: plain data that holds no reference back to the group, save
+        the character table of a group that lives for the process."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = compute()
+        return value
 
     @cached_attribute
     def element_names(self) -> tuple[str, ...] | None:
@@ -246,10 +248,8 @@ class FiniteGroup:
         return self.mul(a, b) == self.mul(b, a)
 
     def element_order(self, g: int) -> int:
-        if self._orders is None:
-            self._orders = tuple(map(self._order_by_powers,
-                                     range(self.order)))
-        return self._orders[g]
+        return self.kept("orders", lambda: tuple(
+            map(self._order_by_powers, range(self.order))))[g]
 
     def _order_by_powers(self, g: int) -> int:
         k, y = 1, g
@@ -354,17 +354,14 @@ class Subgroup:
         parent's generators only, which is the whole orbit, at a cost of
         |G:N(S)| * |generators| * |S|.
         """
-        key = ("canon", self.elements, largest)
-        cached = self.parent._subgroup_cache.get(key)
-        if cached is None:
-            conj = self.parent.conjugates
-            conjugates, _ = orbit(
-                self.elements, self.parent.generators,
-                lambda elems, x: tuple(sorted(conj(x, elems))))
-            best = max(conjugates) if largest else min(conjugates)
-            cached = Subgroup(self.parent, best)
-            self.parent._subgroup_cache[key] = cached
-        return cached
+        G = self.parent
+
+        def extremal():
+            conj = G.conjugates
+            conjugates, _ = orbit(self.elements, G.generators,
+                                  lambda S, x: tuple(sorted(conj(x, S))))
+            return max(conjugates) if largest else min(conjugates)
+        return _kept_subgroup(G, ("canon", self.elements, largest), extremal)
 
     def as_group(self) -> FiniteGroup:
         """This subgroup as a group in its own right, element i being
@@ -379,18 +376,18 @@ class Subgroup:
         return self._local[0]
 
     @cached_attribute
-    def _local(self) -> tuple[FiniteGroup, dict]:
+    def _local(self) -> tuple[FiniteGroup, dict | range]:
         G, elems = self.parent, self.elements
         if self.order == G.order:
-            return G, {g: g for g in elems}
+            return G, range(G.order)
         key = ("asgroup", elems)
-        ref = G._subgroup_cache.get(key)
+        ref = G._kept.get(key)
         local = ref and ref()
         if local is None:
             loc = {g: i for i, g in enumerate(elems)}
             local = G._restriction(elems, loc)
             local._embedding = (G, loc)
-            G._subgroup_cache[key] = weakref.ref(local)
+            G._kept[key] = weakref.ref(local)
         return local, local._embedding[1]
 
     @cached_attribute
@@ -413,6 +410,13 @@ class Subgroup:
                 for x in G.left_products(g, self.elements):
                     idx[x] = k
         return reps, idx
+
+
+def _kept_subgroup(G: FiniteGroup, key, compute) -> Subgroup:
+    """Subgroup(G, G.kept(key, compute)), not sorting kept elements again."""
+    S = object.__new__(Subgroup)
+    S.parent, S.elements = G, G.kept(key, compute)
+    return S
 
 
 class GroupHom:
@@ -761,15 +765,12 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 def centralizer(G: FiniteGroup, part) -> Subgroup:
     """Centralizer of an element, an iterable of elements, or a Subgroup.
 
-    Of a Subgroup only its generators are tested, and the result is kept
-    on G keyed by the subgroup's elements, so it lives as long as G.
+    Of a Subgroup only its generators are tested, and its elements are
+    kept on G keyed by the subgroup's elements.
     """
     if isinstance(part, Subgroup):
-        key = ("centralizer", part.elements)
-        cached = G._subgroup_cache.get(key)
-        if cached is None:
-            cached = G._subgroup_cache[key] = centralizer(G, part.generators)
-        return cached
+        return _kept_subgroup(G, ("centralizer", part.elements), lambda:
+                              centralizer(G, part.generators).elements)
     if isinstance(part, int):
         part = [part]
     found = range(G.order)
@@ -789,9 +790,8 @@ def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    if G._center is None:
-        G._center = centralizer(G, G.generators)
-    return G._center
+    return _kept_subgroup(G, "center",
+                          lambda: centralizer(G, G.generators).elements)
 
 
 def class_structure_constants(G: FiniteGroup):
@@ -801,19 +801,17 @@ def class_structure_constants(G: FiniteGroup):
     representative z_k of K_k; each x has exactly one partner y = x^-1 z_k,
     so the count takes |G| products per target class.  Kept on G.
     """
-    cached = G._subgroup_cache.get("structure")
-    if cached is not None:
-        return cached
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    class_of = [G.class_index(g) for g in range(G.order)]
-    inverse_of = [G.inv(x) for x in range(G.order)]
-    out = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for t, cls in enumerate(classes):
-        for x, y in enumerate(G.right_products(inverse_of, cls[0])):
-            out[class_of[x]][class_of[y]][t] += 1
-    G._subgroup_cache["structure"] = out
-    return out
+    def count():
+        classes = G.conjugacy_classes()
+        k = len(classes)
+        class_of = [G.class_index(g) for g in range(G.order)]
+        inverse_of = [G.inv(x) for x in range(G.order)]
+        out = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for t, cls in enumerate(classes):
+            for x, y in enumerate(G.right_products(inverse_of, cls[0])):
+                out[class_of[x]][class_of[y]][t] += 1
+        return out
+    return G.kept("structure", count)
 
 
 class ProductGroup(FiniteGroup):
@@ -849,7 +847,11 @@ class ProductGroup(FiniteGroup):
     @cached_attribute
     def _rows(self):
         # Only read when this product is a factor of another product.
-        return RowCache(self.row)
+        # The rows are read off the factor rows, not through self.row,
+        # so the cache holds no reference back to this product.
+        nr, lt, rt = self._nr, self._lt, self._rt
+        return RowCache(lambda a: tuple([c * nr + d for c in lt[a // nr]
+                                         for d in rt[a % nr]]))
 
     @cached_attribute
     def generators(self) -> tuple[int, ...]:
@@ -949,24 +951,20 @@ _BUNDLED_PRODUCTS: list = []
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """The quotient G/N with its projection; N must be normal.  Kept on G."""
-    key = ("quotient", N.elements)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        Q, images = cached
-        return Q, GroupHom(G, Q, images)
-    if not N.is_normal():
-        raise ValueError("quotient requires a normal subgroup")
-    reps, idx = N.coset_index_map()
-    table = [[idx[x] for x in G.left_products(r, reps)] for r in reps]
-    rep_names = G._names_of(reps)
-    Q = FiniteGroup(table, identity=idx[G.identity],
-                    name=f"{G.name}/{N.order}",
-                    names=(lambda: [f"{x}N" for x in rep_names()])
-                    if rep_names else None)
-    # The projection refers to G, so G keeps only its image table.
-    images = tuple(idx)
-    G._subgroup_cache[key] = (Q, images)
+    """The quotient G/N with its projection; N must be normal.  Q and the
+    image table are kept on G, as the projection refers to G."""
+    def build():
+        if not N.is_normal():
+            raise ValueError("quotient requires a normal subgroup")
+        reps, idx = N.coset_index_map()
+        table = [[idx[x] for x in G.left_products(r, reps)] for r in reps]
+        rep_names = G._names_of(reps)
+        Q = FiniteGroup(table, identity=idx[G.identity],
+                        name=f"{G.name}/{N.order}",
+                        names=(lambda: [f"{x}N" for x in rep_names()])
+                        if rep_names else None)
+        return Q, tuple(idx)
+    Q, images = G.kept(("quotient", N.elements), build)
     return Q, GroupHom(G, Q, images)
 
 
@@ -990,35 +988,32 @@ def p_subgroups_up_to_conjugacy(G: FiniteGroup, p: int
 
     Built bottom-up by cyclic extension: a class representative P is
     extended by elements g of its normalizer with g^p in P.  Classes are
-    keyed by the smallest conjugate element tuple.  Memoized on G per p.
+    keyed by the smallest conjugate element tuple.  The element tuples
+    are kept on G per p.
     """
     _check_prime(p)
-    key = ("psubgroups", p)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        return cached
+    return tuple(Subgroup(G, elems) for elems in
+                 G.kept(("psubgroups", p), lambda: _p_subgroup_classes(G, p)))
+
+
+def _p_subgroup_classes(G: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
     triv = trivial_subgroup(G)
-    found = {triv.elements: triv}
+    found = {triv.elements}
     level = [triv]
     while level:
         nxt = []
         for P in level:
             N = normalizer(G, P)
             for g in N.elements:
-                if g in P.element_set:
-                    continue
-                if G.power(g, p) not in P.element_set:
+                if g in P.element_set or G.power(g, p) not in P.element_set:
                     continue
                 canon = _cyclic_extension(G, P, g, p) \
                     .canonical_conjugate().elements
                 if canon not in found:
-                    rep = Subgroup(G, canon)
-                    found[canon] = rep
-                    nxt.append(rep)
+                    found.add(canon)
+                    nxt.append(Subgroup(G, canon))
         level = nxt
-    out = tuple(sorted(found.values(), key=lambda S: (S.order, S.elements)))
-    G._subgroup_cache[key] = out
-    return out
+    return tuple(sorted(found, key=lambda elems: (len(elems), elems)))
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -1029,13 +1024,14 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     extends P to a p-group of order p|P|.  The scan stops at that g:
     membership and the p-th power are tested first, and g normalizes P
     when it conjugates the generators of P into P, so no normalizer is
-    built and no conjugacy classes are listed.  Kept on G per p.
+    built and no conjugacy classes are listed.  Its elements are kept
+    on G per p.
     """
     _check_prime(p)
-    key = ("sylow", p)
-    cached = G._subgroup_cache.get(key)
-    if cached is not None:
-        return cached
+    return _kept_subgroup(G, ("sylow", p), lambda: _sylow_elements(G, p))
+
+
+def _sylow_elements(G: FiniteGroup, p: int) -> tuple[int, ...]:
     full = int_p_part(G.order, p)
     P = trivial_subgroup(G)
     while P.order < full:
@@ -1049,8 +1045,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     if P.order != full:
         raise AssertionError(
             f"p-subgroup of order {P.order} stopped below |G|_p = {full}")
-    G._subgroup_cache[key] = P
-    return P
+    return P.elements
 
 
 def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,

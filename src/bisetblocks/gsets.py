@@ -321,29 +321,29 @@ def _graph_biset(amb: ProductGroup, Q: Subgroup, phi) -> BisetView:
     image = dict(zip(Q.elements, phi))
     reps, idx = Q.coset_index_map()
     inv_reps = [H.inv(t) for t in reps]
-    points = range(n)
+
+    def left_row(g: int) -> tuple[int, ...]:
+        gr = G.row(g)
+        return tuple([j + y for j in range(0, len(reps) * n, n) for y in gr])
+
+    def right_row(h: int) -> tuple[int, ...]:
+        out: list[int] = []
+        for ht in H.left_products(h, reps):
+            k = idx[ht]
+            b = H.mul(inv_reps[k], ht)
+            j = k * n
+            out.extend([j + y for y in G.right_products(
+                range(n), G.inv(image[b]))])
+        return tuple(out)
 
     def row(x: int) -> tuple[int, ...]:
         g, h = amb.decode(x)
-        if h == eH:
-            gr = G.row(g)
-            return tuple([j + y for j in range(0, len(reps) * n, n)
-                          for y in gr])
         if g == eG:
-            out: list[int] = []
-            for ht in H.left_products(h, reps):
-                k = idx[ht]
-                b = H.mul(inv_reps[k], ht)
-                j = k * n
-                out.extend([j + y for y in G.right_products(
-                    points, G.inv(image[b]))])
-            return tuple(out)
-        # the two rows it composes, read through the action's own cache
-        gr, hr = rows[amb.encode(g, eH)], rows[amb.encode(eG, h)]
-        return tuple([gr[p] for p in hr])
+            return right_row(h)
+        gr = left_row(g)
+        return gr if h == eH else tuple([gr[p] for p in right_row(h)])
     action = GAction(amb, row, size=len(reps) * n,
                      classes=lambda: {L.canonical_conjugate().elements: 1})
-    rows = action.rows
     return BisetView(amb, action)
 
 

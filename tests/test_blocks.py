@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import bisetblocks.blocks as blocks_module
+from bisetblocks import groups
 from bisetblocks.blocks import (CentralElement, NotPIntegral, ReductionMap,
                                 action_rank, assign_characters_to_blocks,
                                 block_idempotents, brauer_construction,
@@ -585,34 +586,33 @@ def _run_blocks_counted(monkeypatch, tmp_path, generators, p):
     """Run the blocks command on a group built afresh from a spec file.
 
     Returns the orders of the groups whose centre was split into blocks,
-    sorted, and the number of Sylow subgroups built per group order.
+    sorted, and the number of Sylow subgroups computed per group order.
     """
-    splits, sylows = [], {}
+    splits, sylows = [], []
     check = blocks_module._assert_block_axioms
-    sylow = blocks_module.sylow_subgroup
+    sylow = groups._sylow_elements
 
     def counted_check(F, G, found):
         splits.append(G.order)
         return check(F, G, found)
 
     def counted_sylow(G, q):
-        P = sylow(G, q)
-        sylows[id(P)] = (G.order, P)
-        return P
+        sylows.append(G.order)
+        return sylow(G, q)
     monkeypatch.setattr(blocks_module, "_assert_block_axioms", counted_check)
-    monkeypatch.setattr(blocks_module, "sylow_subgroup", counted_sylow)
+    monkeypatch.setattr(groups, "_sylow_elements", counted_sylow)
     spec = tmp_path / "group.json"
     spec.write_text(json.dumps({"name": "counted", "generators": generators}))
     out = tmp_path / "report.json"
     assert main(["blocks", str(spec), "--prime", str(p),
                  "--out", str(out)]) == 0
-    return sorted(splits), Counter(n for n, _ in sylows.values())
+    return sorted(splits), Counter(sylows)
 
 
 def test_the_whole_group_splits_its_centre_once(monkeypatch, tmp_path):
     # The defect-zero blocks have C_G(1) = G as their local group, which
     # is G itself: its centre is split once, and its Sylow subgroup is
-    # built once for defect_group and defect_zero_simple_dim together.
+    # computed once for defect_group and defect_zero_simple_dim together.
     splits, _ = _run_blocks_counted(monkeypatch, tmp_path,
                                     ["(1 2)", "(1 2 3 4)"], 3)
     assert splits == [3, 24]                 # G and C_G(C3), not G twice

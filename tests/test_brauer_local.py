@@ -13,6 +13,7 @@ from math import isqrt
 
 import pytest
 
+from bisetblocks import groups
 from bisetblocks.blocks import (CentralElement, block_idempotents,
                                 brauer_hom, brauer_image, defect_group,
                                 defect_zero_simple_dim, group_algebra_mul,
@@ -130,14 +131,26 @@ def test_simple_dim_matches_the_regular_rank_of_the_pushed_block(name, p):
         assert defect_zero_simple_dim(G, D, e, F) == d, (name, p)
 
 
-def test_centralizers_are_kept_on_their_group():
-    G = named_group("S4")
-    for D in p_subgroups_up_to_conjugacy(G, 2):
+def test_centralizers_are_kept_on_their_group(monkeypatch):
+    # the centralizer of a subgroup is scanned from its generators on the
+    # first ask only; a later ask reads the elements kept on the group
+    G = group_from_permutations(["(1 2)", "(1 2 3 4)"], name="S4")
+    scanned = []
+    scan = groups.centralizer
+
+    def counted(G, part):
+        if not isinstance(part, Subgroup):
+            scanned.append(tuple(part))
+        return scan(G, part)
+    monkeypatch.setattr(groups, "centralizer", counted)
+    classes = p_subgroups_up_to_conjugacy(G, 2)
+    for D in classes:
         C = centralizer(G, D)
-        assert centralizer(G, D) is C
+        assert centralizer(G, D) == C
         assert C.elements == tuple(
             x for x in range(G.order)
             if all(G.conj(x, d) == d for d in D.elements))
+    assert scanned == [D.generators for D in classes]
 
 
 def test_the_whole_group_is_its_own_local_group_and_is_freed():

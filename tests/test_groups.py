@@ -130,7 +130,7 @@ def test_exponent_reads_one_representative_per_class(name):
     brute = lcm(*map(_permutation_order, permutations(G)))
     assert expected in (None, brute)
     assert G.exponent() == brute
-    assert G._orders is None
+    assert "orders" not in G._kept
 
 
 def test_conjugacy_class_counts():
@@ -736,10 +736,20 @@ def test_canonical_conjugate_is_the_extreme_over_all_conjugators():
                 == brute_canonical(S, largest=True)), S
 
 
-def test_p_subgroup_classes_are_computed_once_per_group_and_prime():
-    S4 = named_group("S4")
+def test_p_subgroup_classes_are_computed_once_per_group_and_prime(
+        monkeypatch):
+    computed = []
+    classes = groups._p_subgroup_classes
+
+    def counted(G, p):
+        computed.append(p)
+        return classes(G, p)
+    monkeypatch.setattr(groups, "_p_subgroup_classes", counted)
+    S4 = group_from_permutations(["(1 2)", "(1 2 3 4)"], name="S4")
     first = p_subgroups_up_to_conjugacy(S4, 2)
-    assert p_subgroups_up_to_conjugacy(S4, 2) is first
+    assert p_subgroups_up_to_conjugacy(S4, 2) == first
+    p_subgroups_up_to_conjugacy(S4, 3)
+    assert computed == [2, 3]
 
 
 def test_centralizer_and_normalizer_of_a_subgroup_by_definition():
@@ -844,42 +854,96 @@ def test_a_local_group_is_one_object_and_keeps_its_parent_alive():
     assert Subgroup(product_group(S3, C4), elems).as_group() is L
 
 
-_COUNT_BUNDLED_PRODUCTS = """
-import gc
-from bisetblocks import groups
-from bisetblocks.acceptance import DEFAULT_SEED
-from bisetblocks.suites import run_suite
-built = []
-init = groups.ProductGroup.__init__
-def counted(self, left, right):
-    init(self, left, right)
-    built.append(left.bundled and right.bundled)
-groups.ProductGroup.__init__ = counted
-%s
-assert run_suite("mackey", DEFAULT_SEED)["ok"]
-print(sum(built), len(built))
-"""
-
-
-def test_products_of_bundled_groups_do_not_follow_the_collector():
-    # the mackey suite in a fresh interpreter, with the cyclic collector
-    # off, at its default thresholds and running every 50 allocations:
-    # products of two bundled groups are each built once in all three,
-    # while products with a local factor may be built again
+def _run_child(script: str, *args: str) -> str:
+    """The standard output of script run by a fresh interpreter."""
     import os
     import subprocess
     import sys
     src = str(Path(groups.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    counts = []
-    for setup in ("gc.disable()", "", "gc.set_threshold(50)"):
-        out = subprocess.run([sys.executable, "-c",
-                              _COUNT_BUNDLED_PRODUCTS % setup],
-                             env=env, capture_output=True, text=True,
-                             check=True).stdout.split()
-        counts.append([int(x) for x in out])
-    bundled = [c[0] for c in counts]
-    assert bundled[0] > 0 and bundled == [bundled[0]] * 3, counts
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+_COUNT_CONSTRUCTIONS = """
+import gc
+from bisetblocks import groups
+from bisetblocks.acceptance import DEFAULT_SEED
+from bisetblocks.suites import run_suite
+built = {"groups": 0, "products": 0}
+start, init = groups.FiniteGroup._start, groups.ProductGroup.__init__
+def counted_start(self, *args):
+    built["groups"] += 1
+    start(self, *args)
+def counted_init(self, left, right):
+    built["products"] += 1
+    init(self, left, right)
+groups.FiniteGroup._start = counted_start
+groups.ProductGroup.__init__ = counted_init
+%s
+for name, count in [("mackey", None), ("induction-formula", 40),
+                    ("induced-bisets", 40), ("defres", 40)]:
+    assert run_suite(name, DEFAULT_SEED, count)["ok"], name
+    print(built["groups"], built["products"])
+"""
+
+
+def test_construction_counts_do_not_follow_the_collector():
+    # four suites in a fresh interpreter, with the cyclic collector off,
+    # at its default thresholds and running every 50 allocations: no
+    # group the package builds waits for the collector, so each setting
+    # builds the same groups and products, counted after each suite
+    counts = [_run_child(_COUNT_CONSTRUCTIONS % setup).split()
+              for setup in ("gc.disable()", "", "gc.set_threshold(50)")]
+    assert int(counts[0][-1]) > 0 and counts == [counts[0]] * 3, counts
+
+
+_LEAVE_NO_CYCLE = """
+import gc, json, sys
+from pathlib import Path
+from bisetblocks.acceptance import DEFAULT_SEED
+from bisetblocks.blocks import (assign_characters_to_blocks,
+                                block_idempotents, defect_group,
+                                defect_zero_simple_dim, maximal_brauer_pair,
+                                splitting_params)
+from bisetblocks.broue import run_scenario
+from bisetblocks.characters import character_table
+from bisetblocks.gf import fq_field
+from bisetblocks.namedgroups import named_group
+from bisetblocks.scenario import (BUNDLED_SCENARIOS, Scenario,
+                                  bundled_scenario, group_from_spec)
+from bisetblocks.suites import ALL_SUITES, run_suite
+gc.disable()
+gc.collect()
+for name in ALL_SUITES:
+    assert run_suite(name, DEFAULT_SEED)["ok"], name
+for S in [bundled_scenario(name) for name in BUNDLED_SCENARIOS] + [
+        Scenario(json.loads(Path(path).read_text())) for path in sys.argv[1:]]:
+    assert run_scenario(S)["verdict"]["holds"], S.name
+A5 = group_from_spec({"name": "A5", "generators": ["(1 2 3)", "(1 2 3 4 5)"]})
+for G, primes in ((named_group("S4"), (2, 3)), (A5, (2, 3, 5))):
+    for p in primes:
+        F = fq_field(p, splitting_params(G, p)[0])
+        blocks = block_idempotents(G, p, F)
+        for b in blocks:
+            D = defect_group(G, p, b)
+            _, e = maximal_brauer_pair(G, p, b, F, D=D)
+            defect_zero_simple_dim(G, D, e, F)
+        assign_characters_to_blocks(character_table(G), blocks, F)
+print(gc.collect())
+"""
+
+
+def test_nothing_the_package_builds_sits_in_a_reference_cycle():
+    # every law suite at the acceptance seed, the bundled and benchmark
+    # Broue scenarios and the block layer on S4 and A5, with the cyclic
+    # collector off: what they leave behind dies by reference count, so
+    # the collector then finds nothing.  The library is called directly,
+    # as the CLI's JSON encoder leaves cycles of its own.
+    scenarios = sorted(Path(__file__).resolve().parent.parent.joinpath(
+        "perfbench", "scenarios").glob("*.json"))
+    assert len(scenarios) == 5
+    assert _run_child(_LEAVE_NO_CYCLE, *map(str, scenarios)).split() == ["0"]
 
 # -- the orbit routine -------------------------------------------------
 

@@ -195,7 +195,7 @@ def test_pullback_data_consistency():
         data = pullback(X, Y)
         P = data.pullback
         # nu is a tuple of local ids: no local group of P is built
-        assert ("asgroup", P.elements) not in P.ambient._subgroup_cache
+        assert ("asgroup", P.elements) not in P.ambient._kept
         nu = GroupHom(P.as_group(), data.star_subgroup.as_group(), data.nu)
         S = star(X, Y)
         assert data.star_subgroup.elements == S.elements
