@@ -4,10 +4,14 @@ A class function holds its values as integer numerators over one
 denominator and one conductor n, a row per power-basis coordinate of
 Q(zeta_n); a permutation character has n = 1 and one row, its
 fixed-point counts.  Induction, restriction, sums, products, inner
-products and the contractions compute on the rows exactly, a product
-of rows of degrees s and t landing in degree s + t, reduced modulo
-Phi_n once per kernel.  A Cyclotomic is formed only when ``values``
-is read, one per class over its minimal conductor.
+products and the contractions compute on the rows exactly through the
+kernels of cyclotomic.py, which a Cyclotomic shares as the case of one
+class: ``_sum`` adds over the lcm of the conductors and denominators,
+``_rows_over`` lifts and conjugates, and ``_bilinear`` lands a product
+of rows of degrees s and t in degree s + t, reduced modulo Phi_n once
+per kernel.  This module has no reduction, lift or product of its own.
+A Cyclotomic is formed only when ``values`` is read, one per class
+over its minimal conductor.
 
 irreducible_characters(G) computes the characters of any group by
 the modular Dixon-Schneider method (Dixon, Numer. Math. 10 (1967);
@@ -41,10 +45,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add, eq, mul
+from operator import add, eq, mul, sub
 
-from .cyclotomic import (Cyclotomic, ZERO, _as_fraction, _lift_num, _make,
-                         _power_table, euler_phi)
+from .cyclotomic import (Cyclotomic, ZERO, _bilinear, _from_rows, _make,
+                         _rows_over, _sum)
 from .gf import eigenspaces, fq_field, mat_rref
 from .groups import (FiniteGroup, ProductGroup, Subgroup,
                      class_structure_constants, element_by_name,
@@ -66,19 +70,15 @@ class ClassFunction:
     __slots__ = ("group", "n", "rows", "den", "_values")
 
     def __init__(self, group: FiniteGroup, values) -> None:
-        vals = [v if isinstance(v, (int, Cyclotomic)) else _as_fraction(v)
-                for v in values]
+        vals = [v if isinstance(v, Cyclotomic)
+                else Cyclotomic.from_rational(v) for v in values]
         if len(vals) != len(group.conjugacy_classes()):
             raise ValueError("need one value per conjugacy class")
-        n = lcm(*(v.n for v in vals if isinstance(v, Cyclotomic)))
-        pad = (0,) * (euler_phi(n) - 1)
-        nums = [_lift_num(v, n) if isinstance(v, Cyclotomic)
-                else (v.numerator,) + pad for v in vals]
-        dens = [v.den if isinstance(v, Cyclotomic) else v.denominator
-                for v in vals]
-        den = lcm(*dens)
-        self._set(group, n, [[c * (den // e) for c, e in zip(row, dens)]
-                             for row in zip(*nums)], den)
+        n, den = lcm(*(v.n for v in vals)), lcm(*(v.den for v in vals))
+        cols = [_rows_over(v, n) for v in vals]
+        self._set(group, n, [[c * (den // v.den)
+                              for (c,), v in zip(row, vals)]
+                             for row in zip(*cols)], den)
 
     def _set(self, group, n: int, rows, den: int) -> None:
         if n > 1 and not any(map(any, rows[1:])):
@@ -96,7 +96,7 @@ class ClassFunction:
     def values(self) -> tuple[Cyclotomic, ...]:
         if self._values is None:
             n, den = self.n, self.den
-            self._values = tuple([_value(n, num, den)
+            self._values = tuple([_make(n, num, den).minimal()
                                   for num in zip(*self.rows)])
         return self._values
 
@@ -108,14 +108,11 @@ class ClassFunction:
 
     def __add__(self, other):
         self._same(other)
-        m, den = lcm(self.n, other.n), lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return _class_function(self.group, m, [
-            [x * fa + y * fb for x, y in zip(a, b)]
-            for a, b in zip(_rows_over(self, m), _rows_over(other, m))], den)
+        return _class_function(self.group, *_sum(self, other, add))
 
     def __sub__(self, other):
-        return self + -other
+        self._same(other)
+        return _class_function(self.group, *_sum(self, other, sub))
 
     def __neg__(self):
         return self * -1
@@ -171,56 +168,6 @@ def _class_function(group, n: int, rows, den: int) -> ClassFunction:
     return out
 
 
-def _value(n: int, num: tuple, den: int) -> Cyclotomic:
-    """num / den over Q(zeta_n) as a Cyclotomic of minimal conductor."""
-    if not any(num[1:]):
-        return _make(1, num[:1], den)
-    return _make(n, num, den).minimal()
-
-
-def _reduce(m: int, poly, k: int) -> tuple:
-    """Rows by degree in zeta_m, None for a zero row, rewritten over the
-    phi(m) rows of the power basis through the power table."""
-    d = euler_phi(m)
-    out = [list(row) if row else [0] * k for row in poly[:d]]
-    table = _power_table(m)
-    for e in range(d, len(poly)):
-        if poly[e]:
-            for i, c in enumerate(table[e % m]):
-                if c:
-                    out[i] = [a + c * b for a, b in zip(out[i], poly[e])]
-    return tuple(map(tuple, out))
-
-
-def _rows_over(f: ClassFunction, m: int, t: int = 1) -> tuple:
-    """The rows of f over Q(zeta_m), for m a multiple of f.n, after
-    zeta_n |-> zeta_n^t, for t prime to f.n."""
-    if f.n == m and t == 1:
-        return f.rows
-    poly = [None] * m
-    for k, row in enumerate(f.rows):
-        poly[k * t * (m // f.n) % m] = row
-    return _reduce(m, poly, len(f.rows[0]))
-
-
-def _bilinear(f: ClassFunction, g: ClassFunction, form, k: int,
-              scale: int = 1) -> tuple:
-    """(m, rows, den) of the k values sum form(x, y) / (f.den g.den scale)
-    over the rows x of f and y of g, the pair of degrees s and t landing
-    in degree s + t over zeta_m, m = lcm(f.n, g.n); form is bilinear on
-    int rows."""
-    m = lcm(f.n, g.n)
-    a, b = _rows_over(f, m), _rows_over(g, m)
-    poly = [None] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        for t, y in enumerate(b):
-            if any(x) and any(y):
-                r = form(x, y)
-                p = poly[s + t]
-                poly[s + t] = r if p is None else list(map(add, p, r))
-    return m, _reduce(m, poly, k), f.den * g.den * scale
-
-
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """The scalar product <a, b> = |G|^-1 sum_g a(g) conj(b(g))."""
     a._same(b)
@@ -229,7 +176,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     m, rows, den = _bilinear(
         a, b.conjugate(), lambda x, y: [sum(map(mul, x, map(mul, sizes, y)))],
         1, G.order)
-    return _value(m, tuple([row[0] for row in rows]), den)
+    return _from_rows(m, rows, den).minimal()
 
 
 def perm_character(action) -> ClassFunction:
@@ -289,50 +236,46 @@ def contract_middle(mu: ClassFunction, psi: ClassFunction,
     """Pair a character on G x H against one on H, landing on G.
 
     The value at g is |H|^-1 sum_h mu(g,h) psi(h): the character of the
-    image of the psi-module under the functor attached to mu.  On class
-    i of G it is |H|^-1 sum_c |c| mu[i*k_H + c] psi[c] over the classes
-    c of H.
+    image of the psi-module under the functor attached to mu.  It is
+    contract_over_middle with K = 1, since the classes of H x 1 are
+    indexed like those of H.
     """
     if mu.group.uid != ambient.uid:
         raise ValueError("mu must live on the ambient product group")
     H = ambient.right
     if psi.group.uid != H.uid:
         raise ValueError("psi must live on the right factor")
-    sizes = [len(c) for c in H.conjugacy_classes()]
-    kH, kG = len(sizes), len(ambient.left.conjugacy_classes())
-
-    def form(x, y):
-        w = list(map(mul, sizes, y))
-        return [sum(map(mul, x[i * kH:(i + 1) * kH], w)) for i in range(kG)]
-    return _class_function(ambient.left,
-                           *_bilinear(mu, psi, form, kG, H.order))
+    return _contract(mu, psi, H, ambient.left, 1, ambient.left)
 
 
 def contract_over_middle(mu1: ClassFunction, mu2: ClassFunction,
                          amb1: ProductGroup, amb2: ProductGroup
                          ) -> ClassFunction:
     """Compose two-sided characters: (g,k) |-> |H|^-1 sum_h mu1(g,h)mu2(h,k).
-
-    As a product of class matrices: on the class (i, j) of G x K the
-    value is |H|^-1 sum_c |c| mu1[i*k_H + c] mu2[c*k_K + j] over the
-    classes c of H, k_G*k_H*k_K products per pair of rows.
     """
     if amb1.right is not amb2.left:
         raise ValueError("matching middle group required")
     if mu1.group.uid != amb1.uid or mu2.group.uid != amb2.uid:
         raise ValueError("characters must live on their product groups")
-    H = amb1.right
-    out_amb = product_group(amb1.left, amb2.right)
+    return _contract(mu1, mu2, amb1.right, amb1.left,
+                     len(amb2.right.conjugacy_classes()),
+                     product_group(amb1.left, amb2.right))
+
+
+def _contract(mu1: ClassFunction, mu2: ClassFunction, H: FiniteGroup,
+              G: FiniteGroup, kK: int, out: FiniteGroup) -> ClassFunction:
+    """The contraction over H as a product of class matrices: on the
+    class (i, j) of G x K, at index i*k_K + j of out, the value is
+    |H|^-1 sum_c |c| mu1[i*k_H + c] mu2[c*k_K + j] over the classes c of
+    H, k_G*k_H*k_K products per pair of rows."""
     sizes = [len(c) for c in H.conjugacy_classes()]
-    kH, kG = len(sizes), len(amb1.left.conjugacy_classes())
-    kK = len(amb2.right.conjugacy_classes())
+    kH, kG = len(sizes), len(G.conjugacy_classes())
 
     def form(x, y):
         cols = [list(map(mul, sizes, y[j::kK])) for j in range(kK)]
         return [sum(map(mul, x[i * kH:(i + 1) * kH], col))
                 for i in range(kG) for col in cols]
-    return _class_function(out_amb,
-                           *_bilinear(mu1, mu2, form, kG * kK, H.order))
+    return _class_function(out, *_bilinear(mu1, mu2, form, kG * kK, H.order))
 
 
 def contract_extended(X: ProductSubgroup, Y: ProductSubgroup,

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact arithmetic in cyclotomic fields, on rows of integer numerators.
 
 An element of conductor n is a vector of rational coordinates over the
 power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), where z is a fixed
@@ -9,27 +9,27 @@ one conductor are equal exactly when their numerators and denominators
 are.  Character values are algebraic integers, whose power-basis
 coordinates are integers (Washington, Introduction to Cyclotomic
 Fields, Thm 2.6), so the denominator is mostly 1 and arithmetic runs on
-Python ints; ``coeffs`` gives the coordinates as Fractions.  Mixed
-conductors are handled by lifting both operands to the least common
-multiple.  All operations are exact; nothing is ever rounded.
+Python ints; ``coeffs`` gives the coordinates as Fractions.  All
+operations are exact; nothing is ever rounded.
 
-Arithmetic touches the numerators directly where it can: an int operand
-of +, - or * (on either side) scales or shifts the numerators, a
-Fraction operand scales the numerators and the denominator, and so does
-an element of conductor 1, which lifts to any conductor by padding with
-zeros; two operands of one conductor and one denominator are added
-coordinate by coordinate.  Only operands of different conductors above
-1 are lifted through a reduction modulo Phi_m, and only a product of
-two irrational elements convolves numerators.
+One set of kernels does the arithmetic of Z[zeta_n] for this type and
+for the class functions of characters.py.  Each reads an operand's
+``n``, ``den`` and ``rows``: row t holds the t-th numerator of each of
+k values, and a Cyclotomic is the case k = 1.  ``_reduce`` rewrites
+rows by degree modulo Phi_n through a precomputed power table,
+``_rows_over`` lifts to a multiple of the conductor and applies
+zeta |-> zeta^t, ``_sum`` adds or subtracts over the lcm of the
+conductors and denominators, and ``_bilinear`` multiplies, a row of
+degree s times one of degree t landing in degree s + t.  Only a
+rational factor of a product scales the numerators directly.
 
 No linear algebra is needed.  ``minimal`` descends one prime p of the
 conductor n at a time: the relative trace from Q(zeta_n) down to
 Q(zeta_(n/p)), over its degree, is read straight off the numerators,
 and the value lies in the subfield exactly when that candidate lifts
 back to it.  ``inverse`` is the product of the other Galois conjugates
-over the rational norm.  The reduction modulo Phi_n, the hot path of
-every product, runs through a precomputed power table, and the module
-imports nothing from the rest of the package.
+over the rational norm.  The module imports nothing from the rest of
+the package.
 """
 
 from __future__ import annotations
@@ -113,24 +113,65 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_poly(n: int, poly) -> tuple[int, ...]:
-    """Reduce an int polynomial in zeta_n of any degree to the power basis.
-
-    The coordinates below phi(n) are kept as they are; only the higher
-    degrees are rewritten through the power table.
-    """
+def _reduce(n: int, poly, k: int) -> tuple:
+    """Rows of k ints by degree in zeta_n, None for a zero row, of any
+    length, rewritten over the phi(n) rows of the power basis: the rows
+    below phi(n) are kept, the higher degrees go through the power
+    table, and missing rows are zero."""
     d = euler_phi(n)
-    if len(poly) <= d:
-        return tuple(poly) + (0,) * (d - len(poly))
-    out = list(poly[:d])
+    out = [list(row) if row else [0] * k for row in poly[:d]]
+    out += [[0] * k] * (d - len(out))
     table = _power_table(n)
-    for k in range(d, len(poly)):
-        c = poly[k]
-        if c:
-            for i, r in enumerate(table[k % n]):
-                if r:
-                    out[i] += c * r
-    return tuple(out)
+    for e in range(d, len(poly)):
+        if poly[e]:
+            for i, c in enumerate(table[e % n]):
+                if c:
+                    out[i] = [a + c * b for a, b in zip(out[i], poly[e])]
+    return tuple(map(tuple, out))
+
+
+def _rows_over(x, m: int, t: int = 1) -> tuple:
+    """The rows of x over Q(zeta_m), for m a multiple of x.n, after
+    zeta_n |-> zeta_n^t, for t prime to x.n.
+
+    The denominator does not change: Z[zeta_m] meets Q(zeta_n) in
+    Z[zeta_n], so lifting keeps the numerators in lowest terms.
+    """
+    rows = x.rows
+    if x.n == m and t == 1:
+        return rows
+    if x.n == 1:
+        return rows + ((0,) * len(rows[0]),) * (euler_phi(m) - 1)
+    poly = [None] * m
+    for e, row in enumerate(rows):
+        poly[e * t * (m // x.n) % m] = row
+    return _reduce(m, poly, len(rows[0]))
+
+
+def _sum(f, g, op) -> tuple:
+    """(m, rows, den) of f op g, op + or -, over m = lcm(f.n, g.n) and
+    den = lcm(f.den, g.den)."""
+    m, den = lcm(f.n, g.n), lcm(f.den, g.den)
+    fa, fb = den // f.den, den // g.den
+    return m, [[op(x * fa, y * fb) for x, y in zip(a, b)]
+               for a, b in zip(_rows_over(f, m), _rows_over(g, m))], den
+
+
+def _bilinear(f, g, form, k: int, scale: int = 1) -> tuple:
+    """(m, rows, den) of the k values sum form(x, y) / (f.den g.den scale)
+    over the rows x of f and y of g, the pair of degrees s and t landing
+    in degree s + t over zeta_m, m = lcm(f.n, g.n); form is bilinear on
+    int rows."""
+    m = lcm(f.n, g.n)
+    b = [(t, y) for t, y in enumerate(_rows_over(g, m)) if any(y)]
+    poly = [None] * (2 * euler_phi(m) - 1)
+    for s, x in enumerate(_rows_over(f, m)):
+        if any(x):
+            for t, y in b:
+                r = form(x, y)
+                p = poly[s + t]
+                poly[s + t] = r if p is None else list(map(operator.add, p, r))
+    return m, _reduce(m, poly, k), f.den * g.den * scale
 
 
 def _as_fraction(value) -> Fraction:
@@ -172,6 +213,11 @@ class Cyclotomic:
         den = self.den
         return tuple([Fraction(c, den) for c in self.num])
 
+    @property
+    def rows(self) -> tuple[tuple[int], ...]:
+        """The numerators as rows of one int, the form the kernels read."""
+        return tuple(zip(self.num))
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -192,7 +238,7 @@ class Cyclotomic:
         length, reduced to the power basis in one pass."""
         if n < 1:
             raise ValueError("conductor must be a positive integer")
-        return _make(n, _reduce_poly(n, coeffs), 1)
+        return _from_rows(n, _reduce(n, [(c,) for c in coeffs], 1), 1)
 
     # -- conductor handling ------------------------------------------
 
@@ -202,45 +248,16 @@ class Cyclotomic:
             raise ValueError("can only lift to a multiple of the conductor")
         if m == self.n:
             return self
-        return _make(m, _lift_num(self, m), self.den)
-
-    def _pair(self, other: "Cyclotomic"):
-        """The common conductor and both numerator vectors over it."""
-        if self.n == other.n:
-            return self.n, self.num, other.num
-        m = lcm(self.n, other.n)
-        return m, _lift_num(self, m), _lift_num(other, m)
+        return _from_rows(m, _rows_over(self, m), self.den)
 
     # -- arithmetic --------------------------------------------------
 
     def _combine(self, other, op):
-        """self + other or self - other, coordinate by coordinate."""
-        if isinstance(other, Cyclotomic):
-            if other.n == 1:
-                return self._shift(other.num[0], other.den, op)
-            m, a, b = self._pair(other)
-            da, db = self.den, other.den
-            if da == db:
-                return _make(m, tuple(map(op, a, b)), da)
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            return _make(m, tuple([op(x * fa, y * fb)
-                                   for x, y in zip(a, b)]), da * fa)
-        if isinstance(other, int):
-            return self._shift(other, 1, op)
-        if isinstance(other, Fraction):
-            return self._shift(other.numerator, other.denominator, op)
-        return NotImplemented
-
-    def _shift(self, r: int, s: int, op):
-        """self op r/s for a rational r/s, s >= 1."""
-        num, den = self.num, self.den
-        if s == den:
-            return _make(self.n, (op(num[0], r),) + num[1:], den)
-        g = gcd(den, s)
-        fa, fb = s // g, den // g
-        return _make(self.n, (op(num[0] * fa, r * fb),)
-                     + tuple([c * fa for c in num[1:]]), den * fa)
+        """self + other or self - other."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _from_rows(*_sum(self, other, op))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -257,30 +274,14 @@ class Cyclotomic:
         return (-self)._combine(other, operator.add)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _make(self.n, tuple([c * other for c in self.num]),
-                         self.den)
-        if isinstance(other, Fraction):
-            r = other.numerator
-            return _make(self.n, tuple([c * r for c in self.num]),
-                         self.den * other.denominator)
-        if not isinstance(other, Cyclotomic):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        den = self.den * other.den
-        if not any(other.num[1:]):
-            r = other.num[0]
-            return _make(self.n, tuple([c * r for c in self.num]), den)
-        if not any(self.num[1:]):
-            r = self.num[0]
-            return _make(other.n, tuple([c * r for c in other.num]), den)
-        m, a, b = self._pair(other)
-        prod = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return _make(m, _reduce_poly(m, prod), den)
+        if not (self.is_rational() or other.is_rational()):
+            return _from_rows(*_bilinear(self, other, _times, 1))
+        x, r = (other, self) if self.is_rational() else (self, other)
+        return _make(x.n, tuple([c * r.num[0] for c in x.num]),
+                     x.den * r.den)
 
     __rmul__ = __mul__
 
@@ -331,14 +332,7 @@ class Cyclotomic:
         n = self.n
         if gcd(t, n) != 1:
             raise ValueError("Galois exponent must be prime to the conductor")
-        num = self.num
-        if not any(num[1:]):
-            return self
-        poly = [0] * n
-        for k, c in enumerate(num):
-            if c:
-                poly[(k * t) % n] = c
-        return _make(n, _reduce_poly(n, poly), self.den)
+        return _from_rows(n, _rows_over(self, n, t), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta |-> zeta^(-1)."""
@@ -402,18 +396,12 @@ class Cyclotomic:
     # -- comparisons -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.den == 1 and self.num[0] == other \
-                and self.is_rational()
-        if isinstance(other, Fraction):
-            return self.den == other.denominator \
-                and self.num[0] == other.numerator and self.is_rational()
-        if not isinstance(other, Cyclotomic):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self.den != other.den:
-            return False
-        _, a, b = self._pair(other)
-        return a == b
+        m = lcm(self.n, other.n)
+        return self.den == other.den \
+            and _rows_over(self, m) == _rows_over(other, m)
 
     def __hash__(self):
         if self.is_rational():
@@ -456,23 +444,14 @@ def _make(n: int, num: tuple, den: int) -> Cyclotomic:
     return out
 
 
-def _lift_num(x: Cyclotomic, m: int) -> tuple[int, ...]:
-    """The numerators of x over Q(zeta_m), for m a multiple of x.n.
+def _from_rows(n: int, rows, den: int) -> Cyclotomic:
+    """The element whose numerators are the rows of one int."""
+    return _make(n, tuple([row[0] for row in rows]), den)
 
-    The denominator does not change: Z[zeta_m] meets Q(zeta_n) in
-    Z[zeta_n], so lifting keeps the numerators in lowest terms.
-    """
-    n = x.n
-    if n == m:
-        return x.num
-    if n == 1:
-        return x.num + (0,) * (euler_phi(m) - 1)
-    step = m // n
-    poly = [0] * ((len(x.num) - 1) * step + 1)
-    for k, c in enumerate(x.num):
-        if c:
-            poly[k * step] = c
-    return _reduce_poly(m, poly)
+
+def _times(x, y) -> list[int]:
+    """The one-entry form of a product of two elements."""
+    return [x[0] * y[0]]
 
 
 def _trace_down(x: Cyclotomic, p: int) -> Cyclotomic:
@@ -494,7 +473,8 @@ def _trace_down(x: Cyclotomic, p: int) -> Cyclotomic:
     for k, c in enumerate(num):
         if c:
             poly[k * u % m] += c * (p - 1) if k % p == 0 else -c
-    return _make(m, _reduce_poly(m, poly), x.den * (p - 1))
+    return _from_rows(m, _reduce(m, [(c,) for c in poly], 1),
+                      x.den * (p - 1))
 
 
 ZERO = Cyclotomic.from_rational(0)

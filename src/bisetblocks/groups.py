@@ -1007,8 +1007,9 @@ def _p_subgroup_classes(G: FiniteGroup, p: int) -> tuple[tuple[int, ...], ...]:
             for g in N.elements:
                 if g in P.element_set or G.power(g, p) not in P.element_set:
                     continue
-                canon = _cyclic_extension(G, P, g, p) \
-                    .canonical_conjugate().elements
+                ext = extend_subgroup(G, list(P.elements), set(P.elements),
+                                      [*P.generators, g])
+                canon = Subgroup(G, ext).canonical_conjugate().elements
                 if canon not in found:
                     found.add(canon)
                     nxt.append(Subgroup(G, canon))
@@ -1021,7 +1022,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
     Below Sylow order p divides |N(P):P|, so the normalizer has an
     element g outside P with g^p in P; the first such g in id order
-    extends P to a p-group of order p|P|.  The scan stops at that g:
+    extends P by one Dimino step (extend_subgroup) to a p-group of
+    order p|P|, the cosets P, gP, ..., g^(p-1)P.  The scan stops at that g:
     membership and the p-th power are tested first, and g normalizes P
     when it conjugates the generators of P into P, so no normalizer is
     built and no conjugacy classes are listed.  Its elements are kept
@@ -1041,22 +1043,12 @@ def _sylow_elements(G: FiniteGroup, p: int) -> tuple[int, ...]:
                   and members.issuperset(G.conjugates(g, gens))), None)
         if g is None:
             break
-        P = _cyclic_extension(G, P, g, p)
+        P = Subgroup(G, extend_subgroup(G, list(P.elements), set(members),
+                                        [*gens, g]))
     if P.order != full:
         raise AssertionError(
             f"p-subgroup of order {P.order} stopped below |G|_p = {full}")
     return P.elements
-
-
-def _cyclic_extension(G: FiniteGroup, P: Subgroup, g: int,
-                      p: int) -> Subgroup:
-    """The subgroup P, gP, ..., g^(p-1)P for g normalizing P, g^p in P."""
-    ext = set(P.elements)
-    gk = g
-    for _ in range(p - 1):
-        ext.update(G.left_products(gk, P.elements))
-        gk = G.mul(gk, g)
-    return Subgroup(G, ext)
 
 
 def _check_prime(p: int) -> None:

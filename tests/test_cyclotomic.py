@@ -325,9 +325,9 @@ def dot(xs, ys):
     """sum x*y over the pairs, fused: every nonzero term is lifted to the
     lcm m of the conductors of the irrational factors and accumulated
     into one int list, rescaled when a term brings a new denominator,
-    and reduced modulo Phi_m once, at the end.  It checks the numerator
-    helpers of the module against its + and *."""
-    from bisetblocks.cyclotomic import _lift_num, _make, _reduce_poly
+    and reduced modulo Phi_m once, at the end.  It checks the row
+    kernels of the module, on rows of one int, against its + and *."""
+    from bisetblocks.cyclotomic import _make, _reduce, _rows_over
     terms = [(x, y) for x, y in zip(xs, ys)
              if not x.is_zero() and not y.is_zero()]
     m = 1
@@ -341,12 +341,13 @@ def dot(xs, ys):
             k = t // gcd(den, t)
             acc = [c * k for c in acc]
             den *= k
-        b = _lift_num(y, m) if not y.is_rational() else y.num[:1]
-        a = _lift_num(x, m) if not x.is_rational() else x.num[:1]
+        a, b = ([c for (c,) in _rows_over(v, m)] if not v.is_rational()
+                else v.num[:1] for v in (x, y))
         for i, u in enumerate(a):
             for j, v in enumerate(b):
                 acc[i + j] += u * v * (den // t)
-    return _make(m, _reduce_poly(m, acc), den)
+    rows = _reduce(m, [(c,) for c in acc], 1)
+    return _make(m, tuple([c for (c,) in rows]), den)
 
 
 @pytest.mark.parametrize("n", ORACLE_CONDUCTORS)
@@ -405,6 +406,60 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
         assert total == sum((a * b for a, b in zip(xs, ys)),
                             Cyclotomic.from_rational(0))
         assert dot([], []) == 0 and dot([x], [Cyclotomic(n, [])]) == 0
+
+
+# -- the shared row kernels against oracles of their own --------------
+
+def test_reduce_matches_long_division_column_by_column():
+    import random
+
+    from bisetblocks.cyclotomic import _reduce
+    from oracles import power_by_long_division
+    rng = random.Random(3500)
+    for n in ORACLE_CONDUCTORS:
+        d, phi = euler_phi(n), cyclotomic_polynomial(n)
+        for k in (1, 3):
+            for length in (0, d // 2, d, n, 2 * n + 1):
+                poly = [None if rng.random() < 0.25 else
+                        tuple(rng.randint(-9, 9) for _ in range(k))
+                        for _ in range(length)]
+                got = _reduce(n, poly, k)
+                assert len(got) == d and all(len(r) == k for r in got)
+                for j in range(k):
+                    want = [0] * d
+                    for e, row in enumerate(poly):
+                        if row:
+                            for i, c in enumerate(
+                                    power_by_long_division(phi, e)):
+                                want[i] += row[j] * c
+                    assert [r[j] for r in got] == want, (n, k, poly)
+
+
+def test_rows_over_lifts_and_twists_every_value():
+    import cmath
+    import random
+
+    from bisetblocks.characters import ClassFunction
+    from bisetblocks.cyclotomic import _rows_over
+    from bisetblocks.namedgroups import named_group
+    from oracles import close, complex_value
+    G = named_group("S4")
+    rng = random.Random(3501)
+    for n in ORACLE_CONDUCTORS:
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for conductors in ([1] * 5, [rng.choice(divisors) for _ in range(4)]
+                           + [n]):
+            vals = [_random_element(rng, c) for c in conductors]
+            f = ClassFunction(G, vals)
+            for m in (f.n, 2 * f.n, 3 * f.n):
+                for t in (-1, *(t for t in range(1, f.n + 1)
+                                if gcd(t, f.n) == 1)):
+                    rows = _rows_over(f, m, t)
+                    assert len(rows) == euler_phi(m)
+                    for c, v in enumerate(vals):
+                        got = sum(row[c] * cmath.exp(2j * cmath.pi * i / m)
+                                  for i, row in enumerate(rows)) / f.den
+                        assert close(got, complex_value(v, t)), (v, m, t)
 
 
 # -- conductor descent against the Galois criterion --------------------
