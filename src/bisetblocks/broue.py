@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import gcd
 
 from .blocks import (action_rank, assign_characters_to_blocks,
                      block_idempotents, brauer_image, defect_group,
@@ -35,9 +36,9 @@ from .characters import (CharacterTable, ClassFunction, contract_middle,
                          external_character, inner_product,
                          irreducible_characters, perm_character, restrict)
 from .gf import Fq, fq_field
-from .groups import (FiniteGroup, ProductGroup, Subgroup, center, centralizer,
-                     int_p_part, int_p_prime_part, isomorphisms, normalizer,
-                     product_group)
+from .groups import (FiniteGroup, PermutationGroup, ProductGroup, Subgroup,
+                     center, centralizer, int_p_part, int_p_prime_part,
+                     isomorphisms, normalizer, product_group)
 from .gsets import biset_coset
 from .scenario import GammaTerm, Scenario
 from .subdirect import ProductSubgroup, twisted_diagonal
@@ -301,24 +302,27 @@ class BrouePipeline:
 
     def check_perfect(self, mu: ClassFunction) -> dict:
         G, H, p = self.G, self.H, self.p
-        PG = self.ambient
         violations = []
 
         def violation(condition: str) -> None:
             violations.append({"g": _el(G, g), "h": _el(H, h),
                                "condition": condition})
+
         # the classes of G x H are the products of the factor classes,
-        # in this order, and |C_G(g)| = |G|/|g^G|
+        # in this order, and |C_G(g)| = |G|/|g^G|.  The power basis is an
+        # integral basis at every conductor, so a value times r is
+        # p-integral when c r / mu.den is, c the gcd of its numerators.
+        columns = zip(*mu.rows)
         for A in G.conjugacy_classes():
             for B in H.conjugacy_classes():
                 g, h = A[0], B[0]
-                v = mu.at(PG.encode(g, h))
-                if not (v * Fraction(len(A), G.order)).is_p_integral(p):
+                c = gcd(*next(columns))
+                if Fraction(c * len(A), mu.den * G.order).denominator % p == 0:
                     violation("value/|C_G(g)| integral")
-                if not (v * Fraction(len(B), H.order)).is_p_integral(p):
+                if Fraction(c * len(B), mu.den * H.order).denominator % p == 0:
                     violation("value/|C_H(h)| integral")
-                if not v.is_zero() and (G.is_p_prime_element(g, p)
-                                        != H.is_p_prime_element(h, p)):
+                if c and (G.is_p_prime_element(g, p)
+                          != H.is_p_prime_element(h, p)):
                     violation("p-part parity match")
         return {"perfect": not violations, "violations": violations}
 
@@ -747,7 +751,7 @@ class BrouePipeline:
 
 
 def _el(G: FiniteGroup, g: int) -> str:
-    if G.has_names:
+    if isinstance(G, PermutationGroup):
         return G.element_name(g)
     return str(g)
 

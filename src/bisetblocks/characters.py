@@ -22,7 +22,9 @@ at a time; each gives the degree and the values mod r, and each value
 is lifted to a sum of roots of unity.  Characters are listed trivial
 first, then by degree, then by the minimal conductors and coordinates
 of their values, and named chi0, chi1, ...  A table can also be
-ingested from a document.  Either way the table validates
+ingested from a document, each value a JSON int or a conductor n
+dividing 2|G| with the int coefficients of 1, zeta_n, zeta_n^2, ...;
+anything else is refused as it is read.  Either way the table validates
 orthogonality and degree bookkeeping before it is used anywhere.
 
 Induction and the contractions work one conjugacy class at a time
@@ -45,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import add, eq, mul, sub
+from operator import add, eq, mul
 
 from .cyclotomic import (Cyclotomic, ZERO, _bilinear, _from_rows, _make,
                          _rows_over, _sum)
@@ -64,7 +66,7 @@ class ClassFunction:
     to the numerators taken together, and n is 1 when every value is
     rational.  ``values`` forms the Cyclotomics on first read.  Two
     class functions are equal when their groups are and their rows agree
-    over the lcm of the conductors; the hash is that of the values.
+    over the lcm of the conductors.
     """
 
     __slots__ = ("group", "n", "rows", "den", "_values")
@@ -100,22 +102,12 @@ class ClassFunction:
                                   for num in zip(*self.rows)])
         return self._values
 
-    def at(self, g: int) -> Cyclotomic:
-        return self.values[self.group.class_index(g)]
-
     def degree(self) -> Cyclotomic:
         return self.values[self.group.class_index(self.group.identity)]
 
     def __add__(self, other):
         self._same(other)
         return _class_function(self.group, *_sum(self, other, add))
-
-    def __sub__(self, other):
-        self._same(other)
-        return _class_function(self.group, *_sum(self, other, sub))
-
-    def __neg__(self):
-        return self * -1
 
     def __mul__(self, other):
         if not isinstance(other, ClassFunction):
@@ -131,9 +123,6 @@ class ClassFunction:
         """Complex conjugation: row t goes to degree -t."""
         return _class_function(self.group, self.n,
                                _rows_over(self, self.n, -1), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
 
     def _same(self, other) -> None:
         if not isinstance(other, ClassFunction) \
@@ -154,9 +143,6 @@ class ClassFunction:
             return False
         m = lcm(self.n, other.n)
         return _rows_over(self, m) == _rows_over(other, m)
-
-    def __hash__(self):
-        return hash((self.group.uid, self.values))
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, {list(self.values)})"
@@ -432,23 +418,27 @@ def ingest_character_table(doc: dict, group: FiniteGroup | None = None
 
 
 def _value_from_doc(raw, group: FiniteGroup) -> Cyclotomic:
-    """A value from its document form, as a character value of group.
+    """A value from its document form, as a character value of group:
+    a JSON int, or a positive int conductor n with a list of int
+    coefficients of 1, zeta_n, zeta_n^2, ...  A bool is not an int.
 
     Every character value of G lies in Q(zeta_|G|), so a conductor that
     does not divide 2|G| is refused before Phi_n is built for it.
     """
-    if isinstance(raw, int):
+    if type(raw) is int:
         return Cyclotomic.from_rational(raw)
     if isinstance(raw, dict):
-        n = raw["conductor"]
-        if isinstance(n, int) and n >= 1 and (2 * group.order) % n:
+        n, coeffs = raw["conductor"], raw["coeffs"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"conductor {n!r} is not a positive integer")
+        if (2 * group.order) % n:
             raise ValueError(f"conductor {n} does not divide "
                              f"2|G| = {2 * group.order}")
-        out = ZERO
-        for k, c in enumerate(raw["coeffs"]):
-            if c:
-                out = out + c * Cyclotomic.zeta(n, k)
-        return out
+        if type(coeffs) is not list \
+                or any(type(c) is not int for c in coeffs):
+            raise ValueError(f"coefficients {coeffs!r} are not a list of "
+                             f"integers")
+        return Cyclotomic.from_exponents(n, coeffs)
     raise ValueError(f"bad character value {raw!r}")
 
 

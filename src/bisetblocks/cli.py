@@ -177,11 +177,11 @@ def cmd_blocks(args) -> int:
 
 def _subgroup_names(D) -> list:
     G = D.parent
-    from .groups import minimal_generating_sequence
+    from .groups import PermutationGroup, minimal_generating_sequence
     if D.order == 1:
         return []
     gens = [D.from_local(i) for i in minimal_generating_sequence(D.as_group())]
-    if G.has_names:
+    if isinstance(G, PermutationGroup):
         return [G.element_name(g) for g in gens]
     return gens
 

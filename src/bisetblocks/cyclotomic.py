@@ -23,6 +23,12 @@ conductors and denominators, and ``_bilinear`` multiplies, a row of
 degree s times one of degree t landing in degree s + t.  Only a
 rational factor of a product scales the numerators directly.
 
+A value is built from a rational (``from_rational``) or from int
+coefficients of powers of zeta_n (``from_exponents``), and otherwise by
+arithmetic.  The verbs only multiply, lift, compare and descend values;
+the other operators and ``inverse`` with ``galois`` have no caller in
+the package and stay while perfbench/tracer.py counts them by name.
+
 No linear algebra is needed.  ``minimal`` descends one prime p of the
 conductor n at a time: the relative trace from Q(zeta_n) down to
 Q(zeta_(n/p)), over its degree, is read straight off the numerators,
@@ -182,30 +188,11 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to a rational number")
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Fractions as integer numerators over their least common denominator."""
-    den = lcm(*(q.denominator for q in values))
-    return [q.numerator * (den // q.denominator) for q in values], den
-
-
 class Cyclotomic:
-    """An exact element of some cyclotomic field Q(zeta_n)."""
+    """An exact element of some cyclotomic field Q(zeta_n), built by
+    from_rational or from_exponents, or by arithmetic on others."""
 
     __slots__ = ("n", "num", "den", "_min")
-
-    def __init__(self, n: int, coeffs) -> None:
-        if n < 1:
-            raise ValueError("conductor must be a positive integer")
-        d = euler_phi(n)
-        cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) > d:
-            raise ValueError("coefficient vector longer than the basis")
-        cs += [Fraction(0)] * (d - len(cs))
-        num, den = _over_common_denominator(cs)
-        self.n = n
-        self.num = tuple(num)
-        self.den = den
-        self._min = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -226,11 +213,6 @@ class Cyclotomic:
             return _make(1, (value,), 1)
         q = _as_fraction(value)
         return _make(1, (q.numerator,), q.denominator)
-
-    @staticmethod
-    def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        """The root of unity zeta_n^k."""
-        return Cyclotomic.from_exponents(n, [0] * (k % n) + [1])
 
     @staticmethod
     def from_exponents(n: int, coeffs) -> "Cyclotomic":
@@ -334,10 +316,6 @@ class Cyclotomic:
             raise ValueError("Galois exponent must be prime to the conductor")
         return _from_rows(n, _rows_over(self, n, t), self.den)
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, zeta |-> zeta^(-1)."""
-        return self.galois(self.n - 1) if self.n > 1 else self
-
     # -- predicates and conversions ----------------------------------
 
     def is_zero(self) -> bool:
@@ -357,14 +335,6 @@ class Cyclotomic:
         if self.den != 1:
             raise ValueError("value is not an integer")
         return self.num[0]
-
-    def is_p_integral(self, p: int) -> bool:
-        """True when every basis coordinate has denominator prime to p.
-
-        The power basis is an integral basis of the ring of integers of
-        Q(zeta_n), so this tests membership in the localization at p.
-        """
-        return self.den % p != 0
 
     def minimal(self) -> "Cyclotomic":
         """Canonical copy over the smallest conductor containing the value.

@@ -25,6 +25,8 @@ checked to be permutations.  Conjugates, centralizers and normalizers
 of subgroups are computed from generators rather than from every
 element.  A Sylow subgroup grows by the first element in id order that
 extends it, tested as it is scanned, so no normalizer is built for it.
+Only a permutation group names its elements, in cycle notation
+(element_name); an element of any other group is named by its id.
 Groups are immutable once built.  What a group keeps about itself,
 computed on first read, is plain data that holds no reference back to
 it: classes, element orders, and through FiniteGroup.kept the element
@@ -82,17 +84,15 @@ class FiniteGroup:
     _uid_counter = itertools.count()
     bundled = False             # set on the groups named_group returns
 
-    def __init__(self, table, identity: int = 0, name: str = "",
-                 names=None) -> None:
+    def __init__(self, table, identity: int = 0, name: str = "") -> None:
         self.table = tuple(tuple(row) for row in table)
-        self._start(len(self.table), identity, name, names)
+        self._start(len(self.table), identity, name)
 
-    def _start(self, order: int, identity: int, name: str, names) -> None:
+    def _start(self, order: int, identity: int, name: str) -> None:
         """Set the state every group carries, however it multiplies."""
         self.order = order
         self.identity = identity
         self.name = name or f"G{order}"
-        self._names = names
         self.uid = next(FiniteGroup._uid_counter)
         self._classes = None
         self._class_of = None
@@ -108,35 +108,6 @@ class FiniteGroup:
         return value
 
     @cached_attribute
-    def element_names(self) -> tuple[str, ...] | None:
-        """The name of each element, or None: built on first read by the
-        function of no arguments given to the constructor as names."""
-        return tuple(self._names()) if self._names else None
-
-    @property
-    def has_names(self) -> bool:
-        """Whether the elements are named, without building the names."""
-        return self._names is not None
-
-    def element_name(self, g: int) -> str:
-        """The name of element g; has_names must hold."""
-        return self.element_names[g]
-
-    def _names_of(self, ids):
-        """A function of no arguments that lists the names of ids, or
-        None if the elements have no names.  It holds this group's names
-        function, not the group, so a group built with it does not keep
-        this one alive."""
-        names = self._names
-        if names is None:
-            return None
-
-        def picked():
-            every = tuple(names())
-            return [every[g] for g in ids]
-        return picked
-
-    @cached_attribute
     def _products(self) -> weakref.WeakValueDictionary:
         """Products self x H by H.uid, each kept while something holds it."""
         return weakref.WeakValueDictionary()
@@ -147,8 +118,7 @@ class FiniteGroup:
         table = [[loc[x] for x in self.left_products(a, elems)]
                  for a in elems]
         return FiniteGroup(table, identity=loc[self.identity],
-                           name=f"{self.name}|{len(elems)}",
-                           names=self._names_of(elems))
+                           name=f"{self.name}|{len(elems)}")
 
     # -- validation of a table from outside --------------------------
 
@@ -553,14 +523,12 @@ class PermutationGroup(FiniteGroup):
     """
 
     def __init__(self, codec, perms, lookups, name: str) -> None:
-        decode = codec[2]
-        self._start(len(perms), 0, name,
-                    lambda: map(cycles_of, map(decode, perms)))
+        self._start(len(perms), 0, name)
         self._codec = codec
         self._perms = perms
         self._lookups = lookups
         self._index = {p: i for i, p in enumerate(perms)}
-        self.degree = len(decode(perms[0]))
+        self.degree = len(codec[2](perms[0]))
 
     def permutation(self, g: int) -> tuple[int, ...]:
         """Element g as the tuple of images of the points 0..degree-1."""
@@ -574,11 +542,8 @@ class PermutationGroup(FiniteGroup):
         return self._index.get(self._codec[0](perm))
 
     def element_name(self, g: int) -> str:
+        """Element g in cycle notation."""
         return cycles_of(self.permutation(g))
-
-    def _names_of(self, ids):
-        perms, decode = self._perms, self._codec[2]
-        return lambda: [cycles_of(decode(perms[g])) for g in ids]
 
     def _restriction(self, elems, loc: dict) -> "PermutationGroup":
         # Sorted ids start at the identity 0, as a local group must.
@@ -828,10 +793,7 @@ class ProductGroup(FiniteGroup):
         if nl * nr > DEFAULT_CLOSURE_CAP:
             raise SizeLimitError("direct product exceeds the order cap")
         self._start(nl * nr, left.identity * nr + right.identity,
-                    f"{left.name}x{right.name}",
-                    (lambda: [f"({x},{y})" for x in left.element_names
-                              for y in right.element_names])
-                    if left.has_names and right.has_names else None)
+                    f"{left.name}x{right.name}")
         self.left = left
         self.right = right
         self._nr = nr
@@ -900,13 +862,7 @@ class ProductGroup(FiniteGroup):
         table = [tuple([loc[la[c] * nr + ra[d]] for c, d in pairs])
                  for la, ra in [(lt[a], rt[b]) for a, b in pairs]]
         return FiniteGroup(table, identity=loc[self.identity],
-                           name=f"{self.name}|{len(elems)}",
-                           names=self._names_of(elems))
-
-    def element_order(self, g: int) -> int:
-        nr = self._nr
-        return lcm(self.left.element_order(g // nr),
-                   self.right.element_order(g % nr))
+                           name=f"{self.name}|{len(elems)}")
 
     def _find_classes(self) -> tuple[tuple[int, ...], ...]:
         # Factor classes are sorted by smallest member, so their products
@@ -958,11 +914,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
             raise ValueError("quotient requires a normal subgroup")
         reps, idx = N.coset_index_map()
         table = [[idx[x] for x in G.left_products(r, reps)] for r in reps]
-        rep_names = G._names_of(reps)
         Q = FiniteGroup(table, identity=idx[G.identity],
-                        name=f"{G.name}/{N.order}",
-                        names=(lambda: [f"{x}N" for x in rep_names()])
-                        if rep_names else None)
+                        name=f"{G.name}/{N.order}")
         return Q, tuple(idx)
     Q, images = G.kept(("quotient", N.elements), build)
     return Q, GroupHom(G, Q, images)

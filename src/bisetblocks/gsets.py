@@ -158,9 +158,6 @@ class TransitiveDecomposition:
                 and self.group.uid == other.group.uid
                 and self.items == other.items)
 
-    def __hash__(self):
-        return hash((self.group.uid, self.items))
-
     def __repr__(self):
         parts = ", ".join(f"{len(el)}^{m}" for el, m in self.items)
         return f"TransitiveDecomposition[{parts}]"

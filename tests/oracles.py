@@ -7,6 +7,7 @@ algorithm with the code they check; the others build inputs for tests.
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 from bisetblocks.blocks import assign_characters_to_blocks, brauer_hom
 from bisetblocks.characters import ClassFunction
@@ -198,6 +199,26 @@ def poly_eval(F, f, x):
 
 # -- cyclotomic numbers ----------------------------------------------
 
+def zeta(n: int, k: int = 1):
+    """The root of unity zeta_n^k."""
+    return Cyclotomic.from_exponents(n, [0] * (k % n) + [1])
+
+
+def cyclotomic(n: int, coords):
+    """The element of conductor n with the given rational coordinates
+    over the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1), kept over
+    conductor n even when it is rational."""
+    coords = [Fraction(c) for c in coords]
+    den = lcm(1, *(c.denominator for c in coords))
+    return (Cyclotomic.from_exponents(n, [int(c * den) for c in coords])
+            * Fraction(1, den)).lift(n)
+
+
+def conjugate(v):
+    """Complex conjugation, zeta_n |-> zeta_n^-1."""
+    return v.galois(v.n - 1) if v.n > 1 else v
+
+
 def complex_value(v, t: int = 1) -> complex:
     """A cyclotomic number in C: its power-basis coordinates summed
     against the powers of zeta_n^t, zeta_n = exp(2 pi i / n), in floating
@@ -228,10 +249,15 @@ def close(a: complex, b: complex) -> bool:
     return abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
 
 
+def value_at(chi, g: int):
+    """The value of the class function chi at the element g."""
+    return chi.values[chi.group.class_index(g)]
+
+
 def inflate(chi, pi):
     """Inflation along a surjection pi from the source to chi's group."""
     G = pi.source
-    return ClassFunction(G, [chi.at(pi(cls[0]))
+    return ClassFunction(G, [value_at(chi, pi(cls[0]))
                              for cls in G.conjugacy_classes()])
 
 
@@ -243,8 +269,7 @@ def inflate(chi, pi):
 # the group the result lives on.
 
 def _by_element(chi) -> list:
-    G = chi.group
-    return [chi.values[G.class_index(g)] for g in range(G.order)]
+    return [value_at(chi, g) for g in range(chi.group.order)]
 
 
 def induce_by_elements(chi, S) -> list:
@@ -266,7 +291,7 @@ def inner_product_by_elements(a, b):
     """|G|^-1 sum over g of a(g) conj(b(g))."""
     total = Cyclotomic.from_rational(0)
     for x, y in zip(_by_element(a), _by_element(b)):
-        total = total + x * y.conjugate()
+        total = total + x * conjugate(y)
     return total * Fraction(1, a.group.order)
 
 

@@ -220,19 +220,47 @@ def test_kappa_drops_out_of_block_pairs():
     assert kres["dropped_pairs"] == 3
 
 
+# The classes of C6 and C3 by representative, and the pairs where the
+# p-parts of g and h differ in order: the lists below were taken before
+# check_perfect read its values off the rows of mu.
+C6_REPS = ["()", "(1 2 3 4 5 6)", "(1 3 5)(2 4 6)", "(1 4)(2 5)(3 6)",
+           "(1 5 3)(2 6 4)", "(1 6 5 4 3 2)"]
+C3_REPS = ["()", "(1 2 3)", "(1 3 2)"]
+PARITY_MISMATCHES = [
+    ("()", "(1 2 3)"), ("()", "(1 3 2)"), ("(1 2 3 4 5 6)", "()"),
+    ("(1 3 5)(2 4 6)", "()"), ("(1 4)(2 5)(3 6)", "(1 2 3)"),
+    ("(1 4)(2 5)(3 6)", "(1 3 2)"), ("(1 5 3)(2 6 4)", "()"),
+    ("(1 6 5 4 3 2)", "()")]
+
+
+def _violations(integral_fails: bool) -> list:
+    out = []
+    for g in C6_REPS:
+        for h in C3_REPS:
+            if integral_fails:
+                out += [(g, h, "value/|C_G(g)| integral"),
+                        (g, h, "value/|C_H(h)| integral")]
+            if (g, h) in PARITY_MISMATCHES:
+                out.append((g, h, "p-part parity match"))
+    return out
+
+
 def test_check_perfect_flags_violations():
+    # chi1 x psi0 is rational; chi2 x psi1 takes irrational values, such
+    # as zeta_3 at ((1 2 3 4 5 6), (1 2 3)), whose numerator over 1 is 0
     S = bundled_scenario("c6_c3")
     pipe = pipeline_for(S)
-    chi1 = S.table_G.irreducibles[1]
-    psi0 = S.table_H.irreducibles[0]
-    mu = external_character(chi1, psi0)
-    res = pipe.check_perfect(mu)
-    assert res["perfect"] is False
-    conditions = {v["condition"] for v in res["violations"]}
-    assert conditions <= {"value/|C_G(g)| integral",
-                          "value/|C_H(h)| integral",
-                          "p-part parity match"}
-    assert "p-part parity match" in conditions
+    tG, tH = S.table_G.irreducibles, S.table_H.irreducibles
+    rational = external_character(tG[1], tH[0])
+    irrational = external_character(tG[2], tH[1])
+    for mu, integral_fails in ((rational, True),
+                               (irrational, True),
+                               (irrational * Fraction(1, S.p), True),
+                               (irrational * S.p, False)):
+        res = pipe.check_perfect(mu)
+        assert res["perfect"] is False
+        assert [(v["g"], v["h"], v["condition"])
+                for v in res["violations"]] == _violations(integral_fails)
 
 
 def test_pair_projector_is_small_and_well_formed():

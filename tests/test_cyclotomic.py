@@ -7,7 +7,7 @@ import pytest
 
 from bisetblocks.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 
-zeta = Cyclotomic.zeta
+from oracles import cyclotomic, zeta
 
 
 def test_power_tables_agree_with_long_division():
@@ -121,32 +121,12 @@ def test_galois_action():
         zeta(6).galois(3)
 
 
-def test_conjugation():
-    z = zeta(5)
-    assert z.conjugate() == z ** 4
-    assert z.conjugate().conjugate() == z
-    r = Cyclotomic.from_rational(Fraction(2, 3))
-    assert r.conjugate() == r
-    # z + conj(z) is real, hence fixed by conjugation
-    s = z + z.conjugate()
-    assert s.conjugate() == s
-
-
 def test_as_int_rejects_non_integers():
     assert Cyclotomic.from_rational(4).as_int() == 4
     with pytest.raises(ValueError):
         Cyclotomic.from_rational(Fraction(1, 2)).as_int()
     with pytest.raises(ValueError):
         zeta(3).as_fraction()
-
-
-def test_p_integrality():
-    third = Cyclotomic.from_rational(Fraction(1, 3))
-    assert not third.is_p_integral(3)
-    assert third.is_p_integral(2)
-    half_zeta = zeta(3) * Fraction(1, 2)
-    assert half_zeta.is_p_integral(3)
-    assert not half_zeta.is_p_integral(2)
 
 
 def test_equality_and_hash_cross_conductor():
@@ -186,7 +166,7 @@ def test_random_elements_times_their_inverse_are_one(n):
     for _ in range(6):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                   for _ in range(euler_phi(n))]
-        x = Cyclotomic(n, coeffs)
+        x = cyclotomic(n, coeffs)
         if x.is_zero():
             continue
         assert x * x.inverse() == 1
@@ -209,7 +189,7 @@ FAST_PATH_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
 
 
 def _seeded_element(rng, n):
-    return Cyclotomic(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return cyclotomic(n, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                           if rng.random() < 0.7 else 0
                           for _ in range(euler_phi(n))])
 
@@ -236,9 +216,9 @@ def _general(op, x, y):
         for i, u in enumerate(a):
             for j, v in enumerate(b):
                 prod[i + j] += u * v
-        return Cyclotomic(m, _reduce_mod_phi(prod, m))
+        return cyclotomic(m, _reduce_mod_phi(prod, m))
     combine = {"+": lambda u, v: u + v, "-": lambda u, v: u - v}[op]
-    return Cyclotomic(m, [combine(u, v) for u, v in zip(a, b)])
+    return cyclotomic(m, [combine(u, v) for u, v in zip(a, b)])
 
 
 def _same(result, expected):
@@ -264,10 +244,10 @@ def test_fast_paths_equal_the_general_path(n):
                 _same(fn(x, y), _general(sym, x, y))
                 _same(fn(y, x), _general(sym, y, x))
             for r in scalars:
-                c = Cyclotomic(1, [r])
+                c = Cyclotomic.from_rational(r)
                 _same(fn(x, r), _general(sym, x, c))
                 _same(fn(r, x), _general(sym, c, x))
-        _same(-x, _general("-", Cyclotomic(1, [0]), x))
+        _same(-x, _general("-", Cyclotomic.from_rational(0), x))
 
 
 @pytest.mark.parametrize("n", FAST_PATH_CONDUCTORS)
@@ -306,7 +286,7 @@ ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24)
 
 def _random_element(rng, n):
     """A random element of conductor n, coordinates with denominators 1-6."""
-    return Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                           if rng.random() < 0.75 else 0
                           for _ in range(euler_phi(n))])
 
@@ -315,10 +295,6 @@ def _assert_normal(v):
     assert len(v.num) == euler_phi(v.n)
     assert all(type(c) is int for c in v.num) and type(v.den) is int
     assert v.den > 0 and gcd(v.den, *v.num) == 1
-
-
-def _p_integral(v, p):
-    return all(c.denominator % p for c in v.coeffs)
 
 
 def dot(xs, ys):
@@ -376,9 +352,6 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
             g = x.galois(t)
             _assert_normal(g)
             assert close(cv(g), cv(x, t)), (x, t)
-        c = x.conjugate()
-        _assert_normal(c)
-        assert close(cv(c), cv(x).conjugate())
         for k in (2, 3):
             up = x.lift(k * n)
             _assert_normal(up)
@@ -387,9 +360,6 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
         _assert_normal(low)
         assert n % low.n == 0 and close(cv(low), cv(x))
         assert low.lift(n) == x and x.lift(2 * n).minimal().n == low.n
-        for p in (2, 3, 5, 7):
-            assert x.is_p_integral(p) == _p_integral(x, p)
-            assert (x * x).is_p_integral(p) == _p_integral(x * x, p)
         r = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         rational = x - x + r
         _assert_normal(rational)
@@ -398,14 +368,14 @@ def test_arithmetic_agrees_with_complex_evaluation(n):
         assert close(complex(float(r)), cv(rational))
         # a dot product of terms over every conductor and denominator
         xs = [_random_element(rng, m) for m in (n, 1, 3, 4, n, 2)] \
-            + [Cyclotomic(1, [0])]
+            + [Cyclotomic.from_rational(0)]
         ys = [_random_element(rng, m) for m in (n, 1, 2, n, 12, 4, 5)]
         total = dot(xs, ys)
         _assert_normal(total)
         assert close(cv(total), sum(cv(a) * cv(b) for a, b in zip(xs, ys)))
         assert total == sum((a * b for a, b in zip(xs, ys)),
                             Cyclotomic.from_rational(0))
-        assert dot([], []) == 0 and dot([x], [Cyclotomic(n, [])]) == 0
+        assert dot([], []) == 0 and dot([x], [cyclotomic(n, [])]) == 0
 
 
 # -- the shared row kernels against oracles of their own --------------
@@ -499,7 +469,7 @@ def _descent_values():
 def test_minimal_lifts_back_and_lies_in_no_smaller_field():
     for x in _descent_values():
         # a fresh copy, so that no descent cached on a shared value is read
-        x = Cyclotomic(x.n, x.coeffs)
+        x = cyclotomic(x.n, x.coeffs)
         y = x.minimal()
         assert x.n % y.n == 0 and y.lift(x.n) == x, x
         assert _outside_every_proper_subfield(y), (x, y)

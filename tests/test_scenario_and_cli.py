@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bisetblocks.characters import character_table
+from bisetblocks.characters import character_table, ingest_character_table
 from bisetblocks.cli import build_parser, main
 from bisetblocks.groups import element_by_name, quotient, subgroup_generated
 from bisetblocks.namedgroups import named_group
@@ -518,6 +518,50 @@ def test_cli_ingest_table_refuses_a_conductor_outside_the_group(
                        f"bad table: conductor {conductor} does not divide "
                        f"2|G| = 12")
     assert time.perf_counter() - t0 < 1.0
+
+
+def _a4_table_with(value, character: int, column: int) -> dict:
+    with open(TABLE_FIXTURES / "A4.json") as fh:
+        doc = json.load(fh)
+    doc["characters"][character]["values"][column] = value
+    return doc
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"conductor": 0, "coeffs": [0]}, "conductor 0 is not a positive"),
+    ({"conductor": "x", "coeffs": []}, "conductor 'x' is not a positive"),
+    ({"conductor": -3, "coeffs": [0, 0]}, "conductor -3 is not a positive"),
+    ({"conductor": True, "coeffs": [0]}, "conductor True is not a positive"),
+    ({"conductor": 3, "coeffs": [None, 0]}, "are not a list of integers"),
+    ({"conductor": 3, "coeffs": [0.0]}, "are not a list of integers"),
+    ({"conductor": 3, "coeffs": [True, 0]}, "are not a list of integers"),
+    ({"conductor": 3, "coeffs": "00"}, "are not a list of integers"),
+    (True, "bad character value True"),
+    (0.0, "bad character value 0.0")])
+def test_cli_ingest_table_refuses_a_value_that_is_not_ints(
+        tmp_path, capsys, value, message):
+    # each once read as a value: 0, 1, or a zero over conductor 1
+    path = tmp_path / "A4_bad.json"
+    path.write_text(json.dumps(_a4_table_with(value, 3, 1)))
+    assert main(["ingest-table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("input error: bad table:")
+    assert message in captured.err
+
+
+def test_cli_ingest_table_reads_a_rational_value_given_a_conductor(
+        tmp_path, capsys):
+    _, want = run_cli(capsys, ["ingest-table",
+                               str(TABLE_FIXTURES / "A4.json")])
+    doc = _a4_table_with({"conductor": 3, "coeffs": [3]}, 3, 0)
+    doc["characters"][3]["values"][2] = {"conductor": 6, "coeffs": [-1, 0]}
+    path = tmp_path / "A4_rational.json"
+    path.write_text(json.dumps(doc))
+    code, got = run_cli(capsys, ["ingest-table", str(path)])
+    assert code == 0 and got == want
+    table = ingest_character_table(doc, group=named_group("A4"))
+    assert table.irreducibles[3].n == 1
 
 
 def test_cli_out_writes_json_file(tmp_path, capsys):
