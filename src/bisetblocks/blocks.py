@@ -193,14 +193,18 @@ class CentralElement:
         return CentralElement(self.group, F, out)
 
     def power(self, e: int) -> "CentralElement":
-        out = CentralElement.one(self.group, self.field)
-        base = self
-        while e:
+        """self to the e-th power by squaring; no square past the top bit
+        of e and no product with one."""
+        if not e:
+            return CentralElement.one(self.group, self.field)
+        out, base = None, self
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def is_idempotent(self) -> bool:
         return self * self == self

@@ -24,7 +24,7 @@ from .characters import ingest_character_table, value_to_doc
 from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
-from .suites import ALL_SUITES, run_suite
+from .suites import ALL_SUITES, run_suite, worker_count
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -102,6 +102,8 @@ def _filter_names(names, max_order: int | None):
 def cmd_verify_biset_laws(args) -> int:
     if args.count is not None and args.count < 1:
         raise InputError(f"--count {args.count} must be at least 1")
+    if args.index is not None and args.index < 0:
+        raise InputError(f"--index {args.index} must be at least 0")
     suites = ([args.suite] if args.suite else list(ALL_SUITES))
     report = {"kind": "biset-law-report", "seed": args.seed, "suites": []}
     ok = True
@@ -110,7 +112,8 @@ def cmd_verify_biset_laws(args) -> int:
         rep = run_suite(name, args.seed, count=args.count,
                         groups=_filter_names(pool, args.max_order),
                         mutate=(args.inject_mutation
-                                and name == (args.suite or "mackey")))
+                                and name == (args.suite or "mackey")),
+                        index=args.index, workers=worker_count())
         report["suites"].append(rep)
         ok = ok and rep["ok"]
     report["ok"] = ok
@@ -264,8 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     laws = sub.add_parser("verify-biset-laws",
                           help="run the randomized law suites")
     laws.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    laws.add_argument("--count", type=int, default=None,
-                      help="instances per suite (default: suite standard)")
+    how_many = laws.add_mutually_exclusive_group()
+    how_many.add_argument("--count", type=int, default=None,
+                          help="instances per suite (default: suite "
+                          "standard)")
+    how_many.add_argument("--index", type=int, default=None,
+                          help="rerun instance INDEX alone, as a failure "
+                          "record names it")
     laws.add_argument("--max-order", type=int, default=None,
                       help="keep each law's base groups up to this order")
     laws.add_argument("--suite", choices=sorted(ALL_SUITES), default=None)

@@ -4,14 +4,20 @@ The table ALL_SUITES gives each law an instance function (rng, groups,
 i), its standard count and its pool of base groups.  An instance
 function draws one reproducible instance and returns its failure-record
 fields, its checks as (label or None, lhs, rhs), and the double cosets
-it saw (None for a law that counts none).  run_suite, the one driver,
-compares the sides of each check, applies the mutation and reports; a
-suite passes only if every instance does.
+it saw (None for a law that counts none).  Instance i of suite name at
+seed s is drawn from its own generator, random.Random(f"{name}/{s}/{i}"),
+so it replays alone and any set of instances can run in any process.
+run_suite, the one driver, compares the sides of each check, applies
+the mutation and reports; a suite passes only if every instance does.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import sys
+import threading
 import time
 
 from .characters import (ClassFunction, contract_extended,
@@ -250,34 +256,117 @@ ALL_SUITES = {
 
 # -- the driver ----------------------------------------------------------
 
+def worker_count() -> int:
+    """The CPUs this process may run on, as the workers of a suite run.
+
+    One where the platform cannot fork or name those CPUs, where another
+    thread runs (a forked child would hold none of it), and while a
+    profiler or tracer is installed, so that it sees every call.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or sys.getprofile() or sys.gettrace()
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def run_suite(name: str, seed: int, count: int | None = None,
-              groups=None, mutate: bool = False) -> dict:
+              groups=None, mutate: bool = False, index: int | None = None,
+              workers: int = 1) -> dict:
     """Report count seeded instances of the law name, by default its
-    standard count drawn from its pool.  With mutate=True the right side
-    of the first check of instance 0 gains one fixed point, so that
-    instance must fail: this exercises the failure path of the harness."""
-    law, standard, pool = ALL_SUITES[name]
+    standard count drawn from its pool, or instance index alone.  With
+    mutate=True the right side of the first check of instance 0 gains
+    one fixed point, so that instance must fail: this exercises the
+    failure path of the harness.  Up to workers processes share the
+    instances; the report does not depend on how many."""
+    _, standard, pool = ALL_SUITES[name]
     count = standard if count is None else count
     groups = pool if groups is None else groups
-    rng = random.Random(seed)
+    indices = range(count) if index is None else range(index, index + 1)
     started = time.perf_counter()
-    outcomes = [_instance(law, rng, groups, i, mutate and i == 0)
-                for i in range(count)]
+    outcomes = _outcomes((name, seed, groups, mutate), indices, workers)
     failures = [failure for failure, _ in outcomes if failure]
     cosets = [seen for _, seen in outcomes if seen is not None]
-    rep = {"suite": name, "seed": seed, "count": count,
-           "passes": count - len(failures), "failures": failures,
+    rep = {"suite": name, "seed": seed, "count": len(indices),
+           "passes": len(indices) - len(failures), "failures": failures,
            "ok": not failures,
            "elapsed": round(time.perf_counter() - started, 3)}
+    if index is not None:
+        rep["index"] = index
     if cosets:
         rep["double_cosets_seen"] = sum(cosets)
     return rep
 
 
-def _instance(law, rng: random.Random, groups, i: int, mutated: bool):
+def _outcomes(draw: tuple, indices: range, workers: int) -> list:
+    """The outcomes of the instances of indices, in index order.
+
+    The indices split into at most workers contiguous ranges (contiguous
+    keeps coherence's i % 4 law shapes balanced).  This process runs
+    the first; each other runs in a forked child, which sends what it
+    finished back through a pipe as marshal data and ends with
+    os._exit.  The parent runs again whatever a child did not send: the
+    instance a child stopped at because it raised, which then raises
+    here as a serial run would, or the whole range of a child that died.
+    Every child is reaped, and on an exception here killed first.
+    """
+    n = max(1, min(workers, len(indices)))
+    cuts = [indices.start + len(indices) * k // n for k in range(n + 1)]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    children = []                   # (pid, read end, range), not reaped
+    try:
+        for part in ranges[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    done = []
+                    try:
+                        for i in part:
+                            done.append(_instance(*draw, i))
+                    except Exception:
+                        pass        # the parent runs it again and raises
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps(done))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb"), part))
+        outcomes = [_instance(*draw, i) for i in ranges[0]]
+        while children:
+            pid, pipe, part = children[0]
+            with pipe:
+                sent = pipe.read()
+            os.waitpid(pid, 0)
+            children.pop(0)
+            try:
+                done = marshal.loads(sent)
+            except (EOFError, ValueError):      # the child died
+                done = []
+            outcomes += done
+            outcomes += [_instance(*draw, i) for i in part[len(done):]]
+    finally:
+        if children:
+            import signal   # only here: it would add a millisecond to start-up
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _instance(name: str, seed: int, groups, mutate: bool, i: int):
     """(failure record or None, double cosets seen) of instance i; nothing
     returned holds its groups or actions, so they go before the next."""
-    fields, checks, cosets = law(rng, groups, i)
+    law = ALL_SUITES[name][0]
+    fields, checks, cosets = law(random.Random(f"{name}/{seed}/{i}"),
+                                 groups, i)
+    mutated = mutate and i == 0
     if mutated:
         label, lhs, rhs = checks[0]
         checks[0] = (label, lhs, _plus_fixed_point(rhs))

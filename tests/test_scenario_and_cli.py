@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bisetblocks import cli
 from bisetblocks.characters import character_table, ingest_character_table
 from bisetblocks.cli import build_parser, main
 from bisetblocks.groups import element_by_name, quotient, subgroup_generated
@@ -451,20 +452,21 @@ def test_cli_verify_biset_laws_small(capsys):
 
 
 # the --inject-mutation reports at --count 5 --seed 7, "elapsed" fields
-# taken out, as the suites wrote them with a harness each
+# taken out, as the suites wrote them once each instance had its own
+# generator (coherence's record names no groups, so it kept its digest)
 MUTATED_SUITE_DIGESTS = {
     "mackey":
-    "11034ac80db22365bab047067c482161f0d8210e5b236323fcb357579edd41c8",
+    "cc9d12436a29f8f2421b83050428ac66f9351f8f104aa92209a1aca9c20af5f6",
     "defres":
-    "7071a236f397c183662d484297aeb4e74cb28e5855faf23ae94aa76aebd88b05",
+    "b04a7a531af4cc72faebddd25e60c9e98c9f9a73f0eda84a136f8473cc197b29",
     "induction-formula":
-    "942da5ad98ad8c2fccf4a0d1de4b0e529de92802b4ed2c43f2064dd2cc1a5515",
+    "2cff283546dab67b853e79c26a0877acbecf0a0d751d5ee187702e42b9acd828",
     "induced-bisets":
-    "16d2e55bf82a656f9fca64ee4051f83fd092a608f1bb58c372ed4adaabcf6ce4",
+    "bd6f6530b20b27bfae9ab5e1a862b4ded5a43ceb3847c7469dff03ca6bf71d37",
     "coherence":
     "444153ca602634d553ad88f5bd87d70ca003eb773fdcfddb6458d64cd7c16d50",
     "characters":
-    "966733e9188accac82738ea020899761bce9eedafd213586660d07d6623f64a0",
+    "85501fff0364d3ccdf2df40f5cde694b6aa15f4c6e42a37728f20d85f013910f",
 }
 
 
@@ -483,9 +485,37 @@ def test_cli_laws_suite_mutation_is_caught(capsys, suite_name):
         (0, True)]
     if suite_name == "characters":
         assert suite["failures"] == [{
-            "index": 0, "groups": ["C4", "C3", "C6"],
+            "index": 0, "groups": ["C6", "D8", "C2"],
             "checks": ["double-coset formula"], "mutated": True}]
     assert _digest_without_times(rep) == MUTATED_SUITE_DIGESTS[suite_name]
+
+
+@pytest.mark.parametrize("suite_name", list(ALL_SUITES))
+def test_cli_laws_failure_record_replays_alone(capsys, suite_name):
+    # the record of the --inject-mutation failure, rerun by its index
+    # alone, fails the same checks; an instance that passed passes alone
+    argv = ["verify-biset-laws", "--suite", suite_name, "--seed", "7",
+            "--inject-mutation"]
+    _, rep = run_cli(capsys, argv + ["--count", "5"])
+    [record] = rep["suites"][0]["failures"]
+    code, replay = run_cli(capsys, argv + ["--index", str(record["index"])])
+    suite = replay["suites"][0]
+    assert code == 1
+    assert (suite["count"], suite["index"], suite["failures"]) == (
+        1, record["index"], [record])
+    code, replay = run_cli(capsys, argv + ["--index", "3"])
+    suite = replay["suites"][0]
+    assert code == 0 and (suite["count"], suite["passes"]) == (1, 1)
+
+
+def test_cli_index_is_checked(capsys):
+    assert_input_error(capsys, ["verify-biset-laws", "--suite", "mackey",
+                                "--index", "-1"],
+                       "--index -1 must be at least 0")
+    with pytest.raises(SystemExit) as refused:
+        main(["verify-biset-laws", "--index", "0", "--count", "5"])
+    assert refused.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cli_ingest_table(capsys):
@@ -595,9 +625,10 @@ def test_cli_inject_mutation_without_suite_mutates_mackey(capsys):
     assert verdicts.pop("mackey") is False
     assert all(verdicts.values())
     assert rep["suites"][0]["failures"][0]["mutated"] is True
-    # the report as the suites wrote it with a harness each
+    # the report as the suites wrote it once each instance had its own
+    # generator
     assert _digest_without_times(rep) == \
-        "369e2a3345a1e53a14285047bb72291d57de21484f00a5d13095e5ac0c2bdbb5"
+        "54e5f3808b351163cfe307b82314ee2014cb639539d350e4fe6af6e506cfdf9e"
 
 
 def test_cli_blocks_default_field_above_the_cap(capsys):
@@ -710,7 +741,7 @@ C6_C3_DIGEST = \
 
 # The reports as the Fraction-coefficient arithmetic wrote them; the
 # integer arithmetic must reproduce them byte for byte.
-@pytest.mark.parametrize("argv, digest", [
+PINNED_REPORTS = [
     (["broue", data_path("scenarios/c6_c3.json")], C6_C3_DIGEST),
     (["broue", data_path("scenarios/identity_s3.json")],
      "bed52081e2666addf9904df0a63907381687cd708d40e3542798665c6dfb5e07"),
@@ -730,24 +761,27 @@ C6_C3_DIGEST = \
       "--count", "50"],
      "c3945feef4583faca97ae80fde73ebbef2cd2b8c595800e85fb6ff07c4bdb0b7"),
     # the laws suites as the per-product kernels wrote them, before the
-    # bulk product kernels replaced them
+    # bulk product kernels replaced them; induction-formula and
+    # induced-bisets as they were once each instance had its own
+    # generator, which moved their double_cosets_seen
     (["verify-biset-laws", "--suite", "induction-formula", "--seed",
       "20260823", "--count", "100"],
-     "f8e6b40c9596a2c3e1635f3365973491392370f5252061aa9f06bf9ff363aa58"),
+     "a3e197b21abfa952c4d78518c8361f0d29cce6ed11bbfe173eeffdccd9f9ec6c"),
     (["verify-biset-laws", "--suite", "induced-bisets", "--seed",
       "20260824", "--count", "100"],
-     "046dbc03c5cd6a1bed1172fa303c94f02291026c31a532a732fd8af4e6d27f50"),
+     "715cc64c7d8eda127b7b7553eea5d97b3e069649408e7e4419ee0883ac02e9d7"),
     (["verify-biset-laws", "--suite", "defres", "--seed", "20260825",
       "--count", "100"],
      "7bc11467d2909dedc3ea43c3b67e6a41729b5194e740341d6ebcf9dad7d087dd"),
     # the same three suites away from the acceptance seeds, so that a
-    # change of representatives there shows too
+    # change of representatives there shows too (induced-bisets re-pinned
+    # with the generator of each instance)
     (["verify-biset-laws", "--suite", "induction-formula", "--seed", "1",
       "--count", "100"],
      "3902578eb9d3eff945ff485c8e83f6ba190237559fb7286c7f8a5ce690bc3fed"),
     (["verify-biset-laws", "--suite", "induced-bisets", "--seed", "1",
       "--count", "100"],
-     "d2afe8a95adc634c9791b8a363ad12176b61e29f2f6b72fa8414d87e0e56cd86"),
+     "5adb8acee148cc356eb774a424b12fcf735079fbd21f21aa4f3f0ab09c627738"),
     (["verify-biset-laws", "--suite", "defres", "--seed", "1", "--count",
       "100"],
      "5d2ec0eda9c09e4d70f9763d1fc16aac1828922eda1e2551eca53007255714b5"),
@@ -768,17 +802,44 @@ C6_C3_DIGEST = \
     (["verify-biset-laws", "--suite", "characters", "--seed", "1",
       "--count", "50"],
      "68a795ea7448a8aaacaa77da40054175e0db8cd87f6c3fbfd3dd7421d5a93d85"),
-], ids=["c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
-        "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
-        "characters-suite", "induction-formula-suite",
-        "induced-bisets-suite", "defres-suite",
-        "induction-formula-suite-seed-1", "induced-bisets-suite-seed-1",
-        "defres-suite-seed-1", "mackey-suite",
-        "coherence-suite", "mackey-suite-seed-1", "coherence-suite-seed-1",
-        "characters-suite-seed-1"])
+]
+PINNED_REPORT_IDS = [
+    "c6_c3", "identity_s3", "a4_c3", "identity_s4_p2", "identity_s4_p3",
+    "identity_a4_p2", "identity_d8_p2", "identity_q8_p2",
+    "characters-suite", "induction-formula-suite",
+    "induced-bisets-suite", "defres-suite",
+    "induction-formula-suite-seed-1", "induced-bisets-suite-seed-1",
+    "defres-suite-seed-1", "mackey-suite",
+    "coherence-suite", "mackey-suite-seed-1", "coherence-suite-seed-1",
+    "characters-suite-seed-1"]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS,
+                         ids=PINNED_REPORT_IDS)
 def test_cli_reports_are_pinned_apart_from_times(capsys, argv, digest):
     code, rep = run_cli(capsys, argv)
     assert code == 0
+    assert _digest_without_times(rep) == digest
+
+
+# the pinned suite reports and --inject-mutation reports above
+SUITE_REPORTS = [
+    (argv, digest, name)
+    for (argv, digest), name in zip(PINNED_REPORTS, PINNED_REPORT_IDS)
+    if argv[0] == "verify-biset-laws"] + [
+    (["verify-biset-laws", "--suite", suite_name, "--count", "5", "--seed",
+      "7", "--inject-mutation"], digest, f"{suite_name}-mutated")
+    for suite_name, digest in MUTATED_SUITE_DIGESTS.items()]
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+@pytest.mark.parametrize("argv, digest", [case[:2] for case in SUITE_REPORTS],
+                         ids=[case[2] for case in SUITE_REPORTS])
+def test_cli_suite_reports_do_not_depend_on_the_worker_count(
+        monkeypatch, capsys, argv, digest, workers):
+    monkeypatch.setattr(cli, "worker_count", lambda: workers)
+    code, rep = run_cli(capsys, argv)
+    assert code == (1 if "--inject-mutation" in argv else 0)
     assert _digest_without_times(rep) == digest
 
 
