@@ -19,9 +19,7 @@ from .broue import BrouePipeline, VirtualPPermBimodule, run_scenario
 from .gf import fq_field
 from .namedgroups import named_group
 from .scenario import bundled_scenario, bundled_table
-from .suites import run_suite
-
-DEFAULT_SEED = 20260823
+from .suites import DEFAULT_SEED, run_suite
 
 
 # each criterion's name by id, for its result and for a criterion that raises

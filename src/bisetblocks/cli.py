@@ -14,7 +14,6 @@ import json
 import sys
 import time
 
-from .acceptance import DEFAULT_SEED, run_all
 from .blocks import (assign_characters_to_blocks, block_idempotents,
                      defect_group, defect_zero_simple_dim,
                      maximal_brauer_pair, splitting_field_degree,
@@ -24,7 +23,7 @@ from .characters import ingest_character_table, value_to_doc
 from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
-from .suites import ALL_SUITES, run_suite, worker_count
+from .suites import ALL_SUITES, DEFAULT_SEED, run_suite, worker_count
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -246,6 +245,7 @@ def cmd_ingest_table(args) -> int:
 
 
 def cmd_run_acceptance(args) -> int:
+    from .acceptance import run_all   # only here: no other verb needs it
     rep = run_all(seed=args.seed)
     for r in rep["results"]:
         status = "PASS" if r["ok"] else "FAIL"

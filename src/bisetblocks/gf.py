@@ -4,13 +4,15 @@ them.
 Elements of F_q are integers 0..q-1 read as base-p digit vectors over
 the polynomial basis of F_p[x] modulo a fixed irreducible: the element
 sum(c_i p^i) stands for sum(c_i x^i).  The modulus is the
-lexicographically smallest monic irreducible of degree m, and the
+lexicographically smallest monic irreducible of degree m, found by
+counting the fixed points of the p-power map (Berlekamp), and the
 generator is the smallest element of multiplicative order q-1, so a
 field is determined by (p, m) alone.  Integers 0..p-1 are the prime
-subfield.  The multiplication and inverse tables are read off the
-generator's exponent and logarithm tables (g^i g^j = g^(i+j)), so
-building them takes O(q) polynomial products; addition adds base-p
-digits.
+subfield.  Addition adds base-p digits.  The multiplication and
+inverse tables are read off the generator's exponent and logarithm
+tables (g^i g^j = g^(i+j)), so building them takes O(q) products, each
+m steps of Horner's rule through the addition table and a table of
+products by x.
 
 The polynomial and matrix functions take the field as their first
 argument; mat_rref and mat_rank read its addition, multiplication and
@@ -43,43 +45,42 @@ def check_characteristic(p: int) -> None:
     _check_prime(p)
 
 
-def _int_to_poly(k: int, p: int) -> tuple[int, ...]:
-    out = []
-    while k:
-        out.append(k % p)
-        k //= p
-    return tuple(out)
+def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The lexicographically smallest monic irreducible f of degree
+    m > 1 over F_p, by the p-power map Phi of A = F_p[x]/(f) (Berlekamp,
+    1967).
 
-
-def _poly_to_int(poly, p: int) -> int:
-    out = 0
-    for c in reversed(poly):
-        out = out * p + c
-    return out
-
-
-def _smallest_irreducible(Fp: Fq, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over F_p."""
-    for tail in range(Fp.p ** m):
-        f = list(_int_to_poly(tail, Fp.p))
-        f += [0] * (m - len(f)) + [1]
-        if _is_irreducible(Fp, f):
+    Phi is F_p-linear on A, and its matrix has the columns Phi(x^j) =
+    x^(pj), read off the powers of x: each is the one before it with its
+    base-p digits shifted up one place and the top digit c folded back
+    as c x^m = -c (f_0 + ... + f_(m-1) x^(m-1)).  f is kept when Phi^m(x)
+    = x, so f divides the squarefree x^(p^m) - x and has no repeated
+    factor, and when the kernel of Phi - 1 is the line F_p, as Phi fixes
+    one line in each local factor A/(g^e) of A, g irreducible.
+    """
+    Fp = fq_field(p, 1)
+    x = [0, 1] + [0] * (m - 2)
+    for tail in range(p ** m):
+        f = [tail // p ** i % p for i in range(m)] + [1]
+        minus_tail = [-c % p for c in f[:m]]
+        powers = [[1] + [0] * (m - 1)]
+        for _ in range(p * (m - 1)):
+            *low, top = powers[-1]
+            powers.append([(u + top * t) % p
+                           for u, t in zip([0] + low, minus_tail)])
+        cols = powers[::p]
+        v = x
+        for _ in range(m):
+            out = [0] * m
+            for c, col in zip(v, cols):
+                if c:
+                    out = [u + c * w for u, w in zip(out, col)]
+            v = [u % p for u in out]
+        if v == x and len(mat_kernel(Fp, [
+                [(col[i] - (i == j)) % p for j, col in enumerate(cols)]
+                for i in range(m)], m)) == 1:
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")
-
-
-def _is_irreducible(Fp: Fq, f) -> bool:
-    # x^(p^d) mod f for d = 1..m; f irreducible iff x^(p^m) = x and
-    # gcd(x^(p^d) - x, f) = 1 for every proper divisor d of m.
-    m = len(f) - 1
-    x = [0, 1]
-    xp = x
-    for d in range(1, m + 1):
-        xp = poly_powmod(Fp, xp, Fp.p, f)
-        if d < m and m % d == 0 and \
-                poly_deg(poly_gcd(Fp, poly_sub(Fp, xp, x), f)) > 0:
-            return False
-    return xp == x
 
 
 def _generator_powers(q: int, times) -> list[int]:
@@ -143,18 +144,31 @@ class Fq:
         self.p = p
         self.m = m
         self.q = q
+        self.add_table = add = _digit_add_table(p, m)
+        self.neg_table = _digit_neg_table(p, m)
         if m == 1:
             self.modulus = (0, 1)
 
             def times(a, b):
                 return a * b % p
         else:
-            Fp = fq_field(p, 1)
-            self.modulus = _smallest_irreducible(Fp, m)
+            self.modulus = f = _smallest_irreducible(p, m)
+            # a x: the digits of a shifted up, the top digit c folded back
+            # as c x^m; then a b by Horner's rule over the digits of a
+            top = p ** (m - 1)
+            fold = [sum(-c * t % p * p ** i for i, t in enumerate(f[:m]))
+                    for c in range(p)]
+            times_x = [add[a % top * p][fold[a // top]] for a in range(q)]
+            places = [p ** i for i in reversed(range(m))]
 
             def times(a, b):
-                prod = poly_mul(Fp, _int_to_poly(a, p), _int_to_poly(b, p))
-                return _poly_to_int(poly_mod(Fp, prod, self.modulus), p)
+                multiples = [0, b]
+                for _ in range(p - 2):
+                    multiples.append(add[multiples[-1]][b])
+                out = 0
+                for P in places:
+                    out = add[times_x[out]][multiples[a // P % p]]
+                return out
         exp = _generator_powers(q, times)
         self.generator = exp[1 % (q - 1)]  # F_2: exp is [1], g = 1
         log = [0] * q
@@ -165,8 +179,6 @@ class Fq:
             [0] + [exp2[log[a] + log[b]] for b in range(1, q)]
             for a in range(1, q)]
         self.inv_table = [0] + [exp[-log[a]] for a in range(1, q)]
-        self.add_table = _digit_add_table(p, m)
-        self.neg_table = _digit_neg_table(p, m)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -227,22 +239,6 @@ def poly_is_zero(f) -> bool:
     return all(c == 0 for c in f)
 
 
-def poly_deg(f) -> int:
-    f = poly_trim(f)
-    return -1 if f == [0] else len(f) - 1
-
-
-def poly_add(F, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim([F.add(x, y) for x, y in zip(a, b)])
-
-
-def poly_sub(F, a, b):
-    return poly_add(F, a, [F.neg(y) for y in b])
-
-
 def poly_mul(F, a, b):
     if poly_is_zero(a) or poly_is_zero(b):
         return [0]
@@ -259,52 +255,11 @@ def poly_scale(F, a, c):
     return poly_trim([F.mul(c, x) for x in a])
 
 
-def poly_divmod(F, a, b):
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if poly_is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [0], a
-    out = [0] * (len(a) - len(b) + 1)
-    inv = F.inv(b[-1])
-    a = list(a)
-    for k in range(len(out) - 1, -1, -1):
-        c = F.mul(a[k + len(b) - 1], inv)
-        out[k] = c
-        if c:
-            for i in range(len(b)):
-                a[k + i] = F.sub(a[k + i], F.mul(c, b[i]))
-    return poly_trim(out), poly_trim(a[: len(b) - 1])
-
-
-def poly_mod(F, a, b):
-    return poly_divmod(F, a, b)[1]
-
-
-def poly_gcd(F, a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while not poly_is_zero(b):
-        a, b = b, poly_mod(F, a, b)
-    return poly_monic(F, a)
-
-
 def poly_monic(F, a):
     a = poly_trim(a)
     if poly_is_zero(a):
         return a
     return poly_scale(F, a, F.inv(a[-1]))
-
-
-def poly_powmod(F, base, e: int, mod):
-    out = [1]
-    base = poly_mod(F, base, mod)
-    while e:
-        if e & 1:
-            out = poly_mod(F, poly_mul(F, out, base), mod)
-        base = poly_mod(F, poly_mul(F, base, base), mod)
-        e >>= 1
-    return out
 
 
 def poly_factor(F: Fq, f):

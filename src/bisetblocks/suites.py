@@ -35,6 +35,9 @@ from .namedgroups import named_group
 from .subdirect import (ProductSubgroup, diagonal, full_product_subgroup,
                         middle_witnesses, star)
 
+# the seed of the acceptance criteria, and verify-biset-laws' default
+DEFAULT_SEED = 20260823
+
 MACKEY_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8", "A4")
 SMALL_GROUPS = ("C2", "C3", "C4", "C6", "S3", "D8", "Q8")
 

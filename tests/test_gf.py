@@ -6,9 +6,10 @@ from functools import reduce
 
 import pytest
 
-from bisetblocks.gf import (_digit_add_table, _digit_neg_table, eigenspaces,
-                            fq_field, mat_kernel, mat_rank, mat_rref,
-                            poly_deg, poly_factor, poly_mul, poly_sub,
+from bisetblocks.gf import (FIELD_SIZE_CAP, _digit_add_table,
+                            _digit_neg_table, _smallest_irreducible,
+                            eigenspaces, fq_field, mat_kernel, mat_rank,
+                            mat_rref, poly_factor, poly_is_zero, poly_mul,
                             poly_trim)
 
 from oracles import poly_eval
@@ -120,12 +121,11 @@ def test_poly_arithmetic_basics():
     a = [1, 2, 3]          # 3x^2 + 2x + 1
     b = [4, 1]             # x + 4
     prod = poly_mul(F, a, b)
-    assert poly_deg(prod) == 3
+    assert len(prod) == 4
     assert poly_eval(F, prod, 2) == F.mul(poly_eval(F, a, 2),
                                           poly_eval(F, b, 2))
     assert poly_trim([0, 1, 0, 0]) == [0, 1]
-    from bisetblocks.gf import poly_is_zero
-    assert poly_is_zero(poly_sub(F, a, a))
+    assert poly_is_zero(poly_mul(F, a, [0])) and not poly_is_zero(prod)
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (7, 1), (3, 2)])
@@ -155,7 +155,7 @@ def test_poly_factor_splits_x_q_minus_x():
     f = [0, F.neg(1), 0, 0, 1]
     factors = poly_factor(F, f)
     assert sum(m for _, m in factors) == 4
-    assert all(poly_deg(fac) == 1 for fac, _ in factors)
+    assert all(len(poly_trim(fac)) == 2 for fac, _ in factors)
     roots = {F.neg(fac[0]) for fac, _ in factors}
     assert roots == set(range(4))
 
@@ -317,7 +317,8 @@ def test_eigenspaces_refuses_a_matrix_that_does_not_diagonalize(M):
 def _small_fields(limit=128):
     primes = [p for p in range(2, limit + 1)
               if all(p % k for k in range(2, p))]
-    return [(p, m) for p in primes for m in range(1, 8) if p ** m <= limit]
+    return [(p, m) for p in primes for m in range(1, limit.bit_length())
+            if p ** m <= limit]
 
 
 def _digits(a, p, m):
@@ -357,6 +358,23 @@ def _irreducible(f, p):
     m = len(f) - 1
     return not any(not any(_mod_poly(f, g, p))
                    for d in range(1, m // 2 + 1) for g in _monic(p, d))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in
+                                 _small_fields(FIELD_SIZE_CAP) if m > 1])
+def test_modulus_is_the_first_irreducible_by_trial_division(p, m):
+    # every field of the cap that has a modulus to find, without
+    # building its q x q tables
+    f = list(_smallest_irreducible(p, m))
+    assert f == next(g for g in _monic(p, m) if _irreducible(g, p))
+
+
+def test_modulus_search_needs_both_checks_on_the_p_power_map():
+    # over F_2, x^2 and x^2 + 1 = (x + 1)^2 fix only the line F_2, but
+    # x^4 is 0 and 1 modulo them, not x; x^2 + x = x(x + 1) has x^4 = x
+    # but fixes a plane.  A search without either check stops at one of
+    # them before the irreducible x^2 + x + 1.
+    assert _smallest_irreducible(2, 2) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("p,m", _small_fields())

@@ -856,3 +856,18 @@ def test_one_parser_serves_every_call_of_main(capsys):
     assert code == 0 and _digest_without_times(rep) == pinned["S4", 3]
     code, rep = run_cli(capsys, ["broue", data_path("scenarios/c6_c3.json")])
     assert code == 0 and _digest_without_times(rep) == C6_C3_DIGEST
+
+
+def test_only_run_acceptance_imports_the_acceptance_module():
+    # a fresh interpreter: importing the CLI leaves acceptance.py
+    # unloaded, so the verbs that never reach it skip its start-up cost
+    import os
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = ("import sys, bisetblocks.cli; "
+              "print('bisetblocks.acceptance' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
