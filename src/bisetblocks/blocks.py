@@ -527,8 +527,7 @@ def assign_characters_to_blocks(table: CharacterTable,
 
 def fixed_cosets(X, P: Subgroup) -> list[int]:
     """Points of the coset biset of X fixed by every element of P."""
-    U = biset_coset(X)
-    return U.action.fixed_points(P.elements)
+    return biset_coset(X).fixed_points(P.elements)
 
 
 def brauer_construction(terms, P: Subgroup):
@@ -544,12 +543,12 @@ def brauer_construction(terms, P: Subgroup):
         if P.parent.uid != amb.uid:
             raise ValueError("P must live in the ambient product group")
         U = biset_coset(X)
-        fixed = U.action.fixed_points(P.elements)
+        fixed = U.fixed_points(P.elements)
         pos = {x: i for i, x in enumerate(fixed)}
         N = normalizer(amb, P)
         rows = []
         for g in N.elements:
-            row = U.action.rows[g]
+            row = U.rows[g]
             rows.append(tuple(pos[row[x]] for x in fixed))
         out.append({"fixed": fixed, "action": GAction(N.as_group(), rows),
                     "coefficient": coeff})

@@ -260,7 +260,7 @@ class BrouePipeline:
         tG, tH = self.side_G.table, self.side_H.table
         total: ClassFunction | None = None
         for t in gamma.terms:
-            pc = perm_character(biset_coset(t.vertex).action)
+            pc = perm_character(biset_coset(t.vertex))
             pc = pc * t.coefficient
             total = pc if total is None else total + pc
         if total is None:
@@ -428,7 +428,7 @@ class BrouePipeline:
             details = []
             for t in gamma.terms:
                 U = biset_coset(t.vertex)
-                fixed = U.action.fixed_points(P.elements)
+                fixed = U.fixed_points(P.elements)
                 if not fixed:
                     details.append({"vertex_order": t.vertex.order,
                                     "fixed": 0, "rank": 0})
@@ -467,7 +467,7 @@ class BrouePipeline:
 
     def _projected_rank(self, U, fixed, projector: dict) -> int:
         try:
-            return action_rank(self.field, U.action.rows.__getitem__,
+            return action_rank(self.field, U.rows.__getitem__,
                                projector, fixed)
         except ValueError:
             raise PipelineError(

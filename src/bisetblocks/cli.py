@@ -37,8 +37,11 @@ class InputError(Exception):
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, default=str)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            raise InputError(f"cannot write {out}: {ex}")
     else:
         print(text)
 

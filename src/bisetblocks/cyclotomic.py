@@ -16,7 +16,7 @@ One set of kernels does the arithmetic of Z[zeta_n] for this type and
 for the class functions of characters.py.  Each reads an operand's
 ``n``, ``den`` and ``rows``: row t holds the t-th numerator of each of
 k values, and a Cyclotomic is the case k = 1.  ``_reduce`` rewrites
-rows by degree modulo Phi_n through a precomputed power table,
+rows by degree modulo Phi_n by synthetic division, one column at a time,
 ``_rows_over`` lifts to a multiple of the conductor and applies
 zeta |-> zeta^t, ``_sum`` adds or subtracts over the lcm of the
 conductors and denominators, and ``_bilinear`` multiplies, a row of
@@ -97,43 +97,27 @@ def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is zeta_n^k expressed over the power basis, for 0 <= k < n.
-
-    Phi_n is monic with integer coefficients, so every row is integral.
-    Row k is z times row k-1: its coordinates shifted up by one, and,
-    when the coordinate shifted out is c != 0, c Phi_n subtracted.
-    """
-    d = euler_phi(n)
-    phi = cyclotomic_polynomial(n)[:d]
-    zero = (0,) * d
-    rows = [zero[:k] + (1,) + zero[k + 1:] for k in range(d)]
-    prev = rows[-1]
-    for _ in range(d, n):
-        lead = prev[-1]
-        prev = (0,) + prev[:-1]
-        if lead:
-            prev = tuple(map(operator.sub, prev, [lead * c for c in phi]))
-        rows.append(prev)
-    return tuple(rows)
-
-
 def _reduce(n: int, poly, k: int) -> tuple:
-    """Rows of k ints by degree in zeta_n, None for a zero row, of any
-    length, rewritten over the phi(n) rows of the power basis: the rows
-    below phi(n) are kept, the higher degrees go through the power
-    table, and missing rows are zero."""
+    """Tuples of k ints by degree in zeta_n, None for a zero row, of any
+    length, rewritten over the phi(n) rows of the power basis, missing
+    rows being zero.  Each of the k columns is divided by Phi_n on its
+    own, synthetically: from the top degree e down to phi(n), an entry b
+    of degree e subtracts b c from degree e - phi(n) + i for each nonzero
+    coefficient c of x^i in Phi_n below its leading one."""
     d = euler_phi(n)
-    out = [list(row) if row else [0] * k for row in poly[:d]]
-    out += [[0] * k] * (d - len(out))
-    table = _power_table(n)
-    for e in range(d, len(poly)):
-        if poly[e]:
-            for i, c in enumerate(table[e % n]):
-                if c:
-                    out[i] = [a + c * b for a, b in zip(out[i], poly[e])]
-    return tuple(map(tuple, out))
+    rows = [row or (0,) * k for row in poly]
+    if len(rows) <= d:
+        return tuple(rows + [(0,) * k] * (d - len(rows)))
+    tail = [(i - d, c) for i, c in enumerate(cyclotomic_polynomial(n)[:d])
+            if c]
+    cols = [list(col) for col in zip(*rows)]
+    for col in cols:
+        for e in range(len(rows) - 1, d - 1, -1):
+            b = col[e]
+            if b:
+                for i, c in tail:
+                    col[e + i] -= c * b
+    return tuple(zip(*[col[:d] for col in cols]))
 
 
 def _rows_over(x, m: int, t: int = 1) -> tuple:
@@ -164,20 +148,25 @@ def _sum(f, g, op) -> tuple:
 
 
 def _bilinear(f, g, form, k: int, scale: int = 1) -> tuple:
-    """(m, rows, den) of the k values sum form(x, y) / (f.den g.den scale)
-    over the rows x of f and y of g, the pair of degrees s and t landing
-    in degree s + t over zeta_m, m = lcm(f.n, g.n); form is bilinear on
-    int rows."""
+    """(m, rows, den) of the k values of form on f and g over zeta_m,
+    m = lcm(f.n, g.n), divided by f.den g.den scale, a row x of f of
+    degree s and a row y of g of degree t landing in degree s + t.
+    form(x, ys) is bilinear on int rows and gives, in one flat list, the
+    k entries of x against each of ys, the rows of g from its first
+    nonzero one to its last: one call per nonzero row of f."""
     m = lcm(f.n, g.n)
-    b = [(t, y) for t, y in enumerate(_rows_over(g, m)) if any(y)]
-    poly = [None] * (2 * euler_phi(m) - 1)
-    for s, x in enumerate(_rows_over(f, m)):
+    ys = _rows_over(g, m)
+    ts = [t for t, y in enumerate(ys) if any(y)] or [0]
+    ys = ys[ts[0]:ts[-1] + 1]
+    flat, width = [0] * ((2 * euler_phi(m) - 1) * k), len(ys) * k
+    for s, x in enumerate(_rows_over(f, m), ts[0]):
         if any(x):
-            for t, y in b:
-                r = form(x, y)
-                p = poly[s + t]
-                poly[s + t] = r if p is None else list(map(operator.add, p, r))
-    return m, _reduce(m, poly, k), f.den * g.den * scale
+            a = s * k
+            flat[a:a + width] = map(operator.add, flat[a:a + width],
+                                    form(x, ys))
+    # rows of k entries, read off one iterator k at a time
+    return m, _reduce(m, list(zip(*[iter(flat)] * k)), k), \
+        f.den * g.den * scale
 
 
 def _as_fraction(value) -> Fraction:
@@ -419,9 +408,10 @@ def _from_rows(n: int, rows, den: int) -> Cyclotomic:
     return _make(n, tuple([row[0] for row in rows]), den)
 
 
-def _times(x, y) -> list[int]:
+def _times(x, ys) -> list[int]:
     """The one-entry form of a product of two elements."""
-    return [x[0] * y[0]]
+    c = x[0]
+    return [c * y for y, in ys]
 
 
 def _trace_down(x: Cyclotomic, p: int) -> Cyclotomic:

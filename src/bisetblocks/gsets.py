@@ -4,8 +4,9 @@ A GAction maps each group element id to the permutation it induces on
 0..size-1, given in full or as a row function whose rows are computed
 on first lookup and kept, as the constructors of coset actions,
 unions, products, tensor products, extended tensor products and
-induced actions give them.  A biset for (G, H) is an action of G x H,
-(g,h) acting as u |-> g.u.h^-1.  Isomorphism of actions compares
+induced actions give them.  A (G, H)-biset is an action of
+product_group(G, H), (g,h) acting as u |-> g.u.h^-1; that group's left
+and right are its two sides.  Isomorphism of actions compares
 transitive decompositions: the multiset of point-stabilizer classes,
 each keyed by its smallest conjugate element tuple.  A coset action
 G/S decomposes as the class of S and a union as its summands do, so
@@ -223,83 +224,30 @@ def external_product(A: GAction, B: GAction) -> GAction:
 
 
 def rebase_action(A: GAction, group: FiniteGroup) -> GAction:
-    """Move an action to an equal-table copy of its group.
-
-    Used when the same abstract subgroup arises from two parents; the
-    element orderings agree, so the row data carries over verbatim.
-    """
+    """Move an action to a group with the same element ids, as G to G x 1
+    or a subgroup's local group to one built from another parent.  The
+    orders, the identities and the rows of group.generators must agree:
+    every element is a product of generators, so theirs fix every row
+    (Light's test)."""
     if group is A.group:
         return A
-    if group.order != A.group.order or any(
-            group.row(g) != A.group.row(g) for g in range(group.order)):
+    old = A.group
+    if group.order != old.order or group.identity != old.identity or any(
+            group.row(s) != old.row(s) for s in group.generators):
         raise ValueError("groups are not element-wise identical")
     return GAction(group, A.rows.__getitem__, size=A.size)
 
 
 # -- bisets ----------------------------------------------------------
 
-class BisetView:
-    """An action of a product group G x H, read as a (G, H)-biset."""
-
-    def __init__(self, ambient: ProductGroup, action: GAction) -> None:
-        if action.group.uid != ambient.uid:
-            raise ValueError("action must be over the ambient product group")
-        self.ambient = ambient
-        self.action = action
-
-    @property
-    def left(self) -> FiniteGroup:
-        return self.ambient.left
-
-    @property
-    def right(self) -> FiniteGroup:
-        return self.ambient.right
-
-    @property
-    def size(self) -> int:
-        return self.action.size
-
-    def decompose(self) -> TransitiveDecomposition:
-        return self.action.decompose()
-
-    def opposite(self) -> "BisetView":
-        """The same points as an (H, G)-biset.
-
-        The left H-action is the old right division u.h^-1 and the right
-        G-action the old left division; on pairs this is just the swap
-        (h,g) |-> (g,h), which is already a homomorphism.
-        """
-        amb = product_group(self.right, self.left)
-        rows, encode = self.action.rows, self.ambient.encode
-
-        def row(x: int) -> tuple[int, ...]:
-            h, g = amb.decode(x)
-            return rows[encode(g, h)]
-        return BisetView(amb, GAction(amb, row, size=self.size))
-
-
-def biset_coset(X: ProductSubgroup) -> BisetView:
+def biset_coset(X: ProductSubgroup) -> GAction:
     """The transitive biset of cosets of X inside its ambient product."""
-    return BisetView(X.ambient, coset_action(X.ambient, X))
-
-
-def biset_from_left_action(A: GAction) -> BisetView:
-    """View a plain G-set as a (G, 1)-biset over the shared trivial group."""
-    amb = product_group(A.group, trivial_group())
-    # (g, 1) has the id of g, so the rows carry over
-    return BisetView(amb, GAction(amb, A.rows.__getitem__, size=A.size))
-
-
-def left_action_of_biset(U: BisetView) -> GAction:
-    """Forget a trivial right side."""
-    if U.right.order != 1:
-        raise ValueError("right group must be trivial")
-    return GAction(U.left, U.action.rows.__getitem__, size=U.size)
+    return coset_action(X.ambient, X)
 
 
 # -- elementary bisets -----------------------------------------------
 
-def _graph_biset(amb: ProductGroup, Q: Subgroup, phi) -> BisetView:
+def _graph_biset(amb: ProductGroup, Q: Subgroup, phi) -> GAction:
     """The biset (G x H)/L of the graph L = {(phi(z), z) : z in Q} of a
     homomorphism phi from Q <= H to G, phi[i] being the image of the
     i-th element of Q.
@@ -339,12 +287,11 @@ def _graph_biset(amb: ProductGroup, Q: Subgroup, phi) -> BisetView:
             return right_row(h)
         gr = left_row(g)
         return gr if h == eH else tuple([gr[p] for p in right_row(h)])
-    action = GAction(amb, row, size=len(reps) * n,
-                     classes=lambda: {L.canonical_conjugate().elements: 1})
-    return BisetView(amb, action)
+    return GAction(amb, row, size=len(reps) * n,
+                   classes=lambda: {L.canonical_conjugate().elements: 1})
 
 
-def induction_biset(S: Subgroup) -> BisetView:
+def induction_biset(S: Subgroup) -> GAction:
     """Induction from a subgroup: the (G, H)-biset on G with H = S, the
     cosets of the graph of the inclusion of H into G."""
     Sg = S.as_group()
@@ -418,25 +365,26 @@ def _balanced(H: FiniteGroup, gens, order: int, nu: int, nv: int,
     return size, classes
 
 
-def tensor_direct(U: BisetView, V: BisetView) -> BisetView:
-    """The tensor product over the middle group H: _balanced with M = H,
-    read through (1, h) on U and (h, 1) on V.  (g,k) acts through (g, 1)
-    on U and (1, k) on V, which commute with H."""
-    if U.ambient.right is not V.ambient.left:
+def tensor_direct(U: GAction, V: GAction) -> GAction:
+    """The tensor product of a (G, H)- and an (H, K)-biset over H:
+    _balanced with M = H, read through (1, h) on U and (h, 1) on V.
+    (g,k) acts through (g, 1) on U and (1, k) on V, which commute with H."""
+    GH, HK = U.group, V.group
+    if GH.right is not HK.left:
         raise ValueError("tensor requires matching middle group")
-    H = U.ambient.right
-    Urows, Vrows = U.action.rows, V.action.rows
-    Uenc, Venc = U.ambient.encode, V.ambient.encode
-    eG, e, eK = U.left.identity, H.identity, V.right.identity
+    H = GH.right
+    Urows, Vrows = U.rows, V.rows
+    Uenc, Venc = GH.encode, HK.encode
+    eG, e, eK = GH.left.identity, H.identity, HK.right.identity
     size, classes = _balanced(H, H.generators, H.order, U.size, V.size,
                               lambda t: Urows[Uenc(eG, t)],
                               lambda t: Vrows[Venc(t, eK)])
-    amb = product_group(U.left, V.right)
+    amb = product_group(GH.left, HK.right)
 
     def row(x: int) -> tuple[int, ...]:
         g, k = amb.decode(x)
         return classes(Urows[Uenc(g, e)], Vrows[Venc(e, k)])
-    return BisetView(amb, GAction(amb, row, size=size))
+    return GAction(amb, row, size=size)
 
 
 def tensor_mackey(X: ProductSubgroup, Y: ProductSubgroup
@@ -498,7 +446,7 @@ def extended_tensor(X: ProductSubgroup, Y: ProductSubgroup,
     return GAction(S.as_group(), row, size=size)
 
 
-def defres_biset(data: PullbackData) -> BisetView:
+def defres_biset(data: PullbackData) -> GAction:
     """Deflation-restriction along the pullback map, as a biset.
 
     The (X*Y, X x Y)-biset of cosets of the graph {(nu(z), z)} of the
@@ -511,15 +459,16 @@ def defres_biset(data: PullbackData) -> BisetView:
 
 def defres_description(X: ProductSubgroup, Y: ProductSubgroup,
                        U: GAction, V: GAction) -> dict:
-    """Compare the extended tensor with the deflation-restriction of the
-    plain product."""
+    """Both sides of the extended tensor as the deflation-restriction of
+    the plain product: the X x Y-set U x V, moved to (X x Y) x 1, is
+    tensored with the defres biset, and the result moved back to X * Y."""
     data = pullback(X, Y)
     lhs = extended_tensor(X, Y, U, V, witnesses=data.witnesses)
-    W = defres_biset(data)
     UV = external_product(U, V)
-    rhs = left_action_of_biset(
-        tensor_direct(W, biset_from_left_action(UV)))
-    return {"lhs": lhs, "rhs": rhs, "isomorphic": iso_check(lhs, rhs)}
+    UV1 = rebase_action(UV, product_group(UV.group, trivial_group()))
+    rhs = rebase_action(tensor_direct(defres_biset(data), UV1),
+                        lhs.group)
+    return {"lhs": lhs, "rhs": rhs}
 
 
 # -- induction of one-sided actions ----------------------------------
@@ -533,9 +482,7 @@ def induced_action(G: FiniteGroup, S: Subgroup, U: GAction) -> GAction:
     """
     if S.parent is not G:
         raise ValueError("S must be a subgroup of G")
-    Sg = S.as_group()
-    if U.group is not Sg:
-        U = rebase_action(U, Sg)
+    U = rebase_action(U, S.as_group())
     reps, idx = S.coset_index_map()
     inv_reps = [G.inv(t) for t in reps]
     n = U.size
@@ -619,12 +566,7 @@ def extended_induction_formula(X: ProductSubgroup, Y: ProductSubgroup,
         terms.append(induced_action(Sg, sub_in_local(S, star(Xc, Yc, wc)),
                                     T))
     rhs = disjoint_union(*terms) if terms else trivial_action(Sg, 0)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "double_coset_count": len(terms),
-        "isomorphic": iso_check(lhs, rhs),
-    }
+    return {"lhs": lhs, "rhs": rhs, "double_coset_count": len(terms)}
 
 
 def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
@@ -660,16 +602,20 @@ def tensor_induced_bisets_formula(X: ProductSubgroup, Y: ProductSubgroup,
                 right_loc = rect.to_local(
                     PG.encode(X.to_local(e0), Y.to_local(f0)))
                 elems.append(amb_out.encode(left_loc, right_loc))
-        parts.append(biset_coset(
-            ProductSubgroup(amb_out, elems)).action)
-    rhs = disjoint_union(*parts)
-    return {
-        "lhs": lhs.action,
-        "rhs": rhs,
-        "double_coset_count": len(parts),
-        "isomorphic": iso_check(lhs.action, rhs),
-    }
+        parts.append(biset_coset(ProductSubgroup(amb_out, elems)))
+    return {"lhs": lhs, "rhs": disjoint_union(*parts),
+            "double_coset_count": len(parts)}
 
 
-def dual_biset(U: BisetView) -> BisetView:
-    return U.opposite()
+def dual_biset(U: GAction) -> GAction:
+    """The (H, G)-biset on the points of a (G, H)-biset U: h acts on the
+    left as h^-1 did on the right and g on the right as g^-1 did on the
+    left, so (h,g) acts as (g,h) did; the swap is a homomorphism."""
+    GH = U.group
+    amb = product_group(GH.right, GH.left)
+    rows, encode = U.rows, GH.encode
+
+    def row(x: int) -> tuple[int, ...]:
+        h, g = amb.decode(x)
+        return rows[encode(g, h)]
+    return GAction(amb, row, size=U.size)

@@ -25,7 +25,7 @@ from .characters import (ClassFunction, contract_extended,
                          verify_tensor_character_formula)
 from .groups import (FiniteGroup, ProductGroup, Subgroup, full_subgroup,
                      product_group, subgroup_generated)
-from .gsets import (BisetView, GAction, TransitiveDecomposition,
+from .gsets import (GAction, TransitiveDecomposition,
                     biset_coset, coset_action, defres_description,
                     disjoint_union, extended_induction_formula,
                     extended_tensor, iso_check, tensor_direct,
@@ -173,12 +173,8 @@ def _one_check(chain, subgroups, lhs, rhs, cosets=None, **fields):
             [(None, lhs, rhs)], cosets)
 
 
-def _identity_biset(G: FiniteGroup) -> BisetView:
+def _identity_biset(G: FiniteGroup) -> GAction:
     return biset_coset(diagonal(full_subgroup(G)))
-
-
-def _biset_union(a: BisetView, b: BisetView) -> BisetView:
-    return BisetView(a.ambient, disjoint_union(a.action, b.action))
 
 
 def _coherence(rng: random.Random, groups, i: int):
@@ -195,7 +191,7 @@ def _coherence(rng: random.Random, groups, i: int):
                  (tensor_direct(U, _identity_biset(H)), U)]
     elif law == "distrib":
         U2 = biset_coset(random_product_subgroup(rng, product_group(G, H)))
-        sides = [(tensor_direct(_biset_union(U, U2), V), _biset_union(
+        sides = [(tensor_direct(disjoint_union(U, U2), V), disjoint_union(
             tensor_direct(U, V), tensor_direct(U2, V)))]
     elif law == "assoc":
         W = biset_coset(random_product_subgroup(rng, product_group(K, L),
@@ -214,7 +210,7 @@ def _coherence(rng: random.Random, groups, i: int):
         right = extended_tensor(X, star(Y, Z, yz), Ux, extended_tensor(
             Y, Z, Vy, Wz, witnesses=yz))
         return {"law": law}, [(None, left, right)], None
-    return {"law": law}, [(None, a.action, b.action) for a, b in sides], None
+    return {"law": law}, [(None, a, b) for a, b in sides], None
 
 
 def _characters(rng: random.Random, groups, i: int):
@@ -240,10 +236,9 @@ def _characters(rng: random.Random, groups, i: int):
          perm_character(extended_tensor(X, Y, U, V)),
          contract_extended(X, Y, chi_m, chi_n)),
         ("tensor character contraction",
-         perm_character(tensor_direct(BU, BV).action),
-         contract_over_middle(perm_character(BU.action),
-                              perm_character(BV.action),
-                              BU.ambient, BV.ambient))], None
+         perm_character(tensor_direct(BU, BV)),
+         contract_over_middle(perm_character(BU), perm_character(BV),
+                              BU.group, BV.group))], None
 
 
 # name: (instance function, standard count, pool of base groups)

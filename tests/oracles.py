@@ -17,7 +17,7 @@ from bisetblocks.groups import (Subgroup, centralizer, extend_subgroup,
                                 int_p_part, isomorphisms, normalizer, orbit,
                                 p_subgroups_up_to_conjugacy, product_group,
                                 quotient, subgroup_generated)
-from bisetblocks.gsets import BisetView, GAction, biset_coset, rebase_action
+from bisetblocks.gsets import GAction, biset_coset, rebase_action
 from bisetblocks.subdirect import (ProductSubgroup, middle_kernel,
                                    middle_witnesses, star)
 
@@ -377,31 +377,32 @@ def stabilizer_by_all_schreier_generators(A, x) -> Subgroup:
     return Subgroup(G, elems)
 
 
-def tensor_by_pairs(U, V) -> BisetView:
+def tensor_by_pairs(U, V) -> GAction:
     """The tensor product over the middle group as orbits of all nu*nv
     pairs (u, v) under h.(u, v) = (u.h^-1, h.v), one label per pair."""
-    H = U.ambient.right
+    GH, HK = U.group, V.group
+    H = GH.right
     nu, nv = U.size, V.size
-    Urows, Vrows = U.action.rows, V.action.rows
-    Uenc, Venc = U.ambient.encode, V.ambient.encode
+    Urows, Vrows = U.rows, V.rows
+    Uenc, Venc = GH.encode, HK.encode
     glue = []
     for h in H.generators:
         if h == H.identity:
             continue
         # h.(u, v) = (u.h^-1, h.v): both via the (1,h) / (h,1) actions;
         # the generators of H have the orbits of H.
-        ur = Urows[Uenc(U.left.identity, h)]
-        vr = Vrows[Venc(h, V.right.identity)]
+        ur = Urows[Uenc(GH.left.identity, h)]
+        vr = Vrows[Venc(h, HK.right.identity)]
         glue.append([x * nv + y for x in ur for y in vr])
     label, reps = union_find_labels(nu * nv, glue)
-    amb = product_group(U.left, V.right)
+    amb = product_group(GH.left, HK.right)
 
     def row(x: int) -> tuple[int, ...]:
         g, k = amb.decode(x)
         gr = Urows[Uenc(g, H.identity)]
         kr = Vrows[Venc(H.identity, k)]
         return tuple([label[gr[r // nv] * nv + kr[r % nv]] for r in reps])
-    return BisetView(amb, GAction(amb, row, size=len(reps)))
+    return GAction(amb, row, size=len(reps))
 
 
 def induced_action_eager(G, S, U) -> GAction:
@@ -457,7 +458,7 @@ def extended_tensor_eager(X, Y, U, V) -> GAction:
     return GAction(S.as_group(), rows)
 
 
-def induction_biset_by_cosets(S) -> BisetView:
+def induction_biset_by_cosets(S) -> GAction:
     """Induction from S as the coset biset of the graph of the inclusion
     inside G x S, built through the coset map of the whole product."""
     amb = product_group(S.parent, S.as_group())
@@ -465,7 +466,7 @@ def induction_biset_by_cosets(S) -> BisetView:
         amb, map(amb.encode, S.elements, range(S.order))))
 
 
-def defres_biset_by_cosets(data) -> BisetView:
+def defres_biset_by_cosets(data) -> GAction:
     """Deflation-restriction along the pullback map as the coset biset of
     the graph of nu, built through the coset map of the whole product."""
     amb = product_group(data.star_subgroup.as_group(), data.pullback.ambient)

@@ -118,8 +118,7 @@ ALLOWLIST = {
     "subdirect.ProductSubgroup.k2": (12, "read by is_twisted_diagonal"),
     # the duality check of the paper's theorem
     "gsets.dual_biset": (4, "duality check"),
-    "gsets.BisetView.opposite": (4, "duality check"),
-    "gsets.BisetView.opposite.row": (4, "duality check"),
+    "gsets.dual_biset.row": (4, "duality check"),
     "subdirect.ProductSubgroup.opposite": (4, "duality check: the dual of "
                                            "(G x H)/X is (H x G)/X^op"),
     # paths no CLI input in CALLS draws

@@ -371,7 +371,7 @@ def test_brauer_construction_counts_fixed_cosets():
     # independent brute-force count over coset representatives
     U = biset_coset(X)
     brute = [x for x in range(U.size)
-             if all(U.action.rows[t][x] == x for t in Psub.elements)]
+             if all(U.rows[t][x] == x for t in Psub.elements)]
     assert got == brute
     # cosets of the diagonal form S3 under (a, b) . x = a x b^-1; the
     # delta(C3)-fixed points are the centralizer of C3, which is C3

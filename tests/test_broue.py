@@ -348,7 +348,7 @@ def test_projected_rank_reports_a_projector_leaving_the_fixed_set():
     S = bundled_scenario("c6_c3")
     pipe = pipeline_for(S)
     U = biset_coset(gamma_of(S, pipe).terms[0].vertex)
-    z = next(z for z in range(pipe.ambient.order) if U.action.rows[z][0])
+    z = next(z for z in range(pipe.ambient.order) if U.rows[z][0])
     assert pipe._projected_rank(U, [0], {pipe.ambient.identity: 1}) == 1
     with pytest.raises(PipelineError,
                        match="projector does not preserve the fixed set"
@@ -387,7 +387,7 @@ def test_kappa_multiplicities_are_the_per_pair_inner_products(name):
     kres = pipe.kappa(gamma)
     total = None
     for t in gamma.terms:
-        pc = perm_character(biset_coset(t.vertex).action) * t.coefficient
+        pc = perm_character(biset_coset(t.vertex)) * t.coefficient
         total = pc if total is None else total + pc
     full, mu = {}, None
     for i, chi in enumerate(S.table_G.irreducibles):

@@ -215,7 +215,7 @@ def test_tensor_character_formula_instance():
     chi_m = perm_character(regular_action(X.as_group()))
     chi_n = perm_character(regular_action(Y.as_group()))
     out = verify_tensor_character_formula(X, Y, chi_m, chi_n)
-    assert out["equal"]
+    assert out["lhs"] == out["rhs"]
     assert out["double_coset_count"] == 1  # p2(X) is all of the middle
     # degree bookkeeping: ind(chi_m)(1) ind(chi_n)(1) / |H|
     assert out["lhs"].degree() == 36 * 36 // 6

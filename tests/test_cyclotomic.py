@@ -10,19 +10,16 @@ from bisetblocks.cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi
 from oracles import cyclotomic, zeta
 
 
-def test_power_tables_agree_with_long_division():
-    # every row up to conductor 60; above it, up to 600, the last row
-    # before the power basis ends, the first rows after it, the last
-    # row and two seeded ones
+def test_reduced_powers_agree_with_long_division():
+    # zeta_n^k reduced by _reduce: every k below n up to conductor 60;
+    # above it, up to 600, the last power inside the power basis, the
+    # first ones after it, zeta_n^(n-1) and two seeded ones
     import random
-    from bisetblocks.cyclotomic import _power_table
+    from bisetblocks.cyclotomic import _reduce
     from oracles import power_by_long_division
     rng = random.Random(26)
     for n in range(1, 601):
-        # not through the cache, which would keep every table
-        table = _power_table.__wrapped__(n)
         d = euler_phi(n)
-        assert len(table) == n and all(len(row) == d for row in table)
         if n <= 60:
             ks = range(n)
         else:
@@ -30,7 +27,9 @@ def test_power_tables_agree_with_long_division():
                   rng.randrange(d, n), rng.randrange(d, n)}
         phi = cyclotomic_polynomial(n)
         for k in ks:
-            assert table[k] == power_by_long_division(phi, k), (n, k)
+            got = _reduce(n, [None] * k + [(1,)], 1)
+            assert [c for (c,) in got] == list(
+                power_by_long_division(phi, k)), (n, k)
 
 
 def test_euler_phi_small_values():

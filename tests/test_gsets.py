@@ -10,18 +10,17 @@ from bisetblocks import groups, gsets, subdirect, suites
 from bisetblocks.groups import (Subgroup, element_by_name, full_subgroup,
                                 product_group, subgroup_generated,
                                 trivial_subgroup)
-from bisetblocks.gsets import (BisetView, GAction, TransitiveDecomposition,
-                               biset_coset, biset_from_left_action,
-                               coset_action,
+from bisetblocks.gsets import (GAction, TransitiveDecomposition,
+                               biset_coset, coset_action,
                                defres_biset, defres_description,
                                disjoint_union, dual_biset,
                                extended_induction_formula, extended_tensor,
                                external_product,
                                induced_action, induction_biset, iso_check,
-                               left_action_of_biset, tensor_direct,
+                               rebase_action, sub_in_local, tensor_direct,
                                tensor_mackey, tensor_induced_bisets_formula,
                                trivial_action)
-from bisetblocks.namedgroups import named_group
+from bisetblocks.namedgroups import named_group, trivial_group
 from bisetblocks.subdirect import ProductSubgroup, diagonal, pullback
 from bisetblocks.suites import (MACKEY_GROUPS, SMALL_GROUPS, random_action,
                                 random_product_subgroup, random_sub_in,
@@ -115,9 +114,9 @@ def test_elementary_biset_sizes():
     assert induction_biset(C2).size == 6
     assert inflation_biset(S3, C3).size == 2  # underlying set is G/N
     U = restriction_biset(C2)
-    assert U.left.order == 2 and U.right.order == 6
+    assert U.group.left.order == 2 and U.group.right.order == 6
     V = induction_biset(C2)
-    assert V.left.order == 6 and V.right.order == 2
+    assert V.group.left.order == 6 and V.group.right.order == 2
 
 
 def test_mackey_res_ind_double_cosets():
@@ -130,7 +129,7 @@ def test_mackey_res_ind_double_cosets():
     dec = T.decompose()
     assert T.size == 6
     assert len(dec.items) == 2
-    assert sorted(len(o) for o in brute_orbits(T.action)) == [2, 4]
+    assert sorted(len(o) for o in brute_orbits(T)) == [2, 4]
 
 
 def test_tensor_mackey_agrees_with_direct_tensor():
@@ -157,18 +156,14 @@ def _tensor_cases(rng):
     def coset(amb):
         return biset_coset(random_product_subgroup(rng, amb, max_index=24))
 
-    def union(*bisets):
-        return BisetView(bisets[0].ambient,
-                         disjoint_union(*(B.action for B in bisets)))
-
     for _ in range(16):
         G, H, K = (named_group(rng.choice(MACKEY_GROUPS)) for _ in range(3))
         left, right = product_group(G, H), product_group(H, K)
         U, V = coset(left), coset(right)
         yield U, V
         # V with several H-orbits, U with several H-orbits
-        yield U, union(V, coset(right), V)
-        yield union(U, coset(left)), V
+        yield U, disjoint_union(V, coset(right), V)
+        yield disjoint_union(U, coset(left)), V
         # H acts freely on cosets of 1 x K, trivially on those of H x K
         free = biset_coset(rectangle(right, trivial_subgroup(H),
                                      full_subgroup(K)))
@@ -176,20 +171,21 @@ def _tensor_cases(rng):
                                       trivial_subgroup(K)))
         yield U, free
         yield U, fixed
-        yield U, union(fixed, coset(right), free)
+        yield U, disjoint_union(fixed, coset(right), free)
     # a trivial middle group
     for name in ("S3", "A4"):
         G = named_group(name)
         A = coset_action(G, subgroup_generated(G, [rng.randrange(G.order)]))
-        yield biset_from_left_action(A), biset_from_left_action(A).opposite()
+        U = rebase_action(A, product_group(G, trivial_group()))
+        yield U, dual_biset(U)
 
 
 def test_tensor_direct_matches_the_pair_sweep():
     for U, V in _tensor_cases(random.Random(23)):
         T, want = tensor_direct(U, V), tensor_by_pairs(U, V)
-        assert T.ambient is want.ambient
+        assert T.group is want.group
         assert T.size == want.size
-        check_action(T.action)
+        check_action(T)
         assert T.decompose() == want.decompose()
 
 
@@ -215,10 +211,10 @@ def test_tensor_cap_bounds_points_times_orbits(monkeypatch):
     U = biset_coset(diagonal(full_subgroup(S3)))
     amb = product_group(S3, C2)
     # three H-orbits on V: two free ones and a fixed point
-    V = BisetView(amb, disjoint_union(*(
+    V = disjoint_union(*(
         coset_action(amb, rectangle(amb, S, full_subgroup(C2)))
         for S in (trivial_subgroup(S3), trivial_subgroup(S3),
-                  full_subgroup(S3)))))
+                  full_subgroup(S3))))
     bound = U.size * 3
     assert U.size * V.size > bound
     monkeypatch.setattr(gsets, "TENSOR_POINT_CAP", bound)
@@ -248,9 +244,9 @@ def test_a_sweep_that_drops_its_last_row_fails_against_the_pair_oracle(
     S3, C2 = named_group("S3"), named_group("C2")
     U = biset_coset(diagonal(subgroup_generated(S3, [el(S3, "(1 2 3)")])))
     amb = product_group(S3, C2)
-    V = BisetView(amb, disjoint_union(*(
+    V = disjoint_union(*(
         coset_action(amb, rectangle(amb, S, full_subgroup(C2)))
-        for S in (full_subgroup(S3), trivial_subgroup(S3)))))
+        for S in (full_subgroup(S3), trivial_subgroup(S3))))
     assert len(S3.generators) == 2
     want = tensor_by_pairs(U, V).decompose()
     assert tensor_direct(U, V).decompose() == want
@@ -357,7 +353,7 @@ def test_dual_biset_is_an_involution():
                   full_subgroup(C4))
     U = biset_coset(X)
     D = dual_biset(U)
-    assert D.left.order == 4 and D.right.order == 6
+    assert D.group.left.order == 4 and D.group.right.order == 6
     assert dual_biset(D).decompose() == U.decompose()
 
 
@@ -369,7 +365,8 @@ def test_extended_tensor_against_defres():
     Y = rectangle(amb, C3, full_subgroup(S3))
     U = regular_action(X.as_group())
     V = coset_action(Y.as_group(), full_subgroup(Y.as_group()))
-    assert defres_description(X, Y, U, V)["isomorphic"]
+    out = defres_description(X, Y, U, V)
+    assert iso_check(out["lhs"], out["rhs"])
     W = extended_tensor(X, Y, U, V)
     # the result is a star(X, Y)-set glued over the joint kernel
     assert W.group.order == star_order(X, Y)
@@ -385,8 +382,8 @@ def test_defres_biset_shape():
     X = diagonal(full_subgroup(S3))
     Y = diagonal(subgroup_generated(S3, [el(S3, "(1 2 3)")]))
     W = defres_biset(pullback(X, Y))
-    assert W.left.order == 3  # star of the two diagonals is delta(C3)
-    assert W.right.order == X.order * Y.order
+    assert W.group.left.order == 3  # star of the two diagonals is delta(C3)
+    assert W.group.right.order == X.order * Y.order
     assert total_size(W.decompose()) == W.size
 
 
@@ -439,7 +436,7 @@ def test_extended_induction_formula_instance():
     U = coset_action(Xp.as_group(), full_subgroup(Xp.as_group()))
     V = coset_action(Yp.as_group(), full_subgroup(Yp.as_group()))
     out = extended_induction_formula(X, Y, Xp, Yp, U, V)
-    assert out["isomorphic"]
+    assert iso_check(out["lhs"], out["rhs"])
     assert out["double_coset_count"] >= 1
 
 
@@ -452,7 +449,7 @@ def test_tensor_induced_bisets_formula_instance():
     Xp = rectangle(amb, C2, C2)
     Yp = rectangle(amb, C2, C2)
     out = tensor_induced_bisets_formula(X, Y, Xp, Yp)
-    assert out["isomorphic"]
+    assert iso_check(out["lhs"], out["rhs"])
     assert out["double_coset_count"] >= 1
 
 
@@ -501,13 +498,66 @@ def test_transitive_decomposition_equality():
     assert d1 != d3
 
 
-def test_biset_from_left_action_round_trip():
-    S3 = named_group("S3")
-    A = coset_action(S3, subgroup_generated(S3, [el(S3, "(1 2)")]))
-    U = biset_from_left_action(A)
-    assert U.right.order == 1
-    B = left_action_of_biset(U)
+def test_rebase_action_moves_g_to_g_times_1_and_back(monkeypatch):
+    # G and G x 1 number their elements alike; the check reads the rows
+    # of the target's generators only, one in each group
+    S4 = named_group("S4")
+    SS = product_group(S4, S4)
+    A = coset_action(SS, subgroup_generated(
+        SS, [SS.encode(el(S4, "(1 2)"), S4.identity)]))
+    G1 = product_group(SS, trivial_group())
+    reads, row = [], type(SS).row
+    monkeypatch.setattr(type(SS), "row",
+                        lambda self, a: reads.append(a) or row(self, a))
+    U = rebase_action(A, G1)
+    assert reads == [s for s in G1.generators for _ in range(2)]
+    assert U.group is G1 and U.group.right.order == 1
+    B = rebase_action(U, SS)
+    assert B.group is SS and rebase_action(B, SS) is B
+    assert [B.rows[g] for g in range(SS.order)] == [
+        A.rows[g] for g in range(SS.order)]
     assert iso_check(A, B)
+
+
+def test_rebase_action_moves_to_the_local_group_of_sub_in_local():
+    # induced_action re-homes an action of inner.as_group() to the local
+    # group of inner inside outer, an equal table built apart
+    S3 = named_group("S3")
+    amb = product_group(S3, S3)
+    C3 = subgroup_generated(S3, [el(S3, "(1 2 3)")])
+    outer = rectangle(amb, full_subgroup(S3), C3)
+    inner = diagonal(C3)
+    T = regular_action(inner.as_group())
+    Sub = sub_in_local(outer, inner)
+    assert Sub.as_group() is not T.group
+    R = rebase_action(T, Sub.as_group())
+    assert R.group is Sub.as_group()
+    assert [R.rows[g] for g in range(3)] == [T.rows[g] for g in range(3)]
+    I = induced_action(outer.as_group(), Sub, T)
+    check_action(I)
+    assert I.size == outer.order
+
+
+def test_rebase_action_refuses_another_group():
+    C2, C4 = named_group("C2"), named_group("C4")
+    V4 = product_group(C2, C2)
+    A = regular_action(C4)
+    # equal orders and identities, but a generator row differs
+    assert V4.order == 4 and V4.identity == C4.identity
+    with pytest.raises(ValueError, match="not element-wise identical"):
+        rebase_action(A, V4)
+    with pytest.raises(ValueError, match="not element-wise identical"):
+        rebase_action(regular_action(V4), C4)
+    # C2 with 1 as its identity
+    with pytest.raises(ValueError, match="not element-wise identical"):
+        rebase_action(regular_action(C2),
+                      groups.FiniteGroup([[1, 0], [0, 1]], identity=1))
+    # G x H is not G once |H| > 1
+    S3 = named_group("S3")
+    with pytest.raises(ValueError, match="not element-wise identical"):
+        rebase_action(regular_action(S3), product_group(S3, C2))
+    with pytest.raises(ValueError, match="not element-wise identical"):
+        rebase_action(regular_action(product_group(S3, C2)), S3)
 
 
 def test_external_product_sizes():
@@ -599,11 +649,11 @@ def _random_actions(rng):
         yield disjoint_union(coset(G), coset(G, 8))
     yield external_product(coset(S4), coset(D8))
     yield external_product(coset(D8), coset(Q8))
-    yield biset(SS).opposite().action
-    yield biset(DQ).opposite().action
-    yield tensor_direct(biset(SS), biset(SS)).action
+    yield dual_biset(biset(SS))
+    yield dual_biset(biset(DQ))
+    yield tensor_direct(biset(SS), biset(SS))
     yield tensor_direct(biset(product_group(D8, S4)),
-                        biset(product_group(S4, Q8))).action
+                        biset(product_group(S4, Q8)))
 
 
 def test_orbits_stabilizers_decompose_match_a_full_scan():
@@ -674,8 +724,7 @@ def test_coset_actions_decompose_without_reading_a_row():
                                        for _ in range(rng.randint(1, 2))])
             actions = [coset_action(G, S)]
             if G is not S4:
-                actions.append(
-                    biset_coset(ProductSubgroup(G, S.elements)).action)
+                actions.append(biset_coset(ProductSubgroup(G, S.elements)))
             for A in actions:
                 dec = A.decompose()
                 assert len(A.rows) == 0
@@ -698,7 +747,7 @@ def test_a_union_decomposes_as_the_sum_of_its_parts():
     def biset(amb):
         return biset_coset(ProductSubgroup(amb, sub(amb, 24).elements))
     for _ in range(3):
-        T = tensor_direct(biset(SS), biset(SD)).action
+        T = tensor_direct(biset(SS), biset(SD))
         C = coset_action(SD, sub(SD, 24))
         union = disjoint_union(C, T, C)
         dec = union.decompose()
@@ -715,10 +764,10 @@ def test_coset_biset_decompose_reads_only_generator_rows():
                         full_subgroup(S4))):
         U = biset_coset(X)
         assert total_size(U.decompose()) == U.size == amb.order // X.order
-        assert len(U.action.rows) == 0
+        assert len(U.rows) == 0
         T = tensor_direct(U, U)
         T.decompose()
-        assert len(T.action.rows) <= len(amb.generators)
+        assert len(T.rows) <= len(amb.generators)
 
 
 # -- graph bisets and extended-tensor rows against their references ---
@@ -728,14 +777,14 @@ def _same_graph_biset(W, ref, rng):
     same decomposition, read off no row, rows that form an action with
     that decomposition, and a tensor with a random right biset over the
     same middle group that is isomorphic."""
-    assert W.ambient is ref.ambient and W.size == ref.size
+    assert W.group is ref.group and W.size == ref.size
     assert W.decompose() == ref.decompose()
-    assert len(W.action.rows) == 0
-    check_action(W.action)
-    assert brute_decomposition(W.action) == ref.decompose()
-    amb = product_group(W.right, named_group("C2"))
+    assert len(W.rows) == 0
+    check_action(W)
+    assert brute_decomposition(W) == ref.decompose()
+    amb = product_group(W.group.right, named_group("C2"))
     V = biset_coset(random_product_subgroup(rng, amb, max_index=12))
-    assert iso_check(tensor_direct(W, V).action, tensor_direct(ref, V).action)
+    assert iso_check(tensor_direct(W, V), tensor_direct(ref, V))
 
 
 def test_induction_bisets_equal_the_coset_bisets_of_their_graphs():

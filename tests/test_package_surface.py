@@ -8,8 +8,7 @@ count.  References and helpers that only the tests need live in
 tests/oracles.py.
 
 Methods are matched by their bare name, so a method that no code calls
-goes unseen while another method of the same name has a caller, as
-ProductSubgroup.opposite does behind BisetView.opposite.
+goes unseen while another method of the same name has a caller.
 """
 
 import ast
@@ -23,8 +22,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bisetblocks"
 # the references perfbench/tracer.py wraps by name, which move to
 # tests/oracles.py when the benchmark next changes (item 6): both read
 # off the reach census allowlist, so an entry lives in one place.
-# ProductSubgroup.opposite has no caller either, but the check below
-# cannot see it behind BisetView.opposite; the census does.
 DEFERRED = {name.split(".", 1)[1]: kind
             for name, (kind, _) in ALLOWLIST.items() if kind in (4, 12)}
 TRACED_REFERENCES = {name.split(".", 1)[1]

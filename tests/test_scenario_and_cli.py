@@ -871,3 +871,24 @@ def test_only_run_acceptance_imports_the_acceptance_module():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["blocks", "S3", "--prime", "2"],
+    ["verify-biset-laws", "--suite", "mackey", "--count", "1"],
+    ["broue", data_path("scenarios/identity_s3.json")],
+    ["ingest-table", str(TABLE_FIXTURES / "S3.json")],
+    ["run-acceptance"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_cli_out_that_cannot_be_written_is_an_input_error(
+        tmp_path, capsys, argv, target):
+    # the work is done, the report cannot be written: exit 2 with one
+    # input error line, as for any other bad argument
+    out = tmp_path / "no" / "r.json" if target == "missing" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("input error:")]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert errors[0].startswith(f"input error: cannot write {out}: ")
