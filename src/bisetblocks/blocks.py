@@ -34,10 +34,11 @@ tracer wraps them by name, and the others live in tests/oracles.py.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .characters import CharacterTable
 from .cyclotomic import Cyclotomic
-from .gf import Fq, eigenspaces, mat_kernel, mat_rank, mat_rref
+from .gf import Fq, _dot, eigenspaces, mat_kernel, mat_rank, mat_rref
 from .groups import (FiniteGroup, GroupHom, Subgroup, centralizer,
                      class_structure_constants, int_p_part, int_p_prime_part,
                      normalizer, quotient, sylow_subgroup)
@@ -47,7 +48,6 @@ from .gsets import GAction, biset_coset
 def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
-    from math import gcd
     if gcd(a, n) != 1:
         raise ValueError("order undefined: arguments share a factor")
     k, x = 1, a % n
@@ -66,7 +66,6 @@ def splitting_params(G: FiniteGroup, p: int) -> tuple[int, int]:
 
 def splitting_field_degree(groups, p: int) -> int:
     """Least common multiple of the splitting degrees of several groups."""
-    from math import lcm
     return lcm(*(splitting_params(G, p)[0] for G in groups))
 
 
@@ -266,13 +265,12 @@ def _split_centre(G: FiniteGroup, F: Fq) -> tuple[tuple[int, ...], ...]:
     # B is commutative and spanned by the block idempotents, so the
     # common eigenspaces in B of the maps x -> s x, s in a basis of B,
     # are the lines through the e_B; the reduced row x = c e_B of a line
-    # has x x = c x, and c is read at its pivot.
-    spaces = [mat_rref(F, fixed)]
-    for s in fixed:
-        s = CentralElement(G, F, s)
-        times_s = list(zip(*((s * K).coeffs for K in units)))
-        spaces = [part for space in spaces
-                  for part in eigenspaces(F, times_s, *space)]
+    # has x x = c x, and c is read at its pivot.  The split reads the
+    # map of one s at a time, so the products s K after the last split
+    # are never formed.
+    spaces = eigenspaces(F, (
+        list(zip(*((CentralElement(G, F, s) * K).coeffs for K in units)))
+        for s in fixed), *mat_rref(F, fixed))
     if any(len(rows) != 1 for rows, _ in spaces):
         raise AssertionError("the fixed subalgebra did not split into lines")
     blocks = []
@@ -507,10 +505,7 @@ def assign_characters_to_blocks(table: CharacterTable,
             omega_bar.append(red(val))
         hits = []
         for bi, b in enumerate(blocks):
-            total = 0
-            for c, w in zip(b.coeffs, omega_bar):
-                if c and w:
-                    total = field.add(total, field.mul(c, w))
+            total = _dot(field, b.coeffs, omega_bar)
             if total == 1:
                 hits.append(bi)
             elif total != 0:

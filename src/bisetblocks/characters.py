@@ -51,10 +51,10 @@ from operator import add, eq, mul
 
 from .cyclotomic import (Cyclotomic, ZERO, _bilinear, _from_rows, _make,
                          _rows_over, _sum)
-from .gf import eigenspaces, fq_field, mat_rref
+from .gf import eigenspaces, fq_field
 from .groups import (FiniteGroup, ProductGroup, Subgroup,
-                     class_structure_constants, element_by_name,
-                     product_group)
+                     class_structure_constants, double_cosets,
+                     element_by_name, product_group)
 from .subdirect import ProductSubgroup, middle_kernel, middle_witnesses, star
 
 
@@ -479,9 +479,11 @@ def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
     common eigenvectors of the class matrices (M_i)_jl = a[i][j][l],
     with M_i omega = omega(K_i) omega, and stay distinct since r does
     not divide |G|.  F_r^k is split by each M_i in turn into common
-    eigenspaces (gf.eigenspaces): the eigenvalues of M_i on a space are
-    the roots of its minimal polynomial there, which split into distinct
-    linear factors as r = 1 mod exp(G), and each root costs one kernel.
+    eigenspaces (gf.eigenspaces), until every piece is a line, each M_i
+    reduced mod r only when the split reads it: the eigenvalues of M_i
+    on a space are the roots of its minimal polynomial there, which
+    split into distinct linear factors as r = 1 mod exp(G), and each
+    root costs one kernel.
     Scaled to omega(K_1) = 1, an eigenvector gives
     chi(1)^2 = |G| / sum_j omega_j omega_j' / |K_j| (j' the class of the
     inverses), whose root in 1..sqrt|G| is unique mod r as r > 2 sqrt|G|,
@@ -502,12 +504,9 @@ def _dixon_schneider(G: FiniteGroup) -> list[ClassFunction]:
         r += e
     F = fq_field(r, 1)
     sc = class_structure_constants(G)
-    spaces = [mat_rref(F, [[int(i == j) for j in range(k)]
-                           for i in range(k)])]
-    for M in sc:
-        M = [[a % r for a in row] for row in M]
-        spaces = [part for space in spaces
-                  for part in eigenspaces(F, M, *space)]
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    spaces = eigenspaces(F, ([[a % r for a in row] for row in M] for M in sc),
+                         identity, list(range(k)))
     if len(spaces) != k:
         raise AssertionError("class matrices did not split into lines")
     one = G.class_index(G.identity)
@@ -559,7 +558,6 @@ def verify_tensor_character_formula(X: ProductSubgroup, Y: ProductSubgroup,
     from star(X, conjugate of Y), of the extended-tensor character of
     chi_m with the transported chi_n.
     """
-    from .groups import double_cosets
     H = X.ambient.right
     if Y.ambient.left is not H:
         raise ValueError("matching middle group required")

@@ -21,6 +21,8 @@ from .blocks import (assign_characters_to_blocks, block_idempotents,
 from .broue import SelectorError, run_scenario
 from .characters import ingest_character_table, value_to_doc
 from .gf import FIELD_SIZE_CAP, check_characteristic, fq_field
+from .groups import (PermutationGroup, element_by_name,
+                     minimal_generating_sequence)
 from .namedgroups import named_group
 from .scenario import Scenario, group_from_spec, table_for_group
 from .suites import ALL_SUITES, DEFAULT_SEED, run_suite, worker_count
@@ -182,7 +184,6 @@ def cmd_blocks(args) -> int:
 
 def _subgroup_names(D) -> list:
     G = D.parent
-    from .groups import PermutationGroup, minimal_generating_sequence
     if D.order == 1:
         return []
     gens = [D.from_local(i) for i in minimal_generating_sequence(D.as_group())]
@@ -220,7 +221,6 @@ def cmd_ingest_table(args) -> int:
         table = ingest_character_table(doc, group=group)
     except (KeyError, ValueError, TypeError) as ex:
         raise InputError(f"bad table: {ex}")
-    from .groups import element_by_name
     Gt = table.group
     cols = [Gt.class_index(element_by_name(Gt, col["rep"]))
             for col in doc["classes"]]

@@ -1,5 +1,4 @@
-"""Small finite fields F_q, q = p^m, and polynomials and matrices over
-them.
+"""Small finite fields F_q, q = p^m, and matrices over them.
 
 Elements of F_q are integers 0..q-1 read as base-p digit vectors over
 the polynomial basis of F_p[x] modulo a fixed irreducible: the element
@@ -14,17 +13,19 @@ tables (g^i g^j = g^(i+j)), so building them takes O(q) products, each
 m steps of Horner's rule through the addition table and a table of
 products by x.
 
-The polynomial and matrix functions take the field as their first
-argument; mat_rref and mat_rank read its addition, multiplication and
-negation tables directly.  Polynomials are little-endian coefficient
-lists.
+The matrix functions take the field as their first argument.  mat_rref
+is the one elimination, reading the addition, multiplication and
+negation tables directly; mat_rank counts its pivots and mat_kernel
+reads its free columns.
 
-eigenspaces splits an M-stable subspace into the eigenspaces of M, for
-the character tables and the block idempotents alike: the minimal
-polynomial of M on the subspace comes from one Krylov sequence,
+eigenspaces splits a subspace into the common eigenspaces of commuting
+matrices, for the character tables and the block idempotents alike:
+each matrix in turn splits every piece found so far, until every piece
+is a line.  The minimal polynomial of a matrix on a piece, a
+little-endian coefficient list, comes from one Krylov sequence;
 poly_factor finds its roots by evaluating it at every element of F_q
-and refuses it unless it splits into distinct linear factors, and each
-root gives one kernel.
+and refuses it unless it has as many roots as its degree, so unless it
+splits into distinct linear factors; and each root gives one kernel.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def fq_field(p: int, m: int) -> Fq:
     return Fq(p, m)
 
 
-# -- polynomials over a field (little-endian coefficient lists) -------
+# -- roots of polynomials over F_q (little-endian coefficient lists) --
 
 def poly_trim(f):
     f = list(f)
@@ -235,57 +236,26 @@ def poly_trim(f):
     return f
 
 
-def poly_is_zero(f) -> bool:
-    return all(c == 0 for c in f)
-
-
-def poly_mul(F, a, b):
-    if poly_is_zero(a) or poly_is_zero(b):
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_trim(out)
-
-
-def poly_scale(F, a, c):
-    return poly_trim([F.mul(c, x) for x in a])
-
-
-def poly_monic(F, a):
-    a = poly_trim(a)
-    if poly_is_zero(a):
-        return a
-    return poly_scale(F, a, F.inv(a[-1]))
-
-
 def poly_factor(F: Fq, f):
     """The factors x - lam of an f that splits into distinct linear
     factors over F_q, as ((-lam, 1), 1) pairs sorted by coefficients.
 
-    The roots are found by evaluating f at every element of F_q, and
-    the product of the x - lam is checked against f made monic; an f
-    with a repeated or nonlinear factor raises ValueError.
+    The roots are found by evaluating f at every element of F_q.  An f
+    of degree d splits into distinct linear factors exactly when it has
+    d roots, so one with fewer raises ValueError.
     """
-    f = poly_monic(F, f)
+    f = poly_trim(f)
     if len(f) < 2:
         raise ValueError("factor a polynomial of positive degree")
     add, mul = F.add_table, F.mul_table
     values = [f[-1]] * F.q
     for c in reversed(f[:-1]):
         values = [add[mul[lam][v]][c] for lam, v in enumerate(values)]
-    factors = sorted(((F.neg(lam), 1), 1)
-                     for lam, v in enumerate(values) if v == 0)
-    product = [1]
-    for factor, _ in factors:
-        product = poly_mul(F, product, factor)
-    if product != f:
+    roots = [lam for lam, v in enumerate(values) if v == 0]
+    if len(roots) < len(f) - 1:
         raise ValueError(f"{f} does not split into distinct linear "
                          f"factors over F_{F.q}")
-    return factors
+    return sorted(((F.neg(lam), 1), 1) for lam in roots)
 
 
 # -- linear algebra over F_q -----------------------------------------
@@ -318,24 +288,8 @@ def mat_rref(F: Fq, rows):
 
 
 def mat_rank(F: Fq, rows) -> int:
-    """Rank by forward elimination: a pivot clears only the rows below
-    it, adding row[c] times the negated pivot row through the tables."""
-    rows = [list(r) for r in rows]
-    add, mul, neg = F.add_table, F.mul_table, F.neg_table
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pr is not None:
-            rows[rank], rows[pr] = rows[pr], rows[rank]
-            scale = mul[F.inv(rows[rank][c])]
-            minus = [neg[scale[w]] for w in rows[rank][c:]]
-            rank += 1
-            for row in rows[rank:]:
-                if row[c]:
-                    times = mul[row[c]]
-                    row[c:] = [add[v][times[w]]
-                               for v, w in zip(row[c:], minus)]
-    return rank
+    """The number of pivots of the reduced row echelon form."""
+    return len(mat_rref(F, rows)[1])
 
 
 def mat_kernel(F, rows, ncols: int):
@@ -363,16 +317,35 @@ def _dot(F: Fq, xs, ys) -> int:
     return acc
 
 
-def eigenspaces(F: Fq, M, rows, pivots):
-    """Split an M-stable subspace of F_q^k into the eigenspaces of M.
+def eigenspaces(F: Fq, matrices, rows, pivots):
+    """Split a subspace of F_q^k into the common eigenspaces of
+    commuting matrices that keep it stable.
 
-    The subspace is given by its reduced basis rows and their pivot
-    columns, so M restricted to it has the matrix A[u][s] = (M b_s) at
+    The matrices are read one at a time, from any iterable, and each
+    splits every piece found so far; none is read once every piece is a
+    line.  A piece is given by its reduced basis rows and their pivot
+    columns, and comes back as (rows, pivots) again.
+    """
+    spaces = [(rows, pivots)]
+    matrices = iter(matrices)
+    while any(len(rows) > 1 for rows, _ in spaces):
+        M = next(matrices, None)
+        if M is None:
+            break
+        spaces = [part for space in spaces
+                  for part in _split(F, M, *space)]
+    return spaces
+
+
+def _split(F: Fq, M, rows, pivots):
+    """The eigenspaces of M in an M-stable subspace.
+
+    M restricted to the subspace has the matrix A[u][s] = (M b_s) at
     pivot u.  The eigenvalues are the roots of the minimal polynomial of
     A, which poly_factor finds and which must split into distinct
     linear factors, as it does when M is diagonalizable over F_q; each
-    eigenspace is one kernel of A - lam, and comes back as (rows,
-    pivots) again.  A scalar A returns the subspace whole.
+    eigenspace is one kernel of A - lam.  A scalar A returns the
+    subspace whole.
     """
     d = len(rows)
     A = [[_dot(F, M[p], b) for b in rows] for p in pivots]

@@ -236,8 +236,11 @@ class FiniteGroup:
                      for cls in self.conjugacy_classes()))
 
     def is_abelian(self) -> bool:
+        """Exact on generators: the centralizer of each generator is a
+        subgroup, so it is G when it holds all of them."""
+        gens = self.generators
         return all(self.commutes(a, b)
-                   for a in range(self.order) for b in range(a))
+                   for i, a in enumerate(gens) for b in gens[:i])
 
     def is_p_prime_element(self, g: int, p: int) -> bool:
         """True when the order of g is prime to p."""

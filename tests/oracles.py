@@ -197,6 +197,16 @@ def poly_eval(F, f, x):
     return out
 
 
+def poly_product(F, a, b):
+    """The product of two polynomials over F by the schoolbook rule;
+    coefficients are listed from degree 0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
 # -- cyclotomic numbers ----------------------------------------------
 
 def zeta(n: int, k: int = 1):

@@ -491,19 +491,30 @@ def test_one_pass_splits_over_any_basis_of_the_fixed_subalgebra(
 @pytest.mark.parametrize("name, p", [("S6", 2), ("A5", 2), ("A5", 3),
                                      ("A5", 5)])
 def test_each_basis_element_meets_each_piece_once(monkeypatch, name, p):
-    # one eigenspace split per basis element of B and piece found so far
+    # the split reads the map of one basis element of B at a time, at
+    # most dim B of them, and none once every piece is a line: the maps
+    # read before the last leave a piece of dimension above one
     calls = []
     real = blocks_module.eigenspaces
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(F, matrices, rows, pivots):
+        read = []
+        calls.append((read, rows, pivots))
+
+        def reading():
+            for M in matrices:
+                read.append(M)
+                yield M
+        return real(F, reading(), rows, pivots)
     monkeypatch.setattr(blocks_module, "eigenspaces", counted)
     G = small_group(name)
     F = Fq(p, field_for(G, p).m)      # a new cache key
     count = len(block_idempotents(G, p, F))
     dim_B = frobenius_fixed_dimension(G, F)
-    assert count > 1 and 0 < len(calls) <= dim_B * count
+    [(read, rows, pivots)] = calls
+    assert count > 1 and 0 < len(read) <= dim_B == len(rows)
+    assert len(real(F, read, rows, pivots)) == count
+    assert any(len(part) > 1 for part, _ in real(F, read[:-1], rows, pivots))
 
 
 @pytest.mark.parametrize("name", ["C2", "C3"])

@@ -9,10 +9,9 @@ import pytest
 from bisetblocks.gf import (FIELD_SIZE_CAP, _digit_add_table,
                             _digit_neg_table, _smallest_irreducible,
                             eigenspaces, fq_field, mat_kernel, mat_rank,
-                            mat_rref, poly_factor, poly_is_zero, poly_mul,
-                            poly_trim)
+                            mat_rref, poly_factor, poly_trim)
 
-from oracles import poly_eval
+from oracles import poly_eval, poly_product
 
 
 def test_field_parameters():
@@ -117,15 +116,17 @@ def test_power_negative_exponent():
 
 
 def test_poly_arithmetic_basics():
+    # trimming, and the product the factor tests build their inputs with
     F = fq_field(5, 1)
     a = [1, 2, 3]          # 3x^2 + 2x + 1
     b = [4, 1]             # x + 4
-    prod = poly_mul(F, a, b)
+    prod = poly_product(F, a, b)
     assert len(prod) == 4
-    assert poly_eval(F, prod, 2) == F.mul(poly_eval(F, a, 2),
-                                          poly_eval(F, b, 2))
+    for x in range(5):
+        assert poly_eval(F, prod, x) == F.mul(poly_eval(F, a, x),
+                                              poly_eval(F, b, x))
     assert poly_trim([0, 1, 0, 0]) == [0, 1]
-    assert poly_is_zero(poly_mul(F, a, [0])) and not poly_is_zero(prod)
+    assert poly_trim([0, 0]) == [0]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (7, 1), (3, 2)])
@@ -136,7 +137,7 @@ def test_poly_factor_returns_distinct_linear_factors_sorted(p, m):
         roots = rng.sample(range(F.q), rng.randint(1, F.q))
         f = [rng.randrange(1, F.q)]             # any leading coefficient
         for lam in roots:
-            f = poly_mul(F, f, [F.neg(lam), 1])
+            f = poly_product(F, f, [F.neg(lam), 1])
         want = sorted(((F.neg(lam), 1), 1) for lam in roots)
         assert poly_factor(F, f) == want
 
@@ -183,25 +184,43 @@ def test_mat_rank_random_products():
         assert mat_rank(F, M) == expected
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (2, 4), (3, 4)])
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 4),
+                                  (3, 4)])
 def test_mat_rank_agrees_with_the_reduced_form(p, m):
-    # forward elimination against the pivots of the full reduced form, on
-    # products of random n x r and r x k matrices (rank at most r, often
-    # less over a small field) with zero rows and columns mixed in
+    # the pivots of the reduced form against a count that shares no code
+    # with gf: the kernel of a rank-r matrix with k columns has q^(k-r)
+    # vectors, each found by trying every vector of F_q^k in arithmetic
+    # built from the digits and the modulus found by trial division.
+    # The matrices are products of random n x r and r x k matrices (rank
+    # at most r, often less over a small field), the first with zero
+    # entries mixed in, and F_q^k has at most a few thousand vectors.
+    q = p ** m
+    add_digits, times = _oracle_arithmetic(
+        p, m, next(g for g in _monic(p, m) if _irreducible(g, p)))
+    add = [[add_digits(a, b) for b in range(q)] for a in range(q)]
+    mul = [[times(a, b) for b in range(q)] for a in range(q)]
+
+    def dot(xs, ys):
+        return reduce(lambda acc, t: add[acc][mul[t[0]][t[1]]],
+                      zip(xs, ys), 0)
+
     F = fq_field(p, m)
     rng = random.Random(p ** m)
+    most = max(2, next(k for k in itertools.count() if q ** (k + 1) > 1000))
+    ranks = set()
     for _ in range(40):
-        n, r, k = rng.randint(1, 9), rng.randint(0, 6), rng.randint(1, 9)
-        A = [[rng.randrange(F.q) if rng.random() < 0.8 else 0
+        n, r, k = rng.randint(1, 6), rng.randint(0, 4), rng.randint(1, most)
+        A = [[rng.randrange(q) if rng.random() < 0.8 else 0
               for _ in range(r)] for _ in range(n)]
-        B = [[rng.randrange(F.q) for _ in range(k)] for _ in range(r)]
-        M = [[0] * k for _ in range(n)]
-        for i in range(n):
-            for j in range(k):
-                for t in range(r):
-                    M[i][j] = F.add(M[i][j], F.mul(A[i][t], B[t][j]))
-        rank = mat_rank(F, M)
-        assert rank == len(mat_rref(F, M)[1]) and rank <= min(r, n, k)
+        B = [[rng.randrange(q) for _ in range(k)] for _ in range(r)]
+        M = [[dot(row, col) for col in zip(*B)] if r else [0] * k
+             for row in A]
+        kernel = sum(not any(dot(row, x) for row in M)
+                     for x in itertools.product(range(q), repeat=k))
+        nullity = next(d for d in range(k + 1) if q ** d == kernel)
+        assert mat_rank(F, M) == k - nullity <= min(r, n)
+        ranks.add(k - nullity)
+    assert len(ranks) > 2
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
@@ -287,17 +306,17 @@ def test_eigenspaces_of_a_conjugated_diagonal(p, m):
         eigenvalues = [rng.choice([0, 1, F.q - 1, F.generator])
                        for _ in range(n)]
         M, spaces = _conjugated_diagonal(F, eigenvalues, rng)
-        got = eigenspaces(F, M, *_identity_space(n))
+        got = eigenspaces(F, [M], *_identity_space(n))
         assert sorted(got) == sorted(spaces.values())
         for rows, pivots in spaces.values():
             # an eigenspace is M-stable and comes back whole, a line too
-            assert eigenspaces(F, M, rows, pivots) == [(rows, pivots)]
+            assert eigenspaces(F, [M], rows, pivots) == [(rows, pivots)]
             line = mat_rref(F, rows[-1:])
-            assert eigenspaces(F, M, *line) == [line]
+            assert eigenspaces(F, [M], *line) == [line]
         if len(spaces) > 1:
             # the sum of two eigenspaces splits back into them
             (a, _), (b, _) = list(spaces.values())[:2]
-            got = eigenspaces(F, M, *mat_rref(F, a + b))
+            got = eigenspaces(F, [M], *mat_rref(F, a + b))
             assert sorted(got) == sorted(mat_rref(F, rows)
                                          for rows in (a, b))
 
@@ -309,7 +328,39 @@ def test_eigenspaces_of_a_conjugated_diagonal(p, m):
 def test_eigenspaces_refuses_a_matrix_that_does_not_diagonalize(M):
     F = fq_field(7, 1)
     with pytest.raises(ValueError, match="distinct linear factors"):
-        eigenspaces(F, M, *_identity_space(len(M)))
+        eigenspaces(F, [M], *_identity_space(len(M)))
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 2)])
+def test_eigenspaces_of_commuting_matrices_reads_none_after_lines(p, m):
+    # M1 and M2 are diagonal in the basis P, with eigenvalues that each
+    # leave a plane unsplit and together separate every column of P:
+    # the common eigenspaces are the lines through the columns, found
+    # after two matrices, and a third is never read
+    F = fq_field(p, m)
+    rng = random.Random(p ** m)
+    n = 4
+    a, b = 0, F.generator
+    P = _invertible(F, n, rng)
+    Pinv = _inverse(F, P)
+    read = []
+
+    def matrices(*diagonals):
+        for d in diagonals:
+            read.append(d)
+            D = [[lam if i == j else 0 for j in range(n)]
+                 for i, lam in enumerate(d)]
+            yield _times(F, _times(F, P, D), Pinv)
+        raise AssertionError("a matrix was read after the last split")
+
+    lines = sorted(mat_rref(F, [col]) for col in zip(*P))
+    got = eigenspaces(F, matrices([a, a, b, b], [a, b, a, b], [a, b, b, a]),
+                      *_identity_space(n))
+    assert sorted(got) == lines and len(read) == 2
+    # a line is split by nothing, so no matrix is read
+    read.clear()
+    assert eigenspaces(F, matrices(), *lines[0]) == [lines[0]]
+    assert read == []
 
 
 # -- F_q tables against an oracle that shares no code with gf --------
@@ -360,6 +411,19 @@ def _irreducible(f, p):
                    for d in range(1, m // 2 + 1) for g in _monic(p, d))
 
 
+def _oracle_arithmetic(p, m, f):
+    """Addition and multiplication of F_p[x]/(f) on base-p digits, by
+    digit sums and by schoolbook products reduced mod f."""
+    def add(a, b):
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m),
+                                                       _digits(b, p, m))], p)
+
+    def mul(a, b):
+        prod = _schoolbook(_digits(a, p, m), _digits(b, p, m), p)
+        return _undigits(_mod_poly(prod, f, p), p)
+    return add, mul
+
+
 @pytest.mark.parametrize("p,m", [(p, m) for p, m in
                                  _small_fields(FIELD_SIZE_CAP) if m > 1])
 def test_modulus_is_the_first_irreducible_by_trial_division(p, m):
@@ -386,17 +450,12 @@ def test_fq_tables_match_an_independent_oracle(p, m):
     assert len(f) == m + 1 and f[-1] == 1 and _irreducible(f, p)
     assert f == next(g for g in _monic(p, m) if _irreducible(g, p))
 
-    def mul(a, b):
-        prod = _schoolbook(_digits(a, p, m), _digits(b, p, m), p)
-        return _undigits(_mod_poly(prod, f, p), p)
-
+    add, mul = _oracle_arithmetic(p, m, f)
     for a in range(q):
-        da = _digits(a, p, m)
-        assert F.neg_table[a] == _undigits([-x % p for x in da], p)
+        assert F.neg_table[a] == _undigits(
+            [-x % p for x in _digits(a, p, m)], p)
         for b in range(q):
-            db = _digits(b, p, m)
-            assert F.add_table[a][b] == \
-                _undigits([(x + y) % p for x, y in zip(da, db)], p)
+            assert F.add_table[a][b] == add(a, b)
             assert F.mul_table[a][b] == mul(a, b)
         if a:
             assert mul(a, F.inv_table[a]) == 1

@@ -26,6 +26,7 @@ from bisetblocks.groups import (FiniteGroup, GroupHom, ProductGroup,
                                 trivial_subgroup)
 from bisetblocks.gsets import coset_action
 from bisetblocks.namedgroups import BUNDLED_NAMES, named_group, trivial_group
+from bisetblocks.scenario import group_from_spec
 from bisetblocks.subdirect import full_product_subgroup
 from bisetblocks.suites import random_action
 
@@ -495,6 +496,27 @@ def test_generators_generate_every_group():
     for G in groups:
         assert subgroup_generated(G, G.generators).order == G.order, G.name
     assert trivial_group().generators == ()
+
+
+def test_is_abelian_on_generators_agrees_with_every_pair():
+    # the definition, every pair of elements, on groups built each way:
+    # by permutations, as a product, as a quotient and from a table spec
+    S3, A4 = named_group("S3"), named_group("A4")
+    V = subgroup_generated(A4, [el(A4, "(1 2)(3 4)"), el(A4, "(1 3)(2 4)")])
+    groups = [named_group(n) for n in BUNDLED_NAMES] + [
+        product_group(S3, named_group("C2")),
+        product_group(named_group("C4"), named_group("C3")),
+        quotient(A4, V)[0],
+        group_from_spec({"name": "S3 by table", "table": dense_table(S3)}),
+        group_from_spec({"name": "V4 by table",
+                         "table": dense_table(V.as_group())})]
+    seen = set()
+    for G in groups:
+        every_pair = all(G.mul(a, b) == G.mul(b, a)
+                         for a in range(G.order) for b in range(G.order))
+        assert G.is_abelian() == every_pair, G.name
+        seen.add(every_pair)
+    assert seen == {True, False}
 
 
 def test_product_generators_are_the_factor_generators():
